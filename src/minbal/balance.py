@@ -14,7 +14,6 @@ systems into permutational types.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,7 +22,7 @@ from math import gcd, lcm
 from typing import Iterator, Mapping, Optional
 
 from .games import Players, SetFunction
-from .linalg import solve_unique
+from .linalg import augment, reduce_mod_rows, solve_unique
 
 #: Enumeration and catalogue generation search all subsets of the carrier,
 #: so they are capped harder than the membership oracles.
@@ -238,72 +237,7 @@ def complement_system(system: SetSystem, players: Players) -> SetSystem:
 
 # -- enumeration -------------------------------------------------------
 
-def _reduce_mod_rows(rows: list[tuple[list[int], int]], vec: list[int]):
-    """Reduce an integer vector against echelon rows; None when it vanishes.
-
-    Fraction-free: each elimination step cross-multiplies and the result
-    is divided by its gcd, so entries stay small.
-    """
-    v = vec
-    for row, piv in rows:
-        c = v[piv]
-        if c:
-            lead = row[piv]
-            v = [lead * a - c * b for a, b in zip(v, row)]
-    g = 0
-    piv = -1
-    for i, a in enumerate(v):
-        if a:
-            g = gcd(g, a)
-            if piv < 0:
-                piv = i
-    if piv < 0:
-        return None
-    if v[piv] < 0:
-        g = -g
-    return [a // g for a in v], piv
-
-
-def _positive_weights(chosen: list[int], c: int) -> Optional[tuple[Fraction, ...]]:
-    """Unique strictly positive weights with sum of chi_S = all-ones.
-
-    ``chosen`` holds independent member bitmasks over ``c`` coordinates.
-    Fraction-free integer Gauss-Jordan; ``None`` when the all-ones vector
-    is outside the span or some weight is not strictly positive.
-    """
-    k = len(chosen)
-    rows = [[(s >> i) & 1 for s in chosen] + [1] for i in range(c)]
-    for col in range(k):
-        pr = next((i for i in range(col, c) if rows[i][col]), None)
-        if pr is None:
-            raise RuntimeError("dependent members reached the weight solve")
-        rows[col], rows[pr] = rows[pr], rows[col]
-        prow = rows[col]
-        lead = prow[col]
-        for i in range(c):
-            row = rows[i]
-            if i != col and row[col]:
-                f = row[col]
-                new = [lead * a - f * b for a, b in zip(row, prow)]
-                g = 0
-                for a in new:
-                    g = gcd(g, a)
-                if g > 1:
-                    new = [a // g for a in new]
-                rows[i] = new
-    for i in range(k, c):
-        if rows[i][k] != 0:
-            return None
-    out = []
-    for j in range(k):
-        lead, rhs = rows[j][j], rows[j][k]
-        if (rhs > 0) != (lead > 0) or rhs == 0:
-            return None
-        out.append(Fraction(rhs, lead))
-    return tuple(out)
-
-
-def _enumerate_carrier(carrier: int, first_index: Optional[int] = None) -> list[MinBalancedSystem]:
+def _enumerate_carrier(carrier: int) -> list[MinBalancedSystem]:
     """DFS over candidate members in increasing bitmask order.
 
     Candidates are the nonempty proper subsets of the carrier.  A branch
@@ -313,6 +247,11 @@ def _enumerate_carrier(carrier: int, first_index: Optional[int] = None) -> list[
     proper superset can be min-balanced either, so the node is a leaf:
     the unique weights are tested for strict positivity and the system is
     recorded on success).
+
+    The chosen members are kept as augmented echelon rows
+    ``chi_S ⊕ e_depth ⊕ 0`` over ``c`` coordinates, so a candidate is
+    dependent when its reduced pivot is at or past ``c``, and at a leaf
+    the reduced target ``1_c ⊕ 0 ⊕ 1`` carries the weights.
     """
     positions = _bit_positions(carrier)
     c = len(positions)
@@ -322,7 +261,7 @@ def _enumerate_carrier(carrier: int, first_index: Optional[int] = None) -> list[
     suffix_cover = [0] * (ncand + 1)
     for i in range(ncand - 1, -1, -1):
         suffix_cover[i] = suffix_cover[i + 1] | candidates[i]
-    ones = [1] * c
+    target = augment([1] * c, c, c)
     embed = {s: sum(1 << positions[j] for j in range(c) if s >> j & 1) for s in range(full + 1)}
     found: list[MinBalancedSystem] = []
 
@@ -332,20 +271,22 @@ def _enumerate_carrier(carrier: int, first_index: Optional[int] = None) -> list[
         found.append(MinBalancedSystem(SetSystem(members), weights, k, alpha))
 
     def visit(start: int, chosen: list[int], union: int, rows: list) -> None:
+        depth = len(chosen)
         if union == full:
-            if _reduce_mod_rows(rows, list(ones)) is None:
-                weights = _positive_weights(chosen, c)
-                if weights is not None:
-                    record(chosen, weights)
+            r, piv = reduce_mod_rows(rows, target)
+            if piv >= c:
+                lead = r[2 * c]
+                if all(r[c + j] and (r[c + j] > 0) != (lead > 0) for j in range(depth)):
+                    record(chosen, tuple(Fraction(-r[c + j], lead) for j in range(depth)))
                 return
-        if len(chosen) == c:
+        if depth == c:
             return
         for i in range(start, ncand):
             if union | suffix_cover[i] != full:
                 break
             s = candidates[i]
-            reduced = _reduce_mod_rows(rows, [s >> j & 1 for j in range(c)])
-            if reduced is None:
+            reduced = reduce_mod_rows(rows, augment([s >> j & 1 for j in range(c)], depth, c))
+            if reduced[1] >= c:
                 continue
             chosen.append(s)
             rows.append(reduced)
@@ -353,12 +294,7 @@ def _enumerate_carrier(carrier: int, first_index: Optional[int] = None) -> list[
             chosen.pop()
             rows.pop()
 
-    if first_index is None:
-        visit(0, [], 0, [])
-    else:
-        s = candidates[first_index]
-        reduced = _reduce_mod_rows([], [s >> j & 1 for j in range(c)])
-        visit(first_index + 1, [s], s, [reduced])
+    visit(0, [], 0, [])
     return found
 
 
@@ -369,13 +305,11 @@ def enumerate_min_balanced(
     players: Players,
     carrier: int,
     non_trivial_only: bool = True,
-    jobs: int = 1,
 ) -> tuple[MinBalancedSystem, ...]:
     """All min-balanced systems with exactly the given carrier.
 
     Output is in canonical order (lexicographic by member bitmask list)
-    and is deterministic for every job count; with ``jobs > 1`` the
-    search is split across first-member choices and merged canonically.
+    and is cached per carrier for the life of the process.
     """
     players._check(carrier)
     if carrier == 0:
@@ -383,24 +317,14 @@ def enumerate_min_balanced(
     if players.n > ENUM_PLAYER_CAP:
         raise ValueError(f"enumeration is capped at {ENUM_PLAYER_CAP} players")
     key = (carrier, non_trivial_only)
-    if jobs <= 1 and key in _enum_cache:
+    if key in _enum_cache:
         return _enum_cache[key]
-
-    if carrier.bit_count() == 1:
-        systems: list[MinBalancedSystem] = []
-    elif jobs <= 1:
-        systems = _enumerate_carrier(carrier)
-    else:
-        ncand = (1 << carrier.bit_count()) - 2
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(lambda i: _enumerate_carrier(carrier, i), range(ncand))
-            systems = [mbs for part in parts for mbs in part]
+    systems = _enumerate_carrier(carrier)
     if not non_trivial_only:
         trivial = MinBalancedSystem(SetSystem((carrier,)), (Fraction(1),), None, None)
         systems = systems + [trivial]
     result = tuple(sorted(systems, key=lambda m: m.system.members))
-    if jobs <= 1:
-        _enum_cache[key] = result
+    _enum_cache[key] = result
     return result
 
 

@@ -19,10 +19,9 @@ bit-exact JSON format or a per-type text listing.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .balance import (
     ENUM_PLAYER_CAP,
@@ -98,12 +97,28 @@ def _type_id(players: Players, system: SetSystem, conjugated: bool) -> tuple[str
     return ("~" + name if conjugated else name), orbit
 
 
-def generate(players: Players, cone: Union[ConeKind, str], jobs: int = 1) -> Catalogue:
+def _irreducibility(players: Players) -> Callable[[MinBalancedSystem], bool]:
+    """``is_reducible`` verdicts memoized per unconjugated type id.
+
+    Relabelling the players maps reduction witnesses onto reduction
+    witnesses, so one search per permutational type suffices.
+    """
+    memo: dict[str, bool] = {}
+
+    def irreducible(mbs: MinBalancedSystem) -> bool:
+        key, _ = _type_id(players, mbs.system, False)
+        if key not in memo:
+            memo[key] = is_reducible(mbs) is None
+        return memo[key]
+
+    return irreducible
+
+
+def generate(players: Players, cone: Union[ConeKind, str]) -> Catalogue:
     """Generate the facet catalogue of a cone.
 
-    Deterministic for every ``jobs`` value: enumeration may run in
-    parallel over carriers (and DFS branches), after which entries are
-    sorted canonically and classified single-threaded.
+    Deterministic: entries are sorted canonically and classified after
+    the per-carrier enumeration.
     """
     cone = ConeKind(cone)
     n = players.n
@@ -118,21 +133,9 @@ def generate(players: Players, cone: Union[ConeKind, str], jobs: int = 1) -> Cat
         proper_only = cone is ConeKind.EXACT_CONJECTURE
         carriers = [m for m in range(full + 1) if m.bit_count() >= 2 and not (proper_only and m == full)]
 
-    if jobs <= 1:
-        per_carrier = [enumerate_min_balanced(players, m) for m in carriers]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_carrier = list(pool.map(lambda m: enumerate_min_balanced(players, m, jobs=jobs), carriers))
-    systems = [mbs for part in per_carrier for mbs in part]
+    systems = [mbs for m in carriers for mbs in enumerate_min_balanced(players, m)]
     systems.sort(key=lambda m: (m.carrier, m.system.members))
-
-    irreducible_memo: dict[str, bool] = {}
-
-    def irreducible(mbs: MinBalancedSystem) -> bool:
-        key, _ = _type_id(players, mbs.system, False)
-        if key not in irreducible_memo:
-            irreducible_memo[key] = is_reducible(mbs) is None
-        return irreducible_memo[key]
+    irreducible = _irreducibility(players)
 
     entries: list[CatalogueEntry] = []
     for mbs in systems:
@@ -286,7 +289,9 @@ def serialize(catalogue: Catalogue, format: str = "json") -> bytes:
     return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
-def _parse_entry(players: Players, raw: dict, where: str) -> CatalogueEntry:
+def _parse_entry(
+    players: Players, raw: dict, where: str, is_irreducible: Callable[[MinBalancedSystem], bool]
+) -> CatalogueEntry:
     def fail(msg: str):
         raise CatalogueFormatError(f"{where}: {msg}")
 
@@ -326,6 +331,8 @@ def _parse_entry(players: Players, raw: dict, where: str) -> CatalogueEntry:
     irreducible = raw.get("irreducible")
     if not isinstance(irreducible, bool):
         fail("missing irreducible flag")
+    if irreducible != is_irreducible(mbs):
+        fail("irreducible flag disagrees with the reducibility search")
     type_id, orbit = _type_id(players, system, conjugated)
     if raw.get("type_id") != type_id:
         fail("type_id does not match the canonical form")
@@ -357,8 +364,9 @@ def parse(data: Union[bytes, str]) -> Catalogue:
         raise CatalogueFormatError("'conjecture' flag disagrees with the cone kind")
     if not isinstance(raw_entries, list):
         raise CatalogueFormatError("'entries' must be a list")
+    is_irreducible = _irreducibility(players)
     entries = tuple(
-        _parse_entry(players, raw, f"entries[{i}]") for i, raw in enumerate(raw_entries)
+        _parse_entry(players, raw, f"entries[{i}]", is_irreducible) for i, raw in enumerate(raw_entries)
     )
     for i, (a, b) in enumerate(zip(entries, entries[1:])):
         ka = (a.mbs.carrier, a.mbs.system.members, a.conjugated)

@@ -3,9 +3,9 @@
 Each oracle returns a :class:`Verdict` whose certificate re-substitutes
 exactly against the input game: a core allocation for balancedness, a
 table of tight core allocations for exactness, and for negative verdicts
-either a violated min-balanced inequality (when the player count allows
-the catalogue), a failing subgame, or an o-standardized separating
-functional derived from the Farkas vector of the infeasible system.
+either a violated min-balanced inequality (for at most five players), a
+failing subgame, or an o-standardized separating functional derived from
+the Farkas vector of the infeasible system.
 
 Set functions that do not vanish at the empty coalition are shifted
 first; the oracles then answer for the shifted game, which is the
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .balance import ENUM_PLAYER_CAP, InequalityVector, MinBalancedSystem, enumerate_min_balanced
+from .balance import InequalityVector, MinBalancedSystem, enumerate_min_balanced
 from .games import (
     MAX_PLAYERS,
     Game,
@@ -31,6 +31,13 @@ from .games import (
 from .linalg import lp_feasible
 
 Payoffs = tuple[Fraction, ...]
+
+#: Largest player count at which a negative balancedness verdict searches
+#: the full-carrier enumeration for a violated inequality.  Measured on a
+#: 2-core x86-64 machine with Python 3.11: a 5-player non-member takes
+#: 1.6 s, nearly all of it enumeration, while a 6-player one did not
+#: return in 110 s.
+VIOLATED_ENTRY_PLAYER_CAP = 5
 
 
 @dataclass(frozen=True)
@@ -150,7 +157,7 @@ def _tight_feasibility(game: Game, tight_at: int):
 
 def _violated_catalogue_entry(game: Game) -> Optional[ViolatedSystem]:
     players = game.players
-    if players.n > ENUM_PLAYER_CAP:
+    if players.n > VIOLATED_ENTRY_PLAYER_CAP:
         return None
     for mbs in enumerate_min_balanced(players, players.full_mask):
         value = mbs.alpha.evaluate(game)
@@ -163,9 +170,9 @@ def is_balanced(f: SetFunction) -> Verdict:
     """Core non-emptiness, certified.
 
     Positive verdicts carry a core allocation.  Negative ones carry the
-    first violated min-balanced inequality in catalogue order when the
-    player count permits enumeration, and the raw Farkas functional
-    otherwise.
+    first violated min-balanced inequality in catalogue order for up to
+    ``VIOLATED_ENTRY_PLAYER_CAP`` (5) players, and the raw Farkas
+    functional (:class:`InfeasibleCore`) for more.
     """
     _check_oracle_cap(f.players)
     game = as_game(f)

@@ -3,21 +3,30 @@
 Everything in this package bottoms out in four primitives: matrix rank,
 solving against a linearly independent column family, membership of a
 vector in a finitely generated convex cone, and feasibility of a mixed
-equality/inequality system.  All arithmetic uses ``fractions.Fraction``,
-so every positive answer re-substitutes exactly and every infeasibility
-verdict carries a checkable Farkas vector.  There is no floating point
-anywhere.
+equality/inequality system.  There is no floating point anywhere, so
+every positive answer re-substitutes exactly and every infeasibility
+verdict carries a checkable Farkas vector.
 
-The feasibility solver is a phase-1 simplex with Bland's pivoting rule,
-which terminates on every input without cycling.  Problem sizes in this
-package stay below a few hundred constraints, where exact pivoting is
-entirely adequate.
+Rank and solving share one elimination kernel, :func:`reduce_mod_rows`:
+it reduces an integer vector against echelon rows with distinct pivots,
+fraction-free, dividing each result by its gcd.  Rational input is
+scaled to integers first.  To solve, each column ``j`` enters as
+``col_j ⊕ e_j ⊕ 0`` (see :func:`augment`), so every echelon row records
+which combination of the columns it is; the target enters as
+``t ⊕ 0 ⊕ 1`` and, once reduced, carries the coefficients in its last
+block.  The enumeration of min-balanced systems runs the same kernel.
+
+The feasibility solver is a phase-1 simplex over ``fractions.Fraction``
+with Bland's pivoting rule, which terminates on every input without
+cycling.  Problem sizes in this package stay below a few hundred
+constraints, where exact pivoting is entirely adequate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -44,33 +53,69 @@ def _checked_rows(rows: Sequence[Sequence], what: str) -> list[list[Fraction]]:
     return out
 
 
+def _integer_row(entries: Sequence[Fraction]) -> list[int]:
+    """The entries scaled by the lcm of their denominators."""
+    scale = lcm(*(e.denominator for e in entries))
+    return [int(e * scale) for e in entries]
+
+
+def reduce_mod_rows(rows: list[tuple[list[int], int]], vec: list[int]) -> Optional[tuple[list[int], int]]:
+    """Reduce an integer vector against echelon rows; None when it vanishes.
+
+    ``rows`` holds ``(row, pivot)`` pairs with distinct pivots, each row
+    zero at the pivots of the rows before it, as this function returns
+    them.  The result is zero at every pivot, divided by its gcd and
+    signed so that its first nonzero entry, its pivot, is positive.
+    Fraction-free: each elimination step cross-multiplies.
+    """
+    v = vec
+    for row, piv in rows:
+        c = v[piv]
+        if c:
+            lead = row[piv]
+            v = [lead * a - c * b for a, b in zip(v, row)]
+    g = 0
+    piv = -1
+    for i, a in enumerate(v):
+        if a:
+            g = gcd(g, a)
+            if piv < 0:
+                piv = i
+    if piv < 0:
+        return None
+    if v[piv] < 0:
+        g = -g
+    return [a // g for a in v], piv
+
+
+def augment(vec: list[int], j: int, width: int) -> list[int]:
+    """``vec ⊕ e_j ⊕ 0`` with ``e_j`` of length ``width``.
+
+    ``j == width`` gives the target form ``vec ⊕ 0 ⊕ 1``.  A column
+    reduced to a pivot at or past ``len(vec)`` depends on the earlier
+    columns; a reduced target ``r`` with such a pivot lies in their span,
+    with coefficient ``-r[len(vec) + j] / r[len(vec) + width]`` on
+    column ``j``.
+    """
+    tail = [0] * (width + 1)
+    tail[j] = 1
+    return vec + tail
+
+
 def rank(rows: Sequence[Sequence]) -> int:
     """Rank over the rationals of the matrix with the given rows.
 
-    Plain Gaussian elimination on an exact copy; the input is not
-    modified.
+    Each row is scaled to integers and reduced against the independent
+    rows before it; the input is not modified.
     """
     if not rows:
         raise ValueError("rank of an empty matrix is undefined")
-    m = _checked_rows(rows, "matrix rows")
-    width = len(m[0])
-    r = 0
-    for c in range(width):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        lead = m[r][c]
-        for i in range(r + 1, len(m)):
-            if m[i][c] != 0:
-                f = m[i][c] / lead
-                row_i, row_r = m[i], m[r]
-                for j in range(c, width):
-                    row_i[j] -= f * row_r[j]
-        r += 1
-        if r == len(m):
-            break
-    return r
+    echelon: list[tuple[list[int], int]] = []
+    for row in _checked_rows(rows, "matrix rows"):
+        reduced = reduce_mod_rows(echelon, _integer_row(row))
+        if reduced is not None:
+            echelon.append(reduced)
+    return len(echelon)
 
 
 def solve_unique(columns: Sequence[Sequence], target: Sequence) -> Optional[Vector]:
@@ -90,28 +135,19 @@ def solve_unique(columns: Sequence[Sequence], target: Sequence) -> Optional[Vect
     d = len(cols[0])
     if any(len(c) != d for c in cols) or len(t) != d:
         raise DimensionError("columns and target have inconsistent lengths")
-    # Gauss-Jordan on the augmented d x (k+1) system; pivot row for
-    # column c ends up at row index c.
-    aug = [[cols[j][i] for j in range(k)] + [t[i]] for i in range(d)]
-    for c in range(k):
-        pivot = next((i for i in range(c, d) if aug[i][c] != 0), None)
-        if pivot is None:
+    # Scaling coordinate i of every column and of the target by one
+    # positive factor leaves the solution unchanged.
+    scaled = [_integer_row([c[i] for c in cols] + [t[i]]) for i in range(d)]
+    echelon: list[tuple[list[int], int]] = []
+    for j in range(k):
+        reduced = reduce_mod_rows(echelon, augment([row[j] for row in scaled], j, k))
+        if reduced[1] >= d:
             raise ValueError("columns are linearly dependent")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        lead = aug[c][c]
-        if lead != 1:
-            aug[c] = [v / lead for v in aug[c]]
-        prow = aug[c]
-        for i in range(d):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                row = aug[i]
-                for j in range(c, k + 1):
-                    row[j] -= f * prow[j]
-    for i in range(k, d):
-        if aug[i][k] != 0:
-            return None
-    return tuple(aug[i][k] for i in range(k))
+        echelon.append(reduced)
+    r, piv = reduce_mod_rows(echelon, augment([row[k] for row in scaled], k, k))
+    if piv < d:
+        return None
+    return tuple(Fraction(-r[d + j], r[d + k]) for j in range(k))
 
 
 @dataclass(frozen=True)

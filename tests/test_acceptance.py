@@ -284,12 +284,17 @@ def test_criterion_9_inner_description_probe():
         assert failures == 0
 
 
-def test_criterion_10_determinism_across_thread_counts():
-    with criterion(10, "byte-identical catalogues for every cone and player count at 1 and 3 threads"):
-        pairs = [(n, cone) for n in (2, 3, 4, 5) for cone in ("balanced", "totally-balanced")]
-        pairs += [(n, "exact-conjecture") for n in (3, 4, 5)]
-        for n, cone in pairs:
+def test_criterion_10_determinism_across_cold_and_warm_caches():
+    with criterion(10, "byte-identical catalogues for every cone and player count from cold and warm caches"):
+        for n in (2, 3, 4, 5):
             p = letters(n)
-            sequential = serialize(generate(p, cone, jobs=1))
-            threaded = serialize(generate(p, cone, jobs=3))
-            assert sequential == threaded, f"thread count changed bytes for n={n} {cone}"
+            cones = ["balanced", "totally-balanced"] + (["exact-conjecture"] if n >= 3 else [])
+            for cone in cones:
+                _fresh_caches()
+                cold = serialize(generate(p, cone))
+                _enum_cache.clear()
+                for other in cones:
+                    if other != cone:
+                        generate(p, other)
+                warm = serialize(generate(p, cone))
+                assert cold == warm, f"a warm cache changed bytes for n={n} {cone}"

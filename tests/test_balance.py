@@ -8,6 +8,7 @@ import pytest
 
 from minbal.balance import (
     SetSystem,
+    _enum_cache,
     canonical_type,
     complement_system,
     enumerate_min_balanced,
@@ -16,6 +17,7 @@ from minbal.balance import (
     permute_coalition,
     system_of,
 )
+from minbal.catalogue import generate
 from minbal.cones import conjugate
 from minbal.games import letters
 from minbal.linalg import conic_feasible, solve_unique
@@ -149,9 +151,13 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_min_balanced(p7, p7.full_mask)
 
-    def test_jobs_do_not_change_output(self, p4):
-        base = enumerate_min_balanced(p4, p4.full_mask)
-        assert enumerate_min_balanced(p4, p4.full_mask, jobs=3) == base
+    def test_warm_cache_does_not_change_output(self, p4):
+        _enum_cache.clear()
+        cold = enumerate_min_balanced(p4, p4.full_mask)
+        _enum_cache.clear()
+        generate(p4, "exact-conjecture")  # fills every proper carrier
+        enumerate_min_balanced(p4, p4.full_mask, non_trivial_only=False)
+        assert repr(enumerate_min_balanced(p4, p4.full_mask)) == repr(cold)
 
     def test_permutation_invariant_counts(self, p5):
         by_size = {}

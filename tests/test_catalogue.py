@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from minbal.balance import canonical_type, system_of
+from minbal.balance import _canonical_cached, _enum_cache, canonical_type, system_of
 from minbal.catalogue import (
     CatalogueFormatError,
     generate,
@@ -16,6 +16,8 @@ from minbal.catalogue import (
 from minbal.cones import conjugate, is_balanced, is_totally_balanced_lp
 from minbal.games import is_o_standardized, letters, random_game, reflect, set_function_of, unanimity
 from minbal.reduction import is_reducible
+
+CONES = ["balanced", "totally-balanced", "exact-conjecture"]
 
 
 class TestGenerate:
@@ -199,6 +201,16 @@ class TestSerialization:
         with pytest.raises(CatalogueFormatError, match=r"entries\[1\]"):
             parse(json.dumps(doc))
 
+    @pytest.mark.parametrize("name, flag", [("balanced4", False), ("totally4", True)])
+    def test_flipped_irreducible_flag_rejected(self, request, name, flag):
+        import json
+
+        doc = json.loads(serialize(request.getfixturevalue(name)))
+        i = next(i for i, e in enumerate(doc["entries"]) if e["irreducible"] is flag)
+        doc["entries"][i]["irreducible"] = not flag
+        with pytest.raises(CatalogueFormatError, match=rf"entries\[{i}\].*irreducible"):
+            parse(json.dumps(doc))
+
     def test_reordered_entries_rejected(self, balanced3):
         import json
 
@@ -221,11 +233,16 @@ class TestSerialization:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("cone", ["balanced", "totally-balanced", "exact-conjecture"])
-    def test_thread_counts_agree_small(self, p4, cone):
-        a = serialize(generate(p4, cone, jobs=1))
-        b = serialize(generate(p4, cone, jobs=3))
-        assert a == b
+    @pytest.mark.parametrize("cone", CONES)
+    def test_cold_and_warm_caches_agree_small(self, p4, cone):
+        _enum_cache.clear()
+        _canonical_cached.cache_clear()
+        cold = serialize(generate(p4, cone))
+        _enum_cache.clear()
+        for other in CONES:
+            if other != cone:
+                generate(p4, other)
+        assert serialize(generate(p4, cone)) == cold
 
     def test_repeated_runs_byte_identical(self, p3):
         assert serialize(generate(p3, "balanced")) == serialize(generate(p3, "balanced"))

@@ -104,16 +104,17 @@ class TestIsBalanced:
         verify_verdict(g, v)
 
     def test_raw_certificate_beyond_catalogue_cap(self):
-        # seven players: no catalogue, so the negative verdict carries the
-        # o-standardized Farkas functional directly
-        p7 = letters(7)
-        values = [F(s.bit_count()) for s in p7.coalitions()]
-        values[p7.full_mask] = F(3)
-        g = Game(p7, tuple(values))
-        v = is_balanced(g)
-        assert not v.member
-        assert isinstance(v.certificate, InfeasibleCore)
-        verify_verdict(g, v)
+        # six or more players: no catalogue search, so the negative
+        # verdict carries the o-standardized Farkas functional directly
+        for n in (6, 7):
+            p = letters(n)
+            values = [F(s.bit_count()) for s in p.coalitions()]
+            values[p.full_mask] = F(3)
+            g = Game(p, tuple(values))
+            v = is_balanced(g)
+            assert not v.member
+            assert isinstance(v.certificate, InfeasibleCore)
+            verify_verdict(g, v)
 
     def test_non_game_input_is_shifted(self, p3, caplog):
         f = set_function_of(p3, {"": 1, "abc": 4, "ab": 3, "ac": 3, "bc": 3}, default=1)

@@ -180,10 +180,10 @@ def test_solve_unique_iff_rank_unchanged():
     while checked < 500:
         d = rng.randint(1, 5)
         k = rng.randint(1, d)
-        cols = [tuple(F(rng.randint(-2, 2)) for _ in range(d)) for _ in range(k)]
+        cols = [tuple(F(rng.randint(-2, 2), rng.choice((1, 2, 3))) for _ in range(d)) for _ in range(k)]
         if rank(cols) < k:
             continue  # precondition: independent columns
-        target = tuple(F(rng.randint(-3, 3)) for _ in range(d))
+        target = tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(d))
         sol = solve_unique(cols, target)
         rows = [list(c) for c in cols] + [list(target)]
         grew = _brute_rank(rows) > k
