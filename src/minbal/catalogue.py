@@ -345,7 +345,7 @@ def _parse_entry(
 
 
 def parse(data: Union[bytes, str]) -> Catalogue:
-    """Parse and fully re-validate a JSON catalogue."""
+    """Parse and fully re-validate a JSON catalogue, whole orbits included."""
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -373,4 +373,8 @@ def parse(data: Union[bytes, str]) -> Catalogue:
         kb = (b.mbs.carrier, b.mbs.system.members, b.conjugated)
         if ka >= kb:
             raise CatalogueFormatError(f"entries[{i + 1}]: entries are not in canonical order")
-    return Catalogue(players, cone, entries, _classify(players, cone, entries))
+    types = _classify(players, cone, entries)
+    for t in types:  # every catalogue is closed under relabelling the players
+        if t.count != t.representative.orbit_size:
+            raise CatalogueFormatError(f"type {t.type_id} has {t.count} entries but an orbit of {t.representative.orbit_size}")
+    return Catalogue(players, cone, entries, types)

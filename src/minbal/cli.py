@@ -22,7 +22,6 @@ from .balance import SetSystem, canonical_type, enumerate_min_balanced
 from .cones import (
     CoreAllocation,
     FailingSubgame,
-    InfeasibleCore,
     NoTightAllocation,
     TightAllocationTable,
     Verdict,
@@ -33,7 +32,6 @@ from .cones import (
     is_totally_balanced_lp,
 )
 from .games import GameFormatError, Players, SetFunction, anti_dual, game_from_json, letters, random_game
-from .reduction import is_reducible
 from .reference import APPENDIX, BALANCED_COUNTS, EXACT_FACET_COUNTS
 
 
@@ -108,16 +106,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if not 1 <= size <= players.n:
         raise ValueError(f"carrier size must be between 1 and {players.n}")
     carriers = [m for m in range(players.full_mask + 1) if m.bit_count() == size]
-    systems = [mbs for m in sorted(carriers) for mbs in enumerate_min_balanced(players, m)]
-    flags = {}
-
-    def irreducible(mbs) -> bool:
-        key = canonical_type(mbs.system, players)[0].members
-        if key not in flags:
-            flags[key] = is_reducible(mbs) is None
-        return flags[key]
-
-    systems = [(mbs, irreducible(mbs)) for mbs in systems]
+    irreducible = cat._irreducibility(players)
+    systems = [(mbs, irreducible(mbs)) for m in sorted(carriers) for mbs in enumerate_min_balanced(players, m)]
     if args.irreducible_only:
         systems = [(mbs, irr) for mbs, irr in systems if irr]
 
@@ -251,8 +241,6 @@ def _certificate_payload(players: Players, certificate) -> Optional[dict]:
             "coalition": players.key(certificate.coalition),
             "theta": _function_payload(certificate.theta),
         }
-    if isinstance(certificate, InfeasibleCore):
-        return {"type": "empty-core", "theta": _function_payload(certificate.theta)}
     raise ValueError(f"unknown certificate {certificate!r}")
 
 

@@ -3,9 +3,9 @@
 Each oracle returns a :class:`Verdict` whose certificate re-substitutes
 exactly against the input game: a core allocation for balancedness, a
 table of tight core allocations for exactness, and for negative verdicts
-either a violated min-balanced inequality (for at most five players), a
-failing subgame, or an o-standardized separating functional derived from
-the Farkas vector of the infeasible system.
+a violated min-balanced inequality, a failing subgame, or (for
+exactness) an o-standardized separating functional derived from the
+Farkas vector of the infeasible system.
 
 Set functions that do not vanish at the empty coalition are shifted
 first; the oracles then answer for the shifted game, which is the
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .balance import InequalityVector, MinBalancedSystem, enumerate_min_balanced
+from .balance import InequalityVector, MinBalancedSystem, SetSystem, is_min_balanced
 from .games import (
     MAX_PLAYERS,
     Game,
@@ -28,16 +28,9 @@ from .games import (
     is_o_standardized,
     restrict,
 )
-from .linalg import lp_feasible
+from .linalg import augment, lp_feasible, reduce_mod_rows
 
 Payoffs = tuple[Fraction, ...]
-
-#: Largest player count at which a negative balancedness verdict searches
-#: the full-carrier enumeration for a violated inequality.  Measured on a
-#: 2-core x86-64 machine with Python 3.11: a 5-player non-member takes
-#: 1.6 s, nearly all of it enumeration, while a 6-player one did not
-#: return in 110 s.
-VIOLATED_ENTRY_PLAYER_CAP = 5
 
 
 @dataclass(frozen=True)
@@ -78,15 +71,7 @@ class NoTightAllocation:
     theta: SetFunction
 
 
-@dataclass(frozen=True)
-class InfeasibleCore:
-    """The core is empty; ``theta`` as in :class:`NoTightAllocation`
-    with the full player set in the coalition slot."""
-
-    theta: SetFunction
-
-
-Certificate = Union["FailingSubgame", CoreAllocation, TightAllocationTable, ViolatedSystem, NoTightAllocation, InfeasibleCore]
+Certificate = Union["FailingSubgame", CoreAllocation, TightAllocationTable, ViolatedSystem, NoTightAllocation]
 
 
 @dataclass(frozen=True)
@@ -155,34 +140,59 @@ def _tight_feasibility(game: Game, tight_at: int):
     return None, theta
 
 
-def _violated_catalogue_entry(game: Game) -> Optional[ViolatedSystem]:
-    players = game.players
-    if players.n > VIOLATED_ENTRY_PLAYER_CAP:
-        return None
-    for mbs in enumerate_min_balanced(players, players.full_mask):
-        value = mbs.alpha.evaluate(game)
-        if value < 0:
-            return ViolatedSystem(mbs, value)
+def _dependency(members: list[int], n: int) -> Optional[list[tuple[int, int]]]:
+    """Integer coefficients of a linear dependency among the members'
+    incidence vectors, keyed by member; None when they are independent."""
+    echelon: list[tuple[list[int], int]] = []
+    for j, s in enumerate(members):
+        r, piv = reduce_mod_rows(echelon, augment([s >> i & 1 for i in range(n)], j, len(members)))
+        if piv >= n:
+            return [(t, r[n + i]) for i, t in enumerate(members[: j + 1]) if r[n + i]]
+        echelon.append((r, piv))
     return None
+
+
+def _violated_system(game: Game, theta: SetFunction) -> ViolatedSystem:
+    """Carathéodory reduction of the empty core's Farkas functional.
+
+    w_S = -theta(S) / theta(N) are balanced weights on N with
+    sum w_S v(S) > v(N).  While the support is dependent, a dependency
+    among its first n + 1 members, oriented not to lower that sum, is
+    added to w until a weight drops to zero and leaves the support.
+    """
+    n = game.players.n
+    full = game.players.full_mask
+    weights = {s: -theta.values[s] / theta.values[full] for s in range(1, full) if theta.values[s]}
+    support = list(weights)
+    while (dep := _dependency(support[: n + 1], n)) is not None:
+        if sum(d * game.values[s] for s, d in dep) < 0:
+            dep = [(s, -d) for s, d in dep]
+        step = min(weights[s] / -d for s, d in dep if d < 0)
+        for s, d in dep:
+            weights[s] += step * d
+        support = [s for s in support if weights[s]]
+    mbs = is_min_balanced(SetSystem(tuple(support)))
+    if mbs is None or mbs.carrier != full:
+        raise RuntimeError("Farkas support did not reduce to a min-balanced system on the player set")
+    value = mbs.alpha.evaluate(game)
+    if value >= 0:
+        raise RuntimeError("reduced min-balanced inequality is not violated")
+    return ViolatedSystem(mbs, value)
 
 
 def is_balanced(f: SetFunction) -> Verdict:
     """Core non-emptiness, certified.
 
-    Positive verdicts carry a core allocation.  Negative ones carry the
-    first violated min-balanced inequality in catalogue order for up to
-    ``VIOLATED_ENTRY_PLAYER_CAP`` (5) players, and the raw Farkas
-    functional (:class:`InfeasibleCore`) for more.
+    Positive verdicts carry a core allocation.  Negative ones carry a
+    min-balanced system on the full player set whose inequality the game
+    violates, reduced from the Farkas vector of the same core system.
     """
     _check_oracle_cap(f.players)
     game = as_game(f)
     point, theta = _tight_feasibility(game, game.players.full_mask)
     if point is not None:
         return Verdict(True, CoreAllocation(point))
-    violated = _violated_catalogue_entry(game)
-    if violated is not None:
-        return Verdict(False, violated)
-    return Verdict(False, InfeasibleCore(theta))
+    return Verdict(False, _violated_system(game, theta))
 
 
 def is_totally_balanced_lp(f: SetFunction) -> Verdict:

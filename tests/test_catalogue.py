@@ -211,6 +211,14 @@ class TestSerialization:
         with pytest.raises(CatalogueFormatError, match=rf"entries\[{i}\].*irreducible"):
             parse(json.dumps(doc))
 
+    def test_partial_orbit_rejected(self, totally4):
+        import json
+
+        doc = json.loads(serialize(totally4))
+        del doc["entries"][5]
+        with pytest.raises(CatalogueFormatError, match="orbit"):
+            parse(json.dumps(doc))
+
     def test_reordered_entries_rejected(self, balanced3):
         import json
 

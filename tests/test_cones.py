@@ -6,11 +6,10 @@ from random import Random
 
 import pytest
 
-from minbal.balance import is_min_balanced, system_of
+from minbal.balance import enumerate_min_balanced, is_min_balanced, system_of
 from minbal.cones import (
     CoreAllocation,
     FailingSubgame,
-    InfeasibleCore,
     NoTightAllocation,
     TightAllocationTable,
     ViolatedSystem,
@@ -64,6 +63,8 @@ def verify_verdict(game: Game, verdict) -> None:
     elif isinstance(cert, ViolatedSystem):
         assert not verdict.member
         assert cert.value < 0
+        assert cert.mbs.carrier == game.players.full_mask
+        assert not cert.mbs.trivial
         assert cert.mbs.alpha.evaluate(game) == cert.value
         assert is_min_balanced(cert.mbs.system) is not None
     elif isinstance(cert, FailingSubgame):
@@ -74,10 +75,6 @@ def verify_verdict(game: Game, verdict) -> None:
     elif isinstance(cert, NoTightAllocation):
         assert not verdict.member
         assert theta_contains(cert.theta, cert.coalition)
-        assert inner(cert.theta, game) < 0
-    elif isinstance(cert, InfeasibleCore):
-        assert not verdict.member
-        assert theta_contains(cert.theta, game.players.full_mask)
         assert inner(cert.theta, game) < 0
     else:
         assert cert is None
@@ -103,18 +100,34 @@ class TestIsBalanced:
         assert v.certificate.value == -1
         verify_verdict(g, v)
 
-    def test_raw_certificate_beyond_catalogue_cap(self):
-        # six or more players: no catalogue search, so the negative
-        # verdict carries the o-standardized Farkas functional directly
-        for n in (6, 7):
+    def test_violated_system_at_every_player_count(self):
+        # the Farkas vector reduces to a violated min-balanced system on
+        # the full carrier, also where enumerating those systems is out
+        # of reach
+        for n in (6, 7, 8):
             p = letters(n)
             values = [F(s.bit_count()) for s in p.coalitions()]
             values[p.full_mask] = F(3)
             g = Game(p, tuple(values))
             v = is_balanced(g)
             assert not v.member
-            assert isinstance(v.certificate, InfeasibleCore)
+            assert isinstance(v.certificate, ViolatedSystem)
             verify_verdict(g, v)
+
+    def test_violated_system_is_enumerated(self):
+        rng = Random(16)
+        for n in (2, 3, 4, 5):
+            p = letters(n)
+            systems = {m.system for m in enumerate_min_balanced(p, p.full_mask)}
+            negatives = 0
+            for _ in range(20):
+                g = random_game(p, rng)
+                v = is_balanced(g)
+                if not v.member:
+                    negatives += 1
+                    assert v.certificate.mbs.system in systems
+                    verify_verdict(g, v)
+            assert negatives > 0
 
     def test_non_game_input_is_shifted(self, p3, caplog):
         f = set_function_of(p3, {"": 1, "abc": 4, "ab": 3, "ac": 3, "bc": 3}, default=1)
