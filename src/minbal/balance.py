@@ -21,7 +21,7 @@ from itertools import permutations
 from math import gcd, lcm
 from typing import Iterator, Mapping, Optional
 
-from .games import Players, SetFunction
+from .games import Players, SetFunction, log, relabelling
 from .linalg import augment, reduce_mod_rows, solve_unique
 
 #: Enumeration and catalogue generation search all subsets of the carrier,
@@ -237,15 +237,17 @@ def complement_system(system: SetSystem, players: Players) -> SetSystem:
 
 # -- enumeration -------------------------------------------------------
 
-def _enumerate_carrier(carrier: int) -> list[MinBalancedSystem]:
-    """DFS over candidate members in increasing bitmask order.
+@lru_cache(maxsize=None)
+def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
+    """All non-trivial min-balanced systems on the carrier ``(1 << c) - 1``.
 
-    Candidates are the nonempty proper subsets of the carrier.  A branch
-    dies when a candidate is linearly dependent on the chosen members,
-    when the remaining candidates cannot cover the carrier, or when the
-    carrier's incidence vector already lies in the chosen span (then no
-    proper superset can be min-balanced either, so the node is a leaf:
-    the unique weights are tested for strict positivity and the system is
+    DFS over candidate members in increasing bitmask order.  Candidates
+    are the nonempty proper subsets of the carrier.  A branch dies when
+    a candidate is linearly dependent on the chosen members, when the
+    remaining candidates cannot cover the carrier, or when the carrier's
+    incidence vector already lies in the chosen span (then no proper
+    superset can be min-balanced either, so the node is a leaf: the
+    unique weights are tested for strict positivity and the system is
     recorded on success).
 
     The chosen members are kept as augmented echelon rows
@@ -253,8 +255,6 @@ def _enumerate_carrier(carrier: int) -> list[MinBalancedSystem]:
     dependent when its reduced pivot is at or past ``c``, and at a leaf
     the reduced target ``1_c ⊕ 0 ⊕ 1`` carries the weights.
     """
-    positions = _bit_positions(carrier)
-    c = len(positions)
     full = (1 << c) - 1
     candidates = list(range(1, full))
     ncand = len(candidates)
@@ -262,13 +262,11 @@ def _enumerate_carrier(carrier: int) -> list[MinBalancedSystem]:
     for i in range(ncand - 1, -1, -1):
         suffix_cover[i] = suffix_cover[i + 1] | candidates[i]
     target = augment([1] * c, c, c)
-    embed = {s: sum(1 << positions[j] for j in range(c) if s >> j & 1) for s in range(full + 1)}
     found: list[MinBalancedSystem] = []
 
     def record(chosen: list[int], weights: tuple[Fraction, ...]) -> None:
-        members = tuple(embed[s] for s in chosen)
-        k, alpha = normalize(dict(zip(members, weights)))
-        found.append(MinBalancedSystem(SetSystem(members), weights, k, alpha))
+        k, alpha = normalize(dict(zip(chosen, weights)))
+        found.append(MinBalancedSystem(SetSystem(tuple(chosen)), weights, k, alpha))
 
     def visit(start: int, chosen: list[int], union: int, rows: list) -> None:
         depth = len(chosen)
@@ -295,37 +293,35 @@ def _enumerate_carrier(carrier: int) -> list[MinBalancedSystem]:
             rows.pop()
 
     visit(0, [], 0, [])
-    return found
+    return tuple(sorted(found, key=lambda m: m.system.members))
 
 
-_enum_cache: dict[tuple[int, bool], tuple[MinBalancedSystem, ...]] = {}
+def _relabel(mbs: MinBalancedSystem, table: list[int]) -> MinBalancedSystem:
+    system = SetSystem(tuple(table[m] for m in mbs.system.members))
+    alpha = InequalityVector(tuple((table[s], v) for s, v in mbs.alpha.items))
+    return MinBalancedSystem(system, mbs.weights, mbs.k, alpha)
 
 
-def enumerate_min_balanced(
-    players: Players,
-    carrier: int,
-    non_trivial_only: bool = True,
-) -> tuple[MinBalancedSystem, ...]:
-    """All min-balanced systems with exactly the given carrier.
+def enumerate_min_balanced(players: Players, carrier: int) -> tuple[MinBalancedSystem, ...]:
+    """All non-trivial min-balanced systems with exactly the given carrier.
 
-    Output is in canonical order (lexicographic by member bitmask list)
-    and is cached per carrier for the life of the process.
+    Output is in canonical order (lexicographic by member bitmask list).
+    One search per carrier size, on the first ``c`` players, is cached
+    for the life of the process and renamed onto the carrier's players;
+    the renaming keeps the bit order, the weights and ``k``.  A 6-player
+    carrier logs a warning first: that search did not finish within 10
+    minutes on a 2-core machine.
     """
     players._check(carrier)
     if carrier == 0:
         raise ValueError("the carrier must be nonempty")
     if players.n > ENUM_PLAYER_CAP:
         raise ValueError(f"enumeration is capped at {ENUM_PLAYER_CAP} players")
-    key = (carrier, non_trivial_only)
-    if key in _enum_cache:
-        return _enum_cache[key]
-    systems = _enumerate_carrier(carrier)
-    if not non_trivial_only:
-        trivial = MinBalancedSystem(SetSystem((carrier,)), (Fraction(1),), None, None)
-        systems = systems + [trivial]
-    result = tuple(sorted(systems, key=lambda m: m.system.members))
-    _enum_cache[key] = result
-    return result
+    c = carrier.bit_count()
+    if c >= 6:
+        log.warning("enumerating min-balanced systems on a %d-player carrier: expect more than 10 minutes", c)
+    table = relabelling(_bit_positions(carrier))
+    return tuple(_relabel(mbs, table) for mbs in _enumerate_size(c))
 
 
 # -- permutational types -----------------------------------------------
@@ -333,17 +329,7 @@ def enumerate_min_balanced(
 @lru_cache(maxsize=None)
 def _perm_tables(n: int) -> tuple[tuple[int, ...], ...]:
     """For each permutation of n players, the induced map on bitmasks."""
-    tables = []
-    for perm in permutations(range(n)):
-        table = [0] * (1 << n)
-        for s in range(1 << n):
-            t = 0
-            for i in range(n):
-                if s >> i & 1:
-                    t |= 1 << perm[i]
-            table[s] = t
-        tables.append(tuple(table))
-    return tuple(tables)
+    return tuple(tuple(relabelling(perm)) for perm in permutations(range(n)))
 
 
 def permute_coalition(coalition: int, perm: tuple[int, ...]) -> int:
@@ -354,10 +340,17 @@ def permute_coalition(coalition: int, perm: tuple[int, ...]) -> int:
     return bits
 
 
-@lru_cache(maxsize=None)
+#: (members, n) -> (canonical members, orbit size), filled one orbit at a time.
+_types: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
+
+
 def _canonical_cached(members: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
-    images = {tuple(sorted(table[m] for m in members)) for table in _perm_tables(n)}
-    return min(images), len(images)
+    if (members, n) not in _types:
+        images = {tuple(sorted(table[m] for m in members)) for table in _perm_tables(n)}
+        found = min(images), len(images)
+        for image in images:
+            _types[image, n] = found
+    return _types[members, n]
 
 
 def canonical_type(system: SetSystem, players: Players) -> tuple[SetSystem, int]:

@@ -91,10 +91,10 @@ class Catalogue:
         return {t.type_id: t for t in self.types}
 
 
-def _type_id(players: Players, system: SetSystem, conjugated: bool) -> tuple[str, int]:
+def _type_id(players: Players, system: SetSystem) -> tuple[str, int]:
+    """Type id and orbit size of a system; its conjugate's id adds ``~``."""
     canonical, orbit = canonical_type(system, players)
-    name = "|".join(players.key(m) for m in canonical.members)
-    return ("~" + name if conjugated else name), orbit
+    return "|".join(players.key(m) for m in canonical.members), orbit
 
 
 def _irreducibility(players: Players) -> Callable[[MinBalancedSystem], bool]:
@@ -106,7 +106,7 @@ def _irreducibility(players: Players) -> Callable[[MinBalancedSystem], bool]:
     memo: dict[str, bool] = {}
 
     def irreducible(mbs: MinBalancedSystem) -> bool:
-        key, _ = _type_id(players, mbs.system, False)
+        key, _ = _type_id(players, mbs.system)
         if key not in memo:
             memo[key] = is_reducible(mbs) is None
         return memo[key]
@@ -142,16 +142,13 @@ def generate(players: Players, cone: Union[ConeKind, str]) -> Catalogue:
         irr = irreducible(mbs)
         if cone is not ConeKind.BALANCED and not irr:
             continue
-        type_id, orbit = _type_id(players, mbs.system, False)
+        type_id, orbit = _type_id(players, mbs.system)
         complement_id = None
         if cone is ConeKind.BALANCED:
-            complement_id, _ = _type_id(players, complement_system(mbs.system, players), False)
+            complement_id, _ = _type_id(players, complement_system(mbs.system, players))
         entries.append(CatalogueEntry(mbs, mbs.alpha, irr, False, type_id, orbit, complement_id))
         if cone is ConeKind.EXACT_CONJECTURE:
-            ctype_id, corbit = _type_id(players, mbs.system, True)
-            entries.append(
-                CatalogueEntry(mbs, conjugate(mbs.alpha, players), irr, True, ctype_id, corbit)
-            )
+            entries.append(CatalogueEntry(mbs, conjugate(mbs.alpha, players), irr, True, "~" + type_id, orbit))
     entries.sort(key=lambda e: (e.mbs.carrier, e.mbs.system.members, e.conjugated))
     seen = {e.alpha.items for e in entries}
     if len(seen) != len(entries):
@@ -333,13 +330,15 @@ def _parse_entry(
         fail("missing irreducible flag")
     if irreducible != is_irreducible(mbs):
         fail("irreducible flag disagrees with the reducibility search")
-    type_id, orbit = _type_id(players, system, conjugated)
+    type_id, orbit = _type_id(players, system)
+    if conjugated:
+        type_id = "~" + type_id
     if raw.get("type_id") != type_id:
         fail("type_id does not match the canonical form")
     if raw.get("orbit_size") != orbit:
         fail("orbit_size does not match the permutation orbit")
     complement_id = raw.get("complement_type")
-    if complement_id is not None and complement_id != _type_id(players, complement_system(system, players), False)[0]:
+    if complement_id is not None and complement_id != _type_id(players, complement_system(system, players))[0]:
         fail("complement_type does not match")
     return CatalogueEntry(mbs, alpha, irreducible, conjugated, type_id, orbit, complement_id)
 

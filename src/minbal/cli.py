@@ -134,7 +134,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         else:
             for i, (canon, orbit, irr, mbs) in enumerate(rows, start=1):
                 note = "   irreducible" if irr else ""
-                print(f"{i}. {_system_text(players, canon)}   {orbit}x{note}")
+                print(f"{i}. {cat._render_system(players, canon)}   {orbit}x{note}")
                 print(f"   {cat.render_inequality(mbs.alpha, players)}")
         return 0
 
@@ -154,12 +154,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         for mbs, irr in systems:
             weights = " ".join(f"{players.key(m)}={w}" for m, w in zip(mbs.system.members, mbs.weights))
             note = "   irreducible" if irr else ""
-            print(f"{_system_text(players, mbs.system)}   carrier={players.key(mbs.carrier)}   k={mbs.k}   weights: {weights}{note}")
+            print(f"{cat._render_system(players, mbs.system)}   carrier={players.key(mbs.carrier)}   k={mbs.k}   weights: {weights}{note}")
     return 0
-
-
-def _system_text(players: Players, system) -> str:
-    return "{" + ", ".join(players.key(m) for m in system.members) + "}"
 
 
 # -- catalogue -----------------------------------------------------------

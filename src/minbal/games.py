@@ -160,15 +160,21 @@ def restrict(f: SetFunction, coalition: int) -> SetFunction:
         raise ValueError("cannot restrict to the empty coalition")
     positions = [i for i in range(f.players.n) if coalition >> i & 1]
     sub_players = Players(tuple(f.players.names[i] for i in positions))
-    values = []
-    for t in range(1 << len(positions)):
-        bits = 0
-        for j, p in enumerate(positions):
-            if t >> j & 1:
-                bits |= 1 << p
-        values.append(f.values[bits])
     kind = Game if isinstance(f, Game) else SetFunction
-    return kind(sub_players, tuple(values))
+    return kind(sub_players, tuple(f.values[s] for s in relabelling(positions)))
+
+
+def relabelling(targets: Sequence[int]) -> list[int]:
+    """The renaming of player ``j`` to player ``targets[j]``, on coalitions.
+
+    Entry ``s`` is the image of coalition ``s`` of ``len(targets)``
+    players.  Increasing targets give a map that keeps the order of
+    coalitions; a permutation of ``range(n)`` gives its action on them.
+    """
+    table = [0]
+    for t in targets:
+        table += [s | 1 << t for s in table]
+    return table
 
 
 def reflect(f: SetFunction) -> SetFunction:

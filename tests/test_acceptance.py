@@ -12,8 +12,8 @@ from fractions import Fraction as F
 from random import Random
 
 from minbal.balance import (
-    _canonical_cached,
-    _enum_cache,
+    _enumerate_size,
+    _types,
     canonical_type,
     is_min_balanced,
     system_of,
@@ -35,8 +35,8 @@ def criterion(number: int, label: str):
 
 
 def _fresh_caches():
-    _enum_cache.clear()
-    _canonical_cached.cache_clear()
+    _enumerate_size.cache_clear()
+    _types.clear()
 
 
 # (system keys, count, complement type number, irreducible, inequality)
@@ -292,7 +292,7 @@ def test_criterion_10_determinism_across_cold_and_warm_caches():
             for cone in cones:
                 _fresh_caches()
                 cold = serialize(generate(p, cone))
-                _enum_cache.clear()
+                _enumerate_size.cache_clear()
                 for other in cones:
                     if other != cone:
                         generate(p, other)

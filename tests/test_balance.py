@@ -1,5 +1,6 @@
 """Min-balanced systems: detection, normalization, enumeration, symmetry."""
 
+import logging
 from fractions import Fraction as F
 from itertools import combinations, permutations
 from math import gcd
@@ -8,7 +9,8 @@ import pytest
 
 from minbal.balance import (
     SetSystem,
-    _enum_cache,
+    _enumerate_size,
+    _types,
     canonical_type,
     complement_system,
     enumerate_min_balanced,
@@ -127,11 +129,6 @@ class TestEnumerate:
         canon = {canonical_type(m.system, p)[0].members for m in systems}
         assert len(canon) == types
 
-    def test_trivial_included_on_request(self, p3):
-        with_trivial = enumerate_min_balanced(p3, p3.full_mask, non_trivial_only=False)
-        assert len(with_trivial) == 6
-        assert any(m.trivial for m in with_trivial)
-
     def test_canonical_order(self, p4):
         systems = enumerate_min_balanced(p4, p4.full_mask)
         members = [m.system.members for m in systems]
@@ -152,11 +149,10 @@ class TestEnumerate:
             enumerate_min_balanced(p7, p7.full_mask)
 
     def test_warm_cache_does_not_change_output(self, p4):
-        _enum_cache.clear()
+        _enumerate_size.cache_clear()
         cold = enumerate_min_balanced(p4, p4.full_mask)
-        _enum_cache.clear()
-        generate(p4, "exact-conjecture")  # fills every proper carrier
-        enumerate_min_balanced(p4, p4.full_mask, non_trivial_only=False)
+        _enumerate_size.cache_clear()
+        generate(p4, "exact-conjecture")  # fills every proper carrier size
         assert repr(enumerate_min_balanced(p4, p4.full_mask)) == repr(cold)
 
     def test_permutation_invariant_counts(self, p5):
@@ -170,6 +166,29 @@ class TestEnumerate:
             assert len(set(counts.values())) == 1
             by_size[size] = next(iter(counts.values()))
         assert by_size == {2: 1, 3: 5, 4: 41}
+
+    def test_relabelled_systems_match_direct_detection(self, p5):
+        # each carrier's systems are renamed from one search per size;
+        # renaming must give exactly what detection computes from scratch
+        for carrier in range(32):
+            if carrier.bit_count() < 2:
+                continue
+            for mbs in enumerate_min_balanced(p5, carrier):
+                assert mbs.carrier == carrier
+                direct = is_min_balanced(mbs.system)
+                assert direct is not None
+                assert (mbs.weights, mbs.k, mbs.alpha) == (direct.weights, direct.k, direct.alpha)
+
+    def test_six_player_carrier_warns_before_searching(self, monkeypatch, caplog):
+        sizes = []
+        monkeypatch.setattr("minbal.balance._enumerate_size", lambda c: sizes.append(c) or ())
+        p6 = letters(6)
+        with caplog.at_level(logging.WARNING, logger="minbal"):
+            assert enumerate_min_balanced(p6, p6.full_mask) == ()
+            enumerate_min_balanced(p6, 0b011111)
+        assert sizes == [6, 5]
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "6-player carrier" in warnings[0].getMessage()
 
 
 class TestEnumeratedInvariants:
@@ -242,6 +261,17 @@ class TestCanonicalType:
         }
         assert canon.members in images
         assert orbit == len(images)
+
+    def test_orbit_table_matches_recomputation(self, p4):
+        systems = [m.system for m in enumerate_min_balanced(p4, p4.full_mask)]
+        for system in systems:  # warm the table one orbit at a time
+            canonical_type(system, p4)
+        warm = [canonical_type(system, p4) for system in systems]
+        cold = []
+        for system in systems:
+            _types.clear()
+            cold.append(canonical_type(system, p4))
+        assert warm == cold
 
 
 # -- brute-force cross-check of the enumeration --------------------------

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from minbal.balance import _canonical_cached, _enum_cache, canonical_type, system_of
+from minbal.balance import _enumerate_size, _types, canonical_type, system_of
 from minbal.catalogue import (
     CatalogueFormatError,
     generate,
@@ -243,10 +243,10 @@ class TestSerialization:
 class TestDeterminism:
     @pytest.mark.parametrize("cone", CONES)
     def test_cold_and_warm_caches_agree_small(self, p4, cone):
-        _enum_cache.clear()
-        _canonical_cached.cache_clear()
+        _enumerate_size.cache_clear()
+        _types.clear()
         cold = serialize(generate(p4, cone))
-        _enum_cache.clear()
+        _enumerate_size.cache_clear()
         for other in CONES:
             if other != cone:
                 generate(p4, other)

@@ -1,13 +1,23 @@
 """Command-line interface: subcommands, formats and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import minbal
 from minbal.cli import main
 from minbal.games import game_of, game_to_json, letters
+
+
+def _run_module(*args):
+    """Run ``python -m minbal.cli`` with this package's source on the path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(minbal.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    return subprocess.run([sys.executable, "-m", "minbal.cli", *args], capture_output=True, text=True, env=env)
 
 
 @pytest.fixture()
@@ -151,25 +161,13 @@ class TestUsage:
         bad_game = game_of(letters(2), {"ab": -1})  # empty core
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(game_to_json(bad_game))
-        member = subprocess.run(
-            [sys.executable, "-m", "minbal.cli", "check", "--game", market_file, "--cone", "balanced"],
-            capture_output=True,
-            text=True,
-        )
+        member = _run_module("check", "--game", market_file, "--cone", "balanced")
         assert member.returncode == 0
-        rejected = subprocess.run(
-            [sys.executable, "-m", "minbal.cli", "check", "--game", str(bad_path), "--cone", "balanced"],
-            capture_output=True,
-            text=True,
-        )
+        rejected = _run_module("check", "--game", str(bad_path), "--cone", "balanced")
         assert rejected.returncode == 1
 
 
 def test_cli_module_entry():
-    proc = subprocess.run(
-        [sys.executable, "-m", "minbal.cli", "enumerate", "--players", "2"],
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_module("enumerate", "--players", "2")
     assert proc.returncode == 0
     assert "carrier=ab" in proc.stdout

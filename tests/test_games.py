@@ -22,6 +22,7 @@ from minbal.games import (
     modular_from_payoffs,
     random_game,
     reflect,
+    relabelling,
     restrict,
     set_function_of,
     shift,
@@ -92,6 +93,23 @@ class TestRestrict:
     def test_empty_rejected(self, market_game):
         with pytest.raises(ValueError):
             restrict(market_game, 0)
+
+
+class TestRelabelling:
+    def test_spreads_bits_onto_targets(self):
+        assert relabelling([1, 3]) == [0b0000, 0b0010, 0b1000, 0b1010]
+        assert relabelling([]) == [0]
+
+    def test_permutation_matches_member_definition(self):
+        perm = (2, 0, 3, 1)
+        table = relabelling(perm)
+        for s in range(16):
+            assert table[s] == sum(1 << perm[i] for i in range(4) if s >> i & 1)
+        assert sorted(table) == list(range(16))
+
+    def test_increasing_targets_keep_order(self):
+        table = relabelling([0, 2, 3, 5])
+        assert table == sorted(table)
 
 
 class TestReflect:
