@@ -332,14 +332,6 @@ def _perm_tables(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(relabelling(perm)) for perm in permutations(range(n)))
 
 
-def permute_coalition(coalition: int, perm: tuple[int, ...]) -> int:
-    bits = 0
-    for i in range(len(perm)):
-        if coalition >> i & 1:
-            bits |= 1 << perm[i]
-    return bits
-
-
 #: (members, n) -> (canonical members, orbit size), filled one orbit at a time.
 _types: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
 

@@ -36,6 +36,7 @@ from .balance import (
 from .cones import conjugate
 from .games import Players
 from .reduction import is_reducible
+from .reference import BALANCED_COUNTS, EXACT_FACET_COUNTS, TOTALLY_BALANCED_COUNTS
 
 
 class ConeKind(Enum):
@@ -91,6 +92,14 @@ class Catalogue:
         return {t.type_id: t for t in self.types}
 
 
+#: (entries, types) per player count that ``parse`` requires of each cone.
+_RECORDED_COUNTS = {
+    ConeKind.BALANCED: BALANCED_COUNTS,
+    ConeKind.TOTALLY_BALANCED: TOTALLY_BALANCED_COUNTS,
+    ConeKind.EXACT_CONJECTURE: {n: c for n, c in EXACT_FACET_COUNTS.items() if n >= 3},
+}
+
+
 def _type_id(players: Players, system: SetSystem) -> tuple[str, int]:
     """Type id and orbit size of a system; its conjugate's id adds ``~``."""
     canonical, orbit = canonical_type(system, players)
@@ -117,8 +126,8 @@ def _irreducibility(players: Players) -> Callable[[MinBalancedSystem], bool]:
 def generate(players: Players, cone: Union[ConeKind, str]) -> Catalogue:
     """Generate the facet catalogue of a cone.
 
-    Deterministic: entries are sorted canonically and classified after
-    the per-carrier enumeration.
+    Deterministic: only carriers the cone can admit are searched, in
+    increasing bitmask order, so the entries come out in canonical order.
     """
     cone = ConeKind(cone)
     n = players.n
@@ -126,34 +135,42 @@ def generate(players: Players, cone: Union[ConeKind, str]) -> Catalogue:
         raise ValueError(f"catalogue generation needs between 2 and {ENUM_PLAYER_CAP} players")
     if cone is ConeKind.EXACT_CONJECTURE and n < 3:
         raise ValueError("the exact-cone conjecture catalogue needs at least 3 players")
-    full = players.full_mask
-    if cone is ConeKind.BALANCED:
-        carriers = [full]
-    else:
-        proper_only = cone is ConeKind.EXACT_CONJECTURE
-        carriers = [m for m in range(full + 1) if m.bit_count() >= 2 and not (proper_only and m == full)]
-
-    systems = [mbs for m in carriers for mbs in enumerate_min_balanced(players, m)]
-    systems.sort(key=lambda m: (m.carrier, m.system.members))
+    sizes = {ConeKind.BALANCED: [n], ConeKind.TOTALLY_BALANCED: range(2, n + 1),
+             ConeKind.EXACT_CONJECTURE: range(2, n)}[cone]
+    carriers = [m for m in range(players.full_mask + 1) if m.bit_count() in sizes]
     irreducible = _irreducibility(players)
-
-    entries: list[CatalogueEntry] = []
-    for mbs in systems:
-        irr = irreducible(mbs)
-        if cone is not ConeKind.BALANCED and not irr:
-            continue
-        type_id, orbit = _type_id(players, mbs.system)
-        complement_id = None
-        if cone is ConeKind.BALANCED:
-            complement_id, _ = _type_id(players, complement_system(mbs.system, players))
-        entries.append(CatalogueEntry(mbs, mbs.alpha, irr, False, type_id, orbit, complement_id))
-        if cone is ConeKind.EXACT_CONJECTURE:
-            entries.append(CatalogueEntry(mbs, conjugate(mbs.alpha, players), irr, True, "~" + type_id, orbit))
-    entries.sort(key=lambda e: (e.mbs.carrier, e.mbs.system.members, e.conjugated))
-    seen = {e.alpha.items for e in entries}
-    if len(seen) != len(entries):
+    entries = tuple(
+        e for m in carriers for mbs in enumerate_min_balanced(players, m)
+        for e in _entries_of(players, cone, mbs, irreducible(mbs))
+    )
+    if len({e.alpha.items for e in entries}) != len(entries):
         raise RuntimeError("catalogue entries collide as coefficient vectors")
-    return Catalogue(players, cone, tuple(entries), _classify(players, cone, tuple(entries)))
+    return Catalogue(players, cone, entries, _classify(players, cone, entries))
+
+
+def _entries_of(
+    players: Players, cone: ConeKind, mbs: MinBalancedSystem, irreducible: bool
+) -> tuple[CatalogueEntry, ...]:
+    """The entries a non-trivial min-balanced system contributes to a cone.
+
+    ``balanced`` admits the systems on the full carrier,
+    ``totally-balanced`` the irreducible ones and ``exact-conjecture``
+    the irreducible ones with proper carrier, each followed by its
+    conjugate.  ``generate`` and ``parse`` build every entry here.
+    """
+    full = mbs.carrier == players.full_mask
+    admitted = {ConeKind.BALANCED: full, ConeKind.TOTALLY_BALANCED: irreducible,
+                ConeKind.EXACT_CONJECTURE: irreducible and not full}
+    if not admitted[cone]:
+        return ()
+    type_id, orbit = _type_id(players, mbs.system)
+    complement_id = None
+    if cone is ConeKind.BALANCED:
+        complement_id, _ = _type_id(players, complement_system(mbs.system, players))
+    entry = CatalogueEntry(mbs, mbs.alpha, irreducible, False, type_id, orbit, complement_id)
+    if cone is not ConeKind.EXACT_CONJECTURE:
+        return (entry,)
+    return entry, CatalogueEntry(mbs, conjugate(mbs.alpha, players), irreducible, True, "~" + type_id, orbit)
 
 
 def classify(catalogue: Catalogue) -> tuple[TypeSummary, ...]:
@@ -286,65 +303,35 @@ def serialize(catalogue: Catalogue, format: str = "json") -> bytes:
     return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
-def _parse_entry(
-    players: Players, raw: dict, where: str, is_irreducible: Callable[[MinBalancedSystem], bool]
-) -> CatalogueEntry:
-    def fail(msg: str):
-        raise CatalogueFormatError(f"{where}: {msg}")
-
+def _read_system(players: Players, raw, where: str) -> MinBalancedSystem:
     try:
-        members = tuple(players.coalition_of(part) for part in raw["system"])
+        mbs = is_min_balanced(SetSystem(tuple(sorted(players.coalition_of(part) for part in raw["system"]))))
     except (KeyError, TypeError, ValueError):
-        fail("invalid or missing member list")
-    try:
-        system = SetSystem(tuple(sorted(members)))
-    except ValueError as exc:
-        fail(str(exc))
-    if len(set(members)) != len(members):
-        fail("duplicate members")
-    mbs = is_min_balanced(system)
-    if mbs is None:
-        fail("system is not min-balanced")
-    if mbs.trivial:
-        fail("trivial systems do not belong to catalogues")
-    if "carrier" not in raw or players.coalition_of(raw["carrier"]) != mbs.carrier:
-        fail("carrier does not match the member union")
-    weights = raw.get("weights")
-    if not isinstance(weights, dict):
-        fail("missing weights")
-    expected_weights = {players.key(m): str(w) for m, w in zip(system.members, mbs.weights)}
-    if weights != expected_weights:
-        fail("weights disagree with the unique balanced weights")
-    if raw.get("k") != mbs.k:
-        fail("normalization constant k is wrong")
-    conjugated = raw.get("conjugated")
-    if not isinstance(conjugated, bool):
-        fail("missing conjugated flag")
-    alpha = mbs.alpha if not conjugated else conjugate(mbs.alpha, players)
-    raw_alpha = raw.get("alpha")
-    expected_alpha = {players.key(s): c for s, c in alpha.items}
-    if raw_alpha != expected_alpha:
-        fail("alpha is not the o-standardized coefficient vector of the system")
-    irreducible = raw.get("irreducible")
-    if not isinstance(irreducible, bool):
-        fail("missing irreducible flag")
-    if irreducible != is_irreducible(mbs):
-        fail("irreducible flag disagrees with the reducibility search")
-    type_id, orbit = _type_id(players, system)
-    if conjugated:
-        type_id = "~" + type_id
-    if raw.get("type_id") != type_id:
-        fail("type_id does not match the canonical form")
-    if raw.get("orbit_size") != orbit:
-        fail("orbit_size does not match the permutation orbit")
-    complement_id = raw.get("complement_type")
-    if complement_id is not None and complement_id != _type_id(players, complement_system(system, players))[0]:
-        fail("complement_type does not match")
-    return CatalogueEntry(mbs, alpha, irreducible, conjugated, type_id, orbit, complement_id)
+        raise CatalogueFormatError(f"{where}: invalid or missing member list") from None
+    if mbs is None or mbs.trivial:
+        raise CatalogueFormatError(f"{where}: system is not a non-trivial min-balanced system")
+    return mbs
+
+
+def _first_difference(expected: dict, raw) -> Optional[str]:
+    """The first field in which ``raw`` differs from ``expected`` as JSON."""
+    if json.dumps(raw) == json.dumps(expected):
+        return None
+    if not isinstance(raw, dict):
+        return "the entry"
+    for key in [*expected, *raw]:
+        if key not in raw or key not in expected or json.dumps(raw[key]) != json.dumps(expected[key]):
+            return key
+    return "the field order"
 
 
 def parse(data: Union[bytes, str]) -> Catalogue:
-    """Parse and fully re-validate a JSON catalogue, whole orbits included."""
+    """Parse a JSON catalogue, rebuilding every entry from its system.
+
+    The entries each distinct system contributes must serialize to the
+    raw ones and come in canonical order; every type needs its whole
+    orbit, and the counts must equal those in ``minbal.reference``.
+    """
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -363,17 +350,33 @@ def parse(data: Union[bytes, str]) -> Catalogue:
         raise CatalogueFormatError("'conjecture' flag disagrees with the cone kind")
     if not isinstance(raw_entries, list):
         raise CatalogueFormatError("'entries' must be a list")
+    recorded = _RECORDED_COUNTS[cone].get(players.n)
+    if recorded is None:
+        raise CatalogueFormatError(f"no entry and type counts are recorded for a {players.n}-player {cone.value} catalogue")
     is_irreducible = _irreducibility(players)
-    entries = tuple(
-        _parse_entry(players, raw, f"entries[{i}]", is_irreducible) for i, raw in enumerate(raw_entries)
-    )
-    for i, (a, b) in enumerate(zip(entries, entries[1:])):
-        ka = (a.mbs.carrier, a.mbs.system.members, a.conjugated)
-        kb = (b.mbs.carrier, b.mbs.system.members, b.conjugated)
-        if ka >= kb:
-            raise CatalogueFormatError(f"entries[{i + 1}]: entries are not in canonical order")
-    types = _classify(players, cone, entries)
+    entries: list[CatalogueEntry] = []
+    while len(entries) < len(raw_entries):
+        where = f"entries[{len(entries)}]"
+        mbs = _read_system(players, raw_entries[len(entries)], where)
+        built = _entries_of(players, cone, mbs, is_irreducible(mbs))
+        if not built:
+            raise CatalogueFormatError(f"{where}: the system does not belong to the {cone.value} catalogue")
+        for entry in built:
+            i = len(entries)
+            if i == len(raw_entries):
+                raise CatalogueFormatError(f"entries[{i}]: missing, the conjugate of entries[{i - 1}]")
+            field = _first_difference(_entry_payload(players, entry), raw_entries[i])
+            if field is not None:
+                raise CatalogueFormatError(f"entries[{i}]: {field} differs from the entry its system generates")
+            entries.append(entry)
+    keys = [(e.mbs.carrier, e.mbs.system.members, e.conjugated) for e in entries]
+    for i in range(1, len(keys)):
+        if keys[i - 1] >= keys[i]:
+            raise CatalogueFormatError(f"entries[{i}]: entries are not in canonical order")
+    types = _classify(players, cone, tuple(entries))
     for t in types:  # every catalogue is closed under relabelling the players
         if t.count != t.representative.orbit_size:
             raise CatalogueFormatError(f"type {t.type_id} has {t.count} entries but an orbit of {t.representative.orbit_size}")
-    return Catalogue(players, cone, entries, types)
+    if (len(entries), len(types)) != recorded:
+        raise CatalogueFormatError(f"{len(entries)} entries in {len(types)} types, but the catalogue has {recorded[0]} entries in {recorded[1]} types")
+    return Catalogue(players, cone, tuple(entries), types)

@@ -7,6 +7,15 @@ incidence vector of A must lie in the conic hull of the members below A,
 and the carrier's incidence vector in the conic hull of {A} plus the
 remaining members with B removed.  Irreducible systems are exactly the
 ones indexing facets of the totally balanced cone.
+
+Only the first condition needs a linear program.  The members are
+linearly independent, so chi_A = sum of mu_S * chi_S over the members
+below A has at most one solution mu, and {A} plus the members without B
+is independent exactly when mu_B != 0.  Then the carrier's expression
+over that family is forced: with the balanced weights lam, beta_A = t =
+lam_B / mu_B, beta_S = lam_S - t * mu_S for the members below A and
+beta_S = lam_S for the others.  It is nonnegative exactly when B
+minimizes lam_S / mu_S over the members with mu_S > 0: a ratio test.
 """
 
 from __future__ import annotations
@@ -81,30 +90,17 @@ def is_reducible(mbs: MinBalancedSystem) -> ReductionWitness | None:
         raise ValueError("reducibility is defined for non-trivial systems")
     positions = _bit_positions(mbs.carrier)
     chi = {s: _incidence(s, positions) for s in mbs.system.members}
-    chi_carrier = (1,) * len(positions)
+    lam = mbs.weight_map()
     for a in _candidate_sets(mbs):
         below = _subsets_below(mbs, a)
-        chi_a = _incidence(a, positions)
-        mu = conic_feasible([chi[s] for s in below], chi_a)
+        mu = conic_feasible([chi[s] for s in below], _incidence(a, positions))
         if mu is None:
             continue
-        for pivot in below:
-            others = [a] + [t for t in mbs.system.members if t != pivot]
-            beta = conic_feasible([chi_a if t == a else chi[t] for t in others], chi_carrier)
-            if beta is None:
-                continue
-            witness = ReductionWitness(
-                reduced_set=a,
-                pivot_member=pivot,
-                mu=tuple(zip(below, mu)),
-                beta=tuple(zip(others, beta)),
-            )
-            # Unique-weight bookkeeping (lambda_B = beta_A * mu_B) forces
-            # both of these to be strictly positive; a failure here would
-            # mean the solver returned an invalid combination.
-            if witness.mu_map()[pivot] <= 0 or witness.beta_map()[a] <= 0:
-                raise RuntimeError("reduction witness violates the positivity bookkeeping")
-            return witness
+        # below is in increasing bitmask order, so ties go to its first member
+        t, pivot = min((lam[s] / m, s) for s, m in zip(below, mu) if m > 0)
+        mu_map = dict(zip(below, mu))
+        beta = [(a, t)] + [(s, lam[s] - t * mu_map.get(s, 0)) for s in mbs.system.members if s != pivot]
+        return ReductionWitness(a, pivot, tuple(mu_map.items()), tuple(beta))
     return None
 
 

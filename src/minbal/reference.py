@@ -6,6 +6,10 @@ to 4: a representative system (coalition key strings), the number of
 systems of that type, the type number of the complementary system,
 whether the type is irreducible, and the induced inequality rendered the
 way :func:`minbal.catalogue.render_inequality` prints it.
+
+The count tables give the entries and types of each catalogue per
+player count; :func:`minbal.catalogue.parse` rejects a catalogue whose
+counts differ, or for which no count is recorded.
 """
 
 from __future__ import annotations
@@ -58,9 +62,13 @@ APPENDIX: dict[int, tuple[AppendixType, ...]] = {
 }
 
 #: Counts of systems / types per player count for the balanced catalogue.
-BALANCED_COUNTS = {2: (1, 1), 3: (5, 3), 4: (41, 9)}
+BALANCED_COUNTS = {2: (1, 1), 3: (5, 3), 4: (41, 9), 5: (1291, 44)}
+
+#: Facet counts and type counts of the totally balanced cone: the
+#: irreducible systems on every carrier with at least two players.
+TOTALLY_BALANCED_COUNTS = {2: (1, 1), 3: (7, 3), 4: (40, 8), 5: (428, 23)}
 
 #: Facet counts and type counts of the conjectured exact catalogue.  The
 #: 2-player column comes from the balanced catalogue, where the exact and
-#: balanced cones coincide.
-EXACT_FACET_COUNTS = {2: (1, 1), 3: (6, 2), 4: (44, 6), 5: (280, 16)}
+#: balanced cones coincide.  The table1 suite checks 2 to 5 players.
+EXACT_FACET_COUNTS = {2: (1, 1), 3: (6, 2), 4: (44, 6), 5: (280, 16), 6: (4186, 46)}

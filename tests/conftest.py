@@ -6,6 +6,16 @@ import pytest
 from minbal import anti_dual, game_of, generate, letters
 
 
+def permute_coalition(coalition: int, perm: tuple[int, ...]) -> int:
+    """Image of a coalition when player i becomes player perm[i]; a
+    reference for the permutation action independent of the package."""
+    bits = 0
+    for i in range(len(perm)):
+        if coalition >> i & 1:
+            bits |= 1 << perm[i]
+    return bits
+
+
 @pytest.fixture(scope="session")
 def p2():
     return letters(2)

@@ -16,11 +16,11 @@ from minbal.balance import (
     enumerate_min_balanced,
     is_min_balanced,
     normalize,
-    permute_coalition,
     system_of,
 )
 from minbal.catalogue import generate
 from minbal.cones import conjugate
+from conftest import permute_coalition
 from minbal.games import letters
 from minbal.linalg import conic_feasible, solve_unique
 

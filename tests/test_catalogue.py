@@ -219,6 +219,64 @@ class TestSerialization:
         with pytest.raises(CatalogueFormatError, match="orbit"):
             parse(json.dumps(doc))
 
+    def test_whole_orbit_deleted_rejected(self, totally4):
+        import json
+
+        doc = json.loads(serialize(totally4))
+        first = doc["entries"][0]["type_id"]
+        doc["entries"] = [e for e in doc["entries"] if e["type_id"] != first]
+        with pytest.raises(CatalogueFormatError, match="has 40 entries in 8 types"):
+            parse(json.dumps(doc))
+
+    def test_unrecorded_player_count_rejected(self):
+        import json
+
+        doc = {"players": list("abcdef"), "cone": "balanced", "conjecture": False, "entries": []}
+        with pytest.raises(CatalogueFormatError, match="no entry and type counts"):
+            parse(json.dumps(doc))
+
+    def test_relabelled_cone_rejected(self, balanced4):
+        import json
+
+        doc = json.loads(serialize(balanced4))
+        doc["cone"] = "totally-balanced"
+        for entry in doc["entries"]:
+            del entry["complement_type"]
+        with pytest.raises(CatalogueFormatError, match=r"entries\[0\].*totally-balanced"):
+            parse(json.dumps(doc))
+
+    def test_missing_complement_type_rejected(self, balanced3):
+        import json
+
+        doc = json.loads(serialize(balanced3))
+        del doc["entries"][0]["complement_type"]
+        with pytest.raises(CatalogueFormatError, match=r"entries\[0\].*complement_type"):
+            parse(json.dumps(doc))
+
+    def test_unknown_key_rejected(self, balanced3):
+        import json
+
+        doc = json.loads(serialize(balanced3))
+        doc["entries"][2]["note"] = "extra"
+        with pytest.raises(CatalogueFormatError, match=r"entries\[2\].*note"):
+            parse(json.dumps(doc))
+
+    def test_integer_for_boolean_rejected(self, balanced3):
+        import json
+
+        doc = json.loads(serialize(balanced3))
+        doc["entries"][1]["conjugated"] = 0
+        with pytest.raises(CatalogueFormatError, match=r"entries\[1\].*conjugated"):
+            parse(json.dumps(doc))
+
+    def test_missing_conjugate_rejected(self, exact4):
+        import json
+
+        doc = json.loads(serialize(exact4))
+        del doc["entries"][-1]
+        with pytest.raises(CatalogueFormatError, match=r"entries\[43\]: missing"):
+            parse(json.dumps(doc))
+
     def test_reordered_entries_rejected(self, balanced3):
         import json
 

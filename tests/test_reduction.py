@@ -10,12 +10,12 @@ from minbal.balance import (
     canonical_type,
     enumerate_min_balanced,
     is_min_balanced,
-    permute_coalition,
     system_of,
 )
+from conftest import permute_coalition
 from minbal.games import letters
 from minbal.linalg import conic_feasible
-from minbal.reduction import ReductionWitness, decompose, is_reducible
+from minbal.reduction import ReductionWitness, _candidate_sets, _subsets_below, decompose, is_reducible
 
 
 class TestGoldenCases:
@@ -159,6 +159,34 @@ def _brute_reducible(mbs):
             if conic_feasible([chi(t) for t in rest], chi(carrier)) is not None:
                 return True
     return False
+
+
+def _lp_pivot_search(mbs):
+    """Reference witness search: one LP for mu and one LP for beta per
+    pivot member, in the same (A, pivot member) order as ``is_reducible``."""
+    n = mbs.carrier.bit_length()
+    chi = lambda s: tuple(s >> i & 1 for i in range(n) if mbs.carrier >> i & 1)
+    for a in _candidate_sets(mbs):
+        below = _subsets_below(mbs, a)
+        mu = conic_feasible([chi(s) for s in below], chi(a))
+        if mu is None:
+            continue
+        for pivot in below:
+            others = [a] + [t for t in mbs.system.members if t != pivot]
+            beta = conic_feasible([chi(t) for t in others], chi(mbs.carrier))
+            if beta is not None:
+                return ReductionWitness(a, pivot, tuple(zip(below, mu)), tuple(zip(others, beta)))
+    return None
+
+
+def test_ratio_test_matches_lp_pivot_search():
+    p = letters(4)
+    count = 0
+    for carrier in range(1, p.full_mask + 1):
+        for mbs in enumerate_min_balanced(p, carrier):
+            assert is_reducible(mbs) == _lp_pivot_search(mbs)
+            count += 1
+    assert count == 6 * 1 + 4 * 5 + 41  # on the carriers of sizes 2, 3 and 4
 
 
 @pytest.mark.parametrize("n", [3, 4])
