@@ -271,12 +271,17 @@ def _text_lines(catalogue: Catalogue) -> list[str]:
 
 # -- serialization -------------------------------------------------------
 
+def _system_payload(players: Players, mbs: MinBalancedSystem) -> dict:
+    return {
+        "system": [list(players.member_names(m)) for m in mbs.system.members],
+        "carrier": list(players.member_names(mbs.carrier)),
+        "weights": {players.key(m): str(w) for m, w in zip(mbs.system.members, mbs.weights)},
+        "k": mbs.k,
+    }
+
+
 def _entry_payload(players: Players, e: CatalogueEntry) -> dict:
-    payload = {
-        "system": [list(players.member_names(m)) for m in e.mbs.system.members],
-        "carrier": list(players.member_names(e.mbs.carrier)),
-        "weights": {players.key(m): str(w) for m, w in zip(e.mbs.system.members, e.mbs.weights)},
-        "k": e.mbs.k,
+    payload = _system_payload(players, e.mbs) | {
         "alpha": {players.key(s): c for s, c in e.alpha.items},
         "irreducible": e.irreducible,
         "conjugated": e.conjugated,

@@ -18,7 +18,7 @@ from random import Random
 from typing import Optional
 
 from . import catalogue as cat
-from .balance import SetSystem, canonical_type, enumerate_min_balanced
+from .balance import enumerate_min_balanced, system_of
 from .cones import (
     CoreAllocation,
     FailingSubgame,
@@ -112,43 +112,31 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         systems = [(mbs, irr) for mbs, irr in systems if irr]
 
     if args.types_only:
-        rows = []
-        seen = set()
+        rows: dict[str, tuple] = {}
         for mbs, irr in systems:
-            canon, orbit = canonical_type(mbs.system, players)
-            if canon.members in seen:
-                continue
-            seen.add(canon.members)
-            rows.append((canon, orbit, irr, mbs))
+            type_id, orbit = cat._type_id(players, mbs.system)
+            rows.setdefault(type_id, (orbit, irr, mbs))
         if args.format == "json":
             doc = [
                 {
-                    "type_id": "|".join(players.key(m) for m in canon.members),
+                    "type_id": type_id,
                     "orbit_size": orbit,
                     "irreducible": irr,
                     "inequality": cat.render_inequality(mbs.alpha, players),
                 }
-                for canon, orbit, irr, mbs in rows
+                for type_id, (orbit, irr, mbs) in rows.items()
             ]
             print(json.dumps(doc, indent=2, ensure_ascii=False))
         else:
-            for i, (canon, orbit, irr, mbs) in enumerate(rows, start=1):
+            for i, (type_id, (orbit, irr, mbs)) in enumerate(rows.items(), start=1):
+                canon = system_of(players, *type_id.split("|"))
                 note = "   irreducible" if irr else ""
                 print(f"{i}. {cat._render_system(players, canon)}   {orbit}x{note}")
                 print(f"   {cat.render_inequality(mbs.alpha, players)}")
         return 0
 
     if args.format == "json":
-        doc = [
-            {
-                "system": [list(players.member_names(m)) for m in mbs.system.members],
-                "carrier": list(players.member_names(mbs.carrier)),
-                "weights": {players.key(m): str(w) for m, w in zip(mbs.system.members, mbs.weights)},
-                "k": mbs.k,
-                "irreducible": irr,
-            }
-            for mbs, irr in systems
-        ]
+        doc = [cat._system_payload(players, mbs) | {"irreducible": irr} for mbs, irr in systems]
         print(json.dumps(doc, indent=2, ensure_ascii=False))
     else:
         for mbs, irr in systems:
@@ -274,16 +262,12 @@ def _suite_appendix(args: argparse.Namespace):
                   entries_expected, len(catalogue.entries)))
     items.append(("type count", len(catalogue.types) == types_expected,
                   types_expected, len(catalogue.types)))
-    tid_of = {}
-    for ref in APPENDIX[n]:
-        system = SetSystem(tuple(sorted(players.coalition_of(k) for k in ref.system)))
-        canon, _ = canonical_type(system, players)
-        tid_of[ref.number] = "|".join(players.key(m) for m in canon.members)
-    by_system = {e.mbs.system.members: e for e in catalogue.entries}
+    tid_of = {ref.number: cat._type_id(players, system_of(players, *ref.system))[0] for ref in APPENDIX[n]}
+    by_system = {e.mbs.system: e for e in catalogue.entries}
     for ref in APPENDIX[n]:
         label = "{" + ", ".join(ref.system) + "}"
         summary = table.get(tid_of[ref.number])
-        entry = by_system.get(tuple(sorted(players.coalition_of(k) for k in ref.system)))
+        entry = by_system.get(system_of(players, *ref.system))
         if summary is None or entry is None:
             items.append((f"type {ref.number} {label}", False, "present", "missing"))
             continue

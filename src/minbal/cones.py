@@ -29,6 +29,7 @@ from .games import (
     restrict,
 )
 from .linalg import augment, lp_feasible, reduce_mod_rows
+from .reference import TOTALLY_BALANCED_COUNTS
 
 Payoffs = tuple[Fraction, ...]
 
@@ -109,7 +110,7 @@ def _tight_rows(game: Game, tight_at: int):
     ineq_order = [s for s in range(1, full + 1) if s not in (full, tight_at)]
     eq_order = [full] if tight_at == full else [full, tight_at]
     order = ineq_order + eq_order
-    rows = [[-Fraction(s >> i & 1) for i in range(n)] for s in order]
+    rows = [[-(s >> i & 1) for i in range(n)] for s in order]
     rhs = [-game.values[s] for s in order]
     return rows, rhs, ineq_order, eq_order
 
@@ -227,15 +228,18 @@ def is_totally_balanced_facets(f: SetFunction, catalogue) -> Verdict:
     """Total balancedness through the facet inequality catalogue.
 
     ``catalogue`` is the totally-balanced catalogue for the game's
-    player set.  A negative verdict carries the first violated entry.
-    Positive verdicts carry no compact witness (the evidence is the
-    exhaustive check itself), so the certificate is ``None``.
+    player set, with the entry and type counts recorded in
+    ``minbal.reference``.  A negative verdict carries the first violated
+    entry.  Positive verdicts carry no compact witness (the evidence is
+    the exhaustive check itself), so the certificate is ``None``.
     """
     game = as_game(f)
     if catalogue.players != game.players:
         raise ValueError("catalogue was generated for a different player set")
     if getattr(catalogue.cone, "value", catalogue.cone) != "totally-balanced":
         raise ValueError("a totally-balanced catalogue is required")
+    if (len(catalogue.entries), len(catalogue.types)) != TOTALLY_BALANCED_COUNTS.get(game.players.n):
+        raise ValueError("the catalogue's entry and type counts differ from the recorded ones")
     for entry in catalogue.entries:
         value = entry.alpha.evaluate(game)
         if value < 0:

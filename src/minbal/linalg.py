@@ -7,19 +7,24 @@ equality/inequality system.  There is no floating point anywhere, so
 every positive answer re-substitutes exactly and every infeasibility
 verdict carries a checkable Farkas vector.
 
-Rank and solving share one elimination kernel, :func:`reduce_mod_rows`:
-it reduces an integer vector against echelon rows with distinct pivots,
-fraction-free, dividing each result by its gcd.  Rational input is
-scaled to integers first.  To solve, each column ``j`` enters as
-``col_j ⊕ e_j ⊕ 0`` (see :func:`augment`), so every echelon row records
-which combination of the columns it is; the target enters as
+Every elimination is one fraction-free step on integer rows,
+:func:`_eliminate`, followed by :func:`_primitive`, which divides by the
+gcd; rational input is scaled to integers first.  Rank and solving run
+it through :func:`reduce_mod_rows`, which reduces a vector against
+echelon rows with distinct pivots.  To solve, each column ``j`` enters
+as ``col_j ⊕ e_j ⊕ 0`` (see :func:`augment`), so every echelon row
+records which combination of the columns it is; the target enters as
 ``t ⊕ 0 ⊕ 1`` and, once reduced, carries the coefficients in its last
 block.  The enumeration of min-balanced systems runs the same kernel.
 
-The feasibility solver is a phase-1 simplex over ``fractions.Fraction``
-with Bland's pivoting rule, which terminates on every input without
-cycling.  Problem sizes in this package stay below a few hundred
-constraints, where exact pivoting is entirely adequate.
+The feasibility solver is a phase-1 simplex with Bland's pivoting rule,
+which terminates on every input without cycling.  Each row of its
+tableau is a positive integer multiple of the row of the rational
+tableau, so a pivot is the same elimination step, ratios compare by
+cross-multiplying and the pivots are those of the rational simplex;
+answers are read off as ``Fraction`` values.  Problem sizes in this
+package stay below a few hundred constraints, where exact pivoting is
+entirely adequate.
 """
 
 from __future__ import annotations
@@ -59,6 +64,20 @@ def _integer_row(entries: Sequence[Fraction]) -> list[int]:
     return [int(e * scale) for e in entries]
 
 
+def _eliminate(v: list[int], row: list[int], piv: int) -> list[int]:
+    """``row[piv] * v - v[piv] * row``, which is zero at ``piv``; with
+    ``row[piv] > 0`` it is a positive multiple of ``v`` less a multiple
+    of ``row``."""
+    lead, c = row[piv], v[piv]
+    return [lead * a - c * b for a, b in zip(v, row)]
+
+
+def _primitive(v: list[int]) -> list[int]:
+    """A nonzero integer vector divided by the gcd of its entries."""
+    g = gcd(*v)
+    return v if g == 1 else [a // g for a in v]
+
+
 def reduce_mod_rows(rows: list[tuple[list[int], int]], vec: list[int]) -> Optional[tuple[list[int], int]]:
     """Reduce an integer vector against echelon rows; None when it vanishes.
 
@@ -70,22 +89,14 @@ def reduce_mod_rows(rows: list[tuple[list[int], int]], vec: list[int]) -> Option
     """
     v = vec
     for row, piv in rows:
-        c = v[piv]
-        if c:
-            lead = row[piv]
-            v = [lead * a - c * b for a, b in zip(v, row)]
-    g = 0
-    piv = -1
-    for i, a in enumerate(v):
-        if a:
-            g = gcd(g, a)
-            if piv < 0:
-                piv = i
+        if v[piv]:
+            v = _eliminate(v, row, piv)
+    piv = next((i for i, a in enumerate(v) if a), -1)
     if piv < 0:
         return None
     if v[piv] < 0:
-        g = -g
-    return [a // g for a in v], piv
+        v = [-a for a in v]
+    return _primitive(v), piv
 
 
 def augment(vec: list[int], j: int, width: int) -> list[int]:
@@ -201,29 +212,31 @@ def lp_feasible(
 
     m = mi + me
     art0 = 2 * nvar + mi          # first artificial column
-    ncols = art0 + m
+    ncols = art0 + m              # right-hand side column
     # Split x = u - v with u, v >= 0, add a slack per inequality and an
-    # artificial per row; flip row signs so the right-hand side is >= 0.
-    tab: list[list[Fraction]] = []
-    sigma: list[Fraction] = []
+    # artificial per row.  Row i, right-hand side included, is scaled by
+    # k_i, the lcm of its denominators signed so that the right-hand side
+    # is >= 0; its slack gets k_i and its artificial |k_i|.  Each row is
+    # then |k_i| times the rational tableau's row, and pivots keep it a
+    # positive multiple.  The trailing 0 lines up with the cost row's scale.
+    tab: list[list[int]] = []
+    signs: list[int] = []
     for i, row in enumerate(rows):
-        s = _ONE if b[i] >= 0 else -_ONE
-        sigma.append(s)
-        line = [s * e for e in row] + [-s * e for e in row] + [_ZERO] * (mi + m)
+        *line, r, k = _integer_row(row + [b[i], _ONE])
+        if r < 0:
+            line, r, k = [-e for e in line], -r, -k
+        signs.append(1 if k > 0 else -1)
+        line += [-e for e in line] + [0] * (mi + m) + [r, 0]
         if i < mi:
-            line[2 * nvar + i] = s
-        line[art0 + i] = _ONE
-        line.append(s * b[i])
+            line[2 * nvar + i] = k
+        line[art0 + i] = abs(k)
         tab.append(line)
-    # Phase-1 reduced costs: unit cost on artificials, then zero out the
-    # starting (artificial) basis.
-    cost = [_ZERO] * (ncols + 1)
-    for j in range(art0, ncols):
-        cost[j] = _ONE
-    for line in tab:
-        for j in range(ncols + 1):
-            if line[j] != 0:
-                cost[j] -= line[j]
+    # Phase-1 reduced costs: unit cost on artificials, with the artificial
+    # basis eliminated.  The last coordinate starts at 1 and tracks the
+    # positive factor the cost row carries.
+    cost = [int(art0 <= j < ncols) for j in range(ncols + 1)] + [1]
+    for i, line in enumerate(tab):
+        cost = _primitive(_eliminate(cost, line, art0 + i))
     basis = list(range(art0, ncols))
 
     while True:
@@ -233,22 +246,29 @@ def lp_feasible(
         if enter is None:
             break
         leave = None
-        best = None
-        for i in range(m):
-            a = tab[i][enter]
+        for i, line in enumerate(tab):
+            a = line[enter]
             if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                best = tab[leave]
+                d = line[ncols] * best[enter] - best[ncols] * a
+                if d < 0 or (d == 0 and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise RuntimeError("phase-1 objective is bounded; no pivot row found")
-        _pivot(tab, cost, basis, leave, enter)
+        prow = tab[leave]
+        for i, line in enumerate(tab):
+            if i != leave and line[enter]:
+                tab[i] = _primitive(_eliminate(line, prow, enter))
+        cost = _primitive(_eliminate(cost, prow, enter))
+        basis[leave] = enter
 
-    if cost[-1] == 0:
+    if cost[ncols] == 0:
         x = [_ZERO] * nvar
-        for i, bv in enumerate(basis):
-            val = tab[i][-1]
+        for line, bv in zip(tab, basis):
+            val = Fraction(line[ncols], line[bv])
             if bv < nvar:
                 x[bv] += val
             elif bv < 2 * nvar:
@@ -257,33 +277,12 @@ def lp_feasible(
         _verify_point(rows, b, mi, point)
         return FeasibilityResult(point=point, farkas=None)
 
-    # Infeasible: the simplex multipliers y are read off from the
-    # reduced costs of the artificial columns, and lam = -sigma * y is
-    # the Farkas vector in the original row signs.
-    lam = tuple(-sigma[i] * (_ONE - cost[art0 + i]) for i in range(m))
+    # Infeasible: the simplex multipliers y_i = 1 - (reduced cost of
+    # artificial i) give lam = -sgn(k) * y, the Farkas vector in the
+    # original row signs.
+    lam = tuple(Fraction(s * (cost[art0 + i] - cost[-1]), cost[-1]) for i, s in enumerate(signs))
     _verify_farkas(rows, b, mi, lam)
     return FeasibilityResult(point=None, farkas=lam)
-
-
-def _pivot(tab: list[list[Fraction]], cost: list[Fraction], basis: list[int], leave: int, enter: int) -> None:
-    prow = tab[leave]
-    lead = prow[enter]
-    if lead != 1:
-        inv = _ONE / lead
-        tab[leave] = prow = [v * inv for v in prow]
-    support = [(j, v) for j, v in enumerate(prow) if v != 0]
-    for row in tab:
-        if row is prow:
-            continue
-        f = row[enter]
-        if f != 0:
-            for j, v in support:
-                row[j] -= f * v
-    f = cost[enter]
-    if f != 0:
-        for j, v in support:
-            cost[j] -= f * v
-    basis[leave] = enter
 
 
 def _verify_point(rows: list[list[Fraction]], b: list[Fraction], mi: int, x: Vector) -> None:
@@ -319,6 +318,6 @@ def conic_feasible(generators: Sequence[Sequence], target: Sequence) -> Optional
         return () if all(v == 0 for v in t) else None
     m = len(gens)
     eq_rows = [[g[i] for g in gens] for i in range(len(t))]
-    ineq_rows = [[-_ONE if j == i else _ZERO for j in range(m)] for i in range(m)]
-    res = lp_feasible(ineq_rows, eq_rows, [_ZERO] * m + list(t))
+    ineq_rows = [[-int(j == i) for j in range(m)] for i in range(m)]
+    res = lp_feasible(ineq_rows, eq_rows, [0] * m + list(t))
     return res.point

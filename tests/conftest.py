@@ -1,6 +1,8 @@
 """Shared fixtures: example games from the worked examples and session
 catalogues (expensive to generate, shared read-only)."""
 
+from fractions import Fraction
+
 import pytest
 
 from minbal import anti_dual, game_of, generate, letters
@@ -14,6 +16,66 @@ def permute_coalition(coalition: int, perm: tuple[int, ...]) -> int:
         if coalition >> i & 1:
             bits |= 1 << perm[i]
     return bits
+
+
+def fraction_lp_feasible(inequality_rows, equality_rows, rhs):
+    """``(point, farkas)`` of ``linalg.lp_feasible`` from a phase-1
+    simplex on a ``Fraction`` tableau with Bland's rule: a reference for
+    the integer tableau, which must take the same pivots."""
+    rows = [[Fraction(e) for e in row] for row in list(inequality_rows) + list(equality_rows)]
+    b = [Fraction(v) for v in rhs]
+    mi, m = len(inequality_rows), len(rows)
+    nvar = len(rows[0])
+    art0 = 2 * nvar + mi
+    ncols = art0 + m
+    tab, sigma = [], []
+    for i, row in enumerate(rows):
+        s = 1 if b[i] >= 0 else -1
+        sigma.append(s)
+        line = [s * e for e in row] + [-s * e for e in row] + [Fraction(0)] * (mi + m)
+        if i < mi:
+            line[2 * nvar + i] = Fraction(s)
+        line[art0 + i] = Fraction(1)
+        line.append(s * b[i])
+        tab.append(line)
+    cost = [Fraction(int(art0 <= j < ncols)) for j in range(ncols + 1)]
+    for line in tab:
+        for j in range(ncols + 1):
+            if line[j] != 0:
+                cost[j] -= line[j]
+    basis = list(range(art0, ncols))
+    while (enter := next((j for j in range(art0) if cost[j] < 0), None)) is not None:
+        leave = best = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = tab[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        _fraction_pivot(tab, cost, basis, leave, enter)
+    if cost[-1] == 0:
+        x = [Fraction(0)] * nvar
+        for i, bv in enumerate(basis):
+            if bv < nvar:
+                x[bv] += tab[i][-1]
+            elif bv < 2 * nvar:
+                x[bv - nvar] -= tab[i][-1]
+        return tuple(x), None
+    return None, tuple(-sigma[i] * (1 - cost[art0 + i]) for i in range(m))
+
+
+def _fraction_pivot(tab, cost, basis, leave, enter):
+    prow = tab[leave]
+    lead = prow[enter]
+    if lead != 1:
+        tab[leave] = prow = [v / lead for v in prow]
+    support = [(j, v) for j, v in enumerate(prow) if v != 0]
+    for row in tab + [cost]:
+        f = row[enter]
+        if row is not prow and f != 0:
+            for j, v in support:
+                row[j] -= f * v
+    basis[leave] = enter
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import minbal
+from minbal.catalogue import serialize
 from minbal.cli import main
 from minbal.games import game_of, game_to_json, letters
 
@@ -57,6 +58,14 @@ class TestEnumerate:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc) == 18
         assert all(item["irreducible"] for item in doc)
+
+    def test_json_fields_match_catalogue_entries(self, capsys, balanced4):
+        # the full-carrier systems are the balanced catalogue's, in order
+        assert main(["enumerate", "--players", "4", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        fields = ("system", "carrier", "weights", "k", "irreducible")
+        entries = json.loads(serialize(balanced4))["entries"]
+        assert doc == [{f: e[f] for f in fields} for e in entries]
 
     def test_bad_carrier_size(self, capsys):
         assert main(["enumerate", "--players", "3", "--carrier-size", "9"]) == 2

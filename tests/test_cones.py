@@ -1,6 +1,7 @@
 """Membership oracles, their certificates, and the structural laws
 connecting the three cones."""
 
+import dataclasses
 from fractions import Fraction as F
 from random import Random
 
@@ -176,6 +177,17 @@ class TestTotallyBalanced:
     def test_wrong_catalogue_rejected(self, market_game, totally4):
         with pytest.raises(ValueError):
             is_totally_balanced_facets(market_game, totally4)
+
+    def test_short_catalogue_rejected(self, p3):
+        from minbal.catalogue import generate
+
+        full = generate(p3, "totally-balanced")
+        short = dataclasses.replace(full, entries=full.entries[1:])
+        g = game_of(p3, {"a": 2, "b": 2, "ab": 1, "ac": 2, "bc": 2, "abc": 10})
+        assert not is_totally_balanced_lp(g).member
+        assert not is_totally_balanced_facets(g, full).member
+        with pytest.raises(ValueError, match="counts"):
+            is_totally_balanced_facets(g, short)
 
 
 class TestIsExact:

@@ -6,6 +6,9 @@ from random import Random
 
 import pytest
 
+from conftest import fraction_lp_feasible
+from minbal.cones import _tight_rows
+from minbal.games import Game, anti_dual, letters, random_game
 from minbal.linalg import DimensionError, conic_feasible, lp_feasible, rank, solve_unique
 
 # incidence vectors of {ab, ac, ad, bcd} in a 5-player universe
@@ -233,3 +236,41 @@ def test_lp_answers_verify_exactly():
                 assert sum(lam[i] * rows[i][j] for i in range(len(rows))) == 0
             assert sum(lam[i] * rhs[i] for i in range(len(rows))) < 0
     assert feasible and infeasible  # both branches exercised
+
+
+# -- the integer tableau against the Fraction simplex ---------------------
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_core_systems_match_fraction_simplex(n):
+    # every core system the oracles solve, at every tight coalition, for a
+    # random game, its anti-dual and (with a nonempty core) the same game
+    # with the grand coalition worth 20 per player
+    rng = Random(500 + n)
+    players = letters(n)
+    outcomes = set()
+    game = random_game(players, rng)
+    rich = Game(players, game.values[:-1] + (F(20 * n),))
+    for g in (game, anti_dual(game), rich):
+        for tight_at in range(1, players.full_mask + 1):
+            rows, rhs, ineq_order, _ = _tight_rows(g, tight_at)
+            mi = len(ineq_order)
+            res = lp_feasible(rows[:mi], rows[mi:], rhs)
+            assert (res.point, res.farkas) == fraction_lp_feasible(rows[:mi], rows[mi:], rhs)
+            outcomes.add(res.feasible)
+    assert outcomes == {True, False}
+
+
+def test_mixed_systems_match_fraction_simplex():
+    rng = Random(606)
+    outcomes = set()
+    for _ in range(300):
+        nvar = rng.randint(1, 5)
+        mi, me = rng.randint(0, 6), rng.randint(1, 3)
+        entry = lambda: F(rng.randint(-4, 4), rng.choice((1, 2, 3, 5)))
+        ineq = [[entry() for _ in range(nvar)] for _ in range(mi)]
+        eq = [[entry() for _ in range(nvar)] for _ in range(me)]
+        rhs = [entry() for _ in range(mi + me)]
+        res = lp_feasible(ineq, eq, rhs)
+        assert (res.point, res.farkas) == fraction_lp_feasible(ineq, eq, rhs)
+        outcomes.add(res.feasible)
+    assert outcomes == {True, False}
