@@ -343,16 +343,19 @@ def parse(data: Union[bytes, str]) -> Catalogue:
         raise CatalogueFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise CatalogueFormatError("top level must be an object")
+    fields = ("players", "cone", "conjecture", "entries")
+    if set(doc) != set(fields):
+        raise CatalogueFormatError(f"top-level fields must be {', '.join(fields)}, not {', '.join(doc)}")
+    if not isinstance(doc["players"], list) or not all(isinstance(x, str) for x in doc["players"]):
+        raise CatalogueFormatError("'players' must be a list of strings")
     try:
         players = Players(tuple(doc["players"]))
         cone = ConeKind(doc["cone"])
-        raw_entries = doc["entries"]
-    except KeyError as exc:
-        raise CatalogueFormatError(f"missing required field {exc}") from None
     except ValueError as exc:
         raise CatalogueFormatError(str(exc)) from None
-    if doc.get("conjecture") != (cone is ConeKind.EXACT_CONJECTURE):
-        raise CatalogueFormatError("'conjecture' flag disagrees with the cone kind")
+    if doc["conjecture"] is not (cone is ConeKind.EXACT_CONJECTURE):  # a JSON boolean, not 0 or 1
+        raise CatalogueFormatError(f"'conjecture' must be {json.dumps(cone is ConeKind.EXACT_CONJECTURE)} for a {cone.value} catalogue")
+    raw_entries = doc["entries"]
     if not isinstance(raw_entries, list):
         raise CatalogueFormatError("'entries' must be a list")
     recorded = _RECORDED_COUNTS[cone].get(players.n)

@@ -18,13 +18,15 @@ records which combination of the columns it is; the target enters as
 block.  The enumeration of min-balanced systems runs the same kernel.
 
 The feasibility solver is a phase-1 simplex with Bland's pivoting rule,
-which terminates on every input without cycling.  Each row of its
-tableau is a positive integer multiple of the row of the rational
-tableau, so a pivot is the same elimination step, ratios compare by
-cross-multiplying and the pivots are those of the rational simplex;
-answers are read off as ``Fraction`` values.  Problem sizes in this
-package stay below a few hundred constraints, where exact pivoting is
-entirely adequate.
+which terminates on every input without cycling.  Its tableau holds the
+split variables x = u - v and one column per row, the row's slack; a
+row's artificial column stays a signed copy of that column, so it is
+not stored.  Each row is a positive integer multiple of the row of the
+rational tableau, so a pivot is the same elimination step, ratios
+compare by cross-multiplying and the pivots are those of the rational
+simplex; answers are read off as ``Fraction`` values.  Problem sizes in
+this package stay below a few hundred constraints, where exact pivoting
+is entirely adequate.
 """
 
 from __future__ import annotations
@@ -134,9 +136,9 @@ def solve_unique(columns: Sequence[Sequence], target: Sequence) -> Optional[Vect
 
     Returns the unique coefficient vector ``c`` with
     ``sum(c[j] * columns[j]) == target``, or ``None`` when the target
-    lies outside the span of the columns.  The columns must be linearly
-    independent (callers establish this via :func:`rank`); dependent
-    columns raise ``ValueError``.
+    lies outside the span of the columns.  Dependent columns raise
+    ``ValueError``, which is how :func:`minbal.balance.is_min_balanced`
+    tests its members for independence.
     """
     cols = [to_vector(c) for c in columns]
     t = to_vector(target)
@@ -198,51 +200,48 @@ def lp_feasible(
     if len(b) != mi + me:
         raise DimensionError("right-hand side does not match the number of rows")
     rows = ineq + eq
-    if rows:
-        nvar = len(rows[0])
-        if mi and me and len(ineq[0]) != len(eq[0]):
-            raise DimensionError("inequality and equality rows have different widths")
-        if dimension is not None and dimension != nvar:
-            raise DimensionError("explicit dimension does not match the rows")
-    else:
+    if not rows:
         if dimension is None:
             raise ValueError("dimension is required for an empty constraint system")
-        nvar = dimension
-        return FeasibilityResult(point=tuple([_ZERO] * nvar), farkas=None)
+        return FeasibilityResult(point=tuple([_ZERO] * dimension), farkas=None)
+    nvar = len(rows[0])
+    if mi and me and len(ineq[0]) != len(eq[0]):
+        raise DimensionError("inequality and equality rows have different widths")
+    if dimension is not None and dimension != nvar:
+        raise DimensionError("explicit dimension does not match the rows")
 
     m = mi + me
-    art0 = 2 * nvar + mi          # first artificial column
-    ncols = art0 + m              # right-hand side column
-    # Split x = u - v with u, v >= 0, add a slack per inequality and an
-    # artificial per row.  Row i, right-hand side included, is scaled by
-    # k_i, the lcm of its denominators signed so that the right-hand side
-    # is >= 0; its slack gets k_i and its artificial |k_i|.  Each row is
-    # then |k_i| times the rational tableau's row, and pivots keep it a
-    # positive multiple.  The trailing 0 lines up with the cost row's scale.
+    ncols = 2 * nvar + m          # right-hand side column
+    # Split x = u - v with u, v >= 0 and give row i one column holding
+    # k_i, the lcm of its denominators signed so that its scaled
+    # right-hand side is >= 0: the slack of an inequality row, a column
+    # that never enters for an equality row.  Each row is |k_i| times the
+    # rational tableau's row, and pivots keep it a positive multiple.
+    # Artificial i stays that column times sgn(k_i), as both start on e_i
+    # and pivots are row operations, so it is not stored; basis label
+    # ncols + i stands for it.  The trailing 0 is the cost row's scale.
     tab: list[list[int]] = []
-    signs: list[int] = []
     for i, row in enumerate(rows):
         *line, r, k = _integer_row(row + [b[i], _ONE])
         if r < 0:
             line, r, k = [-e for e in line], -r, -k
-        signs.append(1 if k > 0 else -1)
-        line += [-e for e in line] + [0] * (mi + m) + [r, 0]
-        if i < mi:
-            line[2 * nvar + i] = k
-        line[art0 + i] = abs(k)
+        line += [-e for e in line] + [0] * m + [r, 0]
+        line[2 * nvar + i] = k
         tab.append(line)
     # Phase-1 reduced costs: unit cost on artificials, with the artificial
-    # basis eliminated.  The last coordinate starts at 1 and tracks the
-    # positive factor the cost row carries.
-    cost = [int(art0 <= j < ncols) for j in range(ncols + 1)] + [1]
+    # basis eliminated; the last coordinate is the cost row's positive
+    # scale.  Artificial i's reduced cost is the scale plus sgn(k_i) times
+    # row i's column, so eliminating it weighs the scale against |k_i|.
+    cost = [0] * (ncols + 1) + [1]
     for i, line in enumerate(tab):
-        cost = _primitive(_eliminate(cost, line, art0 + i))
-    basis = list(range(art0, ncols))
+        lead, scale = abs(line[2 * nvar + i]), cost[-1]
+        cost = _primitive([lead * c - scale * a for c, a in zip(cost, line)])
+    basis = list(range(ncols, ncols + m))
 
     while True:
         # Bland: entering column is the lowest-index negative reduced
-        # cost; artificial columns never re-enter.
-        enter = next((j for j in range(art0) if cost[j] < 0), None)
+        # cost among u, v and the slacks; artificials never re-enter.
+        enter = next((j for j in range(2 * nvar + mi) if cost[j] < 0), None)
         if enter is None:
             break
         leave = None
@@ -268,19 +267,16 @@ def lp_feasible(
     if cost[ncols] == 0:
         x = [_ZERO] * nvar
         for line, bv in zip(tab, basis):
-            val = Fraction(line[ncols], line[bv])
-            if bv < nvar:
-                x[bv] += val
-            elif bv < 2 * nvar:
-                x[bv - nvar] -= val
+            if bv < 2 * nvar:  # u_j or v_j
+                x[bv % nvar] += Fraction(line[ncols], line[bv] if bv < nvar else -line[bv])
         point = tuple(x)
         _verify_point(rows, b, mi, point)
         return FeasibilityResult(point=point, farkas=None)
 
     # Infeasible: the simplex multipliers y_i = 1 - (reduced cost of
-    # artificial i) give lam = -sgn(k) * y, the Farkas vector in the
-    # original row signs.
-    lam = tuple(Fraction(s * (cost[art0 + i] - cost[-1]), cost[-1]) for i, s in enumerate(signs))
+    # artificial i) give the Farkas vector lam = -sgn(k_i) * y_i in the
+    # original row signs, which is row i's column entry over the scale.
+    lam = tuple(Fraction(cost[2 * nvar + i], cost[-1]) for i in range(m))
     _verify_farkas(rows, b, mi, lam)
     return FeasibilityResult(point=None, farkas=lam)
 

@@ -297,6 +297,39 @@ class TestSerialization:
         with pytest.raises(CatalogueFormatError, match="conjecture"):
             parse(json.dumps(doc))
 
+    @pytest.mark.parametrize("players", [5, None])
+    def test_non_list_players_rejected(self, balanced3, players):
+        import json
+
+        doc = json.loads(serialize(balanced3))
+        doc["players"] = players
+        with pytest.raises(CatalogueFormatError, match="'players' must be a list of strings"):
+            parse(json.dumps(doc))
+
+    def test_string_players_rejected(self, balanced3):
+        import json
+
+        doc = json.loads(serialize(balanced3))
+        doc["players"] = "".join(doc["players"])  # "abc" must not spell out a, b, c
+        with pytest.raises(CatalogueFormatError, match="'players' must be a list of strings"):
+            parse(json.dumps(doc))
+
+    def test_integer_conjecture_flag_rejected(self, balanced3):
+        import json
+
+        doc = json.loads(serialize(balanced3))
+        doc["conjecture"] = 0
+        with pytest.raises(CatalogueFormatError, match="'conjecture' must be false"):
+            parse(json.dumps(doc))
+
+    def test_unknown_top_level_key_rejected(self, balanced3):
+        import json
+
+        doc = json.loads(serialize(balanced3))
+        doc["note"] = "extra"
+        with pytest.raises(CatalogueFormatError, match="top-level fields"):
+            parse(json.dumps(doc))
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("cone", CONES)

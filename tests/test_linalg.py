@@ -7,6 +7,8 @@ from random import Random
 import pytest
 
 from conftest import fraction_lp_feasible
+from minbal import reduction
+from minbal.balance import enumerate_min_balanced
 from minbal.cones import _tight_rows
 from minbal.games import Game, anti_dual, letters, random_game
 from minbal.linalg import DimensionError, conic_feasible, lp_feasible, rank, solve_unique
@@ -260,9 +262,42 @@ def test_core_systems_match_fraction_simplex(n):
     assert outcomes == {True, False}
 
 
-def test_mixed_systems_match_fraction_simplex():
+def _conic_inputs(monkeypatch):
+    """``(generators, target)`` pairs for ``conic_feasible``: every call
+    ``is_reducible`` makes on the carriers of ``letters(4)``, then seeded
+    random sets holding integer combinations of their first generators,
+    with a nonnegative combination or a random vector as the target."""
+    calls = []
+
+    def recording(gens, target):
+        calls.append((gens, target))
+        return conic_feasible(gens, target)
+
+    monkeypatch.setattr(reduction, "conic_feasible", recording)
+    players = letters(4)
+    for carrier in range(1, players.full_mask + 1):
+        for mbs in enumerate_min_balanced(players, carrier):
+            reduction.is_reducible(mbs)
+    monkeypatch.undo()
+    assert calls
+    rng = Random(707)
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        gens = [[F(rng.randint(-2, 2)) for _ in range(d)] for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(1, 3)):
+            gens.append([sum(rng.randint(-1, 2) * g[i] for g in gens) for i in range(d)])
+        rng.shuffle(gens)
+        if rng.random() < 0.5:
+            target = [sum(rng.randint(0, 2) * g[i] for g in gens) for i in range(d)]
+        else:
+            target = [F(rng.randint(-3, 3)) for _ in range(d)]
+        calls.append((gens, target))
+    return calls
+
+
+def test_mixed_systems_match_fraction_simplex(monkeypatch):
     rng = Random(606)
-    outcomes = set()
+    systems = []
     for _ in range(300):
         nvar = rng.randint(1, 5)
         mi, me = rng.randint(0, 6), rng.randint(1, 3)
@@ -270,7 +305,21 @@ def test_mixed_systems_match_fraction_simplex():
         ineq = [[entry() for _ in range(nvar)] for _ in range(mi)]
         eq = [[entry() for _ in range(nvar)] for _ in range(me)]
         rhs = [entry() for _ in range(mi + me)]
+        systems.append((ineq, eq, rhs))
+    # conic_feasible's systems, built as it builds them, are degenerate:
+    # every sign row has a zero right-hand side, so Bland's tie-break
+    # decides the pivots
+    conic = _conic_inputs(monkeypatch)
+    for gens, target in conic:
+        m = len(gens)
+        ineq = [[-int(j == i) for j in range(m)] for i in range(m)]
+        eq = [[g[i] for g in gens] for i in range(len(target))]
+        systems.append((ineq, eq, [0] * m + list(target)))
+    outcomes = set()
+    for ineq, eq, rhs in systems:
         res = lp_feasible(ineq, eq, rhs)
         assert (res.point, res.farkas) == fraction_lp_feasible(ineq, eq, rhs)
         outcomes.add(res.feasible)
+    for (gens, target), system in zip(conic, systems[-len(conic):]):
+        assert conic_feasible(gens, target) == fraction_lp_feasible(*system)[0]
     assert outcomes == {True, False}
