@@ -21,7 +21,7 @@ from itertools import permutations
 from math import gcd, lcm
 from typing import Iterator, Mapping, Optional
 
-from .games import Players, SetFunction, log, relabelling
+from .games import Players, SetFunction, _player_sums, log, relabelling
 from .linalg import augment, reduce_mod_rows, solve_unique
 
 #: Enumeration and catalogue generation search all subsets of the carrier,
@@ -109,18 +109,8 @@ class InequalityVector:
 
     def is_o_standardized(self) -> bool:
         """Zero total sum and zero sum over the coalitions at each player."""
-        if sum(c for _, c in self.items) != 0:
-            return False
-        support = 0
-        for s, _ in self.items:
-            support |= s
-        i = 0
-        while support >> i:
-            bit = 1 << i
-            if support & bit and sum(c for s, c in self.items if s & bit) != 0:
-                return False
-            i += 1
-        return True
+        n = max((s for s, _ in self.items), default=0).bit_length()
+        return sum(c for _, c in self.items) == 0 and not any(_player_sums(self.items, n))
 
 
 
@@ -199,9 +189,9 @@ def normalize(weights: Mapping[int, Fraction]) -> tuple[int, InequalityVector]:
     lams = [Fraction(weights[m]) for m in members]
     if any(l <= 0 for l in lams):
         raise ValueError("balanced weights must be strictly positive")
-    for p in _bit_positions(carrier):
-        if sum(l for m, l in zip(members, lams) if m >> p & 1) != 1:
-            raise ValueError("weights are not balanced on the carrier")
+    n = carrier.bit_length()
+    if _player_sums(zip(members, lams), n) != [carrier >> i & 1 for i in range(n)]:
+        raise ValueError("weights are not balanced on the carrier")
     scale = lcm(*(l.denominator for l in lams))
     ints = [int(l * scale) for l in lams]
     g = gcd(*ints)
@@ -277,8 +267,6 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
                 if all(r[c + j] and (r[c + j] > 0) != (lead > 0) for j in range(depth)):
                     record(chosen, tuple(Fraction(-r[c + j], lead) for j in range(depth)))
                 return
-        if depth == c:
-            return
         for i in range(start, ncand):
             if union | suffix_cover[i] != full:
                 break

@@ -34,7 +34,7 @@ from .balance import (
     is_min_balanced,
 )
 from .cones import conjugate
-from .games import Players
+from .games import Players, _read_document
 from .reduction import is_reducible
 from .reference import BALANCED_COUNTS, EXACT_FACET_COUNTS, TOTALLY_BALANCED_COUNTS
 
@@ -337,19 +337,8 @@ def parse(data: Union[bytes, str]) -> Catalogue:
     raw ones and come in canonical order; every type needs its whole
     orbit, and the counts must equal those in ``minbal.reference``.
     """
+    doc, players = _read_document(data, ("players", "cone", "conjecture", "entries"), CatalogueFormatError)
     try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise CatalogueFormatError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise CatalogueFormatError("top level must be an object")
-    fields = ("players", "cone", "conjecture", "entries")
-    if set(doc) != set(fields):
-        raise CatalogueFormatError(f"top-level fields must be {', '.join(fields)}, not {', '.join(doc)}")
-    if not isinstance(doc["players"], list) or not all(isinstance(x, str) for x in doc["players"]):
-        raise CatalogueFormatError("'players' must be a list of strings")
-    try:
-        players = Players(tuple(doc["players"]))
         cone = ConeKind(doc["cone"])
     except ValueError as exc:
         raise CatalogueFormatError(str(exc)) from None

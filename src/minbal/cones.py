@@ -20,7 +20,6 @@ from typing import Optional, Union
 
 from .balance import InequalityVector, MinBalancedSystem, SetSystem, is_min_balanced
 from .games import (
-    MAX_PLAYERS,
     Game,
     Players,
     SetFunction,
@@ -90,11 +89,6 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.member
-
-
-def _check_oracle_cap(players: Players) -> None:
-    if players.n > MAX_PLAYERS:
-        raise ValueError(f"membership oracles are capped at {MAX_PLAYERS} players")
 
 
 def _tight_rows(game: Game, tight_at: int):
@@ -188,7 +182,6 @@ def is_balanced(f: SetFunction) -> Verdict:
     min-balanced system on the full player set whose inequality the game
     violates, reduced from the Farkas vector of the same core system.
     """
-    _check_oracle_cap(f.players)
     game = as_game(f)
     point, theta = _tight_feasibility(game, game.players.full_mask)
     if point is not None:
@@ -203,7 +196,6 @@ def is_totally_balanced_lp(f: SetFunction) -> Verdict:
     reported with the evidence for its subgame.  Singleton subgames are
     always balanced and are skipped.
     """
-    _check_oracle_cap(f.players)
     game = as_game(f)
     players = game.players
     full = players.full_mask
@@ -254,7 +246,6 @@ def is_exact(f: SetFunction) -> Verdict:
     verdicts carry the full table of tight allocations; negative ones
     the first failing coalition with its separating functional.
     """
-    _check_oracle_cap(f.players)
     game = as_game(f)
     full = game.players.full_mask
     coalitions = sorted(range(1, full + 1), key=lambda s: (s.bit_count(), s))

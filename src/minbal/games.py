@@ -1,9 +1,11 @@
 """Players, coalitions, set functions and transferable-utility games.
 
 Coalitions are plain ``int`` bitmasks over the index positions of an
-ordered player list; bit ``i`` stands for ``players.names[i]``.  Set
-functions are dense tables of exact rationals over all ``2**n``
-coalitions.  A game is a set function vanishing at the empty coalition.
+ordered player list; bit ``i`` stands for ``players.names[i]``.
+:class:`Players` owns their text keys and rejects names whose keys
+collide.  Set functions are dense tables of exact rationals over all
+``2**n`` coalitions.  A game is a set function vanishing at the empty
+coalition.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -30,9 +33,14 @@ class GameFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Players:
-    """An ordered list of distinct player names."""
+    """An ordered list of distinct player names, owner of the coalition keys.
+
+    A coalition's key is its members' names concatenated in player order.
+    Names giving two coalitions one key, like ``a, b, ab``, are rejected.
+    """
 
     names: tuple[str, ...]
+    _coalitions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "names", tuple(self.names))
@@ -43,6 +51,13 @@ class Players:
         for name in self.names:
             if not isinstance(name, str) or not name:
                 raise ValueError("player names must be non-empty strings")
+        keys = [""]  # entry s is the key of coalition s
+        for name in self.names:
+            keys += [key + name for key in keys]
+        coalitions = {key: s for s, key in enumerate(keys)}
+        if len(coalitions) != len(keys):
+            raise ValueError("player names produce ambiguous coalition keys")
+        object.__setattr__(self, "_coalitions", coalitions)
 
     @property
     def n(self) -> int:
@@ -62,10 +77,11 @@ class Players:
         return "".join(name for i, name in enumerate(self.names) if coalition >> i & 1)
 
     def coalition_of(self, members: Iterable[str]) -> int:
-        bits = 0
-        for name in members:
-            bits |= 1 << self.names.index(name)
-        return bits
+        """The coalition of a key, or of member names listed in player order."""
+        key = "".join(members)
+        if key not in self._coalitions:
+            raise ValueError(f"{key!r} is not a coalition key of these players")
+        return self._coalitions[key]
 
     def member_names(self, coalition: int) -> tuple[str, ...]:
         self._check(coalition)
@@ -78,9 +94,7 @@ class Players:
 
 def letters(n: int) -> Players:
     """The conventional player set a, b, c, ... of size ``n``."""
-    if not 1 <= n <= MAX_PLAYERS:
-        raise ValueError(f"player count must be between 1 and {MAX_PLAYERS}")
-    return Players(tuple("abcdefghijkl"[:n]))
+    return Players(tuple("abcdefghijklmnopqrstuvwxyz"[:n]))  # Players enforces the cap
 
 
 @dataclass(frozen=True)
@@ -230,13 +244,18 @@ def is_o_standardized(theta: SetFunction) -> bool:
     True iff the values sum to zero and, for every player, the values
     over coalitions containing that player sum to zero.
     """
-    if sum(theta.values) != 0:
-        return False
-    for i in range(theta.players.n):
-        bit = 1 << i
-        if sum(v for s, v in enumerate(theta.values) if s & bit) != 0:
-            return False
-    return True
+    return sum(theta.values) == 0 and not any(_player_sums(enumerate(theta.values), theta.players.n))
+
+
+def _player_sums(items: Iterable[tuple[int, object]], n: int) -> list:
+    """Per player, the sum of the values of the ``(coalition, value)``
+    pairs containing it: o-standardization and balancedness read these."""
+    sums = [0] * n
+    for s, v in items:
+        for i in range(n):
+            if s >> i & 1:
+                sums[i] += v
+    return sums
 
 
 def is_modular(f: SetFunction) -> bool:
@@ -283,6 +302,38 @@ def _parse_value(raw: object, where: str) -> Fraction:
     raise GameFormatError(f"{where}: values must be integers or rational strings, got {type(raw).__name__}")
 
 
+def _read_document(data: Union[str, bytes], fields: tuple[str, ...], error: type[ValueError]) -> tuple[dict, Players]:
+    """Open a JSON document whose top level has exactly ``fields``, one
+    of them ``players``.  Malformed input, a repeated key included,
+    raises ``error``."""
+
+    def unique_keys(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            repeated = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
+            raise error(f"repeated key {repeated!r} in a JSON object")
+        return obj
+
+    try:
+        doc = json.loads(data, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise error(f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error("top level must be an object")
+    missing = [f for f in fields if f not in doc]
+    if missing:
+        raise error(f"missing required field {missing[0]!r}")
+    if len(doc) != len(fields):
+        raise error(f"top-level fields must be {', '.join(fields)}, not {', '.join(doc)}")
+    names = doc["players"]
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise error("'players' must be a list of strings")
+    try:
+        return doc, Players(tuple(names))
+    except ValueError as exc:
+        raise error(f"'players': {exc}") from None
+
+
 def game_from_json(text: Union[str, bytes]) -> Game:
     """Parse the bit-exact game JSON format.
 
@@ -290,33 +341,15 @@ def game_from_json(text: Union[str, bytes]) -> Game:
     one of the ``2**n`` coalition keys, written as decimal integers or
     reduced ``p/q`` strings.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GameFormatError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise GameFormatError("top level must be an object")
-    try:
-        names = doc["players"]
-        raw_values = doc["values"]
-    except KeyError as exc:
-        raise GameFormatError(f"missing required field {exc}") from None
-    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
-        raise GameFormatError("'players' must be a list of strings")
-    try:
-        players = Players(tuple(names))
-    except ValueError as exc:
-        raise GameFormatError(f"'players': {exc}") from None
+    doc, players = _read_document(text, ("players", "values"), GameFormatError)
+    raw_values = doc["values"]
     if not isinstance(raw_values, dict):
         raise GameFormatError("'values' must be an object keyed by coalitions")
-    keys = {players.key(s): s for s in players.coalitions()}
-    if len(keys) != 1 << players.n:
-        raise GameFormatError("player names produce ambiguous coalition keys")
-    unknown = set(raw_values) - set(keys)
+    unknown = set(raw_values) - set(players._coalitions)
     if unknown:
         raise GameFormatError(f"unknown coalition key {sorted(unknown)[0]!r}")
     values = [Fraction(0)] * (1 << players.n)
-    for key, s in keys.items():
+    for key, s in players._coalitions.items():
         if key not in raw_values:
             raise GameFormatError(f"missing coalition key {key!r}")
         values[s] = _parse_value(raw_values[key], f"values[{key!r}]")

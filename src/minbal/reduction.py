@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .balance import InequalityVector, MinBalancedSystem, SetSystem, _bit_positions, _incidence, is_min_balanced
+from .games import _player_sums
 from .linalg import conic_feasible
 
 
@@ -162,15 +163,10 @@ def _validate_witness(mbs: MinBalancedSystem, witness: ReductionWitness) -> None
     expected = set(mbs.system.members) - {witness.pivot_member} | {a}
     if set(beta) != expected or any(w < 0 for w in beta.values()):
         raise ValueError("witness beta is not a combination over {A} and the remaining members")
+    n = carrier.bit_length()
     for target, combo in ((a, mu), (carrier, beta)):
-        sums = [Fraction(0)] * carrier.bit_length()
-        for s, w in combo.items():
-            for i in range(carrier.bit_length()):
-                if s >> i & 1:
-                    sums[i] += w
-        for i in range(carrier.bit_length()):
-            if sums[i] != (1 if target >> i & 1 else 0):
-                raise ValueError("witness combination does not re-substitute exactly")
+        if _player_sums(combo.items(), n) != [target >> i & 1 for i in range(n)]:
+            raise ValueError("witness combination does not re-substitute exactly")
 
 
 def _verify_combination(

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from minbal.balance import _enumerate_size, _types, canonical_type, system_of
+from minbal.balance import InequalityVector, _enumerate_size, _types, canonical_type, system_of
 from minbal.catalogue import (
     CatalogueFormatError,
     generate,
@@ -14,7 +14,16 @@ from minbal.catalogue import (
     serialize,
 )
 from minbal.cones import conjugate, is_balanced, is_totally_balanced_lp
-from minbal.games import is_o_standardized, letters, random_game, reflect, set_function_of, unanimity
+from minbal.games import (
+    Players,
+    SetFunction,
+    is_o_standardized,
+    letters,
+    random_game,
+    reflect,
+    set_function_of,
+    unanimity,
+)
 from minbal.reduction import is_reducible
 
 CONES = ["balanced", "totally-balanced", "exact-conjecture"]
@@ -164,6 +173,25 @@ class TestCatalogueInequalitiesHold:
                 f = set_function_of(p4, {})
                 f = type(f)(p4, tuple(values))
                 assert is_o_standardized(f) and is_o_standardized(reflect(f))
+
+    def test_sparse_and_dense_o_standardization_agree(self, p3, p4, totally4, exact4):
+        rng = Random(88)
+        vectors = [(p4, e.alpha.items) for e in totally4.entries + exact4.entries]
+        for p, items in list(vectors):
+            s, _ = rng.choice(items)
+            vectors.append((p, tuple((t, d + (t == s)) for t, d in items)))
+        for _ in range(200):
+            p = rng.choice((p3, p4))
+            coalitions = sorted(rng.sample(range(1 << p.n), rng.randint(1, 6)))
+            vectors.append((p, tuple((s, rng.choice((-2, -1, 1, 2))) for s in coalitions)))
+        answers = set()
+        for p, items in vectors:
+            items = tuple((s, c) for s, c in items if c)
+            dense = SetFunction(p, tuple(dict(items).get(s, 0) for s in p.coalitions()))
+            answer = InequalityVector(items).is_o_standardized()
+            assert answer == is_o_standardized(dense)
+            answers.add(answer)
+        assert answers == {True, False}
 
 
 class TestSerialization:
@@ -321,6 +349,16 @@ class TestSerialization:
         doc["conjecture"] = 0
         with pytest.raises(CatalogueFormatError, match="'conjecture' must be false"):
             parse(json.dumps(doc))
+
+    def test_repeated_key_rejected(self, balanced3):
+        text = serialize(balanced3).decode()
+        line = next(line for line in text.splitlines(keepends=True) if '"k": ' in line)
+        with pytest.raises(CatalogueFormatError, match="repeated key 'k'"):
+            parse(text.replace(line, line + line, 1))
+
+    def test_multi_character_names_round_trip(self):
+        blob = serialize(generate(Players(("x1", "y2", "z3")), "balanced"))
+        assert serialize(parse(blob)) == blob
 
     def test_unknown_top_level_key_rejected(self, balanced3):
         import json

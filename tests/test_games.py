@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from minbal.balance import system_of
 from minbal.games import (
     Game,
     GameFormatError,
@@ -53,6 +54,19 @@ class TestPlayers:
     def test_cap(self):
         with pytest.raises(ValueError):
             letters(13)
+
+    def test_colliding_keys_rejected(self):
+        with pytest.raises(ValueError, match="ambiguous"):
+            Players(("a", "b", "ab"))
+
+    def test_multi_character_names(self):
+        p = Players(("x1", "y2", "z3"))
+        assert p.coalition_of("x1y2") == 0b011
+        assert p.coalition_of(["y2", "z3"]) == 0b110
+        assert game_of(p, {"x1y2": 3}).value(0b011) == 3
+        assert system_of(p, "x1", "y2z3").members == (0b001, 0b110)
+        g = random_game(p, Random(5))
+        assert game_from_json(game_to_json(g)) == g
 
 
 class TestShift:
@@ -279,6 +293,8 @@ class TestGameJson:
             ('{"players": ["a","b"], "values": {"": "1", "a": "0", "b": "0", "ab": "0"}}', "empty coalition"),
             ('{"players": ["a","a"], "values": {}}', "players"),
             ("not json", "invalid JSON"),
+            ('{"players": ["a","b"], "values": {"": "0", "a": "0", "b": "0", "ab": "0"}, "extra": 1}', "top-level fields"),
+            ('{"players": ["a","b"], "values": {"": "0", "a": "5", "a": "1", "b": "0", "ab": "0"}}', "repeated key 'a'"),
         ],
     )
     def test_malformed_rejected(self, doc, message):

@@ -80,6 +80,13 @@ class TestWitnessContract:
         with pytest.raises(ValueError):
             decompose(other, w)
 
+    def test_doubled_mu_rejected(self, p4):
+        mbs = is_min_balanced(system_of(p4, "a", "b", "c"))
+        w = is_reducible(mbs)
+        doubled = ReductionWitness(w.reduced_set, w.pivot_member, tuple((s, 2 * m) for s, m in w.mu), w.beta)
+        with pytest.raises(ValueError, match="re-substitute"):
+            decompose(mbs, doubled)
+
 
 class TestDecompositionIdentity:
     def test_every_reducible_system_recombines(self):
