@@ -309,8 +309,8 @@ def serialize(catalogue: Catalogue, format: str = "json") -> bytes:
 
 
 def _read_system(players: Players, raw, where: str) -> MinBalancedSystem:
-    try:
-        mbs = is_min_balanced(SetSystem(tuple(sorted(players.coalition_of(part) for part in raw["system"]))))
+    try:  # a name list other than the members' in order fails the field check in parse
+        mbs = is_min_balanced(SetSystem(tuple(sorted(players.coalition_of("".join(part)) for part in raw["system"]))))
     except (KeyError, TypeError, ValueError):
         raise CatalogueFormatError(f"{where}: invalid or missing member list") from None
     if mbs is None or mbs.trivial:

@@ -76,9 +76,8 @@ class Players:
         self._check(coalition)
         return "".join(name for i, name in enumerate(self.names) if coalition >> i & 1)
 
-    def coalition_of(self, members: Iterable[str]) -> int:
-        """The coalition of a key, or of member names listed in player order."""
-        key = "".join(members)
+    def coalition_of(self, key: str) -> int:
+        """The coalition of a text key, e.g. ``"ac"``."""
         if key not in self._coalitions:
             raise ValueError(f"{key!r} is not a coalition key of these players")
         return self._coalitions[key]
@@ -94,7 +93,7 @@ class Players:
 
 def letters(n: int) -> Players:
     """The conventional player set a, b, c, ... of size ``n``."""
-    return Players(tuple("abcdefghijklmnopqrstuvwxyz"[:n]))  # Players enforces the cap
+    return Players(tuple(chr(ord("a") + i) for i in range(n)))
 
 
 @dataclass(frozen=True)

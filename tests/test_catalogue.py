@@ -360,6 +360,15 @@ class TestSerialization:
         blob = serialize(generate(Players(("x1", "y2", "z3")), "balanced"))
         assert serialize(parse(blob)) == blob
 
+    def test_member_names_must_be_names(self):
+        import json
+
+        doc = json.loads(serialize(generate(Players(("ab", "c")), "balanced")))
+        assert doc["entries"][0]["system"] == [["ab"], ["c"]]
+        doc["entries"][0]["system"][0] = ["a", "b"]  # joins to the key "ab", but names no player
+        with pytest.raises(CatalogueFormatError, match="system differs"):
+            parse(json.dumps(doc))
+
     def test_unknown_top_level_key_rejected(self, balanced3):
         import json
 

@@ -73,6 +73,9 @@ class TestEnumerate:
 
     def test_player_cap(self, capsys):
         assert main(["enumerate", "--players", "7"]) == 2
+        assert main(["enumerate", "--players", "-20"]) == 2
+        assert main(["catalogue", "--players", "-22", "--cone", "balanced"]) == 2
+        assert "player count" in capsys.readouterr().err
 
 
 class TestCatalogue:

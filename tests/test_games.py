@@ -54,6 +54,9 @@ class TestPlayers:
     def test_cap(self):
         with pytest.raises(ValueError):
             letters(13)
+        for n in (0, -22):
+            with pytest.raises(ValueError, match="player count"):
+                letters(n)
 
     def test_colliding_keys_rejected(self):
         with pytest.raises(ValueError, match="ambiguous"):
@@ -62,7 +65,10 @@ class TestPlayers:
     def test_multi_character_names(self):
         p = Players(("x1", "y2", "z3"))
         assert p.coalition_of("x1y2") == 0b011
-        assert p.coalition_of(["y2", "z3"]) == 0b110
+        assert p.coalition_of("y2z3") == 0b110
+        for key in ("x", "y2x1"):
+            with pytest.raises(ValueError, match="not a coalition key"):
+                p.coalition_of(key)
         assert game_of(p, {"x1y2": 3}).value(0b011) == 3
         assert system_of(p, "x1", "y2z3").members == (0b001, 0b110)
         g = random_game(p, Random(5))
