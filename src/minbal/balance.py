@@ -241,9 +241,10 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
     recorded on success).
 
     The chosen members are kept as augmented echelon rows
-    ``chi_S ⊕ e_depth ⊕ 0`` over ``c`` coordinates, so a candidate is
-    dependent when its reduced pivot is at or past ``c``, and at a leaf
-    the reduced target ``1_c ⊕ 0 ⊕ 1`` carries the weights.
+    ``chi_S ⊕ e_depth`` over ``c`` coordinates, with ``e_depth`` of
+    length ``c + 1``, so a candidate is dependent when its reduced pivot
+    is at or past ``c``, and at a leaf the reduced target ``1_c ⊕ e_c``
+    carries the weights.
     """
     full = (1 << c) - 1
     candidates = list(range(1, full))
@@ -251,7 +252,7 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
     suffix_cover = [0] * (ncand + 1)
     for i in range(ncand - 1, -1, -1):
         suffix_cover[i] = suffix_cover[i + 1] | candidates[i]
-    target = augment([1] * c, c, c)
+    target = augment([1] * c, c, c + 1)
     found: list[MinBalancedSystem] = []
 
     def record(chosen: list[int], weights: tuple[Fraction, ...]) -> None:
@@ -271,7 +272,7 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
             if union | suffix_cover[i] != full:
                 break
             s = candidates[i]
-            reduced = reduce_mod_rows(rows, augment([s >> j & 1 for j in range(c)], depth, c))
+            reduced = reduce_mod_rows(rows, augment([s >> j & 1 for j in range(c)], depth, c + 1))
             if reduced[1] >= c:
                 continue
             chosen.append(s)

@@ -27,7 +27,7 @@ from .games import (
     is_o_standardized,
     restrict,
 )
-from .linalg import augment, lp_feasible, reduce_mod_rows
+from .linalg import dependency, lp_feasible
 from .reference import TOTALLY_BALANCED_COUNTS
 
 Payoffs = tuple[Fraction, ...]
@@ -135,18 +135,6 @@ def _tight_feasibility(game: Game, tight_at: int):
     return None, theta
 
 
-def _dependency(members: list[int], n: int) -> Optional[list[tuple[int, int]]]:
-    """Integer coefficients of a linear dependency among the members'
-    incidence vectors, keyed by member; None when they are independent."""
-    echelon: list[tuple[list[int], int]] = []
-    for j, s in enumerate(members):
-        r, piv = reduce_mod_rows(echelon, augment([s >> i & 1 for i in range(n)], j, len(members)))
-        if piv >= n:
-            return [(t, r[n + i]) for i, t in enumerate(members[: j + 1]) if r[n + i]]
-        echelon.append((r, piv))
-    return None
-
-
 def _violated_system(game: Game, theta: SetFunction) -> ViolatedSystem:
     """Carathéodory reduction of the empty core's Farkas functional.
 
@@ -159,7 +147,8 @@ def _violated_system(game: Game, theta: SetFunction) -> ViolatedSystem:
     full = game.players.full_mask
     weights = {s: -theta.values[s] / theta.values[full] for s in range(1, full) if theta.values[s]}
     support = list(weights)
-    while (dep := _dependency(support[: n + 1], n)) is not None:
+    while (coeffs := dependency([[s >> i & 1 for i in range(n)] for s in support[: n + 1]])) is not None:
+        dep = [(s, d) for s, d in zip(support, coeffs) if d]
         if sum(d * game.values[s] for s, d in dep) < 0:
             dep = [(s, -d) for s, d in dep]
         step = min(weights[s] / -d for s, d in dep if d < 0)

@@ -1,24 +1,27 @@
 """Exact linear algebra and linear feasibility over the rationals.
 
-Everything in this package bottoms out in four primitives: matrix rank,
-solving against a linearly independent column family, membership of a
-vector in a finitely generated convex cone, and feasibility of a mixed
-equality/inequality system.  There is no floating point anywhere, so
-every positive answer re-substitutes exactly and every infeasibility
-verdict carries a checkable Farkas vector.
+Everything in this package bottoms out in three primitives: matrix rank,
+the first linear dependency among a family of columns, and feasibility
+of a mixed equality/inequality system.  There is no floating point
+anywhere, so every positive answer re-substitutes exactly and every
+infeasibility verdict carries a checkable Farkas vector.
 
 Every elimination is one fraction-free step on integer rows,
 :func:`_eliminate`, followed by :func:`_primitive`, which divides by the
-gcd; rational input is scaled to integers first.  Rank and solving run
-it through :func:`reduce_mod_rows`, which reduces a vector against
-echelon rows with distinct pivots.  To solve, each column ``j`` enters
-as ``col_j ⊕ e_j ⊕ 0`` (see :func:`augment`), so every echelon row
-records which combination of the columns it is; the target enters as
-``t ⊕ 0 ⊕ 1`` and, once reduced, carries the coefficients in its last
-block.  The enumeration of min-balanced systems runs the same kernel.
+gcd; rational input is scaled to integers first.  Rank and
+:func:`dependency` run it through :func:`reduce_mod_rows`, which reduces
+a vector against echelon rows with distinct pivots.  In a dependency
+search each column ``j`` enters as ``col_j ⊕ e_j`` (see
+:func:`augment`), so every echelon row records which combination of the
+columns it is.  :func:`solve_unique` is the dependency of the columns
+followed by the target, and :func:`conic_feasible` adds a sign test:
+independent generators combine into a target in at most one way.  The
+enumeration of min-balanced systems keeps its own incremental echelon
+on the same kernel.
 
 The feasibility solver is a phase-1 simplex with Bland's pivoting rule,
-which terminates on every input without cycling.  Its tableau holds the
+which terminates on every input without cycling; only the membership
+oracles of :mod:`minbal.cones` run it.  Its tableau holds the
 split variables x = u - v and one column per row, the row's slack; a
 row's artificial column stays a signed copy of that column, so it is
 not stored.  Each row is a positive integer multiple of the row of the
@@ -34,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 from typing import Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -46,12 +50,9 @@ class DimensionError(ValueError):
     """Raised when vectors or rows of mismatched lengths are combined."""
 
 
-def to_vector(entries: Sequence) -> Vector:
-    return tuple(Fraction(e) for e in entries)
-
-
-def _checked_rows(rows: Sequence[Sequence], what: str) -> list[list[Fraction]]:
-    out = [[Fraction(e) for e in row] for row in rows]
+def _checked_rows(rows: Sequence[Sequence], what: str) -> list[list[Rational]]:
+    """Rows of equal length with every entry an ``int`` or a ``Fraction``."""
+    out = [[e if type(e) is int else Fraction(e) for e in row] for row in rows]
     if out:
         width = len(out[0])
         for row in out:
@@ -60,10 +61,10 @@ def _checked_rows(rows: Sequence[Sequence], what: str) -> list[list[Fraction]]:
     return out
 
 
-def _integer_row(entries: Sequence[Fraction]) -> list[int]:
+def _integer_row(entries: Sequence[Rational]) -> list[int]:
     """The entries scaled by the lcm of their denominators."""
     scale = lcm(*(e.denominator for e in entries))
-    return [int(e * scale) for e in entries]
+    return [e.numerator * (scale // e.denominator) for e in entries]
 
 
 def _eliminate(v: list[int], row: list[int], piv: int) -> list[int]:
@@ -102,15 +103,13 @@ def reduce_mod_rows(rows: list[tuple[list[int], int]], vec: list[int]) -> Option
 
 
 def augment(vec: list[int], j: int, width: int) -> list[int]:
-    """``vec ⊕ e_j ⊕ 0`` with ``e_j`` of length ``width``.
+    """``vec ⊕ e_j`` with ``e_j`` of length ``width``.
 
-    ``j == width`` gives the target form ``vec ⊕ 0 ⊕ 1``.  A column
-    reduced to a pivot at or past ``len(vec)`` depends on the earlier
-    columns; a reduced target ``r`` with such a pivot lies in their span,
-    with coefficient ``-r[len(vec) + j] / r[len(vec) + width]`` on
-    column ``j``.
+    Reduced against rows built this way, a vector whose pivot lies at or
+    past ``len(vec)`` vanishes on the leading block: its tail names the
+    combination of the augmented vectors that it is.
     """
-    tail = [0] * (width + 1)
+    tail = [0] * width
     tail[j] = 1
     return vec + tail
 
@@ -131,6 +130,30 @@ def rank(rows: Sequence[Sequence]) -> int:
     return len(echelon)
 
 
+def dependency(columns: Sequence[Sequence]) -> Optional[list[int]]:
+    """Integer coefficients of the first linear dependency among ``columns``.
+
+    Column ``j`` enters as ``col_j ⊕ e_j`` and is reduced against the
+    columns before it.  The first one that vanishes on the leading block
+    returns its tail ``c``: ``sum(c[i] * columns[i]) == 0`` with
+    ``c[j] != 0``, zeros after ``j``, a positive first nonzero entry and
+    gcd 1.  ``None`` means the columns are linearly independent.
+    """
+    cols = _checked_rows(columns, "columns")
+    k = len(cols)
+    d = len(cols[0]) if cols else 0
+    # Scaling coordinate i of every column by one positive factor leaves
+    # the dependencies unchanged.
+    scaled = [_integer_row([c[i] for c in cols]) for i in range(d)]
+    echelon: list[tuple[list[int], int]] = []
+    for j in range(k):
+        r, piv = reduce_mod_rows(echelon, augment([row[j] for row in scaled], j, k))
+        if piv >= d:
+            return r[d:]
+        echelon.append((r, piv))
+    return None
+
+
 def solve_unique(columns: Sequence[Sequence], target: Sequence) -> Optional[Vector]:
     """Coefficients expressing ``target`` over independent ``columns``.
 
@@ -140,27 +163,13 @@ def solve_unique(columns: Sequence[Sequence], target: Sequence) -> Optional[Vect
     ``ValueError``, which is how :func:`minbal.balance.is_min_balanced`
     tests its members for independence.
     """
-    cols = [to_vector(c) for c in columns]
-    t = to_vector(target)
-    k = len(cols)
-    if k == 0:
-        return () if all(v == 0 for v in t) else None
-    d = len(cols[0])
-    if any(len(c) != d for c in cols) or len(t) != d:
-        raise DimensionError("columns and target have inconsistent lengths")
-    # Scaling coordinate i of every column and of the target by one
-    # positive factor leaves the solution unchanged.
-    scaled = [_integer_row([c[i] for c in cols] + [t[i]]) for i in range(d)]
-    echelon: list[tuple[list[int], int]] = []
-    for j in range(k):
-        reduced = reduce_mod_rows(echelon, augment([row[j] for row in scaled], j, k))
-        if reduced[1] >= d:
-            raise ValueError("columns are linearly dependent")
-        echelon.append(reduced)
-    r, piv = reduce_mod_rows(echelon, augment([row[k] for row in scaled], k, k))
-    if piv < d:
+    k = len(columns)
+    dep = dependency([*columns, target])
+    if dep is None:
         return None
-    return tuple(Fraction(-r[d + j], r[d + k]) for j in range(k))
+    if not dep[k]:
+        raise ValueError("columns are linearly dependent")
+    return tuple(Fraction(-c, dep[k]) for c in dep[:k])
 
 
 @dataclass(frozen=True)
@@ -301,19 +310,12 @@ def _verify_farkas(rows: list[list[Fraction]], b: list[Fraction], mi: int, lam: 
 
 
 def conic_feasible(generators: Sequence[Sequence], target: Sequence) -> Optional[Vector]:
-    """Nonnegative coefficients combining ``generators`` into ``target``.
+    """Nonnegative coefficients combining independent ``generators`` into ``target``.
 
-    Returns ``c >= 0`` with ``sum(c[i] * generators[i]) == target`` or
-    ``None`` when the target lies outside the conic hull.
+    Independent generators combine into the target in at most one way,
+    so the cone test is :func:`solve_unique` and a sign check: returns
+    that combination when it is nonnegative and ``None`` otherwise.
+    Dependent generators raise ``ValueError``.
     """
-    gens = [to_vector(g) for g in generators]
-    t = to_vector(target)
-    if gens and any(len(g) != len(t) for g in gens):
-        raise DimensionError("generators and target have inconsistent lengths")
-    if not gens:
-        return () if all(v == 0 for v in t) else None
-    m = len(gens)
-    eq_rows = [[g[i] for g in gens] for i in range(len(t))]
-    ineq_rows = [[-int(j == i) for j in range(m)] for i in range(m)]
-    res = lp_feasible(ineq_rows, eq_rows, [0] * m + list(t))
-    return res.point
+    coeffs = solve_unique(generators, target)
+    return coeffs if coeffs is not None and all(c >= 0 for c in coeffs) else None

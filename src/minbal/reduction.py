@@ -8,9 +8,10 @@ and the carrier's incidence vector in the conic hull of {A} plus the
 remaining members with B removed.  Irreducible systems are exactly the
 ones indexing facets of the totally balanced cone.
 
-Only the first condition needs a linear program.  The members are
-linearly independent, so chi_A = sum of mu_S * chi_S over the members
-below A has at most one solution mu, and {A} plus the members without B
+Neither condition needs a linear program.  The members are linearly
+independent, so chi_A = sum of mu_S * chi_S over the members below A has
+at most one solution mu, which a sign test admits to the cone (see
+:func:`minbal.linalg.conic_feasible`), and {A} plus the members without B
 is independent exactly when mu_B != 0.  Then the carrier's expression
 over that family is forced: with the balanced weights lam, beta_A = t =
 lam_B / mu_B, beta_S = lam_S - t * mu_S for the members below A and
@@ -62,15 +63,8 @@ def _candidate_sets(mbs: MinBalancedSystem) -> list[int]:
     """
     carrier = mbs.carrier
     out = []
-    subs = []
-    s = carrier
-    while True:  # all proper submasks of the carrier
-        s = (s - 1) & carrier
-        subs.append(s)
-        if s == 0:
-            break
-    for a in sorted(subs):
-        if a.bit_count() < 2 or a in mbs.system:
+    for a in range(carrier):
+        if a & carrier != a or a.bit_count() < 2 or a in mbs.system:
             continue
         below = _subsets_below(mbs, a)
         union = 0

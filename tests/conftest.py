@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from minbal import anti_dual, game_of, generate, letters
+from minbal import anti_dual, game_of, generate, letters, lp_feasible
 
 
 def permute_coalition(coalition: int, perm: tuple[int, ...]) -> int:
@@ -76,6 +76,23 @@ def _fraction_pivot(tab, cost, basis, leave, enter):
             for j, v in support:
                 row[j] -= f * v
     basis[leave] = enter
+
+
+def conic_lp_system(generators, target):
+    """``lp_feasible`` arguments for ``c >= 0`` with
+    ``sum(c[i] * generators[i]) == target``: one sign row per generator,
+    each with a zero right-hand side, then one equality per coordinate."""
+    m = len(generators)
+    ineq = [[-int(j == i) for j in range(m)] for i in range(m)]
+    eq = [[g[i] for g in generators] for i in range(len(target))]
+    return ineq, eq, [0] * m + list(target)
+
+
+def lp_conic_feasible(generators, target):
+    """Nonnegative coefficients combining ``generators`` into ``target``
+    by linear program, or ``None``: a reference for
+    ``linalg.conic_feasible`` that also takes dependent generators."""
+    return lp_feasible(*conic_lp_system(generators, target)).point
 
 
 @pytest.fixture(scope="session")

@@ -20,9 +20,9 @@ from minbal.balance import (
 )
 from minbal.catalogue import generate
 from minbal.cones import conjugate
-from conftest import permute_coalition
+from conftest import lp_conic_feasible, permute_coalition
 from minbal.games import letters
-from minbal.linalg import conic_feasible, solve_unique
+from minbal.linalg import solve_unique
 
 
 class TestIsMinBalanced:
@@ -208,7 +208,7 @@ class TestEnumeratedInvariants:
                 ones = (1,) * n
                 for drop in range(len(members)):
                     rest = chi[:drop] + chi[drop + 1:]
-                    assert conic_feasible(rest, ones) is None
+                    assert lp_conic_feasible(rest, ones) is None
 
     def test_alpha_shape(self):
         for n in (2, 3, 4):

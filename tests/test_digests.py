@@ -1,0 +1,87 @@
+"""Byte-level regression pins: SHA-256 of every catalogue on two to four
+players, in JSON and text, and of every ``enumerate --players 4``
+output.  A change that keeps the mathematics keeps every byte; one that
+means to change an output updates its digest here."""
+
+import hashlib
+
+import pytest
+
+from minbal.catalogue import generate, serialize
+from minbal.cli import main
+from minbal.games import letters
+
+#: (players, cone, format) -> SHA-256 of ``serialize(generate(...), format)``
+CATALOGUE_DIGESTS = {
+    (2, "balanced", "json"): "3b3dc99d016496cab3a658067c49c7b0b4cf9ab8ca3885743ce8b91b5684242b",
+    (2, "balanced", "text"): "73b18fe2abcdcf93d6e5d334208b5bc2501983b66d380b947505419fe833a435",
+    (2, "totally-balanced", "json"): "36f1a5a02703d93f1fe1612653cb048503e41ee5cd0d817d64f4e8d7b726ddc8",
+    (2, "totally-balanced", "text"): "c7aa5c9d9cf296c1992a2a9140de491004c8fa0c4e0391fda72b3f8e362d39ea",
+    (3, "balanced", "json"): "9cffa796ff838073bf4acd7b2956e0cb6a56f319da84994a6b669f60b484162b",
+    (3, "balanced", "text"): "a21dd04f6c538b4a6ac7f5893eb0f29da41ba6ba42c11607fdd54b861102393a",
+    (3, "totally-balanced", "json"): "9dc89d14502e343d9f8036a0c10916da9baa79fdc9a2ac96d2752a7b56cf5829",
+    (3, "totally-balanced", "text"): "8e20b8c94796ddbceb12b2a890c7bbb33024a8faf857604090f737f97b1991c0",
+    (3, "exact-conjecture", "json"): "66ad5aa2ddc29110df9e49537ff704820bebfb8abfe1f2e56514cfcd380d17e4",
+    (3, "exact-conjecture", "text"): "fa21bcfcad88997fd49ec1b7c608c276afe68007bb0dd0c2e79d7065c48119f4",
+    (4, "balanced", "json"): "19c9a9bb3ebae2eee908c0114cac6284e2e124520869a08fe9a554f397692e13",
+    (4, "balanced", "text"): "1f90e168454091149e98a89c02609b95f1da04b6bf11efa37f25a9c0b6d77652",
+    (4, "totally-balanced", "json"): "4b2ac11e5e28a71ce042ea0c10d744f4cebf6aa942df27cba877bf873ea6b732",
+    (4, "totally-balanced", "text"): "777a42f1fed745a434f11c4a7e8046912b804833194acd3ccbb8599a4ea50d70",
+    (4, "exact-conjecture", "json"): "c9cc2014d5c44f9a9b174ccb97323b85d637a01e14a23b53c2b62378fc037618",
+    (4, "exact-conjecture", "text"): "983901160c178e705ec0896f6d9b3adef93ebf63203de44a90284e123f3681a1",
+}
+
+#: (carrier size, format, --types-only, --irreducible-only) -> SHA-256 of
+#: the stdout of ``enumerate --players 4``
+ENUMERATE_DIGESTS = {
+    (1, "text", False, False): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, "text", True, False): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, "text", False, True): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, "text", True, True): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, "json", False, False): "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    (1, "json", True, False): "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    (1, "json", False, True): "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    (1, "json", True, True): "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    (2, "text", False, False): "600c36bd72aa2fef91ed3863478ae0be135966c0cebdcf3f83b256148ddd5fdf",
+    (2, "text", True, False): "7e339a4f8d2a31f4bc2a11b1f79ec7f605513cdd8016556b4a5389ad9f22cd3f",
+    (2, "text", False, True): "600c36bd72aa2fef91ed3863478ae0be135966c0cebdcf3f83b256148ddd5fdf",
+    (2, "text", True, True): "7e339a4f8d2a31f4bc2a11b1f79ec7f605513cdd8016556b4a5389ad9f22cd3f",
+    (2, "json", False, False): "d21baef715640ca2c520e7f4bfa47df75dcd5537af337d13efd949e725c5b71e",
+    (2, "json", True, False): "7bd564e8288af511c547cbeab29df8d16eeccc9f776684d9e388e6e46b79a3a4",
+    (2, "json", False, True): "d21baef715640ca2c520e7f4bfa47df75dcd5537af337d13efd949e725c5b71e",
+    (2, "json", True, True): "7bd564e8288af511c547cbeab29df8d16eeccc9f776684d9e388e6e46b79a3a4",
+    (3, "text", False, False): "0ddac0616004638e8fa792f449a153d326c6e450992771bbddb197e6779c30d3",
+    (3, "text", True, False): "4d27b0607307ab137909724e4a3c02526ce6f2b9ad959d64713a799251160617",
+    (3, "text", False, True): "c55b338b554dbcfef09a6ae43103db77d93ed5feefa61398e5bd34e95d574c19",
+    (3, "text", True, True): "234c9c8626293645aa59578e7d47f250c2b1b114dec308bbb3e356329bf81ea7",
+    (3, "json", False, False): "836c19f4b0e06ba4e5458186bd35ba30cbacebbf2708a6858711fc6876a7d6df",
+    (3, "json", True, False): "8e26458aa16152b6ab1e9763bae42dde7d2a4a33eeb65f370cf32d507fbf9f0c",
+    (3, "json", False, True): "6c5f86a49e1e6191207bc956b1a362d4859a51767b562a8b15e793a590bb1f24",
+    (3, "json", True, True): "d1225c24def6425a542f07a3d654f1de404f6539993d448df6605e88f44a9b6b",
+    (4, "text", False, False): "0ba09a6a4349bb48af70548c82e4d48ecfd487976850547b54ff48e4acfb2618",
+    (4, "text", True, False): "b041c545e67c546b0e2612e30e2fa58f635e9f3abce7b37bc6ff4fc1666f58b8",
+    (4, "text", False, True): "6f0e8b6dd2cca479e2bc88f18c672ada993d0acb74f0bc5e033b07f4f7d54646",
+    (4, "text", True, True): "37b544bc3ec07dd94a05957d0a45bd60c3e2e792cff82452eb0cde0430809e07",
+    (4, "json", False, False): "fd6df1016df550455f9a3e61474a4fe175f391ffe5f9cb70254dae479dd0fc4b",
+    (4, "json", True, False): "5f151f7d534649e1af4aff9f3c4fcef97fd13a84003462e54106970c79061d6b",
+    (4, "json", False, True): "4de2569878b06ed1d84c4bde303679ad0d08c32b135063ed1b35d01a9edd34cb",
+    (4, "json", True, True): "949da35449c7972dae6620fd60b8c32a5e11fd9b757c7336754fc24cd8819d45",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("n, cone, fmt", sorted(CATALOGUE_DIGESTS))
+def test_catalogue_bytes(n, cone, fmt):
+    assert _sha256(serialize(generate(letters(n), cone), fmt)) == CATALOGUE_DIGESTS[n, cone, fmt]
+
+
+@pytest.mark.parametrize("size, fmt, types_only, irreducible_only", sorted(ENUMERATE_DIGESTS))
+def test_enumerate_bytes(capsys, size, fmt, types_only, irreducible_only):
+    argv = ["enumerate", "--players", "4", "--carrier-size", str(size), "--format", fmt]
+    argv += ["--types-only"] * types_only + ["--irreducible-only"] * irreducible_only
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert _sha256(out) == ENUMERATE_DIGESTS[size, fmt, types_only, irreducible_only]

@@ -6,12 +6,12 @@ from random import Random
 
 import pytest
 
-from conftest import fraction_lp_feasible
+from conftest import conic_lp_system, fraction_lp_feasible
 from minbal import reduction
 from minbal.balance import enumerate_min_balanced
 from minbal.cones import _tight_rows
 from minbal.games import Game, anti_dual, letters, random_game
-from minbal.linalg import DimensionError, conic_feasible, lp_feasible, rank, solve_unique
+from minbal.linalg import DimensionError, conic_feasible, dependency, lp_feasible, rank, solve_unique
 
 # incidence vectors of {ab, ac, ad, bcd} in a 5-player universe
 INCIDENCE = [
@@ -39,6 +39,23 @@ class TestRank:
     def test_ragged_rejected(self):
         with pytest.raises(DimensionError):
             rank([[1, 0], [1]])
+
+
+class TestDependency:
+    def test_independent_columns(self):
+        assert dependency(INCIDENCE) is None
+        assert dependency([]) is None
+
+    def test_first_dependency(self):
+        # the third column is the sum of the first two; the columns after
+        # it get zero although the first four are dependent too
+        cols = [(1, 1, 0), (0, 1, 1), (1, 2, 1), (0, 0, 1), (1, 0, 0)]
+        c = dependency(cols)
+        assert c == [1, 1, -1, 0, 0]
+        assert [sum(v * col[i] for v, col in zip(c, cols)) for i in range(3)] == [0, 0, 0]
+
+    def test_zero_column_depends_on_itself(self):
+        assert dependency([(1, 0), (0, 0), (0, 1)]) == [0, 1, 0]
 
 
 class TestSolveUnique:
@@ -199,6 +216,27 @@ def test_solve_unique_iff_rank_unchanged():
         checked += 1
 
 
+def test_dependency_matches_rank_oracle():
+    # None exactly on full column rank; otherwise the coefficients end at
+    # the first column that depends on the ones before it
+    rng = Random(202)
+    found = set()
+    for _ in range(300):
+        d, k = rng.randint(1, 4), rng.randint(1, 5)
+        cols = [tuple(F(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(d)) for _ in range(k)]
+        c = dependency(cols)
+        found.add(c is None)
+        if c is None:
+            assert _brute_rank(cols) == k
+            continue
+        j = max(i for i, v in enumerate(c) if v)
+        assert all(isinstance(v, int) for v in c) and len(c) == k
+        assert j == 0 or _brute_rank(cols[:j]) == j
+        for i in range(d):
+            assert sum(v * col[i] for v, col in zip(c, cols)) == 0
+    assert found == {True, False}
+
+
 def test_conic_matches_sign_pattern_oracle():
     rng = Random(303)
     for _ in range(250):
@@ -206,6 +244,10 @@ def test_conic_matches_sign_pattern_oracle():
         ngen = rng.randint(1, 4)
         gens = [tuple(F(rng.randint(-2, 3)) for _ in range(d)) for _ in range(ngen)]
         target = tuple(F(rng.randint(-3, 3)) for _ in range(d))
+        if _brute_rank(gens) < ngen:
+            with pytest.raises(ValueError):
+                conic_feasible(gens, target)
+            continue
         got = conic_feasible(gens, target)
         assert (got is not None) == _brute_conic(gens, target)
         if got is not None:
@@ -263,14 +305,15 @@ def test_core_systems_match_fraction_simplex(n):
 
 
 def _conic_inputs(monkeypatch):
-    """``(generators, target)`` pairs for ``conic_feasible``: every call
-    ``is_reducible`` makes on the carriers of ``letters(4)``, then seeded
-    random sets holding integer combinations of their first generators,
-    with a nonnegative combination or a random vector as the target."""
-    calls = []
+    """``(generators, target)`` pairs: every call ``is_reducible`` makes
+    to ``conic_feasible`` on the carriers of ``letters(4)``, then seeded
+    random sets that append to their first generators vectors mixing
+    them coordinate by coordinate, mostly dependent ones, with a
+    nonnegative mix or a random vector as the target."""
+    recorded = []
 
     def recording(gens, target):
-        calls.append((gens, target))
+        recorded.append((gens, target))
         return conic_feasible(gens, target)
 
     monkeypatch.setattr(reduction, "conic_feasible", recording)
@@ -279,7 +322,8 @@ def _conic_inputs(monkeypatch):
         for mbs in enumerate_min_balanced(players, carrier):
             reduction.is_reducible(mbs)
     monkeypatch.undo()
-    assert calls
+    assert recorded
+    seeded = []
     rng = Random(707)
     for _ in range(300):
         d = rng.randint(1, 4)
@@ -291,8 +335,8 @@ def _conic_inputs(monkeypatch):
             target = [sum(rng.randint(0, 2) * g[i] for g in gens) for i in range(d)]
         else:
             target = [F(rng.randint(-3, 3)) for _ in range(d)]
-        calls.append((gens, target))
-    return calls
+        seeded.append((gens, target))
+    return recorded, seeded
 
 
 def test_mixed_systems_match_fraction_simplex(monkeypatch):
@@ -306,20 +350,22 @@ def test_mixed_systems_match_fraction_simplex(monkeypatch):
         eq = [[entry() for _ in range(nvar)] for _ in range(me)]
         rhs = [entry() for _ in range(mi + me)]
         systems.append((ineq, eq, rhs))
-    # conic_feasible's systems, built as it builds them, are degenerate:
-    # every sign row has a zero right-hand side, so Bland's tie-break
-    # decides the pivots
-    conic = _conic_inputs(monkeypatch)
-    for gens, target in conic:
-        m = len(gens)
-        ineq = [[-int(j == i) for j in range(m)] for i in range(m)]
-        eq = [[g[i] for g in gens] for i in range(len(target))]
-        systems.append((ineq, eq, [0] * m + list(target)))
+    # cone-membership systems are degenerate: every sign row has a zero
+    # right-hand side, so Bland's tie-break decides the pivots
+    recorded, seeded = _conic_inputs(monkeypatch)
+    systems += [conic_lp_system(gens, target) for gens, target in recorded + seeded]
     outcomes = set()
     for ineq, eq, rhs in systems:
         res = lp_feasible(ineq, eq, rhs)
         assert (res.point, res.farkas) == fraction_lp_feasible(ineq, eq, rhs)
         outcomes.add(res.feasible)
-    for (gens, target), system in zip(conic, systems[-len(conic):]):
-        assert conic_feasible(gens, target) == fraction_lp_feasible(*system)[0]
     assert outcomes == {True, False}
+    # is_reducible passes independent generators, whose unique
+    # combination is the LP's point; conic_feasible rejects dependent ones
+    for gens, target in recorded:
+        assert conic_feasible(gens, target) == fraction_lp_feasible(*conic_lp_system(gens, target))[0]
+    dependent = [(gens, target) for gens, target in seeded if _brute_rank(gens) < len(gens)]
+    assert len(dependent) > len(seeded) // 2
+    for gens, target in dependent:
+        with pytest.raises(ValueError):
+            conic_feasible(gens, target)

@@ -12,9 +12,8 @@ from minbal.balance import (
     is_min_balanced,
     system_of,
 )
-from conftest import permute_coalition
+from conftest import lp_conic_feasible, permute_coalition
 from minbal.games import letters
-from minbal.linalg import conic_feasible
 from minbal.reduction import ReductionWitness, _candidate_sets, _subsets_below, decompose, is_reducible
 
 
@@ -159,11 +158,11 @@ def _brute_reducible(mbs):
         below = [m for m in mbs.system.members if m & a == m and m != a]
         if not below:
             continue
-        if conic_feasible([chi(m) for m in below], chi(a)) is None:
+        if lp_conic_feasible([chi(m) for m in below], chi(a)) is None:
             continue
         for pivot in below:
             rest = [a] + [t for t in mbs.system.members if t != pivot]
-            if conic_feasible([chi(t) for t in rest], chi(carrier)) is not None:
+            if lp_conic_feasible([chi(t) for t in rest], chi(carrier)) is not None:
                 return True
     return False
 
@@ -175,12 +174,12 @@ def _lp_pivot_search(mbs):
     chi = lambda s: tuple(s >> i & 1 for i in range(n) if mbs.carrier >> i & 1)
     for a in _candidate_sets(mbs):
         below = _subsets_below(mbs, a)
-        mu = conic_feasible([chi(s) for s in below], chi(a))
+        mu = lp_conic_feasible([chi(s) for s in below], chi(a))
         if mu is None:
             continue
         for pivot in below:
             others = [a] + [t for t in mbs.system.members if t != pivot]
-            beta = conic_feasible([chi(t) for t in others], chi(mbs.carrier))
+            beta = lp_conic_feasible([chi(t) for t in others], chi(mbs.carrier))
             if beta is not None:
                 return ReductionWitness(a, pivot, tuple(zip(below, mu)), tuple(zip(others, beta)))
     return None
