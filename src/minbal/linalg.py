@@ -27,9 +27,11 @@ row's artificial column stays a signed copy of that column, so it is
 not stored.  Each row is a positive integer multiple of the row of the
 rational tableau, so a pivot is the same elimination step, ratios
 compare by cross-multiplying and the pivots are those of the rational
-simplex; answers are read off as ``Fraction`` values.  Problem sizes in
-this package stay below a few hundred constraints, where exact pivoting
-is entirely adequate.
+simplex; answers are read off as ``Fraction`` values.  The oracles
+generate the rows of their core LPs, so a problem has one variable per
+player and a working set of coalition rows (at most 15 rows on the
+benchmark's games of up to 8 players), where exact pivoting is entirely
+adequate.
 """
 
 from __future__ import annotations

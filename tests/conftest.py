@@ -78,6 +78,25 @@ def _fraction_pivot(tab, cost, basis, leave, enter):
     basis[leave] = enter
 
 
+def tight_rows(game, tight_at):
+    """The full core system with equality at ``tight_at``: a reference
+    for the row generation in ``cones._tight_feasibility``.
+
+    Every row has the form  -chi_S . x <= -m(S); the rows for the full
+    player set and for ``tight_at`` are equalities.  Returns the rows,
+    the right-hand side and the coalition order used, inequalities first.
+    """
+    players = game.players
+    n = players.n
+    full = players.full_mask
+    ineq_order = [s for s in range(1, full + 1) if s not in (full, tight_at)]
+    eq_order = [full] if tight_at == full else [full, tight_at]
+    order = ineq_order + eq_order
+    rows = [[-(s >> i & 1) for i in range(n)] for s in order]
+    rhs = [-game.values[s] for s in order]
+    return rows, rhs, ineq_order, eq_order
+
+
 def conic_lp_system(generators, target):
     """``lp_feasible`` arguments for ``c >= 0`` with
     ``sum(c[i] * generators[i]) == target``: one sign row per generator,

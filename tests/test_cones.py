@@ -2,11 +2,14 @@
 connecting the three cones."""
 
 import dataclasses
+import logging
 from fractions import Fraction as F
 from random import Random
 
 import pytest
 
+from conftest import tight_rows
+from minbal import cones
 from minbal.balance import enumerate_min_balanced, is_min_balanced, system_of
 from minbal.cones import (
     CoreAllocation,
@@ -37,6 +40,7 @@ from minbal.games import (
     shift,
     unanimity,
 )
+from minbal.linalg import lp_feasible
 
 
 def _in_core(game, payoffs):
@@ -213,6 +217,79 @@ class TestIsExact:
         assert isinstance(v.certificate, NoTightAllocation)
         assert v.certificate.coalition == p3.coalition_of("a")
         verify_verdict(market_game, v)
+
+
+def _convex_game(players, rng):
+    """A positive sum of unanimity games, one per nonempty coalition."""
+    dividends = [(t, rng.randint(1, 9)) for t in range(1, players.full_mask + 1)]
+    return Game(players, tuple(F(sum(c for t, c in dividends if t & s == t)) for s in players.coalitions()))
+
+
+class TestRowGeneration:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_full_system(self, n):
+        # the row-generated system against the simplex on all 2^n - 1
+        # rows, on a random game, its anti-dual, a convex game (a member
+        # of every cone) and that game with the grand coalition's worth
+        # cut below the singletons' sum (an empty core)
+        rng = Random(900 + n)
+        players = letters(n)
+        game, convex = random_game(players, rng), _convex_game(players, rng)
+        singletons = sum(convex.values[1 << i] for i in range(n))
+        cut = Game(players, convex.values[:-1] + (singletons - 1,))
+        outcomes = set()
+        for g in (game, anti_dual(game), convex, cut):
+            for tight_at in range(1, players.full_mask + 1):
+                rows, rhs, ineq_order, _ = tight_rows(g, tight_at)
+                mi = len(ineq_order)
+                point, theta = cones._tight_feasibility(g, tight_at)
+                assert (point is not None) == lp_feasible(rows[:mi], rows[mi:], rhs).feasible
+                if point is not None:
+                    for i, row in enumerate(rows):
+                        lhs = sum(c * x for c, x in zip(row, point))
+                        assert lhs <= rhs[i] if i < mi else lhs == rhs[i]
+                else:
+                    assert theta_contains(theta, tight_at)
+                    assert inner(theta, g) < 0
+                outcomes.add(point is not None)
+        assert outcomes == {True, False}
+
+    def _count_calls(self, monkeypatch):
+        calls = []
+        solve = cones._tight_feasibility
+
+        def counting(game, tight_at):
+            calls.append(tight_at)
+            return solve(game, tight_at)
+
+        monkeypatch.setattr(cones, "_tight_feasibility", counting)
+        return calls
+
+    def test_is_exact_prunes_additive_game(self, monkeypatch, p4):
+        # one core point is tight at every coalition
+        calls = self._count_calls(monkeypatch)
+        g = shift(modular_from_payoffs(p4, [1, -2, 3, F(1, 2)]))
+        v = is_exact(g)
+        assert calls == [1]
+        assert len(v.certificate.allocations) == 15
+        verify_verdict(g, v)
+
+    def test_is_exact_prunes_convex_game(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        g = _convex_game(letters(6), Random(31))
+        v = is_exact(g)
+        assert v.member
+        assert len(calls) < 63
+        verify_verdict(g, v)
+
+    def test_warns_before_eleven_players(self, monkeypatch, caplog):
+        # the first system is reported infeasible, so no search runs
+        monkeypatch.setattr(cones, "_tight_feasibility", lambda game, tight_at: (None, None))
+        with caplog.at_level(logging.WARNING, logger="minbal"):
+            for n in (10, 11):
+                assert not is_exact(Game(letters(n), (0,) * (1 << n))).member
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "on 11 players" in warnings[0].getMessage()
 
 
 class TestConjugate:

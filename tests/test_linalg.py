@@ -6,10 +6,9 @@ from random import Random
 
 import pytest
 
-from conftest import conic_lp_system, fraction_lp_feasible
+from conftest import conic_lp_system, fraction_lp_feasible, tight_rows
 from minbal import reduction
 from minbal.balance import enumerate_min_balanced
-from minbal.cones import _tight_rows
 from minbal.games import Game, anti_dual, letters, random_game
 from minbal.linalg import DimensionError, conic_feasible, dependency, lp_feasible, rank, solve_unique
 
@@ -296,7 +295,7 @@ def test_core_systems_match_fraction_simplex(n):
     rich = Game(players, game.values[:-1] + (F(20 * n),))
     for g in (game, anti_dual(game), rich):
         for tight_at in range(1, players.full_mask + 1):
-            rows, rhs, ineq_order, _ = _tight_rows(g, tight_at)
+            rows, rhs, ineq_order, _ = tight_rows(g, tight_at)
             mi = len(ineq_order)
             res = lp_feasible(rows[:mi], rows[mi:], rhs)
             assert (res.point, res.farkas) == fraction_lp_feasible(rows[:mi], rows[mi:], rhs)
