@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from minbal import anti_dual, game_of, generate, letters, lp_feasible
+from minbal.balance import MinBalancedSystem, SetSystem, normalize
+from minbal.linalg import augment, reduce_mod_rows
 
 
 def permute_coalition(coalition: int, perm: tuple[int, ...]) -> int:
@@ -95,6 +97,50 @@ def tight_rows(game, tight_at):
     rows = [[-(s >> i & 1) for i in range(n)] for s in order]
     rhs = [-game.values[s] for s in order]
     return rows, rhs, ineq_order, eq_order
+
+
+def plain_enumerate_size(c):
+    """Every non-trivial min-balanced system on the carrier of the first
+    ``c`` players, sorted by members, from a DFS that visits every system
+    of every type: a reference for the orderly ``balance._enumerate_size``,
+    which must return the same systems, weights, ``k`` and ``alpha``.
+
+    Candidates are the nonempty proper subsets in increasing bitmask
+    order, kept as augmented echelon rows ``chi_S ⊕ e_depth``; a branch
+    dies on a dependent candidate or when the rest cannot cover the
+    carrier, and a node whose span holds the carrier's incidence vector
+    is a leaf, recorded when its weights are strictly positive.
+    """
+    full = (1 << c) - 1
+    candidates = list(range(1, full))
+    suffix_cover = [0] * (len(candidates) + 1)
+    for i in range(len(candidates) - 1, -1, -1):
+        suffix_cover[i] = suffix_cover[i + 1] | candidates[i]
+    target = augment([1] * c, c, c + 1)
+    found = []
+
+    def visit(start, chosen, union, rows):
+        depth = len(chosen)
+        if union == full:
+            r, piv = reduce_mod_rows(rows, target)
+            if piv >= c:
+                lead = r[2 * c]
+                if all(r[c + j] and (r[c + j] > 0) != (lead > 0) for j in range(depth)):
+                    weights = tuple(Fraction(-r[c + j], lead) for j in range(depth))
+                    k, alpha = normalize(dict(zip(chosen, weights)))
+                    found.append(MinBalancedSystem(SetSystem(tuple(chosen)), weights, k, alpha))
+                return
+        for i in range(start, len(candidates)):
+            if union | suffix_cover[i] != full:
+                break
+            s = candidates[i]
+            reduced = reduce_mod_rows(rows, augment([s >> j & 1 for j in range(c)], depth, c + 1))
+            if reduced[1] >= c:
+                continue
+            visit(i + 1, chosen + [s], union | s, rows + [reduced])
+
+    visit(0, [], 0, [])
+    return tuple(sorted(found, key=lambda m: m.system.members))
 
 
 def conic_lp_system(generators, target):

@@ -20,9 +20,10 @@ from minbal.balance import (
 )
 from minbal.catalogue import generate
 from minbal.cones import conjugate
-from conftest import lp_conic_feasible, permute_coalition
+from conftest import lp_conic_feasible, permute_coalition, plain_enumerate_size
 from minbal.games import letters
 from minbal.linalg import solve_unique
+from minbal.reference import BALANCED_COUNTS
 
 
 class TestIsMinBalanced:
@@ -189,6 +190,28 @@ class TestEnumerate:
         assert sizes == [6, 5]
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1 and "6-player carrier" in warnings[0].getMessage()
+
+
+class TestOrderlySearch:
+    @pytest.mark.parametrize("c", [2, 3, 4, 5])
+    def test_matches_plain_dfs(self, c):
+        def fields(systems):
+            return [(m.system, m.weights, m.k, m.alpha) for m in systems]
+
+        assert fields(_enumerate_size(c)) == fields(plain_enumerate_size(c))
+
+    @pytest.mark.parametrize("c", [2, 3, 4, 5])
+    def test_orbit_fill_matches_cold_scan(self, c):
+        _enumerate_size.cache_clear()
+        _types.clear()
+        systems = _enumerate_size(c)
+        filled = dict(_types)
+        assert set(filled) == {(m.system.members, c) for m in systems}
+        p = letters(c)
+        for (members, _), (canonical, orbit) in filled.items():
+            _types.clear()
+            assert canonical_type(SetSystem(members), p) == (SetSystem(canonical), orbit)
+        assert len({canonical for canonical, _ in filled.values()}) == BALANCED_COUNTS[c][1]
 
 
 class TestEnumeratedInvariants:

@@ -1,6 +1,6 @@
 """Byte-level regression pins: SHA-256 of every catalogue on two to four
-players, in JSON and text, and of every ``enumerate --players 4``
-output.  A change that keeps the mathematics keeps every byte; one that
+players and of the balanced and totally balanced catalogues on five, in
+JSON and text, and of every ``enumerate --players 4`` output.  A change that keeps the mathematics keeps every byte; one that
 means to change an output updates its digest here."""
 
 import hashlib
@@ -29,6 +29,10 @@ CATALOGUE_DIGESTS = {
     (4, "totally-balanced", "text"): "777a42f1fed745a434f11c4a7e8046912b804833194acd3ccbb8599a4ea50d70",
     (4, "exact-conjecture", "json"): "c9cc2014d5c44f9a9b174ccb97323b85d637a01e14a23b53c2b62378fc037618",
     (4, "exact-conjecture", "text"): "983901160c178e705ec0896f6d9b3adef93ebf63203de44a90284e123f3681a1",
+    (5, "balanced", "json"): "90f5f4624751bcc46206d75983400cdc811098269436696980ee7dda04f5fd0a",
+    (5, "balanced", "text"): "922a7161fe73df047c4c8dc3d70702994849f6a0f5ecda782761acb10fdfd4b1",
+    (5, "totally-balanced", "json"): "2ee28bd184b6c8783aa3df2c5c544493881dd7e0e66a26961c689ca74c0b2681",
+    (5, "totally-balanced", "text"): "20ea61b24ac6a1b3b5daab121e67db59f6fd2897e0e18a4b2f11e5b6b8996ba9",
 }
 
 #: (carrier size, format, --types-only, --irreducible-only) -> SHA-256 of
