@@ -13,7 +13,9 @@ Three catalogues are generated from min-balanced systems:
 
 Entries are identified by their full coefficient vector, ordered
 canonically, classified into permutational types, and serialized to a
-bit-exact JSON format or a per-type text listing.
+bit-exact JSON format or a per-type text listing.  ``generate`` is the
+only builder of entries: a catalogue is a fixed function of its players
+and cone, so ``parse`` regenerates it and compares the file with it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .balance import (
     canonical_type,
     complement_system,
     enumerate_min_balanced,
-    is_min_balanced,
+    is_min_balanced,  # not called here: perfbench/spans.py wraps it at this lookup site
 )
 from .cones import conjugate
 from .games import Players, _read_document
@@ -107,15 +109,16 @@ def _type_id(players: Players, system: SetSystem) -> tuple[str, int]:
 
 
 def _irreducibility(players: Players) -> Callable[[MinBalancedSystem], bool]:
-    """``is_reducible`` verdicts memoized per unconjugated type id.
+    """``is_reducible`` verdicts memoized per permutational type.
 
     Relabelling the players maps reduction witnesses onto reduction
-    witnesses, so one search per permutational type suffices.
+    witnesses, so one search per type suffices.  The memo keys on the
+    canonical members, not on a type id string.
     """
-    memo: dict[str, bool] = {}
+    memo: dict[tuple[int, ...], bool] = {}
 
     def irreducible(mbs: MinBalancedSystem) -> bool:
-        key, _ = _type_id(players, mbs.system)
+        key = canonical_type(mbs.system, players)[0].members
         if key not in memo:
             memo[key] = is_reducible(mbs) is None
         return memo[key]
@@ -156,7 +159,7 @@ def _entries_of(
     ``balanced`` admits the systems on the full carrier,
     ``totally-balanced`` the irreducible ones and ``exact-conjecture``
     the irreducible ones with proper carrier, each followed by its
-    conjugate.  ``generate`` and ``parse`` build every entry here.
+    conjugate.  Its one caller is ``generate``.
     """
     full = mbs.carrier == players.full_mask
     admitted = {ConeKind.BALANCED: full, ConeKind.TOTALLY_BALANCED: irreducible,
@@ -171,11 +174,6 @@ def _entries_of(
     if cone is not ConeKind.EXACT_CONJECTURE:
         return (entry,)
     return entry, CatalogueEntry(mbs, conjugate(mbs.alpha, players), irreducible, True, "~" + type_id, orbit)
-
-
-def classify(catalogue: Catalogue) -> tuple[TypeSummary, ...]:
-    """Type table of a catalogue: representative, count and cross links."""
-    return _classify(catalogue.players, catalogue.cone, catalogue.entries)
 
 
 def _classify(players: Players, cone: ConeKind, entries: tuple[CatalogueEntry, ...]) -> tuple[TypeSummary, ...]:
@@ -308,16 +306,6 @@ def serialize(catalogue: Catalogue, format: str = "json") -> bytes:
     return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
-def _read_system(players: Players, raw, where: str) -> MinBalancedSystem:
-    try:  # a name list other than the members' in order fails the field check in parse
-        mbs = is_min_balanced(SetSystem(tuple(sorted(players.coalition_of("".join(part)) for part in raw["system"]))))
-    except (KeyError, TypeError, ValueError):
-        raise CatalogueFormatError(f"{where}: invalid or missing member list") from None
-    if mbs is None or mbs.trivial:
-        raise CatalogueFormatError(f"{where}: system is not a non-trivial min-balanced system")
-    return mbs
-
-
 def _first_difference(expected: dict, raw) -> Optional[str]:
     """The first field in which ``raw`` differs from ``expected`` as JSON."""
     if json.dumps(raw) == json.dumps(expected):
@@ -331,11 +319,12 @@ def _first_difference(expected: dict, raw) -> Optional[str]:
 
 
 def parse(data: Union[bytes, str]) -> Catalogue:
-    """Parse a JSON catalogue, rebuilding every entry from its system.
+    """Parse a JSON catalogue by regenerating it and comparing entries.
 
-    The entries each distinct system contributes must serialize to the
-    raw ones and come in canonical order; every type needs its whole
-    orbit, and the counts must equal those in ``minbal.reference``.
+    Entry i of the file must equal entry i of ``generate(players, cone)``
+    as JSON, field for field; the first difference is named.  A player
+    count and cone with no count in ``minbal.reference`` are rejected
+    before anything is generated.
     """
     doc, players = _read_document(data, ("players", "cone", "conjecture", "entries"), CatalogueFormatError)
     try:
@@ -350,30 +339,17 @@ def parse(data: Union[bytes, str]) -> Catalogue:
     recorded = _RECORDED_COUNTS[cone].get(players.n)
     if recorded is None:
         raise CatalogueFormatError(f"no entry and type counts are recorded for a {players.n}-player {cone.value} catalogue")
-    is_irreducible = _irreducibility(players)
-    entries: list[CatalogueEntry] = []
-    while len(entries) < len(raw_entries):
-        where = f"entries[{len(entries)}]"
-        mbs = _read_system(players, raw_entries[len(entries)], where)
-        built = _entries_of(players, cone, mbs, is_irreducible(mbs))
-        if not built:
-            raise CatalogueFormatError(f"{where}: the system does not belong to the {cone.value} catalogue")
-        for entry in built:
-            i = len(entries)
-            if i == len(raw_entries):
-                raise CatalogueFormatError(f"entries[{i}]: missing, the conjugate of entries[{i - 1}]")
-            field = _first_difference(_entry_payload(players, entry), raw_entries[i])
-            if field is not None:
-                raise CatalogueFormatError(f"entries[{i}]: {field} differs from the entry its system generates")
-            entries.append(entry)
-    keys = [(e.mbs.carrier, e.mbs.system.members, e.conjugated) for e in entries]
-    for i in range(1, len(keys)):
-        if keys[i - 1] >= keys[i]:
-            raise CatalogueFormatError(f"entries[{i}]: entries are not in canonical order")
-    types = _classify(players, cone, tuple(entries))
-    for t in types:  # every catalogue is closed under relabelling the players
-        if t.count != t.representative.orbit_size:
-            raise CatalogueFormatError(f"type {t.type_id} has {t.count} entries but an orbit of {t.representative.orbit_size}")
-    if (len(entries), len(types)) != recorded:
-        raise CatalogueFormatError(f"{len(entries)} entries in {len(types)} types, but the catalogue has {recorded[0]} entries in {recorded[1]} types")
-    return Catalogue(players, cone, tuple(entries), types)
+    catalogue = generate(players, cone)
+    size, types = len(catalogue.entries), len(catalogue.types)
+    if (size, types) != recorded:  # a fault of generate, not of the file
+        raise RuntimeError(f"generated {size} entries in {types} types, but {recorded[0]} in {recorded[1]} are recorded")
+    name = f"the {players.n}-player {cone.value} catalogue"
+    for i, (entry, raw) in enumerate(zip(catalogue.entries, raw_entries)):
+        field = _first_difference(_entry_payload(players, entry), raw)
+        if field is not None:
+            raise CatalogueFormatError(f"entries[{i}]: {field} differs from entry {i} of {name}, which has {size} entries in {types} types")
+    if len(raw_entries) < size:
+        raise CatalogueFormatError(f"entries[{len(raw_entries)}]: missing; {name} has {size} entries in {types} types")
+    if len(raw_entries) > size:
+        raise CatalogueFormatError(f"entries[{size}]: beyond the {size} entries of {name}")
+    return catalogue

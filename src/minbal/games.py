@@ -40,6 +40,7 @@ class Players:
     """
 
     names: tuple[str, ...]
+    _keys: list[str] = field(init=False, repr=False, compare=False)
     _coalitions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -57,6 +58,7 @@ class Players:
         coalitions = {key: s for s, key in enumerate(keys)}
         if len(coalitions) != len(keys):
             raise ValueError("player names produce ambiguous coalition keys")
+        object.__setattr__(self, "_keys", keys)
         object.__setattr__(self, "_coalitions", coalitions)
 
     @property
@@ -74,7 +76,7 @@ class Players:
     def key(self, coalition: int) -> str:
         """Text key of a coalition: player names concatenated in order."""
         self._check(coalition)
-        return "".join(name for i, name in enumerate(self.names) if coalition >> i & 1)
+        return self._keys[coalition]
 
     def coalition_of(self, key: str) -> int:
         """The coalition of a text key, e.g. ``"ac"``."""

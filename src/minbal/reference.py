@@ -8,8 +8,9 @@ whether the type is irreducible, and the induced inequality rendered the
 way :func:`minbal.catalogue.render_inequality` prints it.
 
 The count tables give the entries and types of each catalogue per
-player count; :func:`minbal.catalogue.parse` rejects a catalogue whose
-counts differ, or for which no count is recorded.
+player count; :func:`minbal.catalogue.parse` rejects a catalogue for
+which no count is recorded, and raises ``RuntimeError`` when the
+catalogue it regenerates has other counts.
 """
 
 from __future__ import annotations

@@ -195,13 +195,24 @@ class TestCatalogueInequalitiesHold:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("cone", ["balanced", "totally-balanced", "exact-conjecture"])
-    def test_round_trip(self, p4, cone, balanced4, totally4, exact4):
-        catalogue = {"balanced": balanced4, "totally-balanced": totally4, "exact-conjecture": exact4}[cone]
+    @pytest.mark.parametrize(
+        "n, cone",
+        [(4, "balanced"), (4, "totally-balanced"), (4, "exact-conjecture"), (5, "balanced"), (5, "totally-balanced")],
+        ids=["balanced", "totally-balanced", "exact-conjecture", "balanced-5", "totally-balanced-5"],
+    )
+    def test_round_trip(self, n, cone):
+        catalogue = generate(letters(n), cone)
         blob = serialize(catalogue)
         again = parse(blob)
         assert again == catalogue
         assert serialize(again) == blob
+
+    def test_re_dumped_json_parses(self, exact4):
+        import json
+
+        blob = json.dumps(json.loads(serialize(exact4)))  # one line, other separators
+        assert blob.encode() != serialize(exact4)
+        assert parse(blob) == exact4
 
     def test_text_contains_appendix_lines(self, balanced3):
         text = serialize(balanced3, "text").decode()
@@ -244,7 +255,7 @@ class TestSerialization:
 
         doc = json.loads(serialize(totally4))
         del doc["entries"][5]
-        with pytest.raises(CatalogueFormatError, match="orbit"):
+        with pytest.raises(CatalogueFormatError, match=r"entries\[5\]: system differs"):
             parse(json.dumps(doc))
 
     def test_whole_orbit_deleted_rejected(self, totally4):
@@ -256,9 +267,15 @@ class TestSerialization:
         with pytest.raises(CatalogueFormatError, match="has 40 entries in 8 types"):
             parse(json.dumps(doc))
 
-    def test_unrecorded_player_count_rejected(self):
+    def test_unrecorded_player_count_rejected(self, monkeypatch):
         import json
 
+        import minbal.catalogue
+
+        def no_search(*args):
+            raise AssertionError("parse generated a catalogue with no recorded counts")
+
+        monkeypatch.setattr(minbal.catalogue, "generate", no_search)
         doc = {"players": list("abcdef"), "cone": "balanced", "conjecture": False, "entries": []}
         with pytest.raises(CatalogueFormatError, match="no entry and type counts"):
             parse(json.dumps(doc))
@@ -310,7 +327,7 @@ class TestSerialization:
 
         doc = json.loads(serialize(balanced3))
         doc["entries"] = doc["entries"][::-1]
-        with pytest.raises(CatalogueFormatError, match="canonical order"):
+        with pytest.raises(CatalogueFormatError, match=r"entries\[0\]: system differs"):
             parse(json.dumps(doc))
 
     def test_invalid_json_rejected(self):
