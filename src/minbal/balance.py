@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import or_
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -246,10 +246,9 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
     no proper superset can be min-balanced either, so the node is a leaf:
     the unique weights are tested for strict positivity.
 
-    Each system found represents its type.  Its orbit, the distinct
-    images under the same relabellings (``_relabel``), is returned in
-    its place, and the orbit's minimum and size are recorded in
-    ``_types``, so ``canonical_type`` needs no scan for these systems.
+    Each system found represents its type: its orbit from ``_orbit``,
+    renamed by ``_relabel``, is returned in its place, and the type of
+    every image is recorded for ``canonical_type``.
 
     The chosen members are kept as augmented echelon rows
     ``chi_S ⊕ e_depth`` over ``c`` coordinates, with ``e_depth`` of
@@ -275,10 +274,7 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
     def record(chosen: list[int], weights: tuple[Fraction, ...]) -> None:
         k, alpha = normalize(dict(zip(chosen, weights)))
         representative = MinBalancedSystem(SetSystem(tuple(chosen)), weights, k, alpha)
-        orbit = {tuple(sorted(table[m] for m in chosen)): table for table in tables}
-        for image, table in orbit.items():
-            _types[image, c] = representative.system.members, len(orbit)
-            found.append(_relabel(representative, table))
+        found.extend(_relabel(representative, table) for table in _orbit(representative.system.members, c).values())
 
     def visit(start: int, chosen: list[int], union: int, rows: list, images: list[int]) -> None:
         depth = len(chosen)
@@ -346,18 +342,23 @@ def _perm_tables(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(relabelling(perm)) for perm in permutations(range(n)))
 
 
-#: (members, n) -> (canonical members, orbit size), filled one orbit at a
-#: time, by a scan here or by ``_enumerate_size(n)`` for every type it finds.
-_types: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
+#: Members on the first c players, covering them -> (canonical members,
+#: orbit size under the c! relabellings); written by ``_orbit`` alone.
+_types: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
 
 
-def _canonical_cached(members: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
-    if (members, n) not in _types:
-        images = {tuple(sorted(table[m] for m in members)) for table in _perm_tables(n)}
-        found = min(images), len(images)
-        for image in images:
-            _types[image, n] = found
-    return _types[members, n]
+def _orbit(members: tuple[int, ...], c: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The images of members on the first ``c`` players under their
+    ``c!`` relabellings, each with a table making it; records their type."""
+    orbit = {tuple(sorted(table[m] for m in members)): table for table in _perm_tables(c)}
+    _types.update(dict.fromkeys(orbit, (min(orbit), len(orbit))))
+    return orbit
+
+
+@lru_cache(maxsize=None)
+def _lowering(carrier: int) -> dict[int, int]:
+    """Renames the carrier's players onto the first ones, in order."""
+    return {t: s for s, t in enumerate(relabelling(_bit_positions(carrier)))}
 
 
 def canonical_type(system: SetSystem, players: Players) -> tuple[SetSystem, int]:
@@ -365,11 +366,20 @@ def canonical_type(system: SetSystem, players: Players) -> tuple[SetSystem, int]
 
     The canonical form is the lexicographically smallest sorted bitmask
     list among the images of the system under all n! permutations; the
-    orbit size counts the distinct images.
+    orbit size counts the distinct images.  Both come from the system's
+    own carrier of c players: renamed onto the first c in order, every
+    member is lowered and keeps its place, so the least n! image is the
+    least c! image of the renamed system, and the orbit is C(n, c) times
+    as large.
     """
     if players.n > ENUM_PLAYER_CAP:
         raise ValueError(f"classification is capped at {ENUM_PLAYER_CAP} players")
-    if system.carrier > players.full_mask:
+    carrier = system.carrier
+    if carrier > players.full_mask:
         raise ValueError("system does not fit the player set")
-    canonical, orbit = _canonical_cached(system.members, players.n)
-    return SetSystem(canonical), orbit
+    c = carrier.bit_count()
+    members = tuple(map(_lowering(carrier).__getitem__, system.members))
+    if members not in _types:
+        _orbit(members, c)
+    canonical, orbit = _types[members]
+    return SetSystem(canonical), orbit * comb(players.n, c)

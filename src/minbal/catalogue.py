@@ -21,9 +21,10 @@ and cone, so ``parse`` regenerates it and compares the file with it.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .balance import (
     ENUM_PLAYER_CAP,
@@ -108,22 +109,24 @@ def _type_id(players: Players, system: SetSystem) -> tuple[str, int]:
     return "|".join(players.key(m) for m in canonical.members), orbit
 
 
-def _irreducibility(players: Players) -> Callable[[MinBalancedSystem], bool]:
-    """``is_reducible`` verdicts memoized per permutational type.
+#: A system's permutational type, as ``_classifier`` finds it.
+_Type = NamedTuple("_Type", [("canonical", SetSystem), ("type_id", str), ("orbit", int), ("irreducible", bool)])
 
-    Relabelling the players maps reduction witnesses onto reduction
-    witnesses, so one search per type suffices.  The memo keys on the
-    canonical members, not on a type id string.
-    """
-    memo: dict[tuple[int, ...], bool] = {}
 
-    def irreducible(mbs: MinBalancedSystem) -> bool:
-        key = canonical_type(mbs.system, players)[0].members
-        if key not in memo:
-            memo[key] = is_reducible(mbs) is None
-        return memo[key]
+def _classifier(players: Players) -> Callable[[MinBalancedSystem], _Type]:
+    """The type of a system, from one ``canonical_type`` call.  Its id
+    and ``is_reducible`` verdict are found once per type: relabelling the
+    players maps reduction witnesses onto reduction witnesses."""
+    memo: dict[SetSystem, _Type] = {}
 
-    return irreducible
+    def classify(mbs: MinBalancedSystem) -> _Type:
+        canonical, orbit = canonical_type(mbs.system, players)
+        if canonical not in memo:
+            type_id = "|".join(players.key(m) for m in canonical.members)
+            memo[canonical] = _Type(canonical, type_id, orbit, is_reducible(mbs) is None)
+        return memo[canonical]
+
+    return classify
 
 
 def generate(players: Players, cone: Union[ConeKind, str]) -> Catalogue:
@@ -141,19 +144,17 @@ def generate(players: Players, cone: Union[ConeKind, str]) -> Catalogue:
     sizes = {ConeKind.BALANCED: [n], ConeKind.TOTALLY_BALANCED: range(2, n + 1),
              ConeKind.EXACT_CONJECTURE: range(2, n)}[cone]
     carriers = [m for m in range(players.full_mask + 1) if m.bit_count() in sizes]
-    irreducible = _irreducibility(players)
+    classify = _classifier(players)
     entries = tuple(
         e for m in carriers for mbs in enumerate_min_balanced(players, m)
-        for e in _entries_of(players, cone, mbs, irreducible(mbs))
+        for e in _entries_of(players, cone, mbs, classify(mbs))
     )
     if len({e.alpha.items for e in entries}) != len(entries):
         raise RuntimeError("catalogue entries collide as coefficient vectors")
-    return Catalogue(players, cone, entries, _classify(players, cone, entries))
+    return Catalogue(players, cone, entries, _classify(cone, entries))
 
 
-def _entries_of(
-    players: Players, cone: ConeKind, mbs: MinBalancedSystem, irreducible: bool
-) -> tuple[CatalogueEntry, ...]:
+def _entries_of(players: Players, cone: ConeKind, mbs: MinBalancedSystem, kind: _Type) -> tuple[CatalogueEntry, ...]:
     """The entries a non-trivial min-balanced system contributes to a cone.
 
     ``balanced`` admits the systems on the full carrier,
@@ -162,43 +163,35 @@ def _entries_of(
     conjugate.  Its one caller is ``generate``.
     """
     full = mbs.carrier == players.full_mask
-    admitted = {ConeKind.BALANCED: full, ConeKind.TOTALLY_BALANCED: irreducible,
-                ConeKind.EXACT_CONJECTURE: irreducible and not full}
+    admitted = {ConeKind.BALANCED: full, ConeKind.TOTALLY_BALANCED: kind.irreducible,
+                ConeKind.EXACT_CONJECTURE: kind.irreducible and not full}
     if not admitted[cone]:
         return ()
-    type_id, orbit = _type_id(players, mbs.system)
     complement_id = None
     if cone is ConeKind.BALANCED:
         complement_id, _ = _type_id(players, complement_system(mbs.system, players))
-    entry = CatalogueEntry(mbs, mbs.alpha, irreducible, False, type_id, orbit, complement_id)
+    entry = CatalogueEntry(mbs, mbs.alpha, kind.irreducible, False, kind.type_id, kind.orbit, complement_id)
     if cone is not ConeKind.EXACT_CONJECTURE:
         return (entry,)
-    return entry, CatalogueEntry(mbs, conjugate(mbs.alpha, players), irreducible, True, "~" + type_id, orbit)
+    return entry, CatalogueEntry(mbs, conjugate(mbs.alpha, players), kind.irreducible, True, "~" + kind.type_id, kind.orbit)
 
 
-def _classify(players: Players, cone: ConeKind, entries: tuple[CatalogueEntry, ...]) -> tuple[TypeSummary, ...]:
+def _classify(cone: ConeKind, entries: tuple[CatalogueEntry, ...]) -> tuple[TypeSummary, ...]:
     """Group entries into permutational types with cross links.
 
     Balanced (full carrier) types link to the type of the complementary
     system; self-complementary types link to themselves.  Conjectured
     exact types link to their conjugate type.
     """
-    order: list[str] = []
-    first: dict[str, CatalogueEntry] = {}
-    counts: dict[str, int] = {}
-    for e in entries:
-        if e.type_id not in first:
-            first[e.type_id] = e
-            order.append(e.type_id)
-        counts[e.type_id] = counts.get(e.type_id, 0) + 1
+    counts = Counter(e.type_id for e in entries)
+    first = {e.type_id: e for e in reversed(entries)}  # each type's earliest entry
     summaries = []
-    for tid in order:
+    for tid, count in counts.items():
         rep = first[tid]
-        complement_id = rep.complement_type_id if cone is ConeKind.BALANCED else None
         conjugate_id = None
         if cone is ConeKind.EXACT_CONJECTURE:
-            conjugate_id = tid[1:] if tid.startswith("~") else "~" + tid
-        summaries.append(TypeSummary(tid, rep, counts[tid], complement_id, conjugate_id))
+            conjugate_id = tid[1:] if rep.conjugated else "~" + tid
+        summaries.append(TypeSummary(tid, rep, count, rep.complement_type_id, conjugate_id))
     return tuple(summaries)
 
 

@@ -106,42 +106,40 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if not 1 <= size <= players.n:
         raise ValueError(f"carrier size must be between 1 and {players.n}")
     carriers = [m for m in range(players.full_mask + 1) if m.bit_count() == size]
-    irreducible = cat._irreducibility(players)
-    systems = [(mbs, irreducible(mbs)) for m in sorted(carriers) for mbs in enumerate_min_balanced(players, m)]
+    classify = cat._classifier(players)
+    systems = [(mbs, classify(mbs)) for m in sorted(carriers) for mbs in enumerate_min_balanced(players, m)]
     if args.irreducible_only:
-        systems = [(mbs, irr) for mbs, irr in systems if irr]
+        systems = [(mbs, kind) for mbs, kind in systems if kind.irreducible]
 
     if args.types_only:
         rows: dict[str, tuple] = {}
-        for mbs, irr in systems:
-            type_id, orbit = cat._type_id(players, mbs.system)
-            rows.setdefault(type_id, (orbit, irr, mbs))
+        for mbs, kind in systems:
+            rows.setdefault(kind.type_id, (mbs, kind))
         if args.format == "json":
             doc = [
                 {
-                    "type_id": type_id,
-                    "orbit_size": orbit,
-                    "irreducible": irr,
+                    "type_id": kind.type_id,
+                    "orbit_size": kind.orbit,
+                    "irreducible": kind.irreducible,
                     "inequality": cat.render_inequality(mbs.alpha, players),
                 }
-                for type_id, (orbit, irr, mbs) in rows.items()
+                for mbs, kind in rows.values()
             ]
             print(json.dumps(doc, indent=2, ensure_ascii=False))
         else:
-            for i, (type_id, (orbit, irr, mbs)) in enumerate(rows.items(), start=1):
-                canon = system_of(players, *type_id.split("|"))
-                note = "   irreducible" if irr else ""
-                print(f"{i}. {cat._render_system(players, canon)}   {orbit}x{note}")
+            for i, (mbs, kind) in enumerate(rows.values(), start=1):
+                note = "   irreducible" if kind.irreducible else ""
+                print(f"{i}. {cat._render_system(players, kind.canonical)}   {kind.orbit}x{note}")
                 print(f"   {cat.render_inequality(mbs.alpha, players)}")
         return 0
 
     if args.format == "json":
-        doc = [cat._system_payload(players, mbs) | {"irreducible": irr} for mbs, irr in systems]
+        doc = [cat._system_payload(players, mbs) | {"irreducible": kind.irreducible} for mbs, kind in systems]
         print(json.dumps(doc, indent=2, ensure_ascii=False))
     else:
-        for mbs, irr in systems:
+        for mbs, kind in systems:
             weights = " ".join(f"{players.key(m)}={w}" for m, w in zip(mbs.system.members, mbs.weights))
-            note = "   irreducible" if irr else ""
+            note = "   irreducible" if kind.irreducible else ""
             print(f"{cat._render_system(players, mbs.system)}   carrier={players.key(mbs.carrier)}   k={mbs.k}   weights: {weights}{note}")
     return 0
 

@@ -132,12 +132,13 @@ def _excesses(values: list[int], scale: int, point: Payoffs) -> list[int]:
 def _tight_feasibility(game: Game, tight_at: int):
     """A core point with x(tight_at) = v(tight_at), or a Farkas functional.
 
-    Returns ``(point, None)`` or ``(None, theta)``.  The core system has
-    a row x(S) >= v(S) for every coalition, with equality at the full
-    player set and at ``tight_at``, but only n unknowns, so its rows are
-    generated.  The working set starts with the equalities and the
-    singleton inequalities.  While :func:`lp_feasible` finds a point of
-    the working set, every coalition is scanned in integers and the most
+    Returns ``(point, excess)``, excess as :func:`_excesses` gives it,
+    or ``(None, theta)``.  The core system has a row x(S) >= v(S) for
+    every coalition, with equality at the full player set and at
+    ``tight_at``, but only n unknowns, so its rows are generated.  The
+    working set starts with the equalities and the singleton
+    inequalities.  While :func:`lp_feasible` finds a point of the
+    working set, every coalition is scanned in integers and the most
     violated row (smallest bitmask on ties) is added.  A point that
     violates no row is in the core.  A Farkas vector of the working set,
     zero on every other row, certifies the full system, and
@@ -158,7 +159,7 @@ def _tight_feasibility(game: Game, tight_at: int):
         excess = _excesses(values, scale, res.point)
         worst = max(excess)
         if worst <= 0:
-            return res.point, None
+            return res.point, excess
         working.append(excess.index(worst))
 
 
@@ -273,15 +274,14 @@ def is_exact(f: SetFunction) -> Verdict:
     if players.n >= 11:
         log.warning("exactness check on %d players: up to %d core LPs, expect tens of seconds or more", players.n, full)
     coalitions = sorted(range(1, full + 1), key=lambda s: (s.bit_count(), s))
-    *values, scale = _integer_row([*game.values, 1])
     points: dict[int, Payoffs] = {}
     for d in coalitions:
         if d in points:
             continue
-        point, theta = _tight_feasibility(game, d)
+        point, evidence = _tight_feasibility(game, d)
         if point is None:
-            return Verdict(False, NoTightAllocation(d, theta))
-        for s, e in enumerate(_excesses(values, scale, point)):
+            return Verdict(False, NoTightAllocation(d, evidence))
+        for s, e in enumerate(evidence):
             if s and not e:
                 points.setdefault(s, point)
     return Verdict(True, TightAllocationTable(tuple((d, points[d]) for d in coalitions)))

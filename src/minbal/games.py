@@ -16,6 +16,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from random import Random
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -294,12 +295,10 @@ def _parse_value(raw: object, where: str) -> Fraction:
     if isinstance(raw, str):
         if not _VALUE_RE.match(raw):
             raise GameFormatError(f"{where}: {raw!r} is not a decimal integer or p/q rational")
-        value = Fraction(raw)
-        if "/" in raw:
-            p, q = raw.split("/")
-            if int(q) <= 0 or Fraction(int(p), int(q)) != value or (value.numerator, value.denominator) != (int(p), int(q)):
-                raise GameFormatError(f"{where}: {raw!r} is not a reduced rational with positive denominator")
-        return value
+        p, _, q = raw.partition("/")
+        if q and (int(q) == 0 or gcd(int(p), int(q)) != 1):
+            raise GameFormatError(f"{where}: {raw!r} is not a reduced rational with positive denominator")
+        return Fraction(raw)
     raise GameFormatError(f"{where}: values must be integers or rational strings, got {type(raw).__name__}")
 
 

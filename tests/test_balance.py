@@ -4,6 +4,7 @@ import logging
 from fractions import Fraction as F
 from itertools import combinations, permutations
 from math import gcd
+from random import Random
 
 import pytest
 
@@ -206,9 +207,9 @@ class TestOrderlySearch:
         _types.clear()
         systems = _enumerate_size(c)
         filled = dict(_types)
-        assert set(filled) == {(m.system.members, c) for m in systems}
+        assert set(filled) == {m.system.members for m in systems}
         p = letters(c)
-        for (members, _), (canonical, orbit) in filled.items():
+        for members, (canonical, orbit) in filled.items():
             _types.clear()
             assert canonical_type(SetSystem(members), p) == (SetSystem(canonical), orbit)
         assert len({canonical for canonical, _ in filled.values()}) == BALANCED_COUNTS[c][1]
@@ -284,6 +285,27 @@ class TestCanonicalType:
         }
         assert canon.members in images
         assert orbit == len(images)
+
+    @staticmethod
+    def _full_scan(system, n):
+        images = {
+            tuple(sorted(permute_coalition(m, perm) for m in system.members))
+            for perm in permutations(range(n))
+        }
+        return SetSystem(min(images)), len(images)
+
+    def test_carrier_classification_matches_full_scan(self, p5):
+        # classifying on the system's own carrier gives the least image
+        # and the orbit size of a scan over all n! relabellings
+        for carrier in range(1, p5.full_mask + 1):
+            for mbs in enumerate_min_balanced(p5, carrier):
+                assert canonical_type(mbs.system, p5) == self._full_scan(mbs.system, 5)
+        p6 = letters(6)
+        rng = Random(613)
+        for _ in range(80):
+            universe = range(1, rng.choice([8, 16, 32, 64]))
+            system = SetSystem(tuple(sorted(rng.sample(universe, rng.randint(1, min(6, len(universe)))))))
+            assert canonical_type(system, p6) == self._full_scan(system, 6)
 
     def test_orbit_table_matches_recomputation(self, p4):
         systems = [m.system for m in enumerate_min_balanced(p4, p4.full_mask)]

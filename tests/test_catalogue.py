@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from minbal import balance
 from minbal.balance import InequalityVector, _enumerate_size, _types, canonical_type, system_of
 from minbal.catalogue import (
     CatalogueFormatError,
@@ -406,6 +407,23 @@ class TestDeterminism:
             if other != cone:
                 generate(p4, other)
         assert serialize(generate(p4, cone)) == cold
+
+    def test_six_players_classify_on_their_carriers(self, monkeypatch):
+        # every exact-conjecture system has a proper carrier, so no scan
+        # of the 720 relabellings of six players runs
+        real = balance._perm_tables
+        sizes = []
+
+        def recording(n):
+            sizes.append(n)
+            return real(n)
+
+        monkeypatch.setattr(balance, "_perm_tables", recording)
+        _enumerate_size.cache_clear()
+        _types.clear()
+        generate(letters(6), "exact-conjecture")
+        assert 6 not in sizes
+        assert len(_types) == sum(len(_enumerate_size(c)) for c in range(2, 6))
 
     def test_repeated_runs_byte_identical(self, p3):
         assert serialize(generate(p3, "balanced")) == serialize(generate(p3, "balanced"))

@@ -133,6 +133,13 @@ class TestCheck:
         assert main(["check", "--game", str(bad), "--cone", "balanced"]) == 2
         assert "missing coalition key" in capsys.readouterr().err
 
+    def test_zero_denominator_is_an_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"players": ["a","b"], "values": {"": "0", "a": "1/0", "b": "0", "ab": "0"}}')
+        assert main(["check", "--game", str(bad), "--cone", "balanced"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'1/0'" in err
+
 
 class TestVerify:
     @pytest.mark.parametrize("players", [2, 3, 4])

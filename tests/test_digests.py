@@ -1,7 +1,9 @@
-"""Byte-level regression pins: SHA-256 of every catalogue on two to four
-players and of the balanced and totally balanced catalogues on five, in
-JSON and text, and of every ``enumerate --players 4`` output.  A change that keeps the mathematics keeps every byte; one that
-means to change an output updates its digest here."""
+"""Byte-level regression pins: SHA-256 of every catalogue on two to five
+players and of the exact-conjecture catalogue on six, in JSON and text,
+and of every ``enumerate --players 4`` output.  The exact-conjecture
+catalogues on five and six players classify systems on proper carriers.
+A change that keeps the mathematics keeps every byte; one that means to
+change an output updates its digest here."""
 
 import hashlib
 
@@ -33,6 +35,10 @@ CATALOGUE_DIGESTS = {
     (5, "balanced", "text"): "922a7161fe73df047c4c8dc3d70702994849f6a0f5ecda782761acb10fdfd4b1",
     (5, "totally-balanced", "json"): "2ee28bd184b6c8783aa3df2c5c544493881dd7e0e66a26961c689ca74c0b2681",
     (5, "totally-balanced", "text"): "20ea61b24ac6a1b3b5daab121e67db59f6fd2897e0e18a4b2f11e5b6b8996ba9",
+    (5, "exact-conjecture", "json"): "0b5ab8ed4292f3f2ade26ba62f65961491109a971b66a593e40717ca33015edc",
+    (5, "exact-conjecture", "text"): "7729b6b6a543de0132fd6290c7cd379da6ec2a9700f079728a0a9090df4cbc31",
+    (6, "exact-conjecture", "json"): "d1d6d9bfab55b3c9fa09607709ba31fe52544df413bed475e91b8a4fedff48cd",
+    (6, "exact-conjecture", "text"): "49bdd6cdd6e21e732cfb115808cd0fdc41540e26b67a0af84cf085a69e03595f",
 }
 
 #: (carrier size, format, --types-only, --irreducible-only) -> SHA-256 of

@@ -295,6 +295,7 @@ class TestGameJson:
             ('{"players": ["a","b"], "values": {"": "0", "a": "0", "b": "0", "ab": "0", "x": "1"}}', "unknown coalition"),
             ('{"players": ["a","b"], "values": {"": "0", "a": "0.5", "b": "0", "ab": "0"}}', "not a decimal integer"),
             ('{"players": ["a","b"], "values": {"": "0", "a": "2/4", "b": "0", "ab": "0"}}', "reduced"),
+            ('{"players": ["a","b"], "values": {"": "0", "a": "1/0", "b": "0", "ab": "0"}}', "positive denominator"),
             ('{"players": ["a","b"], "values": {"": "0", "a": 0.5, "b": 0, "ab": 0}}', "integers or rational strings"),
             ('{"players": ["a","b"], "values": {"": "1", "a": "0", "b": "0", "ab": "0"}}', "empty coalition"),
             ('{"players": ["a","a"], "values": {}}', "players"),
