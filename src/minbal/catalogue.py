@@ -12,10 +12,11 @@ Three catalogues are generated from min-balanced systems:
   conjecture in every output.
 
 Entries are identified by their full coefficient vector, ordered
-canonically, classified into permutational types, and serialized to a
-bit-exact JSON format or a per-type text listing.  ``generate`` is the
-only builder of entries: a catalogue is a fixed function of its players
-and cone, so ``parse`` regenerates it and compares the file with it.
+canonically, typed on the first players of their carrier size, and
+serialized to a bit-exact JSON format or a per-type text listing.
+``generate`` is the only builder of entries: a catalogue is a fixed
+function of its players and cone, so ``parse`` regenerates it and
+compares the file with it.
 """
 
 from __future__ import annotations
@@ -24,20 +25,23 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, Union
+from json.encoder import encode_basestring
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .balance import (
     ENUM_PLAYER_CAP,
     InequalityVector,
     MinBalancedSystem,
     SetSystem,
+    _bit_positions,
+    _relabel,
     canonical_type,
     complement_system,
     enumerate_min_balanced,
     is_min_balanced,  # not called here: perfbench/spans.py wraps it at this lookup site
 )
 from .cones import conjugate
-from .games import Players, _read_document
+from .games import Players, _read_document, relabelling
 from .reduction import is_reducible
 from .reference import BALANCED_COUNTS, EXACT_FACET_COUNTS, TOTALLY_BALANCED_COUNTS
 
@@ -103,37 +107,49 @@ _RECORDED_COUNTS = {
 }
 
 
-def _type_id(players: Players, system: SetSystem) -> tuple[str, int]:
-    """Type id and orbit size of a system; its conjugate's id adds ``~``."""
-    canonical, orbit = canonical_type(system, players)
-    return "|".join(players.key(m) for m in canonical.members), orbit
+def _type_id(players: Players, system: SetSystem) -> str:
+    """Type id of a system; its conjugate's id adds ``~``."""
+    return "|".join(players.key(m) for m in canonical_type(system, players)[0].members)
 
 
 #: A system's permutational type, as ``_classifier`` finds it.
-_Type = NamedTuple("_Type", [("canonical", SetSystem), ("type_id", str), ("orbit", int), ("irreducible", bool)])
+_Type = NamedTuple("_Type", [("canonical", SetSystem), ("type_id", str), ("orbit", int), ("irreducible", bool), ("complement_id", Optional[str])])
 
 
-def _classifier(players: Players) -> Callable[[MinBalancedSystem], _Type]:
-    """The type of a system, from one ``canonical_type`` call.  Its id
-    and ``is_reducible`` verdict are found once per type: relabelling the
-    players maps reduction witnesses onto reduction witnesses."""
+def _classifier(players: Players, complements: bool = False) -> Callable[[MinBalancedSystem], _Type]:
+    """The type of a system, from one ``canonical_type`` call.  Its id,
+    ``is_reducible`` verdict and, with ``complements``, complement type id
+    are found once per type: relabelling the players commutes with both."""
     memo: dict[SetSystem, _Type] = {}
 
     def classify(mbs: MinBalancedSystem) -> _Type:
         canonical, orbit = canonical_type(mbs.system, players)
         if canonical not in memo:
             type_id = "|".join(players.key(m) for m in canonical.members)
-            memo[canonical] = _Type(canonical, type_id, orbit, is_reducible(mbs) is None)
+            complement_id = _type_id(players, complement_system(mbs.system, players)) if complements else None
+            memo[canonical] = _Type(canonical, type_id, orbit, is_reducible(mbs) is None, complement_id)
         return memo[canonical]
 
     return classify
 
 
+def _classified(players: Players, c: int, classify: Callable[[MinBalancedSystem], _Type]) -> list[tuple[MinBalancedSystem, _Type]]:
+    """The systems on the first ``c`` players, in canonical order, each with its type."""
+    return [(mbs, classify(mbs)) for mbs in enumerate_min_balanced(players, (1 << c) - 1)]
+
+
+def _renamed(carrier: int, systems: list[tuple[MinBalancedSystem, _Type]]) -> list[tuple[MinBalancedSystem, _Type]]:
+    """Systems on the first c players renamed onto a carrier of c players, in their order."""
+    table = relabelling(_bit_positions(carrier))
+    return [(_relabel(mbs, table), kind) for mbs, kind in systems]
+
+
 def generate(players: Players, cone: Union[ConeKind, str]) -> Catalogue:
     """Generate the facet catalogue of a cone.
 
-    Deterministic: only carriers the cone can admit are searched, in
-    increasing bitmask order, so the entries come out in canonical order.
+    Deterministic: admission is decided per type on the first c players
+    of each carrier size c the cone admits; the admitted systems are
+    renamed onto the carriers, in canonical order.
     """
     cone = ConeKind(cone)
     n = players.n
@@ -143,11 +159,13 @@ def generate(players: Players, cone: Union[ConeKind, str]) -> Catalogue:
         raise ValueError("the exact-cone conjecture catalogue needs at least 3 players")
     sizes = {ConeKind.BALANCED: [n], ConeKind.TOTALLY_BALANCED: range(2, n + 1),
              ConeKind.EXACT_CONJECTURE: range(2, n)}[cone]
-    carriers = [m for m in range(players.full_mask + 1) if m.bit_count() in sizes]
-    classify = _classifier(players)
+    balanced = cone is ConeKind.BALANCED  # the one cone admitting reducible systems
+    classify = _classifier(players, complements=balanced)
+    kept = {c: [(mbs, kind) for mbs, kind in _classified(players, c, classify) if balanced or kind.irreducible] for c in sizes}
     entries = tuple(
-        e for m in carriers for mbs in enumerate_min_balanced(players, m)
-        for e in _entries_of(players, cone, mbs, classify(mbs))
+        e for m in range(players.full_mask + 1) if m.bit_count() in kept
+        for mbs, kind in _renamed(m, kept[m.bit_count()])
+        for e in _entries_of(players, cone, mbs, kind)
     )
     if len({e.alpha.items for e in entries}) != len(entries):
         raise RuntimeError("catalogue entries collide as coefficient vectors")
@@ -155,22 +173,9 @@ def generate(players: Players, cone: Union[ConeKind, str]) -> Catalogue:
 
 
 def _entries_of(players: Players, cone: ConeKind, mbs: MinBalancedSystem, kind: _Type) -> tuple[CatalogueEntry, ...]:
-    """The entries a non-trivial min-balanced system contributes to a cone.
-
-    ``balanced`` admits the systems on the full carrier,
-    ``totally-balanced`` the irreducible ones and ``exact-conjecture``
-    the irreducible ones with proper carrier, each followed by its
-    conjugate.  Its one caller is ``generate``.
-    """
-    full = mbs.carrier == players.full_mask
-    admitted = {ConeKind.BALANCED: full, ConeKind.TOTALLY_BALANCED: kind.irreducible,
-                ConeKind.EXACT_CONJECTURE: kind.irreducible and not full}
-    if not admitted[cone]:
-        return ()
-    complement_id = None
-    if cone is ConeKind.BALANCED:
-        complement_id, _ = _type_id(players, complement_system(mbs.system, players))
-    entry = CatalogueEntry(mbs, mbs.alpha, kind.irreducible, False, kind.type_id, kind.orbit, complement_id)
+    """An admitted system's entry, followed in ``exact-conjecture`` by its
+    conjugate.  Its one caller is ``generate``."""
+    entry = CatalogueEntry(mbs, mbs.alpha, kind.irreducible, False, kind.type_id, kind.orbit, kind.complement_id)
     if cone is not ConeKind.EXACT_CONJECTURE:
         return (entry,)
     return entry, CatalogueEntry(mbs, conjugate(mbs.alpha, players), kind.irreducible, True, "~" + kind.type_id, kind.orbit)
@@ -284,19 +289,56 @@ def _entry_payload(players: Players, e: CatalogueEntry) -> dict:
     return payload
 
 
+def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """Rendered items as ``json.dumps(indent=2)`` writes a list, or an object with ``"{}"``, at ``pad``."""
+    if not items:
+        return brackets
+    inner = "\n" + pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
+
+
+def _json_entries(catalogue: Catalogue) -> Iterator[str]:
+    """Each entry's ``_entry_payload`` as ``serialize`` writes it in the
+    ``entries`` list; every coalition's key and name list is rendered once."""
+    players = catalogue.players
+    coalitions = players.coalitions()
+    keys = [encode_basestring(players.key(m)) for m in coalitions]
+    names = [[encode_basestring(name) for name in players.member_names(m)] for m in coalitions]
+    members = [_json_block(names[m], " " * 8) for m in coalitions]
+    carriers = [_json_block(names[m], " " * 6) for m in coalitions]
+    for e in catalogue.entries:
+        mbs = e.mbs
+        fields = [
+            '"system": ' + _json_block([members[m] for m in mbs.system.members], " " * 6),
+            '"carrier": ' + carriers[mbs.carrier],
+            '"weights": ' + _json_block([f'{keys[m]}: "{w}"' for m, w in zip(mbs.system.members, mbs.weights)], " " * 6, "{}"),
+            f'"k": {mbs.k}',
+            '"alpha": ' + _json_block([f"{keys[s]}: {c}" for s, c in e.alpha.items], " " * 6, "{}"),
+            '"irreducible": ' + str(e.irreducible).lower(),
+            '"conjugated": ' + str(e.conjugated).lower(),
+            '"type_id": ' + encode_basestring(e.type_id),
+            f'"orbit_size": {e.orbit_size}',
+        ]
+        if e.complement_type_id is not None:
+            fields.append('"complement_type": ' + encode_basestring(e.complement_type_id))
+        yield _json_block(fields, " " * 4, "{}")
+
+
 def serialize(catalogue: Catalogue, format: str = "json") -> bytes:
-    """Serialize a catalogue; ``parse`` inverts the JSON format bit-exactly."""
+    """Serialize a catalogue; ``parse`` inverts the JSON format bit-exactly.
+
+    The JSON bytes are ``json.dumps(indent=2, ensure_ascii=False)`` of the
+    players, cone, conjecture flag and every ``_entry_payload``."""
     if format == "text":
         return ("\n".join(_text_lines(catalogue)) + "\n").encode("utf-8")
     if format != "json":
         raise ValueError(f"unknown format {format!r}")
-    payload = {
-        "players": list(catalogue.players.names),
-        "cone": catalogue.cone.value,
-        "conjecture": catalogue.conjecture,
-        "entries": [_entry_payload(catalogue.players, e) for e in catalogue.entries],
-    }
-    return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return (_json_block([
+        '"players": ' + _json_block([encode_basestring(name) for name in catalogue.players.names], "  "),
+        '"cone": ' + encode_basestring(catalogue.cone.value),
+        '"conjecture": ' + str(catalogue.conjecture).lower(),
+        '"entries": ' + _json_block(list(_json_entries(catalogue)), "  "),
+    ], "", "{}") + "\n").encode("utf-8")
 
 
 def _first_difference(expected: dict, raw) -> Optional[str]:

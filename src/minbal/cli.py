@@ -18,7 +18,7 @@ from random import Random
 from typing import Optional
 
 from . import catalogue as cat
-from .balance import enumerate_min_balanced, system_of
+from .balance import system_of
 from .cones import (
     CoreAllocation,
     FailingSubgame,
@@ -105,9 +105,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     size = args.carrier_size if args.carrier_size is not None else players.n
     if not 1 <= size <= players.n:
         raise ValueError(f"carrier size must be between 1 and {players.n}")
-    carriers = [m for m in range(players.full_mask + 1) if m.bit_count() == size]
-    classify = cat._classifier(players)
-    systems = [(mbs, classify(mbs)) for m in sorted(carriers) for mbs in enumerate_min_balanced(players, m)]
+    # Classified on the first carrier, the first `size` players, which holds every type.
+    systems = cat._classified(players, size, cat._classifier(players))
     if args.irreducible_only:
         systems = [(mbs, kind) for mbs, kind in systems if kind.irreducible]
 
@@ -133,6 +132,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 print(f"   {cat.render_inequality(mbs.alpha, players)}")
         return 0
 
+    systems = [pair for m in range(players.full_mask + 1) if m.bit_count() == size for pair in cat._renamed(m, systems)]
     if args.format == "json":
         doc = [cat._system_payload(players, mbs) | {"irreducible": kind.irreducible} for mbs, kind in systems]
         print(json.dumps(doc, indent=2, ensure_ascii=False))
@@ -260,7 +260,7 @@ def _suite_appendix(args: argparse.Namespace):
                   entries_expected, len(catalogue.entries)))
     items.append(("type count", len(catalogue.types) == types_expected,
                   types_expected, len(catalogue.types)))
-    tid_of = {ref.number: cat._type_id(players, system_of(players, *ref.system))[0] for ref in APPENDIX[n]}
+    tid_of = {ref.number: cat._type_id(players, system_of(players, *ref.system)) for ref in APPENDIX[n]}
     by_system = {e.mbs.system: e for e in catalogue.entries}
     for ref in APPENDIX[n]:
         label = "{" + ", ".join(ref.system) + "}"

@@ -66,8 +66,10 @@ APPENDIX: dict[int, tuple[AppendixType, ...]] = {
 BALANCED_COUNTS = {2: (1, 1), 3: (5, 3), 4: (41, 9), 5: (1291, 44)}
 
 #: Facet counts and type counts of the totally balanced cone: the
-#: irreducible systems on every carrier with at least two players.
-TOTALLY_BALANCED_COUNTS = {2: (1, 1), 3: (7, 3), 4: (40, 8), 5: (428, 23)}
+#: irreducible systems on every carrier with at least two players.  The
+#: 6-player counts come from this code alone: 4186 / 2 proper-carrier
+#: systems (the exact-conjecture table) and 35,052 full-carrier ones.
+TOTALLY_BALANCED_COUNTS = {2: (1, 1), 3: (7, 3), 4: (40, 8), 5: (428, 23), 6: (37145, 154)}
 
 #: Facet counts and type counts of the conjectured exact catalogue.  The
 #: 2-player column comes from the balanced catalogue, where the exact and

@@ -1,12 +1,14 @@
 """Shared fixtures: example games from the worked examples and session
 catalogues (expensive to generate, shared read-only)."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from minbal import anti_dual, game_of, generate, letters, lp_feasible
 from minbal.balance import MinBalancedSystem, SetSystem, normalize
+from minbal.catalogue import _entry_payload
 from minbal.linalg import augment, reduce_mod_rows
 
 
@@ -18,6 +20,18 @@ def permute_coalition(coalition: int, perm: tuple[int, ...]) -> int:
         if coalition >> i & 1:
             bits |= 1 << perm[i]
     return bits
+
+
+def reference_serialize(catalogue):
+    """The JSON bytes of a catalogue from ``json.dumps`` of its payload: a
+    reference for the emitter behind ``catalogue.serialize``."""
+    payload = {
+        "players": list(catalogue.players.names),
+        "cone": catalogue.cone.value,
+        "conjecture": catalogue.conjecture,
+        "entries": [_entry_payload(catalogue.players, e) for e in catalogue.entries],
+    }
+    return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
 def fraction_lp_feasible(inequality_rows, equality_rows, rhs):

@@ -27,6 +27,8 @@ from minbal.games import (
 )
 from minbal.reduction import is_reducible
 
+from conftest import reference_serialize
+
 CONES = ["balanced", "totally-balanced", "exact-conjecture"]
 
 
@@ -223,6 +225,21 @@ class TestSerialization:
     def test_unknown_format(self, balanced3):
         with pytest.raises(ValueError):
             serialize(balanced3, "yaml")
+
+    @pytest.mark.parametrize(
+        "n, cone",
+        [(n, cone) for n in range(2, 6) for cone in CONES if (n, cone) != (2, "exact-conjecture")]
+        + [(6, "exact-conjecture")],
+    )
+    def test_json_matches_reference_encoder(self, n, cone):
+        catalogue = generate(letters(n), cone)
+        assert serialize(catalogue) == reference_serialize(catalogue)
+
+    @pytest.mark.parametrize("names", [("x1", "y", "ü"), ('a"', "b\\", "c\n"), ("α", "β", "γ")], ids=["digit", "escapes", "greek"])
+    @pytest.mark.parametrize("cone", CONES)
+    def test_json_escapes_names_like_reference_encoder(self, names, cone):
+        catalogue = generate(Players(names), cone)
+        assert serialize(catalogue) == reference_serialize(catalogue)
 
     def test_tampered_alpha_rejected(self, balanced3):
         import json
@@ -424,6 +441,41 @@ class TestDeterminism:
         generate(letters(6), "exact-conjecture")
         assert 6 not in sizes
         assert len(_types) == sum(len(_enumerate_size(c)) for c in range(2, 6))
+
+    def test_complements_found_once_per_type(self, monkeypatch):
+        import minbal.catalogue
+
+        calls = []
+        real = minbal.catalogue.complement_system
+
+        def counting(system, players):
+            calls.append(system)
+            return real(system, players)
+
+        monkeypatch.setattr(minbal.catalogue, "complement_system", counting)
+        _enumerate_size.cache_clear()
+        _types.clear()
+        generate(letters(5), "balanced")
+        assert len(calls) == 44  # one per type, not one per each of the 1291 systems
+
+    def test_each_system_classified_once_on_its_first_players(self, monkeypatch):
+        import minbal.catalogue
+
+        calls = []
+        real = minbal.catalogue.canonical_type
+
+        def counting(system, players):
+            calls.append(system.carrier)
+            return real(system, players)
+
+        monkeypatch.setattr(minbal.catalogue, "canonical_type", counting)
+        _enumerate_size.cache_clear()
+        _types.clear()
+        generate(letters(6), "exact-conjecture")
+        # 1 + 5 + 41 + 1291 systems on the first 2 to 5 players, not one
+        # call per renamed copy on each of the 56 carriers
+        assert len(calls) == sum(len(_enumerate_size(c)) for c in range(2, 6)) == 1338
+        assert set(calls) == {(1 << c) - 1 for c in range(2, 6)}
 
     def test_repeated_runs_byte_identical(self, p3):
         assert serialize(generate(p3, "balanced")) == serialize(generate(p3, "balanced"))
