@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb, gcd, lcm
 from operator import or_
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .games import Players, SetFunction, _player_sums, log, relabelling
 from .linalg import augment, reduce_mod_rows, solve_unique
@@ -28,6 +28,8 @@ from .linalg import augment, reduce_mod_rows, solve_unique
 #: Enumeration and catalogue generation search all subsets of the carrier,
 #: so they are capped harder than the membership oracles.
 ENUM_PLAYER_CAP = 6
+
+_Tag = TypeVar("_Tag")
 
 
 @dataclass(frozen=True)
@@ -230,7 +232,8 @@ def complement_system(system: SetSystem, players: Players) -> SetSystem:
 
 @lru_cache(maxsize=None)
 def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
-    """All non-trivial min-balanced systems on the carrier ``(1 << c) - 1``.
+    """One non-trivial min-balanced system of each permutational type on
+    the carrier ``(1 << c) - 1``: its lex-least system, in canonical order.
 
     An orderly DFS (Read 1978; McKay 1998) over candidate members in
     increasing bitmask order.  Candidates are the nonempty proper subsets
@@ -244,11 +247,8 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
     S + x, and every prefix of a type's lex-least system is lex-least.
     When the carrier's incidence vector already lies in the chosen span,
     no proper superset can be min-balanced either, so the node is a leaf:
-    the unique weights are tested for strict positivity.
-
-    Each system found represents its type: its orbit from ``_orbit``,
-    renamed by ``_relabel``, is returned in its place, and the type of
-    every image is recorded for ``canonical_type``.
+    the unique weights are tested for strict positivity.  No leaf extends
+    another, so the DFS meets the leaves in canonical order.
 
     The chosen members are kept as augmented echelon rows
     ``chi_S ⊕ e_depth`` over ``c`` coordinates, with ``e_depth`` of
@@ -259,7 +259,13 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
     Of two sets of equal size, the one holding the smallest coalition
     they do not share sorts first and has the larger mask, so the chosen
     members are lex-least exactly when their own mask is the largest.
+
+    A search for ``c >= 6``, run only on a cache miss, logs a warning
+    first: on a 2-core machine the 6-player catalogues, their ``parse``
+    and the full enumeration took 8-22 s and 50-280 MB (single runs).
     """
+    if c >= 6:
+        log.warning("enumerating min-balanced systems on a %d-player carrier: expect up to 25 s and 300 MB", c)
     full = (1 << c) - 1
     candidates = list(range(1, full))
     ncand = len(candidates)
@@ -271,11 +277,6 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
     marks = [tuple(1 << (full - table[s]) for table in tables) for s in range(full)]
     found: list[MinBalancedSystem] = []
 
-    def record(chosen: list[int], weights: tuple[Fraction, ...]) -> None:
-        k, alpha = normalize(dict(zip(chosen, weights)))
-        representative = MinBalancedSystem(SetSystem(tuple(chosen)), weights, k, alpha)
-        found.extend(_relabel(representative, table) for table in _orbit(representative.system.members, c).values())
-
     def visit(start: int, chosen: list[int], union: int, rows: list, images: list[int]) -> None:
         depth = len(chosen)
         if union == full:
@@ -283,7 +284,9 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
             if piv >= c:
                 lead = r[2 * c]
                 if all(r[c + j] and (r[c + j] > 0) != (lead > 0) for j in range(depth)):
-                    record(chosen, tuple(Fraction(-r[c + j], lead) for j in range(depth)))
+                    weights = tuple(Fraction(-r[c + j], lead) for j in range(depth))
+                    k, alpha = normalize(dict(zip(chosen, weights)))
+                    found.append(MinBalancedSystem(SetSystem(tuple(chosen)), weights, k, alpha))
                 return
         for i in range(start, ncand):
             if union | suffix_cover[i] != full:
@@ -301,7 +304,7 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
                 chosen.pop()
 
     visit(0, [], 0, [], [0] * len(tables))
-    return tuple(sorted(found, key=lambda m: m.system.members))
+    return tuple(found)
 
 
 def _relabel(mbs: MinBalancedSystem, table: Sequence[int]) -> MinBalancedSystem:
@@ -312,15 +315,28 @@ def _relabel(mbs: MinBalancedSystem, table: Sequence[int]) -> MinBalancedSystem:
     return MinBalancedSystem(SetSystem(members), weights, mbs.k, alpha)
 
 
+def _expand(types: Sequence[tuple[MinBalancedSystem, _Tag]], c: int) -> list[tuple[MinBalancedSystem, _Tag]]:
+    """The ``_orbit`` images of representatives on the first ``c`` players,
+    renamed by ``_relabel``, in canonical order, with their tags."""
+    images = [(_relabel(rep, table), tag) for rep, tag in types for table in _orbit(rep.system.members, c).values()]
+    images.sort(key=lambda image: image[0].system.members)
+    return images
+
+
+def _renamed(images: list[tuple[MinBalancedSystem, _Tag]], carrier: int) -> list[tuple[MinBalancedSystem, _Tag]]:
+    """Systems on the first c players renamed onto a carrier of c players, in their order."""
+    if carrier == (1 << carrier.bit_count()) - 1:
+        return images
+    table = relabelling(_bit_positions(carrier))
+    return [(_relabel(mbs, table), tag) for mbs, tag in images]
+
+
 def enumerate_min_balanced(players: Players, carrier: int) -> tuple[MinBalancedSystem, ...]:
     """All non-trivial min-balanced systems with exactly the given carrier.
 
-    Output is in canonical order (lexicographic by member bitmask list).
-    One search per carrier size, on the first ``c`` players, is cached
-    for the life of the process and renamed onto the carrier's players;
-    the renaming keeps the bit order, the weights and ``k``.  A 6-player
-    carrier logs a warning first: that search took 15 s and about 300 MB
-    (200,213 systems in 582 types, a single run on a 2-core machine).
+    Output is in canonical order (lexicographic by member bitmask list):
+    the orbits of the cached type representatives of the carrier's size,
+    renamed onto its players, which keeps the bit order, weights and ``k``.
     """
     players._check(carrier)
     if carrier == 0:
@@ -328,10 +344,7 @@ def enumerate_min_balanced(players: Players, carrier: int) -> tuple[MinBalancedS
     if players.n > ENUM_PLAYER_CAP:
         raise ValueError(f"enumeration is capped at {ENUM_PLAYER_CAP} players")
     c = carrier.bit_count()
-    if c >= 6:
-        log.warning("enumerating min-balanced systems on a %d-player carrier: expect about 15 s and 300 MB", c)
-    table = relabelling(_bit_positions(carrier))
-    return tuple(_relabel(mbs, table) for mbs in _enumerate_size(c))
+    return tuple(mbs for mbs, _ in _renamed(_expand([(rep, None) for rep in _enumerate_size(c)], c), carrier))
 
 
 # -- permutational types -----------------------------------------------

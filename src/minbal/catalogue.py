@@ -26,22 +26,25 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from math import comb
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .balance import (
     ENUM_PLAYER_CAP,
     InequalityVector,
     MinBalancedSystem,
     SetSystem,
-    _bit_positions,
-    _relabel,
+    _enumerate_size,
+    _expand,
+    _orbit,
+    _renamed,
     canonical_type,
     complement_system,
-    enumerate_min_balanced,
+    enumerate_min_balanced,  # not called here: perfbench/spans.py wraps it at this lookup site
     is_min_balanced,  # not called here: perfbench/spans.py wraps it at this lookup site
 )
 from .cones import conjugate
-from .games import Players, _read_document, relabelling
+from .games import Players, _read_document
 from .reduction import is_reducible
 from .reference import BALANCED_COUNTS, EXACT_FACET_COUNTS, TOTALLY_BALANCED_COUNTS
 
@@ -112,44 +115,29 @@ def _type_id(players: Players, system: SetSystem) -> str:
     return "|".join(players.key(m) for m in canonical_type(system, players)[0].members)
 
 
-#: A system's permutational type, as ``_classifier`` finds it.
-_Type = NamedTuple("_Type", [("canonical", SetSystem), ("type_id", str), ("orbit", int), ("irreducible", bool), ("complement_id", Optional[str])])
+#: What a catalogue records of a permutational type.
+_Type = NamedTuple("_Type", [("type_id", str), ("orbit", int), ("irreducible", bool), ("complement_id", Optional[str])])
 
 
-def _classifier(players: Players, complements: bool = False) -> Callable[[MinBalancedSystem], _Type]:
-    """The type of a system, from one ``canonical_type`` call.  Its id,
-    ``is_reducible`` verdict and, with ``complements``, complement type id
-    are found once per type: relabelling the players commutes with both."""
-    memo: dict[SetSystem, _Type] = {}
-
-    def classify(mbs: MinBalancedSystem) -> _Type:
-        canonical, orbit = canonical_type(mbs.system, players)
-        if canonical not in memo:
-            type_id = "|".join(players.key(m) for m in canonical.members)
-            complement_id = _type_id(players, complement_system(mbs.system, players)) if complements else None
-            memo[canonical] = _Type(canonical, type_id, orbit, is_reducible(mbs) is None, complement_id)
-        return memo[canonical]
-
-    return classify
-
-
-def _classified(players: Players, c: int, classify: Callable[[MinBalancedSystem], _Type]) -> list[tuple[MinBalancedSystem, _Type]]:
-    """The systems on the first ``c`` players, in canonical order, each with its type."""
-    return [(mbs, classify(mbs)) for mbs in enumerate_min_balanced(players, (1 << c) - 1)]
-
-
-def _renamed(carrier: int, systems: list[tuple[MinBalancedSystem, _Type]]) -> list[tuple[MinBalancedSystem, _Type]]:
-    """Systems on the first c players renamed onto a carrier of c players, in their order."""
-    table = relabelling(_bit_positions(carrier))
-    return [(_relabel(mbs, table), kind) for mbs, kind in systems]
+def _types_on(players: Players, c: int, complements: bool = False) -> list[tuple[MinBalancedSystem, _Type]]:
+    """Each type of non-trivial min-balanced system on the first ``c``
+    players, in canonical order: its lex-least system and what is found
+    from that alone, as relabelling the players commutes with all of it."""
+    if players.n > ENUM_PLAYER_CAP:
+        raise ValueError(f"enumeration is capped at {ENUM_PLAYER_CAP} players")
+    types = []
+    for rep in _enumerate_size(c):
+        complement_id = _type_id(players, complement_system(rep.system, players)) if complements else None
+        orbit = len(_orbit(rep.system.members, c)) * comb(players.n, c)
+        types.append((rep, _Type("|".join(map(players.key, rep.system.members)), orbit, is_reducible(rep) is None, complement_id)))
+    return types
 
 
 def generate(players: Players, cone: Union[ConeKind, str]) -> Catalogue:
     """Generate the facet catalogue of a cone.
 
-    Deterministic: admission is decided per type on the first c players
-    of each carrier size c the cone admits; the admitted systems are
-    renamed onto the carriers, in canonical order.
+    Deterministic: each type of each carrier size c is classified once, on
+    the first c players; only admitted orbits are expanded onto carriers.
     """
     cone = ConeKind(cone)
     n = players.n
@@ -160,11 +148,10 @@ def generate(players: Players, cone: Union[ConeKind, str]) -> Catalogue:
     sizes = {ConeKind.BALANCED: [n], ConeKind.TOTALLY_BALANCED: range(2, n + 1),
              ConeKind.EXACT_CONJECTURE: range(2, n)}[cone]
     balanced = cone is ConeKind.BALANCED  # the one cone admitting reducible systems
-    classify = _classifier(players, complements=balanced)
-    kept = {c: [(mbs, kind) for mbs, kind in _classified(players, c, classify) if balanced or kind.irreducible] for c in sizes}
+    kept = {c: _expand([(rep, kind) for rep, kind in _types_on(players, c, balanced) if balanced or kind.irreducible], c) for c in sizes}
     entries = tuple(
         e for m in range(players.full_mask + 1) if m.bit_count() in kept
-        for mbs, kind in _renamed(m, kept[m.bit_count()])
+        for mbs, kind in _renamed(kept[m.bit_count()], m)
         for e in _entries_of(players, cone, mbs, kind)
     )
     if len({e.alpha.items for e in entries}) != len(entries):

@@ -18,7 +18,7 @@ from random import Random
 from typing import Optional
 
 from . import catalogue as cat
-from .balance import system_of
+from .balance import _expand, _renamed, system_of
 from .cones import (
     CoreAllocation,
     FailingSubgame,
@@ -106,33 +106,31 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if not 1 <= size <= players.n:
         raise ValueError(f"carrier size must be between 1 and {players.n}")
     # Classified on the first carrier, the first `size` players, which holds every type.
-    systems = cat._classified(players, size, cat._classifier(players))
+    types = cat._types_on(players, size)
     if args.irreducible_only:
-        systems = [(mbs, kind) for mbs, kind in systems if kind.irreducible]
+        types = [(rep, kind) for rep, kind in types if kind.irreducible]
 
     if args.types_only:
-        rows: dict[str, tuple] = {}
-        for mbs, kind in systems:
-            rows.setdefault(kind.type_id, (mbs, kind))
         if args.format == "json":
             doc = [
                 {
                     "type_id": kind.type_id,
                     "orbit_size": kind.orbit,
                     "irreducible": kind.irreducible,
-                    "inequality": cat.render_inequality(mbs.alpha, players),
+                    "inequality": cat.render_inequality(rep.alpha, players),
                 }
-                for mbs, kind in rows.values()
+                for rep, kind in types
             ]
             print(json.dumps(doc, indent=2, ensure_ascii=False))
         else:
-            for i, (mbs, kind) in enumerate(rows.values(), start=1):
+            for i, (rep, kind) in enumerate(types, start=1):
                 note = "   irreducible" if kind.irreducible else ""
-                print(f"{i}. {cat._render_system(players, kind.canonical)}   {kind.orbit}x{note}")
-                print(f"   {cat.render_inequality(mbs.alpha, players)}")
+                print(f"{i}. {cat._render_system(players, rep.system)}   {kind.orbit}x{note}")
+                print(f"   {cat.render_inequality(rep.alpha, players)}")
         return 0
 
-    systems = [pair for m in range(players.full_mask + 1) if m.bit_count() == size for pair in cat._renamed(m, systems)]
+    first = _expand(types, size)
+    systems = [pair for m in range(players.full_mask + 1) if m.bit_count() == size for pair in _renamed(first, m)]
     if args.format == "json":
         doc = [cat._system_payload(players, mbs) | {"irreducible": kind.irreducible} for mbs, kind in systems]
         print(json.dumps(doc, indent=2, ensure_ascii=False))
@@ -155,7 +153,8 @@ def _cmd_catalogue(args: argparse.Namespace) -> int:
             fh.write(blob)
         print(f"wrote {len(blob)} bytes to {args.out}", file=sys.stderr)
     else:
-        sys.stdout.write(blob.decode("utf-8"))
+        sys.stdout.flush()
+        sys.stdout.buffer.write(blob)
     return 0
 
 

@@ -1,5 +1,6 @@
 """Min-balanced systems: detection, normalization, enumeration, symmetry."""
 
+import json
 import logging
 from fractions import Fraction as F
 from itertools import combinations, permutations
@@ -8,9 +9,11 @@ from random import Random
 
 import pytest
 
+from minbal import balance
 from minbal.balance import (
     SetSystem,
     _enumerate_size,
+    _expand,
     _types,
     canonical_type,
     complement_system,
@@ -19,7 +22,8 @@ from minbal.balance import (
     normalize,
     system_of,
 )
-from minbal.catalogue import generate
+from minbal.catalogue import generate, parse
+from minbal.cli import main
 from minbal.cones import conjugate
 from conftest import lp_conic_feasible, permute_coalition, plain_enumerate_size
 from minbal.games import letters
@@ -182,15 +186,41 @@ class TestEnumerate:
                 assert (mbs.weights, mbs.k, mbs.alpha) == (direct.weights, direct.k, direct.alpha)
 
     def test_six_player_carrier_warns_before_searching(self, monkeypatch, caplog):
-        sizes = []
-        monkeypatch.setattr("minbal.balance._enumerate_size", lambda c: sizes.append(c) or ())
+        # every entry point that starts the 6-player search warns once, on
+        # the cache miss, before the search builds its 720 relabellings
+        class Stop(Exception):
+            pass
+
+        real = balance._perm_tables
+        warnings_at_search = []
+
+        def stop_at_six(n):
+            if n == 6:
+                warnings_at_search.append([r.getMessage() for r in caplog.records if r.levelno == logging.WARNING])
+                raise Stop
+            return real(n)
+
+        monkeypatch.setattr(balance, "_perm_tables", stop_at_six)
         p6 = letters(6)
+        doc = json.dumps({"players": list(p6.names), "cone": "totally-balanced", "conjecture": False, "entries": []})
+        starts = [
+            lambda: enumerate_min_balanced(p6, p6.full_mask),
+            lambda: main(["catalogue", "--players", "6", "--cone", "totally-balanced"]),
+            lambda: parse(doc),
+            lambda: main(["enumerate", "--players", "6"]),
+        ]
+        _enumerate_size.cache_clear()
         with caplog.at_level(logging.WARNING, logger="minbal"):
-            assert enumerate_min_balanced(p6, p6.full_mask) == ()
-            enumerate_min_balanced(p6, 0b011111)
-        assert sizes == [6, 5]
-        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
-        assert len(warnings) == 1 and "6-player carrier" in warnings[0].getMessage()
+            for start in starts:
+                caplog.clear()
+                with pytest.raises(Stop):
+                    start()
+                assert len([r for r in caplog.records if r.levelno == logging.WARNING]) == 1
+            caplog.clear()
+            assert len(enumerate_min_balanced(p6, 0b011111)) == 1291
+            assert not caplog.records
+        assert len(warnings_at_search) == 4
+        assert all(len(w) == 1 and "6-player carrier" in w[0] for w in warnings_at_search)
 
 
 class TestOrderlySearch:
@@ -199,20 +229,32 @@ class TestOrderlySearch:
         def fields(systems):
             return [(m.system, m.weights, m.k, m.alpha) for m in systems]
 
-        assert fields(_enumerate_size(c)) == fields(plain_enumerate_size(c))
+        expanded = [mbs for mbs, _ in _expand([(rep, None) for rep in _enumerate_size(c)], c)]
+        assert fields(expanded) == fields(plain_enumerate_size(c))
 
     @pytest.mark.parametrize("c", [2, 3, 4, 5])
     def test_orbit_fill_matches_cold_scan(self, c):
+        # the search yields each type's canonical form, in canonical order,
+        # and records nothing; expanding them records every system's type
         _enumerate_size.cache_clear()
         _types.clear()
-        systems = _enumerate_size(c)
-        filled = dict(_types)
-        assert set(filled) == {m.system.members for m in systems}
+        representatives = _enumerate_size(c)
+        assert not _types
+        assert len(representatives) == BALANCED_COUNTS[c][1] == [1, 3, 9, 44][c - 2]
+        assert [m.system.members for m in representatives] == sorted(m.system.members for m in representatives)
         p = letters(c)
+        for rep in representatives:
+            _types.clear()
+            assert canonical_type(rep.system, p)[0] == rep.system
+        _types.clear()
+        images = _expand([(rep, rep.system.members) for rep in representatives], c)
+        filled = dict(_types)
+        assert set(filled) == {m.system.members for m, _ in images}
+        for mbs, canonical in images:
+            assert filled[mbs.system.members][0] == canonical
         for members, (canonical, orbit) in filled.items():
             _types.clear()
             assert canonical_type(SetSystem(members), p) == (SetSystem(canonical), orbit)
-        assert len({canonical for canonical, _ in filled.values()}) == BALANCED_COUNTS[c][1]
 
 
 class TestEnumeratedInvariants:

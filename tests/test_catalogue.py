@@ -440,7 +440,7 @@ class TestDeterminism:
         _types.clear()
         generate(letters(6), "exact-conjecture")
         assert 6 not in sizes
-        assert len(_types) == sum(len(_enumerate_size(c)) for c in range(2, 6))
+        assert len(_types) == 1 + 5 + 41 + 1291  # the orbits of every type on the first 2 to 5 players
 
     def test_complements_found_once_per_type(self, monkeypatch):
         import minbal.catalogue
@@ -458,24 +458,23 @@ class TestDeterminism:
         generate(letters(5), "balanced")
         assert len(calls) == 44  # one per type, not one per each of the 1291 systems
 
-    def test_each_system_classified_once_on_its_first_players(self, monkeypatch):
+    def test_each_type_classified_once(self, monkeypatch):
         import minbal.catalogue
 
-        calls = []
-        real = minbal.catalogue.canonical_type
-
-        def counting(system, players):
-            calls.append(system.carrier)
-            return real(system, players)
-
-        monkeypatch.setattr(minbal.catalogue, "canonical_type", counting)
+        classified, reduced = [], []
+        real_type, real_reducible = minbal.catalogue.canonical_type, minbal.catalogue.is_reducible
+        monkeypatch.setattr(minbal.catalogue, "canonical_type", lambda system, players: classified.append(system) or real_type(system, players))
+        monkeypatch.setattr(minbal.catalogue, "is_reducible", lambda mbs: reduced.append(mbs.system) or real_reducible(mbs))
         _enumerate_size.cache_clear()
         _types.clear()
         generate(letters(6), "exact-conjecture")
-        # 1 + 5 + 41 + 1291 systems on the first 2 to 5 players, not one
-        # call per renamed copy on each of the 56 carriers
-        assert len(calls) == sum(len(_enumerate_size(c)) for c in range(2, 6)) == 1338
-        assert set(calls) == {(1 << c) - 1 for c in range(2, 6)}
+        # no enumerated system is looked up by canonical_type, and each of
+        # the 1 + 3 + 9 + 44 types on the first 2 to 5 players is tested
+        # for reducibility once, on its lex-least system
+        assert classified == []
+        assert len(reduced) == len(set(reduced)) == 57
+        assert {system.carrier for system in reduced} == {(1 << c) - 1 for c in range(2, 6)}
+        assert all(canonical_type(system, letters(6))[0] == system for system in reduced)
 
     def test_repeated_runs_byte_identical(self, p3):
         assert serialize(generate(p3, "balanced")) == serialize(generate(p3, "balanced"))

@@ -13,12 +13,13 @@ from minbal.cli import main
 from minbal.games import game_of, game_to_json, letters
 
 
-def _run_module(*args):
-    """Run ``python -m minbal.cli`` with this package's source on the path."""
+def _run_module(*args, **env):
+    """Run ``python -m minbal.cli`` with this package's source on the path
+    and ``env`` added to the environment; its output is bytes."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(minbal.__file__)))
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
-    return subprocess.run([sys.executable, "-m", "minbal.cli", *args], capture_output=True, text=True, env=env)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src, **env)
+    return subprocess.run([sys.executable, "-m", "minbal.cli", *args], capture_output=True, env=env)
 
 
 @pytest.fixture()
@@ -91,6 +92,15 @@ class TestCatalogue:
         doc = json.loads(target.read_text())
         assert doc["cone"] == "balanced" and len(doc["entries"]) == 5
         assert capsys.readouterr().out == ""  # results went to the file
+
+    def test_stdout_equals_out_file_on_an_ascii_stdout(self, tmp_path):
+        # the UTF-8 bytes go to stdout whatever encoding its text layer has
+        argv = ["catalogue", "--players", "3", "--cone", "balanced", "--format", "text"]
+        target = tmp_path / "cat.txt"
+        assert _run_module(*argv, "--out", str(target)).returncode == 0
+        proc = _run_module(*argv, PYTHONIOENCODING="ascii")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == target.read_bytes()
 
     def test_exact_two_errors(self, capsys):
         assert main(["catalogue", "--players", "2", "--cone", "exact-conjecture"]) == 2
@@ -189,4 +199,4 @@ class TestUsage:
 def test_cli_module_entry():
     proc = _run_module("enumerate", "--players", "2")
     assert proc.returncode == 0
-    assert "carrier=ab" in proc.stdout
+    assert b"carrier=ab" in proc.stdout

@@ -1,6 +1,7 @@
 """Byte-level regression pins: SHA-256 of every catalogue on two to five
 players and of the exact-conjecture catalogue on six, in JSON and text,
-and of every ``enumerate --players 4`` output.  The exact-conjecture
+of every ``enumerate --players 4`` output and of the ``enumerate
+--players 5`` outputs on the full carrier.  The exact-conjecture
 catalogues on five and six players classify systems on proper carriers.
 A change that keeps the mathematics keeps every byte; one that means to
 change an output updates its digest here."""
@@ -41,8 +42,17 @@ CATALOGUE_DIGESTS = {
     (6, "exact-conjecture", "text"): "49bdd6cdd6e21e732cfb115808cd0fdc41540e26b67a0af84cf085a69e03595f",
 }
 
+#: format -> SHA-256 of the 6-player ``totally-balanced`` catalogue
+#: (38,178,604 bytes of JSON).  It takes about 15 s to generate, so CI
+#: checks it through the installed ``minbal`` command instead of tier-1.
+TOTALLY_BALANCED_6_DIGESTS = {
+    "json": "227c5b8e7f8472f69ac7f9fc41efbae832fd21928fc2c5def96b69444adcb72a",
+    "text": "de619a2655d60e134c4459f55e6249b1e627e3879a4599cbc4acfdacff49a183",
+}
+
 #: (carrier size, format, --types-only, --irreducible-only) -> SHA-256 of
-#: the stdout of ``enumerate --players 4``
+#: the stdout of ``enumerate --players 4``, or ``--players 5`` for carrier
+#: size 5
 ENUMERATE_DIGESTS = {
     (1, "text", False, False): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     (1, "text", True, False): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -76,6 +86,14 @@ ENUMERATE_DIGESTS = {
     (4, "json", True, False): "5f151f7d534649e1af4aff9f3c4fcef97fd13a84003462e54106970c79061d6b",
     (4, "json", False, True): "4de2569878b06ed1d84c4bde303679ad0d08c32b135063ed1b35d01a9edd34cb",
     (4, "json", True, True): "949da35449c7972dae6620fd60b8c32a5e11fd9b757c7336754fc24cd8819d45",
+    (5, "text", False, False): "07ba3b30101dad581965a1b584171d7c21ba5bdab293410e7d12c81062b085fb",
+    (5, "text", True, False): "14bdced9f720df92bd077250e7cf6ab8df2078166c26c93eb07b47f935d26f7c",
+    (5, "text", False, True): "ad9f1f73066195ccb0e6bab11331fc866786b5397449f6710b244a7b17087662",
+    (5, "text", True, True): "0fe9e693dbb8f58ee14df203e5b2763cb4e2c0fe00f7de255f3e74f3104456b3",
+    (5, "json", False, False): "ed54a989582e6e8becfbbcc2076fd238696232ddd350bcfc06899494dd1d35ea",
+    (5, "json", True, False): "a3662ff2062649290fd4516c9eb2005f78e4b4a2e50a6196458f2c329e444fc6",
+    (5, "json", False, True): "6709d968bdb5d2f4cb8e46fa3799e7e3b9d81e759bd437e6da9fc6c605150695",
+    (5, "json", True, True): "f041a3d52402851fb9ed86f66612a47bfac43334a1e4ff398344d6b33b7fce78",
 }
 
 
@@ -90,7 +108,7 @@ def test_catalogue_bytes(n, cone, fmt):
 
 @pytest.mark.parametrize("size, fmt, types_only, irreducible_only", sorted(ENUMERATE_DIGESTS))
 def test_enumerate_bytes(capsys, size, fmt, types_only, irreducible_only):
-    argv = ["enumerate", "--players", "4", "--carrier-size", str(size), "--format", fmt]
+    argv = ["enumerate", "--players", str(max(size, 4)), "--carrier-size", str(size), "--format", fmt]
     argv += ["--types-only"] * types_only + ["--irreducible-only"] * irreducible_only
     assert main(argv) == 0
     out = capsys.readouterr().out.encode()
