@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb, gcd, lcm
 from operator import or_
-from typing import Iterator, Mapping, Optional, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .games import Players, SetFunction, _player_sums, log, relabelling
 from .linalg import augment, reduce_mod_rows, solve_unique
@@ -315,10 +315,10 @@ def _relabel(mbs: MinBalancedSystem, table: Sequence[int]) -> MinBalancedSystem:
     return MinBalancedSystem(SetSystem(members), weights, mbs.k, alpha)
 
 
-def _expand(types: Sequence[tuple[MinBalancedSystem, _Tag]], c: int) -> list[tuple[MinBalancedSystem, _Tag]]:
-    """The ``_orbit`` images of representatives on the first ``c`` players,
-    renamed by ``_relabel``, in canonical order, with their tags."""
-    images = [(_relabel(rep, table), tag) for rep, tag in types for table in _orbit(rep.system.members, c).values()]
+def _expand(types: Iterable[tuple[MinBalancedSystem, Iterable[Sequence[int]], _Tag]]) -> list[tuple[MinBalancedSystem, _Tag]]:
+    """Representatives renamed by ``_relabel`` through each of their
+    tables, the ``_orbit`` values, in canonical order, with their tags."""
+    images = [(_relabel(rep, table), tag) for rep, tables, tag in types for table in tables]
     images.sort(key=lambda image: image[0].system.members)
     return images
 
@@ -344,7 +344,8 @@ def enumerate_min_balanced(players: Players, carrier: int) -> tuple[MinBalancedS
     if players.n > ENUM_PLAYER_CAP:
         raise ValueError(f"enumeration is capped at {ENUM_PLAYER_CAP} players")
     c = carrier.bit_count()
-    return tuple(mbs for mbs, _ in _renamed(_expand([(rep, None) for rep in _enumerate_size(c)], c), carrier))
+    orbits = ((rep, _orbit(rep.system.members, c).values(), None) for rep in _enumerate_size(c))
+    return tuple(mbs for mbs, _ in _renamed(_expand(orbits), carrier))
 
 
 # -- permutational types -----------------------------------------------

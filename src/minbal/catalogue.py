@@ -14,9 +14,12 @@ Three catalogues are generated from min-balanced systems:
 Entries are identified by their full coefficient vector, ordered
 canonically, typed on the first players of their carrier size, and
 serialized to a bit-exact JSON format or a per-type text listing.
-``generate`` is the only builder of entries: a catalogue is a fixed
-function of its players and cone, so ``parse`` regenerates it and
-compares the file with it.
+``generate`` is the only builder of entries, and ``_json_entries`` the
+only source of their JSON: ``serialize`` joins the pieces of
+``_json_chunks`` and ``minbal catalogue`` writes them as they are
+rendered.  A catalogue is a fixed function of its players and cone, so
+``parse`` regenerates it and compares the file with its rendering, byte
+for byte and, only when the bytes differ, as JSON values.
 """
 
 from __future__ import annotations
@@ -119,17 +122,19 @@ def _type_id(players: Players, system: SetSystem) -> str:
 _Type = NamedTuple("_Type", [("type_id", str), ("orbit", int), ("irreducible", bool), ("complement_id", Optional[str])])
 
 
-def _types_on(players: Players, c: int, complements: bool = False) -> list[tuple[MinBalancedSystem, _Type]]:
+def _types_on(players: Players, c: int, complements: bool = False) -> list[tuple[MinBalancedSystem, tuple, _Type]]:
     """Each type of non-trivial min-balanced system on the first ``c``
-    players, in canonical order: its lex-least system and what is found
-    from that alone, as relabelling the players commutes with all of it."""
+    players, in canonical order: its lex-least system, the relabelling
+    tables of its orbit, ready for ``_expand``, and what is found from the
+    system alone, as relabelling the players commutes with all of it."""
     if players.n > ENUM_PLAYER_CAP:
         raise ValueError(f"enumeration is capped at {ENUM_PLAYER_CAP} players")
     types = []
     for rep in _enumerate_size(c):
         complement_id = _type_id(players, complement_system(rep.system, players)) if complements else None
-        orbit = len(_orbit(rep.system.members, c)) * comb(players.n, c)
-        types.append((rep, _Type("|".join(map(players.key, rep.system.members)), orbit, is_reducible(rep) is None, complement_id)))
+        tables = tuple(_orbit(rep.system.members, c).values())
+        kind = _Type("|".join(map(players.key, rep.system.members)), len(tables) * comb(players.n, c), is_reducible(rep) is None, complement_id)
+        types.append((rep, tables, kind))
     return types
 
 
@@ -148,7 +153,8 @@ def generate(players: Players, cone: Union[ConeKind, str]) -> Catalogue:
     sizes = {ConeKind.BALANCED: [n], ConeKind.TOTALLY_BALANCED: range(2, n + 1),
              ConeKind.EXACT_CONJECTURE: range(2, n)}[cone]
     balanced = cone is ConeKind.BALANCED  # the one cone admitting reducible systems
-    kept = {c: _expand([(rep, kind) for rep, kind in _types_on(players, c, balanced) if balanced or kind.irreducible], c) for c in sizes}
+    kept = {c: _expand((rep, tables, kind) for rep, tables, kind in _types_on(players, c, balanced)
+                       if balanced or kind.irreducible) for c in sizes}
     entries = tuple(
         e for m in range(players.full_mask + 1) if m.bit_count() in kept
         for mbs, kind in _renamed(kept[m.bit_count()], m)
@@ -263,19 +269,6 @@ def _system_payload(players: Players, mbs: MinBalancedSystem) -> dict:
     }
 
 
-def _entry_payload(players: Players, e: CatalogueEntry) -> dict:
-    payload = _system_payload(players, e.mbs) | {
-        "alpha": {players.key(s): c for s, c in e.alpha.items},
-        "irreducible": e.irreducible,
-        "conjugated": e.conjugated,
-        "type_id": e.type_id,
-        "orbit_size": e.orbit_size,
-    }
-    if e.complement_type_id is not None:
-        payload["complement_type"] = e.complement_type_id
-    return payload
-
-
 def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
     """Rendered items as ``json.dumps(indent=2)`` writes a list, or an object with ``"{}"``, at ``pad``."""
     if not items:
@@ -285,8 +278,8 @@ def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
 
 
 def _json_entries(catalogue: Catalogue) -> Iterator[str]:
-    """Each entry's ``_entry_payload`` as ``serialize`` writes it in the
-    ``entries`` list; every coalition's key and name list is rendered once."""
+    """Each entry as ``serialize`` writes it in the ``entries`` list; every
+    coalition's key and name list is rendered once."""
     players = catalogue.players
     coalitions = players.coalitions()
     keys = [encode_basestring(players.key(m)) for m in coalitions]
@@ -311,21 +304,41 @@ def _json_entries(catalogue: Catalogue) -> Iterator[str]:
         yield _json_block(fields, " " * 4, "{}")
 
 
+def _json_chunks(catalogue: Catalogue) -> Iterator[str]:
+    """The JSON text of a catalogue in pieces of about one entry: the
+    header with the first entry, each further entry, the closing brackets."""
+    header = (
+        '{\n  "players": ' + _json_block([encode_basestring(name) for name in catalogue.players.names], "  ")
+        + ',\n  "cone": ' + encode_basestring(catalogue.cone.value)
+        + ',\n  "conjecture": ' + str(catalogue.conjecture).lower()
+        + ',\n  "entries": '
+    )
+    entries = _json_entries(catalogue)
+    first = next(entries, None)
+    if first is None:
+        yield header + "[]\n}\n"
+        return
+    yield header + "[\n    " + first
+    for block in entries:
+        yield ",\n    " + block
+    yield "\n  ]\n}\n"
+
+
 def serialize(catalogue: Catalogue, format: str = "json") -> bytes:
     """Serialize a catalogue; ``parse`` inverts the JSON format bit-exactly.
 
-    The JSON bytes are ``json.dumps(indent=2, ensure_ascii=False)`` of the
-    players, cone, conjecture flag and every ``_entry_payload``."""
+    The JSON bytes are ``json.dumps(indent=2, ensure_ascii=False)`` of an
+    object with the players, cone, conjecture flag and entries, each entry
+    an object of the fields ``system``, ``carrier``, ``weights``, ``k``,
+    ``alpha``, ``irreducible``, ``conjugated``, ``type_id``,
+    ``orbit_size`` and, in ``balanced``, ``complement_type``.  They are
+    the UTF-8 of the ``_json_chunks``, which ``minbal catalogue`` writes
+    one at a time instead."""
     if format == "text":
         return ("\n".join(_text_lines(catalogue)) + "\n").encode("utf-8")
     if format != "json":
         raise ValueError(f"unknown format {format!r}")
-    return (_json_block([
-        '"players": ' + _json_block([encode_basestring(name) for name in catalogue.players.names], "  "),
-        '"cone": ' + encode_basestring(catalogue.cone.value),
-        '"conjecture": ' + str(catalogue.conjecture).lower(),
-        '"entries": ' + _json_block(list(_json_entries(catalogue)), "  "),
-    ], "", "{}") + "\n").encode("utf-8")
+    return b"".join(chunk.encode("utf-8") for chunk in _json_chunks(catalogue))
 
 
 def _first_difference(expected: dict, raw) -> Optional[str]:
@@ -340,14 +353,9 @@ def _first_difference(expected: dict, raw) -> Optional[str]:
     return "the field order"
 
 
-def parse(data: Union[bytes, str]) -> Catalogue:
-    """Parse a JSON catalogue by regenerating it and comparing entries.
-
-    Entry i of the file must equal entry i of ``generate(players, cone)``
-    as JSON, field for field; the first difference is named.  A player
-    count and cone with no count in ``minbal.reference`` are rejected
-    before anything is generated.
-    """
+def _read_header(data: Union[bytes, str]) -> tuple[Players, ConeKind, list]:
+    """The players, cone and raw entries of a JSON catalogue, whose header
+    (every field but the entries themselves) must be well formed."""
     doc, players = _read_document(data, ("players", "cone", "conjecture", "entries"), CatalogueFormatError)
     try:
         cone = ConeKind(doc["cone"])
@@ -355,9 +363,35 @@ def parse(data: Union[bytes, str]) -> Catalogue:
         raise CatalogueFormatError(str(exc)) from None
     if doc["conjecture"] is not (cone is ConeKind.EXACT_CONJECTURE):  # a JSON boolean, not 0 or 1
         raise CatalogueFormatError(f"'conjecture' must be {json.dumps(cone is ConeKind.EXACT_CONJECTURE)} for a {cone.value} catalogue")
-    raw_entries = doc["entries"]
-    if not isinstance(raw_entries, list):
+    if not isinstance(doc["entries"], list):
         raise CatalogueFormatError("'entries' must be a list")
+    return players, cone, doc["entries"]
+
+
+def _is_rendering(data: Union[bytes, str], chunks: Iterator[str]) -> bool:
+    """Whether ``data`` is the concatenation of ``chunks``, UTF-8 encoded
+    unless ``data`` is a ``str``; no slice of ``data`` is copied."""
+    at = 0
+    for chunk in chunks:
+        piece = chunk if isinstance(data, str) else chunk.encode("utf-8")
+        if not data.startswith(piece, at):
+            return False
+        at += len(piece)
+    return at == len(data)
+
+
+def parse(data: Union[bytes, str]) -> Catalogue:
+    """Parse a JSON catalogue by regenerating it and comparing the file.
+
+    The header is read from the decoded file, which is then dropped, and
+    ``generate(players, cone)`` is rendered.  A file with exactly the
+    bytes of ``serialize`` (or, given as ``str``, its text) is accepted
+    on that comparison alone.  Any other file is decoded again, and entry
+    i must equal entry i of the catalogue as JSON, field for field; the
+    first difference is named.  A player count and cone with no count in
+    ``minbal.reference`` are rejected before anything is generated.
+    """
+    players, cone = _read_header(data)[:2]  # the decoded entries are not kept
     recorded = _RECORDED_COUNTS[cone].get(players.n)
     if recorded is None:
         raise CatalogueFormatError(f"no entry and type counts are recorded for a {players.n}-player {cone.value} catalogue")
@@ -365,9 +399,12 @@ def parse(data: Union[bytes, str]) -> Catalogue:
     size, types = len(catalogue.entries), len(catalogue.types)
     if (size, types) != recorded:  # a fault of generate, not of the file
         raise RuntimeError(f"generated {size} entries in {types} types, but {recorded[0]} in {recorded[1]} are recorded")
+    if _is_rendering(data, _json_chunks(catalogue)):
+        return catalogue
+    raw_entries = _read_header(data)[2]
     name = f"the {players.n}-player {cone.value} catalogue"
-    for i, (entry, raw) in enumerate(zip(catalogue.entries, raw_entries)):
-        field = _first_difference(_entry_payload(players, entry), raw)
+    for i, (block, raw) in enumerate(zip(_json_entries(catalogue), raw_entries)):
+        field = _first_difference(json.loads(block), raw)
         if field is not None:
             raise CatalogueFormatError(f"entries[{i}]: {field} differs from entry {i} of {name}, which has {size} entries in {types} types")
     if len(raw_entries) < size:

@@ -108,7 +108,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     # Classified on the first carrier, the first `size` players, which holds every type.
     types = cat._types_on(players, size)
     if args.irreducible_only:
-        types = [(rep, kind) for rep, kind in types if kind.irreducible]
+        types = [(rep, tables, kind) for rep, tables, kind in types if kind.irreducible]
 
     if args.types_only:
         if args.format == "json":
@@ -119,17 +119,17 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                     "irreducible": kind.irreducible,
                     "inequality": cat.render_inequality(rep.alpha, players),
                 }
-                for rep, kind in types
+                for rep, _, kind in types
             ]
             print(json.dumps(doc, indent=2, ensure_ascii=False))
         else:
-            for i, (rep, kind) in enumerate(types, start=1):
+            for i, (rep, _, kind) in enumerate(types, start=1):
                 note = "   irreducible" if kind.irreducible else ""
                 print(f"{i}. {cat._render_system(players, rep.system)}   {kind.orbit}x{note}")
                 print(f"   {cat.render_inequality(rep.alpha, players)}")
         return 0
 
-    first = _expand(types, size)
+    first = _expand(types)
     systems = [pair for m in range(players.full_mask + 1) if m.bit_count() == size for pair in _renamed(first, m)]
     if args.format == "json":
         doc = [cat._system_payload(players, mbs) | {"irreducible": kind.irreducible} for mbs, kind in systems]
@@ -147,14 +147,20 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_catalogue(args: argparse.Namespace) -> int:
     players = letters(args.players)
     catalogue = cat.generate(players, args.cone)
-    blob = cat.serialize(catalogue, args.format)
+    if args.format == "json":  # written as rendered, never held whole
+        chunks = (chunk.encode("utf-8") for chunk in cat._json_chunks(catalogue))
+    else:
+        chunks = [cat.serialize(catalogue, args.format)]
     if args.out:
         with open(args.out, "wb") as fh:
-            fh.write(blob)
-        print(f"wrote {len(blob)} bytes to {args.out}", file=sys.stderr)
+            size = 0
+            for chunk in chunks:
+                size += fh.write(chunk)
+        print(f"wrote {size} bytes to {args.out}", file=sys.stderr)
     else:
         sys.stdout.flush()
-        sys.stdout.buffer.write(blob)
+        for chunk in chunks:
+            sys.stdout.buffer.write(chunk)
     return 0
 
 

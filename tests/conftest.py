@@ -8,7 +8,7 @@ import pytest
 
 from minbal import anti_dual, game_of, generate, letters, lp_feasible
 from minbal.balance import MinBalancedSystem, SetSystem, normalize
-from minbal.catalogue import _entry_payload
+from minbal.catalogue import _system_payload
 from minbal.linalg import augment, reduce_mod_rows
 
 
@@ -20,6 +20,20 @@ def permute_coalition(coalition: int, perm: tuple[int, ...]) -> int:
         if coalition >> i & 1:
             bits |= 1 << perm[i]
     return bits
+
+
+def _entry_payload(players, e):
+    """One catalogue entry as the JSON object ``serialize`` writes for it."""
+    payload = _system_payload(players, e.mbs) | {
+        "alpha": {players.key(s): c for s, c in e.alpha.items},
+        "irreducible": e.irreducible,
+        "conjugated": e.conjugated,
+        "type_id": e.type_id,
+        "orbit_size": e.orbit_size,
+    }
+    if e.complement_type_id is not None:
+        payload["complement_type"] = e.complement_type_id
+    return payload
 
 
 def reference_serialize(catalogue):

@@ -14,6 +14,7 @@ from minbal.balance import (
     SetSystem,
     _enumerate_size,
     _expand,
+    _orbit,
     _types,
     canonical_type,
     complement_system,
@@ -229,13 +230,14 @@ class TestOrderlySearch:
         def fields(systems):
             return [(m.system, m.weights, m.k, m.alpha) for m in systems]
 
-        expanded = [mbs for mbs, _ in _expand([(rep, None) for rep in _enumerate_size(c)], c)]
+        expanded = [mbs for mbs, _ in _expand((rep, _orbit(rep.system.members, c).values(), None) for rep in _enumerate_size(c))]
         assert fields(expanded) == fields(plain_enumerate_size(c))
 
     @pytest.mark.parametrize("c", [2, 3, 4, 5])
     def test_orbit_fill_matches_cold_scan(self, c):
         # the search yields each type's canonical form, in canonical order,
-        # and records nothing; expanding them records every system's type
+        # and records nothing; scanning their orbits for the expansion
+        # records every system's type
         _enumerate_size.cache_clear()
         _types.clear()
         representatives = _enumerate_size(c)
@@ -247,7 +249,7 @@ class TestOrderlySearch:
             _types.clear()
             assert canonical_type(rep.system, p)[0] == rep.system
         _types.clear()
-        images = _expand([(rep, rep.system.members) for rep in representatives], c)
+        images = _expand([(rep, _orbit(rep.system.members, c).values(), rep.system.members) for rep in representatives])
         filled = dict(_types)
         assert set(filled) == {m.system.members for m, _ in images}
         for mbs, canonical in images:

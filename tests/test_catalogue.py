@@ -1,9 +1,11 @@
 """Catalogue generation, classification, rendering and serialization."""
 
+from dataclasses import replace
 from random import Random
 
 import pytest
 
+import minbal.catalogue
 from minbal import balance
 from minbal.balance import InequalityVector, _enumerate_size, _types, canonical_type, system_of
 from minbal.catalogue import (
@@ -197,6 +199,16 @@ class TestCatalogueInequalitiesHold:
         assert answers == {True, False}
 
 
+@pytest.fixture()
+def no_value_comparison(monkeypatch):
+    """Makes ``parse`` fail if it compares entries as JSON values."""
+
+    def compared(*args):
+        raise AssertionError("parse compared entries as JSON values")
+
+    monkeypatch.setattr(minbal.catalogue, "_first_difference", compared)
+
+
 class TestSerialization:
     @pytest.mark.parametrize(
         "n, cone",
@@ -216,6 +228,34 @@ class TestSerialization:
         blob = json.dumps(json.loads(serialize(exact4)))  # one line, other separators
         assert blob.encode() != serialize(exact4)
         assert parse(blob) == exact4
+
+    @pytest.mark.parametrize("as_text", [False, True], ids=["bytes", "str"])
+    def test_canonical_file_parses_by_bytes(self, no_value_comparison, exact4, as_text):
+        blob = serialize(exact4)
+        assert parse(blob.decode() if as_text else blob) == exact4
+
+    @pytest.mark.parametrize("names", [('a"', "b\\", "c\n"), ("α", "β", "γ")], ids=["escapes", "greek"])
+    def test_escaped_names_parse_by_bytes(self, no_value_comparison, names):
+        catalogue = generate(Players(names), "exact-conjecture")
+        assert parse(serialize(catalogue)) == catalogue
+
+    def test_changed_digit_in_canonical_file_rejected(self, totally4):
+        blob = serialize(totally4)
+        at = -1
+        for _ in range(5):  # to the orbit size of entries[4]
+            at = blob.index(b'"orbit_size": ', at + 1)
+        at += len(b'"orbit_size": ')
+        assert blob[at:at + 3] == b"12\n"
+        with pytest.raises(CatalogueFormatError, match=r"entries\[4\]: orbit_size differs from entry 4 of the 4-player"):
+            parse(blob[:at] + b"3" + blob[at + 1:])
+
+    def test_last_entry_dropped_in_canonical_layout_rejected(self, exact4):
+        blob = serialize(replace(exact4, entries=exact4.entries[:-1]))
+        with pytest.raises(CatalogueFormatError, match=r"entries\[43\]: missing; the 4-player exact-conjecture catalogue has 44"):
+            parse(blob)
+
+    def test_trailing_newline_parses(self, exact4):
+        assert parse(serialize(exact4) + b"\n") == exact4
 
     def test_text_contains_appendix_lines(self, balanced3):
         text = serialize(balanced3, "text").decode()

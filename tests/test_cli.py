@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import minbal
-from minbal.catalogue import serialize
+from minbal.catalogue import generate, serialize
 from minbal.cli import main
 from minbal.games import game_of, game_to_json, letters
 
@@ -101,6 +101,20 @@ class TestCatalogue:
         proc = _run_module(*argv, PYTHONIOENCODING="ascii")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == target.read_bytes()
+
+    @pytest.mark.parametrize(
+        "n, cone",
+        [(n, cone) for n in range(2, 6) for cone in ("balanced", "totally-balanced", "exact-conjecture")
+         if (n, cone) != (2, "exact-conjecture")] + [(6, "exact-conjecture")],
+    )
+    def test_streamed_json_equals_serialize(self, tmp_path, capsysbinary, n, cone):
+        blob = serialize(generate(letters(n), cone))
+        target = tmp_path / "cat.json"
+        assert main(["catalogue", "--players", str(n), "--cone", cone, "--out", str(target)]) == 0
+        assert target.read_bytes() == blob
+        assert capsysbinary.readouterr().err.decode().endswith(f"wrote {len(blob)} bytes to {target}\n")
+        assert main(["catalogue", "--players", str(n), "--cone", cone]) == 0
+        assert capsysbinary.readouterr().out == blob
 
     def test_exact_two_errors(self, capsys):
         assert main(["catalogue", "--players", "2", "--cone", "exact-conjecture"]) == 2
