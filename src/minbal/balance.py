@@ -261,11 +261,16 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
     members are lex-least exactly when their own mask is the largest.
 
     A search for ``c >= 6``, run only on a cache miss, logs a warning
-    first: on a 2-core machine the 6-player catalogues, their ``parse``
-    and the full enumeration took 8-22 s and 50-280 MB (single runs).
+    first.  On a 2-core machine with Python 3.11 (single runs) the search
+    and its callers took: ``enumerate_min_balanced`` 17 s and 250 MB;
+    ``minbal enumerate --players 6`` 20 s and 250 MB, and with
+    ``--format json`` 35-42 s and 1530-1560 MB; ``minbal catalogue
+    --players 6`` 12 s and 69 MB for ``totally-balanced`` and 24 s and
+    290 MB for ``balanced``; ``parse`` of the totally-balanced file 13 s
+    and 165 MB.
     """
     if c >= 6:
-        log.warning("enumerating min-balanced systems on a %d-player carrier: expect up to 25 s and 300 MB", c)
+        log.warning("enumerating min-balanced systems on a %d-player carrier: expect up to 45 s and 1.6 GB", c)
     full = (1 << c) - 1
     candidates = list(range(1, full))
     ncand = len(candidates)
@@ -356,17 +361,10 @@ def _perm_tables(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(relabelling(perm)) for perm in permutations(range(n)))
 
 
-#: Members on the first c players, covering them -> (canonical members,
-#: orbit size under the c! relabellings); written by ``_orbit`` alone.
-_types: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-
-
 def _orbit(members: tuple[int, ...], c: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     """The images of members on the first ``c`` players under their
-    ``c!`` relabellings, each with a table making it; records their type."""
-    orbit = {tuple(sorted(table[m] for m in members)): table for table in _perm_tables(c)}
-    _types.update(dict.fromkeys(orbit, (min(orbit), len(orbit))))
-    return orbit
+    ``c!`` relabellings, each with a table making it."""
+    return {tuple(sorted(table[m] for m in members)): table for table in _perm_tables(c)}
 
 
 @lru_cache(maxsize=None)
@@ -384,7 +382,7 @@ def canonical_type(system: SetSystem, players: Players) -> tuple[SetSystem, int]
     own carrier of c players: renamed onto the first c in order, every
     member is lowered and keeps its place, so the least n! image is the
     least c! image of the renamed system, and the orbit is C(n, c) times
-    as large.
+    as large.  Each call scans the ``c!`` relabellings afresh.
     """
     if players.n > ENUM_PLAYER_CAP:
         raise ValueError(f"classification is capped at {ENUM_PLAYER_CAP} players")
@@ -392,8 +390,5 @@ def canonical_type(system: SetSystem, players: Players) -> tuple[SetSystem, int]
     if carrier > players.full_mask:
         raise ValueError("system does not fit the player set")
     c = carrier.bit_count()
-    members = tuple(map(_lowering(carrier).__getitem__, system.members))
-    if members not in _types:
-        _orbit(members, c)
-    canonical, orbit = _types[members]
-    return SetSystem(canonical), orbit * comb(players.n, c)
+    orbit = _orbit(tuple(map(_lowering(carrier).__getitem__, system.members)), c)
+    return SetSystem(min(orbit)), len(orbit) * comb(players.n, c)

@@ -25,7 +25,6 @@ for byte and, only when the bytes differ, as JSON values.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring
@@ -83,6 +82,9 @@ class CatalogueEntry:
 
 @dataclass(frozen=True)
 class TypeSummary:
+    """A type's earliest entry and entry count.  Balanced types link to
+    their complement's type, conjectured exact types to their conjugate."""
+
     type_id: str
     representative: CatalogueEntry
     count: int
@@ -126,15 +128,21 @@ def _types_on(players: Players, c: int, complements: bool = False) -> list[tuple
     """Each type of non-trivial min-balanced system on the first ``c``
     players, in canonical order: its lex-least system, the relabelling
     tables of its orbit, ready for ``_expand``, and what is found from the
-    system alone, as relabelling the players commutes with all of it."""
+    system alone, as relabelling the players commutes with all of it.
+    With ``complements``, for ``c`` equal to the player count, the
+    complement's type id is read from the orbits scanned for the tables."""
     if players.n > ENUM_PLAYER_CAP:
         raise ValueError(f"enumeration is capped at {ENUM_PLAYER_CAP} players")
-    types = []
+    types, type_of = [], {}
     for rep in _enumerate_size(c):
-        complement_id = _type_id(players, complement_system(rep.system, players)) if complements else None
-        tables = tuple(_orbit(rep.system.members, c).values())
-        kind = _Type("|".join(map(players.key, rep.system.members)), len(tables) * comb(players.n, c), is_reducible(rep) is None, complement_id)
-        types.append((rep, tables, kind))
+        orbit = _orbit(rep.system.members, c)
+        type_id = "|".join(map(players.key, rep.system.members))
+        if complements:
+            type_of.update(dict.fromkeys(orbit, type_id))
+        types.append((rep, tuple(orbit.values()), _Type(type_id, len(orbit) * comb(players.n, c), is_reducible(rep) is None, None)))
+    if complements:  # a complement's orbit may be scanned after its own
+        types = [(rep, tables, kind._replace(complement_id=type_of[complement_system(rep.system, players).members]))
+                 for rep, tables, kind in types]
     return types
 
 
@@ -143,6 +151,8 @@ def generate(players: Players, cone: Union[ConeKind, str]) -> Catalogue:
 
     Deterministic: each type of each carrier size c is classified once, on
     the first c players; only admitted orbits are expanded onto carriers.
+    Types are listed by size, then in search order, each with the entry of
+    its lex-least system, then in ``exact-conjecture`` its conjugate.
     """
     cone = ConeKind(cone)
     n = players.n
@@ -153,8 +163,16 @@ def generate(players: Players, cone: Union[ConeKind, str]) -> Catalogue:
     sizes = {ConeKind.BALANCED: [n], ConeKind.TOTALLY_BALANCED: range(2, n + 1),
              ConeKind.EXACT_CONJECTURE: range(2, n)}[cone]
     balanced = cone is ConeKind.BALANCED  # the one cone admitting reducible systems
-    kept = {c: _expand((rep, tables, kind) for rep, tables, kind in _types_on(players, c, balanced)
-                       if balanced or kind.irreducible) for c in sizes}
+    conjecture = cone is ConeKind.EXACT_CONJECTURE
+    kept, types = {}, []
+    for c in sizes:
+        admitted = [(rep, tables, kind) for rep, tables, kind in _types_on(players, c, balanced) if balanced or kind.irreducible]
+        kept[c] = _expand(admitted)
+        types += (
+            TypeSummary(e.type_id, e, e.orbit_size, e.complement_type_id,
+                        (e.type_id[1:] if e.conjugated else "~" + e.type_id) if conjecture else None)
+            for rep, _, kind in admitted for e in _entries_of(players, cone, rep, kind)
+        )
     entries = tuple(
         e for m in range(players.full_mask + 1) if m.bit_count() in kept
         for mbs, kind in _renamed(kept[m.bit_count()], m)
@@ -162,7 +180,7 @@ def generate(players: Players, cone: Union[ConeKind, str]) -> Catalogue:
     )
     if len({e.alpha.items for e in entries}) != len(entries):
         raise RuntimeError("catalogue entries collide as coefficient vectors")
-    return Catalogue(players, cone, entries, _classify(cone, entries))
+    return Catalogue(players, cone, entries, tuple(types))
 
 
 def _entries_of(players: Players, cone: ConeKind, mbs: MinBalancedSystem, kind: _Type) -> tuple[CatalogueEntry, ...]:
@@ -172,25 +190,6 @@ def _entries_of(players: Players, cone: ConeKind, mbs: MinBalancedSystem, kind: 
     if cone is not ConeKind.EXACT_CONJECTURE:
         return (entry,)
     return entry, CatalogueEntry(mbs, conjugate(mbs.alpha, players), kind.irreducible, True, "~" + kind.type_id, kind.orbit)
-
-
-def _classify(cone: ConeKind, entries: tuple[CatalogueEntry, ...]) -> tuple[TypeSummary, ...]:
-    """Group entries into permutational types with cross links.
-
-    Balanced (full carrier) types link to the type of the complementary
-    system; self-complementary types link to themselves.  Conjectured
-    exact types link to their conjugate type.
-    """
-    counts = Counter(e.type_id for e in entries)
-    first = {e.type_id: e for e in reversed(entries)}  # each type's earliest entry
-    summaries = []
-    for tid, count in counts.items():
-        rep = first[tid]
-        conjugate_id = None
-        if cone is ConeKind.EXACT_CONJECTURE:
-            conjugate_id = tid[1:] if rep.conjugated else "~" + tid
-        summaries.append(TypeSummary(tid, rep, count, rep.complement_type_id, conjugate_id))
-    return tuple(summaries)
 
 
 # -- rendering -----------------------------------------------------------

@@ -13,7 +13,6 @@ from random import Random
 
 from minbal.balance import (
     _enumerate_size,
-    _types,
     canonical_type,
     is_min_balanced,
     system_of,
@@ -36,7 +35,6 @@ def criterion(number: int, label: str):
 
 def _fresh_caches():
     _enumerate_size.cache_clear()
-    _types.clear()
 
 
 # (system keys, count, complement type number, irreducible, inequality)

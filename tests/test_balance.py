@@ -15,7 +15,6 @@ from minbal.balance import (
     _enumerate_size,
     _expand,
     _orbit,
-    _types,
     canonical_type,
     complement_system,
     enumerate_min_balanced,
@@ -236,27 +235,20 @@ class TestOrderlySearch:
     @pytest.mark.parametrize("c", [2, 3, 4, 5])
     def test_orbit_fill_matches_cold_scan(self, c):
         # the search yields each type's canonical form, in canonical order,
-        # and records nothing; scanning their orbits for the expansion
-        # records every system's type
+        # and every image of the expansion classifies to its representative
+        # with the representative's orbit size
         _enumerate_size.cache_clear()
-        _types.clear()
         representatives = _enumerate_size(c)
-        assert not _types
         assert len(representatives) == BALANCED_COUNTS[c][1] == [1, 3, 9, 44][c - 2]
         assert [m.system.members for m in representatives] == sorted(m.system.members for m in representatives)
         p = letters(c)
         for rep in representatives:
-            _types.clear()
             assert canonical_type(rep.system, p)[0] == rep.system
-        _types.clear()
-        images = _expand([(rep, _orbit(rep.system.members, c).values(), rep.system.members) for rep in representatives])
-        filled = dict(_types)
-        assert set(filled) == {m.system.members for m, _ in images}
-        for mbs, canonical in images:
-            assert filled[mbs.system.members][0] == canonical
-        for members, (canonical, orbit) in filled.items():
-            _types.clear()
-            assert canonical_type(SetSystem(members), p) == (SetSystem(canonical), orbit)
+        orbits = [_orbit(rep.system.members, c) for rep in representatives]
+        images = _expand([(rep, orbit.values(), (rep.system, len(orbit))) for rep, orbit in zip(representatives, orbits)])
+        assert {mbs.system.members for mbs, _ in images} == {image for orbit in orbits for image in orbit}
+        for mbs, kind in images:
+            assert canonical_type(mbs.system, p) == kind
 
 
 class TestEnumeratedInvariants:
@@ -350,17 +342,6 @@ class TestCanonicalType:
             universe = range(1, rng.choice([8, 16, 32, 64]))
             system = SetSystem(tuple(sorted(rng.sample(universe, rng.randint(1, min(6, len(universe)))))))
             assert canonical_type(system, p6) == self._full_scan(system, 6)
-
-    def test_orbit_table_matches_recomputation(self, p4):
-        systems = [m.system for m in enumerate_min_balanced(p4, p4.full_mask)]
-        for system in systems:  # warm the table one orbit at a time
-            canonical_type(system, p4)
-        warm = [canonical_type(system, p4) for system in systems]
-        cold = []
-        for system in systems:
-            _types.clear()
-            cold.append(canonical_type(system, p4))
-        assert warm == cold
 
 
 # -- brute-force cross-check of the enumeration --------------------------

@@ -7,9 +7,10 @@ import pytest
 
 import minbal.catalogue
 from minbal import balance
-from minbal.balance import InequalityVector, _enumerate_size, _types, canonical_type, system_of
+from minbal.balance import InequalityVector, _enumerate_size, canonical_type, complement_system, system_of
 from minbal.catalogue import (
     CatalogueFormatError,
+    _type_id,
     generate,
     induced_system,
     parse,
@@ -98,12 +99,17 @@ class TestGenerate:
                 twin = twins[e.mbs.system.members]
                 assert twin.alpha == conjugate(e.alpha, p4)
 
-    def test_balanced_complement_links(self, balanced4):
-        table = balanced4.type_table()
-        for summary in balanced4.types:
-            partner = table[summary.complement_type_id]
-            assert partner.complement_type_id == summary.type_id
-            assert partner.count == summary.count
+    def test_balanced_complement_links(self, balanced4, p5):
+        # each type links to the type of its representative's complement,
+        # classified independently of the orbits generate scans
+        for catalogue in (balanced4, generate(p5, "balanced")):
+            players, table = catalogue.players, catalogue.type_table()
+            for summary in catalogue.types:
+                partner = table[summary.complement_type_id]
+                assert partner.complement_type_id == summary.type_id
+                assert partner.count == summary.count
+                system = summary.representative.mbs.system
+                assert summary.complement_type_id == _type_id(players, complement_system(system, players))
 
     def test_type_counts_equal_orbit_sizes(self, balanced4, totally4, exact4):
         for catalogue in (balanced4, totally4, exact4):
@@ -457,7 +463,6 @@ class TestDeterminism:
     @pytest.mark.parametrize("cone", CONES)
     def test_cold_and_warm_caches_agree_small(self, p4, cone):
         _enumerate_size.cache_clear()
-        _types.clear()
         cold = serialize(generate(p4, cone))
         _enumerate_size.cache_clear()
         for other in CONES:
@@ -477,10 +482,8 @@ class TestDeterminism:
 
         monkeypatch.setattr(balance, "_perm_tables", recording)
         _enumerate_size.cache_clear()
-        _types.clear()
         generate(letters(6), "exact-conjecture")
         assert 6 not in sizes
-        assert len(_types) == 1 + 5 + 41 + 1291  # the orbits of every type on the first 2 to 5 players
 
     def test_complements_found_once_per_type(self, monkeypatch):
         import minbal.catalogue
@@ -494,7 +497,6 @@ class TestDeterminism:
 
         monkeypatch.setattr(minbal.catalogue, "complement_system", counting)
         _enumerate_size.cache_clear()
-        _types.clear()
         generate(letters(5), "balanced")
         assert len(calls) == 44  # one per type, not one per each of the 1291 systems
 
@@ -506,7 +508,6 @@ class TestDeterminism:
         monkeypatch.setattr(minbal.catalogue, "canonical_type", lambda system, players: classified.append(system) or real_type(system, players))
         monkeypatch.setattr(minbal.catalogue, "is_reducible", lambda mbs: reduced.append(mbs.system) or real_reducible(mbs))
         _enumerate_size.cache_clear()
-        _types.clear()
         generate(letters(6), "exact-conjecture")
         # no enumerated system is looked up by canonical_type, and each of
         # the 1 + 3 + 9 + 44 types on the first 2 to 5 players is tested

@@ -1,8 +1,9 @@
 """Byte-level regression pins: SHA-256 of every catalogue on two to five
 players and of the exact-conjecture catalogue on six, in JSON and text,
-of every ``enumerate --players 4`` output and of the ``enumerate
---players 5`` outputs on the full carrier.  The exact-conjecture
-catalogues on five and six players classify systems on proper carriers.
+of every ``enumerate --players 4`` output, of the ``enumerate
+--players 5`` outputs on the full carrier and of the 6-player type
+listing.  The exact-conjecture catalogues on five and six players
+classify systems on proper carriers.
 A change that keeps the mathematics keeps every byte; one that means to
 change an output updates its digest here."""
 
@@ -49,6 +50,12 @@ TOTALLY_BALANCED_6_DIGESTS = {
     "json": "227c5b8e7f8472f69ac7f9fc41efbae832fd21928fc2c5def96b69444adcb72a",
     "text": "de619a2655d60e134c4459f55e6249b1e627e3879a4599cbc4acfdacff49a183",
 }
+
+#: SHA-256 of the stdout of ``enumerate --players 6 --types-only --format
+#: json``: the 582 6-player types with their orbit sizes and irreducibility
+#: flags.  Its search takes about 10 s, so CI checks it through the
+#: installed ``minbal`` command instead of tier-1.
+ENUMERATE_6_TYPES_DIGEST = "b56185e65d861711d8a0e3d8b6023c75cfeb5f88c55b79541f278f30f6b30150"
 
 #: (carrier size, format, --types-only, --irreducible-only) -> SHA-256 of
 #: the stdout of ``enumerate --players 4``, or ``--players 5`` for carrier
