@@ -14,7 +14,9 @@ from minbal.balance import (
     SetSystem,
     _enumerate_size,
     _expand,
+    _lowering,
     _orbit,
+    _perm_tables,
     canonical_type,
     complement_system,
     enumerate_min_balanced,
@@ -342,6 +344,20 @@ class TestCanonicalType:
             universe = range(1, rng.choice([8, 16, 32, 64]))
             system = SetSystem(tuple(sorted(rng.sample(universe, rng.randint(1, min(6, len(universe)))))))
             assert canonical_type(system, p6) == self._full_scan(system, 6)
+
+    def test_orbit_table_matches_recomputation(self, p4):
+        # the cached relabelling and lowering tables give the results of
+        # tables rebuilt for every call
+        systems = [m.system for m in enumerate_min_balanced(p4, p4.full_mask)]
+        for system in systems:  # warm the tables
+            canonical_type(system, p4)
+        warm = [canonical_type(system, p4) for system in systems]
+        cold = []
+        for system in systems:
+            _perm_tables.cache_clear()
+            _lowering.cache_clear()
+            cold.append(canonical_type(system, p4))
+        assert warm == cold
 
 
 # -- brute-force cross-check of the enumeration --------------------------
