@@ -262,15 +262,14 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
 
     A search for ``c >= 6``, run only on a cache miss, logs a warning
     first.  On a 2-core machine with Python 3.11 (single runs) the search
-    and its callers took: ``enumerate_min_balanced`` 17 s and 250 MB;
-    ``minbal enumerate --players 6`` 20 s and 250 MB, and with
-    ``--format json`` 35-42 s and 1530-1560 MB; ``minbal catalogue
-    --players 6`` 12 s and 69 MB for ``totally-balanced`` and 24 s and
-    290 MB for ``balanced``; ``parse`` of the totally-balanced file 13 s
-    and 165 MB.
+    and its callers took: ``enumerate_min_balanced`` 10-17 s and 250 MB;
+    ``minbal enumerate --players 6`` 9-20 s and 251 MB in text and in
+    JSON; ``minbal catalogue --players 6`` 10-12 s and 69 MB for
+    ``totally-balanced`` and 16-24 s and 292 MB for ``balanced``;
+    ``parse`` of the totally-balanced file 10-13 s and 165 MB.
     """
     if c >= 6:
-        log.warning("enumerating min-balanced systems on a %d-player carrier: expect up to 45 s and 1.6 GB", c)
+        log.warning("enumerating min-balanced systems on a %d-player carrier: expect up to 25 s and 300 MB", c)
     full = (1 << c) - 1
     candidates = list(range(1, full))
     ncand = len(candidates)

@@ -14,12 +14,13 @@ Three catalogues are generated from min-balanced systems:
 Entries are identified by their full coefficient vector, ordered
 canonically, typed on the first players of their carrier size, and
 serialized to a bit-exact JSON format or a per-type text listing.
-``generate`` is the only builder of entries, and ``_json_entries`` the
-only source of their JSON: ``serialize`` joins the pieces of
-``_json_chunks`` and ``minbal catalogue`` writes them as they are
-rendered.  A catalogue is a fixed function of its players and cone, so
-``parse`` regenerates it and compares the file with its rendering, byte
-for byte and, only when the bytes differ, as JSON values.
+``generate`` is the only builder of entries.  ``minbal enumerate``
+lists systems through its carrier loop, system JSON renderer and list
+streamer: ``serialize`` joins the streamed pieces, ``minbal catalogue``
+writes them as they are rendered.  A catalogue is a fixed function of
+its players and cone, so ``parse`` regenerates it and compares the file
+with its rendering, byte for byte and, only when the bytes differ, as
+JSON values.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring
 from math import comb
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .balance import (
     ENUM_PLAYER_CAP,
@@ -164,23 +165,26 @@ def generate(players: Players, cone: Union[ConeKind, str]) -> Catalogue:
              ConeKind.EXACT_CONJECTURE: range(2, n)}[cone]
     balanced = cone is ConeKind.BALANCED  # the one cone admitting reducible systems
     conjecture = cone is ConeKind.EXACT_CONJECTURE
-    kept, types = {}, []
-    for c in sizes:
-        admitted = [(rep, tables, kind) for rep, tables, kind in _types_on(players, c, balanced) if balanced or kind.irreducible]
-        kept[c] = _expand(admitted)
-        types += (
-            TypeSummary(e.type_id, e, e.orbit_size, e.complement_type_id,
-                        (e.type_id[1:] if e.conjugated else "~" + e.type_id) if conjecture else None)
-            for rep, _, kind in admitted for e in _entries_of(players, cone, rep, kind)
-        )
-    entries = tuple(
-        e for m in range(players.full_mask + 1) if m.bit_count() in kept
-        for mbs, kind in _renamed(kept[m.bit_count()], m)
-        for e in _entries_of(players, cone, mbs, kind)
+    admitted = {c: [(rep, tables, kind) for rep, tables, kind in _types_on(players, c, balanced) if balanced or kind.irreducible]
+                for c in sizes}
+    types = tuple(
+        TypeSummary(e.type_id, e, e.orbit_size, e.complement_type_id,
+                    (e.type_id[1:] if e.conjugated else "~" + e.type_id) if conjecture else None)
+        for on_size in admitted.values() for rep, _, kind in on_size for e in _entries_of(players, cone, rep, kind)
     )
+    entries = tuple(e for mbs, kind in _carrier_systems(players, admitted) for e in _entries_of(players, cone, mbs, kind))
     if len({e.alpha.items for e in entries}) != len(entries):
         raise RuntimeError("catalogue entries collide as coefficient vectors")
-    return Catalogue(players, cone, entries, tuple(types))
+    return Catalogue(players, cone, entries, types)
+
+
+def _carrier_systems(players: Players, admitted: dict[int, list]) -> Iterator[tuple[MinBalancedSystem, _Type]]:
+    """The systems of the ``_types_on`` types admitted for each carrier
+    size on every carrier of that size, in increasing bitmask order."""
+    first = {c: _expand(types) for c, types in admitted.items()}
+    for m in range(players.full_mask + 1):
+        if m.bit_count() in first:
+            yield from _renamed(first[m.bit_count()], m)
 
 
 def _entries_of(players: Players, cone: ConeKind, mbs: MinBalancedSystem, kind: _Type) -> tuple[CatalogueEntry, ...]:
@@ -251,22 +255,19 @@ def _text_lines(catalogue: Catalogue) -> list[str]:
             notes.append(f"conjugate type {numbers[t.conjugate_type_id]}.")
         if rep.irreducible and not rep.conjugated:
             notes.append("irreducible")
-        note = ("   " + ", ".join(notes)) if notes else ""
-        lines.append(f"{i}. {_render_system(players, induced_system(rep.alpha))}   {t.count}x{note}")
-        lines.append(f"   {render_inequality(rep.alpha, players)}")
+        lines += _type_lines(players, i, rep.alpha, t.count, notes)
     return lines
 
 
+def _type_lines(players: Players, number: int, alpha: InequalityVector, count: int, notes: list[str]) -> tuple[str, str]:
+    """A type's two lines in a text listing: its number, the system its
+    inequality induces, its count and notes, then the inequality."""
+    note = ("   " + ", ".join(notes)) if notes else ""
+    return (f"{number}. {_render_system(players, induced_system(alpha))}   {count}x{note}",
+            f"   {render_inequality(alpha, players)}")
+
+
 # -- serialization -------------------------------------------------------
-
-def _system_payload(players: Players, mbs: MinBalancedSystem) -> dict:
-    return {
-        "system": [list(players.member_names(m)) for m in mbs.system.members],
-        "carrier": list(players.member_names(mbs.carrier)),
-        "weights": {players.key(m): str(w) for m, w in zip(mbs.system.members, mbs.weights)},
-        "k": mbs.k,
-    }
-
 
 def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
     """Rendered items as ``json.dumps(indent=2)`` writes a list, or an object with ``"{}"``, at ``pad``."""
@@ -276,22 +277,45 @@ def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
 
 
-def _json_entries(catalogue: Catalogue) -> Iterator[str]:
-    """Each entry as ``serialize`` writes it in the ``entries`` list; every
-    coalition's key and name list is rendered once."""
-    players = catalogue.players
-    coalitions = players.coalitions()
-    keys = [encode_basestring(players.key(m)) for m in coalitions]
-    names = [[encode_basestring(name) for name in players.member_names(m)] for m in coalitions]
-    members = [_json_block(names[m], " " * 8) for m in coalitions]
-    carriers = [_json_block(names[m], " " * 6) for m in coalitions]
-    for e in catalogue.entries:
-        mbs = e.mbs
-        fields = [
-            '"system": ' + _json_block([members[m] for m in mbs.system.members], " " * 6),
+def _json_list(items: Iterator[str], pad: str) -> Iterator[str]:
+    """``_json_block`` of a list in pieces, for items rendered one at a
+    time: ``[`` with the first item, each further item, ``]``."""
+    inner = "\n" + pad + "  "
+    sep = "[" + inner
+    for item in items:
+        yield sep + item
+        sep = "," + inner
+    yield "[]" if sep[0] == "[" else "\n" + pad + "]"
+
+
+def _system_fields(players: Players, pad: str) -> Callable[[MinBalancedSystem], list[str]]:
+    """A renderer of a system's ``system``, ``carrier``, ``weights`` and
+    ``k`` fields as ``json.dumps(indent=2)`` writes them in an object
+    whose fields sit at ``pad``; every coalition's key and name list is
+    rendered once, here."""
+    keys = [encode_basestring(players.key(m)) for m in players.coalitions()]
+    names = [[encode_basestring(name) for name in players.member_names(m)] for m in players.coalitions()]
+    members = [_json_block(member, pad + "  ") for member in names]
+    carriers = [_json_block(member, pad) for member in names]
+
+    def fields(mbs: MinBalancedSystem) -> list[str]:
+        return [
+            '"system": ' + _json_block([members[m] for m in mbs.system.members], pad),
             '"carrier": ' + carriers[mbs.carrier],
-            '"weights": ' + _json_block([f'{keys[m]}: "{w}"' for m, w in zip(mbs.system.members, mbs.weights)], " " * 6, "{}"),
+            '"weights": ' + _json_block([f'{keys[m]}: "{w}"' for m, w in zip(mbs.system.members, mbs.weights)], pad, "{}"),
             f'"k": {mbs.k}',
+        ]
+
+    return fields
+
+
+def _json_entries(catalogue: Catalogue) -> Iterator[str]:
+    """Each entry as ``serialize`` writes it in the ``entries`` list."""
+    players = catalogue.players
+    keys = [encode_basestring(players.key(m)) for m in players.coalitions()]
+    system_fields = _system_fields(players, " " * 6)
+    for e in catalogue.entries:
+        fields = system_fields(e.mbs) + [
             '"alpha": ' + _json_block([f"{keys[s]}: {c}" for s, c in e.alpha.items], " " * 6, "{}"),
             '"irreducible": ' + str(e.irreducible).lower(),
             '"conjugated": ' + str(e.conjugated).lower(),
@@ -305,22 +329,15 @@ def _json_entries(catalogue: Catalogue) -> Iterator[str]:
 
 def _json_chunks(catalogue: Catalogue) -> Iterator[str]:
     """The JSON text of a catalogue in pieces of about one entry: the
-    header with the first entry, each further entry, the closing brackets."""
-    header = (
+    header, the ``_json_list`` pieces of the entries, the closing brace."""
+    yield (
         '{\n  "players": ' + _json_block([encode_basestring(name) for name in catalogue.players.names], "  ")
         + ',\n  "cone": ' + encode_basestring(catalogue.cone.value)
         + ',\n  "conjecture": ' + str(catalogue.conjecture).lower()
         + ',\n  "entries": '
     )
-    entries = _json_entries(catalogue)
-    first = next(entries, None)
-    if first is None:
-        yield header + "[]\n}\n"
-        return
-    yield header + "[\n    " + first
-    for block in entries:
-        yield ",\n    " + block
-    yield "\n  ]\n}\n"
+    yield from _json_list(_json_entries(catalogue), "  ")
+    yield "\n}\n"
 
 
 def serialize(catalogue: Catalogue, format: str = "json") -> bytes:

@@ -3,7 +3,8 @@
 Subcommands: ``enumerate`` lists min-balanced systems, ``catalogue``
 generates facet catalogues, ``check`` decides cone membership of a game
 file with optional certificates, and ``verify`` runs the built-in
-verification suites.  Results go to stdout, diagnostics to stderr.
+verification suites.  Results go to stdout as UTF-8 bytes, whatever
+its encoding, diagnostics to stderr.
 Exit codes: 0 on success or an affirmative verdict, 1 on a negative
 verdict or a failed verification item, 2 on usage or input errors.
 """
@@ -14,11 +15,13 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import nullcontext
+from itertools import chain
 from random import Random
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import catalogue as cat
-from .balance import _expand, _renamed, system_of
+from .balance import system_of
 from .cones import (
     CoreAllocation,
     FailingSubgame,
@@ -98,6 +101,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(pieces: Iterable[str], out: Optional[str] = None) -> None:
+    """Write text pieces as UTF-8, each as it is rendered, to the file
+    ``out`` or else to stdout, whatever the encoding of its text layer."""
+    sys.stdout.flush()
+    with open(out, "wb") if out else nullcontext(sys.stdout.buffer) as fh:
+        size = sum(fh.write(piece.encode("utf-8")) for piece in pieces)
+    if out:
+        print(f"wrote {size} bytes to {out}", file=sys.stderr)
+
+
 # -- enumerate -----------------------------------------------------------
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -106,61 +119,35 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if not 1 <= size <= players.n:
         raise ValueError(f"carrier size must be between 1 and {players.n}")
     # Classified on the first carrier, the first `size` players, which holds every type.
-    types = cat._types_on(players, size)
-    if args.irreducible_only:
-        types = [(rep, tables, kind) for rep, tables, kind in types if kind.irreducible]
+    types = [(rep, tables, kind) for rep, tables, kind in cat._types_on(players, size)
+             if kind.irreducible or not args.irreducible_only]
 
-    if args.types_only:
-        if args.format == "json":
-            doc = [
-                {
-                    "type_id": kind.type_id,
-                    "orbit_size": kind.orbit,
-                    "irreducible": kind.irreducible,
-                    "inequality": cat.render_inequality(rep.alpha, players),
-                }
-                for rep, _, kind in types
-            ]
-            print(json.dumps(doc, indent=2, ensure_ascii=False))
-        else:
-            for i, (rep, _, kind) in enumerate(types, start=1):
-                note = "   irreducible" if kind.irreducible else ""
-                print(f"{i}. {cat._render_system(players, rep.system)}   {kind.orbit}x{note}")
-                print(f"   {cat.render_inequality(rep.alpha, players)}")
-        return 0
-
-    first = _expand(types)
-    systems = [pair for m in range(players.full_mask + 1) if m.bit_count() == size for pair in _renamed(first, m)]
-    if args.format == "json":
-        doc = [cat._system_payload(players, mbs) | {"irreducible": kind.irreducible} for mbs, kind in systems]
-        print(json.dumps(doc, indent=2, ensure_ascii=False))
+    if args.types_only and args.format == "json":
+        # indented to sit in the list; json.dumps escapes every newline in a string
+        items = (json.dumps({"type_id": kind.type_id, "orbit_size": kind.orbit, "irreducible": kind.irreducible,
+                             "inequality": cat.render_inequality(rep.alpha, players)}, indent=2, ensure_ascii=False).replace("\n", "\n  ")
+                 for rep, _, kind in types)
+    elif args.types_only:
+        lines = (line for i, (rep, _, kind) in enumerate(types, start=1)
+                 for line in cat._type_lines(players, i, rep.alpha, kind.orbit, ["irreducible"] if kind.irreducible else []))
+    elif args.format == "json":
+        system_fields = cat._system_fields(players, " " * 4)
+        items = (cat._json_block(system_fields(mbs) + ['"irreducible": ' + str(kind.irreducible).lower()], "  ", "{}")
+                 for mbs, kind in cat._carrier_systems(players, {size: types}))
     else:
-        for mbs, kind in systems:
-            weights = " ".join(f"{players.key(m)}={w}" for m, w in zip(mbs.system.members, mbs.weights))
-            note = "   irreducible" if kind.irreducible else ""
-            print(f"{cat._render_system(players, mbs.system)}   carrier={players.key(mbs.carrier)}   k={mbs.k}   weights: {weights}{note}")
+        lines = (f"{cat._render_system(players, mbs.system)}   carrier={players.key(mbs.carrier)}   k={mbs.k}   weights: "
+                 + " ".join(f"{players.key(m)}={w}" for m, w in zip(mbs.system.members, mbs.weights))
+                 + ("   irreducible" if kind.irreducible else "") for mbs, kind in cat._carrier_systems(players, {size: types}))
+    _write(chain(cat._json_list(items, ""), ["\n"]) if args.format == "json" else (line + "\n" for line in lines))
     return 0
 
 
 # -- catalogue -----------------------------------------------------------
 
 def _cmd_catalogue(args: argparse.Namespace) -> int:
-    players = letters(args.players)
-    catalogue = cat.generate(players, args.cone)
-    if args.format == "json":  # written as rendered, never held whole
-        chunks = (chunk.encode("utf-8") for chunk in cat._json_chunks(catalogue))
-    else:
-        chunks = [cat.serialize(catalogue, args.format)]
-    if args.out:
-        with open(args.out, "wb") as fh:
-            size = 0
-            for chunk in chunks:
-                size += fh.write(chunk)
-        print(f"wrote {size} bytes to {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.flush()
-        for chunk in chunks:
-            sys.stdout.buffer.write(chunk)
+    catalogue = cat.generate(letters(args.players), args.cone)
+    pieces = cat._json_chunks(catalogue) if args.format == "json" else (line + "\n" for line in cat._text_lines(catalogue))
+    _write(pieces, args.out)
     return 0
 
 
@@ -181,9 +168,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
             "member": verdict.member,
             "certificate": _certificate_payload(game.players, verdict.certificate),
         }
-        print(json.dumps(doc, indent=2, ensure_ascii=False))
+        _write([json.dumps(doc, indent=2, ensure_ascii=False) + "\n"])
     else:
-        print(f"{args.cone}: {'member' if verdict.member else 'not a member'}")
+        _write([f"{args.cone}: {'member' if verdict.member else 'not a member'}\n"])
     return 0 if verdict.member else 1
 
 
@@ -240,16 +227,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "conjecture": _suite_conjecture,
     }[args.suite]
     items = suite(args)
-    failures = 0
-    for name, ok, expected, actual in items:
-        if ok:
-            print(f"PASS {name}")
-        else:
-            failures += 1
-            print(f"FAIL {name}: expected {expected}, got {actual}")
-    total = len(items)
-    print(f"{total - failures}/{total} items passed", file=sys.stderr)
-    return 0 if failures == 0 else 1
+    _write(f"PASS {name}\n" if ok else f"FAIL {name}: expected {expected}, got {actual}\n"
+           for name, ok, expected, actual in items)
+    passed = sum(ok for _, ok, _, _ in items)
+    print(f"{passed}/{len(items)} items passed", file=sys.stderr)
+    return 0 if passed == len(items) else 1
 
 
 def _suite_appendix(args: argparse.Namespace):

@@ -316,7 +316,7 @@ def _read_document(data: Union[str, bytes], fields: tuple[str, ...], error: type
 
     try:
         doc = json.loads(data, object_pairs_hook=unique_keys)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise error(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise error("top level must be an object")

@@ -8,7 +8,6 @@ import pytest
 
 from minbal import anti_dual, game_of, generate, letters, lp_feasible
 from minbal.balance import MinBalancedSystem, SetSystem, normalize
-from minbal.catalogue import _system_payload
 from minbal.linalg import augment, reduce_mod_rows
 
 
@@ -22,9 +21,21 @@ def permute_coalition(coalition: int, perm: tuple[int, ...]) -> int:
     return bits
 
 
+def system_payload(players, mbs):
+    """A system's ``system``, ``carrier``, ``weights`` and ``k`` fields as
+    JSON values: a reference for the renderer behind ``serialize`` and
+    ``minbal enumerate --format json``."""
+    return {
+        "system": [list(players.member_names(m)) for m in mbs.system.members],
+        "carrier": list(players.member_names(mbs.carrier)),
+        "weights": {players.key(m): str(w) for m, w in zip(mbs.system.members, mbs.weights)},
+        "k": mbs.k,
+    }
+
+
 def _entry_payload(players, e):
     """One catalogue entry as the JSON object ``serialize`` writes for it."""
-    payload = _system_payload(players, e.mbs) | {
+    payload = system_payload(players, e.mbs) | {
         "alpha": {players.key(s): c for s, c in e.alpha.items},
         "irreducible": e.irreducible,
         "conjugated": e.conjugated,

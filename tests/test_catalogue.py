@@ -398,6 +398,10 @@ class TestSerialization:
         with pytest.raises(CatalogueFormatError, match="invalid JSON"):
             parse(b"{")
 
+    def test_bytes_not_in_a_unicode_encoding_rejected(self):
+        with pytest.raises(CatalogueFormatError, match="invalid JSON"):
+            parse(b"\xff\xfe{")
+
     def test_wrong_conjecture_flag_rejected(self, balanced3):
         import json
 

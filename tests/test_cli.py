@@ -12,6 +12,8 @@ from minbal.catalogue import generate, serialize
 from minbal.cli import main
 from minbal.games import game_of, game_to_json, letters
 
+from conftest import system_payload
+
 
 def _run_module(*args, **env):
     """Run ``python -m minbal.cli`` with this package's source on the path
@@ -61,12 +63,15 @@ class TestEnumerate:
         assert all(item["irreducible"] for item in doc)
 
     def test_json_fields_match_catalogue_entries(self, capsys, balanced4):
-        # the full-carrier systems are the balanced catalogue's, in order
+        # the full-carrier systems are the balanced catalogue's, in order,
+        # written as json.dumps writes the reference encoder's payloads
         assert main(["enumerate", "--players", "4", "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
         fields = ("system", "carrier", "weights", "k", "irreducible")
         entries = json.loads(serialize(balanced4))["entries"]
-        assert doc == [{f: e[f] for f in fields} for e in entries]
+        assert json.loads(out) == [{f: e[f] for f in fields} for e in entries]
+        payloads = [system_payload(balanced4.players, e.mbs) | {"irreducible": e.irreducible} for e in balanced4.entries]
+        assert out == json.dumps(payloads, indent=2, ensure_ascii=False) + "\n"
 
     def test_bad_carrier_size(self, capsys):
         assert main(["enumerate", "--players", "3", "--carrier-size", "9"]) == 2
@@ -119,6 +124,23 @@ class TestCatalogue:
     def test_exact_two_errors(self, capsys):
         assert main(["catalogue", "--players", "2", "--cone", "exact-conjecture"]) == 2
         assert "at least 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--players", "3", "--types-only"],
+    ["enumerate", "--players", "3", "--types-only", "--format", "json"],
+    ["check", "--game", "GAME", "--cone", "balanced", "--certificate"],
+])
+def test_same_stdout_bytes_on_an_ascii_stdout(tmp_path, argv):
+    # every command writes UTF-8 bytes; the listings and the violated
+    # system's inequality hold "−" and "≥", which ASCII cannot encode
+    game = tmp_path / "empty-core.json"
+    game.write_text(game_to_json(game_of(letters(2), {"ab": -1})))
+    argv = [str(game) if arg == "GAME" else arg for arg in argv]
+    utf8 = _run_module(*argv, PYTHONIOENCODING="utf-8")
+    ascii_ = _run_module(*argv, PYTHONIOENCODING="ascii")
+    assert "−".encode() in utf8.stdout
+    assert (ascii_.returncode, ascii_.stdout) == (utf8.returncode, utf8.stdout), ascii_.stderr
 
 
 class TestCheck:

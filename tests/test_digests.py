@@ -1,9 +1,9 @@
 """Byte-level regression pins: SHA-256 of every catalogue on two to five
 players and of the exact-conjecture catalogue on six, in JSON and text,
 of every ``enumerate --players 4`` output, of the ``enumerate
---players 5`` outputs on the full carrier and of the 6-player type
-listing.  The exact-conjecture catalogues on five and six players
-classify systems on proper carriers.
+--players 5`` outputs on the full carrier, and of the 6-player type
+and system listings.  The exact-conjecture catalogues on five and six
+players classify systems on proper carriers.
 A change that keeps the mathematics keeps every byte; one that means to
 change an output updates its digest here."""
 
@@ -56,6 +56,12 @@ TOTALLY_BALANCED_6_DIGESTS = {
 #: flags.  Its search takes about 10 s, so CI checks it through the
 #: installed ``minbal`` command instead of tier-1.
 ENUMERATE_6_TYPES_DIGEST = "b56185e65d861711d8a0e3d8b6023c75cfeb5f88c55b79541f278f30f6b30150"
+
+#: SHA-256 of the stdout of ``enumerate --players 6 --format json``: the
+#: 200,213 systems on the full carrier (124,337,265 bytes), written item by
+#: item.  It takes about 20 s, so CI checks it through the installed
+#: ``minbal`` command instead of tier-1.
+ENUMERATE_6_JSON_DIGEST = "5c9be92245a421fe753d2bd96d89e3cb8e62f60b679cf81406236e9a72a79d91"
 
 #: (carrier size, format, --types-only, --irreducible-only) -> SHA-256 of
 #: the stdout of ``enumerate --players 4``, or ``--players 5`` for carrier

@@ -308,6 +308,10 @@ class TestGameJson:
         with pytest.raises(GameFormatError, match=message):
             game_from_json(doc)
 
+    def test_bytes_not_utf8_rejected(self):
+        with pytest.raises(GameFormatError, match="invalid JSON"):
+            game_from_json(b"\xc3(")
+
 
 def test_random_game_shape(p3):
     rng = Random(77)
