@@ -81,6 +81,9 @@ class InequalityVector:
 
     def __post_init__(self) -> None:
         items = tuple((int(s), int(c)) for s, c in self.items)
+        # integer input equals its conversion, so only other input is checked item by item
+        if items != self.items and any(int(x) != x for item in self.items for x in item):
+            raise ValueError("coalition masks and coefficients must be integers")
         object.__setattr__(self, "items", items)
         if any(c == 0 for _, c in items):
             raise ValueError("zero coefficients must be omitted")

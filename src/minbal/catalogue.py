@@ -26,11 +26,11 @@ JSON values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from json.encoder import encode_basestring
 from math import comb
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .balance import (
     ENUM_PLAYER_CAP,
@@ -121,29 +121,20 @@ def _type_id(players: Players, system: SetSystem) -> str:
     return "|".join(players.key(m) for m in canonical_type(system, players)[0].members)
 
 
-#: What a catalogue records of a permutational type.
-_Type = NamedTuple("_Type", [("type_id", str), ("orbit", int), ("irreducible", bool), ("complement_id", Optional[str])])
-
-
-def _types_on(players: Players, c: int, complements: bool = False) -> list[tuple[MinBalancedSystem, tuple, _Type]]:
+def _types_on(players: Players, c: int) -> list[tuple[tuple, CatalogueEntry]]:
     """Each type of non-trivial min-balanced system on the first ``c``
-    players, in canonical order: its lex-least system, the relabelling
-    tables of its orbit, ready for ``_expand``, and what is found from the
-    system alone, as relabelling the players commutes with all of it.
-    With ``complements``, for ``c`` equal to the player count, the
-    complement's type id is read from the orbits scanned for the tables."""
+    players, in canonical order: the relabelling tables of its orbit,
+    ready for ``_expand``, and the entry of its lex-least system.  That
+    entry holds what is found from the system alone, as relabelling the
+    players commutes with all of it: its irreducibility, type id and orbit
+    size, with no conjugate and no complement."""
     if players.n > ENUM_PLAYER_CAP:
         raise ValueError(f"enumeration is capped at {ENUM_PLAYER_CAP} players")
-    types, type_of = [], {}
-    for rep in _enumerate_size(c):
-        orbit = _orbit(rep.system.members, c)
-        type_id = "|".join(map(players.key, rep.system.members))
-        if complements:
-            type_of.update(dict.fromkeys(orbit, type_id))
-        types.append((rep, tuple(orbit.values()), _Type(type_id, len(orbit) * comb(players.n, c), is_reducible(rep) is None, None)))
-    if complements:  # a complement's orbit may be scanned after its own
-        types = [(rep, tables, kind._replace(complement_id=type_of[complement_system(rep.system, players).members]))
-                 for rep, tables, kind in types]
+    types = []
+    for mbs in _enumerate_size(c):
+        orbit = _orbit(mbs.system.members, c)
+        type_id = "|".join(map(players.key, mbs.system.members))
+        types.append((tuple(orbit.values()), CatalogueEntry(mbs, mbs.alpha, is_reducible(mbs) is None, False, type_id, len(orbit) * comb(players.n, c))))
     return types
 
 
@@ -152,8 +143,10 @@ def generate(players: Players, cone: Union[ConeKind, str]) -> Catalogue:
 
     Deterministic: each type of each carrier size c is classified once, on
     the first c players; only admitted orbits are expanded onto carriers.
-    Types are listed by size, then in search order, each with the entry of
-    its lex-least system, then in ``exact-conjecture`` its conjugate.
+    In ``balanced`` the complement of each type's lex-least system is
+    classified, once per type.  Types are listed by size, then in search
+    order, each with the entry of its lex-least system, then in
+    ``exact-conjecture`` its conjugate.
     """
     cone = ConeKind(cone)
     n = players.n
@@ -165,35 +158,39 @@ def generate(players: Players, cone: Union[ConeKind, str]) -> Catalogue:
              ConeKind.EXACT_CONJECTURE: range(2, n)}[cone]
     balanced = cone is ConeKind.BALANCED  # the one cone admitting reducible systems
     conjecture = cone is ConeKind.EXACT_CONJECTURE
-    admitted = {c: [(rep, tables, kind) for rep, tables, kind in _types_on(players, c, balanced) if balanced or kind.irreducible]
-                for c in sizes}
+    admitted = {c: [(tables, rep) for tables, rep in _types_on(players, c) if balanced or rep.irreducible] for c in sizes}
+    if balanced:
+        admitted[n] = [(tables, replace(rep, complement_type_id=_type_id(players, complement_system(rep.mbs.system, players))))
+                       for tables, rep in admitted[n]]
     types = tuple(
         TypeSummary(e.type_id, e, e.orbit_size, e.complement_type_id,
                     (e.type_id[1:] if e.conjugated else "~" + e.type_id) if conjecture else None)
-        for on_size in admitted.values() for rep, _, kind in on_size for e in _entries_of(players, cone, rep, kind)
+        for on_size in admitted.values() for _, rep in on_size for e in _entries_of(players, cone, rep.mbs, rep)
     )
-    entries = tuple(e for mbs, kind in _carrier_systems(players, admitted) for e in _entries_of(players, cone, mbs, kind))
+    entries = tuple(e for mbs, rep in _carrier_systems(players, admitted) for e in _entries_of(players, cone, mbs, rep))
     if len({e.alpha.items for e in entries}) != len(entries):
         raise RuntimeError("catalogue entries collide as coefficient vectors")
     return Catalogue(players, cone, entries, types)
 
 
-def _carrier_systems(players: Players, admitted: dict[int, list]) -> Iterator[tuple[MinBalancedSystem, _Type]]:
+def _carrier_systems(players: Players, admitted: dict[int, list]) -> Iterator[tuple[MinBalancedSystem, CatalogueEntry]]:
     """The systems of the ``_types_on`` types admitted for each carrier
-    size on every carrier of that size, in increasing bitmask order."""
-    first = {c: _expand(types) for c, types in admitted.items()}
+    size on every carrier of that size, in increasing bitmask order, each
+    with the entry of its type's lex-least system."""
+    first = {c: _expand((rep.mbs, tables, rep) for tables, rep in types) for c, types in admitted.items()}
     for m in range(players.full_mask + 1):
         if m.bit_count() in first:
             yield from _renamed(first[m.bit_count()], m)
 
 
-def _entries_of(players: Players, cone: ConeKind, mbs: MinBalancedSystem, kind: _Type) -> tuple[CatalogueEntry, ...]:
-    """An admitted system's entry, followed in ``exact-conjecture`` by its
-    conjugate.  Its one caller is ``generate``."""
-    entry = CatalogueEntry(mbs, mbs.alpha, kind.irreducible, False, kind.type_id, kind.orbit, kind.complement_id)
+def _entries_of(players: Players, cone: ConeKind, mbs: MinBalancedSystem, rep: CatalogueEntry) -> tuple[CatalogueEntry, ...]:
+    """An admitted system's entry, with the fields of its type copied from
+    ``rep``, followed in ``exact-conjecture`` by its conjugate.  Its one
+    caller is ``generate``."""
+    entry = CatalogueEntry(mbs, mbs.alpha, rep.irreducible, False, rep.type_id, rep.orbit_size, rep.complement_type_id)
     if cone is not ConeKind.EXACT_CONJECTURE:
         return (entry,)
-    return entry, CatalogueEntry(mbs, conjugate(mbs.alpha, players), kind.irreducible, True, "~" + kind.type_id, kind.orbit)
+    return entry, CatalogueEntry(mbs, conjugate(mbs.alpha, players), rep.irreducible, True, "~" + rep.type_id, rep.orbit_size)
 
 
 # -- rendering -----------------------------------------------------------

@@ -6,7 +6,8 @@ file with optional certificates, and ``verify`` runs the built-in
 verification suites.  Results go to stdout as UTF-8 bytes, whatever
 its encoding, diagnostics to stderr.
 Exit codes: 0 on success or an affirmative verdict, 1 on a negative
-verdict or a failed verification item, 2 on usage or input errors.
+verdict or a failed verification item, 2 on usage or input errors,
+141 (128 + SIGPIPE) when the reader closes stdout before the end.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from contextlib import nullcontext
 from itertools import chain
@@ -45,6 +47,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (GameFormatError, cat.CatalogueFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -119,25 +125,24 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if not 1 <= size <= players.n:
         raise ValueError(f"carrier size must be between 1 and {players.n}")
     # Classified on the first carrier, the first `size` players, which holds every type.
-    types = [(rep, tables, kind) for rep, tables, kind in cat._types_on(players, size)
-             if kind.irreducible or not args.irreducible_only]
+    types = [(tables, rep) for tables, rep in cat._types_on(players, size) if rep.irreducible or not args.irreducible_only]
 
     if args.types_only and args.format == "json":
         # indented to sit in the list; json.dumps escapes every newline in a string
-        items = (json.dumps({"type_id": kind.type_id, "orbit_size": kind.orbit, "irreducible": kind.irreducible,
+        items = (json.dumps({"type_id": rep.type_id, "orbit_size": rep.orbit_size, "irreducible": rep.irreducible,
                              "inequality": cat.render_inequality(rep.alpha, players)}, indent=2, ensure_ascii=False).replace("\n", "\n  ")
-                 for rep, _, kind in types)
+                 for _, rep in types)
     elif args.types_only:
-        lines = (line for i, (rep, _, kind) in enumerate(types, start=1)
-                 for line in cat._type_lines(players, i, rep.alpha, kind.orbit, ["irreducible"] if kind.irreducible else []))
+        lines = (line for i, (_, rep) in enumerate(types, start=1)
+                 for line in cat._type_lines(players, i, rep.alpha, rep.orbit_size, ["irreducible"] if rep.irreducible else []))
     elif args.format == "json":
         system_fields = cat._system_fields(players, " " * 4)
-        items = (cat._json_block(system_fields(mbs) + ['"irreducible": ' + str(kind.irreducible).lower()], "  ", "{}")
-                 for mbs, kind in cat._carrier_systems(players, {size: types}))
+        items = (cat._json_block(system_fields(mbs) + ['"irreducible": ' + str(rep.irreducible).lower()], "  ", "{}")
+                 for mbs, rep in cat._carrier_systems(players, {size: types}))
     else:
         lines = (f"{cat._render_system(players, mbs.system)}   carrier={players.key(mbs.carrier)}   k={mbs.k}   weights: "
                  + " ".join(f"{players.key(m)}={w}" for m, w in zip(mbs.system.members, mbs.weights))
-                 + ("   irreducible" if kind.irreducible else "") for mbs, kind in cat._carrier_systems(players, {size: types}))
+                 + ("   irreducible" if rep.irreducible else "") for mbs, rep in cat._carrier_systems(players, {size: types}))
     _write(chain(cat._json_list(items, ""), ["\n"]) if args.format == "json" else (line + "\n" for line in lines))
     return 0
 

@@ -25,7 +25,7 @@ log = logging.getLogger("minbal")
 #: Membership oracles keep dense 2**n tables, so the player count is capped.
 MAX_PLAYERS = 12
 
-_VALUE_RE = re.compile(r"-?\d+(/\d+)?\Z")
+_VALUE_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 
 
 class GameFormatError(ValueError):

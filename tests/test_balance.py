@@ -11,6 +11,7 @@ import pytest
 
 from minbal import balance
 from minbal.balance import (
+    InequalityVector,
     SetSystem,
     _enumerate_size,
     _expand,
@@ -28,7 +29,7 @@ from minbal.catalogue import generate, parse
 from minbal.cli import main
 from minbal.cones import conjugate
 from conftest import lp_conic_feasible, permute_coalition, plain_enumerate_size
-from minbal.games import letters
+from minbal.games import game_of, letters
 from minbal.linalg import solve_unique
 from minbal.reference import BALANCED_COUNTS
 
@@ -97,6 +98,26 @@ class TestNormalize:
     def test_unbalanced_rejected(self):
         with pytest.raises(ValueError):
             normalize({0b01: F(1, 2), 0b10: F(1)})
+
+
+class TestInequalityVector:
+    @pytest.mark.parametrize("items", [
+        ((0, 1), (1, -1), (2, -1), (3, F(3, 2))),
+        ((0, 1), (1, -1), (2, -1), (3, 1.9)),
+        ((0, 1), (1.5, -1), (3, 1)),
+    ])
+    def test_non_integers_rejected(self, items):
+        # truncated, the first would still be o-standardized and pair with
+        # the game m(ab) = 2 to 2 instead of 3
+        with pytest.raises(ValueError, match="must be integers"):
+            InequalityVector(items)
+
+    def test_integral_values_kept(self, p2):
+        alpha = InequalityVector(((F(0), True), (1, -1.0), (2, F(-2, 2)), (3, 1)))
+        assert alpha.items == ((0, 1), (1, -1), (2, -1), (3, 1))
+        assert all(type(x) is int for item in alpha.items for x in item)
+        assert alpha.is_o_standardized()
+        assert alpha.evaluate(game_of(p2, {"ab": 2})) == 2
 
 
 class TestComplement:

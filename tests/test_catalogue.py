@@ -521,6 +521,21 @@ class TestDeterminism:
         assert {system.carrier for system in reduced} == {(1 << c) - 1 for c in range(2, 6)}
         assert all(canonical_type(system, letters(6))[0] == system for system in reduced)
 
+    def test_balanced_classifies_each_complement_once(self, monkeypatch):
+        import minbal.catalogue
+
+        complements, classified = [], []
+        real_complement, real_type = minbal.catalogue.complement_system, minbal.catalogue.canonical_type
+        monkeypatch.setattr(minbal.catalogue, "complement_system", lambda system, players: complements.append(real_complement(system, players)) or complements[-1])
+        monkeypatch.setattr(minbal.catalogue, "canonical_type", lambda system, players: classified.append(system) or real_type(system, players))
+        _enumerate_size.cache_clear()
+        generate(letters(5), "balanced")
+        # one call per type, each on the complement of its lex-least system
+        # as just built, so no enumerated system is ever classified
+        assert len(classified) == 44
+        assert classified == [complement_system(rep.system, letters(5)) for rep in _enumerate_size(5)]
+        assert all(system is complement for system, complement in zip(classified, complements, strict=True))
+
     def test_repeated_runs_byte_identical(self, p3):
         assert serialize(generate(p3, "balanced")) == serialize(generate(p3, "balanced"))
 

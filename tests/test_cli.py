@@ -15,13 +15,18 @@ from minbal.games import game_of, game_to_json, letters
 from conftest import system_payload
 
 
-def _run_module(*args, **env):
-    """Run ``python -m minbal.cli`` with this package's source on the path
-    and ``env`` added to the environment; its output is bytes."""
+def _module_command(*args, **env):
+    """The argv and environment of ``python -m minbal.cli`` with this
+    package's source on the path and ``env`` added to the environment."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(minbal.__file__)))
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src, **env)
-    return subprocess.run([sys.executable, "-m", "minbal.cli", *args], capture_output=True, env=env)
+    return [sys.executable, "-m", "minbal.cli", *args], dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src, **env)
+
+
+def _run_module(*args, **env):
+    """Run ``_module_command``; its output is bytes."""
+    argv, env = _module_command(*args, **env)
+    return subprocess.run(argv, capture_output=True, env=env)
 
 
 @pytest.fixture()
@@ -230,6 +235,17 @@ class TestUsage:
         assert member.returncode == 0
         rejected = _run_module("check", "--game", str(bad_path), "--cone", "balanced")
         assert rejected.returncode == 1
+
+
+def test_closed_stdout_exits_quietly():
+    # the listing (120,056 bytes) outgrows a pipe buffer, so writes fail
+    # once the reader has taken one line and closed the pipe
+    argv, env = _module_command("enumerate", "--players", "5")
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"{")
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait() == 141
 
 
 def test_cli_module_entry():

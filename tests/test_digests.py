@@ -1,8 +1,9 @@
 """Byte-level regression pins: SHA-256 of every catalogue on two to five
 players and of the exact-conjecture catalogue on six, in JSON and text,
 of every ``enumerate --players 4`` output, of the ``enumerate
---players 5`` outputs on the full carrier, and of the 6-player type
-and system listings.  The exact-conjecture catalogues on five and six
+--players 5`` outputs on the full carrier, of the 6-player type and
+system listings, and of the 6-player balanced and totally-balanced
+catalogues.  The exact-conjecture catalogues on five and six
 players classify systems on proper carriers.
 A change that keeps the mathematics keeps every byte; one that means to
 change an output updates its digest here."""
@@ -49,6 +50,15 @@ CATALOGUE_DIGESTS = {
 TOTALLY_BALANCED_6_DIGESTS = {
     "json": "227c5b8e7f8472f69ac7f9fc41efbae832fd21928fc2c5def96b69444adcb72a",
     "text": "de619a2655d60e134c4459f55e6249b1e627e3879a4599cbc4acfdacff49a183",
+}
+
+#: format -> SHA-256 of the 6-player ``balanced`` catalogue (208,916,244
+#: bytes of JSON, 100,167 of text), the one output that writes all 582
+#: complement links.  It takes about 18 s to generate, so CI checks it
+#: through the installed ``minbal`` command instead of tier-1.
+BALANCED_6_DIGESTS = {
+    "json": "d2591a4da2ceb1fddd45f98b226d8b9d173873af307773444a1640f38d65e651",
+    "text": "92e9bf4533852bff137d44d42da7b50fca796866408d8233e1cb6d1325026aa0",
 }
 
 #: SHA-256 of the stdout of ``enumerate --players 6 --types-only --format

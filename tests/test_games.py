@@ -296,6 +296,8 @@ class TestGameJson:
             ('{"players": ["a","b"], "values": {"": "0", "a": "0.5", "b": "0", "ab": "0"}}', "not a decimal integer"),
             ('{"players": ["a","b"], "values": {"": "0", "a": "2/4", "b": "0", "ab": "0"}}', "reduced"),
             ('{"players": ["a","b"], "values": {"": "0", "a": "1/0", "b": "0", "ab": "0"}}', "positive denominator"),
+            ('{"players": ["a","b"], "values": {"": "0", "a": "\u0663", "b": "0", "ab": "0"}}', "not a decimal integer"),  # Arabic-Indic 3
+            ('{"players": ["a","b"], "values": {"": "0", "a": "\uff11/\uff12", "b": "0", "ab": "0"}}', "not a decimal integer"),  # fullwidth 1/2
             ('{"players": ["a","b"], "values": {"": "0", "a": 0.5, "b": 0, "ab": 0}}', "integers or rational strings"),
             ('{"players": ["a","b"], "values": {"": "1", "a": "0", "b": "0", "ab": "0"}}', "empty coalition"),
             ('{"players": ["a","a"], "values": {}}', "players"),
