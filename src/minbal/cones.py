@@ -11,6 +11,9 @@ Every LP-based oracle asks whether a core point exists, possibly one
 tight at a given coalition: 2^n - 1 rows in n unknowns.  The rows are
 generated (:func:`_tight_feasibility`), so each LP holds the singletons,
 the equalities and the few rows a scan of all coalitions found violated.
+They run on the game's table scaled to integers, and a subgame's on its
+part of that table; ``Fraction`` payoffs are built only for the points
+a certificate returns.
 
 Set functions that do not vanish at the empty coalition are shifted
 first; the oracles then answer for the shifted game, which is the
@@ -31,9 +34,10 @@ from .games import (
     as_game,
     is_o_standardized,
     log,
+    relabelling,
     restrict,
 )
-from .linalg import _integer_row, dependency, lp_feasible
+from .linalg import FeasibilityResult, _integer_row, dependency, lp_feasible
 from .reference import TOTALLY_BALANCED_COUNTS
 
 Payoffs = tuple[Fraction, ...]
@@ -113,53 +117,70 @@ def _theta_from_farkas(players: Players, order: list[int], farkas) -> SetFunctio
     return theta
 
 
-def _excesses(values: list[int], scale: int, point: Payoffs) -> list[int]:
+def _scaled(game: Game) -> tuple[list[int], int]:
+    """The game's table times ``scale``, the lcm of its denominators, and ``scale``."""
+    *values, scale = _integer_row([*game.values, 1])
+    return values, scale
+
+
+def _excesses(values: list[int], res: FeasibilityResult) -> list[int]:
     """v(S) - x(S) at every coalition S, times one positive integer.
 
-    ``values`` is the game's table times ``scale``, both from
-    ``_integer_row``.  The payoffs are scaled to integers once and the
-    subset sums built by doubling: the coalitions holding player i as
-    their highest player are those below bit i, each plus x_i.
+    ``values`` is a table times a positive integer, and ``res`` the
+    point of a core system on that table, so the point is the payoff
+    vector times the same integer.  Its numerators are summed by
+    doubling: the coalitions holding player i as their highest player
+    are those below bit i, each plus the numerator of x_i.
     """
-    *payoffs, k = _integer_row([*point, 1])
     sums = [0]
-    for x in payoffs:
-        p = x * scale
+    for p in res.numerators:
         sums += [t + p for t in sums]
-    return [v * k - t for v, t in zip(values, sums)]
+    den = res.denominator
+    return [v * den - t for v, t in zip(values, sums)]
 
 
-def _tight_feasibility(game: Game, tight_at: int):
-    """A core point with x(tight_at) = v(tight_at), or a Farkas functional.
+def _payoffs(res: FeasibilityResult, scale: int) -> Payoffs:
+    """The point of a core system on a table times ``scale``, as payoffs."""
+    den = res.denominator * scale
+    return tuple(Fraction(p, den) for p in res.numerators)
 
-    Returns ``(point, excess)``, excess as :func:`_excesses` gives it,
-    or ``(None, theta)``.  The core system has a row x(S) >= v(S) for
-    every coalition, with equality at the full player set and at
-    ``tight_at``, but only n unknowns, so its rows are generated.  The
-    working set starts with the equalities and the singleton
-    inequalities.  While :func:`lp_feasible` finds a point of the
-    working set, every coalition is scanned in integers and the most
-    violated row (smallest bitmask on ties) is added.  A point that
-    violates no row is in the core.  A Farkas vector of the working set,
-    zero on every other row, certifies the full system, and
-    :func:`_theta_from_farkas` repackages it.  Each round adds a row the
+
+def _tight_feasibility(values: list[int], tight_at: int):
+    """A core point with x(tight_at) = v(tight_at), or a Farkas vector.
+
+    ``values`` is a game's table times one positive integer, as
+    :func:`_scaled` gives it: the core system with its right-hand side
+    scaled alike takes the same pivots and has the same Farkas vectors,
+    and its point is the game's times that integer.  Returns ``(res,
+    order, excess)``: the :func:`lp_feasible` result of the last working
+    set, its coalitions in row order, and, when ``res`` has a point,
+    that point's excesses as :func:`_excesses` gives them.
+
+    The core system has a row x(S) >= v(S) for every coalition, with
+    equality at the full player set and at ``tight_at``, but only n
+    unknowns, so its rows are generated.  The working set starts with
+    the equalities and the singleton inequalities.  While
+    :func:`lp_feasible` finds a point of the working set, every
+    coalition is scanned in integers and the most violated row
+    (smallest bitmask on ties) is added.  A point that violates no row
+    is in the core.  A Farkas vector of the working set, zero on every
+    other row, certifies the full system.  Each round adds a row the
     working set lacked, so the loop ends.
     """
-    players = game.players
-    n, full = players.n, players.full_mask
+    full = len(values) - 1
+    n = full.bit_length()
     equalities = [full] if tight_at == full else [full, tight_at]
     working = [1 << i for i in range(n) if 1 << i not in equalities]
-    *values, scale = _integer_row([*game.values, 1])
     while True:
         order, mi = working + equalities, len(working)
         rows = [[-(s >> i & 1) for i in range(n)] for s in order]
-        res = lp_feasible(rows[:mi], rows[mi:], [-game.values[s] for s in order])
+        res = lp_feasible(rows[:mi], rows[mi:], [-values[s] for s in order])
         if not res.feasible:
-            return None, _theta_from_farkas(players, order, res.farkas)
-        excess = _excesses(values, scale, res.point)
+            return res, order, None
+        excess = _excesses(values, res)
         worst = max(excess)
         if worst <= 0:
-            return res.point, excess
+            return res, order, excess
         working.append(excess.index(worst))
 
 
@@ -200,37 +221,43 @@ def is_balanced(f: SetFunction) -> Verdict:
     violates, reduced from the Farkas vector of the same core system.
     """
     game = as_game(f)
-    point, theta = _tight_feasibility(game, game.players.full_mask)
-    if point is not None:
-        return Verdict(True, CoreAllocation(point))
-    return Verdict(False, _violated_system(game, theta))
+    values, scale = _scaled(game)
+    res, order, _ = _tight_feasibility(values, game.players.full_mask)
+    if res.feasible:
+        return Verdict(True, CoreAllocation(_payoffs(res, scale)))
+    return Verdict(False, _violated_system(game, _theta_from_farkas(game.players, order, res.farkas)))
 
 
 def is_totally_balanced_lp(f: SetFunction) -> Verdict:
     """Balancedness of every subgame, checked by one core system each.
 
     The smallest failing coalition (by cardinality, then bitmask) is
-    reported with the evidence for its subgame.  Singleton subgames are
-    always balanced and are skipped.
+    reported with the evidence for its subgame, and a member with a core
+    allocation of the game.  Singleton subgames are always balanced and
+    are skipped.  Each subgame's core system runs on its part of the
+    game's integer table; only a failing subgame is built as a game,
+    for its certificate.
     """
     game = as_game(f)
     players = game.players
     full = players.full_mask
+    values, scale = _scaled(game)
     coalitions = sorted(
         (s for s in range(1, full + 1) if s.bit_count() >= 2),
         key=lambda s: (s.bit_count(), s),
     )
-    core_point: Optional[Payoffs] = None
     for a in coalitions:
-        sub = game if a == full else restrict(game, a)
-        verdict = is_balanced(sub)
-        if not verdict.member:
-            return Verdict(False, FailingSubgame(a, verdict.certificate))
+        positions = [i for i in range(players.n) if a >> i & 1]
+        table = [values[s] for s in relabelling(positions)]
+        res, order, _ = _tight_feasibility(table, len(table) - 1)
+        if not res.feasible:
+            sub = game if a == full else restrict(game, a)
+            theta = _theta_from_farkas(sub.players, order, res.farkas)
+            return Verdict(False, FailingSubgame(a, _violated_system(sub, theta)))
         if a == full:
-            core_point = verdict.certificate.payoffs
-    if core_point is None:  # single-player game: the core is a point
-        core_point = (game.values[full],)
-    return Verdict(True, CoreAllocation(core_point))
+            return Verdict(True, CoreAllocation(_payoffs(res, scale)))
+    # single-player game: the core is a point
+    return Verdict(True, CoreAllocation((game.values[full],)))
 
 
 def is_totally_balanced_facets(f: SetFunction, catalogue) -> Verdict:
@@ -265,23 +292,25 @@ def is_exact(f: SetFunction) -> Verdict:
     full table of tight allocations; negative ones the first failing
     coalition with its separating functional.  A game on 11 or more
     players logs a warning first: on a 2-core machine a seeded convex
-    game took 5 s at 10 players, 17 s at 11 and 47 s at 12 (single
+    game took 3.5 s at 10 players, 9.2 s at 11 and 31 s at 12 (single
     runs), about threefold per player.
     """
     game = as_game(f)
     players = game.players
     full = players.full_mask
     if players.n >= 11:
-        log.warning("exactness check on %d players: up to %d core LPs, expect tens of seconds or more", players.n, full)
+        log.warning("exactness check on %d players: up to %d core LPs, expect ten seconds or more", players.n, full)
     coalitions = sorted(range(1, full + 1), key=lambda s: (s.bit_count(), s))
+    values, scale = _scaled(game)
     points: dict[int, Payoffs] = {}
     for d in coalitions:
         if d in points:
             continue
-        point, evidence = _tight_feasibility(game, d)
-        if point is None:
-            return Verdict(False, NoTightAllocation(d, evidence))
-        for s, e in enumerate(evidence):
+        res, order, excess = _tight_feasibility(values, d)
+        if not res.feasible:
+            return Verdict(False, NoTightAllocation(d, _theta_from_farkas(players, order, res.farkas)))
+        point = _payoffs(res, scale)
+        for s, e in enumerate(excess):
             if s and not e:
                 points.setdefault(s, point)
     return Verdict(True, TightAllocationTable(tuple((d, points[d]) for d in coalitions)))

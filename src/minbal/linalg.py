@@ -19,33 +19,42 @@ independent generators combine into a target in at most one way.  The
 enumeration of min-balanced systems keeps its own incremental echelon
 on the same kernel.
 
-The feasibility solver is a phase-1 simplex with Bland's pivoting rule,
-which terminates on every input without cycling; only the membership
-oracles of :mod:`minbal.cones` run it.  Its tableau holds the
-split variables x = u - v and one column per row, the row's slack; a
-row's artificial column stays a signed copy of that column, so it is
-not stored.  Each row is a positive integer multiple of the row of the
-rational tableau, so a pivot is the same elimination step, ratios
-compare by cross-multiplying and the pivots are those of the rational
-simplex; answers are read off as ``Fraction`` values.  The oracles
-generate the rows of their core LPs, so a problem has one variable per
-player and a working set of coalition rows (at most 15 rows on the
-benchmark's games of up to 8 players), where exact pivoting is entirely
-adequate.
+The feasibility solver, :func:`lp_feasible`, is a phase-1 simplex with
+Bland's pivoting rule, which terminates on every input without cycling;
+only the membership oracles of :mod:`minbal.cones` run it.  Each row and
+its right-hand side are scaled to integers once (``int`` input is used
+as it is), and everything after that is integer arithmetic.  The
+tableau holds the split variables x = u - v and one column per row, the
+row's slack; a row's artificial column stays a signed copy of that
+column, so it is not stored.  Each row is a positive integer multiple of
+the row of the rational tableau, so a pivot is the same elimination
+step, ratios compare by cross-multiplying and the pivots are those of
+the rational simplex.  A point comes out as integer numerators over one
+common denominator, and a Farkas vector as integer multipliers over the
+cost row's scale.  Every answer is checked against the scaled rows
+before it is returned (:func:`_verify_point`, :func:`_verify_farkas`),
+by integer comparisons that are the rational inequalities multiplied
+through by positive integers; ``Fraction`` values are built only for
+the caller.  The oracles generate the rows of their core LPs, so a
+problem has one variable per player and a working set of coalition rows
+(at most 15 rows on the benchmark's games of up to 8 players), where
+exact pivoting is entirely adequate.  They pass their game's table
+scaled to integers as the right-hand side: scaling every right-hand
+side by one positive integer scales the point and leaves the pivots and
+the Farkas vector as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from numbers import Rational
+from operator import mul
 from typing import Optional, Sequence
 
 Vector = tuple[Fraction, ...]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class DimensionError(ValueError):
@@ -64,7 +73,10 @@ def _checked_rows(rows: Sequence[Sequence], what: str) -> list[list[Rational]]:
 
 
 def _integer_row(entries: Sequence[Rational]) -> list[int]:
-    """The entries scaled by the lcm of their denominators."""
+    """The entries scaled by the lcm of their denominators; ``int``
+    entries pass as they are."""
+    if all(type(e) is int for e in entries):
+        return list(entries)
     scale = lcm(*(e.denominator for e in entries))
     return [e.numerator * (scale // e.denominator) for e in entries]
 
@@ -178,19 +190,29 @@ def solve_unique(columns: Sequence[Sequence], target: Sequence) -> Optional[Vect
 class FeasibilityResult:
     """Outcome of a linear feasibility problem.
 
-    Exactly one of ``point`` and ``farkas`` is set.  ``point`` satisfies
-    every constraint with exact arithmetic.  ``farkas`` is a row
-    multiplier vector ``lam`` over the stacked (inequality, equality)
-    rows with ``lam[i] >= 0`` on inequality rows, ``rows^T lam = 0`` and
-    ``rhs . lam < 0``, certifying infeasibility.
+    Exactly one of ``numerators`` and ``farkas`` is set.  A feasible
+    system's point is ``numerators`` over the positive ``denominator``,
+    in lowest terms; ``point`` gives it as ``Fraction`` values, built on
+    first use.  ``farkas`` is a row multiplier vector ``lam`` over the
+    stacked (inequality, equality) rows with ``lam[i] >= 0`` on
+    inequality rows, ``rows^T lam = 0`` and ``rhs . lam < 0``,
+    certifying infeasibility.
     """
 
-    point: Optional[Vector]
+    numerators: Optional[tuple[int, ...]]
+    denominator: int
     farkas: Optional[Vector]
 
     @property
     def feasible(self) -> bool:
-        return self.point is not None
+        return self.numerators is not None
+
+    @cached_property
+    def point(self) -> Optional[Vector]:
+        """The point, satisfying every constraint exactly, or ``None``."""
+        if self.numerators is None:
+            return None
+        return tuple(Fraction(p, self.denominator) for p in self.numerators)
 
 
 def lp_feasible(
@@ -202,11 +224,16 @@ def lp_feasible(
     """Decide ``A_I x <= b_I`` and ``A_E x == b_E`` exactly.
 
     ``rhs`` stacks ``b_I`` before ``b_E``.  ``dimension`` is only needed
-    when no rows are given.  Variables are unrestricted in sign.
+    when no rows are given.  Variables are unrestricted in sign.  Each
+    row is scaled to integers once, with its right-hand side, and the
+    simplex, the point and both checks work on those integer rows:
+    before it is returned, the point is re-substituted into every row,
+    or the Farkas vector into every row and the right-hand side, as
+    integer comparisons, and a failed check raises ``RuntimeError``.
     """
     ineq = _checked_rows(inequality_rows, "inequality rows")
     eq = _checked_rows(equality_rows, "equality rows")
-    b = [Fraction(v) for v in rhs]
+    b = _checked_rows([rhs], "right-hand sides")[0]
     mi, me = len(ineq), len(eq)
     if len(b) != mi + me:
         raise DimensionError("right-hand side does not match the number of rows")
@@ -214,7 +241,7 @@ def lp_feasible(
     if not rows:
         if dimension is None:
             raise ValueError("dimension is required for an empty constraint system")
-        return FeasibilityResult(point=tuple([_ZERO] * dimension), farkas=None)
+        return FeasibilityResult((0,) * dimension, 1, None)
     nvar = len(rows[0])
     if mi and me and len(ineq[0]) != len(eq[0]):
         raise DimensionError("inequality and equality rows have different widths")
@@ -223,30 +250,32 @@ def lp_feasible(
 
     m = mi + me
     ncols = 2 * nvar + m          # right-hand side column
+    # Row i, its right-hand side and a trailing 1, times the lcm of their
+    # denominators: the checks read the row there and the lcm at the end.
+    scaled = [_integer_row([*row, r, 1]) for row, r in zip(rows, b)]
     # Split x = u - v with u, v >= 0 and give row i one column holding
-    # k_i, the lcm of its denominators signed so that its scaled
-    # right-hand side is >= 0: the slack of an inequality row, a column
-    # that never enters for an equality row.  Each row is |k_i| times the
-    # rational tableau's row, and pivots keep it a positive multiple.
-    # Artificial i stays that column times sgn(k_i), as both start on e_i
-    # and pivots are row operations, so it is not stored; basis label
-    # ncols + i stands for it.  The trailing 0 is the cost row's scale.
+    # k_i, that lcm signed so that the scaled right-hand side is >= 0:
+    # the slack of an inequality row, a column that never enters for an
+    # equality row.  Each row is |k_i| times the rational tableau's row,
+    # and pivots keep it a positive multiple.  Artificial i stays that
+    # column times sgn(k_i), as both start on e_i and pivots are row
+    # operations, so it is not stored; basis label ncols + i stands for
+    # it.  The trailing 0 is the cost row's scale.
     tab: list[list[int]] = []
-    for i, row in enumerate(rows):
-        *line, r, k = _integer_row(row + [b[i], _ONE])
+    for i, (*line, r, k) in enumerate(scaled):
         if r < 0:
             line, r, k = [-e for e in line], -r, -k
         line += [-e for e in line] + [0] * m + [r, 0]
         line[2 * nvar + i] = k
         tab.append(line)
     # Phase-1 reduced costs: unit cost on artificials, with the artificial
-    # basis eliminated; the last coordinate is the cost row's positive
-    # scale.  Artificial i's reduced cost is the scale plus sgn(k_i) times
-    # row i's column, so eliminating it weighs the scale against |k_i|.
-    cost = [0] * (ncols + 1) + [1]
-    for i, line in enumerate(tab):
-        lead, scale = abs(line[2 * nvar + i]), cost[-1]
-        cost = _primitive([lead * c - scale * a for c, a in zip(cost, line)])
+    # basis eliminated.  Artificial i's reduced cost is the scale plus
+    # sgn(k_i) times row i's column, so eliminating it subtracts row i
+    # over |k_i|.  Over the lcm of the |k_i|, the last coordinate and the
+    # cost row's positive scale, that is one weighted sum of the rows.
+    common = lcm(*(row[-1] for row in scaled))
+    weighted = tab if common == 1 else [[common // row[-1] * a for a in line] for row, line in zip(scaled, tab)]
+    cost = _primitive([-sum(column) for column in zip(*weighted)][:-1] + [common])
     basis = list(range(ncols, ncols + m))
 
     while True:
@@ -276,38 +305,59 @@ def lp_feasible(
         basis[leave] = enter
 
     if cost[ncols] == 0:
-        x = [_ZERO] * nvar
-        for line, bv in zip(tab, basis):
-            if bv < 2 * nvar:  # u_j or v_j
-                x[bv % nvar] += Fraction(line[ncols], line[bv] if bv < nvar else -line[bv])
-        point = tuple(x)
-        _verify_point(rows, b, mi, point)
-        return FeasibilityResult(point=point, farkas=None)
+        # A basic u_j or v_j is its row's right-hand side over its
+        # (positive) column entry; the point takes their common
+        # denominator.
+        basic = [(line[ncols], line[bv], bv) for line, bv in zip(tab, basis) if bv < 2 * nvar]
+        den = lcm(*(d for _, d, _ in basic))
+        nums = [0] * nvar
+        for r, d, bv in basic:
+            nums[bv % nvar] += r * (den // d) if bv < nvar else -r * (den // d)
+        g = gcd(den, *nums)
+        nums, den = tuple(p // g for p in nums), den // g
+        _verify_point(scaled, mi, nums, den)
+        return FeasibilityResult(nums, den, None)
 
     # Infeasible: the simplex multipliers y_i = 1 - (reduced cost of
     # artificial i) give the Farkas vector lam = -sgn(k_i) * y_i in the
     # original row signs, which is row i's column entry over the scale.
-    lam = tuple(Fraction(cost[2 * nvar + i], cost[-1]) for i in range(m))
-    _verify_farkas(rows, b, mi, lam)
-    return FeasibilityResult(point=None, farkas=lam)
+    multipliers = cost[2 * nvar : ncols]
+    _verify_farkas(scaled, mi, multipliers)
+    return FeasibilityResult(None, 1, tuple(Fraction(c, cost[-1]) for c in multipliers))
 
 
-def _verify_point(rows: list[list[Fraction]], b: list[Fraction], mi: int, x: Vector) -> None:
-    for i, row in enumerate(rows):
-        lhs = sum((c * x[j] for j, c in enumerate(row) if c != 0), _ZERO)
-        ok = lhs <= b[i] if i < mi else lhs == b[i]
-        if not ok:
+def _verify_point(scaled: list[list[int]], mi: int, numerators: Sequence[int], denominator: int) -> None:
+    """Raise unless ``numerators / denominator`` satisfies every row.
+
+    ``scaled[i]`` is row i and its right-hand side times a positive
+    integer, as :func:`lp_feasible` builds them, so ``row . x <= r``
+    (``==`` from row ``mi`` on) holds exactly when
+    ``row . numerators <= r * denominator`` does.
+    """
+    for i, row in enumerate(scaled):
+        # map stops at the last numerator, before r and the scale
+        slack = row[-2] * denominator - sum(map(mul, row, numerators))
+        if slack < 0 or (i >= mi and slack):
             raise RuntimeError("simplex returned a point violating a constraint")
 
 
-def _verify_farkas(rows: list[list[Fraction]], b: list[Fraction], mi: int, lam: Vector) -> None:
-    if any(lam[i] < 0 for i in range(mi)):
+def _verify_farkas(scaled: list[list[int]], mi: int, multipliers: Sequence[int]) -> None:
+    """Raise unless ``multipliers`` over a positive integer is a Farkas vector.
+
+    Row i of the problem is ``scaled[i]`` over its last entry, so the
+    multipliers of the scaled rows, brought over the lcm of those
+    entries, are ``multipliers[i] * (lcm // scaled[i][-1])``.  They must
+    be nonnegative on the first ``mi`` rows, annihilate every column and
+    give the right-hand sides a negative sum.
+    """
+    if any(c < 0 for c in multipliers[:mi]):
         raise RuntimeError("Farkas vector has a negative inequality multiplier")
-    nvar = len(rows[0])
-    for j in range(nvar):
-        if sum((lam[i] * rows[i][j] for i in range(len(rows))), _ZERO) != 0:
-            raise RuntimeError("Farkas vector does not annihilate the rows")
-    if sum((lam[i] * b[i] for i in range(len(rows))), _ZERO) >= 0:
+    common = lcm(*(row[-1] for row in scaled))
+    weights = [c * (common // row[-1]) for c, row in zip(multipliers, scaled)]
+    *products, total = (sum(map(mul, weights, column)) for column in list(zip(*scaled))[:-1])
+    if any(products):
+        raise RuntimeError("Farkas vector does not annihilate the rows")
+    if total >= 0:
         raise RuntimeError("Farkas vector does not certify infeasibility")
 
 

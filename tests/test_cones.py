@@ -155,6 +155,28 @@ class TestTotallyBalanced:
         assert v.certificate.coalition == p3.coalition_of("ab")
         verify_verdict(market_anti_dual, v)
 
+    def test_builds_only_the_failing_subgame(self, monkeypatch):
+        # passing subgames are checked on the game's integer table; only
+        # the subgame whose certificate is returned is built as a game
+        built = []
+
+        def recording(f, coalition):
+            built.append(coalition)
+            return restrict(f, coalition)
+
+        monkeypatch.setattr(cones, "restrict", recording)
+        players = letters(5)
+        convex = _convex_game(players, Random(41))
+        assert is_totally_balanced_lp(convex).member and built == []
+        # b and c alone are worth half a unit more than bc together
+        bc = players.coalition_of("bc")
+        values = list(convex.values)
+        values[bc] = values[2] + values[4] - F(1, 2)
+        g = Game(players, tuple(values))
+        v = is_totally_balanced_lp(g)
+        assert v.certificate.coalition == bc and built == [bc]
+        verify_verdict(g, v)
+
     def test_modular_games_pass(self, p4):
         rng = Random(5)
         for _ in range(10):
@@ -239,28 +261,31 @@ class TestRowGeneration:
         cut = Game(players, convex.values[:-1] + (singletons - 1,))
         outcomes = set()
         for g in (game, anti_dual(game), convex, cut):
+            values, scale = cones._scaled(g)
             for tight_at in range(1, players.full_mask + 1):
                 rows, rhs, ineq_order, _ = tight_rows(g, tight_at)
                 mi = len(ineq_order)
-                point, theta = cones._tight_feasibility(g, tight_at)
-                assert (point is not None) == lp_feasible(rows[:mi], rows[mi:], rhs).feasible
-                if point is not None:
+                res, order, _ = cones._tight_feasibility(values, tight_at)
+                assert res.feasible == lp_feasible(rows[:mi], rows[mi:], rhs).feasible
+                if res.feasible:
+                    point = cones._payoffs(res, scale)
                     for i, row in enumerate(rows):
                         lhs = sum(c * x for c, x in zip(row, point))
                         assert lhs <= rhs[i] if i < mi else lhs == rhs[i]
                 else:
+                    theta = cones._theta_from_farkas(players, order, res.farkas)
                     assert theta_contains(theta, tight_at)
                     assert inner(theta, g) < 0
-                outcomes.add(point is not None)
+                outcomes.add(res.feasible)
         assert outcomes == {True, False}
 
     def _count_calls(self, monkeypatch):
         calls = []
         solve = cones._tight_feasibility
 
-        def counting(game, tight_at):
+        def counting(values, tight_at):
             calls.append(tight_at)
-            return solve(game, tight_at)
+            return solve(values, tight_at)
 
         monkeypatch.setattr(cones, "_tight_feasibility", counting)
         return calls
@@ -282,12 +307,12 @@ class TestRowGeneration:
         assert len(calls) < 63
         verify_verdict(g, v)
 
-    def test_warns_before_eleven_players(self, monkeypatch, caplog):
-        # the first system is reported infeasible, so no search runs
-        monkeypatch.setattr(cones, "_tight_feasibility", lambda game, tight_at: (None, None))
+    def test_warns_before_eleven_players(self, caplog):
+        # player a alone is worth 1 and the grand coalition 0, so the
+        # first system, tight at {a}, is infeasible and no search runs
         with caplog.at_level(logging.WARNING, logger="minbal"):
             for n in (10, 11):
-                assert not is_exact(Game(letters(n), (0,) * (1 << n))).member
+                assert not is_exact(Game(letters(n), (0, 1) + (0,) * ((1 << n) - 2))).member
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1 and "on 11 players" in warnings[0].getMessage()
 

@@ -2,19 +2,22 @@
 players and of the exact-conjecture catalogue on six, in JSON and text,
 of every ``enumerate --players 4`` output, of the ``enumerate
 --players 5`` outputs on the full carrier, of the 6-player type and
-system listings, and of the 6-player balanced and totally-balanced
-catalogues.  The exact-conjecture catalogues on five and six
-players classify systems on proper carriers.
+system listings, of the 6-player balanced and totally-balanced
+catalogues, and of ``check --certificate`` on seeded games in every
+cone.  The exact-conjecture catalogues on five and six players classify
+systems on proper carriers.
 A change that keeps the mathematics keeps every byte; one that means to
 change an output updates its digest here."""
 
 import hashlib
+from fractions import Fraction
+from random import Random
 
 import pytest
 
 from minbal.catalogue import generate, serialize
 from minbal.cli import main
-from minbal.games import letters
+from minbal.games import Game, game_to_json, letters, random_game
 
 #: (players, cone, format) -> SHA-256 of ``serialize(generate(...), format)``
 CATALOGUE_DIGESTS = {
@@ -119,6 +122,63 @@ ENUMERATE_DIGESTS = {
     (5, "json", True, True): "f041a3d52402851fb9ed86f66612a47bfac43334a1e4ff398344d6b33b7fce78",
 }
 
+#: (game kind, players, cone) -> (exit code, SHA-256 of the stdout of
+#: ``check --certificate``) for the games of :func:`_check_game`
+CHECK_DIGESTS = {
+    ("convex", 5, "balanced"): (0, "7326765ff23bdcec1462ee3184a2922249d1957a523cb40260e1a65584f4c892"),
+    ("convex", 5, "totally-balanced"): (0, "9faabae58fc73916c4465dde33fe0b804ca5bfedbd596cd95fd466b05ee83bfd"),
+    ("convex", 5, "exact"): (0, "a4ad35e93212c46643534d599f85b2a84f9485640e4e3ffb6e3d4d0192406dea"),
+    ("convex", 6, "balanced"): (0, "276aa8eb6357e3b4be4997e80d7bab0d82e636844dee76481db2d848c92f5877"),
+    ("convex", 6, "totally-balanced"): (0, "faead2890e8666683b0e82dcf00f2ce257e5b86c92555f84b7052f6e9fbdd832"),
+    ("convex", 6, "exact"): (0, "5e6466a9f44bd8bb5daa1b2478cc1a4817ab2c8baeb32daf05adc7b193e2fc87"),
+    ("convex", 7, "balanced"): (0, "6aa998e139e109c4b3114da94e2d81f5b07706c1a67490dd63bb633fe56d5e80"),
+    ("convex", 7, "totally-balanced"): (0, "6f513f9b0e7f4d3727c31051e0bbf49eef033f2f68e8dceb428d88ccba975aeb"),
+    ("convex", 7, "exact"): (0, "ca12935bf16e9b48fa18afc50e2997273e9463bc9c458a84b53d202910dbdd0e"),
+    ("cut", 5, "balanced"): (1, "0a43d3f771dc34515207781246ac7ce7aeac660a8b1e6e2165a1616c4eadb0b4"),
+    ("cut", 5, "totally-balanced"): (1, "337916728b582709fdba6803715bfd5e9e3244c59447a7541106989c3c72a93b"),
+    ("cut", 5, "exact"): (1, "6a020afabf07dd71846c9ca6083542aec45ecec4a55659479e278d83bdafab44"),
+    ("cut", 6, "balanced"): (1, "2754787ccdb19c5326196ac4b8d3032b81744b7966831b90b49e5d863cda0e0a"),
+    ("cut", 6, "totally-balanced"): (1, "3502afc19e148577112c0464b77876f4fcd8696504fbd0af34837d56f839a03d"),
+    ("cut", 6, "exact"): (1, "74449d932849cefe90c3c7fc8733aef10083bbec3a043573377808fb0d5f8c71"),
+    ("cut", 7, "balanced"): (1, "7f7ebf5360bad93d70f1b3a372b6adb0d1db8c6049f04adfe5f1c59ac95301d8"),
+    ("cut", 7, "totally-balanced"): (1, "2f58a8f44ff54f44bf8a16cc0d9f439a7a3dce072058b80eb25be2e519da459e"),
+    ("cut", 7, "exact"): (1, "ee17811ca28fcb10193a79e5f6543072f354da0d5c7b0433fe2f3274c1cdda75"),
+    ("random", 5, "balanced"): (1, "3b31395110ce7f6587fad4dc9947ea7836b3f6bc762b84248c307bb0c2ee07ae"),
+    ("random", 5, "totally-balanced"): (1, "75d38dff9b41b98b05f9c87c36a56655a67afa500054b75e3f4f69635b7dbbd2"),
+    ("random", 5, "exact"): (1, "f0cae89e2e8128eb0580f0897d270df2ab00904153c5d86de580c3127e32364f"),
+    ("random", 6, "balanced"): (1, "09ce024d41e1ead722633fe0a786c1def22a2a413687437ed70348a53dfa4f58"),
+    ("random", 6, "totally-balanced"): (1, "4f8157562d4590f856c8af262bfaddcfa1d46da5c52f735f807960b922574a0d"),
+    ("random", 6, "exact"): (1, "74449d932849cefe90c3c7fc8733aef10083bbec3a043573377808fb0d5f8c71"),
+    ("random", 7, "balanced"): (1, "619d28df8fb674ac71835dd08a486a05c615d1a509c2d7c231b0111aa81ea15e"),
+    ("random", 7, "totally-balanced"): (1, "a6d045c1cbf473f3f1f314535e89100c0d4c61553150297cf9ec0d238924f969"),
+    ("random", 7, "exact"): (1, "cba74cd2125519d1da079776265c13175f8cc4e932d7a0de73b94caa4e393963"),
+    ("shifted", 6, "balanced"): (0, "dd871dce9b1a800c0a2de52d5d327e47854da5cb6b0ae402711f64b3446ccd70"),
+    ("shifted", 6, "totally-balanced"): (0, "02c42131d6e3882cc235711d07b5cf9e87f918fa2677c97e8a2b8c4eb2f36a67"),
+    ("shifted", 6, "exact"): (0, "983b6d06702a4c84a618c32fdbc0aa307bf64689df84b0790de56d4645e0035e"),
+}
+
+
+def _check_game(kind: str, n: int) -> Game:
+    """A seeded game.  ``convex`` is a positive sum of unanimity games (a
+    member of every cone); ``cut`` lowers its grand coalition's worth
+    below the singletons' sum (an empty core, convex proper subgames);
+    ``random`` is :func:`minbal.games.random_game`; ``shifted`` adds to
+    a convex game an additive one with payoffs in halves and thirds, a
+    member whose table has several denominators."""
+    rng = Random(f"check:{kind}:{n}")
+    players = letters(n)
+    if kind == "random":
+        return random_game(players, rng)
+    full = players.full_mask
+    dividends = [(t, rng.randint(1, 9)) for t in range(1, full + 1)]
+    values = [Fraction(sum(c for t, c in dividends if t & s == t)) for s in range(full + 1)]
+    if kind == "cut":
+        values[full] = sum(values[1 << i] for i in range(n)) - rng.randint(1, 5)
+    elif kind == "shifted":
+        payoffs = [Fraction(rng.randint(-9, 9), rng.choice((2, 3))) for _ in range(n)]
+        values = [v + sum(p for i, p in enumerate(payoffs) if s >> i & 1) for s, v in enumerate(values)]
+    return Game(players, tuple(values))
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -136,3 +196,19 @@ def test_enumerate_bytes(capsys, size, fmt, types_only, irreducible_only):
     assert main(argv) == 0
     out = capsys.readouterr().out.encode()
     assert _sha256(out) == ENUMERATE_DIGESTS[size, fmt, types_only, irreducible_only]
+
+
+@pytest.mark.parametrize("kind, n, cone", sorted(CHECK_DIGESTS))
+def test_check_certificate_bytes(capsys, tmp_path, kind, n, cone):
+    path = tmp_path / "game.json"
+    path.write_text(game_to_json(_check_game(kind, n)), encoding="utf-8")
+    rc = main(["check", "--game", str(path), "--cone", cone, "--certificate"])
+    out = capsys.readouterr().out.encode()
+    assert (rc, _sha256(out)) == CHECK_DIGESTS[kind, n, cone]
+
+
+def test_check_games_cover_scaled_tables():
+    # the shifted and random tables have denominators, so the core LPs run
+    # on a table scaled by more than 1
+    for kind in ("shifted", "random"):
+        assert max(v.denominator for v in _check_game(kind, 6).values) > 1

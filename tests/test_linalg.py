@@ -2,15 +2,26 @@
 
 from fractions import Fraction as F
 from itertools import combinations
+from math import gcd
 from random import Random
 
 import pytest
 
 from conftest import conic_lp_system, fraction_lp_feasible, tight_rows
-from minbal import reduction
+from minbal import linalg, reduction
 from minbal.balance import enumerate_min_balanced
 from minbal.games import Game, anti_dual, letters, random_game
-from minbal.linalg import DimensionError, conic_feasible, dependency, lp_feasible, rank, solve_unique
+from minbal.linalg import (
+    DimensionError,
+    _integer_row,
+    _verify_farkas,
+    _verify_point,
+    conic_feasible,
+    dependency,
+    lp_feasible,
+    rank,
+    solve_unique,
+)
 
 # incidence vectors of {ab, ac, ad, bcd} in a 5-player universe
 INCIDENCE = [
@@ -137,6 +148,93 @@ class TestLpFeasible:
     def test_dimension_required_when_empty(self):
         with pytest.raises(ValueError):
             lp_feasible([], [], [])
+
+    def test_point_in_lowest_terms(self):
+        # x = 1/3 and y = 1/6 over the denominator 6
+        res = lp_feasible([], [[3, 0], [0, 6]], [1, 1])
+        assert (res.numerators, res.denominator) == ((2, 1), 6)
+        assert res.point == (F(1, 3), F(1, 6))
+        res = lp_feasible([[-1, 0], [0, -1]], [[1, 1]], [0, 0, F(4, 2)])
+        assert gcd(res.denominator, *res.numerators) == 1 and sum(res.point) == 2
+
+
+def _scaled(rows, rhs):
+    """The integer rows ``lp_feasible`` checks its answers on."""
+    return [_integer_row([*row, r, 1]) for row, r in zip(rows, rhs)]
+
+
+class TestAnswerChecks:
+    """The integer checks run on every answer, fed wrong answers directly."""
+
+    # x + y <= 4, x - y <= 1 and x/2 + y == 5/2
+    POINT_ROWS = _scaled([[1, 1], [1, -1], [F(1, 2), 1]], [4, 1, F(5, 2)])
+
+    def test_point_checks_pass(self):
+        _verify_point(self.POINT_ROWS, 2, (1, 2), 1)
+        _verify_point(self.POINT_ROWS, 2, (7, 4), 3)  # tight at x - y <= 1
+
+    def test_point_one_unit_off_a_row(self):
+        # x - y = 2 exceeds its bound 1 by one unit; the other rows hold
+        with pytest.raises(RuntimeError, match="violating a constraint"):
+            _verify_point(self.POINT_ROWS, 2, (3, 1), 1)
+
+    def test_equality_missed_by_half(self):
+        # x = 1, y = 5/2: x/2 + y = 3, half a unit above 5/2
+        with pytest.raises(RuntimeError, match="violating a constraint"):
+            _verify_point(self.POINT_ROWS, 2, (2, 5), 2)
+
+    def test_equality_missed_by_half_below(self):
+        # x = 1, y = 3/2 satisfies all three rows as inequalities, but
+        # x/2 + y = 2 is half a unit below 5/2
+        _verify_point(self.POINT_ROWS, 3, (2, 3), 2)
+        with pytest.raises(RuntimeError, match="violating a constraint"):
+            _verify_point(self.POINT_ROWS, 2, (2, 3), 2)
+
+    # x <= 1, -x <= -2 and x/2 + y/3 == 1/6: infeasible, lam = (1, 1, 0)
+    FARKAS_ROWS = _scaled([[1, 0], [-1, 0], [F(1, 2), F(1, 3)]], [1, -2, F(1, 6)])
+
+    def test_farkas_checks_pass(self):
+        _verify_farkas(self.FARKAS_ROWS, 2, (1, 1, 0))
+        _verify_farkas(self.FARKAS_ROWS, 2, (3, 3, 0))
+
+    def test_negative_inequality_multiplier(self):
+        # x/2 <= 3/2 and x/3 == 2/3: (-2, 3) annihilates the rows and pairs
+        # to -1 with the right-hand side; only its sign is wrong
+        rows = _scaled([[F(1, 2)], [F(1, 3)]], [F(3, 2), F(2, 3)])
+        with pytest.raises(RuntimeError, match="negative inequality multiplier"):
+            _verify_farkas(rows, 1, (-2, 3))
+        _verify_farkas(rows, 0, (-2, 3))  # fine on two equalities
+
+    def test_nonzero_row_product(self):
+        # (1, 2, 0) is nonnegative and pairs to -3, but leaves -x
+        with pytest.raises(RuntimeError, match="does not annihilate"):
+            _verify_farkas(self.FARKAS_ROWS, 2, (1, 2, 0))
+
+    def test_equality_multiplier_product(self):
+        # the equality row's weight counts: x/2 + y/3 is left over
+        with pytest.raises(RuntimeError, match="does not annihilate"):
+            _verify_farkas(self.FARKAS_ROWS, 2, (1, 1, 1))
+
+    def test_no_certificate(self):
+        with pytest.raises(RuntimeError, match="does not certify"):
+            _verify_farkas(self.FARKAS_ROWS, 2, (0, 0, 0))
+
+    def test_every_answer_is_checked(self, monkeypatch):
+        calls = []
+
+        def counted(check):
+            def wrapper(*args):
+                calls.append(check.__name__)
+                return check(*args)
+
+            return wrapper
+
+        for check in (linalg._verify_point, linalg._verify_farkas):
+            monkeypatch.setattr(linalg, check.__name__, counted(check))
+        feasible = lp_feasible([[-1, 0], [0, -1]], [[1, 1]], [0, 0, 3])
+        infeasible = lp_feasible([[-1, 0], [0, -1]], [[1, 1]], [1, 1, -3])
+        assert feasible.feasible and not infeasible.feasible
+        assert calls == ["_verify_point", "_verify_farkas"]
 
     def test_rhs_length_mismatch(self):
         with pytest.raises(DimensionError):
@@ -295,11 +393,18 @@ def test_core_systems_match_fraction_simplex(n):
     rich = Game(players, game.values[:-1] + (F(20 * n),))
     for g in (game, anti_dual(game), rich):
         for tight_at in range(1, players.full_mask + 1):
-            rows, rhs, ineq_order, _ = tight_rows(g, tight_at)
+            rows, rhs, ineq_order, eq_order = tight_rows(g, tight_at)
             mi = len(ineq_order)
             res = lp_feasible(rows[:mi], rows[mi:], rhs)
-            assert (res.point, res.farkas) == fraction_lp_feasible(rows[:mi], rows[mi:], rhs)
+            point, farkas = fraction_lp_feasible(rows[:mi], rows[mi:], rhs)
+            assert (res.point, res.farkas) == (point, farkas)
             outcomes.add(res.feasible)
+            # the oracles' form: the table scaled to integers, which
+            # scales the point and keeps the pivots and the Farkas vector
+            *values, scale = _integer_row([*g.values, 1])
+            scaled = lp_feasible(rows[:mi], rows[mi:], [-values[s] for s in ineq_order + eq_order])
+            assert scaled.farkas == farkas
+            assert scaled.point == (None if point is None else tuple(scale * x for x in point))
     assert outcomes == {True, False}
 
 
