@@ -15,6 +15,14 @@ They run on the game's table scaled to integers, and a subgame's on its
 part of that table; ``Fraction`` payoffs are built only for the points
 a certificate returns.
 
+Total balancedness first tries each proper subgame's greedy allocation
+in player order, every marginal vector of a convex game being a core
+element (Shapley, *Cores of convex games*, 1971).  A subgame whose
+greedy allocation is in its core is balanced, shown in integers, and
+runs no LP.  The LPs that remain, the full game's and a failing
+subgame's, are the ones that build the certificates, so the
+certificates are those of the LP-only check.
+
 Set functions that do not vanish at the empty coalition are shifted
 first; the oracles then answer for the shifted game, which is the
 membership question for the extended cones.
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ge, indexOf, sub
 from typing import Optional, Union
 
 from .balance import InequalityVector, MinBalancedSystem, SetSystem, is_min_balanced
@@ -123,20 +132,30 @@ def _scaled(game: Game) -> tuple[list[int], int]:
     return values, scale
 
 
-def _excesses(values: list[int], res: FeasibilityResult) -> list[int]:
-    """v(S) - x(S) at every coalition S, times one positive integer.
+def _sums(payoffs: list[int]) -> list[int]:
+    """x(S) at every coalition S, in bitmask order, for integer payoffs x.
 
-    ``values`` is a table times a positive integer, and ``res`` the
-    point of a core system on that table, so the point is the payoff
-    vector times the same integer.  Its numerators are summed by
-    doubling: the coalitions holding player i as their highest player
-    are those below bit i, each plus the numerator of x_i.
+    Summed by doubling: the coalitions holding player i as their highest
+    player are those below bit i, each plus x_i.
     """
     sums = [0]
-    for p in res.numerators:
+    for p in payoffs:
         sums += [t + p for t in sums]
-    den = res.denominator
-    return [v * den - t for v, t in zip(values, sums)]
+    return sums
+
+
+def _greedy_in_core(values: list[int]) -> bool:
+    """Whether the greedy allocation in player order is in the core.
+
+    ``values`` is a game's integer table.  Player i gets
+    v({0..i}) - v({0..i-1}), which is efficient; it is in the core when
+    x(S) >= v(S) for every coalition S.  A convex game's always is
+    (Shapley 1971).  A passing game's core is shown nonempty without an
+    LP.
+    """
+    prefix = [values[(1 << i) - 1] for i in range(len(values).bit_length())]
+    greedy = [b - a for a, b in zip(prefix, prefix[1:])]
+    return all(map(ge, _sums(greedy), values))
 
 
 def _payoffs(res: FeasibilityResult, scale: int) -> Payoffs:
@@ -154,7 +173,8 @@ def _tight_feasibility(values: list[int], tight_at: int):
     and its point is the game's times that integer.  Returns ``(res,
     order, excess)``: the :func:`lp_feasible` result of the last working
     set, its coalitions in row order, and, when ``res`` has a point,
-    that point's excesses as :func:`_excesses` gives them.
+    that point's excesses v(S) - x(S) at every coalition S, in bitmask
+    order and times ``res.denominator`` times that integer.
 
     The core system has a row x(S) >= v(S) for every coalition, with
     equality at the full player set and at ``tight_at``, but only n
@@ -165,7 +185,9 @@ def _tight_feasibility(values: list[int], tight_at: int):
     (smallest bitmask on ties) is added.  A point that violates no row
     is in the core.  A Farkas vector of the working set, zero on every
     other row, certifies the full system.  Each round adds a row the
-    working set lacked, so the loop ends.
+    working set lacked, so the loop ends.  A round that adds a row reads
+    only the largest excess and its first coalition off the scan; the
+    list of excesses is built on the round that returns it.
     """
     full = len(values) - 1
     n = full.bit_length()
@@ -177,11 +199,13 @@ def _tight_feasibility(values: list[int], tight_at: int):
         res = lp_feasible(rows[:mi], rows[mi:], [-values[s] for s in order])
         if not res.feasible:
             return res, order, None
-        excess = _excesses(values, res)
-        worst = max(excess)
+        den = res.denominator
+        scaled = values if den == 1 else [v * den for v in values]
+        sums = _sums(res.numerators)
+        worst = max(map(sub, scaled, sums))
         if worst <= 0:
-            return res, order, excess
-        working.append(excess.index(worst))
+            return res, order, list(map(sub, scaled, sums))
+        working.append(indexOf(map(sub, scaled, sums), worst))
 
 
 def _violated_system(game: Game, theta: SetFunction) -> ViolatedSystem:
@@ -237,6 +261,14 @@ def is_totally_balanced_lp(f: SetFunction) -> Verdict:
     are skipped.  Each subgame's core system runs on its part of the
     game's integer table; only a failing subgame is built as a game,
     for its certificate.
+
+    A proper subgame whose greedy allocation in player order is in its
+    core (:func:`_greedy_in_core`; always so for a convex game, by
+    Shapley 1971) is balanced and runs no core system.  A failing
+    subgame has no core point, so its greedy allocation always fails
+    and its system runs; the full game's system always runs, for the
+    member's allocation.  The verdict and its certificate are therefore
+    the same as when every subgame runs its system.
     """
     game = as_game(f)
     players = game.players
@@ -249,11 +281,13 @@ def is_totally_balanced_lp(f: SetFunction) -> Verdict:
     for a in coalitions:
         positions = [i for i in range(players.n) if a >> i & 1]
         table = [values[s] for s in relabelling(positions)]
+        if a != full and _greedy_in_core(table):
+            continue
         res, order, _ = _tight_feasibility(table, len(table) - 1)
         if not res.feasible:
-            sub = game if a == full else restrict(game, a)
-            theta = _theta_from_farkas(sub.players, order, res.farkas)
-            return Verdict(False, FailingSubgame(a, _violated_system(sub, theta)))
+            subgame = game if a == full else restrict(game, a)
+            theta = _theta_from_farkas(subgame.players, order, res.farkas)
+            return Verdict(False, FailingSubgame(a, _violated_system(subgame, theta)))
         if a == full:
             return Verdict(True, CoreAllocation(_payoffs(res, scale)))
     # single-player game: the core is a point

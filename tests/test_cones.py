@@ -216,6 +216,123 @@ class TestTotallyBalanced:
             is_totally_balanced_facets(g, short)
 
 
+def _count_systems(monkeypatch):
+    """Record the ``tight_at`` of every core system the oracles run."""
+    calls = []
+    solve = cones._tight_feasibility
+
+    def counting(values, tight_at):
+        calls.append(tight_at)
+        return solve(values, tight_at)
+
+    monkeypatch.setattr(cones, "_tight_feasibility", counting)
+    return calls
+
+
+def _min_of_additive(players, rng, k):
+    """The pointwise minimum of k random nonnegative additive games."""
+    weights = [[rng.randint(0, 9) for _ in range(players.n)] for _ in range(k)]
+    return Game(
+        players,
+        tuple(F(min(sum(w[i] for i in range(players.n) if s >> i & 1) for w in weights)) for s in players.coalitions()),
+    )
+
+
+class TestGreedyShortcut:
+    """Passing subgames are settled by their greedy allocation; the
+    verdicts and certificates are those of the LP-only check."""
+
+    def _lp_only(self, monkeypatch, g):
+        with monkeypatch.context() as m:
+            m.setattr(cones, "_greedy_in_core", lambda table: False)
+            return is_totally_balanced_lp(g)
+
+    def test_greedy_check_bites(self):
+        # an additive table with x = (3, -1, 4, 2): the greedy allocation
+        # is x itself, the prefix coalitions a, ab, abc, abcd are left
+        # alone, and bd is raised one unit above x(bd)
+        x = [3, -1, 4, 2]
+        table = [sum(x[i] for i in range(4) if s >> i & 1) for s in range(16)]
+        assert cones._greedy_in_core(table)
+        bd = 0b1010
+        table[bd] += 1
+        assert not cones._greedy_in_core(table)
+        table[bd] -= 1
+        assert cones._greedy_in_core(table)
+
+    def test_convex_game_runs_only_the_full_system(self, monkeypatch):
+        calls = _count_systems(monkeypatch)
+        g = _convex_game(letters(7), Random(71))
+        v = is_totally_balanced_lp(g)
+        assert v.member and calls == [127]
+        verify_verdict(g, v)
+
+    def test_min_of_additive_games_fall_back(self, monkeypatch):
+        # the paper's representation: every such game is totally
+        # balanced, but its greedy allocations need not be in the core
+        calls = _count_systems(monkeypatch)
+        rng = Random(23)
+        games = [_min_of_additive(letters(n), rng, k) for n in (4, 5, 6) for k in (2, 3) for _ in range(3)]
+        for g in games:
+            v = is_totally_balanced_lp(g)
+            assert v.member
+            verify_verdict(g, v)
+        # one system per game for the full player set, and the rest for
+        # proper subgames whose greedy check failed
+        assert len(calls) > len(games)
+
+    def test_greedy_fails_on_a_balanced_subgame(self, monkeypatch):
+        # on abc, each pair is worth 1 and abc 3/2: the greedy
+        # allocation (0, 1, 1/2) gives ac only 1/2, yet (1/2, 1/2, 1/2)
+        # is a core element; d adds 1 to every coalition it joins
+        p4 = letters(4)
+        base = {"": 0, "a": 0, "b": 0, "c": 0, "ab": 1, "ac": 1, "bc": 1, "abc": F(3, 2)}
+        table = {}
+        for key, value in base.items():
+            table[key] = value
+            table[key + "d"] = value + 1
+        g = game_of(p4, table)
+        values, _ = cones._scaled(g)
+        assert not cones._greedy_in_core(values[:8])
+        calls = _count_systems(monkeypatch)
+        v = is_totally_balanced_lp(g)
+        assert v.member and calls == [7, 15]
+        verify_verdict(g, v)
+        assert v == self._lp_only(monkeypatch, g)
+
+    def test_failing_subgame_above_skipped_ones(self, monkeypatch):
+        # a convex game with bcd cut below its singletons' sum: the pairs
+        # and the other triples pass the greedy check, and bcd is the
+        # smallest failing coalition
+        p4 = letters(4)
+        convex = _convex_game(p4, Random(44))
+        bcd = p4.coalition_of("bcd")
+        values = list(convex.values)
+        values[bcd] = values[2] + values[4] + values[8] - 1
+        g = Game(p4, tuple(values))
+        calls = _count_systems(monkeypatch)
+        v = is_totally_balanced_lp(g)
+        assert calls == [7]
+        assert isinstance(v.certificate, FailingSubgame) and v.certificate.coalition == bcd
+        verify_verdict(g, v)
+        lp_only = self._lp_only(monkeypatch, g)
+        # the LP-only path ran the six pairs and all four triples
+        assert calls[1:] == [3] * 6 + [7] * 4
+        assert v == lp_only
+
+    def test_agrees_with_facets_on_four_players(self, p4, totally4):
+        rng = Random(4)
+        games = [random_game(p4, rng) for _ in range(20)]
+        games += [_min_of_additive(p4, rng, k) for k in (2, 3) for _ in range(10)]
+        outcomes = set()
+        for g in games:
+            v = is_totally_balanced_lp(g)
+            assert v.member == is_totally_balanced_facets(g, totally4).member
+            verify_verdict(g, v)
+            outcomes.add(v.member)
+        assert outcomes == {True, False}
+
+
 class TestIsExact:
     def test_unanimity_exact(self, p4):
         for key in ("ab", "abc", "abcd"):
@@ -279,20 +396,9 @@ class TestRowGeneration:
                 outcomes.add(res.feasible)
         assert outcomes == {True, False}
 
-    def _count_calls(self, monkeypatch):
-        calls = []
-        solve = cones._tight_feasibility
-
-        def counting(values, tight_at):
-            calls.append(tight_at)
-            return solve(values, tight_at)
-
-        monkeypatch.setattr(cones, "_tight_feasibility", counting)
-        return calls
-
     def test_is_exact_prunes_additive_game(self, monkeypatch, p4):
         # one core point is tight at every coalition
-        calls = self._count_calls(monkeypatch)
+        calls = _count_systems(monkeypatch)
         g = shift(modular_from_payoffs(p4, [1, -2, 3, F(1, 2)]))
         v = is_exact(g)
         assert calls == [1]
@@ -300,7 +406,7 @@ class TestRowGeneration:
         verify_verdict(g, v)
 
     def test_is_exact_prunes_convex_game(self, monkeypatch):
-        calls = self._count_calls(monkeypatch)
+        calls = _count_systems(monkeypatch)
         g = _convex_game(letters(6), Random(31))
         v = is_exact(g)
         assert v.member
