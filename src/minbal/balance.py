@@ -19,11 +19,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import comb, gcd, lcm
-from operator import or_
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .games import Players, SetFunction, _player_sums, log, relabelling
-from .linalg import augment, reduce_mod_rows, solve_unique
+from .linalg import _eliminate, _primitive, augment, reduce_mod_rows, solve_unique
 
 #: Enumeration and catalogue generation search all subsets of the carrier,
 #: so they are capped harder than the membership oracles.
@@ -256,42 +255,53 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
     The chosen members are kept as augmented echelon rows
     ``chi_S ⊕ e_depth`` over ``c`` coordinates, with ``e_depth`` of
     length ``c + 1``, so a candidate is dependent when its reduced pivot
-    is at or past ``c``, and at a leaf the reduced target ``1_c ⊕ e_c``
-    carries the weights.  The images of the chosen members are kept as
-    masks, one per relabelling, with bit ``full - s`` for member ``s``.
-    Of two sets of equal size, the one holding the smallest coalition
-    they do not share sorts first and has the larger mask, so the chosen
-    members are lex-least exactly when their own mask is the largest.
+    is at or past ``c``.  Each node also carries the target
+    ``1_c ⊕ e_c`` reduced against its rows: a child eliminates it at the
+    new row's pivot when it is nonzero there, which gives a positive
+    multiple of what ``reduce_mod_rows`` would, and so the same weights.
+    The carrier lies in the chosen span exactly when the target is zero
+    on the first ``c`` coordinates, and its tail then carries the
+    weights; its slot ``2c`` is never eliminated, so it cannot vanish.
+
+    The images of the chosen members under the relabellings are packed
+    into one integer, a field of ``full + 1`` bits per relabelling with
+    the identity's lowest, each holding bit ``full - s`` for member ``s``
+    (``_packed_marks``).  Of two sets of equal size, the one holding the
+    smallest coalition they do not share sorts first and has the larger
+    mask, so the chosen members are lex-least exactly when the
+    identity's field is the largest, which a few integer operations on
+    the packed fields test.  That test rejects more candidates than the
+    reduction and, up to five players, costs less, so it runs first; a
+    candidate must pass both, so their order changes no output.
 
     A search for ``c >= 6``, run only on a cache miss, logs a warning
     first.  On a 2-core machine with Python 3.11 (single runs) the search
-    and its callers took: ``enumerate_min_balanced`` 10-17 s and 250 MB;
-    ``minbal enumerate --players 6`` 9-20 s and 251 MB in text and in
-    JSON; ``minbal catalogue --players 6`` 10-12 s and 69 MB for
-    ``totally-balanced`` and 16-24 s and 292 MB for ``balanced``;
-    ``parse`` of the totally-balanced file 10-13 s and 165 MB.
+    took 2.6-3.1 s and 18 MB, and its callers took:
+    ``enumerate_min_balanced`` 12 s and 249 MB; ``minbal enumerate
+    --players 6`` 14-16 s and 251 MB in text and in JSON, and 3.3-4.0 s
+    and 20 MB with ``--types-only``; ``minbal catalogue --players 6``
+    5.2-5.5 s and 69 MB for ``totally-balanced`` and 13-15 s and 290 MB
+    for ``balanced``; ``parse`` of the totally-balanced file 6.2 s and
+    165 MB.
     """
     if c >= 6:
-        log.warning("enumerating min-balanced systems on a %d-player carrier: expect up to 25 s and 300 MB", c)
+        log.warning("enumerating min-balanced systems on a %d-player carrier: expect up to 20 s and 300 MB", c)
     full = (1 << c) - 1
     candidates = list(range(1, full))
     ncand = len(candidates)
     suffix_cover = [0] * (ncand + 1)
     for i in range(ncand - 1, -1, -1):
         suffix_cover[i] = suffix_cover[i + 1] | candidates[i]
-    target = augment([1] * c, c, c + 1)
-    tables = _perm_tables(c)
-    marks = [tuple(1 << (full - table[s]) for table in tables) for s in range(full)]
+    marks, is_lex_least = _packed_marks(c)
     found: list[MinBalancedSystem] = []
 
-    def visit(start: int, chosen: list[int], union: int, rows: list, images: list[int]) -> None:
+    def visit(start: int, chosen: list[int], union: int, rows: list, images: int, target: list[int]) -> None:
         depth = len(chosen)
         if union == full:
-            r, piv = reduce_mod_rows(rows, target)
-            if piv >= c:
-                lead = r[2 * c]
-                if all(r[c + j] and (r[c + j] > 0) != (lead > 0) for j in range(depth)):
-                    weights = tuple(Fraction(-r[c + j], lead) for j in range(depth))
+            if not any(target[:c]):
+                lead = target[2 * c]
+                if all(target[c + j] and (target[c + j] > 0) != (lead > 0) for j in range(depth)):
+                    weights = tuple(Fraction(-target[c + j], lead) for j in range(depth))
                     k, alpha = normalize(dict(zip(chosen, weights)))
                     found.append(MinBalancedSystem(SetSystem(tuple(chosen)), weights, k, alpha))
                 return
@@ -299,19 +309,54 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
             if union | suffix_cover[i] != full:
                 break
             s = candidates[i]
-            reduced = reduce_mod_rows(rows, augment([s >> j & 1 for j in range(c)], depth, c + 1))
-            if reduced[1] >= c:
+            extended = images | marks[s]
+            if not is_lex_least(extended):
                 continue
-            extended = list(map(or_, images, marks[s]))
-            if max(extended) == extended[0]:  # tables[0] is the identity
-                chosen.append(s)
-                rows.append(reduced)
-                visit(i + 1, chosen, union | s, rows, extended)
-                rows.pop()
-                chosen.pop()
+            reduced = reduce_mod_rows(rows, augment([s >> j & 1 for j in range(c)], depth, c + 1))
+            row, piv = reduced
+            if piv >= c:
+                continue
+            chosen.append(s)
+            rows.append(reduced)
+            child_target = _primitive(_eliminate(target, row, piv)) if target[piv] else target
+            visit(i + 1, chosen, union | s, rows, extended, child_target)
+            rows.pop()
+            chosen.pop()
 
-    visit(0, [], 0, [], [0] * len(tables))
+    visit(0, [], 0, [], 0, augment([1] * c, c, c + 1))
     return tuple(found)
+
+
+def _packed_marks(c: int) -> tuple[list[int], Callable[[int], bool]]:
+    """The images of each coalition under the ``c!`` relabellings of
+    ``_perm_tables(c)``, packed into one integer per coalition, and the
+    lex-least test on the OR of such integers.
+
+    ``marks[s]`` holds one field of ``full + 1`` bits per relabelling,
+    field ``k`` with bit ``full - tables[k][s]`` set, so the OR of the
+    marks of a set of members holds each relabelling's mask of their
+    images in its field; ``marks[0]`` is zero.  No member is empty or the
+    carrier, so no mask sets bit ``full``, the field's guard.
+
+    The test says whether field 0, the identity's, is at least every
+    other field, as ``max(masks) == masks[0]`` does on the unpacked
+    masks.  Field 0 is copied into every field with the guard set and
+    the images are subtracted: each field becomes guard + M0 - Mk, which
+    keeps its guard exactly when M0 >= Mk and never borrows from the
+    next field, because Mk is below the guard.
+    """
+    full = (1 << c) - 1
+    width = full + 1
+    tables = _perm_tables(c)
+    ones = sum(1 << k * width for k in range(len(tables)))
+    guards = ones << full
+    low = (1 << full) - 1
+    marks = [0] + [sum(1 << k * width + full - table[s] for k, table in enumerate(tables)) for s in range(1, full)]
+
+    def is_lex_least(images: int) -> bool:
+        return (((images & low) * ones | guards) - images) & guards == guards
+
+    return marks, is_lex_least
 
 
 def _relabel(mbs: MinBalancedSystem, table: Sequence[int]) -> MinBalancedSystem:

@@ -402,7 +402,8 @@ def parse(data: Union[bytes, str]) -> Catalogue:
     on that comparison alone.  Any other file is decoded again, and entry
     i must equal entry i of the catalogue as JSON, field for field; the
     first difference is named.  A player count and cone with no count in
-    ``minbal.reference`` are rejected before anything is generated.
+    ``minbal.reference`` are rejected before anything is generated, but
+    after the whole file is decoded once to read the header.
     """
     players, cone = _read_header(data)[:2]  # the decoded entries are not kept
     recorded = _RECORDED_COUNTS[cone].get(players.n)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from minbal import anti_dual, game_of, generate, letters, lp_feasible
-from minbal.balance import MinBalancedSystem, SetSystem, normalize
+from minbal.balance import MinBalancedSystem, SetSystem, _perm_tables, normalize
 from minbal.linalg import augment, reduce_mod_rows
 
 
@@ -180,6 +180,22 @@ def plain_enumerate_size(c):
 
     visit(0, [], 0, [])
     return tuple(sorted(found, key=lambda m: m.system.members))
+
+
+def listed_marks(c):
+    """Per coalition on the first ``c`` players, its mask bit under each
+    relabelling of ``balance._perm_tables(c)``, bit ``full - image``, the
+    identity first: the unpacked form of ``balance._packed_marks``."""
+    full = (1 << c) - 1
+    tables = _perm_tables(c)
+    return [tuple(1 << (full - table[s]) for table in tables) for s in range(full)]
+
+
+def listed_is_lex_least(images):
+    """The orderly search's canonicity test on a list of masks, one per
+    relabelling with the identity first: a reference for the packed test
+    of ``balance._packed_marks``."""
+    return max(images) == images[0]
 
 
 def conic_lp_system(generators, target):

@@ -5,6 +5,7 @@ import logging
 from fractions import Fraction as F
 from itertools import combinations, permutations
 from math import gcd
+from operator import or_
 from random import Random
 
 import pytest
@@ -28,7 +29,7 @@ from minbal.balance import (
 from minbal.catalogue import generate, parse
 from minbal.cli import main
 from minbal.cones import conjugate
-from conftest import lp_conic_feasible, permute_coalition, plain_enumerate_size
+from conftest import listed_is_lex_least, listed_marks, lp_conic_feasible, permute_coalition, plain_enumerate_size
 from minbal.games import game_of, letters
 from minbal.linalg import solve_unique
 from minbal.reference import BALANCED_COUNTS
@@ -272,6 +273,91 @@ class TestOrderlySearch:
         assert {mbs.system.members for mbs, _ in images} == {image for orbit in orbits for image in orbit}
         for mbs, kind in images:
             assert canonical_type(mbs.system, p) == kind
+
+    def test_six_player_types(self):
+        # CI pins the 6-player listings by digest; this checks the search itself
+        _enumerate_size.cache_clear()
+        representatives = _enumerate_size(6)
+        members = [m.system.members for m in representatives]
+        assert len(members) == 582
+        assert members == sorted(members)
+        # on the full carrier, canonical_type's orbit size is len(_orbit(members, 6))
+        types = [canonical_type(rep.system, letters(6)) for rep in representatives]
+        assert [form for form, _ in types] == [rep.system for rep in representatives]
+        assert sum(size for _, size in types) == 200_213
+
+
+class TestPackedCanonicity:
+    @pytest.mark.parametrize("c", [3, 4, 5, 6])
+    def test_fields_are_the_listed_masks(self, c):
+        # field k of marks[s], full + 1 bits wide, is relabelling k's mask of s
+        marks, _ = balance._packed_marks(c)
+        width = 1 << c
+        for packed, listed in zip(marks[1:], listed_marks(c)[1:], strict=True):
+            assert [packed >> k * width & (1 << width) - 1 for k in range(len(listed))] == list(listed)
+            assert packed < 1 << len(listed) * width
+
+    @pytest.mark.parametrize("c", [3, 4])
+    def test_matches_list_test_on_every_member_set(self, c):
+        # every set of the 2**c - 2 candidates, most of which the search
+        # never reaches; bit i of ``subset`` picks coalition i + 1, and each
+        # set's images extend those of the set without its first member
+        marks, is_lex_least = balance._packed_marks(c)
+        listed = listed_marks(c)
+        size = 1 << (1 << c) - 2
+        packed = [0] * size
+        lists = [[0] * len(listed[1])] * size
+        verdicts = {True: 0, False: 0}
+        for subset in range(1, size):
+            first = subset & -subset
+            s = first.bit_length()
+            packed[subset] = packed[subset ^ first] | marks[s]
+            lists[subset] = list(map(or_, lists[subset ^ first], listed[s]))
+            verdict = listed_is_lex_least(lists[subset])
+            assert is_lex_least(packed[subset]) == verdict
+            verdicts[verdict] += 1
+        assert min(verdicts.values()) > size // 50
+
+    @pytest.mark.parametrize("c", [3, 4])
+    def test_list_test_is_lex_least_among_images(self, c):
+        # the mask order is the lex order of sorted member tuples of one size
+        listed = listed_marks(c)
+        for size in range(1, (1 << c) - 1):
+            for members in combinations(range(1, (1 << c) - 1), size):
+                images = [sum(masks) for masks in zip(*(listed[s] for s in members))]
+                assert listed_is_lex_least(images) == (members == min(_orbit(members, c)))
+
+    @pytest.mark.parametrize("c", [5, 6])
+    def test_matches_list_test_on_random_member_sets(self, c):
+        # every other set is renamed to its lex-least image, which passes;
+        # sets with a nontrivial stabilizer tie with other fields
+        marks, is_lex_least = balance._packed_marks(c)
+        listed = listed_marks(c)
+        tables = _perm_tables(c)
+
+        def listed_images(members):
+            images = [0] * len(tables)
+            for s in members:
+                images = list(map(or_, images, listed[s]))
+            return images
+
+        rng = Random(c)
+        passed = 0
+        for trial in range(2000):
+            members = rng.sample(range(1, (1 << c) - 1), rng.randint(1, 2 * c))
+            images = listed_images(members)
+            if trial % 2:
+                table = tables[images.index(max(images))]
+                members = [table[s] for s in members]
+                images = listed_images(members)
+                assert listed_is_lex_least(images)
+            packed = 0
+            for s in members:
+                packed |= marks[s]
+            verdict = is_lex_least(packed)
+            assert verdict == listed_is_lex_least(images)
+            passed += verdict
+        assert 1000 <= passed < 1100
 
 
 class TestEnumeratedInvariants:
