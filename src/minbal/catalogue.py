@@ -14,13 +14,14 @@ Three catalogues are generated from min-balanced systems:
 Entries are identified by their full coefficient vector, ordered
 canonically, typed on the first players of their carrier size, and
 serialized to a bit-exact JSON format or a per-type text listing.
-``generate`` is the only builder of entries.  ``minbal enumerate``
-lists systems through its carrier loop, system JSON renderer and list
-streamer: ``serialize`` joins the streamed pieces, ``minbal catalogue``
-writes them as they are rendered.  A catalogue is a fixed function of
-its players and cone, so ``parse`` regenerates it and compares the file
-with its rendering, byte for byte and, only when the bytes differ, as
-JSON values.
+``generate`` is the only builder of entries, and a type is the entry of
+its lex-least system.  ``minbal enumerate`` lists systems through its
+carrier loop, system JSON renderer and list streamer.  ``_pieces``
+renders a catalogue in either format: ``serialize`` joins the pieces,
+``minbal catalogue`` writes them as they are rendered.  A catalogue is
+a fixed function of its players and cone, so ``parse`` regenerates it
+and compares the file with its rendering, byte for byte and, only when
+the bytes differ, as JSON values.
 """
 
 from __future__ import annotations
@@ -82,29 +83,21 @@ class CatalogueEntry:
 
 
 @dataclass(frozen=True)
-class TypeSummary:
-    """A type's earliest entry and entry count.  Balanced types link to
-    their complement's type, conjectured exact types to their conjugate."""
-
-    type_id: str
-    representative: CatalogueEntry
-    count: int
-    complement_type_id: Optional[str] = None
-    conjugate_type_id: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class Catalogue:
+    """A cone's facet inequalities, ``entries``, and its ``types``: the
+    first entry of each type id, in ``exact-conjecture`` each followed by
+    its conjugate's.  A type's multiplicity is its ``orbit_size``."""
+
     players: Players
     cone: ConeKind
     entries: tuple[CatalogueEntry, ...]
-    types: tuple[TypeSummary, ...]
+    types: tuple[CatalogueEntry, ...]
 
     @property
     def conjecture(self) -> bool:
         return self.cone is ConeKind.EXACT_CONJECTURE
 
-    def type_table(self) -> dict[str, TypeSummary]:
+    def type_table(self) -> dict[str, CatalogueEntry]:
         return {t.type_id: t for t in self.types}
 
 
@@ -127,9 +120,13 @@ def _types_on(players: Players, c: int) -> list[tuple[tuple, CatalogueEntry]]:
     ready for ``_expand``, and the entry of its lex-least system.  That
     entry holds what is found from the system alone, as relabelling the
     players commutes with all of it: its irreducibility, type id and orbit
-    size, with no conjugate and no complement."""
+    size, with no conjugate and no complement.  Type ids join coalition
+    keys with ``|``, so a player name containing one is rejected."""
     if players.n > ENUM_PLAYER_CAP:
         raise ValueError(f"enumeration is capped at {ENUM_PLAYER_CAP} players")
+    for name in players.names:
+        if "|" in name:
+            raise ValueError(f"player name {name!r} contains '|', which separates the coalitions of a type id")
     types = []
     for mbs in _enumerate_size(c):
         orbit = _orbit(mbs.system.members, c)
@@ -157,16 +154,11 @@ def generate(players: Players, cone: Union[ConeKind, str]) -> Catalogue:
     sizes = {ConeKind.BALANCED: [n], ConeKind.TOTALLY_BALANCED: range(2, n + 1),
              ConeKind.EXACT_CONJECTURE: range(2, n)}[cone]
     balanced = cone is ConeKind.BALANCED  # the one cone admitting reducible systems
-    conjecture = cone is ConeKind.EXACT_CONJECTURE
     admitted = {c: [(tables, rep) for tables, rep in _types_on(players, c) if balanced or rep.irreducible] for c in sizes}
     if balanced:
         admitted[n] = [(tables, replace(rep, complement_type_id=_type_id(players, complement_system(rep.mbs.system, players))))
                        for tables, rep in admitted[n]]
-    types = tuple(
-        TypeSummary(e.type_id, e, e.orbit_size, e.complement_type_id,
-                    (e.type_id[1:] if e.conjugated else "~" + e.type_id) if conjecture else None)
-        for on_size in admitted.values() for _, rep in on_size for e in _entries_of(players, cone, rep.mbs, rep)
-    )
+    types = tuple(e for on_size in admitted.values() for _, rep in on_size for e in _entries_of(players, cone, rep.mbs, rep))
     entries = tuple(e for mbs, rep in _carrier_systems(players, admitted) for e in _entries_of(players, cone, mbs, rep))
     if len({e.alpha.items for e in entries}) != len(entries):
         raise RuntimeError("catalogue entries collide as coefficient vectors")
@@ -241,18 +233,17 @@ def _text_lines(catalogue: Catalogue) -> list[str]:
     ]
     numbers = {t.type_id: i + 1 for i, t in enumerate(catalogue.types)}
     for i, t in enumerate(catalogue.types, start=1):
-        rep = t.representative
         notes = []
         if t.complement_type_id is not None:
             if t.complement_type_id == t.type_id:
                 notes.append("self-complementary")
             else:
                 notes.append(f"complementary type {numbers[t.complement_type_id]}.")
-        if t.conjugate_type_id is not None:
-            notes.append(f"conjugate type {numbers[t.conjugate_type_id]}.")
-        if rep.irreducible and not rep.conjugated:
+        if catalogue.conjecture:  # a type and its conjugate are neighbours
+            notes.append(f"conjugate type {i - 1 if t.conjugated else i + 1}.")
+        if t.irreducible and not t.conjugated:
             notes.append("irreducible")
-        lines += _type_lines(players, i, rep.alpha, t.count, notes)
+        lines += _type_lines(players, i, t.alpha, t.orbit_size, notes)
     return lines
 
 
@@ -324,9 +315,15 @@ def _json_entries(catalogue: Catalogue) -> Iterator[str]:
         yield _json_block(fields, " " * 4, "{}")
 
 
-def _json_chunks(catalogue: Catalogue) -> Iterator[str]:
-    """The JSON text of a catalogue in pieces of about one entry: the
-    header, the ``_json_list`` pieces of the entries, the closing brace."""
+def _pieces(catalogue: Catalogue, format: str) -> Iterator[str]:
+    """The text of a catalogue in ``format`` in pieces: in ``text`` its
+    lines; in ``json`` the header, the ``_json_list`` pieces of the
+    entries, about one entry each, and the closing brace."""
+    if format == "text":
+        yield from (line + "\n" for line in _text_lines(catalogue))
+        return
+    if format != "json":
+        raise ValueError(f"unknown format {format!r}")
     yield (
         '{\n  "players": ' + _json_block([encode_basestring(name) for name in catalogue.players.names], "  ")
         + ',\n  "cone": ' + encode_basestring(catalogue.cone.value)
@@ -344,14 +341,10 @@ def serialize(catalogue: Catalogue, format: str = "json") -> bytes:
     object with the players, cone, conjecture flag and entries, each entry
     an object of the fields ``system``, ``carrier``, ``weights``, ``k``,
     ``alpha``, ``irreducible``, ``conjugated``, ``type_id``,
-    ``orbit_size`` and, in ``balanced``, ``complement_type``.  They are
-    the UTF-8 of the ``_json_chunks``, which ``minbal catalogue`` writes
-    one at a time instead."""
-    if format == "text":
-        return ("\n".join(_text_lines(catalogue)) + "\n").encode("utf-8")
-    if format != "json":
-        raise ValueError(f"unknown format {format!r}")
-    return b"".join(chunk.encode("utf-8") for chunk in _json_chunks(catalogue))
+    ``orbit_size`` and, in ``balanced``, ``complement_type``.  Either
+    format is the UTF-8 of the ``_pieces``, which ``minbal catalogue``
+    writes one at a time instead."""
+    return b"".join(piece.encode("utf-8") for piece in _pieces(catalogue, format))
 
 
 def _first_difference(expected: dict, raw) -> Optional[str]:
@@ -403,17 +396,21 @@ def parse(data: Union[bytes, str]) -> Catalogue:
     i must equal entry i of the catalogue as JSON, field for field; the
     first difference is named.  A player count and cone with no count in
     ``minbal.reference`` are rejected before anything is generated, but
-    after the whole file is decoded once to read the header.
+    after the whole file is decoded once to read the header; a player
+    name containing ``|`` is rejected when ``generate`` rejects it.
     """
     players, cone = _read_header(data)[:2]  # the decoded entries are not kept
     recorded = _RECORDED_COUNTS[cone].get(players.n)
     if recorded is None:
         raise CatalogueFormatError(f"no entry and type counts are recorded for a {players.n}-player {cone.value} catalogue")
-    catalogue = generate(players, cone)
+    try:
+        catalogue = generate(players, cone)
+    except ValueError as exc:  # a player name that type ids cannot hold
+        raise CatalogueFormatError(str(exc)) from None
     size, types = len(catalogue.entries), len(catalogue.types)
     if (size, types) != recorded:  # a fault of generate, not of the file
         raise RuntimeError(f"generated {size} entries in {types} types, but {recorded[0]} in {recorded[1]} are recorded")
-    if _is_rendering(data, _json_chunks(catalogue)):
+    if _is_rendering(data, _pieces(catalogue, "json")):
         return catalogue
     raw_entries = _read_header(data)[2]
     name = f"the {players.n}-player {cone.value} catalogue"

@@ -4,7 +4,8 @@ Subcommands: ``enumerate`` lists min-balanced systems, ``catalogue``
 generates facet catalogues, ``check`` decides cone membership of a game
 file with optional certificates, and ``verify`` runs the built-in
 verification suites.  Results go to stdout as UTF-8 bytes, whatever
-its encoding, diagnostics to stderr.
+its encoding, diagnostics to stderr.  ``_write`` writes a catalogue as
+``catalogue._pieces`` and a JSON listing as ``catalogue._json_block`` items.
 Exit codes: 0 on success or an affirmative verdict, 1 on a negative
 verdict or a failed verification item, 2 on usage or input errors,
 141 (128 + SIGPIPE) when the reader closes stdout before the end.
@@ -19,6 +20,7 @@ import os
 import sys
 from contextlib import nullcontext
 from itertools import chain
+from json.encoder import encode_basestring
 from random import Random
 from typing import Iterable, Optional
 
@@ -128,9 +130,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     types = [(tables, rep) for tables, rep in cat._types_on(players, size) if rep.irreducible or not args.irreducible_only]
 
     if args.types_only and args.format == "json":
-        # indented to sit in the list; json.dumps escapes every newline in a string
-        items = (json.dumps({"type_id": rep.type_id, "orbit_size": rep.orbit_size, "irreducible": rep.irreducible,
-                             "inequality": cat.render_inequality(rep.alpha, players)}, indent=2, ensure_ascii=False).replace("\n", "\n  ")
+        items = (cat._json_block(['"type_id": ' + encode_basestring(rep.type_id), f'"orbit_size": {rep.orbit_size}',
+                                  '"irreducible": ' + str(rep.irreducible).lower(),
+                                  '"inequality": ' + encode_basestring(cat.render_inequality(rep.alpha, players))], "  ", "{}")
                  for _, rep in types)
     elif args.types_only:
         lines = (line for i, (_, rep) in enumerate(types, start=1)
@@ -150,9 +152,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 # -- catalogue -----------------------------------------------------------
 
 def _cmd_catalogue(args: argparse.Namespace) -> int:
-    catalogue = cat.generate(letters(args.players), args.cone)
-    pieces = cat._json_chunks(catalogue) if args.format == "json" else (line + "\n" for line in cat._text_lines(catalogue))
-    _write(pieces, args.out)
+    _write(cat._pieces(cat.generate(letters(args.players), args.cone), args.format), args.out)
     return 0
 
 
@@ -256,17 +256,17 @@ def _suite_appendix(args: argparse.Namespace):
     by_system = {e.mbs.system: e for e in catalogue.entries}
     for ref in APPENDIX[n]:
         label = "{" + ", ".join(ref.system) + "}"
-        summary = table.get(tid_of[ref.number])
+        rep = table.get(tid_of[ref.number])
         entry = by_system.get(system_of(players, *ref.system))
-        if summary is None or entry is None:
+        if rep is None or entry is None:
             items.append((f"type {ref.number} {label}", False, "present", "missing"))
             continue
-        items.append((f"type {ref.number} multiplicity", summary.count == ref.count,
-                      ref.count, summary.count))
+        items.append((f"type {ref.number} multiplicity", rep.orbit_size == ref.count,
+                      ref.count, rep.orbit_size))
         items.append((f"type {ref.number} irreducible", entry.irreducible == ref.irreducible,
                       ref.irreducible, entry.irreducible))
-        items.append((f"type {ref.number} complement", summary.complement_type_id == tid_of[ref.complement],
-                      tid_of[ref.complement], summary.complement_type_id))
+        items.append((f"type {ref.number} complement", rep.complement_type_id == tid_of[ref.complement],
+                      tid_of[ref.complement], rep.complement_type_id))
         rendered = cat.render_inequality(entry.alpha, players)
         items.append((f"type {ref.number} inequality", rendered == ref.inequality,
                       ref.inequality, rendered))

@@ -304,8 +304,8 @@ def _parse_value(raw: object, where: str) -> Fraction:
 
 def _read_document(data: Union[str, bytes], fields: tuple[str, ...], error: type[ValueError]) -> tuple[dict, Players]:
     """Open a JSON document whose top level has exactly ``fields``, one
-    of them ``players``.  Malformed input, a repeated key included,
-    raises ``error``."""
+    of them ``players``.  Malformed input, a repeated key or bytes that
+    are not UTF-8 included, raises ``error``."""
 
     def unique_keys(pairs: list) -> dict:
         obj = dict(pairs)
@@ -315,7 +315,7 @@ def _read_document(data: Union[str, bytes], fields: tuple[str, ...], error: type
         return obj
 
     try:
-        doc = json.loads(data, object_pairs_hook=unique_keys)
+        doc = json.loads(data if isinstance(data, str) else data.decode("utf-8"), object_pairs_hook=unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise error(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):

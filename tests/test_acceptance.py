@@ -88,10 +88,10 @@ def test_criterion_1_appendix_golden():
             assert len(set(tid.values())) == len(golden)  # types are distinct
             for number, (keys, count, complement, irreducible, inequality) in enumerate(golden, start=1):
                 entry = by_system[tuple(sorted(p.coalition_of(k) for k in keys))]
-                summary = table[tid[number]]
-                assert summary.count == count
+                rep = table[tid[number]]
+                assert rep.orbit_size == count
                 assert entry.irreducible == irreducible
-                assert summary.complement_type_id == tid[complement]
+                assert rep.complement_type_id == tid[complement]
                 assert render_inequality(entry.alpha, p) == inequality
             irreducible_count = sum(1 for e in catalogue.entries if e.irreducible)
             assert irreducible_count == IRREDUCIBLE_TOTALS[n]
@@ -135,13 +135,15 @@ def test_criterion_3_e4_cross_check():
             entry = rendered.get(inequality)
             assert entry is not None, f"missing representative {inequality!r}"
             assert entry.orbit_size == orbit
-            assert table[entry.type_id].count == orbit
+            assert table[entry.type_id].orbit_size == orbit
             got_negatives = tuple(p4.key(m) for m in induced_system(entry.alpha).members)
             assert sorted(got_negatives) == sorted(negatives)
             found_type_ids.append(entry.type_id)
         assert len(set(found_type_ids)) == 6  # the six types, each exactly once
         for i, (_, _, _, _, partner) in enumerate(E4_GOLDEN):
-            assert table[found_type_ids[i]].conjugate_type_id == found_type_ids[partner - 1]
+            rep, mate = table[found_type_ids[i]], table[found_type_ids[partner - 1]]
+            assert mate.type_id == (rep.type_id[1:] if rep.conjugated else "~" + rep.type_id)
+            assert mate.conjugated is not rep.conjugated
 
 
 def test_criterion_4_normalization_spot_check():

@@ -44,11 +44,11 @@ class TestGenerate:
         assert len(exact4.entries) == 44
         assert len(exact4.types) == 6
         by_id = exact4.type_table()
-        for tid, summary in by_id.items():
-            partner = by_id[summary.conjugate_type_id]
-            assert partner.conjugate_type_id == tid
-            assert partner.count == summary.count
-        assert sorted(s.count for s in exact4.types) == [4, 4, 6, 6, 12, 12]
+        for tid, rep in by_id.items():
+            partner = by_id[tid[1:] if rep.conjugated else "~" + tid]
+            assert partner.conjugated is not rep.conjugated
+            assert partner.mbs == rep.mbs and partner.orbit_size == rep.orbit_size
+        assert sorted(t.orbit_size for t in exact4.types) == [4, 4, 6, 6, 12, 12]
 
     def test_totally_balanced_four(self, totally4):
         assert len(totally4.entries) == 40
@@ -74,6 +74,16 @@ class TestGenerate:
     def test_single_player_rejected(self):
         with pytest.raises(ValueError):
             generate(letters(1), "balanced")
+
+    @pytest.mark.parametrize("cone", CONES)
+    def test_bar_in_a_player_name_rejected(self, cone):
+        # type ids join coalition keys with "|": the types {a, |bc} and
+        # {a|, bc} would both have the id "a||bc"
+        players = Players(("a", "|", "b", "c"))
+        with pytest.raises(ValueError, match=r"player name '\|'"):
+            generate(players, cone)
+        with pytest.raises(ValueError, match=r"player name '\|'"):
+            minbal.catalogue._types_on(players, 2)  # as minbal enumerate runs it
 
     def test_conjecture_flag(self, exact4, balanced4):
         assert exact4.conjecture and not balanced4.conjecture
@@ -104,17 +114,20 @@ class TestGenerate:
         # classified independently of the orbits generate scans
         for catalogue in (balanced4, generate(p5, "balanced")):
             players, table = catalogue.players, catalogue.type_table()
-            for summary in catalogue.types:
-                partner = table[summary.complement_type_id]
-                assert partner.complement_type_id == summary.type_id
-                assert partner.count == summary.count
-                system = summary.representative.mbs.system
-                assert summary.complement_type_id == _type_id(players, complement_system(system, players))
+            for rep in catalogue.types:
+                partner = table[rep.complement_type_id]
+                assert partner.complement_type_id == rep.type_id
+                assert partner.orbit_size == rep.orbit_size
+                assert rep.complement_type_id == _type_id(players, complement_system(rep.mbs.system, players))
 
-    def test_type_counts_equal_orbit_sizes(self, balanced4, totally4, exact4):
-        for catalogue in (balanced4, totally4, exact4):
-            for summary in catalogue.types:
-                assert summary.count == summary.representative.orbit_size
+    @pytest.mark.parametrize("n, cone", [(n, cone) for n in range(2, 6) for cone in CONES[: 2 if n == 2 else 3]] + [(6, CONES[2])])
+    def test_types_are_first_entries(self, n, cone):
+        # a type is the first entry of its id, the entry of its lex-least system
+        catalogue = generate(letters(n), cone)
+        first = {}
+        for e in catalogue.entries:
+            first.setdefault(e.type_id, e)
+        assert catalogue.types == tuple(first.values())
 
 
 class TestRendering:
@@ -401,6 +414,20 @@ class TestSerialization:
     def test_bytes_not_in_a_unicode_encoding_rejected(self):
         with pytest.raises(CatalogueFormatError, match="invalid JSON"):
             parse(b"\xff\xfe{")
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "utf-8-sig"])
+    def test_unicode_but_not_utf8_rejected(self, p3, encoding):
+        text = serialize(generate(p3, "totally-balanced")).decode()
+        with pytest.raises(CatalogueFormatError, match="invalid JSON"):
+            parse(text.encode(encoding))
+
+    def test_bar_in_a_player_name_rejected(self, totally4):
+        import json
+
+        doc = json.loads(serialize(totally4))
+        doc["players"] = ["a", "|", "b", "c"]
+        with pytest.raises(CatalogueFormatError, match=r"player name '\|'"):
+            parse(json.dumps(doc))
 
     def test_wrong_conjecture_flag_rejected(self, balanced3):
         import json

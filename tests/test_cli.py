@@ -184,6 +184,13 @@ class TestCheck:
         assert main(["check", "--game", str(bad), "--cone", "balanced"]) == 2
         assert "missing coalition key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "utf-8-sig"])
+    def test_game_not_in_utf8_is_an_input_error(self, tmp_path, capsys, encoding):
+        game = tmp_path / "game.json"
+        game.write_bytes(game_to_json(game_of(letters(2), {"ab": 1})).encode(encoding))
+        assert main(["check", "--game", str(game), "--cone", "balanced"]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
     def test_zero_denominator_is_an_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"players": ["a","b"], "values": {"": "0", "a": "1/0", "b": "0", "ab": "0"}}')
@@ -241,11 +248,11 @@ def test_closed_stdout_exits_quietly():
     # the listing (120,056 bytes) outgrows a pipe buffer, so writes fail
     # once the reader has taken one line and closed the pipe
     argv, env = _module_command("enumerate", "--players", "5")
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline().startswith(b"{")
-    proc.stdout.close()
-    assert proc.stderr.read() == b""
-    assert proc.wait() == 141
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().startswith(b"{")
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait() == 141
 
 
 def test_cli_module_entry():

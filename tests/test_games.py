@@ -314,6 +314,12 @@ class TestGameJson:
         with pytest.raises(GameFormatError, match="invalid JSON"):
             game_from_json(b"\xc3(")
 
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "utf-8-sig"])
+    def test_unicode_but_not_utf8_rejected(self, p3, encoding):
+        text = game_to_json(random_game(p3, Random(5)))
+        with pytest.raises(GameFormatError, match="invalid JSON"):
+            game_from_json(text.encode(encoding))
+
 
 def test_random_game_shape(p3):
     rng = Random(77)
