@@ -281,8 +281,9 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
     --players 6`` 14-16 s and 251 MB in text and in JSON, and 3.3-4.0 s
     and 20 MB with ``--types-only``; ``minbal catalogue --players 6``
     5.2-5.5 s and 69 MB for ``totally-balanced`` and 13-15 s and 290 MB
-    for ``balanced``; ``parse`` of the totally-balanced file 6.2 s and
-    165 MB.
+    for ``balanced``; ``parse`` of the totally-balanced file 4.7-5.7 s
+    and 105 MB, and of the balanced file 17 s and 488 MB, the file's bytes
+    included.
     """
     if c >= 6:
         log.warning("enumerating min-balanced systems on a %d-player carrier: expect up to 20 s and 300 MB", c)

@@ -359,21 +359,6 @@ def _first_difference(expected: dict, raw) -> Optional[str]:
     return "the field order"
 
 
-def _read_header(data: Union[bytes, str]) -> tuple[Players, ConeKind, list]:
-    """The players, cone and raw entries of a JSON catalogue, whose header
-    (every field but the entries themselves) must be well formed."""
-    doc, players = _read_document(data, ("players", "cone", "conjecture", "entries"), CatalogueFormatError)
-    try:
-        cone = ConeKind(doc["cone"])
-    except ValueError as exc:
-        raise CatalogueFormatError(str(exc)) from None
-    if doc["conjecture"] is not (cone is ConeKind.EXACT_CONJECTURE):  # a JSON boolean, not 0 or 1
-        raise CatalogueFormatError(f"'conjecture' must be {json.dumps(cone is ConeKind.EXACT_CONJECTURE)} for a {cone.value} catalogue")
-    if not isinstance(doc["entries"], list):
-        raise CatalogueFormatError("'entries' must be a list")
-    return players, cone, doc["entries"]
-
-
 def _is_rendering(data: Union[bytes, str], chunks: Iterator[str]) -> bool:
     """Whether ``data`` is the concatenation of ``chunks``, UTF-8 encoded
     unless ``data`` is a ``str``; no slice of ``data`` is copied."""
@@ -389,17 +374,23 @@ def _is_rendering(data: Union[bytes, str], chunks: Iterator[str]) -> bool:
 def parse(data: Union[bytes, str]) -> Catalogue:
     """Parse a JSON catalogue by regenerating it and comparing the file.
 
-    The header is read from the decoded file, which is then dropped, and
+    The header is read from the text before ``entries``, and
     ``generate(players, cone)`` is rendered.  A file with exactly the
     bytes of ``serialize`` (or, given as ``str``, its text) is accepted
-    on that comparison alone.  Any other file is decoded again, and entry
-    i must equal entry i of the catalogue as JSON, field for field; the
-    first difference is named.  A player count and cone with no count in
-    ``minbal.reference`` are rejected before anything is generated, but
-    after the whole file is decoded once to read the header; a player
-    name containing ``|`` is rejected when ``generate`` rejects it.
+    on that comparison alone, with no entry decoded.  Any other file has
+    its entries decoded one at a time, and entry i must equal entry i of
+    the catalogue as JSON, field for field; the first difference is named.
+    A player count and cone with no count in ``minbal.reference`` are
+    rejected before anything is generated and before any entry is read; a
+    player name containing ``|`` is rejected when ``generate`` rejects it.
     """
-    players, cone = _read_header(data)[:2]  # the decoded entries are not kept
+    doc, players = _read_document(data, ("players", "cone", "conjecture", "entries"), CatalogueFormatError, stop="entries")
+    try:
+        cone = ConeKind(doc["cone"])
+    except ValueError as exc:
+        raise CatalogueFormatError(str(exc)) from None
+    if doc["conjecture"] is not (cone is ConeKind.EXACT_CONJECTURE):  # a JSON boolean, not 0 or 1
+        raise CatalogueFormatError(f"'conjecture' must be {json.dumps(cone is ConeKind.EXACT_CONJECTURE)} for a {cone.value} catalogue")
     recorded = _RECORDED_COUNTS[cone].get(players.n)
     if recorded is None:
         raise CatalogueFormatError(f"no entry and type counts are recorded for a {players.n}-player {cone.value} catalogue")
@@ -412,14 +403,17 @@ def parse(data: Union[bytes, str]) -> Catalogue:
         raise RuntimeError(f"generated {size} entries in {types} types, but {recorded[0]} in {recorded[1]} are recorded")
     if _is_rendering(data, _pieces(catalogue, "json")):
         return catalogue
-    raw_entries = _read_header(data)[2]
     name = f"the {players.n}-player {cone.value} catalogue"
-    for i, (block, raw) in enumerate(zip(_json_entries(catalogue), raw_entries)):
+    blocks = _json_entries(catalogue)
+    read = 0
+    for raw in doc["entries"]:  # after the last entry, the rest of the document is read
+        block = next(blocks, None)
+        if block is None:
+            raise CatalogueFormatError(f"entries[{size}]: beyond the {size} entries of {name}")
         field = _first_difference(json.loads(block), raw)
         if field is not None:
-            raise CatalogueFormatError(f"entries[{i}]: {field} differs from entry {i} of {name}, which has {size} entries in {types} types")
-    if len(raw_entries) < size:
-        raise CatalogueFormatError(f"entries[{len(raw_entries)}]: missing; {name} has {size} entries in {types} types")
-    if len(raw_entries) > size:
-        raise CatalogueFormatError(f"entries[{size}]: beyond the {size} entries of {name}")
+            raise CatalogueFormatError(f"entries[{read}]: {field} differs from entry {read} of {name}, which has {size} entries in {types} types")
+        read += 1
+    if read < size:
+        raise CatalogueFormatError(f"entries[{read}]: missing; {name} has {size} entries in {types} types")
     return catalogue

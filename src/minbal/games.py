@@ -10,15 +10,18 @@ coalition.
 
 from __future__ import annotations
 
+import codecs
 import json
 import logging
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from json.decoder import WHITESPACE
 from math import gcd
 from random import Random
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 log = logging.getLogger("minbal")
 
@@ -296,42 +299,212 @@ def _parse_value(raw: object, where: str) -> Fraction:
         if not _VALUE_RE.match(raw):
             raise GameFormatError(f"{where}: {raw!r} is not a decimal integer or p/q rational")
         p, _, q = raw.partition("/")
-        if q and (int(q) == 0 or gcd(int(p), int(q)) != 1):
+        p, q = int(p), int(q or 1)
+        if q == 0 or gcd(p, q) != 1:
             raise GameFormatError(f"{where}: {raw!r} is not a reduced rational with positive denominator")
-        return Fraction(raw)
+        return Fraction(p, q)
     raise GameFormatError(f"{where}: values must be integers or rational strings, got {type(raw).__name__}")
 
 
-def _read_document(data: Union[str, bytes], fields: tuple[str, ...], error: type[ValueError]) -> tuple[dict, Players]:
-    """Open a JSON document whose top level has exactly ``fields``, one
-    of them ``players``.  Malformed input, a repeated key or bytes that
-    are not UTF-8 included, raises ``error``."""
+#: Bytes of a ``bytes`` document decoded at a time, at least.
+_WINDOW = 1 << 16
 
-    def unique_keys(pairs: list) -> dict:
-        obj = dict(pairs)
-        if len(obj) < len(pairs):
-            repeated = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
-            raise error(f"repeated key {repeated!r} in a JSON object")
-        return obj
 
-    try:
-        doc = json.loads(data if isinstance(data, str) else data.decode("utf-8"), object_pairs_hook=unique_keys)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise error(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise error("top level must be an object")
-    missing = [f for f in fields if f not in doc]
-    if missing:
-        raise error(f"missing required field {missing[0]!r}")
-    if len(doc) != len(fields):
-        raise error(f"top-level fields must be {', '.join(fields)}, not {', '.join(doc)}")
+def _unique_keys(error: type[ValueError], pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeated = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise error(f"repeated key {repeated!r} in a JSON object")
+    return obj
+
+
+class _Reader:
+    """A JSON text read from its start, one value at a time.  ``bytes``
+    are decoded as UTF-8 a window at a time, and the text already read is
+    dropped when the next window is decoded.  Malformed input, a repeated
+    key or bytes that are not UTF-8 included, raises ``error`` with the
+    message ``json.loads`` would give."""
+
+    def __init__(self, data: Union[str, bytes], error: type[ValueError]) -> None:
+        self.data, self.error = data, error
+        self.text = data if isinstance(data, str) else ""
+        self.decoded = len(self.text)  # the length of ``data`` read into ``text``: all of a str
+        self.at = 0  # the read position in ``text``
+        self.dropped = self.lines = self.line_start = 0  # characters and newlines dropped, and where text[0]'s line starts
+        self.decoder = json.JSONDecoder(object_pairs_hook=partial(_unique_keys, error))
+
+    def _more(self) -> bool:
+        """Drop the text read and decode the next window of ``data``, at
+        least as long as the text held, so a long value takes few windows,
+        and at least 4 bytes, the longest UTF-8 character; False at the end
+        of ``data``."""
+        if self.decoded == len(self.data):
+            return False
+        end = min(len(self.data), self.decoded + max(_WINDOW, len(self.text), 4))
+        try:
+            chunk, used = codecs.utf_8_decode(memoryview(self.data)[self.decoded:end], "strict", end == len(self.data))
+        except UnicodeDecodeError as exc:
+            exc = UnicodeDecodeError("utf-8", self.data, self.decoded + exc.start, self.decoded + exc.end, exc.reason)
+            raise self.error(f"invalid JSON: {exc}") from None
+        newline = self.text.rfind("\n", 0, self.at)
+        if newline >= 0:
+            self.lines += self.text.count("\n", 0, self.at)
+            self.line_start = self.dropped + newline + 1
+        self.dropped += self.at
+        self.text, self.at = self.text[self.at:] + chunk, 0
+        self.decoded += used
+        return True
+
+    def _syntax(self, msg: str, pos: int) -> ValueError:
+        """``error`` for a syntax error at ``text[pos]``, placed in the
+        whole text as ``json.JSONDecodeError`` places it."""
+        newline = self.text.rfind("\n", 0, pos)
+        line = self.lines + self.text.count("\n", 0, pos) + 1
+        at = self.dropped + pos
+        column = at - (self.dropped + newline + 1 if newline >= 0 else self.line_start) + 1
+        return self.error(f"invalid JSON: {msg}: line {line} column {column} (char {at})")
+
+    def next_char(self) -> str:
+        """The next character that is not whitespace, ``""`` at the end;
+        the read position moves to it."""
+        while True:
+            self.at = WHITESPACE.match(self.text, self.at).end()
+            if self.at < len(self.text) or not self._more():
+                return self.text[self.at:self.at + 1]
+
+    def value(self) -> object:
+        """The JSON value at the read position, which moves past it.  A
+        value the end of the held text may have cut is decoded again on a
+        longer window: one ending fewer than 3 characters before it, as a
+        number may go on (``1.``, ``1e+``); an error fewer than 9 characters
+        before it, the length of ``-Infinity``; and an unterminated string,
+        which strict decoding raises only at the end of the text."""
+        while True:
+            try:
+                value, end = self.decoder.raw_decode(self.text, self.at)
+            except json.JSONDecodeError as exc:
+                cut = exc.pos + 9 >= len(self.text) or exc.msg.startswith("Unterminated string")
+                if not (cut and self._more()):
+                    raise self._syntax(exc.msg, exc.pos) from None
+                continue
+            if end + 3 <= len(self.text) or not self._more():
+                self.at = end
+                return value
+
+    def members(self) -> Iterator[str]:
+        """The keys of the top-level object, in order; after each, the
+        read position is at its value, which the caller reads.  A document
+        that is not an object raises."""
+        char = self.next_char()
+        if char != "{":
+            if char == "\ufeff" and not self.dropped + self.at:
+                raise self._syntax("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
+            self.value()
+            self.end()
+            raise self.error("top level must be an object")
+        self.at += 1
+        char = self.next_char()
+        if char == "}":
+            self.at += 1
+            return
+        while True:
+            if char != '"':
+                raise self._syntax("Expecting property name enclosed in double quotes", self.at)
+            key = self.value()
+            if self.next_char() != ":":
+                raise self._syntax("Expecting ':' delimiter", self.at)
+            self.at += 1
+            self.next_char()
+            yield key
+            char = self.next_char()
+            if char not in (",", "}"):
+                raise self._syntax("Expecting ',' delimiter", self.at)
+            self.at += 1
+            if char == "}":
+                return
+            char = self.next_char()
+
+    def elements(self) -> Iterator[object]:
+        """The elements of the list at the read position, one at a time."""
+        self.at += 1
+        if self.next_char() == "]":
+            self.at += 1
+            return
+        while True:
+            yield self.value()
+            char = self.next_char()
+            if char not in (",", "]"):
+                raise self._syntax("Expecting ',' delimiter", self.at)
+            self.at += 1
+            if char == "]":
+                return
+            self.next_char()
+
+    def end(self) -> None:
+        """Nothing but whitespace may follow the document."""
+        if self.next_char():
+            raise self._syntax("Extra data", self.at)
+
+
+def _read_document(data: Union[str, bytes], fields: tuple[str, ...], error: type[ValueError],
+                   stop: Optional[str] = None) -> tuple[dict, Players]:
+    """Open a JSON document whose top level is an object with exactly
+    ``fields``, one of them ``players``, reading it one member at a time.
+    Malformed input, a repeated key or bytes that are not UTF-8 included,
+    raises ``error``.
+
+    The value of the field ``stop`` must be a list, and ``doc[stop]`` is
+    an iterator over its elements.  When ``stop`` follows every other
+    field, the document is read only up to its value: the iterator decodes
+    one element at a time and, after the last, reads and checks the rest
+    of the document.  Otherwise the list is decoded whole, like any other
+    field.
+    """
+    reader = _Reader(data, error)
+    members = reader.members()
+    doc: dict = {}
+    elements = _read_members(reader, members, doc, fields, stop)
     names = doc["players"]
     if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
         raise error("'players' must be a list of strings")
     try:
-        return doc, Players(tuple(names))
+        players = Players(tuple(names))
     except ValueError as exc:
         raise error(f"'players': {exc}") from None
+    if stop is not None:
+        if elements is None:
+            if not isinstance(doc[stop], list):
+                raise error(f"{stop!r} must be a list")
+            elements = iter(doc[stop])
+        doc[stop] = elements
+    return doc, players
+
+
+def _read_members(reader: _Reader, members: Iterator[str], doc: dict, fields: tuple[str, ...],
+                  stop: Optional[str] = None) -> Optional[Iterator]:
+    """Read members into ``doc`` to the end of the document and check its
+    fields, or stop before a list at ``stop`` that follows every other
+    field and return its elements, which read the rest after the last."""
+    for key in members:
+        if key in doc:
+            raise reader.error(f"repeated key {key!r} in a JSON object")
+        if key == stop and doc.keys() == set(fields) - {stop} and reader.next_char() == "[":
+            return _elements_then_rest(reader, members, dict.fromkeys([*doc, key]), fields)
+        doc[key] = reader.value()
+    reader.end()
+    missing = [f for f in fields if f not in doc]
+    if missing:
+        raise reader.error(f"missing required field {missing[0]!r}")
+    if len(doc) != len(fields):
+        raise reader.error(f"top-level fields must be {', '.join(fields)}, not {', '.join(doc)}")
+    return None
+
+
+def _elements_then_rest(reader: _Reader, members: Iterator[str], seen: dict, fields: tuple[str, ...]) -> Iterator:
+    """The elements of the list at the read position, then the rest of
+    the document read into ``seen``, the fields read before it."""
+    yield from reader.elements()
+    _read_members(reader, members, seen, fields)
 
 
 def game_from_json(text: Union[str, bytes]) -> Game:

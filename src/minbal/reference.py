@@ -63,7 +63,11 @@ APPENDIX: dict[int, tuple[AppendixType, ...]] = {
 }
 
 #: Counts of systems / types per player count for the balanced catalogue.
-BALANCED_COUNTS = {2: (1, 1), 3: (5, 3), 4: (41, 9), 5: (1291, 44)}
+#: The 6-player type count comes from this code alone.  Its 200,213
+#: systems cross-check against the 200,214 minimal balanced collections
+#: on 6 players, the trivial one included, that Laplace Mermoud, Grabisch
+#: & Sudhölter list; that figure is quoted from memory, not from the paper.
+BALANCED_COUNTS = {2: (1, 1), 3: (5, 3), 4: (41, 9), 5: (1291, 44), 6: (200213, 582)}
 
 #: Facet counts and type counts of the totally balanced cone: the
 #: irreducible systems on every carrier with at least two players.  The

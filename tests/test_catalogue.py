@@ -1,5 +1,6 @@
 """Catalogue generation, classification, rendering and serialization."""
 
+import json
 from dataclasses import replace
 from random import Random
 
@@ -19,8 +20,11 @@ from minbal.catalogue import (
 )
 from minbal.cones import conjugate, is_balanced, is_totally_balanced_lp
 from minbal.games import (
+    GameFormatError,
     Players,
     SetFunction,
+    game_from_json,
+    game_to_json,
     is_o_standardized,
     letters,
     random_game,
@@ -344,18 +348,18 @@ class TestSerialization:
         with pytest.raises(CatalogueFormatError, match="has 40 entries in 8 types"):
             parse(json.dumps(doc))
 
-    def test_unrecorded_player_count_rejected(self, monkeypatch):
-        import json
-
-        import minbal.catalogue
-
+    @pytest.mark.parametrize("text", [
+        '{"players": ["a", "b", "c", "d", "e", "f", "g"], "cone": "balanced", "conjecture": false, "entries": []}',
+        '{"players": ["a", "b", "c", "d", "e", "f", "g"], "cone": "balanced", "conjecture": false, "entries": [{"system": ',
+    ], ids=["no-entries", "entries-cut"])
+    def test_unrecorded_player_count_rejected(self, monkeypatch, text):
+        # rejected before a catalogue is generated and before any entry is read
         def no_search(*args):
             raise AssertionError("parse generated a catalogue with no recorded counts")
 
         monkeypatch.setattr(minbal.catalogue, "generate", no_search)
-        doc = {"players": list("abcdef"), "cone": "balanced", "conjecture": False, "entries": []}
-        with pytest.raises(CatalogueFormatError, match="no entry and type counts"):
-            parse(json.dumps(doc))
+        with pytest.raises(CatalogueFormatError, match="no entry and type counts are recorded for a 7-player balanced"):
+            parse(text.encode())
 
     def test_relabelled_cone_rejected(self, balanced4):
         import json
@@ -488,6 +492,143 @@ class TestSerialization:
         doc["note"] = "extra"
         with pytest.raises(CatalogueFormatError, match="top-level fields"):
             parse(json.dumps(doc))
+
+
+@pytest.fixture()
+def decoded_objects(monkeypatch):
+    """Every JSON object the readers decode, as the pairs of its members."""
+    objects = []
+
+    class Recording(json.JSONDecoder):
+        def __init__(self, *, object_pairs_hook, **kwargs):
+            super().__init__(object_pairs_hook=lambda pairs: objects.append(pairs) or object_pairs_hook(pairs), **kwargs)
+
+    monkeypatch.setattr(json, "JSONDecoder", Recording)
+    return objects
+
+
+class TestReader:
+    """The member-by-member reader behind ``parse`` and ``game_from_json``."""
+
+    def test_canonical_file_parses_without_decoding_an_entry(self, decoded_objects):
+        catalogue = generate(letters(5), "totally-balanced")
+        blob = serialize(catalogue)
+        assert parse(blob) == catalogue
+        assert decoded_objects == []
+        assert parse(json.dumps(json.loads(blob))) == catalogue  # other bytes: every entry is decoded
+        assert len(decoded_objects) == 3 * 428  # each entry, its weights and its alpha
+
+    @pytest.mark.parametrize("cut, message", [
+        (lambda blob: blob[:blob.rindex(b'"orbit_size"')], "invalid JSON: Expecting property name"),
+        (lambda blob: blob + b" x", "invalid JSON: Extra data"),
+    ], ids=["inside-last-entry", "after-closing-brace"])
+    def test_canonical_file_cut_or_extended_rejected(self, exact4, cut, message):
+        with pytest.raises(CatalogueFormatError, match=message):
+            parse(cut(serialize(exact4)))
+
+    def test_entry_beyond_the_last_rejected(self, exact4):
+        doc = json.loads(serialize(exact4))
+        doc["entries"].append(doc["entries"][-1])
+        with pytest.raises(CatalogueFormatError, match=r"entries\[44\]: beyond the 44 entries of the 4-player exact-conjecture"):
+            parse(json.dumps(doc))
+
+    @pytest.mark.parametrize("first", [False, True], ids=["entries-last", "entries-first"])
+    def test_entries_not_a_list_rejected(self, balanced3, first):
+        doc = json.loads(serialize(balanced3))
+        doc["entries"] = {}
+        if first:
+            doc = {"entries": doc.pop("entries"), **doc}
+        with pytest.raises(CatalogueFormatError, match="'entries' must be a list"):
+            parse(json.dumps(doc))
+
+    @pytest.mark.parametrize("position", [0, 1, 3], ids=["first", "second", "after-conjecture-and-cone"])
+    def test_entries_before_a_header_field_parse(self, exact4, position):
+        doc = json.loads(serialize(exact4))
+        entries = doc.pop("entries")
+        items = list(doc.items())
+        items.insert(position, ("entries", entries))
+        if position == 3:  # entries last, but the header fields out of order
+            items[1], items[2] = items[2], items[1]
+        assert parse(json.dumps(dict(items), indent=2)) == exact4
+
+    @pytest.mark.parametrize("data, message", [
+        (b'\xef\xbb\xbf{"players": ["a", "b"]}', r"invalid JSON: Unexpected UTF-8 BOM \(decode using utf-8-sig\): line 1 column 1 \(char 0\)"),
+        (b"[]", "top level must be an object"),
+        (b'{"players": ["a", "b"], "players": ["a"]}', "repeated key 'players' in a JSON object"),
+        (b'{"cone": "balanced"}', "missing required field 'players'"),
+    ], ids=["bom", "list", "repeated-key", "missing-field"])
+    def test_header_faults_give_one_message_in_both_formats(self, data, message):
+        with pytest.raises(CatalogueFormatError, match=message) as catalogue_error:
+            parse(data)
+        with pytest.raises(GameFormatError) as game_error:
+            game_from_json(data)
+        assert str(catalogue_error.value) == str(game_error.value)
+
+    @pytest.mark.parametrize("window", [1, 7, 1000])
+    def test_windows_shorter_than_the_file(self, monkeypatch, exact4, window):
+        monkeypatch.setattr(minbal.games, "_WINDOW", window)
+        blob = serialize(exact4)
+        assert parse(blob) == exact4
+        assert parse(json.dumps(json.loads(blob)).encode()) == exact4
+        game = random_game(letters(4), Random(window))
+        assert game_from_json(game_to_json(game).encode()) == game
+
+    @pytest.mark.parametrize("text", [
+        '{"players": ["a"], "values": {"": 0, "a": "-1/2"}}',
+        '{"values": {"": 0, "a": 1}, "players": ["a"], "x": 1.5e+3}',
+        '{"players": ["a"], "values": {"": 0, "a": -Infinity}}',
+        '{"players": ["\\u00e9\\ud83d\\ude00", "b"], "values": {"": 0}}',
+        '{"players": ["a"], "values": {"": 0, "a": 1.}}',
+        '{"players": ["a"], "values": {"": 0, "a": 1}} {}',
+        '{"players": ["a"], "values": {"": 0, "a": 1, "a": 2}}',
+        '{"players": ["a"], "values": {"": 0, "a": "1\n"}}',
+        '{"players": ["a"], "values": {"": 0, "a": 1}',
+    ])
+    def test_every_window_reads_like_the_whole_text(self, monkeypatch, text):
+        def outcome(data):
+            try:
+                return game_from_json(data)
+            except GameFormatError as exc:
+                return str(exc)
+
+        whole = outcome(text)  # a str is read without windows
+        for window in range(1, len(text) + 1):
+            monkeypatch.setattr(minbal.games, "_WINDOW", window)
+            assert outcome(text.encode()) == whole, window
+
+    def test_early_fault_ends_the_read(self, monkeypatch, exact4):
+        # a syntax error well before the end of the window is not decoded again on longer ones
+        decoded = []
+        more = minbal.games._Reader._more
+
+        def recording(reader):
+            grew = more(reader)
+            decoded.append(reader.decoded)
+            return grew
+
+        monkeypatch.setattr(minbal.games, "_WINDOW", 256)
+        monkeypatch.setattr(minbal.games._Reader, "_more", recording)
+        blob = serialize(exact4)
+        at = blob.index(b'"k"', blob.index(b'"type_id"'))
+        with pytest.raises(CatalogueFormatError, match="invalid JSON: Expecting property name"):
+            parse(blob[:at] + b"#" + blob[at:])
+        assert max(decoded) < 2 * at
+
+    @pytest.mark.parametrize("window", [1, 7, 1000])
+    def test_faults_placed_in_the_whole_file(self, monkeypatch, exact4, window):
+        # a syntax error in entry 30 or a byte that is not UTF-8 is placed
+        # as json.loads and bytes.decode place it, whatever the window
+        monkeypatch.setattr(minbal.games, "_WINDOW", window)
+        blob = serialize(exact4)
+        at = blob.index(b'"k"', blob.index(b'"type_id"', len(blob) * 2 // 3))
+        for broken in (blob[:at] + b"#" + blob[at:], blob[:at] + b"\xff" + blob[at:]):
+            try:
+                json.loads(broken.decode("utf-8"))
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                expected = f"invalid JSON: {exc}"
+            with pytest.raises(CatalogueFormatError) as error:
+                parse(broken)
+            assert str(error.value) == expected
 
 
 class TestDeterminism:

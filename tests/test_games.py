@@ -1,5 +1,6 @@
 """Set functions, games and the shift / reflection / anti-dual transforms."""
 
+import json
 from fractions import Fraction as F
 from random import Random
 
@@ -309,6 +310,11 @@ class TestGameJson:
     def test_malformed_rejected(self, doc, message):
         with pytest.raises(GameFormatError, match=message):
             game_from_json(doc)
+
+    def test_values_before_players_parse(self, p3):
+        game = random_game(p3, Random(9))
+        doc = json.loads(game_to_json(game))
+        assert game_from_json(json.dumps({"values": doc["values"], "players": doc["players"]})) == game
 
     def test_bytes_not_utf8_rejected(self):
         with pytest.raises(GameFormatError, match="invalid JSON"):
