@@ -15,13 +15,17 @@ They run on the game's table scaled to integers, and a subgame's on its
 part of that table; ``Fraction`` payoffs are built only for the points
 a certificate returns.
 
-Total balancedness first tries each proper subgame's greedy allocation
-in player order, every marginal vector of a convex game being a core
-element (Shapley, *Cores of convex games*, 1971).  A subgame whose
-greedy allocation is in its core is balanced, shown in integers, and
-runs no LP.  The LPs that remain, the full game's and a failing
-subgame's, are the ones that build the certificates, so the
-certificates are those of the LP-only check.
+Before an LP, the total balancedness and exactness oracles try a
+marginal vector (:func:`_marginal_vector`), every marginal vector of a
+convex game being a core element (Shapley, *Cores of convex games*,
+1971).  Total balancedness tries each proper subgame's vector in player
+order: a subgame whose vector is in its core is balanced, shown in
+integers, and runs no LP.  Exactness tries, for each coalition d, the
+vector of an order starting with d's players, which is tight at d: one
+in the core is a certificate for d, and for every coalition it is tight
+at, with no LP.  A marginal vector passes only where the LP would find
+a point too, so negative verdicts and their certificates are those of
+the LP-only checks.
 
 Set functions that do not vanish at the empty coalition are shifted
 first; the oracles then answer for the shifted game, which is the
@@ -32,7 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import ge, indexOf, sub
+from itertools import compress
+from operator import eq, ge, indexOf, not_, sub
 from typing import Optional, Union
 
 from .balance import InequalityVector, MinBalancedSystem, SetSystem, is_min_balanced
@@ -144,18 +149,28 @@ def _sums(payoffs: list[int]) -> list[int]:
     return sums
 
 
-def _greedy_in_core(values: list[int]) -> bool:
-    """Whether the greedy allocation in player order is in the core.
+def _marginal_vector(values: list[int], first: int) -> Optional[tuple[list[int], list[int]]]:
+    """The marginal vector of one order and its sums, if it is in the core.
 
-    ``values`` is a game's integer table.  Player i gets
-    v({0..i}) - v({0..i-1}), which is efficient; it is in the core when
-    x(S) >= v(S) for every coalition S.  A convex game's always is
-    (Shapley 1971).  A passing game's core is shown nonempty without an
-    LP.
+    ``values`` is a game's integer table.  The order takes the players
+    of ``first`` in increasing order, then the other players in
+    increasing order; each player gets what it adds to the coalition of
+    the players before it.  The vector x is efficient and tight at every
+    prefix of the order, ``first`` among them.  Returns ``(x, sums)``,
+    ``sums`` holding x(S) at every coalition S in bitmask order, when
+    every excess v(S) - x(S) is at most 0, and ``None`` otherwise.  A
+    passing vector is a core point tight at ``first``, found without an
+    LP; on a convex game every vector passes (Shapley, *Cores of convex
+    games*, 1971).
     """
-    prefix = [values[(1 << i) - 1] for i in range(len(values).bit_length())]
-    greedy = [b - a for a, b in zip(prefix, prefix[1:])]
-    return all(map(ge, _sums(greedy), values))
+    n = len(values).bit_length() - 1
+    x = [0] * n
+    prefix = 0
+    for i in sorted(range(n), key=lambda i: not first >> i & 1):
+        x[i] = values[prefix | 1 << i] - values[prefix]
+        prefix |= 1 << i
+    sums = _sums(x)
+    return (x, sums) if all(map(ge, sums, values)) else None
 
 
 def _payoffs(res: FeasibilityResult, scale: int) -> Payoffs:
@@ -262,11 +277,11 @@ def is_totally_balanced_lp(f: SetFunction) -> Verdict:
     game's integer table; only a failing subgame is built as a game,
     for its certificate.
 
-    A proper subgame whose greedy allocation in player order is in its
-    core (:func:`_greedy_in_core`; always so for a convex game, by
+    A proper subgame whose marginal vector in player order is in its
+    core (:func:`_marginal_vector`; always so for a convex game, by
     Shapley 1971) is balanced and runs no core system.  A failing
-    subgame has no core point, so its greedy allocation always fails
-    and its system runs; the full game's system always runs, for the
+    subgame has no core point, so its marginal vector always fails and
+    its system runs; the full game's system always runs, for the
     member's allocation.  The verdict and its certificate are therefore
     the same as when every subgame runs its system.
     """
@@ -281,7 +296,7 @@ def is_totally_balanced_lp(f: SetFunction) -> Verdict:
     for a in coalitions:
         positions = [i for i in range(players.n) if a >> i & 1]
         table = [values[s] for s in relabelling(positions)]
-        if a != full and _greedy_in_core(table):
+        if a != full and _marginal_vector(table, 0) is not None:
             continue
         res, order, _ = _tight_feasibility(table, len(table) - 1)
         if not res.feasible:
@@ -320,33 +335,55 @@ def is_totally_balanced_facets(f: SetFunction, catalogue) -> Verdict:
 def is_exact(f: SetFunction) -> Verdict:
     """Exactness: a core element tight at every nonempty coalition.
 
-    Runs one feasibility system per coalition, smallest first, except
-    where a core point found earlier is already tight: that point fills
-    the coalition's place in the table.  Positive verdicts carry the
-    full table of tight allocations; negative ones the first failing
-    coalition with its separating functional.  A game on 11 or more
-    players logs a warning first: on a 2-core machine a seeded convex
-    game took 3.5 s at 10 players, 9.2 s at 11 and 31 s at 12 (single
-    runs), about threefold per player.
+    Visits the coalitions smallest first, skipping each one a core point
+    found earlier is already tight at.  For coalition d it first tries
+    the marginal vector of the order that takes d's players, then the
+    others (:func:`_marginal_vector`): that vector is tight at d, and
+    when it is in the core it fills d's place, and every place it is
+    tight at, with no LP.  A convex game's marginal vectors always are
+    (Shapley, *Cores of convex games*, 1971), so a convex game runs no
+    LP.  Only where the vector leaves the core does d's feasibility
+    system run.  A marginal vector passes only where a tight core point
+    exists, so the first coalition without one, and its system, are
+    those of a check that runs a system at every coalition not yet
+    covered.
+
+    Positive verdicts carry the full table of tight allocations; negative
+    ones the first failing coalition with its separating functional.  A
+    game on 11 or more players logs a warning first: each coalition not
+    yet covered costs a pass over all 2^n coalitions, and more where its
+    LP runs.  On a 2-core machine a seeded convex game took 0.11 s at
+    10 players, 0.40 s at 11 and 1.4 s at 12 (single runs, no LP), about
+    3.5-fold per player.
     """
     game = as_game(f)
     players = game.players
     full = players.full_mask
     if players.n >= 11:
-        log.warning("exactness check on %d players: up to %d core LPs, expect ten seconds or more", players.n, full)
+        log.warning(
+            "exactness check on %d players: up to %d marginal vectors, with a core LP wherever one leaves the core",
+            players.n,
+            full,
+        )
     coalitions = sorted(range(1, full + 1), key=lambda s: (s.bit_count(), s))
     values, scale = _scaled(game)
     points: dict[int, Payoffs] = {}
     for d in coalitions:
         if d in points:
             continue
-        res, order, excess = _tight_feasibility(values, d)
-        if not res.feasible:
-            return Verdict(False, NoTightAllocation(d, _theta_from_farkas(players, order, res.farkas)))
-        point = _payoffs(res, scale)
-        for s, e in enumerate(excess):
-            if s and not e:
-                points.setdefault(s, point)
+        marginal = _marginal_vector(values, d)
+        if marginal is not None:
+            x, sums = marginal
+            point = tuple(Fraction(p, scale) for p in x)
+            tight = compress(range(full + 1), map(eq, values, sums))
+        else:
+            res, order, excess = _tight_feasibility(values, d)
+            if not res.feasible:
+                return Verdict(False, NoTightAllocation(d, _theta_from_farkas(players, order, res.farkas)))
+            point = _payoffs(res, scale)
+            tight = compress(range(full + 1), map(not_, excess))
+        for s in tight:
+            points.setdefault(s, point)
     return Verdict(True, TightAllocationTable(tuple((d, points[d]) for d in coalitions)))
 
 

@@ -290,6 +290,27 @@ def random_game(players: Players, rng: Random) -> Game:
     return Game(players, tuple(values))
 
 
+def random_exact_game(players: Players, rng: Random) -> Game:
+    """The minimum of three random additive games with one common total.
+
+    Each additive game gives every player an integer weight from 0 to 9,
+    and one of its players, drawn at random, is then raised to reach
+    the largest total.  Every such game is in the core of the minimum
+    and is tight where it attains it, so the minimum is exact
+    (Schmeidler, *Cores of exact games*, 1972); it is convex only by
+    chance.
+    """
+    n = players.n
+    weights = [[rng.randint(0, 9) for _ in range(n)] for _ in range(3)]
+    total = max(map(sum, weights))
+    for w in weights:
+        w[rng.randrange(n)] += total - sum(w)
+    return Game(
+        players,
+        tuple(Fraction(min(sum(w[i] for i in range(n) if s >> i & 1) for w in weights)) for s in players.coalitions()),
+    )
+
+
 def _parse_value(raw: object, where: str) -> Fraction:
     if isinstance(raw, bool):
         raise GameFormatError(f"{where}: boolean is not a rational value")

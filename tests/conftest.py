@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from minbal import anti_dual, game_of, generate, letters, lp_feasible
+from minbal import anti_dual, cones, game_of, generate, letters, lp_feasible
 from minbal.balance import MinBalancedSystem, SetSystem, _perm_tables, normalize
 from minbal.linalg import augment, reduce_mod_rows
 
@@ -271,3 +271,26 @@ def totally5(p5):
 @pytest.fixture(scope="session")
 def exact4(p4):
     return generate(p4, "exact-conjecture")
+
+
+def lp_only_is_exact(game):
+    """``cones.is_exact`` with a core LP at every coalition that no earlier
+    LP point is tight at, and no marginal vector tried: a reference whose
+    negative verdicts the marginal-vector shortcut must reproduce."""
+    players = game.players
+    full = players.full_mask
+    values, scale = cones._scaled(game)
+    coalitions = sorted(range(1, full + 1), key=lambda s: (s.bit_count(), s))
+    points = {}
+    for d in coalitions:
+        if d in points:
+            continue
+        res, order, excess = cones._tight_feasibility(values, d)
+        if not res.feasible:
+            theta = cones._theta_from_farkas(players, order, res.farkas)
+            return cones.Verdict(False, cones.NoTightAllocation(d, theta))
+        point = cones._payoffs(res, scale)
+        for s, e in enumerate(excess):
+            if s and not e:
+                points.setdefault(s, point)
+    return cones.Verdict(True, cones.TightAllocationTable(tuple((d, points[d]) for d in coalitions)))

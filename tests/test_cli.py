@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats and exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import minbal
 from minbal.catalogue import generate, serialize
+from minbal import cli
 from minbal.cli import main
 from minbal.games import game_of, game_to_json, letters
 
@@ -215,6 +217,17 @@ class TestVerify:
         assert code == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 25
+
+    @pytest.mark.parametrize("players", [4, 5])
+    def test_conjecture_suite_probes_exact_games(self, players):
+        # random games are seldom exact, so every other sample is a
+        # minimum of additive games with one common total, always exact
+        items = cli._suite_conjecture(argparse.Namespace(players=players, samples=11, seed=0))
+        assert len(items) == 11
+        for i, (name, ok, exact, _) in enumerate(items):
+            family = "equal-total minimum of additive games" if i % 2 else "random"
+            assert name == f"game {i} ({family}): exact <=> (TB and TB of anti-dual)"
+            assert ok and exact == bool(i % 2)
 
     def test_appendix_out_of_range(self, capsys):
         assert main(["verify", "--players", "5", "--suite", "appendix"]) == 2

@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from conftest import tight_rows
+from conftest import lp_only_is_exact, tight_rows
 from minbal import cones
 from minbal.balance import enumerate_min_balanced, is_min_balanced, system_of
 from minbal.cones import (
@@ -33,6 +33,7 @@ from minbal.games import (
     inner,
     letters,
     modular_from_payoffs,
+    random_exact_game,
     random_game,
     reflect,
     restrict,
@@ -239,12 +240,13 @@ def _min_of_additive(players, rng, k):
 
 
 class TestGreedyShortcut:
-    """Passing subgames are settled by their greedy allocation; the
-    verdicts and certificates are those of the LP-only check."""
+    """Passing subgames are settled by their greedy allocation, the
+    marginal vector in player order; the verdicts and certificates are
+    those of the LP-only check."""
 
     def _lp_only(self, monkeypatch, g):
         with monkeypatch.context() as m:
-            m.setattr(cones, "_greedy_in_core", lambda table: False)
+            m.setattr(cones, "_marginal_vector", lambda table, first: None)
             return is_totally_balanced_lp(g)
 
     def test_greedy_check_bites(self):
@@ -253,12 +255,12 @@ class TestGreedyShortcut:
         # alone, and bd is raised one unit above x(bd)
         x = [3, -1, 4, 2]
         table = [sum(x[i] for i in range(4) if s >> i & 1) for s in range(16)]
-        assert cones._greedy_in_core(table)
+        assert cones._marginal_vector(table, 0) == (x, table)
         bd = 0b1010
         table[bd] += 1
-        assert not cones._greedy_in_core(table)
+        assert cones._marginal_vector(table, 0) is None
         table[bd] -= 1
-        assert cones._greedy_in_core(table)
+        assert cones._marginal_vector(table, 0) == (x, table)
 
     def test_convex_game_runs_only_the_full_system(self, monkeypatch):
         calls = _count_systems(monkeypatch)
@@ -293,7 +295,7 @@ class TestGreedyShortcut:
             table[key + "d"] = value + 1
         g = game_of(p4, table)
         values, _ = cones._scaled(g)
-        assert not cones._greedy_in_core(values[:8])
+        assert cones._marginal_vector(values[:8], 0) is None
         calls = _count_systems(monkeypatch)
         v = is_totally_balanced_lp(g)
         assert v.member and calls == [7, 15]
@@ -401,7 +403,7 @@ class TestRowGeneration:
         calls = _count_systems(monkeypatch)
         g = shift(modular_from_payoffs(p4, [1, -2, 3, F(1, 2)]))
         v = is_exact(g)
-        assert calls == [1]
+        assert calls == []
         assert len(v.certificate.allocations) == 15
         verify_verdict(g, v)
 
@@ -421,6 +423,108 @@ class TestRowGeneration:
                 assert not is_exact(Game(letters(n), (0, 1) + (0,) * ((1 << n) - 2))).member
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1 and "on 11 players" in warnings[0].getMessage()
+
+
+def _shifted_game(players, rng):
+    """A convex game plus an additive one with payoffs in halves and
+    thirds: convex, with several denominators in its table."""
+    payoffs = [F(rng.randint(-9, 9), rng.choice((2, 3))) for _ in range(players.n)]
+    convex = _convex_game(players, rng)
+    return Game(players, tuple(v + sum(p for i, p in enumerate(payoffs) if s >> i & 1) for s, v in enumerate(convex.values)))
+
+
+def _perturbed_game(players, rng):
+    """A convex game with three proper coalitions raised by a quarter to
+    all of their worth: exact or not, and failing at every size."""
+    values = list(_convex_game(players, rng).values)
+    for s in rng.sample(range(1, players.full_mask), 3):
+        values[s] += F(values[s] * rng.randint(1, 4), 4)
+    return Game(players, tuple(values))
+
+
+class TestMarginalVectors:
+    """Each coalition first tries the marginal vector of the order that
+    starts with its players; a core LP runs only where that vector leaves
+    the core, and the negative verdicts are those of the LP-only check."""
+
+    def test_marginal_vector_is_tight_along_its_order(self):
+        # on a convex game every marginal vector is in the core, tight at
+        # d and at each prefix of d's players, then of the others
+        n = 5
+        values, _ = cones._scaled(_convex_game(letters(n), Random(55)))
+        for d in range(1 << n):
+            x, sums = cones._marginal_vector(values, d)
+            assert sums == [sum(x[i] for i in range(n) if s >> i & 1) for s in range(1 << n)]
+            assert all(t >= v for t, v in zip(sums, values))
+            order = [i for i in range(n) if d >> i & 1] + [i for i in range(n) if not d >> i & 1]
+            prefix = 0
+            for i in order:
+                prefix |= 1 << i
+                assert sums[prefix] == values[prefix]
+            assert sums[d] == values[d]
+
+    def test_marginal_vector_against_its_definition(self):
+        # on exact games that are not convex some marginal vectors leave
+        # the core: the vector is returned exactly when it is in the core
+        n = 4
+        rng = Random(26)
+        outcomes = set()
+        for _ in range(6):
+            values, _ = cones._scaled(random_exact_game(letters(n), rng))
+            for d in range(1 << n):
+                x, prefix = [0] * n, 0
+                for i in [i for i in range(n) if d >> i & 1] + [i for i in range(n) if not d >> i & 1]:
+                    x[i] = values[prefix | 1 << i] - values[prefix]
+                    prefix |= 1 << i
+                sums = [sum(x[i] for i in range(n) if s >> i & 1) for s in range(1 << n)]
+                in_core = all(t >= v for t, v in zip(sums, values))
+                assert cones._marginal_vector(values, d) == ((x, sums) if in_core else None)
+                outcomes.add(in_core)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_convex_games_run_no_lp(self, monkeypatch, n):
+        rng = Random(f"marginal:{n}")
+        players = letters(n)
+        calls = _count_systems(monkeypatch)
+        for g in (_convex_game(players, rng), _shifted_game(players, rng)):
+            v = is_exact(g)
+            assert v.member
+            verify_verdict(g, v)
+        assert calls == []
+
+    def test_exact_games_fall_back_to_the_lp(self, monkeypatch):
+        # minima of additive games with one common total are exact, but
+        # not every marginal vector is in their core
+        calls = _count_systems(monkeypatch)
+        rng = Random(25)
+        for n in range(4, 8):
+            for _ in range(2):
+                g = random_exact_game(letters(n), rng)
+                v = is_exact(g)
+                assert v.member
+                verify_verdict(g, v)
+        assert calls
+
+    def test_negative_verdicts_match_lp_only_reference(self):
+        failing_sizes = set()
+        for n in range(3, 8):
+            rng = Random(f"reference:{n}")
+            players = letters(n)
+            games = [random_game(players, rng) for _ in range(3)]
+            for _ in range(2):
+                values = list(_convex_game(players, rng).values)
+                values[-1] = sum(values[1 << i] for i in range(n)) - rng.randint(1, 5)
+                games.append(Game(players, tuple(values)))
+            games += [_perturbed_game(players, rng) for _ in range(6)]
+            for g in games:
+                v, reference = is_exact(g), lp_only_is_exact(g)
+                assert v.member == reference.member
+                if not v.member:
+                    assert v == reference
+                    verify_verdict(g, v)
+                    failing_sizes.add(v.certificate.coalition.bit_count())
+        assert failing_sizes >= {1, 2, 3, 4}
 
 
 class TestConjugate:

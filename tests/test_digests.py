@@ -128,13 +128,13 @@ ENUMERATE_DIGESTS = {
 CHECK_DIGESTS = {
     ("convex", 5, "balanced"): (0, "7326765ff23bdcec1462ee3184a2922249d1957a523cb40260e1a65584f4c892"),
     ("convex", 5, "totally-balanced"): (0, "9faabae58fc73916c4465dde33fe0b804ca5bfedbd596cd95fd466b05ee83bfd"),
-    ("convex", 5, "exact"): (0, "a4ad35e93212c46643534d599f85b2a84f9485640e4e3ffb6e3d4d0192406dea"),
+    ("convex", 5, "exact"): (0, "ecd091c63f1cd3cd6b094d9dc87e1f42acf2968a99e2e624e37418460ce8c972"),
     ("convex", 6, "balanced"): (0, "276aa8eb6357e3b4be4997e80d7bab0d82e636844dee76481db2d848c92f5877"),
     ("convex", 6, "totally-balanced"): (0, "faead2890e8666683b0e82dcf00f2ce257e5b86c92555f84b7052f6e9fbdd832"),
-    ("convex", 6, "exact"): (0, "5e6466a9f44bd8bb5daa1b2478cc1a4817ab2c8baeb32daf05adc7b193e2fc87"),
+    ("convex", 6, "exact"): (0, "78149c85362fc434357277d9094c0defeb1197394baaf89e8228551dd17d5732"),
     ("convex", 7, "balanced"): (0, "6aa998e139e109c4b3114da94e2d81f5b07706c1a67490dd63bb633fe56d5e80"),
     ("convex", 7, "totally-balanced"): (0, "6f513f9b0e7f4d3727c31051e0bbf49eef033f2f68e8dceb428d88ccba975aeb"),
-    ("convex", 7, "exact"): (0, "ca12935bf16e9b48fa18afc50e2997273e9463bc9c458a84b53d202910dbdd0e"),
+    ("convex", 7, "exact"): (0, "08a4502570211968b3cd95c289c2615e653468d57e0beac64bf2c8b0f1efed31"),
     ("cut", 5, "balanced"): (1, "0a43d3f771dc34515207781246ac7ce7aeac660a8b1e6e2165a1616c4eadb0b4"),
     ("cut", 5, "totally-balanced"): (1, "337916728b582709fdba6803715bfd5e9e3244c59447a7541106989c3c72a93b"),
     ("cut", 5, "exact"): (1, "6a020afabf07dd71846c9ca6083542aec45ecec4a55659479e278d83bdafab44"),
@@ -155,7 +155,7 @@ CHECK_DIGESTS = {
     ("random", 7, "exact"): (1, "cba74cd2125519d1da079776265c13175f8cc4e932d7a0de73b94caa4e393963"),
     ("shifted", 6, "balanced"): (0, "dd871dce9b1a800c0a2de52d5d327e47854da5cb6b0ae402711f64b3446ccd70"),
     ("shifted", 6, "totally-balanced"): (0, "02c42131d6e3882cc235711d07b5cf9e87f918fa2677c97e8a2b8c4eb2f36a67"),
-    ("shifted", 6, "exact"): (0, "983b6d06702a4c84a618c32fdbc0aa307bf64689df84b0790de56d4645e0035e"),
+    ("shifted", 6, "exact"): (0, "09074ce7c070ab3646730770583a96c4a00444b29069964ac5b45689d8980dc8"),
 }
 
 
