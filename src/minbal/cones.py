@@ -7,25 +7,24 @@ a violated min-balanced inequality, a failing subgame, or (for
 exactness) an o-standardized separating functional derived from the
 Farkas vector of the infeasible system.
 
-Every LP-based oracle asks whether a core point exists, possibly one
-tight at a given coalition: 2^n - 1 rows in n unknowns.  The rows are
-generated (:func:`_tight_feasibility`), so each LP holds the singletons,
-the equalities and the few rows a scan of all coalitions found violated.
-They run on the game's table scaled to integers, and a subgame's on its
-part of that table; ``Fraction`` payoffs are built only for the points
-a certificate returns.
-
-Before an LP, the total balancedness and exactness oracles try a
-marginal vector (:func:`_marginal_vector`), every marginal vector of a
-convex game being a core element (Shapley, *Cores of convex games*,
-1971).  Total balancedness tries each proper subgame's vector in player
-order: a subgame whose vector is in its core is balanced, shown in
-integers, and runs no LP.  Exactness tries, for each coalition d, the
-vector of an order starting with d's players, which is tight at d: one
-in the core is a certificate for d, and for every coalition it is tight
-at, with no LP.  A marginal vector passes only where the LP would find
-a point too, so negative verdicts and their certificates are those of
-the LP-only checks.
+All three oracles ask one question, :func:`_core_point`: is there a core
+point tight at a given coalition?  Balancedness asks it once, of the full
+player set; total balancedness of every subgame of two or more players
+and of the full game; exactness of every coalition no earlier point is
+tight at.  The answer is first sought in integers as the marginal vector
+of the order that starts with the coalition's players
+(:func:`_marginal_vector`), which is tight at it; every marginal vector
+of a convex game is a core element (Shapley, *Cores of convex games*,
+1971).  Only where that vector leaves the core does the core system run:
+2^n - 1 rows in n unknowns, so its rows are generated
+(:func:`_tight_feasibility`), and each LP holds the singletons, the
+equalities and the few rows a scan of all coalitions found violated.  A
+marginal vector passes only where a core point exists, so a table
+without one runs the same system as an LP-only check, and every negative
+verdict and its certificate is that check's.  Everything runs on the
+game's table scaled to integers, and a subgame's on its part of that
+table; ``Fraction`` payoffs are built only for the points a certificate
+returns.
 
 Set functions that do not vanish at the empty coalition are shifted
 first; the oracles then answer for the shifted game, which is the
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import eq, ge, indexOf, not_, sub
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .balance import InequalityVector, MinBalancedSystem, SetSystem, is_min_balanced
 from .games import (
@@ -223,6 +222,26 @@ def _tight_feasibility(values: list[int], tight_at: int):
         working.append(indexOf(map(sub, scaled, sums), worst))
 
 
+def _core_point(values: list[int], tight_at: int) -> tuple[FeasibilityResult, Optional[list[int]], Iterable[int]]:
+    """A core point of an integer table, tight at ``tight_at``, or a Farkas vector.
+
+    Tries :func:`_marginal_vector` and runs :func:`_tight_feasibility`
+    only when that vector leaves the core.  Returns ``(res, order,
+    tight)``.  ``res`` holds either the point's numerators over its
+    denominator (1 for a marginal vector), or the Farkas vector of the
+    core system's last working set, whose coalitions ``order`` lists in
+    row order.  ``tight`` yields, lazily, the coalitions the point is
+    tight at.
+    """
+    coalitions = range(len(values))
+    marginal = _marginal_vector(values, tight_at)
+    if marginal is not None:
+        x, sums = marginal
+        return FeasibilityResult(tuple(x), 1, None), None, compress(coalitions, map(eq, values, sums))
+    res, order, excess = _tight_feasibility(values, tight_at)
+    return res, order, compress(coalitions, map(not_, excess or ()))
+
+
 def _violated_system(game: Game, theta: SetFunction) -> ViolatedSystem:
     """Carathéodory reduction of the empty core's Farkas functional.
 
@@ -257,56 +276,42 @@ def is_balanced(f: SetFunction) -> Verdict:
 
     Positive verdicts carry a core allocation.  Negative ones carry a
     min-balanced system on the full player set whose inequality the game
-    violates, reduced from the Farkas vector of the same core system.
+    violates, reduced from the Farkas vector of the core system.
     """
     game = as_game(f)
     values, scale = _scaled(game)
-    res, order, _ = _tight_feasibility(values, game.players.full_mask)
+    res, order, _ = _core_point(values, game.players.full_mask)
     if res.feasible:
         return Verdict(True, CoreAllocation(_payoffs(res, scale)))
     return Verdict(False, _violated_system(game, _theta_from_farkas(game.players, order, res.farkas)))
 
 
 def is_totally_balanced_lp(f: SetFunction) -> Verdict:
-    """Balancedness of every subgame, checked by one core system each.
+    """Balancedness of every subgame, one core point each.
 
     The smallest failing coalition (by cardinality, then bitmask) is
-    reported with the evidence for its subgame, and a member with a core
-    allocation of the game.  Singleton subgames are always balanced and
-    are skipped.  Each subgame's core system runs on its part of the
-    game's integer table; only a failing subgame is built as a game,
-    for its certificate.
-
-    A proper subgame whose marginal vector in player order is in its
-    core (:func:`_marginal_vector`; always so for a convex game, by
-    Shapley 1971) is balanced and runs no core system.  A failing
-    subgame has no core point, so its marginal vector always fails and
-    its system runs; the full game's system always runs, for the
-    member's allocation.  The verdict and its certificate are therefore
-    the same as when every subgame runs its system.
+    reported with the evidence for its subgame, and a member with the
+    core allocation found for the full game.  Subgames of one player are
+    always balanced and are skipped unless they are the game.  Each
+    subgame is checked on its part of the game's integer table; only a
+    failing subgame is built as a game, for its certificate.
     """
     game = as_game(f)
     players = game.players
     full = players.full_mask
     values, scale = _scaled(game)
     coalitions = sorted(
-        (s for s in range(1, full + 1) if s.bit_count() >= 2),
+        (s for s in range(1, full + 1) if s.bit_count() >= 2 or s == full),
         key=lambda s: (s.bit_count(), s),
     )
     for a in coalitions:
-        positions = [i for i in range(players.n) if a >> i & 1]
-        table = [values[s] for s in relabelling(positions)]
-        if a != full and _marginal_vector(table, 0) is not None:
-            continue
-        res, order, _ = _tight_feasibility(table, len(table) - 1)
+        table = [values[s] for s in relabelling([i for i in range(players.n) if a >> i & 1])]
+        res, order, _ = _core_point(table, len(table) - 1)
         if not res.feasible:
-            subgame = game if a == full else restrict(game, a)
+            subgame = restrict(game, a)
             theta = _theta_from_farkas(subgame.players, order, res.farkas)
             return Verdict(False, FailingSubgame(a, _violated_system(subgame, theta)))
-        if a == full:
-            return Verdict(True, CoreAllocation(_payoffs(res, scale)))
-    # single-player game: the core is a point
-    return Verdict(True, CoreAllocation((game.values[full],)))
+    return Verdict(True, CoreAllocation(_payoffs(res, scale)))
 
 
 def is_totally_balanced_facets(f: SetFunction, catalogue) -> Verdict:
@@ -336,25 +341,14 @@ def is_exact(f: SetFunction) -> Verdict:
     """Exactness: a core element tight at every nonempty coalition.
 
     Visits the coalitions smallest first, skipping each one a core point
-    found earlier is already tight at.  For coalition d it first tries
-    the marginal vector of the order that takes d's players, then the
-    others (:func:`_marginal_vector`): that vector is tight at d, and
-    when it is in the core it fills d's place, and every place it is
-    tight at, with no LP.  A convex game's marginal vectors always are
-    (Shapley, *Cores of convex games*, 1971), so a convex game runs no
-    LP.  Only where the vector leaves the core does d's feasibility
-    system run.  A marginal vector passes only where a tight core point
-    exists, so the first coalition without one, and its system, are
-    those of a check that runs a system at every coalition not yet
-    covered.
-
-    Positive verdicts carry the full table of tight allocations; negative
-    ones the first failing coalition with its separating functional.  A
-    game on 11 or more players logs a warning first: each coalition not
-    yet covered costs a pass over all 2^n coalitions, and more where its
-    LP runs.  On a 2-core machine a seeded convex game took 0.11 s at
-    10 players, 0.40 s at 11 and 1.4 s at 12 (single runs, no LP), about
-    3.5-fold per player.
+    found earlier is already tight at, and fills every place the new
+    point is tight at.  Positive verdicts carry the full table of tight
+    allocations; negative ones the first failing coalition with its
+    separating functional.  A game on 11 or more players logs a warning
+    first: each coalition not yet covered costs a pass over all 2^n
+    coalitions, and more where its LP runs.  On a 2-core machine a
+    seeded convex game took 0.11 s at 10 players, 0.40 s at 11 and 1.4 s
+    at 12 (single runs, no LP), about 3.5-fold per player.
     """
     game = as_game(f)
     players = game.players
@@ -371,17 +365,10 @@ def is_exact(f: SetFunction) -> Verdict:
     for d in coalitions:
         if d in points:
             continue
-        marginal = _marginal_vector(values, d)
-        if marginal is not None:
-            x, sums = marginal
-            point = tuple(Fraction(p, scale) for p in x)
-            tight = compress(range(full + 1), map(eq, values, sums))
-        else:
-            res, order, excess = _tight_feasibility(values, d)
-            if not res.feasible:
-                return Verdict(False, NoTightAllocation(d, _theta_from_farkas(players, order, res.farkas)))
-            point = _payoffs(res, scale)
-            tight = compress(range(full + 1), map(not_, excess))
+        res, order, tight = _core_point(values, d)
+        if not res.feasible:
+            return Verdict(False, NoTightAllocation(d, _theta_from_farkas(players, order, res.farkas)))
+        point = _payoffs(res, scale)
         for s in tight:
             points.setdefault(s, point)
     return Verdict(True, TightAllocationTable(tuple((d, points[d]) for d in coalitions)))

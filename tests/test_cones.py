@@ -239,18 +239,21 @@ def _min_of_additive(players, rng, k):
     )
 
 
-class TestGreedyShortcut:
-    """Passing subgames are settled by their greedy allocation, the
-    marginal vector in player order; the verdicts and certificates are
-    those of the LP-only check."""
+def _lp_only(monkeypatch, oracle, g):
+    """``oracle`` on ``g`` with no marginal vector tried: a core LP
+    wherever the oracle asks for a core point."""
+    with monkeypatch.context() as m:
+        m.setattr(cones, "_marginal_vector", lambda table, first: None)
+        return oracle(g)
 
-    def _lp_only(self, monkeypatch, g):
-        with monkeypatch.context() as m:
-            m.setattr(cones, "_marginal_vector", lambda table, first: None)
-            return is_totally_balanced_lp(g)
+
+class TestGreedyShortcut:
+    """Subgames whose marginal vector in player order is in their core
+    run no LP; the verdicts and negative certificates are those of the
+    LP-only check."""
 
     def test_greedy_check_bites(self):
-        # an additive table with x = (3, -1, 4, 2): the greedy allocation
+        # an additive table with x = (3, -1, 4, 2): the marginal vector
         # is x itself, the prefix coalitions a, ab, abc, abcd are left
         # alone, and bd is raised one unit above x(bd)
         x = [3, -1, 4, 2]
@@ -262,31 +265,35 @@ class TestGreedyShortcut:
         table[bd] -= 1
         assert cones._marginal_vector(table, 0) == (x, table)
 
-    def test_convex_game_runs_only_the_full_system(self, monkeypatch):
+    def test_convex_game_runs_no_system(self, monkeypatch):
         calls = _count_systems(monkeypatch)
         g = _convex_game(letters(7), Random(71))
         v = is_totally_balanced_lp(g)
-        assert v.member and calls == [127]
+        assert v.member and calls == []
         verify_verdict(g, v)
 
     def test_min_of_additive_games_fall_back(self, monkeypatch):
         # the paper's representation: every such game is totally
-        # balanced, but its greedy allocations need not be in the core
+        # balanced, but its marginal vectors need not be in the core
         calls = _count_systems(monkeypatch)
         rng = Random(23)
         games = [_min_of_additive(letters(n), rng, k) for n in (4, 5, 6) for k in (2, 3) for _ in range(3)]
+        runs = []
         for g in games:
+            before = len(calls)
             v = is_totally_balanced_lp(g)
             assert v.member
             verify_verdict(g, v)
-        # one system per game for the full player set, and the rest for
-        # proper subgames whose greedy check failed
-        assert len(calls) > len(games)
+            runs.append(len(calls) - before)
+        # a system runs only for a subgame whose marginal vector leaves
+        # its core: some games run none, others several
+        assert 0 in runs and max(runs) > 1
 
     def test_greedy_fails_on_a_balanced_subgame(self, monkeypatch):
-        # on abc, each pair is worth 1 and abc 3/2: the greedy
-        # allocation (0, 1, 1/2) gives ac only 1/2, yet (1/2, 1/2, 1/2)
-        # is a core element; d adds 1 to every coalition it joins
+        # on abc, each pair is worth 1 and abc 3/2: the marginal vector
+        # (0, 1, 1/2) gives ac only 1/2, yet (1/2, 1/2, 1/2) is a core
+        # element; d adds 1 to every coalition it joins, so the full
+        # game's marginal vector fails on ac too
         p4 = letters(4)
         base = {"": 0, "a": 0, "b": 0, "c": 0, "ab": 1, "ac": 1, "bc": 1, "abc": F(3, 2)}
         table = {}
@@ -300,12 +307,12 @@ class TestGreedyShortcut:
         v = is_totally_balanced_lp(g)
         assert v.member and calls == [7, 15]
         verify_verdict(g, v)
-        assert v == self._lp_only(monkeypatch, g)
+        assert v == _lp_only(monkeypatch, is_totally_balanced_lp, g)
 
     def test_failing_subgame_above_skipped_ones(self, monkeypatch):
-        # a convex game with bcd cut below its singletons' sum: the pairs
-        # and the other triples pass the greedy check, and bcd is the
-        # smallest failing coalition
+        # a convex game with bcd cut below its singletons' sum: the
+        # marginal vectors of the pairs and the other triples are in their
+        # cores, and bcd is the smallest failing coalition
         p4 = letters(4)
         convex = _convex_game(p4, Random(44))
         bcd = p4.coalition_of("bcd")
@@ -317,7 +324,7 @@ class TestGreedyShortcut:
         assert calls == [7]
         assert isinstance(v.certificate, FailingSubgame) and v.certificate.coalition == bcd
         verify_verdict(g, v)
-        lp_only = self._lp_only(monkeypatch, g)
+        lp_only = _lp_only(monkeypatch, is_totally_balanced_lp, g)
         # the LP-only path ran the six pairs and all four triples
         assert calls[1:] == [3] * 6 + [7] * 4
         assert v == lp_only
@@ -484,13 +491,15 @@ class TestMarginalVectors:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_convex_games_run_no_lp(self, monkeypatch, n):
+        # in every cone, each core point asked for is a marginal vector
         rng = Random(f"marginal:{n}")
         players = letters(n)
         calls = _count_systems(monkeypatch)
         for g in (_convex_game(players, rng), _shifted_game(players, rng)):
-            v = is_exact(g)
-            assert v.member
-            verify_verdict(g, v)
+            for oracle in (is_balanced, is_totally_balanced_lp, is_exact):
+                v = oracle(g)
+                assert v.member
+                verify_verdict(g, v)
         assert calls == []
 
     def test_exact_games_fall_back_to_the_lp(self, monkeypatch):
@@ -506,8 +515,13 @@ class TestMarginalVectors:
                 verify_verdict(g, v)
         assert calls
 
-    def test_negative_verdicts_match_lp_only_reference(self):
-        failing_sizes = set()
+    def test_negative_verdicts_match_lp_only_reference(self, monkeypatch):
+        references = {
+            is_balanced: lambda g: _lp_only(monkeypatch, is_balanced, g),
+            is_totally_balanced_lp: lambda g: _lp_only(monkeypatch, is_totally_balanced_lp, g),
+            is_exact: lp_only_is_exact,
+        }
+        failing_sizes, outcomes = set(), set()
         for n in range(3, 8):
             rng = Random(f"reference:{n}")
             players = letters(n)
@@ -518,13 +532,17 @@ class TestMarginalVectors:
                 games.append(Game(players, tuple(values)))
             games += [_perturbed_game(players, rng) for _ in range(6)]
             for g in games:
-                v, reference = is_exact(g), lp_only_is_exact(g)
-                assert v.member == reference.member
-                if not v.member:
-                    assert v == reference
+                for oracle, reference in references.items():
+                    v, expected = oracle(g), reference(g)
+                    assert v.member == expected.member
                     verify_verdict(g, v)
-                    failing_sizes.add(v.certificate.coalition.bit_count())
+                    if not v.member:
+                        assert v == expected
+                    outcomes.add((oracle, v.member))
+                    if oracle is is_exact and not v.member:
+                        failing_sizes.add(v.certificate.coalition.bit_count())
         assert failing_sizes >= {1, 2, 3, 4}
+        assert len(outcomes) == 2 * len(references)
 
 
 class TestConjugate:

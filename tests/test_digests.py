@@ -126,14 +126,14 @@ ENUMERATE_DIGESTS = {
 #: (game kind, players, cone) -> (exit code, SHA-256 of the stdout of
 #: ``check --certificate``) for the games of :func:`_check_game`
 CHECK_DIGESTS = {
-    ("convex", 5, "balanced"): (0, "7326765ff23bdcec1462ee3184a2922249d1957a523cb40260e1a65584f4c892"),
-    ("convex", 5, "totally-balanced"): (0, "9faabae58fc73916c4465dde33fe0b804ca5bfedbd596cd95fd466b05ee83bfd"),
+    ("convex", 5, "balanced"): (0, "31743127c85d305f9e84589b0033f5f286e5d272c3a094e5df28131308502ed8"),
+    ("convex", 5, "totally-balanced"): (0, "acd81dce086d67a168f3761115cc53c5d6495c91e92a7ef795908cc223359a0d"),
     ("convex", 5, "exact"): (0, "ecd091c63f1cd3cd6b094d9dc87e1f42acf2968a99e2e624e37418460ce8c972"),
-    ("convex", 6, "balanced"): (0, "276aa8eb6357e3b4be4997e80d7bab0d82e636844dee76481db2d848c92f5877"),
-    ("convex", 6, "totally-balanced"): (0, "faead2890e8666683b0e82dcf00f2ce257e5b86c92555f84b7052f6e9fbdd832"),
+    ("convex", 6, "balanced"): (0, "68243f009a1353f0db32816b272aa650fca426b38893ba601bb3797ab16e0827"),
+    ("convex", 6, "totally-balanced"): (0, "1ad4085b94c490d328a85bb5d20e41fcae7d6d3d137abe14b42ba1d9fd7bc7db"),
     ("convex", 6, "exact"): (0, "78149c85362fc434357277d9094c0defeb1197394baaf89e8228551dd17d5732"),
-    ("convex", 7, "balanced"): (0, "6aa998e139e109c4b3114da94e2d81f5b07706c1a67490dd63bb633fe56d5e80"),
-    ("convex", 7, "totally-balanced"): (0, "6f513f9b0e7f4d3727c31051e0bbf49eef033f2f68e8dceb428d88ccba975aeb"),
+    ("convex", 7, "balanced"): (0, "089d7f003e65c4ebd7567d04d1ae4202b96e053b4cae882bc94b279430c1ab99"),
+    ("convex", 7, "totally-balanced"): (0, "baaa2922b69b5b432460a4f06e43cbeba6778ef46a5e9749796dcc20e5da9cb2"),
     ("convex", 7, "exact"): (0, "08a4502570211968b3cd95c289c2615e653468d57e0beac64bf2c8b0f1efed31"),
     ("cut", 5, "balanced"): (1, "0a43d3f771dc34515207781246ac7ce7aeac660a8b1e6e2165a1616c4eadb0b4"),
     ("cut", 5, "totally-balanced"): (1, "337916728b582709fdba6803715bfd5e9e3244c59447a7541106989c3c72a93b"),
@@ -153,8 +153,8 @@ CHECK_DIGESTS = {
     ("random", 7, "balanced"): (1, "619d28df8fb674ac71835dd08a486a05c615d1a509c2d7c231b0111aa81ea15e"),
     ("random", 7, "totally-balanced"): (1, "a6d045c1cbf473f3f1f314535e89100c0d4c61553150297cf9ec0d238924f969"),
     ("random", 7, "exact"): (1, "cba74cd2125519d1da079776265c13175f8cc4e932d7a0de73b94caa4e393963"),
-    ("shifted", 6, "balanced"): (0, "dd871dce9b1a800c0a2de52d5d327e47854da5cb6b0ae402711f64b3446ccd70"),
-    ("shifted", 6, "totally-balanced"): (0, "02c42131d6e3882cc235711d07b5cf9e87f918fa2677c97e8a2b8c4eb2f36a67"),
+    ("shifted", 6, "balanced"): (0, "2ae4315d5fa51cbbdb0f77323f3e302fcb2958878118094f43a0099b82d46128"),
+    ("shifted", 6, "totally-balanced"): (0, "5879a3686e072eed28f4a4896cfb326749bb831fb44ffec06df5de35ee513f02"),
     ("shifted", 6, "exact"): (0, "09074ce7c070ab3646730770583a96c4a00444b29069964ac5b45689d8980dc8"),
 }
 
