@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations
 from math import comb, gcd, lcm
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
+from operator import or_
+from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .games import Players, SetFunction, _player_sums, log, relabelling
 from .linalg import _eliminate, _primitive, augment, reduce_mod_rows, solve_unique
@@ -29,6 +30,7 @@ from .linalg import _eliminate, _primitive, augment, reduce_mod_rows, solve_uniq
 ENUM_PLAYER_CAP = 6
 
 _Tag = TypeVar("_Tag")
+_Value = TypeVar("_Value")
 
 
 @dataclass(frozen=True)
@@ -275,25 +277,26 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
     candidate must pass both, so their order changes no output.
 
     A search for ``c >= 6``, run only on a cache miss, logs a warning
-    first.  On a 2-core machine with Python 3.11 (single runs) the search
-    took 2.6-3.1 s and 18 MB, and its callers took:
-    ``enumerate_min_balanced`` 12 s and 249 MB; ``minbal enumerate
-    --players 6`` 14-16 s and 251 MB in text and in JSON, and 3.3-4.0 s
-    and 20 MB with ``--types-only``; ``minbal catalogue --players 6``
-    5.2-5.5 s and 69 MB for ``totally-balanced`` and 13-15 s and 290 MB
-    for ``balanced``; ``parse`` of the totally-balanced file 4.7-5.7 s
-    and 105 MB, and of the balanced file 17 s and 488 MB, the file's bytes
-    included.
+    first.  On a 2-core machine with Python 3.11 (three runs each, whose
+    wall-clock speed drifts by up to 1.5x) the search took 1.7-2.9 s and
+    18 MB, and its callers took: ``enumerate_min_balanced``, which builds
+    all 200,213 systems, 8.3-9.9 s and 236 MB; ``minbal enumerate
+    --players 6`` 6.3-6.7 s and 51 MB in text and 4.3-6.5 s and 52 MB in
+    JSON, and 1.7-2.0 s and 19 MB with ``--types-only``; ``minbal
+    catalogue --players 6`` 2.8-3.5 s and 24 MB for ``totally-balanced``
+    and 6.3-7.2 s and 52 MB for ``balanced``; ``parse`` of the
+    totally-balanced file 2.7-3.8 s and 60 MB, and of the balanced file
+    6.5-7.4 s and 251 MB, the file's bytes included.
     """
     if c >= 6:
-        log.warning("enumerating min-balanced systems on a %d-player carrier: expect up to 20 s and 300 MB", c)
+        log.warning("enumerating min-balanced systems on a %d-player carrier: expect up to 12 s and 250 MB", c)
     full = (1 << c) - 1
     candidates = list(range(1, full))
     ncand = len(candidates)
     suffix_cover = [0] * (ncand + 1)
     for i in range(ncand - 1, -1, -1):
         suffix_cover[i] = suffix_cover[i + 1] | candidates[i]
-    marks, is_lex_least = _packed_marks(c)
+    marks, is_lex_least, _ = _packed_marks(c)
     found: list[MinBalancedSystem] = []
 
     def visit(start: int, chosen: list[int], union: int, rows: list, images: int, target: list[int]) -> None:
@@ -328,16 +331,17 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
     return tuple(found)
 
 
-def _packed_marks(c: int) -> tuple[list[int], Callable[[int], bool]]:
+def _packed_marks(c: int) -> tuple[list[int], Callable[[int], bool], Callable[[int], int]]:
     """The images of each coalition under the ``c!`` relabellings of
     ``_perm_tables(c)``, packed into one integer per coalition, and the
-    lex-least test on the OR of such integers.
+    lex-least test and the orbit size on the OR of such integers.
 
     ``marks[s]`` holds one field of ``full + 1`` bits per relabelling,
     field ``k`` with bit ``full - tables[k][s]`` set, so the OR of the
     marks of a set of members holds each relabelling's mask of their
     images in its field; ``marks[0]`` is zero.  No member is empty or the
-    carrier, so no mask sets bit ``full``, the field's guard.
+    carrier, so no mask sets bit ``full``, the field's guard.  Each mark
+    is read from its binary numeral, the last relabelling's field first.
 
     The test says whether field 0, the identity's, is at least every
     other field, as ``max(masks) == masks[0]`` does on the unpacked
@@ -345,51 +349,81 @@ def _packed_marks(c: int) -> tuple[list[int], Callable[[int], bool]]:
     the images are subtracted: each field becomes guard + M0 - Mk, which
     keeps its guard exactly when M0 >= Mk and never borrows from the
     next field, because Mk is below the guard.
+
+    The orbit size is ``c!`` over the number of relabellings fixing the
+    members, those whose field equals field 0.  Field 0 copied into every
+    field and XORed with the images leaves exactly those fields zero; with
+    the guards set, subtracting one from each field clears the guard of
+    exactly the zero fields.
     """
     full = (1 << c) - 1
     width = full + 1
     tables = _perm_tables(c)
-    ones = sum(1 << k * width for k in range(len(tables)))
+    digits = ["0" * (full - j) + "1" + "0" * j for j in range(width)]  # a field's binary numeral with bit j set
+    ones = int(digits[0] * len(tables), 2)
     guards = ones << full
     low = (1 << full) - 1
-    marks = [0] + [sum(1 << k * width + full - table[s] for k, table in enumerate(tables)) for s in range(1, full)]
+    marks = [0] + [int("".join([digits[full - table[s]] for table in reversed(tables)]), 2) for s in range(1, full)]
 
     def is_lex_least(images: int) -> bool:
         return (((images & low) * ones | guards) - images) & guards == guards
 
-    return marks, is_lex_least
+    def orbit_size(images: int) -> int:
+        moved = ((((images & low) * ones) ^ images | guards) - ones) & guards
+        return len(tables) // (len(tables) - moved.bit_count())
+
+    return marks, is_lex_least, orbit_size
 
 
-def _relabel(mbs: MinBalancedSystem, table: Sequence[int]) -> MinBalancedSystem:
-    """The system with coalition ``s`` renamed ``table[s]``, members,
-    weights and the items of ``alpha`` re-sorted by the new bitmasks."""
-    members, weights = zip(*sorted(zip((table[m] for m in mbs.system.members), mbs.weights)))
-    alpha = InequalityVector(tuple(sorted((table[s], v) for s, v in mbs.alpha.items)))
-    return MinBalancedSystem(SetSystem(members), weights, mbs.k, alpha)
+def _orbit_sizes(c: int) -> list[int]:
+    """``len(_orbit(members, c))`` for each ``_enumerate_size(c)`` type,
+    read off the OR of its members' ``_packed_marks`` without listing the
+    orbit."""
+    types = _enumerate_size(c)
+    marks, _, orbit_size = _packed_marks(c)
+    return [orbit_size(reduce(or_, map(marks.__getitem__, rep.system.members))) for rep in types]
 
 
-def _expand(types: Iterable[tuple[MinBalancedSystem, Iterable[Sequence[int]], _Tag]]) -> list[tuple[MinBalancedSystem, _Tag]]:
-    """Representatives renamed by ``_relabel`` through each of their
-    tables, the ``_orbit`` values, in canonical order, with their tags."""
-    images = [(_relabel(rep, table), tag) for rep, tables, tag in types for table in tables]
-    images.sort(key=lambda image: image[0].system.members)
-    return images
+def _member_values(rep: MinBalancedSystem) -> tuple[tuple[Fraction, int], ...]:
+    """Each member's weight and coefficient, in member order.  A
+    normalized vector is supported on the empty coalition, the members and
+    the carrier (``normalize``), so the members' coefficients are the
+    items of ``alpha`` between the first and the last; that shape is
+    checked here, once per type, and every image of the type inherits it."""
+    if tuple(s for s, _ in rep.alpha.items) != (0, *rep.system.members, rep.carrier):
+        raise ArithmeticError(f"the vector of {rep.system.members} is not supported on its members, the empty set and the carrier")
+    return tuple(zip(rep.weights, (v for _, v in rep.alpha.items[1:-1])))
 
 
-def _renamed(images: list[tuple[MinBalancedSystem, _Tag]], carrier: int) -> list[tuple[MinBalancedSystem, _Tag]]:
-    """Systems on the first c players renamed onto a carrier of c players, in their order."""
-    if carrier == (1 << carrier.bit_count()) - 1:
-        return images
-    table = relabelling(_bit_positions(carrier))
-    return [(_relabel(mbs, table), tag) for mbs, tag in images]
+def _images(types: Sequence[tuple[tuple[int, ...], Sequence[_Value], _Tag]], c: int) -> Iterator[tuple[tuple[int, ...], tuple[_Value, ...], _Tag]]:
+    """The images of systems on the first ``c`` players under the
+    relabellings of their orbits (``_orbit``), in canonical order.
+
+    Each system is given by its members, one value per member and a tag;
+    each image comes with its members, the values moved with their
+    members into the image's order, and its system's tag.  The systems
+    must be of distinct types, so no two images are equal.  The images are
+    sorted once, largest first, and popped from the end, so each one's
+    values are reordered as it is drawn and its entry freed.  A
+    relabelling from the first ``c`` players that keeps their order, as
+    ``relabelling(_bit_positions(carrier))`` does, moves an image onto any
+    carrier of ``c`` players and keeps every list in order.
+    """
+    order = sorted(((image, i, table) for i, (members, _, _) in enumerate(types) for image, table in _orbit(members, c).items()), reverse=True)
+    while order:
+        image, i, table = order.pop()
+        members, values, tag = types[i]
+        moved = dict(zip(map(table.__getitem__, members), values))
+        yield image, tuple(map(moved.__getitem__, image)), tag
 
 
 def enumerate_min_balanced(players: Players, carrier: int) -> tuple[MinBalancedSystem, ...]:
     """All non-trivial min-balanced systems with exactly the given carrier.
 
     Output is in canonical order (lexicographic by member bitmask list):
-    the orbits of the cached type representatives of the carrier's size,
-    renamed onto its players, which keeps the bit order, weights and ``k``.
+    the ``_images`` of the cached type representatives of the carrier's
+    size, renamed onto its players, which keeps the bit order, weights and
+    ``k``.
     """
     players._check(carrier)
     if carrier == 0:
@@ -397,8 +431,20 @@ def enumerate_min_balanced(players: Players, carrier: int) -> tuple[MinBalancedS
     if players.n > ENUM_PLAYER_CAP:
         raise ValueError(f"enumeration is capped at {ENUM_PLAYER_CAP} players")
     c = carrier.bit_count()
-    orbits = ((rep, _orbit(rep.system.members, c).values(), None) for rep in _enumerate_size(c))
-    return tuple(mbs for mbs, _ in _renamed(_expand(orbits), carrier))
+    table = relabelling(_bit_positions(carrier))
+    types = [(rep.system.members, _member_values(rep), rep) for rep in _enumerate_size(c)]
+    return tuple(_image_system(table, image, values, rep) for image, values, rep in _images(types, c))
+
+
+def _image_system(table: Sequence[int], image: tuple[int, ...], values: tuple[tuple[Fraction, int], ...],
+                  rep: MinBalancedSystem) -> MinBalancedSystem:
+    """An image of ``rep`` on the first c players, with its
+    ``_member_values``, renamed onto a carrier through its order-keeping
+    ``table``: the empty coalition and the carrier keep their coefficients."""
+    members = image if table[-1] == len(table) - 1 else tuple(map(table.__getitem__, image))  # the identity on the first c players
+    weights, coefficients = zip(*values)
+    items = (rep.alpha.items[0], *zip(members, coefficients), (table[-1], rep.k))
+    return MinBalancedSystem(SetSystem(members), weights, rep.k, InequalityVector(items))
 
 
 # -- permutational types -----------------------------------------------
@@ -412,7 +458,7 @@ def _perm_tables(n: int) -> tuple[tuple[int, ...], ...]:
 def _orbit(members: tuple[int, ...], c: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     """The images of members on the first ``c`` players under their
     ``c!`` relabellings, each with a table making it."""
-    return {tuple(sorted(table[m] for m in members)): table for table in _perm_tables(c)}
+    return {tuple(sorted(map(table.__getitem__, members))): table for table in _perm_tables(c)}
 
 
 @lru_cache(maxsize=None)

@@ -14,14 +14,20 @@ Three catalogues are generated from min-balanced systems:
 Entries are identified by their full coefficient vector, ordered
 canonically, typed on the first players of their carrier size, and
 serialized to a bit-exact JSON format or a per-type text listing.
-``generate`` is the only builder of entries, and a type is the entry of
-its lex-least system.  ``minbal enumerate`` lists systems through its
-carrier loop, system JSON renderer and list streamer.  ``_pieces``
+``generate`` finds and classifies each type once, on the first players,
+and a ``Catalogue`` holds its types, each the entry of its lex-least
+system.  Every entry is an image of its type: ``_on_carriers`` walks
+the carriers in increasing bitmask order with the images of the types
+(``balance._images``), and each entry is rendered from its carrier's
+coalition texts and its type's texts, so writing and parsing build no
+object per entry; ``Catalogue.entries`` builds them on first access.
+``minbal enumerate`` lists systems through the same walk.  ``_pieces``
 renders a catalogue in either format: ``serialize`` joins the pieces,
 ``minbal catalogue`` writes them as they are rendered.  A catalogue is
-a fixed function of its players and cone, so ``parse`` regenerates it
-and compares the file with its rendering, byte for byte and, only when
-the bytes differ, as JSON values.
+a fixed function of its players and cone, so ``parse`` regenerates its
+types and compares the file with its rendering piece by piece, byte for
+byte and, only when the bytes differ, as JSON values; the rendering
+stops at the first difference.
 """
 
 from __future__ import annotations
@@ -29,26 +35,29 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from json.encoder import encode_basestring
 from math import comb
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .balance import (
     ENUM_PLAYER_CAP,
     InequalityVector,
     MinBalancedSystem,
     SetSystem,
+    _bit_positions,
     _enumerate_size,
-    _expand,
-    _orbit,
-    _renamed,
+    _image_system,
+    _images,
+    _member_values,
+    _orbit_sizes,
     canonical_type,
     complement_system,
     enumerate_min_balanced,  # not called here: perfbench/spans.py wraps it at this lookup site
     is_min_balanced,  # not called here: perfbench/spans.py wraps it at this lookup site
 )
 from .cones import conjugate
-from .games import Players, _read_document
+from .games import Players, _read_document, relabelling
 from .reduction import is_reducible
 from .reference import BALANCED_COUNTS, EXACT_FACET_COUNTS, TOTALLY_BALANCED_COUNTS
 
@@ -84,18 +93,28 @@ class CatalogueEntry:
 
 @dataclass(frozen=True)
 class Catalogue:
-    """A cone's facet inequalities, ``entries``, and its ``types``: the
-    first entry of each type id, in ``exact-conjecture`` each followed by
-    its conjugate's.  A type's multiplicity is its ``orbit_size``."""
+    """A cone's ``types``: the entry of each type's lex-least system, on
+    the first players, in ``exact-conjecture`` each followed by its
+    conjugate's.  A type's entries are the images of its system on every
+    carrier of its size, ``orbit_size`` of them; ``entries`` lists them
+    all, in catalogue order, and is built on first access."""
 
     players: Players
     cone: ConeKind
-    entries: tuple[CatalogueEntry, ...]
     types: tuple[CatalogueEntry, ...]
 
     @property
     def conjecture(self) -> bool:
         return self.cone is ConeKind.EXACT_CONJECTURE
+
+    @property
+    def size(self) -> int:
+        """The number of entries: the orbit sizes of the types summed."""
+        return sum(t.orbit_size for t in self.types)
+
+    @cached_property
+    def entries(self) -> tuple[CatalogueEntry, ...]:
+        return tuple(_entries(self))
 
     def type_table(self) -> dict[str, CatalogueEntry]:
         return {t.type_id: t for t in self.types}
@@ -114,36 +133,32 @@ def _type_id(players: Players, system: SetSystem) -> str:
     return "|".join(players.key(m) for m in canonical_type(system, players)[0].members)
 
 
-def _types_on(players: Players, c: int) -> list[tuple[tuple, CatalogueEntry]]:
+def _types_on(players: Players, c: int) -> list[CatalogueEntry]:
     """Each type of non-trivial min-balanced system on the first ``c``
-    players, in canonical order: the relabelling tables of its orbit,
-    ready for ``_expand``, and the entry of its lex-least system.  That
-    entry holds what is found from the system alone, as relabelling the
-    players commutes with all of it: its irreducibility, type id and orbit
-    size, with no conjugate and no complement.  Type ids join coalition
-    keys with ``|``, so a player name containing one is rejected."""
+    players, in canonical order, as the entry of its lex-least system.
+    That entry holds what is found from the system alone, as relabelling
+    the players commutes with all of it: its irreducibility, type id and
+    orbit size, with no conjugate and no complement.  Type ids join
+    coalition keys with ``|``, so a player name containing one is
+    rejected."""
     if players.n > ENUM_PLAYER_CAP:
         raise ValueError(f"enumeration is capped at {ENUM_PLAYER_CAP} players")
     for name in players.names:
         if "|" in name:
             raise ValueError(f"player name {name!r} contains '|', which separates the coalitions of a type id")
-    types = []
-    for mbs in _enumerate_size(c):
-        orbit = _orbit(mbs.system.members, c)
-        type_id = "|".join(map(players.key, mbs.system.members))
-        types.append((tuple(orbit.values()), CatalogueEntry(mbs, mbs.alpha, is_reducible(mbs) is None, False, type_id, len(orbit) * comb(players.n, c))))
-    return types
+    return [CatalogueEntry(mbs, mbs.alpha, is_reducible(mbs) is None, False, "|".join(map(players.key, mbs.system.members)), size * comb(players.n, c))
+            for mbs, size in zip(_enumerate_size(c), _orbit_sizes(c))]
 
 
 def generate(players: Players, cone: Union[ConeKind, str]) -> Catalogue:
-    """Generate the facet catalogue of a cone.
+    """Generate the facet catalogue of a cone: its types.
 
     Deterministic: each type of each carrier size c is classified once, on
-    the first c players; only admitted orbits are expanded onto carriers.
-    In ``balanced`` the complement of each type's lex-least system is
-    classified, once per type.  Types are listed by size, then in search
-    order, each with the entry of its lex-least system, then in
-    ``exact-conjecture`` its conjugate.
+    the first c players, and nothing is expanded.  In ``balanced`` the
+    complement of each type's lex-least system is classified, once per
+    type.  Types are listed by size, then in search order, each with the
+    entry of its lex-least system, then in ``exact-conjecture`` its
+    conjugate.
     """
     cone = ConeKind(cone)
     n = players.n
@@ -153,36 +168,54 @@ def generate(players: Players, cone: Union[ConeKind, str]) -> Catalogue:
         raise ValueError("the exact-cone conjecture catalogue needs at least 3 players")
     sizes = {ConeKind.BALANCED: [n], ConeKind.TOTALLY_BALANCED: range(2, n + 1),
              ConeKind.EXACT_CONJECTURE: range(2, n)}[cone]
-    balanced = cone is ConeKind.BALANCED  # the one cone admitting reducible systems
-    admitted = {c: [(tables, rep) for tables, rep in _types_on(players, c) if balanced or rep.irreducible] for c in sizes}
-    if balanced:
-        admitted[n] = [(tables, replace(rep, complement_type_id=_type_id(players, complement_system(rep.mbs.system, players))))
-                       for tables, rep in admitted[n]]
-    types = tuple(e for on_size in admitted.values() for _, rep in on_size for e in _entries_of(players, cone, rep.mbs, rep))
-    entries = tuple(e for mbs, rep in _carrier_systems(players, admitted) for e in _entries_of(players, cone, mbs, rep))
-    if len({e.alpha.items for e in entries}) != len(entries):
-        raise RuntimeError("catalogue entries collide as coefficient vectors")
-    return Catalogue(players, cone, entries, types)
+    types = []
+    for c in sizes:
+        for rep in _types_on(players, c):
+            if cone is ConeKind.BALANCED:  # the one cone admitting reducible systems
+                types.append(replace(rep, complement_type_id=_type_id(players, complement_system(rep.mbs.system, players))))
+            elif rep.irreducible:
+                types.append(rep)
+                if cone is ConeKind.EXACT_CONJECTURE:
+                    types.append(replace(rep, alpha=conjugate(rep.alpha, players), conjugated=True, type_id="~" + rep.type_id))
+    return Catalogue(players, cone, tuple(types))
 
 
-def _carrier_systems(players: Players, admitted: dict[int, list]) -> Iterator[tuple[MinBalancedSystem, CatalogueEntry]]:
-    """The systems of the ``_types_on`` types admitted for each carrier
-    size on every carrier of that size, in increasing bitmask order, each
-    with the entry of its type's lex-least system."""
-    first = {c: _expand((rep.mbs, tables, rep) for tables, rep in types) for c, types in admitted.items()}
-    for m in range(players.full_mask + 1):
-        if m.bit_count() in first:
-            yield from _renamed(first[m.bit_count()], m)
+# -- entries, carrier by carrier -------------------------------------------
+
+def _by_size(catalogue: Catalogue) -> dict[int, list[CatalogueEntry]]:
+    """The catalogue's types other than conjugates, by carrier size."""
+    sizes: dict[int, list[CatalogueEntry]] = {}
+    for t in catalogue.types:
+        if not t.conjugated:
+            sizes.setdefault(t.mbs.carrier.bit_count(), []).append(t)
+    return sizes
 
 
-def _entries_of(players: Players, cone: ConeKind, mbs: MinBalancedSystem, rep: CatalogueEntry) -> tuple[CatalogueEntry, ...]:
-    """An admitted system's entry, with the fields of its type copied from
-    ``rep``, followed in ``exact-conjecture`` by its conjugate.  Its one
-    caller is ``generate``."""
-    entry = CatalogueEntry(mbs, mbs.alpha, rep.irreducible, False, rep.type_id, rep.orbit_size, rep.complement_type_id)
-    if cone is not ConeKind.EXACT_CONJECTURE:
-        return (entry,)
-    return entry, CatalogueEntry(mbs, conjugate(mbs.alpha, players), rep.irreducible, True, "~" + rep.type_id, rep.orbit_size)
+def _on_carriers(players: Players, types: dict[int, list[tuple]]) -> Iterator[tuple[int, list[int], Iterable[tuple]]]:
+    """Each carrier of a size in ``types``, in increasing bitmask order,
+    with its order-keeping renaming of the first c players and the
+    ``_images`` of the types of its size, each type given as ``_images``
+    takes it.  The images of a size with several carriers are listed
+    once; those of the full player set, which has one, are drawn as they
+    are used."""
+    images = {c: _images(on_size, c) if c == players.n else list(_images(on_size, c)) for c, on_size in types.items()}
+    for carrier in range(players.full_mask + 1):
+        if carrier.bit_count() in images:
+            yield carrier, relabelling(_bit_positions(carrier)), images[carrier.bit_count()]
+
+
+def _entries(catalogue: Catalogue) -> Iterator[CatalogueEntry]:
+    """``Catalogue.entries``: each image of each type on each carrier of
+    its size, with its type's fields, followed in ``exact-conjecture`` by
+    its conjugate."""
+    twins = {t.type_id[1:]: t for t in catalogue.types if t.conjugated}
+    types = {c: [(t.mbs.system.members, _member_values(t.mbs), t) for t in on_size] for c, on_size in _by_size(catalogue).items()}
+    for _, table, images in _on_carriers(catalogue.players, types):
+        for image, values, t in images:
+            mbs = _image_system(table, image, values, t.mbs)
+            yield replace(t, mbs=mbs, alpha=mbs.alpha)
+            if t.type_id in twins:
+                yield replace(twins[t.type_id], mbs=mbs, alpha=conjugate(mbs.alpha, catalogue.players))
 
 
 # -- rendering -----------------------------------------------------------
@@ -229,7 +262,7 @@ def _text_lines(catalogue: Catalogue) -> list[str]:
         f"# players: {' '.join(players.names)}",
         f"# cone: {catalogue.cone.value}",
         f"# conjecture: {'yes' if catalogue.conjecture else 'no'}",
-        f"# entries: {len(catalogue.entries)}  types: {len(catalogue.types)}",
+        f"# entries: {catalogue.size}  types: {len(catalogue.types)}",
     ]
     numbers = {t.type_id: i + 1 for i, t in enumerate(catalogue.types)}
     for i, t in enumerate(catalogue.types, start=1):
@@ -276,43 +309,79 @@ def _json_list(items: Iterator[str], pad: str) -> Iterator[str]:
     yield "[]" if sep[0] == "[" else "\n" + pad + "]"
 
 
-def _system_fields(players: Players, pad: str) -> Callable[[MinBalancedSystem], list[str]]:
-    """A renderer of a system's ``system``, ``carrier``, ``weights`` and
-    ``k`` fields as ``json.dumps(indent=2)`` writes them in an object
-    whose fields sit at ``pad``; every coalition's key and name list is
-    rendered once, here."""
-    keys = [encode_basestring(players.key(m)) for m in players.coalitions()]
+def _system_json(players: Players, pad: str) -> Callable[[int, list[int]], Callable[[tuple[int, ...], Sequence[tuple[str, ...]], int], str]]:
+    """A renderer, for a carrier and its order-keeping renaming ``table``,
+    of the images on the first c players renamed onto it: given an image's
+    members, a tuple per member whose first item is its weight as a
+    ``: "w"`` text, and its ``k``, its ``system``, ``carrier``,
+    ``weights`` and ``k`` fields as ``json.dumps(indent=2)`` writes them
+    in an object whose fields sit at ``pad``.  Every coalition's key and
+    name list is rendered once, here."""
+    keys = _json_keys(players)
     names = [[encode_basestring(name) for name in players.member_names(m)] for m in players.coalitions()]
     members = [_json_block(member, pad + "  ") for member in names]
-    carriers = [_json_block(member, pad) for member in names]
+    first = "\n" + pad + "  "
+    inner = "," + first
 
-    def fields(mbs: MinBalancedSystem) -> list[str]:
-        return [
-            '"system": ' + _json_block([members[m] for m in mbs.system.members], pad),
-            '"carrier": ' + carriers[mbs.carrier],
-            '"weights": ' + _json_block([f'{keys[m]}: "{w}"' for m, w in zip(mbs.system.members, mbs.weights)], pad, "{}"),
-            f'"k": {mbs.k}',
-        ]
+    def on(carrier: int, table: list[int]) -> Callable[[tuple[int, ...], Sequence[tuple[str, ...]], int], str]:
+        listed, named = [members[s] for s in table], [keys[s] for s in table]
+        middle = f"\n{pad}],\n{pad}\"carrier\": {_json_block(names[carrier], pad)},\n{pad}\"weights\": {{{first}"
+        last = f"\n{pad}}},\n{pad}\"k\": "
 
-    return fields
+        def fields(image: tuple[int, ...], values: Sequence[tuple[str, ...]], k: int) -> str:
+            return (f'"system": [{first}' + inner.join([listed[m] for m in image]) + middle
+                    + inner.join([named[m] + v[0] for m, v in zip(image, values)]) + last + str(k))
+
+        return fields
+
+    return on
+
+
+def _json_keys(players: Players) -> list[str]:
+    """Each coalition's key as a JSON string."""
+    return [encode_basestring(players.key(m)) for m in players.coalitions()]
 
 
 def _json_entries(catalogue: Catalogue) -> Iterator[str]:
-    """Each entry as ``serialize`` writes it in the ``entries`` list."""
-    players = catalogue.players
-    keys = [encode_basestring(players.key(m)) for m in players.coalitions()]
-    system_fields = _system_fields(players, " " * 6)
-    for e in catalogue.entries:
-        fields = system_fields(e.mbs) + [
-            '"alpha": ' + _json_block([f"{keys[s]}: {c}" for s, c in e.alpha.items], " " * 6, "{}"),
-            '"irreducible": ' + str(e.irreducible).lower(),
-            '"conjugated": ' + str(e.conjugated).lower(),
-            '"type_id": ' + encode_basestring(e.type_id),
-            f'"orbit_size": {e.orbit_size}',
-        ]
-        if e.complement_type_id is not None:
-            fields.append('"complement_type": ' + encode_basestring(e.complement_type_id))
-        yield _json_block(fields, " " * 4, "{}")
+    """Each entry as ``serialize`` writes it in the ``entries`` list,
+    rendered carrier by carrier from the texts of its carrier's
+    coalitions, its image's weights and coefficients and its type's
+    fields, each rendered once.  A conjugate shares its entry's system
+    fields; its ``alpha`` has the complemented keys in reverse order."""
+    players, full = catalogue.players, catalogue.players.full_mask
+    keys = _json_keys(players)
+    system_json = _system_json(players, " " * 6)
+    first = "\n" + " " * 8
+    inner = "," + first
+
+    def tail(t: CatalogueEntry) -> str:
+        """The end of the type's ``alpha`` object and the fields after it."""
+        fields = ['"irreducible": ' + str(t.irreducible).lower(), '"conjugated": ' + str(t.conjugated).lower(),
+                  '"type_id": ' + encode_basestring(t.type_id), f'"orbit_size": {t.orbit_size}']
+        if t.complement_type_id is not None:
+            fields.append('"complement_type": ' + encode_basestring(t.complement_type_id))
+        return "\n      }" + "".join(",\n      " + field for field in fields) + "\n    }"
+
+    twins = {t.type_id[1:]: tail(t) for t in catalogue.types if t.conjugated}
+
+    def texts(t: CatalogueEntry) -> tuple:
+        """A type's members with the weight and coefficient texts of each,
+        and its ``k``, its coefficients on the carrier and on the empty set
+        as texts, and its own and its conjugate's ``tail``."""
+        values = tuple((f': "{w}"', f": {a}") for w, a in _member_values(t.mbs))
+        return t.mbs.system.members, values, (t.mbs.k, f": {t.mbs.k}", f": {t.alpha.items[0][1]}", tail(t), twins.get(t.type_id))
+
+    types = {c: [texts(t) for t in on_size] for c, on_size in _by_size(catalogue).items()}
+    for carrier, table, images in _on_carriers(players, types):
+        fields = system_json(carrier, table)
+        named, opposite = [keys[s] for s in table], [keys[full ^ s] for s in table]
+        for image, values, (k, on_carrier, on_empty, plain, twin) in images:
+            head = "{\n      " + fields(image, values, k) + ',\n      "alpha": {' + first
+            alpha = inner.join([named[m] + a for m, (_, a) in zip(image, values)])
+            yield head + keys[0] + on_empty + inner + alpha + inner + keys[carrier] + on_carrier + plain
+            if twin is not None:
+                reflected = inner.join([opposite[m] + a for m, (_, a) in zip(image[::-1], values[::-1])])
+                yield head + opposite[-1] + on_carrier + inner + reflected + inner + keys[full] + on_empty + twin
 
 
 def _pieces(catalogue: Catalogue, format: str) -> Iterator[str]:
@@ -374,15 +443,18 @@ def _is_rendering(data: Union[bytes, str], chunks: Iterator[str]) -> bool:
 def parse(data: Union[bytes, str]) -> Catalogue:
     """Parse a JSON catalogue by regenerating it and comparing the file.
 
-    The header is read from the text before ``entries``, and
-    ``generate(players, cone)`` is rendered.  A file with exactly the
-    bytes of ``serialize`` (or, given as ``str``, its text) is accepted
-    on that comparison alone, with no entry decoded.  Any other file has
-    its entries decoded one at a time, and entry i must equal entry i of
-    the catalogue as JSON, field for field; the first difference is named.
-    A player count and cone with no count in ``minbal.reference`` are
-    rejected before anything is generated and before any entry is read; a
-    player name containing ``|`` is rejected when ``generate`` rejects it.
+    The header is read from the text before ``entries``, and the types of
+    ``generate(players, cone)`` are found; their counts must be the
+    recorded ones.  The catalogue is rendered one piece at a time, and
+    the rendering stops at the first piece the file differs from.  A
+    file with exactly the bytes of ``serialize`` (or, given as ``str``,
+    its text) is accepted on that comparison alone, with no entry decoded.
+    Any other file has its entries decoded one at a time, and entry i must
+    equal entry i of the catalogue as JSON, field for field; the first
+    difference is named, and no later entry is rendered.  A player count
+    and cone with no count in ``minbal.reference`` are rejected before
+    anything is generated and before any entry is read; a player name
+    containing ``|`` is rejected when ``generate`` rejects it.
     """
     doc, players = _read_document(data, ("players", "cone", "conjecture", "entries"), CatalogueFormatError, stop="entries")
     try:
@@ -398,7 +470,7 @@ def parse(data: Union[bytes, str]) -> Catalogue:
         catalogue = generate(players, cone)
     except ValueError as exc:  # a player name that type ids cannot hold
         raise CatalogueFormatError(str(exc)) from None
-    size, types = len(catalogue.entries), len(catalogue.types)
+    size, types = catalogue.size, len(catalogue.types)
     if (size, types) != recorded:  # a fault of generate, not of the file
         raise RuntimeError(f"generated {size} entries in {types} types, but {recorded[0]} in {recorded[1]} are recorded")
     if _is_rendering(data, _pieces(catalogue, "json")):

@@ -22,7 +22,7 @@ from contextlib import nullcontext
 from itertools import chain
 from json.encoder import encode_basestring
 from random import Random
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import catalogue as cat
 from .balance import system_of
@@ -127,26 +127,44 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if not 1 <= size <= players.n:
         raise ValueError(f"carrier size must be between 1 and {players.n}")
     # Classified on the first carrier, the first `size` players, which holds every type.
-    types = [(tables, rep) for tables, rep in cat._types_on(players, size) if rep.irreducible or not args.irreducible_only]
+    types = [rep for rep in cat._types_on(players, size) if rep.irreducible or not args.irreducible_only]
 
     if args.types_only and args.format == "json":
         items = (cat._json_block(['"type_id": ' + encode_basestring(rep.type_id), f'"orbit_size": {rep.orbit_size}',
                                   '"irreducible": ' + str(rep.irreducible).lower(),
                                   '"inequality": ' + encode_basestring(cat.render_inequality(rep.alpha, players))], "  ", "{}")
-                 for _, rep in types)
+                 for rep in types)
     elif args.types_only:
-        lines = (line for i, (_, rep) in enumerate(types, start=1)
+        lines = (line for i, rep in enumerate(types, start=1)
                  for line in cat._type_lines(players, i, rep.alpha, rep.orbit_size, ["irreducible"] if rep.irreducible else []))
     elif args.format == "json":
-        system_fields = cat._system_fields(players, " " * 4)
-        items = (cat._json_block(system_fields(mbs) + ['"irreducible": ' + str(rep.irreducible).lower()], "  ", "{}")
-                 for mbs, rep in cat._carrier_systems(players, {size: types}))
+        items = _system_items(players, size, types)
     else:
-        lines = (f"{cat._render_system(players, mbs.system)}   carrier={players.key(mbs.carrier)}   k={mbs.k}   weights: "
-                 + " ".join(f"{players.key(m)}={w}" for m, w in zip(mbs.system.members, mbs.weights))
-                 + ("   irreducible" if rep.irreducible else "") for mbs, rep in cat._carrier_systems(players, {size: types}))
+        lines = _system_lines(players, size, types)
     _write(chain(cat._json_list(items, ""), ["\n"]) if args.format == "json" else (line + "\n" for line in lines))
     return 0
+
+
+def _system_items(players: Players, size: int, types: list[cat.CatalogueEntry]) -> Iterator[str]:
+    """The items of the JSON listing of the systems of ``types`` on every
+    carrier of ``size`` players, rendered from the types' weights."""
+    system_json = cat._system_json(players, " " * 4)
+    systems = [(rep.mbs.system.members, [(f': "{w}"',) for w in rep.mbs.weights], rep) for rep in types]
+    for carrier, table, images in cat._on_carriers(players, {size: systems}):
+        fields = system_json(carrier, table)
+        for image, values, rep in images:
+            yield cat._json_block([fields(image, values, rep.mbs.k), '"irreducible": ' + str(rep.irreducible).lower()], "  ", "{}")
+
+
+def _system_lines(players: Players, size: int, types: list[cat.CatalogueEntry]) -> Iterator[str]:
+    """The text lines listing the systems of ``types`` on every carrier of
+    ``size`` players, rendered from the types' weights."""
+    keys = [players.key(m) for m in players.coalitions()]
+    systems = [(rep.mbs.system.members, [f"={w}" for w in rep.mbs.weights], rep) for rep in types]
+    for carrier, table, images in cat._on_carriers(players, {size: systems}):
+        for image, values, rep in images:
+            yield ("{" + ", ".join(keys[table[m]] for m in image) + f"}}   carrier={keys[carrier]}   k={rep.mbs.k}   weights: "
+                   + " ".join(keys[table[m]] + w for m, w in zip(image, values)) + ("   irreducible" if rep.irreducible else ""))
 
 
 # -- catalogue -----------------------------------------------------------

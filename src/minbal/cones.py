@@ -328,7 +328,7 @@ def is_totally_balanced_facets(f: SetFunction, catalogue) -> Verdict:
         raise ValueError("catalogue was generated for a different player set")
     if getattr(catalogue.cone, "value", catalogue.cone) != "totally-balanced":
         raise ValueError("a totally-balanced catalogue is required")
-    if (len(catalogue.entries), len(catalogue.types)) != TOTALLY_BALANCED_COUNTS.get(game.players.n):
+    if (catalogue.size, len(catalogue.types)) != TOTALLY_BALANCED_COUNTS.get(game.players.n):
         raise ValueError("the catalogue's entry and type counts differ from the recorded ones")
     for entry in catalogue.entries:
         value = entry.alpha.evaluate(game)

@@ -15,7 +15,6 @@ from minbal.balance import (
     InequalityVector,
     SetSystem,
     _enumerate_size,
-    _expand,
     _lowering,
     _orbit,
     _perm_tables,
@@ -253,8 +252,8 @@ class TestOrderlySearch:
         def fields(systems):
             return [(m.system, m.weights, m.k, m.alpha) for m in systems]
 
-        expanded = [mbs for mbs, _ in _expand((rep, _orbit(rep.system.members, c).values(), None) for rep in _enumerate_size(c))]
-        assert fields(expanded) == fields(plain_enumerate_size(c))
+        p = letters(c)
+        assert fields(enumerate_min_balanced(p, p.full_mask)) == fields(plain_enumerate_size(c))
 
     @pytest.mark.parametrize("c", [2, 3, 4, 5])
     def test_orbit_fill_matches_cold_scan(self, c):
@@ -269,10 +268,11 @@ class TestOrderlySearch:
         for rep in representatives:
             assert canonical_type(rep.system, p)[0] == rep.system
         orbits = [_orbit(rep.system.members, c) for rep in representatives]
-        images = _expand([(rep, orbit.values(), (rep.system, len(orbit))) for rep, orbit in zip(representatives, orbits)])
-        assert {mbs.system.members for mbs, _ in images} == {image for orbit in orbits for image in orbit}
-        for mbs, kind in images:
-            assert canonical_type(mbs.system, p) == kind
+        kinds = {image: (rep.system, len(orbit)) for rep, orbit in zip(representatives, orbits) for image in orbit}
+        images = enumerate_min_balanced(p, p.full_mask)
+        assert [mbs.system.members for mbs in images] == sorted(kinds)
+        for mbs in images:
+            assert canonical_type(mbs.system, p) == kinds[mbs.system.members]
 
     def test_six_player_types(self):
         # CI pins the 6-player listings by digest; this checks the search itself
@@ -291,7 +291,7 @@ class TestPackedCanonicity:
     @pytest.mark.parametrize("c", [3, 4, 5, 6])
     def test_fields_are_the_listed_masks(self, c):
         # field k of marks[s], full + 1 bits wide, is relabelling k's mask of s
-        marks, _ = balance._packed_marks(c)
+        marks, _, _ = balance._packed_marks(c)
         width = 1 << c
         for packed, listed in zip(marks[1:], listed_marks(c)[1:], strict=True):
             assert [packed >> k * width & (1 << width) - 1 for k in range(len(listed))] == list(listed)
@@ -302,7 +302,7 @@ class TestPackedCanonicity:
         # every set of the 2**c - 2 candidates, most of which the search
         # never reaches; bit i of ``subset`` picks coalition i + 1, and each
         # set's images extend those of the set without its first member
-        marks, is_lex_least = balance._packed_marks(c)
+        marks, is_lex_least, _ = balance._packed_marks(c)
         listed = listed_marks(c)
         size = 1 << (1 << c) - 2
         packed = [0] * size
@@ -318,6 +318,25 @@ class TestPackedCanonicity:
             verdicts[verdict] += 1
         assert min(verdicts.values()) > size // 50
 
+    @pytest.mark.parametrize("c", [3, 4, 5])
+    def test_orbit_size_counts_the_distinct_images(self, c):
+        # every member set on three players, and on more the types and
+        # random sets, many of them with a nontrivial stabilizer
+        marks, _, orbit_size = balance._packed_marks(c)
+        candidates = range(1, (1 << c) - 1)
+        rng = Random(c)
+        if c == 3:
+            sets = [members for size in range(1, 7) for members in combinations(candidates, size)]
+        else:
+            sets = [tuple(sorted(rng.sample(candidates, rng.randint(1, c)))) for _ in range(300)]
+            sets += [members for members in _orbit((1, 2, 4), c)] + [(3, (1 << c) - 4)]
+        for members in sets:
+            packed = 0
+            for s in members:
+                packed |= marks[s]
+            assert orbit_size(packed) == len(_orbit(members, c))
+        assert balance._orbit_sizes(c) == [len(_orbit(rep.system.members, c)) for rep in _enumerate_size(c)]
+
     @pytest.mark.parametrize("c", [3, 4])
     def test_list_test_is_lex_least_among_images(self, c):
         # the mask order is the lex order of sorted member tuples of one size
@@ -331,7 +350,7 @@ class TestPackedCanonicity:
     def test_matches_list_test_on_random_member_sets(self, c):
         # every other set is renamed to its lex-least image, which passes;
         # sets with a nontrivial stabilizer tie with other fields
-        marks, is_lex_least = balance._packed_marks(c)
+        marks, is_lex_least, _ = balance._packed_marks(c)
         listed = listed_marks(c)
         tables = _perm_tables(c)
 

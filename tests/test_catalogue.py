@@ -1,15 +1,15 @@
 """Catalogue generation, classification, rendering and serialization."""
 
 import json
-from dataclasses import replace
 from random import Random
 
 import pytest
 
 import minbal.catalogue
 from minbal import balance
-from minbal.balance import InequalityVector, _enumerate_size, canonical_type, complement_system, system_of
+from minbal.balance import InequalityVector, MinBalancedSystem, _enumerate_size, canonical_type, complement_system, system_of
 from minbal.catalogue import (
+    CatalogueEntry,
     CatalogueFormatError,
     _type_id,
     generate,
@@ -97,6 +97,16 @@ class TestGenerate:
         # distinct coefficient vectors
         alphas = {e.alpha.items for e in totally4.entries}
         assert len(alphas) == len(totally4.entries)
+
+    @pytest.mark.parametrize("n, cone", [(n, cone) for n in range(2, 6) for cone in CONES[: 2 if n == 2 else 3]] + [(6, CONES[2])])
+    def test_alpha_distinct_across_all_entries(self, n, cone):
+        # distinct by construction, so generate no longer checks it: the
+        # images of a type are the distinct keys of its orbit, types of one
+        # size have distinct canonical forms, and only a conjugate has a
+        # coefficient on the full player set
+        catalogue = generate(letters(n), cone)
+        alphas = {e.alpha.items for e in catalogue.entries}
+        assert len(alphas) == len(catalogue.entries) == catalogue.size
 
     def test_composition_identity(self, exact4, p4):
         plain = [e for e in exact4.entries if not e.conjugated]
@@ -273,7 +283,9 @@ class TestSerialization:
             parse(blob[:at] + b"3" + blob[at + 1:])
 
     def test_last_entry_dropped_in_canonical_layout_rejected(self, exact4):
-        blob = serialize(replace(exact4, entries=exact4.entries[:-1]))
+        blob = serialize(exact4)
+        blob = blob[:blob.rindex(b",\n    {")] + b"\n  ]\n}\n"
+        assert json.loads(blob)["entries"] == json.loads(serialize(exact4))["entries"][:-1]
         with pytest.raises(CatalogueFormatError, match=r"entries\[43\]: missing; the 4-player exact-conjecture catalogue has 44"):
             parse(blob)
 
@@ -629,6 +641,64 @@ class TestReader:
             with pytest.raises(CatalogueFormatError) as error:
                 parse(broken)
             assert str(error.value) == expected
+
+
+@pytest.fixture()
+def built(monkeypatch):
+    """The number of ``InequalityVector``, ``MinBalancedSystem`` and
+    ``CatalogueEntry`` objects constructed, by class name."""
+    counts = dict.fromkeys(["InequalityVector", "MinBalancedSystem", "CatalogueEntry"], 0)
+    for cls in (InequalityVector, MinBalancedSystem, CatalogueEntry):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+class TestRenderingFromTypes:
+    """Writing and parsing render each entry from its type; they build
+    objects per type, never per entry."""
+
+    def test_write_and_parse_build_objects_per_type(self, built):
+        types, entries = 44, 1291
+        _enumerate_size.cache_clear()
+        catalogue = generate(letters(5), "balanced")
+        blob = serialize(catalogue)
+        assert blob.count(b'"orbit_size"') == entries
+        assert b"# entries: 1291  types: 44\n" in serialize(catalogue, "text")
+        written = dict(built)
+        built.update(dict.fromkeys(built, 0))
+        catalogue = parse(blob)
+        assert (catalogue.size, len(catalogue.types)) == (entries, types)
+        assert 0 < max(written.values()) <= 2 * types
+        assert 0 < max(built.values()) <= 2 * types
+
+    def test_changed_byte_stops_the_rendering(self, monkeypatch, built):
+        # a k in entry 3 changed: the byte comparison stops at entry 3, the
+        # decoded comparison names it, and no later entry is rendered
+        blob = serialize(generate(letters(5), "balanced"))
+        at = -1
+        for _ in range(4):
+            at = blob.index(b'"k": ', at + 1)
+        at += len(b'"k": ')
+        digit = blob[at:at + 1]
+        blob = blob[:at] + (b"8" if digit == b"9" else bytes([digit[0] + 1])) + blob[at + 1:]
+        drawn = []
+        render = minbal.catalogue._json_entries
+
+        def counting(catalogue):
+            for block in render(catalogue):
+                drawn.append(block)
+                yield block
+
+        monkeypatch.setattr(minbal.catalogue, "_json_entries", counting)
+        built.update(dict.fromkeys(built, 0))
+        with pytest.raises(CatalogueFormatError, match=r"entries\[3\]: k differs from entry 3 of the 5-player balanced"):
+            parse(blob)
+        assert len(drawn) <= 8
+        assert max(built.values()) <= 2 * 44
 
 
 class TestDeterminism:

@@ -209,7 +209,7 @@ class TestTotallyBalanced:
         from minbal.catalogue import generate
 
         full = generate(p3, "totally-balanced")
-        short = dataclasses.replace(full, entries=full.entries[1:])
+        short = dataclasses.replace(full, types=full.types[1:])
         g = game_of(p3, {"a": 2, "b": 2, "ab": 1, "ac": 2, "bc": 2, "abc": 10})
         assert not is_totally_balanced_lp(g).member
         assert not is_totally_balanced_facets(g, full).member

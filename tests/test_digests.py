@@ -1,10 +1,10 @@
 """Byte-level regression pins: SHA-256 of every catalogue on two to five
 players and of the exact-conjecture catalogue on six, in JSON and text,
 of every ``enumerate --players 4`` output, of the ``enumerate
---players 5`` outputs on the full carrier, of the 6-player type and
-system listings, of the 6-player balanced and totally-balanced
-catalogues, and of ``check --certificate`` on seeded games in every
-cone.  The exact-conjecture catalogues on five and six players classify
+--players 5`` outputs on the full carrier, of the 6-player type listing
+and system listings in JSON and text, of the 6-player balanced and
+totally-balanced catalogues, and of ``check --certificate`` on seeded
+games in every cone.  The exact-conjecture catalogues on five and six players classify
 systems on proper carriers.
 A change that keeps the mathematics keeps every byte; one that means to
 change an output updates its digest here."""
@@ -48,7 +48,7 @@ CATALOGUE_DIGESTS = {
 }
 
 #: format -> SHA-256 of the 6-player ``totally-balanced`` catalogue
-#: (38,178,604 bytes of JSON).  It takes about 6 s to generate, so CI
+#: (38,178,604 bytes of JSON).  It takes about 3 s to generate, so CI
 #: checks it through the installed ``minbal`` command instead of tier-1.
 TOTALLY_BALANCED_6_DIGESTS = {
     "json": "227c5b8e7f8472f69ac7f9fc41efbae832fd21928fc2c5def96b69444adcb72a",
@@ -57,7 +57,7 @@ TOTALLY_BALANCED_6_DIGESTS = {
 
 #: format -> SHA-256 of the 6-player ``balanced`` catalogue (208,916,244
 #: bytes of JSON, 100,167 of text), the one output that writes all 582
-#: complement links.  It takes about 15 s to generate, so CI checks it
+#: complement links.  It takes about 7 s to generate, so CI checks it
 #: through the installed ``minbal`` command instead of tier-1.
 BALANCED_6_DIGESTS = {
     "json": "d2591a4da2ceb1fddd45f98b226d8b9d173873af307773444a1640f38d65e651",
@@ -66,16 +66,21 @@ BALANCED_6_DIGESTS = {
 
 #: SHA-256 of the stdout of ``enumerate --players 6 --types-only --format
 #: json``: the 582 6-player types with their orbit sizes and irreducibility
-#: flags.  It takes about 4 s; tier-1 checks the search's 582 types and
+#: flags.  It takes about 2 s; tier-1 checks the search's 582 types and
 #: their orbit sizes (``test_balance.py``), and CI checks these bytes
 #: through the installed ``minbal`` command.
 ENUMERATE_6_TYPES_DIGEST = "b56185e65d861711d8a0e3d8b6023c75cfeb5f88c55b79541f278f30f6b30150"
 
 #: SHA-256 of the stdout of ``enumerate --players 6 --format json``: the
 #: 200,213 systems on the full carrier (124,337,265 bytes), written item by
-#: item.  It takes about 15 s, so CI checks it through the installed
+#: item.  It takes about 6 s, so CI checks it through the installed
 #: ``minbal`` command instead of tier-1.
 ENUMERATE_6_JSON_DIGEST = "5c9be92245a421fe753d2bd96d89e3cb8e62f60b679cf81406236e9a72a79d91"
+
+#: SHA-256 of the stdout of ``enumerate --players 6``: the same 200,213
+#: systems as text lines (22,795,289 bytes).  CI checks it through the
+#: installed ``minbal`` command instead of tier-1.
+ENUMERATE_6_TEXT_DIGEST = "81b2e0f34a4bc5e99fe50bcb54adbea32000fa0974a0db361efc3ed4421beb39"
 
 #: (carrier size, format, --types-only, --irreducible-only) -> SHA-256 of
 #: the stdout of ``enumerate --players 4``, or ``--players 5`` for carrier
