@@ -150,7 +150,7 @@ def _system_items(players: Players, size: int, types: list[cat.CatalogueEntry]) 
     carrier of ``size`` players, rendered from the types' weights."""
     system_json = cat._system_json(players, " " * 4)
     systems = [(rep.mbs.system.members, [(f': "{w}"',) for w in rep.mbs.weights], rep) for rep in types]
-    for carrier, table, images in cat._on_carriers(players, {size: systems}):
+    for carrier, table, images in cat._on_carriers(players, (size,), lambda _: systems):
         fields = system_json(carrier, table)
         for image, values, rep in images:
             yield cat._json_block([fields(image, values, rep.mbs.k), '"irreducible": ' + str(rep.irreducible).lower()], "  ", "{}")
@@ -161,7 +161,7 @@ def _system_lines(players: Players, size: int, types: list[cat.CatalogueEntry]) 
     ``size`` players, rendered from the types' weights."""
     keys = [players.key(m) for m in players.coalitions()]
     systems = [(rep.mbs.system.members, [f"={w}" for w in rep.mbs.weights], rep) for rep in types]
-    for carrier, table, images in cat._on_carriers(players, {size: systems}):
+    for carrier, table, images in cat._on_carriers(players, (size,), lambda _: systems):
         for image, values, rep in images:
             yield ("{" + ", ".join(keys[table[m]] for m in image) + f"}}   carrier={keys[carrier]}   k={rep.mbs.k}   weights: "
                    + " ".join(keys[table[m]] + w for m, w in zip(image, values)) + ("   irreducible" if rep.irreducible else ""))

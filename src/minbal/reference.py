@@ -9,8 +9,9 @@ way :func:`minbal.catalogue.render_inequality` prints it.
 
 The count tables give the entries and types of each catalogue per
 player count; :func:`minbal.catalogue.parse` rejects a catalogue for
-which no count is recorded, and raises ``RuntimeError`` when the
-catalogue it regenerates has other counts.
+which no count is recorded, and a :class:`minbal.catalogue.Catalogue`
+raises ``RuntimeError`` when the types its search finds have other
+counts.
 """
 
 from __future__ import annotations

@@ -225,7 +225,8 @@ class TestEnumerate:
 
         monkeypatch.setattr(balance, "_perm_tables", stop_at_six)
         p6 = letters(6)
-        doc = json.dumps({"players": list(p6.names), "cone": "totally-balanced", "conjecture": False, "entries": []})
+        # a balanced catalogue has one carrier size, searched for its first entry
+        doc = json.dumps({"players": list(p6.names), "cone": "balanced", "conjecture": False, "entries": [{}]})
         starts = [
             lambda: enumerate_min_balanced(p6, p6.full_mask),
             lambda: main(["catalogue", "--players", "6", "--cone", "totally-balanced"]),

@@ -9,6 +9,7 @@ import minbal.catalogue
 from minbal import balance
 from minbal.balance import InequalityVector, MinBalancedSystem, _enumerate_size, canonical_type, complement_system, system_of
 from minbal.catalogue import (
+    Catalogue,
     CatalogueEntry,
     CatalogueFormatError,
     _type_id,
@@ -86,8 +87,6 @@ class TestGenerate:
         players = Players(("a", "|", "b", "c"))
         with pytest.raises(ValueError, match=r"player name '\|'"):
             generate(players, cone)
-        with pytest.raises(ValueError, match=r"player name '\|'"):
-            minbal.catalogue._types_on(players, 2)  # as minbal enumerate runs it
 
     def test_conjecture_flag(self, exact4, balanced4):
         assert exact4.conjecture and not balanced4.conjecture
@@ -365,11 +364,11 @@ class TestSerialization:
         '{"players": ["a", "b", "c", "d", "e", "f", "g"], "cone": "balanced", "conjecture": false, "entries": [{"system": ',
     ], ids=["no-entries", "entries-cut"])
     def test_unrecorded_player_count_rejected(self, monkeypatch, text):
-        # rejected before a catalogue is generated and before any entry is read
+        # rejected before any carrier size is searched and before any entry is read
         def no_search(*args):
-            raise AssertionError("parse generated a catalogue with no recorded counts")
+            raise AssertionError("parse searched a catalogue with no recorded counts")
 
-        monkeypatch.setattr(minbal.catalogue, "generate", no_search)
+        monkeypatch.setattr(minbal.catalogue, "_types_on", no_search)
         with pytest.raises(CatalogueFormatError, match="no entry and type counts are recorded for a 7-player balanced"):
             parse(text.encode())
 
@@ -699,6 +698,29 @@ class TestRenderingFromTypes:
             parse(blob)
         assert len(drawn) <= 8
         assert max(built.values()) <= 2 * 44
+
+    def test_six_player_entry_rejected_before_larger_sizes_are_searched(self, monkeypatch):
+        # the first eleven entries of the 6-player totally-balanced catalogue
+        # lie on carriers of 2 and 3 players: a changed k in entry 10 is
+        # named with only those two sizes searched, and no 6-player search
+        pieces = minbal.catalogue._pieces(Catalogue(letters(6), "totally-balanced"), "json")
+        head = [next(pieces) for _ in range(12)]  # the header, then "[" with entry 0 and entries 1 to 10
+        doc = "".join(head[:-1]) + head[-1].replace('"k": ', '"k": 9', 1) + "\n  ]\n}\n"
+
+        class Stop(Exception):
+            pass
+
+        def stop_at_six(n):
+            if n == 6:
+                raise Stop
+            return tables(n)
+
+        tables, search, searched = balance._perm_tables, minbal.catalogue._types_on, []
+        monkeypatch.setattr(balance, "_perm_tables", stop_at_six)
+        monkeypatch.setattr(minbal.catalogue, "_types_on", lambda players, c: searched.append(c) or search(players, c))
+        with pytest.raises(CatalogueFormatError, match=r"entries\[10\]: k differs from entry 10 of the 6-player totally-balanced catalogue, which has 37145 entries in 154 types"):
+            parse(doc.encode())
+        assert searched == [2, 3]
 
 
 class TestDeterminism:

@@ -205,16 +205,25 @@ class TestTotallyBalanced:
         with pytest.raises(ValueError):
             is_totally_balanced_facets(market_game, totally4)
 
-    def test_short_catalogue_rejected(self, p3):
-        from minbal.catalogue import generate
+    def test_short_catalogue_rejected(self, monkeypatch, p3):
+        # a catalogue is its players and cone: its types cannot be swapped
+        # out, and a search that loses a type fails the recorded counts
+        import minbal.catalogue
+        from minbal.catalogue import Catalogue, generate
 
         full = generate(p3, "totally-balanced")
-        short = dataclasses.replace(full, types=full.types[1:])
+        with pytest.raises(TypeError):
+            dataclasses.replace(full, types=full.types[1:])
         g = game_of(p3, {"a": 2, "b": 2, "ab": 1, "ac": 2, "bc": 2, "abc": 10})
         assert not is_totally_balanced_lp(g).member
         assert not is_totally_balanced_facets(g, full).member
-        with pytest.raises(ValueError, match="counts"):
-            is_totally_balanced_facets(g, short)
+        search = minbal.catalogue._types_on
+        monkeypatch.setattr(minbal.catalogue, "_types_on", lambda players, c: search(players, c)[: -1 if c == 3 else None])
+        counts = "generated 6 entries in 2 types, but 7 in 3 are recorded"
+        with pytest.raises(RuntimeError, match=counts):
+            generate(p3, "totally-balanced")
+        with pytest.raises(RuntimeError, match=counts):
+            is_totally_balanced_facets(g, Catalogue(p3, "totally-balanced"))
 
 
 def _count_systems(monkeypatch):
