@@ -23,11 +23,16 @@ from operator import or_
 from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .games import Players, SetFunction, _player_sums, log, relabelling
-from .linalg import _eliminate, _primitive, augment, reduce_mod_rows, solve_unique
+from .linalg import _packed_echelon, solve_unique
 
 #: Enumeration and catalogue generation search all subsets of the carrier,
 #: so they are capped harder than the membership oracles.
 ENUM_PLAYER_CAP = 6
+
+#: The orderly search checks every entry of its echelon rows to lie in
+#: [-2**15, 2**15), in packed fields of 2 * 15 + 3 bits
+#: (``linalg._packed_echelon``); the largest is 40 at c = 5, 3456 at c = 6.
+_BOUND_BITS = 15
 
 _Tag = TypeVar("_Tag")
 _Value = TypeVar("_Value")
@@ -254,16 +259,14 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
     the unique weights are tested for strict positivity.  No leaf extends
     another, so the DFS meets the leaves in canonical order.
 
-    The chosen members are kept as augmented echelon rows
-    ``chi_S ⊕ e_depth`` over ``c`` coordinates, with ``e_depth`` of
-    length ``c + 1``, so a candidate is dependent when its reduced pivot
-    is at or past ``c``.  Each node also carries the target
-    ``1_c ⊕ e_c`` reduced against its rows: a child eliminates it at the
-    new row's pivot when it is nonzero there, which gives a positive
-    multiple of what ``reduce_mod_rows`` would, and so the same weights.
-    The carrier lies in the chosen span exactly when the target is zero
-    on the first ``c`` coordinates, and its tail then carries the
-    weights; its slot ``2c`` is never eliminated, so it cannot vanish.
+    The chosen members are kept as augmented echelon rows ``chi_S ⊕
+    e_depth``, with ``e_depth`` of length ``c + 1``, each packed into one
+    integer (``linalg._packed_echelon``), so a candidate is dependent when
+    it reduces to zero on the first ``c`` entries.  Each node also carries
+    the target ``1_c ⊕ e_c`` reduced against its rows, one step per child,
+    so the carrier lies in the chosen span exactly when the target's first
+    ``c`` entries vanish; its tail then holds the weights times minus its
+    entry ``2c``, which no step eliminates, a product of positive leads.
 
     The images of the chosen members under the relabellings are packed
     into one integer, a field of ``full + 1`` bits per relabelling with
@@ -277,19 +280,12 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
     candidate must pass both, so their order changes no output.
 
     A search for ``c >= 6``, run only on a cache miss, logs a warning
-    first.  On a 2-core machine with Python 3.11 (three runs each, whose
-    wall-clock speed drifts by up to 1.5x) the search took 1.7-2.9 s and
-    18 MB, and its callers took: ``enumerate_min_balanced``, which builds
-    all 200,213 systems, 8.3-9.9 s and 236 MB; ``minbal enumerate
-    --players 6`` 6.3-6.7 s and 51 MB in text and 4.3-6.5 s and 52 MB in
-    JSON, and 1.7-2.0 s and 19 MB with ``--types-only``; ``minbal
-    catalogue --players 6`` 2.8-3.5 s and 24 MB for ``totally-balanced``
-    and 6.3-7.2 s and 52 MB for ``balanced``; ``parse`` of the
-    totally-balanced file 2.7-3.8 s and 60 MB, and of the balanced file
-    6.5-7.4 s and 251 MB, the file's bytes included.
+    first.  On a 2-core machine with Python 3.11 a process that ran only
+    the 6-player search took 1.8-2.2 s and 18 MB (three runs; README,
+    "Caps", gives its callers' figures).
     """
     if c >= 6:
-        log.warning("enumerating min-balanced systems on a %d-player carrier: expect up to 12 s and 250 MB", c)
+        log.warning("enumerating min-balanced systems on a %d-player carrier: expect 2-3 s, and up to 12 s and 250 MB to list them all", c)
     full = (1 << c) - 1
     candidates = list(range(1, full))
     ncand = len(candidates)
@@ -297,18 +293,20 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
     for i in range(ncand - 1, -1, -1):
         suffix_cover[i] = suffix_cover[i + 1] | candidates[i]
     marks, is_lex_least, _ = _packed_marks(c)
+    pack, unpack, reduce_row, step = _packed_echelon(2 * c + 1, c, _BOUND_BITS)
+    chi = [pack([s >> j & 1 for j in range(c)]) for s in range(full)]
+    units = [pack([0] * (c + d) + [1]) for d in range(c + 1)]
     found: list[MinBalancedSystem] = []
 
-    def visit(start: int, chosen: list[int], union: int, rows: list, images: int, target: list[int]) -> None:
+    def visit(start: int, chosen: list[int], union: int, rows: list[tuple[int, int, int]], images: int, target: int) -> None:
         depth = len(chosen)
-        if union == full:
-            if not any(target[:c]):
-                lead = target[2 * c]
-                if all(target[c + j] and (target[c + j] > 0) != (lead > 0) for j in range(depth)):
-                    weights = tuple(Fraction(-target[c + j], lead) for j in range(depth))
-                    k, alpha = normalize(dict(zip(chosen, weights)))
-                    found.append(MinBalancedSystem(SetSystem(tuple(chosen)), weights, k, alpha))
-                return
+        if union == full and reduce_row([], target) is None:  # the target, reduced already, vanishes on the first c entries
+            values = unpack(target)[c:]
+            if all(v < 0 for v in values[:depth]):
+                weights = tuple(Fraction(-v, values[c]) for v in values[:depth])
+                k, alpha = normalize(dict(zip(chosen, weights)))
+                found.append(MinBalancedSystem(SetSystem(tuple(chosen)), weights, k, alpha))
+            return
         for i in range(start, ncand):
             if union | suffix_cover[i] != full:
                 break
@@ -316,21 +314,20 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
             extended = images | marks[s]
             if not is_lex_least(extended):
                 continue
-            reduced = reduce_mod_rows(rows, augment([s >> j & 1 for j in range(c)], depth, c + 1))
-            row, piv = reduced
-            if piv >= c:
+            row = reduce_row(rows, chi[s] | units[depth])
+            if row is None:
                 continue
             chosen.append(s)
-            rows.append(reduced)
-            child_target = _primitive(_eliminate(target, row, piv)) if target[piv] else target
-            visit(i + 1, chosen, union | s, rows, extended, child_target)
+            rows.append(row)
+            visit(i + 1, chosen, union | s, rows, extended, step(target, *row))
             rows.pop()
             chosen.pop()
 
-    visit(0, [], 0, [], 0, augment([1] * c, c, c + 1))
+    visit(0, [], 0, [], 0, pack([1] * c + [0] * c + [1]))
     return tuple(found)
 
 
+@lru_cache(maxsize=None)
 def _packed_marks(c: int) -> tuple[list[int], Callable[[int], bool], Callable[[int], int]]:
     """The images of each coalition under the ``c!`` relabellings of
     ``_perm_tables(c)``, packed into one integer per coalition, and the

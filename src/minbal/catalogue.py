@@ -111,7 +111,7 @@ class Catalogue:
         catalogue: type ids join coalition keys with ``|``, so a player
         name containing one is rejected."""
         object.__setattr__(self, "cone", ConeKind(self.cone))
-        object.__setattr__(self, "_searched", {})  # the types of each size searched so far, by size (``_types_of``)
+        object.__setattr__(self, "_searched", {})  # the types of each size searched so far, by size (``_search``)
         if not 2 <= self.players.n <= ENUM_PLAYER_CAP:
             raise ValueError(f"catalogue generation needs between 2 and {ENUM_PLAYER_CAP} players")
         if self.conjecture and self.players.n < 3:
@@ -139,18 +139,30 @@ class Catalogue:
     def types(self) -> tuple[CatalogueEntry, ...]:
         """Every type, size by size; their counts must be the recorded
         ones, or the search is at fault."""
-        types = tuple(t for c in self.sizes for pair in self._types_of(c) for t in pair if t is not None)
+        types = self._found()
         size, recorded = sum(t.orbit_size for t in types), _RECORDED_COUNTS[self.cone][self.players.n]
         if (size, len(types)) != recorded:
             raise RuntimeError(f"generated {size} entries in {len(types)} types, but {recorded[0]} in {recorded[1]} are recorded")
         return types
 
+    def _found(self) -> tuple[CatalogueEntry, ...]:
+        """Every type, size by size, as the search finds them, with no
+        count checked."""
+        return tuple(t for c in self.sizes for pair in self._search(c) for t in pair if t is not None)
+
     def _types_of(self, c: int) -> list[tuple[CatalogueEntry, Optional[CatalogueEntry]]]:
+        """``_search(c)``, with the counts checked (``types``) once every
+        size is searched."""
+        pairs = self._search(c)
+        if len(self._searched) == len(self.sizes):
+            self.types
+        return pairs
+
+    def _search(self, c: int) -> list[tuple[CatalogueEntry, Optional[CatalogueEntry]]]:
         """The types the cone admits on ``c`` players, in search order,
         each paired with its conjugate in ``exact-conjecture``, else with
         ``None``, classified on the first ``c`` players on the first call;
-        in ``balanced`` each type's complement is classified too.  The call
-        that searches the last size checks the counts (``types``)."""
+        in ``balanced`` each type's complement is classified too."""
         if c not in self._searched:
             players, reps = self.players, _types_on(self.players, c)
             if self.cone is ConeKind.BALANCED:  # the one cone admitting reducible systems
@@ -159,8 +171,6 @@ class Catalogue:
                 pairs = [(rep, replace(rep, alpha=conjugate(rep.alpha, players), conjugated=True, type_id="~" + rep.type_id) if self.conjecture else None)
                          for rep in reps if rep.irreducible]
             self._searched[c] = pairs
-            if len(self._searched) == len(self.sizes):
-                self.types  # the catalogue is complete: check its counts
         return self._searched[c]
 
     @cached_property

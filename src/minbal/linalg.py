@@ -16,8 +16,9 @@ search each column ``j`` enters as ``col_j ⊕ e_j`` (see
 columns it is.  :func:`solve_unique` is the dependency of the columns
 followed by the target, and :func:`conic_feasible` adds a sign test:
 independent generators combine into a target in at most one way.  The
-enumeration of min-balanced systems keeps its own incremental echelon
-on the same kernel.
+enumeration of min-balanced systems runs the same step with no gcd
+division on vectors packed into one integer each, a bounded field per
+entry (:func:`_packed_echelon`).
 
 The feasibility solver, :func:`lp_feasible`, is a phase-1 simplex with
 Bland's pivoting rule, which terminates on every input without cycling;
@@ -52,7 +53,7 @@ from functools import cached_property
 from math import gcd, lcm
 from numbers import Rational
 from operator import mul
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -126,6 +127,65 @@ def augment(vec: list[int], j: int, width: int) -> list[int]:
     tail = [0] * width
     tail[j] = 1
     return vec + tail
+
+
+def _packed_echelon(length: int, leading: int, bits: int) -> tuple[Callable, Callable, Callable, Callable]:
+    """The fraction-free step on integer vectors of ``length`` entries,
+    each packed into one ``int``: entry ``j`` is a signed field of ``w = 2
+    * bits + 3`` bits at bit ``j * w``, so one integer expression acts on
+    every entry.  Returns ``pack`` and ``unpack``, between a list and its
+    ``int``; ``step(v, row, at, lead)``, :func:`_eliminate` with no
+    :func:`_primitive`: ``lead * v - f * row`` for ``v``'s entry ``f`` at
+    the pivot of ``row``, the field at bit ``at``, where ``row`` holds
+    ``lead > 0``; and ``reduce_row(rows, v)``, ``v`` stepped through
+    ``rows`` in order, as :func:`reduce_mod_rows` does: None when its
+    first ``leading`` entries vanish, else it or its negative, whichever
+    is positive at its pivot, its lowest nonzero field, with ``at`` and
+    ``lead``.  A field is read with half a field added to every field, so
+    that none borrows from the next.
+
+    Every entry a step makes is checked to lie in ``[-B, B)``, ``B =
+    2**bits``, else ``ArithmeticError``: adding ``B`` to every field maps
+    that range onto each field's low bits, with no borrow, and an entry
+    out of it, at the lowest such field, sets a higher bit.  A step on
+    such entries makes entries below ``2 * B**2 < 2**(w - 1)`` in size, so
+    no field wraps; and a nonzero entry's lowest set bit lies at most
+    ``bits`` into its field, so ``(v & -v).bit_length() // w`` is the
+    index of the lowest nonzero field.
+    """
+    w = 2 * bits + 3
+    ones = sum(1 << j * w for j in range(length))
+    mask, half, low = (1 << w) - 1, 1 << w - 1, (1 << leading * w) - 1
+    halves, bound, high = ones * half, ones << bits, ones * (mask >> bits + 1 << bits + 1)
+    overflow = f"an entry of a packed echelon row left [-2**{bits}, 2**{bits})"
+
+    def pack(vector: Sequence[int]) -> int:
+        return sum(a << j * w for j, a in enumerate(vector))
+
+    def unpack(v: int) -> list[int]:
+        v += halves
+        return [(v >> j * w & mask) - half for j in range(length)]
+
+    def step(v: int, row: int, at: int, lead: int) -> int:
+        if f := (v + halves >> at & mask) - half:
+            v = lead * v - f * row
+            if v + bound & high:
+                raise ArithmeticError(overflow)
+        return v
+
+    def reduce_row(rows: list[tuple[int, int, int]], v: int) -> Optional[tuple[int, int, int]]:
+        for row, at, lead in rows:  # step, inlined: a call per row made the 5-player search a fifth slower
+            if f := (v + halves >> at & mask) - half:
+                v = lead * v - f * row
+                if v + bound & high:
+                    raise ArithmeticError(overflow)
+        if not v & low:
+            return None
+        at = (v & -v).bit_length() // w * w
+        lead = ((v >> at) + half & mask) - half
+        return (v, at, lead) if lead > 0 else (-v, at, -lead)
+
+    return pack, unpack, reduce_row, step
 
 
 def rank(rows: Sequence[Sequence]) -> int:

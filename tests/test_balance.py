@@ -3,7 +3,7 @@
 import json
 import logging
 from fractions import Fraction as F
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import gcd
 from operator import or_
 from random import Random
@@ -30,7 +30,7 @@ from minbal.cli import main
 from minbal.cones import conjugate
 from conftest import listed_is_lex_least, listed_marks, lp_conic_feasible, permute_coalition, plain_enumerate_size
 from minbal.games import game_of, letters
-from minbal.linalg import solve_unique
+from minbal.linalg import _eliminate, _packed_echelon, _primitive, augment, reduce_mod_rows, solve_unique
 from minbal.reference import BALANCED_COUNTS
 
 
@@ -208,6 +208,15 @@ class TestEnumerate:
                 assert direct is not None
                 assert (mbs.weights, mbs.k, mbs.alpha) == (direct.weights, direct.k, direct.alpha)
 
+    def test_marks_built_once_per_size(self, monkeypatch):
+        # the search and the orbit sizes read the same packed marks
+        real, built = balance._perm_tables, []
+        monkeypatch.setattr(balance, "_perm_tables", lambda n: built.append(n) or real(n))
+        balance._packed_marks.cache_clear()
+        _enumerate_size.cache_clear()
+        assert sum(balance._orbit_sizes(5)) == BALANCED_COUNTS[5][0]
+        assert built == [5]
+
     def test_six_player_carrier_warns_before_searching(self, monkeypatch, caplog):
         # every entry point that starts the 6-player search warns once, on
         # the cache miss, before the search builds its 720 relabellings
@@ -286,6 +295,70 @@ class TestOrderlySearch:
         types = [canonical_type(rep.system, letters(6)) for rep in representatives]
         assert [form for form, _ in types] == [rep.system for rep in representatives]
         assert sum(size for _, size in types) == 200_213
+
+
+class TestPackedEchelon:
+    @pytest.mark.parametrize("c", [3, 4, 5, 6])
+    def test_reduction_matches_list_reduction(self, c):
+        # seeded member sets, reduced as the search reduces them: each row
+        # has reduce_mod_rows's pivot and is a positive multiple of its
+        # row, and so is the target stepped at each new pivot
+        pack, unpack, reduce_row, step = _packed_echelon(2 * c + 1, c, balance._BOUND_BITS)
+        width = 2 * balance._BOUND_BITS + 3
+        rng = Random(c)
+        verdicts = {True: 0, False: 0}
+        for _ in range(100):
+            rows, listed_rows = [], []
+            listed_target = augment([1] * c, c, c + 1)
+            target = pack(listed_target)
+            for s in rng.sample(range(1, (1 << c) - 1), c + 2):
+                vector = augment([s >> j & 1 for j in range(c)], len(rows), c + 1)
+                row, (listed, pivot) = reduce_row(rows, pack(vector)), reduce_mod_rows(listed_rows, vector)
+                verdicts[pivot < c] += 1
+                if pivot >= c:
+                    assert row is None
+                    continue
+                v, at, lead = row
+                entries = unpack(v)
+                assert at == pivot * width and lead == entries[pivot] > 0
+                assert [a * listed[pivot] for a in entries] == [b * lead for b in listed]
+                rows.append(row)
+                listed_rows.append((listed, pivot))
+                target = step(target, *row)
+                if listed_target[pivot]:
+                    listed_target = _primitive(_eliminate(listed_target, listed, pivot))
+                stepped = unpack(target)
+                assert stepped[2 * c] > 0 and [a * listed_target[2 * c] for a in stepped] == [b * stepped[2 * c] for b in listed_target]
+        assert min(verdicts.values()) > 50
+
+    def test_entries_out_of_bound_raise(self):
+        # with 2 bits the bound is [-4, 4): a step whose entries stay in it
+        # gives exactly the list step, and any entry out of it raises, in
+        # every field, the highest included
+        pack, unpack, _, step = _packed_echelon(3, 1, 2)
+        for a, b, x, y in product(range(-4, 4), repeat=4):
+            v, row = [1, a, b], [1, x, y]
+            want = _eliminate(v, row, 0)
+            if all(-4 <= e < 4 for e in want):
+                assert unpack(step(pack(v), pack(row), 0, 1)) == want
+            else:
+                with pytest.raises(ArithmeticError, match=r"left \[-2\*\*2, 2\*\*2\)"):
+                    step(pack(v), pack(row), 0, 1)
+
+    def test_search_raises_when_the_bound_is_lowered(self, monkeypatch):
+        # the 5-player search's largest entry, 40, lies within 2**6 and not 2**5
+        def fields(systems):
+            return [(m.system, m.weights, m.k, m.alpha) for m in systems]
+
+        expected = fields(_enumerate_size(5))
+        monkeypatch.setattr(balance, "_BOUND_BITS", 6)
+        _enumerate_size.cache_clear()
+        assert fields(_enumerate_size(5)) == expected
+        monkeypatch.setattr(balance, "_BOUND_BITS", 5)
+        _enumerate_size.cache_clear()
+        with pytest.raises(ArithmeticError, match=r"left \[-2\*\*5, 2\*\*5\)"):
+            _enumerate_size(5)
+        _enumerate_size.cache_clear()
 
 
 class TestPackedCanonicity:

@@ -55,6 +55,25 @@ class TestGenerate:
             assert partner.mbs == rep.mbs and partner.orbit_size == rep.orbit_size
         assert sorted(t.orbit_size for t in exact4.types) == [4, 4, 6, 6, 12, 12]
 
+    @pytest.mark.parametrize("cone", ["balanced", "totally-balanced", "exact-conjecture"])
+    def test_counts_checked_once(self, monkeypatch, cone):
+        # generate builds and checks the type tuple once; the rendering
+        # that searches nothing more checks nothing more
+        looked_up = []
+
+        class Counting(dict):
+            def __getitem__(self, key):
+                looked_up.append(key)
+                return super().__getitem__(key)
+
+        monkeypatch.setattr(minbal.catalogue, "_RECORDED_COUNTS", Counting(minbal.catalogue._RECORDED_COUNTS))
+        catalogue = generate(letters(4), cone)
+        assert looked_up == [catalogue.cone]
+        serialize(catalogue)
+        serialize(catalogue, "text")
+        assert len(catalogue.entries) == catalogue.size
+        assert looked_up == [catalogue.cone]
+
     def test_totally_balanced_four(self, totally4):
         assert len(totally4.entries) == 40
         assert all(e.irreducible for e in totally4.entries)

@@ -212,6 +212,22 @@ class TestVerify:
     def test_table1_suite(self, players, capsys):
         assert main(["verify", "--players", str(players), "--suite", "table1"]) == 0
 
+    @pytest.mark.parametrize("suite, size, lines", [
+        ("table1", 3, ["FAIL n=4 facet count: expected 44, got 36", "FAIL n=4 type count: expected 6, got 4"]),
+        ("appendix", 4, ["FAIL entry count: expected 41, got 40", "FAIL type count: expected 9, got 8"]),
+    ])
+    def test_count_mismatch_fails_its_items(self, monkeypatch, capsys, suite, size, lines):
+        # a search that loses a type fails the count items, naming both
+        # counts, where the catalogue itself raises
+        import minbal.catalogue
+
+        search = minbal.catalogue._types_on
+        monkeypatch.setattr(minbal.catalogue, "_types_on", lambda players, c: search(players, c)[: -1 if c == size else None])
+        assert main(["verify", "--players", "4", "--suite", suite]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == lines
+        assert captured.err == "0/2 items passed\n"
+
     def test_conjecture_suite(self, capsys):
         code = main(["verify", "--players", "3", "--suite", "conjecture", "--samples", "25", "--seed", "3"])
         assert code == 0
