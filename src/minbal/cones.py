@@ -5,7 +5,12 @@ exactly against the input game: a core allocation for balancedness, a
 table of tight core allocations for exactness, and for negative verdicts
 a violated min-balanced inequality, a failing subgame, or (for
 exactness) an o-standardized separating functional derived from the
-Farkas vector of the infeasible system.
+Farkas vector of the infeasible system.  That functional theta is kept
+as its nonzero values, at most the LP's working set and the empty set
+(:func:`_theta_values`), and its o-standardization is checked once,
+there.  A violated min-balanced inequality is reduced from those values
+directly; only the exact cone's certificate, a set function, tabulates
+theta on all 2^n coalitions (:func:`_theta_from_farkas`).
 
 All three oracles ask one question, :func:`_core_point`: is there a core
 point tight at a given coalition?  Balancedness asks it once, of the full
@@ -44,6 +49,7 @@ from .games import (
     Game,
     Players,
     SetFunction,
+    _player_sums,
     as_game,
     is_o_standardized,
     log,
@@ -113,20 +119,31 @@ class Verdict:
         return self.member
 
 
-def _theta_from_farkas(players: Players, order: list[int], farkas) -> SetFunction:
-    """Repackage a Farkas vector as an o-standardized set function.
+def _theta_values(n: int, order: list[int], farkas) -> dict[int, Fraction]:
+    """A Farkas vector as the nonzero values of an o-standardized set function.
 
-    theta(S) = -lam(S) on nonempty coalitions and theta({}) balances the
-    total to zero; for a game m this pairs to  -sum lam(S) m(S) < 0.
+    theta(S) = -lam(S) at each coalition of the working set ``order``
+    with a nonzero multiplier, and theta({}) balances the total to zero;
+    for a game m this pairs to  -sum lam(S) m(S) < 0.  Every other
+    coalition's value is zero, so the per-player sums are checked over
+    these values only, once, here.
     """
-    values = [Fraction(0)] * (1 << players.n)
-    for s, lam in zip(order, farkas):
-        values[s] = -lam
-    values[0] = -sum(values)
-    theta = SetFunction(players, tuple(values))
-    if not is_o_standardized(theta):
+    theta = {s: -lam for s, lam in zip(order, farkas) if lam}
+    theta[0] = -sum(theta.values())
+    if any(_player_sums(theta.items(), n)):
         raise RuntimeError("Farkas certificate is not o-standardized")
     return theta
+
+
+def _theta_from_farkas(players: Players, order: list[int], farkas) -> SetFunction:
+    """The :func:`_theta_values` of a Farkas vector tabulated on every coalition.
+
+    Only the exact cone's certificate, :class:`NoTightAllocation`, is a
+    dense set function; the other oracles keep theta as its nonzero
+    values.
+    """
+    theta = _theta_values(players.n, order, farkas)
+    return SetFunction(players, tuple(theta.get(s, Fraction(0)) for s in range(1 << players.n)))
 
 
 def _scaled(game: Game) -> tuple[list[int], int]:
@@ -241,17 +258,20 @@ def _core_point(values: list[int], tight_at: int) -> tuple[FeasibilityResult, Op
     return res, order, compress(coalitions, map(not_, excess or ()))
 
 
-def _violated_system(game: Game, theta: SetFunction) -> ViolatedSystem:
+def _violated_system(game: Game, theta: dict[int, Fraction]) -> ViolatedSystem:
     """Carathéodory reduction of the empty core's Farkas functional.
 
-    w_S = -theta(S) / theta(N) are balanced weights on N with
+    ``theta`` is the functional's nonzero values, as
+    :func:`_theta_values` gives them; no table of all 2^n coalitions is
+    built.  w_S = -theta(S) / theta(N), for S neither empty nor N and in
+    increasing bitmask order, are balanced weights on N with
     sum w_S v(S) > v(N).  While the support is dependent, a dependency
     among its first n + 1 members, oriented not to lower that sum, is
     added to w until a weight drops to zero and leaves the support.
     """
     n = game.players.n
     full = game.players.full_mask
-    weights = {s: -theta.values[s] / theta.values[full] for s in range(1, full) if theta.values[s]}
+    weights = {s: -theta[s] / theta[full] for s in sorted(theta) if s not in (0, full)}
     support = list(weights)
     while (coeffs := dependency([[s >> i & 1 for i in range(n)] for s in support[: n + 1]])) is not None:
         dep = [(s, d) for s, d in zip(support, coeffs) if d]
@@ -282,7 +302,7 @@ def is_balanced(f: SetFunction) -> Verdict:
     res, order, _ = _core_point(values, game.players.full_mask)
     if res.feasible:
         return Verdict(True, CoreAllocation(_payoffs(res, scale)))
-    return Verdict(False, _violated_system(game, _theta_from_farkas(game.players, order, res.farkas)))
+    return Verdict(False, _violated_system(game, _theta_values(game.players.n, order, res.farkas)))
 
 
 def is_totally_balanced_lp(f: SetFunction) -> Verdict:
@@ -307,9 +327,8 @@ def is_totally_balanced_lp(f: SetFunction) -> Verdict:
         table = [values[s] for s in relabelling([i for i in range(players.n) if a >> i & 1])]
         res, order, _ = _core_point(table, len(table) - 1)
         if not res.feasible:
-            subgame = restrict(game, a)
-            theta = _theta_from_farkas(subgame.players, order, res.farkas)
-            return Verdict(False, FailingSubgame(a, _violated_system(subgame, theta)))
+            theta = _theta_values(a.bit_count(), order, res.farkas)
+            return Verdict(False, FailingSubgame(a, _violated_system(restrict(game, a), theta)))
     return Verdict(True, CoreAllocation(_payoffs(res, scale)))
 
 

@@ -109,8 +109,9 @@ class TestIsBalanced:
     def test_violated_system_at_every_player_count(self):
         # the Farkas vector reduces to a violated min-balanced system on
         # the full carrier, also where enumerating those systems is out
-        # of reach
-        for n in (6, 7, 8):
+        # of reach; every proper subgame is additive, so total
+        # balancedness fails at the full set, and exactness fails too
+        for n in (6, 7, 8, 10, 12):
             p = letters(n)
             values = [F(s.bit_count()) for s in p.coalitions()]
             values[p.full_mask] = F(3)
@@ -118,6 +119,13 @@ class TestIsBalanced:
             v = is_balanced(g)
             assert not v.member
             assert isinstance(v.certificate, ViolatedSystem)
+            verify_verdict(g, v)
+            v = is_totally_balanced_lp(g)
+            assert isinstance(v.certificate, FailingSubgame)
+            assert v.certificate.coalition == p.full_mask
+            verify_verdict(g, v)
+            v = is_exact(g)
+            assert isinstance(v.certificate, NoTightAllocation)
             verify_verdict(g, v)
 
     def test_violated_system_is_enumerated(self):
@@ -439,6 +447,43 @@ class TestRowGeneration:
                 assert not is_exact(Game(letters(n), (0, 1) + (0,) * ((1 << n) - 2))).member
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1 and "on 11 players" in warnings[0].getMessage()
+
+
+class TestSparseTheta:
+    """The Farkas vector's functional theta kept as its nonzero values."""
+
+    def test_no_dense_theta_on_balanced_paths(self, monkeypatch, p3):
+        # is_balanced and is_totally_balanced_lp reduce their violated
+        # systems from theta's nonzero values: with the 2^n table
+        # disabled they return the same verdicts
+        rng = Random(30)
+        games = [game_of(p3, {"abc": 1, "ab": 1, "ac": 1, "bc": 1})]
+        for n in (5, 6, 7, 8):
+            players = letters(n)
+            convex = _convex_game(players, rng)
+            singletons = sum(convex.values[1 << i] for i in range(n))
+            games += [Game(players, convex.values[:-1] + (singletons - 1,)), random_game(players, rng)]
+        oracles = (is_balanced, is_totally_balanced_lp)
+        expected = [[oracle(g) for oracle in oracles] for g in games]
+        assert all(any(not verdicts[i].member for verdicts in expected) for i in range(len(oracles)))
+
+        def dense(*args):
+            raise AssertionError("theta was tabulated on every coalition")
+
+        monkeypatch.setattr(cones, "_theta_from_farkas", dense)
+        for g, verdicts in zip(games, expected):
+            for oracle, verdict in zip(oracles, verdicts):
+                assert oracle(g) == verdict
+                verify_verdict(g, verdict)
+
+    def test_o_standardization_checked(self):
+        # multipliers of the working set {a, b, c, ab, N} whose
+        # per-player sums vanish pass, ab's zero multiplier dropped;
+        # without c's row, player c's sum is 1
+        theta = cones._theta_values(3, [0b001, 0b010, 0b100, 0b011, 0b111], [F(1), F(1), F(1), F(0), F(-1)])
+        assert theta == {0b001: -1, 0b010: -1, 0b100: -1, 0b111: 1, 0: 2}
+        with pytest.raises(RuntimeError, match="not o-standardized"):
+            cones._theta_values(3, [0b001, 0b010, 0b111], [F(1), F(1), F(-1)])
 
 
 def _shifted_game(players, rng):
