@@ -23,16 +23,11 @@ from operator import or_
 from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .games import Players, SetFunction, _player_sums, log, relabelling
-from .linalg import _packed_echelon, solve_unique
+from .linalg import _hadamard_bits, _packed_echelon, solve_unique
 
 #: Enumeration and catalogue generation search all subsets of the carrier,
 #: so they are capped harder than the membership oracles.
 ENUM_PLAYER_CAP = 6
-
-#: The orderly search checks every entry of its echelon rows to lie in
-#: [-2**15, 2**15), in packed fields of 2 * 15 + 3 bits
-#: (``linalg._packed_echelon``); the largest is 40 at c = 5, 3456 at c = 6.
-_BOUND_BITS = 15
 
 _Tag = TypeVar("_Tag")
 _Value = TypeVar("_Value")
@@ -266,7 +261,12 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
     the target ``1_c ⊕ e_c`` reduced against its rows, one step per child,
     so the carrier lies in the chosen span exactly when the target's first
     ``c`` entries vanish; its tail then holds the weights times minus its
-    entry ``2c``, which no step eliminates, a product of positive leads.
+    entry ``2c``, which no step eliminates: the last lead, positive.  The
+    leaf tests the weights' signs on the packed target and unpacks only a
+    target that passes.  Every entry is a minor of 0/1 vectors of ``c``
+    entries, so the field width comes from Hadamard's inequality on ``c``
+    copies of ``1_c`` (``linalg._hadamard_bits``) and no valid search
+    leaves it.
 
     The images of the chosen members under the relabellings are packed
     into one integer, a field of ``full + 1`` bits per relabelling with
@@ -293,16 +293,15 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
     for i in range(ncand - 1, -1, -1):
         suffix_cover[i] = suffix_cover[i + 1] | candidates[i]
     marks, is_lex_least, _ = _packed_marks(c)
-    pack, unpack, reduce_row, step = _packed_echelon(2 * c + 1, c, _BOUND_BITS)
+    pack, units, unpack, step, reduce_row, pivot, negative = _packed_echelon(2 * c + 1, c, _hadamard_bits([[1] * c] * c))
     chi = [pack([s >> j & 1 for j in range(c)]) for s in range(full)]
-    units = [pack([0] * (c + d) + [1]) for d in range(c + 1)]
     found: list[MinBalancedSystem] = []
 
     def visit(start: int, chosen: list[int], union: int, rows: list[tuple[int, int, int]], images: int, target: int) -> None:
         depth = len(chosen)
-        if union == full and reduce_row([], target) is None:  # the target, reduced already, vanishes on the first c entries
-            values = unpack(target)[c:]
-            if all(v < 0 for v in values[:depth]):
+        if union == full and pivot(target) is None:  # the target, reduced already, vanishes on the first c entries
+            if negative(target, c, c + depth):
+                values = unpack(target)[c:]
                 weights = tuple(Fraction(-v, values[c]) for v in values[:depth])
                 k, alpha = normalize(dict(zip(chosen, weights)))
                 found.append(MinBalancedSystem(SetSystem(tuple(chosen)), weights, k, alpha))
@@ -314,16 +313,16 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
             extended = images | marks[s]
             if not is_lex_least(extended):
                 continue
-            row = reduce_row(rows, chi[s] | units[depth])
+            row = pivot(reduce_row(rows, chi[s] | units[c + depth]))
             if row is None:
                 continue
             chosen.append(s)
             rows.append(row)
-            visit(i + 1, chosen, union | s, rows, extended, step(target, *row))
+            visit(i + 1, chosen, union | s, rows, extended, step(target, *row, rows[-2][2] if depth else 1))
             rows.pop()
             chosen.pop()
 
-    visit(0, [], 0, [], 0, pack([1] * c + [0] * c + [1]))
+    visit(0, [], 0, [], 0, pack([1] * c) + units[2 * c])
     return tuple(found)
 
 

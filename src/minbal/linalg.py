@@ -1,24 +1,25 @@
 """Exact linear algebra and linear feasibility over the rationals.
 
-Everything in this package bottoms out in three primitives: matrix rank,
-the first linear dependency among a family of columns, and feasibility
-of a mixed equality/inequality system.  There is no floating point
-anywhere, so every positive answer re-substitutes exactly and every
-infeasibility verdict carries a checkable Farkas vector.
+Everything in this package bottoms out in two primitives: the first
+linear dependency among a family of columns, and feasibility of a mixed
+equality/inequality system.  There is no floating point anywhere, so
+every positive answer re-substitutes exactly and every infeasibility
+verdict carries a checkable Farkas vector.
 
-Every elimination is one fraction-free step on integer rows,
-:func:`_eliminate`, followed by :func:`_primitive`, which divides by the
-gcd; rational input is scaled to integers first.  Rank and
-:func:`dependency` run it through :func:`reduce_mod_rows`, which reduces
-a vector against echelon rows with distinct pivots.  In a dependency
-search each column ``j`` enters as ``col_j ⊕ e_j`` (see
-:func:`augment`), so every echelon row records which combination of the
+Besides the simplex pivot there is one elimination kernel,
+:func:`_packed_echelon`: fraction-free steps that divide exactly by the
+previous pivot (Bareiss 1968), on integer vectors packed into one
+integer each, a signed field per entry.  Every entry it makes is a minor
+of its input, so Hadamard's inequality bounds the entries before any
+step runs, and :func:`_hadamard_bits` picks the field width from the
+input; the bound is checked all the same.  In :func:`dependency` each
+column ``j``, its rational coordinates scaled to integers, enters as
+``col_j ⊕ e_j``, so every echelon row records which combination of the
 columns it is.  :func:`solve_unique` is the dependency of the columns
 followed by the target, and :func:`conic_feasible` adds a sign test:
 independent generators combine into a target in at most one way.  The
-enumeration of min-balanced systems runs the same step with no gcd
-division on vectors packed into one integer each, a bounded field per
-entry (:func:`_packed_echelon`).
+enumeration of min-balanced systems runs the same kernel on 0/1
+incidence vectors.
 
 The feasibility solver, :func:`lp_feasible`, is a phase-1 simplex with
 Bland's pivoting rule, which terminates on every input without cycling;
@@ -49,10 +50,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd, lcm
+from functools import cached_property, lru_cache
+from math import gcd, lcm, prod
 from numbers import Rational
-from operator import mul
+from operator import lshift, mul
 from typing import Callable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -96,122 +97,152 @@ def _primitive(v: list[int]) -> list[int]:
     return v if g == 1 else [a // g for a in v]
 
 
-def reduce_mod_rows(rows: list[tuple[list[int], int]], vec: list[int]) -> Optional[tuple[list[int], int]]:
-    """Reduce an integer vector against echelon rows; None when it vanishes.
+def _hadamard_bits(rows: Sequence[Sequence[int]]) -> int:
+    """The least ``bits`` with ``2**bits`` above the product of ``max(1,
+    ||row||)`` over the integer ``rows``.
 
-    ``rows`` holds ``(row, pivot)`` pairs with distinct pivots, each row
-    zero at the pivots of the rows before it, as this function returns
-    them.  The result is zero at every pivot, divided by its gcd and
-    signed so that its first nonzero entry, its pivot, is positive.
-    Fraction-free: each elimination step cross-multiplies.
+    By Hadamard's inequality a square matrix's determinant is at most the
+    product of its rows' lengths, and a row cut to some columns is no
+    longer than the row, so ``2**bits`` lies above every minor of the
+    matrix the rows form.  The product is compared squared, in integers:
+    ``4**bits`` lies above the product of the squared lengths.
     """
-    v = vec
-    for row, piv in rows:
-        if v[piv]:
-            v = _eliminate(v, row, piv)
-    piv = next((i for i, a in enumerate(v) if a), -1)
-    if piv < 0:
-        return None
-    if v[piv] < 0:
-        v = [-a for a in v]
-    return _primitive(v), piv
+    return (prod([max(1, sum(map(mul, row, row))) for row in rows]).bit_length() + 1) // 2
 
 
-def augment(vec: list[int], j: int, width: int) -> list[int]:
-    """``vec ⊕ e_j`` with ``e_j`` of length ``width``.
+@lru_cache(maxsize=64)
+def _packed_echelon(length: int, leading: int, bits: int) -> tuple[Callable, list[int], Callable, Callable, Callable, Callable, Callable]:
+    """Fraction-free elimination that divides exactly by the previous
+    pivot (Bareiss 1968), on integer vectors of ``length`` entries, each
+    packed into one ``int``: entry ``j`` is a signed field of ``w = 2 *
+    bits + 3`` bits at bit ``j * w``, so one integer expression acts on
+    every entry.  Returns, in order:
 
-    Reduced against rows built this way, a vector whose pivot lies at or
-    past ``len(vec)`` vanishes on the leading block: its tail names the
-    combination of the augmented vectors that it is.
-    """
-    tail = [0] * width
-    tail[j] = 1
-    return vec + tail
+    - ``pack(vector)``, the ``int`` of a vector or of a prefix of one;
+    - ``units``, the ``int`` of each unit vector;
+    - ``unpack(v)``, the list of ``v``'s entries;
+    - ``step(v, row, at, lead, prev)``, ``(lead * v - f * row) / prev``
+      for ``v``'s entry ``f`` at the pivot of ``row``, the field at bit
+      ``at``, where ``row`` holds ``lead > 0`` and ``prev`` is the lead
+      of the row before ``row`` (1 for the first row); a step with ``f ==
+      0`` still multiplies and divides, or the next division is inexact;
+    - ``reduce_row(rows, v)``, ``v`` stepped through the ``(row, at,
+      lead)`` triples of ``rows`` in order, each step's ``prev`` the lead
+      of the row before;
+    - ``pivot(v)``, ``None`` when the first ``leading`` entries of ``v``
+      vanish, else ``v`` or its negative, whichever is positive at its
+      pivot, its lowest nonzero field, with ``at`` and ``lead``: the
+      triple that ``rows`` takes next;
+    - ``negative(v, start, stop)``, whether the entries ``start`` to
+      ``stop - 1`` of ``v`` are all negative.
 
+    A field is read with half a field added to every field, so that none
+    borrows from the next.  Kernels are cached by their arguments.
 
-def _packed_echelon(length: int, leading: int, bits: int) -> tuple[Callable, Callable, Callable, Callable]:
-    """The fraction-free step on integer vectors of ``length`` entries,
-    each packed into one ``int``: entry ``j`` is a signed field of ``w = 2
-    * bits + 3`` bits at bit ``j * w``, so one integer expression acts on
-    every entry.  Returns ``pack`` and ``unpack``, between a list and its
-    ``int``; ``step(v, row, at, lead)``, :func:`_eliminate` with no
-    :func:`_primitive`: ``lead * v - f * row`` for ``v``'s entry ``f`` at
-    the pivot of ``row``, the field at bit ``at``, where ``row`` holds
-    ``lead > 0``; and ``reduce_row(rows, v)``, ``v`` stepped through
-    ``rows`` in order, as :func:`reduce_mod_rows` does: None when its
-    first ``leading`` entries vanish, else it or its negative, whichever
-    is positive at its pivot, its lowest nonzero field, with ``at`` and
-    ``lead``.  A field is read with half a field added to every field, so
-    that none borrows from the next.
+    Every entry is a minor.  Reducing vectors one at a time against the
+    rows before them applies to each the steps that whole-matrix Bareiss
+    elimination applies to that row, with the rows' pivots, in order, as
+    the pivot columns.  Negating a reduced row commutes with the steps,
+    which are linear in the row, and flips signs only.  So by Sylvester's
+    identity an entry of a vector stepped through ``k`` rows is, up to
+    sign, the minor of the ``k + 1`` input vectors (the rows' and its
+    own) on the ``k`` pivot columns and the entry's column, and every
+    division is exact.  Where vectors enter as ``x ⊕ e_j``, the pivots
+    lie in the leading block, and expanding such a minor along an
+    identity column (Laplace) leaves, up to sign, a minor of the ``x``
+    alone.  So when ``B = 2**bits`` lies above every minor of the leading
+    blocks, as :func:`_hadamard_bits` makes it from the input, every
+    entry lies in ``[-B, B)``.  At most ``c`` of the orderly search's
+    0/1 vectors of ``c`` entries enter a minor, none longer than ``1_c``,
+    so :func:`minbal.balance._enumerate_size` takes ``bits`` from ``c``
+    copies of ``1_c``; ``n + 1`` incidence vectors of ``n`` players, as
+    the callers of :func:`dependency` pass, take at most the ``bits`` of
+    ``n + 1`` copies of ``1_n``:
 
-    Every entry a step makes is checked to lie in ``[-B, B)``, ``B =
-    2**bits``, else ``ArithmeticError``: adding ``B`` to every field maps
-    that range onto each field's low bits, with no borrow, and an entry
-    out of it, at the lowest such field, sets a higher bit.  A step on
-    such entries makes entries below ``2 * B**2 < 2**(w - 1)`` in size, so
-    no field wraps; and a nonzero entry's lowest set bit lies at most
-    ``bits`` into its field, so ``(v & -v).bit_length() // w`` is the
-    index of the lowest nonzero field.
+    =====================  ==  ==  ==  ==  ==  ==  ==  ==  ==  ==  ==
+    c or n                 2   3   4   5   6   7   8   9   10  11  12
+    search ``bits``        2   3   5   6   8   10
+    dependency ``bits``    2   4   6   7   10  12  14  16  19  21  24
+    =====================  ==  ==  ==  ==  ==  ==  ==  ==  ==  ==  ==
+
+    The bound is still checked.  Every entry a step makes is checked to
+    lie in ``[-B, B)``, else ``ArithmeticError``: adding ``B`` to every
+    field maps that range onto each field's low bits, with no borrow, and
+    an entry out of it, at the lowest such field, sets a higher bit.
+    Before the division the entries of ``lead * v - f * row`` are below
+    ``2 * B**2 < 2**(w - 1)`` in size, so no field wraps.  A nonzero
+    remainder of the packed division raises ``ArithmeticError`` too.
+    With that remainder zero and the quotient's entries in ``[-B, B)``,
+    each entry times ``prev``, ``0 < prev <= B``, is below ``B**2`` in
+    size, so the quotient times ``prev`` has those products as its
+    fields, and they are the dividend's: every entry was divided exactly.
+    A nonzero entry's lowest set bit lies below bit ``bits`` of its
+    field, so ``(v & -v).bit_length() // w`` is the index of the lowest
+    nonzero field.
     """
     w = 2 * bits + 3
-    ones = sum(1 << j * w for j in range(length))
+    shifts = [j * w for j in range(length)]
+    units = [1 << at for at in shifts]
+    ones = sum(units)
     mask, half, low = (1 << w) - 1, 1 << w - 1, (1 << leading * w) - 1
     halves, bound, high = ones * half, ones << bits, ones * (mask >> bits + 1 << bits + 1)
     overflow = f"an entry of a packed echelon row left [-2**{bits}, 2**{bits})"
+    inexact = "a packed echelon step left a remainder dividing by the previous lead"
 
     def pack(vector: Sequence[int]) -> int:
-        return sum(a << j * w for j, a in enumerate(vector))
+        return sum(map(lshift, vector, shifts))
 
     def unpack(v: int) -> list[int]:
         v += halves
-        return [(v >> j * w & mask) - half for j in range(length)]
+        return [(v >> at & mask) - half for at in shifts]
 
-    def step(v: int, row: int, at: int, lead: int) -> int:
-        if f := (v + halves >> at & mask) - half:
-            v = lead * v - f * row
-            if v + bound & high:
-                raise ArithmeticError(overflow)
+    def step(v: int, row: int, at: int, lead: int, prev: int) -> int:
+        v = lead * v - ((v + halves >> at & mask) - half) * row
+        if prev != 1:
+            v, r = divmod(v, prev)
+            if r:
+                raise ArithmeticError(inexact)
+        if v + bound & high:
+            raise ArithmeticError(overflow)
         return v
 
-    def reduce_row(rows: list[tuple[int, int, int]], v: int) -> Optional[tuple[int, int, int]]:
+    def reduce_row(rows: list[tuple[int, int, int]], v: int) -> int:
+        prev = 1
         for row, at, lead in rows:  # step, inlined: a call per row made the 5-player search a fifth slower
-            if f := (v + halves >> at & mask) - half:
-                v = lead * v - f * row
-                if v + bound & high:
-                    raise ArithmeticError(overflow)
+            v = lead * v - ((v + halves >> at & mask) - half) * row
+            if prev != 1:
+                v, r = divmod(v, prev)
+                if r:
+                    raise ArithmeticError(inexact)
+            if v + bound & high:
+                raise ArithmeticError(overflow)
+            prev = lead
+        return v
+
+    def pivot(v: int) -> Optional[tuple[int, int, int]]:
         if not v & low:
             return None
         at = (v & -v).bit_length() // w * w
         lead = ((v >> at) + half & mask) - half
         return (v, at, lead) if lead > 0 else (-v, at, -lead)
 
-    return pack, unpack, reduce_row, step
+    def negative(v: int, start: int, stop: int) -> bool:
+        return not v + halves & halves & (1 << stop * w) - (1 << start * w)
 
-
-def rank(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals of the matrix with the given rows.
-
-    Each row is scaled to integers and reduced against the independent
-    rows before it; the input is not modified.
-    """
-    if not rows:
-        raise ValueError("rank of an empty matrix is undefined")
-    echelon: list[tuple[list[int], int]] = []
-    for row in _checked_rows(rows, "matrix rows"):
-        reduced = reduce_mod_rows(echelon, _integer_row(row))
-        if reduced is not None:
-            echelon.append(reduced)
-    return len(echelon)
+    return pack, units, unpack, step, reduce_row, pivot, negative
 
 
 def dependency(columns: Sequence[Sequence]) -> Optional[list[int]]:
     """Integer coefficients of the first linear dependency among ``columns``.
 
-    Column ``j`` enters as ``col_j ⊕ e_j`` and is reduced against the
-    columns before it.  The first one that vanishes on the leading block
-    returns its tail ``c``: ``sum(c[i] * columns[i]) == 0`` with
+    Column ``j`` enters :func:`_packed_echelon` as ``col_j ⊕ e_j``, in
+    the width :func:`_hadamard_bits` takes from the scaled columns, and
+    is reduced against the columns before it.  The first one that
+    vanishes on the leading block returns its tail ``c``, the columns
+    before it being independent: ``sum(c[i] * columns[i]) == 0`` with
     ``c[j] != 0``, zeros after ``j``, a positive first nonzero entry and
-    gcd 1.  ``None`` means the columns are linearly independent.
+    gcd 1, which fix the dependency's scale.  ``None`` means the columns
+    are linearly independent.
     """
     cols = _checked_rows(columns, "columns")
     k = len(cols)
@@ -219,12 +250,15 @@ def dependency(columns: Sequence[Sequence]) -> Optional[list[int]]:
     # Scaling coordinate i of every column by one positive factor leaves
     # the dependencies unchanged.
     scaled = [_integer_row([c[i] for c in cols]) for i in range(d)]
-    echelon: list[tuple[list[int], int]] = []
-    for j in range(k):
-        r, piv = reduce_mod_rows(echelon, augment([row[j] for row in scaled], j, k))
-        if piv >= d:
-            return r[d:]
-        echelon.append((r, piv))
+    vectors = list(zip(*scaled)) if d else [()] * k
+    pack, units, unpack, _, reduce_row, pivot, _ = _packed_echelon(d + k, d, _hadamard_bits(vectors))
+    echelon: list[tuple[int, int, int]] = []
+    for vector, unit in zip(vectors, units[d:]):
+        v = reduce_row(echelon, pack(vector) + unit)
+        if (row := pivot(v)) is None:
+            tail = unpack(v)[d:]
+            return _primitive(tail if next(filter(None, tail)) > 0 else [-a for a in tail])
+        echelon.append(row)
     return None
 
 

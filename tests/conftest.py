@@ -3,12 +3,12 @@ catalogues (expensive to generate, shared read-only)."""
 
 import json
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from minbal import anti_dual, cones, game_of, generate, letters, lp_feasible
 from minbal.balance import MinBalancedSystem, SetSystem, _perm_tables, normalize
-from minbal.linalg import augment, reduce_mod_rows
 
 
 def permute_coalition(coalition: int, perm: tuple[int, ...]) -> int:
@@ -136,6 +136,61 @@ def tight_rows(game, tight_at):
     rows = [[-(s >> i & 1) for i in range(n)] for s in order]
     rhs = [-game.values[s] for s in order]
     return rows, rhs, ineq_order, eq_order
+
+
+def reduce_mod_rows(rows, vec):
+    """Reduce an integer vector against echelon rows; None when it vanishes.
+
+    ``rows`` holds ``(row, pivot)`` pairs with distinct pivots, each row
+    zero at the pivots of the rows before it, as this function returns
+    them.  The result is zero at every pivot, divided by its gcd and
+    signed so that its first nonzero entry, its pivot, is positive: a
+    list reference for the packed kernel ``linalg._packed_echelon``,
+    cross-multiplying at each step and dividing by the gcd.
+    """
+    v = vec
+    for row, piv in rows:
+        if v[piv]:
+            lead, f = row[piv], v[piv]
+            v = [lead * a - f * b for a, b in zip(v, row)]
+    piv = next((i for i, a in enumerate(v) if a), -1)
+    if piv < 0:
+        return None
+    g = gcd(*v) if v[piv] > 0 else -gcd(*v)
+    return [a // g for a in v], piv
+
+
+def augment(vec, j, width):
+    """``vec ⊕ e_j`` with ``e_j`` of length ``width``."""
+    tail = [0] * width
+    tail[j] = 1
+    return vec + tail
+
+
+def rank(rows):
+    """Rank over the rationals, each row scaled to integers and reduced
+    by ``reduce_mod_rows`` against the independent rows before it."""
+    echelon = []
+    for row in rows:
+        entries = [Fraction(e) for e in row]
+        scale = lcm(*(e.denominator for e in entries))
+        reduced = reduce_mod_rows(echelon, [int(e * scale) for e in entries])
+        if reduced is not None:
+            echelon.append(reduced)
+    return len(echelon)
+
+
+def det(m):
+    """The determinant of a square matrix by Laplace expansion along its
+    first row."""
+    if len(m) == 1:
+        return Fraction(m[0][0])
+    total = Fraction(0)
+    for j in range(len(m)):
+        if m[0][j]:
+            minor = [row[:j] + row[j + 1:] for row in m[1:]]
+            total += (-1) ** j * m[0][j] * det(minor)
+    return total
 
 
 def plain_enumerate_size(c):

@@ -10,7 +10,7 @@ from random import Random
 
 import pytest
 
-from minbal import balance
+from minbal import balance, linalg
 from minbal.balance import (
     InequalityVector,
     SetSystem,
@@ -28,9 +28,9 @@ from minbal.balance import (
 from minbal.catalogue import generate, parse
 from minbal.cli import main
 from minbal.cones import conjugate
-from conftest import listed_is_lex_least, listed_marks, lp_conic_feasible, permute_coalition, plain_enumerate_size
+from conftest import augment, det, listed_is_lex_least, listed_marks, lp_conic_feasible, permute_coalition, plain_enumerate_size, reduce_mod_rows
 from minbal.games import game_of, letters
-from minbal.linalg import _eliminate, _packed_echelon, _primitive, augment, reduce_mod_rows, solve_unique
+from minbal.linalg import _eliminate, _hadamard_bits, _packed_echelon, _primitive, dependency, solve_unique
 from minbal.reference import BALANCED_COUNTS
 
 
@@ -297,68 +297,202 @@ class TestOrderlySearch:
         assert sum(size for _, size in types) == 200_213
 
 
+def _stepped(vectors, bits):
+    """Each of ``vectors`` entered as ``x ⊕ e_j`` and reduced by the
+    packed kernel against the independent ones before it, as
+    ``dependency`` reduces its columns, but going on past a vanishing
+    one: per vector, its entries after each step, from none to all, and
+    the pivots of the rows it was stepped through."""
+    d, k = len(vectors[0]), len(vectors)
+    pack, units, unpack, _, reduce_row, pivot, _ = _packed_echelon(d + k, d, bits)
+    rows, pivots, out = [], [], []
+    for x, unit in zip(vectors, units[d:]):
+        v = pack(x) + unit
+        out.append(([unpack(reduce_row(rows[:i], v)) for i in range(len(rows) + 1)], list(pivots)))
+        if (row := pivot(reduce_row(rows, v))) is not None:
+            rows.append(row)
+            pivots.append(row[1] // (2 * bits + 3))
+    return out
+
+
+def _assert_minors(entries, vectors, pivots):
+    """Each entry ``j`` of the last of ``vectors``, stepped through the
+    rows of the others, is up to sign their minor on ``pivots + [j]``:
+    zero at a pivot, where that minor repeats a column."""
+    for j, a in enumerate(entries):
+        assert abs(a) == (0 if j in pivots else abs(det([[vector[i] for i in pivots + [j]] for vector in vectors])))
+
+
+def _sylvester_minor():
+    """The 7 x 7 0/1 matrix of determinant 32 from the order-8 Sylvester
+    Hadamard matrix: its first row and column dropped, -1 read as 1 and 1
+    as 0.  Each row and each column holds four ones."""
+    h = [[1]]
+    for _ in range(3):
+        h = [row + row for row in h] + [row + [-a for a in row] for row in h]
+    return [[(1 - a) // 2 for a in row[1:]] for row in h[1:]]
+
+
 class TestPackedEchelon:
     @pytest.mark.parametrize("c", [3, 4, 5, 6])
     def test_reduction_matches_list_reduction(self, c):
         # seeded member sets, reduced as the search reduces them: each row
         # has reduce_mod_rows's pivot and is a positive multiple of its
-        # row, and so is the target stepped at each new pivot
-        pack, unpack, reduce_row, step = _packed_echelon(2 * c + 1, c, balance._BOUND_BITS)
-        width = 2 * balance._BOUND_BITS + 3
+        # row, and so is the target stepped at each new pivot; every entry
+        # of both is, up to sign, a minor of the vectors entered so far
+        bits = _hadamard_bits([[1] * c] * c)
+        pack, _, unpack, step, reduce_row, pivot, _ = _packed_echelon(2 * c + 1, c, bits)
+        width = 2 * bits + 3
         rng = Random(c)
         verdicts = {True: 0, False: 0}
         for _ in range(100):
-            rows, listed_rows = [], []
+            rows, listed_rows, entered, pivots = [], [], [], []
             listed_target = augment([1] * c, c, c + 1)
             target = pack(listed_target)
             for s in rng.sample(range(1, (1 << c) - 1), c + 2):
                 vector = augment([s >> j & 1 for j in range(c)], len(rows), c + 1)
-                row, (listed, pivot) = reduce_row(rows, pack(vector)), reduce_mod_rows(listed_rows, vector)
-                verdicts[pivot < c] += 1
-                if pivot >= c:
+                row, (listed, piv) = pivot(reduce_row(rows, pack(vector))), reduce_mod_rows(listed_rows, vector)
+                verdicts[piv < c] += 1
+                if piv >= c:
                     assert row is None
                     continue
                 v, at, lead = row
                 entries = unpack(v)
-                assert at == pivot * width and lead == entries[pivot] > 0
-                assert [a * listed[pivot] for a in entries] == [b * lead for b in listed]
+                assert at == piv * width and lead == entries[piv] > 0
+                assert [a * listed[piv] for a in entries] == [b * lead for b in listed]
+                _assert_minors(entries, [*entered, vector], pivots)
+                target = step(target, *row, rows[-1][2] if rows else 1)
                 rows.append(row)
-                listed_rows.append((listed, pivot))
-                target = step(target, *row)
-                if listed_target[pivot]:
-                    listed_target = _primitive(_eliminate(listed_target, listed, pivot))
+                listed_rows.append((listed, piv))
+                entered.append(vector)
+                pivots.append(piv)
+                if listed_target[piv]:
+                    listed_target = _primitive(_eliminate(listed_target, listed, piv))
                 stepped = unpack(target)
-                assert stepped[2 * c] > 0 and [a * listed_target[2 * c] for a in stepped] == [b * stepped[2 * c] for b in listed_target]
+                assert stepped[2 * c] == lead and [a * listed_target[2 * c] for a in stepped] == [b * lead for b in listed_target]
+                _assert_minors(stepped, [*entered, augment([1] * c, c, c + 1)], pivots)
         assert min(verdicts.values()) > 50
 
-    def test_entries_out_of_bound_raise(self):
-        # with 2 bits the bound is [-4, 4): a step whose entries stay in it
-        # gives exactly the list step, and any entry out of it raises, in
-        # every field, the highest included
-        pack, unpack, _, step = _packed_echelon(3, 1, 2)
-        for a, b, x, y in product(range(-4, 4), repeat=4):
-            v, row = [1, a, b], [1, x, y]
-            want = _eliminate(v, row, 0)
-            if all(-4 <= e < 4 for e in want):
-                assert unpack(step(pack(v), pack(row), 0, 1)) == want
-            else:
-                with pytest.raises(ArithmeticError, match=r"left \[-2\*\*2, 2\*\*2\)"):
-                    step(pack(v), pack(row), 0, 1)
+    def test_integer_matrix_entries_are_minors(self):
+        # seeded integer matrices up to 6 x 6, a third of them with a last
+        # row that combines the ones before it; each vector is also a
+        # multiple of the list reduction's, vanishing or not
+        rng = Random(31)
+        dependent = 0
+        for _ in range(150):
+            d, k = rng.randint(1, 6), rng.randint(1, 6)
+            vectors = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(k)]
+            if k > 1 and rng.random() < 1 / 3:
+                vectors[-1] = [sum(rng.randint(-2, 2) * x[i] for x in vectors[:-1]) for i in range(d)]
+            listed_rows, entered = [], []
+            for j, (trail, pivots) in enumerate(_stepped(vectors, _hadamard_bits(vectors))):
+                vector = augment(vectors[j], j, k)
+                for i, entries in enumerate(trail):
+                    _assert_minors(entries, [*entered[:i], vector], pivots[:i])
+                listed, piv = reduce_mod_rows(listed_rows, vector)
+                assert [a * listed[piv] for a in entries] == [b * entries[piv] for b in listed]
+                if piv < d:
+                    listed_rows.append((listed, piv))
+                    entered.append(vector)
+                else:
+                    dependent += 1
+        assert dependent > 50
 
-    def test_search_raises_when_the_bound_is_lowered(self, monkeypatch):
-        # the 5-player search's largest entry, 40, lies within 2**6 and not 2**5
-        def fields(systems):
-            return [(m.system, m.weights, m.k, m.alpha) for m in systems]
+    def test_a_width_below_an_entry_raises(self):
+        # the entries steps make within the Hadamard width fix the least
+        # width that holds them; one bit less raises the overflow error.
+        # The Sylvester matrix's largest is its determinant, 32, the last
+        # lead
+        rng = Random(32)
+        matrices = [_sylvester_minor()]
+        for _ in range(40):
+            d = rng.randint(2, 7)
+            matrices.append([[rng.randint(0, 1) for _ in range(d)] for _ in range(rng.randint(2, 7))])
+        for vectors in matrices:
+            bits = _hadamard_bits(vectors)
+            stepped = _stepped(vectors, bits)
+            made = [a for trail, _ in stepped for entries in trail[1:] for a in entries]
+            least = max(1, max(made).bit_length(), (-min(made) - 1).bit_length())
+            assert least <= bits and _stepped(vectors, least) == stepped
+            if least > 1:
+                with pytest.raises(ArithmeticError, match=rf"left \[-2\*\*{least - 1}, 2\*\*{least - 1}\)"):
+                    _stepped(vectors, least - 1)
+        trail, _ = _stepped(matrices[0], 6)[-1]
+        assert trail[-1][6] == 32 == max(a for trail, _ in _stepped(matrices[0], 6) for entries in trail for a in entries)
 
-        expected = fields(_enumerate_size(5))
-        monkeypatch.setattr(balance, "_BOUND_BITS", 6)
+    def test_a_wrong_previous_lead_raises(self):
+        # the rows of [[2, 1, 0], [1, 2, 1], [0, 1, 2]]: the third, stepped
+        # by the second row with the first row's lead 2 as prev, holds the
+        # determinant 4.  With prev 3 the packed division leaves a
+        # remainder; with prev 16 it leaves none, but 8 / 16 is no integer
+        # and the quotient's field leaves its range
+        pack, _, unpack, step, reduce_row, pivot, _ = _packed_echelon(3, 3, 4)
+        first = pivot(pack([2, 1, 0]))
+        second = pivot(reduce_row([first], pack([1, 2, 1])))
+        v = step(pack([0, 1, 2]), *first, 1)
+        assert unpack(step(v, *second, 2)) == [0, 0, 4] == unpack(reduce_row([first, second], pack([0, 1, 2])))
+        with pytest.raises(ArithmeticError, match="remainder"):
+            step(v, *second, 3)
+        with pytest.raises(ArithmeticError, match=r"left \[-2\*\*4, 2\*\*4\)"):
+            step(v, *second, 16)
+
+    def test_widths_from_hadamard(self, monkeypatch):
+        # the widths the _packed_echelon docstring lists: the search's at
+        # c = 2..7, each above the largest 0/1 determinant of order c, and
+        # dependency's on n + 1 incidence vectors at n = 2..12, the largest
+        # at the all-ones vectors; both callers pick them
+        search = [_hadamard_bits([[1] * c] * c) for c in range(2, 8)]
+        assert search == [2, 3, 5, 6, 8, 10]
+        assert all(2**bits > top for bits, top in zip(search, [1, 2, 3, 5, 9, 32]))
+        columns = [_hadamard_bits([[1] * n] * (n + 1)) for n in range(2, 13)]
+        assert columns == [2, 4, 6, 7, 10, 12, 14, 16, 19, 21, 24]
+        widths = []
+
+        def spy(length, leading, bits):
+            widths.append(bits)
+            return _packed_echelon(length, leading, bits)
+
+        monkeypatch.setattr(balance, "_packed_echelon", spy)
+        monkeypatch.setattr(linalg, "_packed_echelon", spy)
+        for c in range(2, 6):
+            _enumerate_size.cache_clear()
+            _enumerate_size(c)
+        for n in range(2, 13):
+            assert dependency([[1] * n] * (n + 1)) == [1, -1] + [0] * (n - 1)
+        assert widths == search[:4] + columns
+
+    def test_pack_and_sign_test_match_the_entries(self):
+        # a vector or a prefix of one, entries in [-2**5, 2**5), packs and
+        # unpacks to itself padded with zeros, and the sign test on a
+        # range of entries reads what the unpacked entries say
+        pack, _, unpack, _, _, _, negative = _packed_echelon(7, 3, 5)
+        rng = Random(33)
+        for _ in range(500):
+            vector = [rng.choice((rng.randint(-32, 31), rng.randint(-2, 0))) for _ in range(rng.randint(0, 7))]
+            assert unpack(pack(vector)) == vector + [0] * (7 - len(vector))
+            start = rng.randint(0, 7)
+            stop = rng.randint(start, 7)
+            assert negative(pack(vector), start, stop) == all(a < 0 for a in unpack(pack(vector))[start:stop])
+
+    def test_leaves_decoded_only_when_their_signs_pass(self, monkeypatch):
+        # every leaf whose weights are all positive is a type, so the
+        # search unpacks once per type; at c = 5 the carrier lies in the
+        # span at 1045 leaves, for 44 types
+        unpacked = []
+
+        def kernel(length, leading, bits):
+            pack, units, unpack, step, reduce_row, pivot, negative = _packed_echelon(length, leading, bits)
+            return pack, units, lambda v: unpacked.append(v) or unpack(v), step, reduce_row, pivot, negative
+
+        monkeypatch.setattr(balance, "_packed_echelon", kernel)
         _enumerate_size.cache_clear()
-        assert fields(_enumerate_size(5)) == expected
-        monkeypatch.setattr(balance, "_BOUND_BITS", 5)
-        _enumerate_size.cache_clear()
-        with pytest.raises(ArithmeticError, match=r"left \[-2\*\*5, 2\*\*5\)"):
-            _enumerate_size(5)
-        _enumerate_size.cache_clear()
+        assert len(_enumerate_size(5)) == len(unpacked) == 44
+
+    def test_sylvester_determinant_32(self):
+        m = _sylvester_minor()
+        assert abs(det(m)) == 32
+        assert dependency(m) is None
+        assert solve_unique(m, [1] * 7) == (F(1, 4),) * 7
 
 
 class TestPackedCanonicity:

@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from conftest import conic_lp_system, fraction_lp_feasible, tight_rows
+from conftest import augment, conic_lp_system, det, fraction_lp_feasible, rank, reduce_mod_rows, tight_rows
 from minbal import linalg, reduction
 from minbal.balance import enumerate_min_balanced
 from minbal.games import Game, anti_dual, letters, random_game
@@ -19,7 +19,6 @@ from minbal.linalg import (
     conic_feasible,
     dependency,
     lp_feasible,
-    rank,
     solve_unique,
 )
 
@@ -30,25 +29,6 @@ INCIDENCE = [
     (1, 0, 0, 1, 0),
     (0, 1, 1, 1, 0),
 ]
-
-
-class TestRank:
-    def test_incidence_matrix(self):
-        assert rank(INCIDENCE) == 4
-
-    def test_zero_matrix(self):
-        assert rank([[0, 0, 0], [0, 0, 0]]) == 0
-
-    def test_identity(self):
-        assert rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            rank([])
-
-    def test_ragged_rejected(self):
-        with pytest.raises(DimensionError):
-            rank([[1, 0], [1]])
 
 
 class TestDependency:
@@ -243,23 +223,12 @@ class TestAnswerChecks:
 
 # -- brute-force oracles -------------------------------------------------
 
-def _det(m):
-    if len(m) == 1:
-        return F(m[0][0])
-    total = F(0)
-    for j in range(len(m)):
-        if m[0][j]:
-            minor = [row[:j] + row[j + 1:] for row in m[1:]]
-            total += (-1) ** j * m[0][j] * _det(minor)
-    return total
-
-
 def _brute_rank(rows):
     nr, nc = len(rows), len(rows[0])
     for k in range(min(nr, nc), 0, -1):
         for rsub in combinations(range(nr), k):
             for csub in combinations(range(nc), k):
-                if _det([[rows[i][j] for j in csub] for i in rsub]) != 0:
+                if det([[rows[i][j] for j in csub] for i in rsub]) != 0:
                     return k
     return 0
 
@@ -280,21 +249,22 @@ def _brute_conic(gens, target):
     return False
 
 
-def _random_matrix(rng, nr, nc):
-    return [[F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(nc)] for _ in range(nr)]
+def _large(rng):
+    """A rational with a numerator up to 10**20 in size and a denominator
+    up to 10**6."""
+    return F(rng.randint(-10**20, 10**20), rng.randint(1, 10**6))
 
 
-def test_rank_matches_determinant_oracle():
-    rng = Random(101)
-    for _ in range(300):
-        nr, nc = rng.randint(1, 4), rng.randint(1, 4)
-        m = _random_matrix(rng, nr, nc)
-        assert rank(m) == _brute_rank(m)
+def _combination(rng, vectors, coefficient):
+    """``sum(coefficient() * v)`` over ``vectors``, coordinate by coordinate."""
+    weights = [coefficient() for _ in vectors]
+    return tuple(sum(c * v[i] for c, v in zip(weights, vectors)) for i in range(len(vectors[0])))
 
 
 def test_solve_unique_iff_rank_unchanged():
     # presence of a solution must coincide with rank([cols])=rank([cols|t])
     rng = Random(202)
+    inputs = []
     checked = 0
     while checked < 500:
         d = rng.randint(1, 5)
@@ -303,24 +273,47 @@ def test_solve_unique_iff_rank_unchanged():
         if rank(cols) < k:
             continue  # precondition: independent columns
         target = tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(d))
+        inputs.append((cols, target))
+        checked += 1
+    # large rationals, the target half the time in the span of the columns
+    for _ in range(100):
+        d = rng.randint(1, 5)
+        cols = [tuple(_large(rng) for _ in range(d)) for _ in range(rng.randint(1, d))]
+        target = _combination(rng, cols, lambda: _large(rng)) if rng.random() < 0.5 else tuple(_large(rng) for _ in range(d))
+        inputs.append((cols, target))
+    solved = set()
+    for cols, target in inputs:
+        k, d = len(cols), len(target)
+        assert rank(cols) == k
         sol = solve_unique(cols, target)
+        solved.add(sol is not None)
         rows = [list(c) for c in cols] + [list(target)]
         grew = _brute_rank(rows) > k
         assert (sol is None) == grew
         if sol is not None:
             for i in range(d):
                 assert sum(s * c[i] for s, c in zip(sol, cols)) == target[i]
-        checked += 1
+    assert solved == {True, False}
 
 
 def test_dependency_matches_rank_oracle():
     # None exactly on full column rank; otherwise the coefficients end at
     # the first column that depends on the ones before it
     rng = Random(202)
-    found = set()
+    inputs = []
     for _ in range(300):
         d, k = rng.randint(1, 4), rng.randint(1, 5)
-        cols = [tuple(F(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(d)) for _ in range(k)]
+        inputs.append([tuple(F(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(d)) for _ in range(k)])
+    # large rationals, half the time with a column that combines the ones before it
+    for _ in range(100):
+        d = rng.randint(1, 4)
+        cols = [tuple(_large(rng) for _ in range(d)) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.5:
+            cols.insert(rng.randint(1, len(cols)), _combination(rng, cols[: rng.randint(1, len(cols))], lambda: _large(rng)))
+        inputs.append(cols)
+    found = set()
+    for cols in inputs:
+        d, k = len(cols[0]), len(cols)
         c = dependency(cols)
         found.add(c is None)
         if c is None:
@@ -328,29 +321,70 @@ def test_dependency_matches_rank_oracle():
             continue
         j = max(i for i, v in enumerate(c) if v)
         assert all(isinstance(v, int) for v in c) and len(c) == k
+        assert next(filter(None, c)) > 0 and gcd(*c) == 1
         assert j == 0 or _brute_rank(cols[:j]) == j
         for i in range(d):
             assert sum(v * col[i] for v, col in zip(c, cols)) == 0
     assert found == {True, False}
 
 
+def test_dependency_matches_list_reduction():
+    # the packed kernel returns exactly the dependency of the list
+    # reduction, on the same scaled coordinates: the first dependency is
+    # unique up to scale, and both fix the scale the same way.  Small and
+    # large rationals and 0/1 vectors, half the time with a last column
+    # that combines the ones before it
+    rng = Random(505)
+    draws = [lambda: F(rng.randint(-3, 3), rng.choice((1, 2))), lambda: _large(rng), lambda: rng.randint(0, 1)]
+    found = set()
+    for _ in range(300):
+        entry = rng.choice(draws)
+        d, k = rng.randint(0, 5), rng.randint(1, 6)
+        cols = [tuple(entry() for _ in range(d)) for _ in range(k)]
+        if k > 1 and rng.random() < 0.5:
+            cols[-1] = _combination(rng, cols[:-1], lambda: rng.randint(-2, 2))
+        scaled = [_integer_row([c[i] for c in cols]) for i in range(d)]
+        listed, rows = None, []
+        for j in range(k):
+            r, piv = reduce_mod_rows(rows, augment([row[j] for row in scaled], j, k))
+            if piv >= d:
+                listed = r[d:]
+                break
+            rows.append((r, piv))
+        assert dependency(cols) == listed
+        found.add(listed is None)
+    assert found == {True, False}
+
+
 def test_conic_matches_sign_pattern_oracle():
     rng = Random(303)
+    inputs = []
     for _ in range(250):
         d = rng.randint(1, 4)
         ngen = rng.randint(1, 4)
         gens = [tuple(F(rng.randint(-2, 3)) for _ in range(d)) for _ in range(ngen)]
-        target = tuple(F(rng.randint(-3, 3)) for _ in range(d))
+        inputs.append((gens, tuple(F(rng.randint(-3, 3)) for _ in range(d))))
+    # large rationals, the target a combination of the generators with
+    # coefficients of either sign
+    for _ in range(100):
+        d = rng.randint(1, 4)
+        gens = [tuple(_large(rng) for _ in range(d)) for _ in range(rng.randint(1, 4))]
+        inputs.append((gens, _combination(rng, gens, lambda: _large(rng))))
+    verdicts = set()
+    for gens, target in inputs:
+        d, ngen = len(target), len(gens)
         if _brute_rank(gens) < ngen:
             with pytest.raises(ValueError):
                 conic_feasible(gens, target)
             continue
         got = conic_feasible(gens, target)
+        verdicts.add(got is not None)
         assert (got is not None) == _brute_conic(gens, target)
         if got is not None:
             assert all(c >= 0 for c in got)
             for i in range(d):
                 assert sum(c * g[i] for c, g in zip(got, gens)) == target[i]
+    assert verdicts == {True, False}
 
 
 def test_lp_answers_verify_exactly():
