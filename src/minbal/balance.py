@@ -259,7 +259,8 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
     integer (``linalg._packed_echelon``), so a candidate is dependent when
     it reduces to zero on the first ``c`` entries.  Each node also carries
     the target ``1_c ⊕ e_c`` reduced against its rows, one step per child,
-    so the carrier lies in the chosen span exactly when the target's first
+    ``reduce_row`` by the child's row with the parent's last lead as
+    ``prev``, so the carrier lies in the chosen span exactly when the target's first
     ``c`` entries vanish; its tail then holds the weights times minus its
     entry ``2c``, which no step eliminates: the last lead, positive.  The
     leaf tests the weights' signs on the packed target and unpacks only a
@@ -293,7 +294,7 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
     for i in range(ncand - 1, -1, -1):
         suffix_cover[i] = suffix_cover[i + 1] | candidates[i]
     marks, is_lex_least, _ = _packed_marks(c)
-    pack, units, unpack, step, reduce_row, pivot, negative = _packed_echelon(2 * c + 1, c, _hadamard_bits([[1] * c] * c))
+    pack, units, unpack, reduce_row, pivot, negative = _packed_echelon(2 * c + 1, c, _hadamard_bits([[1] * c] * c))
     chi = [pack([s >> j & 1 for j in range(c)]) for s in range(full)]
     found: list[MinBalancedSystem] = []
 
@@ -313,12 +314,12 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
             extended = images | marks[s]
             if not is_lex_least(extended):
                 continue
-            row = pivot(reduce_row(rows, chi[s] | units[c + depth]))
+            row = pivot(reduce_row(rows, chi[s] | units[c + depth], 1))
             if row is None:
                 continue
             chosen.append(s)
             rows.append(row)
-            visit(i + 1, chosen, union | s, rows, extended, step(target, *row, rows[-2][2] if depth else 1))
+            visit(i + 1, chosen, union | s, rows, extended, reduce_row(rows[-1:], target, rows[-2][2] if depth else 1))
             rows.pop()
             chosen.pop()
 

@@ -74,9 +74,6 @@ class TightAllocationTable:
 
     allocations: tuple[tuple[int, Payoffs], ...]
 
-    def allocation(self, coalition: int) -> Payoffs:
-        return dict(self.allocations)[coalition]
-
 
 @dataclass(frozen=True)
 class ViolatedSystem:

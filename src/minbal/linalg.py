@@ -26,12 +26,12 @@ Bland's pivoting rule, which terminates on every input without cycling;
 only the membership oracles of :mod:`minbal.cones` run it.  Each row and
 its right-hand side are scaled to integers once (``int`` input is used
 as it is), and everything after that is integer arithmetic.  The
-tableau holds the split variables x = u - v and one column per row, the
-row's slack; a row's artificial column stays a signed copy of that
-column, so it is not stored.  Each row is a positive integer multiple of
-the row of the rational tableau, so a pivot is the same elimination
-step, ratios compare by cross-multiplying and the pivots are those of
-the rational simplex.  A point comes out as integer numerators over one
+tableau stores u's columns of the split x = u - v and one column per
+row, the row's slack; v's columns and the artificials are signed reads
+of stored columns.  Each row is a positive integer multiple of the row
+of the rational tableau, so a pivot is the same elimination step,
+ratios compare by cross-multiplying and the pivots are those of the
+rational simplex.  A point comes out as integer numerators over one
 common denominator, and a Farkas vector as integer multipliers over the
 cost row's scale.  Every answer is checked against the scaled rows
 before it is returned (:func:`_verify_point`, :func:`_verify_farkas`),
@@ -111,7 +111,7 @@ def _hadamard_bits(rows: Sequence[Sequence[int]]) -> int:
 
 
 @lru_cache(maxsize=64)
-def _packed_echelon(length: int, leading: int, bits: int) -> tuple[Callable, list[int], Callable, Callable, Callable, Callable, Callable]:
+def _packed_echelon(length: int, leading: int, bits: int) -> tuple[Callable, list[int], Callable, Callable, Callable, Callable]:
     """Fraction-free elimination that divides exactly by the previous
     pivot (Bareiss 1968), on integer vectors of ``length`` entries, each
     packed into one ``int``: entry ``j`` is a signed field of ``w = 2 *
@@ -121,14 +121,13 @@ def _packed_echelon(length: int, leading: int, bits: int) -> tuple[Callable, lis
     - ``pack(vector)``, the ``int`` of a vector or of a prefix of one;
     - ``units``, the ``int`` of each unit vector;
     - ``unpack(v)``, the list of ``v``'s entries;
-    - ``step(v, row, at, lead, prev)``, ``(lead * v - f * row) / prev``
-      for ``v``'s entry ``f`` at the pivot of ``row``, the field at bit
-      ``at``, where ``row`` holds ``lead > 0`` and ``prev`` is the lead
-      of the row before ``row`` (1 for the first row); a step with ``f ==
-      0`` still multiplies and divides, or the next division is inexact;
-    - ``reduce_row(rows, v)``, ``v`` stepped through the ``(row, at,
-      lead)`` triples of ``rows`` in order, each step's ``prev`` the lead
-      of the row before;
+    - ``reduce_row(rows, v, prev)``, ``v`` stepped through the ``(row,
+      at, lead)`` triples of ``rows`` in order, each step ``(lead * v - f
+      * row) / prev`` for ``v``'s entry ``f`` at the pivot of ``row``, the
+      field at bit ``at``, where ``row`` holds ``lead > 0``; ``prev`` is
+      the lead before the first row (1 for a fresh echelon), then the
+      lead of the row before.  A step with ``f == 0`` still multiplies
+      and divides, or the next division is inexact;
     - ``pivot(v)``, ``None`` when the first ``leading`` entries of ``v``
       vanish, else ``v`` or its negative, whichever is positive at its
       pivot, its lowest nonzero field, with ``at`` and ``lead``: the
@@ -196,19 +195,8 @@ def _packed_echelon(length: int, leading: int, bits: int) -> tuple[Callable, lis
         v += halves
         return [(v >> at & mask) - half for at in shifts]
 
-    def step(v: int, row: int, at: int, lead: int, prev: int) -> int:
-        v = lead * v - ((v + halves >> at & mask) - half) * row
-        if prev != 1:
-            v, r = divmod(v, prev)
-            if r:
-                raise ArithmeticError(inexact)
-        if v + bound & high:
-            raise ArithmeticError(overflow)
-        return v
-
-    def reduce_row(rows: list[tuple[int, int, int]], v: int) -> int:
-        prev = 1
-        for row, at, lead in rows:  # step, inlined: a call per row made the 5-player search a fifth slower
+    def reduce_row(rows: list[tuple[int, int, int]], v: int, prev: int) -> int:
+        for row, at, lead in rows:
             v = lead * v - ((v + halves >> at & mask) - half) * row
             if prev != 1:
                 v, r = divmod(v, prev)
@@ -229,7 +217,7 @@ def _packed_echelon(length: int, leading: int, bits: int) -> tuple[Callable, lis
     def negative(v: int, start: int, stop: int) -> bool:
         return not v + halves & halves & (1 << stop * w) - (1 << start * w)
 
-    return pack, units, unpack, step, reduce_row, pivot, negative
+    return pack, units, unpack, reduce_row, pivot, negative
 
 
 def dependency(columns: Sequence[Sequence]) -> Optional[list[int]]:
@@ -251,10 +239,10 @@ def dependency(columns: Sequence[Sequence]) -> Optional[list[int]]:
     # the dependencies unchanged.
     scaled = [_integer_row([c[i] for c in cols]) for i in range(d)]
     vectors = list(zip(*scaled)) if d else [()] * k
-    pack, units, unpack, _, reduce_row, pivot, _ = _packed_echelon(d + k, d, _hadamard_bits(vectors))
+    pack, units, unpack, reduce_row, pivot, _ = _packed_echelon(d + k, d, _hadamard_bits(vectors))
     echelon: list[tuple[int, int, int]] = []
     for vector, unit in zip(vectors, units[d:]):
-        v = reduce_row(echelon, pack(vector) + unit)
+        v = reduce_row(echelon, pack(vector) + unit, 1)
         if (row := pivot(v)) is None:
             tail = unpack(v)[d:]
             return _primitive(tail if next(filter(None, tail)) > 0 else [-a for a in tail])
@@ -343,7 +331,7 @@ def lp_feasible(
         raise DimensionError("explicit dimension does not match the rows")
 
     m = mi + me
-    ncols = 2 * nvar + m          # right-hand side column
+    ncols = nvar + m              # right-hand side column
     # Row i, its right-hand side and a trailing 1, times the lcm of their
     # denominators: the checks read the row there and the lcm at the end.
     scaled = [_integer_row([*row, r, 1]) for row, r in zip(rows, b)]
@@ -351,16 +339,18 @@ def lp_feasible(
     # k_i, that lcm signed so that the scaled right-hand side is >= 0:
     # the slack of an inequality row, a column that never enters for an
     # equality row.  Each row is |k_i| times the rational tableau's row,
-    # and pivots keep it a positive multiple.  Artificial i stays that
-    # column times sgn(k_i), as both start on e_i and pivots are row
-    # operations, so it is not stored; basis label ncols + i stands for
-    # it.  The trailing 0 is the cost row's scale.
+    # and pivots keep it a positive multiple.  Only u's columns and the
+    # row columns are stored: v_j's column stays u_j's negated, and
+    # artificial i stays row i's column times sgn(k_i), as they start so
+    # and pivots are row operations.  Basis labels are u_j = j, v_j =
+    # nvar + j, slack i = 2 * nvar + i and artificial i = 2 * nvar + m +
+    # i.  The trailing 0 is the cost row's scale.
     tab: list[list[int]] = []
     for i, (*line, r, k) in enumerate(scaled):
         if r < 0:
             line, r, k = [-e for e in line], -r, -k
-        line += [-e for e in line] + [0] * m + [r, 0]
-        line[2 * nvar + i] = k
+        line += [0] * m + [r, 0]
+        line[nvar + i] = k
         tab.append(line)
     # Phase-1 reduced costs: unit cost on artificials, with the artificial
     # basis eliminated.  Artificial i's reduced cost is the scale plus
@@ -370,43 +360,49 @@ def lp_feasible(
     common = lcm(*(row[-1] for row in scaled))
     weighted = tab if common == 1 else [[common // row[-1] * a for a in line] for row, line in zip(scaled, tab)]
     cost = _primitive([-sum(column) for column in zip(*weighted)][:-1] + [common])
-    basis = list(range(ncols, ncols + m))
+    basis = list(range(nvar + ncols, nvar + ncols + m))
+    # Each label Bland's rule may enter, in order, with its stored column
+    # and sign; artificials never re-enter.
+    labels = [(j, 1) for j in range(nvar)] + [(j, -1) for j in range(nvar)] + [(nvar + i, 1) for i in range(mi)]
 
     while True:
-        # Bland: entering column is the lowest-index negative reduced
-        # cost among u, v and the slacks; artificials never re-enter.
-        enter = next((j for j in range(2 * nvar + mi) if cost[j] < 0), None)
+        # Bland: entering label is the lowest one with a negative reduced cost.
+        enter = next((j for j, (col, sign) in enumerate(labels) if sign * cost[col] < 0), None)
         if enter is None:
             break
+        col, sign = labels[enter]
         leave = None
         for i, line in enumerate(tab):
-            a = line[enter]
+            a = sign * line[col]
             if a > 0:
                 if leave is None:
                     leave = i
                     continue
                 best = tab[leave]
-                d = line[ncols] * best[enter] - best[ncols] * a
+                d = line[ncols] * sign * best[col] - best[ncols] * a
                 if d < 0 or (d == 0 and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise RuntimeError("phase-1 objective is bounded; no pivot row found")
-        prow = tab[leave]
+        # Entering v_j steps by the pivot row negated: the full tableau's
+        # step on every stored entry, and no gcd changes, as the entries
+        # not stored are negations of stored ones.
+        prow = tab[leave] if sign > 0 else [-e for e in tab[leave]]
         for i, line in enumerate(tab):
-            if i != leave and line[enter]:
-                tab[i] = _primitive(_eliminate(line, prow, enter))
-        cost = _primitive(_eliminate(cost, prow, enter))
+            if i != leave and line[col]:
+                tab[i] = _primitive(_eliminate(line, prow, col))
+        cost = _primitive(_eliminate(cost, prow, col))
         basis[leave] = enter
 
     if cost[ncols] == 0:
-        # A basic u_j or v_j is its row's right-hand side over its
-        # (positive) column entry; the point takes their common
-        # denominator.
-        basic = [(line[ncols], line[bv], bv) for line, bv in zip(tab, basis) if bv < 2 * nvar]
-        den = lcm(*(d for _, d, _ in basic))
+        # A basic u_j or v_j is its row's right-hand side over its entry in
+        # u_j's column, positive for u_j and negative for v_j; the point
+        # takes their common denominator.
+        basic = [(bv % nvar, line[ncols], line[bv % nvar]) for line, bv in zip(tab, basis) if bv < 2 * nvar]
+        den = lcm(*(d for _, _, d in basic))
         nums = [0] * nvar
-        for r, d, bv in basic:
-            nums[bv % nvar] += r * (den // d) if bv < nvar else -r * (den // d)
+        for j, r, d in basic:
+            nums[j] += r * (den // d)
         g = gcd(den, *nums)
         nums, den = tuple(p // g for p in nums), den // g
         _verify_point(scaled, mi, nums, den)
@@ -415,7 +411,7 @@ def lp_feasible(
     # Infeasible: the simplex multipliers y_i = 1 - (reduced cost of
     # artificial i) give the Farkas vector lam = -sgn(k_i) * y_i in the
     # original row signs, which is row i's column entry over the scale.
-    multipliers = cost[2 * nvar : ncols]
+    multipliers = cost[nvar:ncols]
     _verify_farkas(scaled, mi, multipliers)
     return FeasibilityResult(None, 1, tuple(Fraction(c, cost[-1]) for c in multipliers))
 

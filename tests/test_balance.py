@@ -304,12 +304,12 @@ def _stepped(vectors, bits):
     one: per vector, its entries after each step, from none to all, and
     the pivots of the rows it was stepped through."""
     d, k = len(vectors[0]), len(vectors)
-    pack, units, unpack, _, reduce_row, pivot, _ = _packed_echelon(d + k, d, bits)
+    pack, units, unpack, reduce_row, pivot, _ = _packed_echelon(d + k, d, bits)
     rows, pivots, out = [], [], []
     for x, unit in zip(vectors, units[d:]):
         v = pack(x) + unit
-        out.append(([unpack(reduce_row(rows[:i], v)) for i in range(len(rows) + 1)], list(pivots)))
-        if (row := pivot(reduce_row(rows, v))) is not None:
+        out.append(([unpack(reduce_row(rows[:i], v, 1)) for i in range(len(rows) + 1)], list(pivots)))
+        if (row := pivot(reduce_row(rows, v, 1))) is not None:
             rows.append(row)
             pivots.append(row[1] // (2 * bits + 3))
     return out
@@ -341,7 +341,7 @@ class TestPackedEchelon:
         # row, and so is the target stepped at each new pivot; every entry
         # of both is, up to sign, a minor of the vectors entered so far
         bits = _hadamard_bits([[1] * c] * c)
-        pack, _, unpack, step, reduce_row, pivot, _ = _packed_echelon(2 * c + 1, c, bits)
+        pack, _, unpack, reduce_row, pivot, _ = _packed_echelon(2 * c + 1, c, bits)
         width = 2 * bits + 3
         rng = Random(c)
         verdicts = {True: 0, False: 0}
@@ -351,7 +351,7 @@ class TestPackedEchelon:
             target = pack(listed_target)
             for s in rng.sample(range(1, (1 << c) - 1), c + 2):
                 vector = augment([s >> j & 1 for j in range(c)], len(rows), c + 1)
-                row, (listed, piv) = pivot(reduce_row(rows, pack(vector))), reduce_mod_rows(listed_rows, vector)
+                row, (listed, piv) = pivot(reduce_row(rows, pack(vector), 1)), reduce_mod_rows(listed_rows, vector)
                 verdicts[piv < c] += 1
                 if piv >= c:
                     assert row is None
@@ -361,7 +361,7 @@ class TestPackedEchelon:
                 assert at == piv * width and lead == entries[piv] > 0
                 assert [a * listed[piv] for a in entries] == [b * lead for b in listed]
                 _assert_minors(entries, [*entered, vector], pivots)
-                target = step(target, *row, rows[-1][2] if rows else 1)
+                target = reduce_row([row], target, rows[-1][2] if rows else 1)
                 rows.append(row)
                 listed_rows.append((listed, piv))
                 entered.append(vector)
@@ -426,15 +426,15 @@ class TestPackedEchelon:
         # determinant 4.  With prev 3 the packed division leaves a
         # remainder; with prev 16 it leaves none, but 8 / 16 is no integer
         # and the quotient's field leaves its range
-        pack, _, unpack, step, reduce_row, pivot, _ = _packed_echelon(3, 3, 4)
+        pack, _, unpack, reduce_row, pivot, _ = _packed_echelon(3, 3, 4)
         first = pivot(pack([2, 1, 0]))
-        second = pivot(reduce_row([first], pack([1, 2, 1])))
-        v = step(pack([0, 1, 2]), *first, 1)
-        assert unpack(step(v, *second, 2)) == [0, 0, 4] == unpack(reduce_row([first, second], pack([0, 1, 2])))
+        second = pivot(reduce_row([first], pack([1, 2, 1]), 1))
+        v = reduce_row([first], pack([0, 1, 2]), 1)
+        assert unpack(reduce_row([second], v, 2)) == [0, 0, 4] == unpack(reduce_row([first, second], pack([0, 1, 2]), 1))
         with pytest.raises(ArithmeticError, match="remainder"):
-            step(v, *second, 3)
+            reduce_row([second], v, 3)
         with pytest.raises(ArithmeticError, match=r"left \[-2\*\*4, 2\*\*4\)"):
-            step(v, *second, 16)
+            reduce_row([second], v, 16)
 
     def test_widths_from_hadamard(self, monkeypatch):
         # the widths the _packed_echelon docstring lists: the search's at
@@ -465,7 +465,7 @@ class TestPackedEchelon:
         # a vector or a prefix of one, entries in [-2**5, 2**5), packs and
         # unpacks to itself padded with zeros, and the sign test on a
         # range of entries reads what the unpacked entries say
-        pack, _, unpack, _, _, _, negative = _packed_echelon(7, 3, 5)
+        pack, _, unpack, _, _, negative = _packed_echelon(7, 3, 5)
         rng = Random(33)
         for _ in range(500):
             vector = [rng.choice((rng.randint(-32, 31), rng.randint(-2, 0))) for _ in range(rng.randint(0, 7))]
@@ -481,8 +481,8 @@ class TestPackedEchelon:
         unpacked = []
 
         def kernel(length, leading, bits):
-            pack, units, unpack, step, reduce_row, pivot, negative = _packed_echelon(length, leading, bits)
-            return pack, units, lambda v: unpacked.append(v) or unpack(v), step, reduce_row, pivot, negative
+            pack, units, unpack, reduce_row, pivot, negative = _packed_echelon(length, leading, bits)
+            return pack, units, lambda v: unpacked.append(v) or unpack(v), reduce_row, pivot, negative
 
         monkeypatch.setattr(balance, "_packed_echelon", kernel)
         _enumerate_size.cache_clear()

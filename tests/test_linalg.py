@@ -7,12 +7,14 @@ from random import Random
 
 import pytest
 
-from conftest import augment, conic_lp_system, det, fraction_lp_feasible, rank, reduce_mod_rows, tight_rows
+import conftest
+from conftest import _fraction_pivot, augment, conic_lp_system, det, fraction_lp_feasible, rank, reduce_mod_rows, tight_rows
 from minbal import linalg, reduction
 from minbal.balance import enumerate_min_balanced
 from minbal.games import Game, anti_dual, letters, random_game
 from minbal.linalg import (
     DimensionError,
+    _eliminate,
     _integer_row,
     _verify_farkas,
     _verify_point,
@@ -492,12 +494,26 @@ def test_mixed_systems_match_fraction_simplex(monkeypatch):
     # right-hand side, so Bland's tie-break decides the pivots
     recorded, seeded = _conic_inputs(monkeypatch)
     systems += [conic_lp_system(gens, target) for gens, target in recorded + seeded]
-    outcomes = set()
+    # the integer tableau stores u's columns, one column per row, the
+    # right-hand side and the scale, and no v column: every row it
+    # eliminates has nvar + m + 2 entries, while the Fraction simplex
+    # enters a v label (nvar + j) in 224 of the 300 random systems
+    widths, entered = [], []
+    monkeypatch.setattr(linalg, "_eliminate", lambda v, row, piv: widths.append((len(v), len(row))) or _eliminate(v, row, piv))
+    monkeypatch.setattr(conftest, "_fraction_pivot", lambda tab, cost, basis, leave, enter: entered.append(enter) or _fraction_pivot(tab, cost, basis, leave, enter))
+    outcomes, v_entered = set(), []
     for ineq, eq, rhs in systems:
+        widths.clear()
+        entered.clear()
         res = lp_feasible(ineq, eq, rhs)
         assert (res.point, res.farkas) == fraction_lp_feasible(ineq, eq, rhs)
+        nvar, m = len((ineq + eq)[0]), len(ineq) + len(eq)
+        assert set(widths) <= {(nvar + m + 2, nvar + m + 2)} and bool(widths) == bool(entered)
+        v_entered.append(any(nvar <= j < 2 * nvar for j in entered))
         outcomes.add(res.feasible)
+    monkeypatch.undo()
     assert outcomes == {True, False}
+    assert sum(v_entered[:300]) == 224
     # is_reducible passes independent generators, whose unique
     # combination is the LP's point; conic_feasible rejects dependent ones
     for gens, target in recorded:
