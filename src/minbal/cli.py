@@ -6,14 +6,28 @@ file with optional certificates, and ``verify`` runs the built-in
 verification suites.  Results go to stdout as UTF-8 bytes, whatever
 its encoding, diagnostics to stderr.  ``_write`` writes a catalogue as
 ``catalogue._pieces`` and a JSON listing as ``catalogue._json_block`` items.
-Exit codes: 0 on success or an affirmative verdict, 1 on a negative
-verdict or a failed verification item, 2 on usage or input errors,
-141 (128 + SIGPIPE) when the reader closes stdout before the end.
+
+The command line is one table, :data:`COMMANDS`: each command has a
+help line, its handler and its options, and each option a long name, a
+metavar or ``"flag"``, a conversion (``int``, ``str`` or a tuple of
+choices), its default or :data:`REQUIRED`, and a help text.
+:func:`_parse` hands the options after the command to the stdlib's
+``getopt.getopt``, which takes ``--opt value`` and ``--opt=value`` and
+any unique prefix of a name, then converts the values in order and
+returns the handler with one attribute per option, named with ``_`` for
+``-``.  A value is the next argument whatever it starts with.  The same
+table renders ``minbal -h`` and ``minbal CMD -h`` on stdout, and every
+usage error as a usage line and ``minbal CMD: error: ...`` on stderr.
+
+Exit codes: 0 on success, an affirmative verdict or ``-h``, 1 on a
+negative verdict or a failed verification item, 2 on usage or input
+errors, 141 (128 + SIGPIPE) when the reader closes stdout before the
+end.
 """
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import json
 import logging
 import os
@@ -22,7 +36,8 @@ from contextlib import nullcontext
 from itertools import chain
 from json.encoder import encode_basestring
 from random import Random
-from typing import Iterable, Iterator, Optional
+from types import SimpleNamespace
+from typing import Iterable, Iterator, NoReturn, Optional
 
 from . import catalogue as cat
 from .balance import system_of
@@ -45,8 +60,7 @@ from .reference import APPENDIX, BALANCED_COUNTS, EXACT_FACET_COUNTS
 def main(argv: Optional[list[str]] = None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(name)s: %(message)s")
     logging.getLogger("minbal").setLevel(logging.INFO)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.handler(args)
     except BrokenPipeError:
@@ -56,57 +70,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (GameFormatError, cat.CatalogueFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="minbal",
-        description="Min-balanced coalition systems, facet catalogues of the"
-        " balanced / totally balanced / (conjectured) exact game cones, and"
-        " certified membership checks, all in exact rational arithmetic.",
-    )
-    sub = parser.add_subparsers(required=True)
-
-    p_enum = sub.add_parser("enumerate", help="list min-balanced systems")
-    p_enum.add_argument("--players", type=int, required=True, metavar="N",
-                        help="number of players (2-6), named a, b, c, ...")
-    p_enum.add_argument("--carrier-size", type=int, default=None, metavar="S",
-                        help="list systems on every carrier of this size (default: N)")
-    p_enum.add_argument("--irreducible-only", action="store_true",
-                        help="keep only irreducible systems")
-    p_enum.add_argument("--types-only", action="store_true",
-                        help="print one representative per permutational type")
-    p_enum.add_argument("--format", choices=("json", "text"), default="text")
-    p_enum.set_defaults(handler=_cmd_enumerate)
-
-    p_cat = sub.add_parser("catalogue", help="generate a facet catalogue")
-    p_cat.add_argument("--players", type=int, required=True, metavar="N",
-                       help="number of players (2-6)")
-    p_cat.add_argument("--cone", required=True,
-                       choices=("balanced", "totally-balanced", "exact-conjecture"))
-    p_cat.add_argument("--format", choices=("json", "text"), default="json")
-    p_cat.add_argument("--out", metavar="FILE", default=None,
-                       help="write the catalogue to FILE instead of stdout")
-    p_cat.set_defaults(handler=_cmd_catalogue)
-
-    p_check = sub.add_parser("check", help="decide cone membership of a game")
-    p_check.add_argument("--game", required=True, metavar="FILE",
-                         help="game JSON file")
-    p_check.add_argument("--cone", required=True,
-                         choices=("balanced", "totally-balanced", "exact"))
-    p_check.add_argument("--certificate", action="store_true",
-                         help="print the exact certificate as JSON")
-    p_check.set_defaults(handler=_cmd_check)
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("--players", type=int, required=True, metavar="N")
-    p_verify.add_argument("--suite", required=True, choices=("table1", "appendix", "conjecture"))
-    p_verify.add_argument("--samples", type=int, default=100, metavar="K",
-                          help="sample count for the conjecture suite (default 100)")
-    p_verify.add_argument("--seed", type=int, default=0, metavar="S",
-                          help="seed for the Mersenne Twister sampler (random.Random)")
-    p_verify.set_defaults(handler=_cmd_verify)
-    return parser
 
 
 def _write(pieces: Iterable[str], out: Optional[str] = None) -> None:
@@ -121,7 +84,7 @@ def _write(pieces: Iterable[str], out: Optional[str] = None) -> None:
 
 # -- enumerate -----------------------------------------------------------
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: SimpleNamespace) -> int:
     players = letters(args.players)
     size = args.carrier_size if args.carrier_size is not None else players.n
     if not 1 <= size <= players.n:
@@ -169,14 +132,14 @@ def _system_lines(players: Players, size: int, types: list[cat.CatalogueEntry]) 
 
 # -- catalogue -----------------------------------------------------------
 
-def _cmd_catalogue(args: argparse.Namespace) -> int:
+def _cmd_catalogue(args: SimpleNamespace) -> int:
     _write(cat._pieces(cat.generate(letters(args.players), args.cone), args.format), args.out)
     return 0
 
 
 # -- check ---------------------------------------------------------------
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: SimpleNamespace) -> int:
     with open(args.game, "rb") as fh:
         game = game_from_json(fh.read())
     oracle = {
@@ -243,7 +206,7 @@ def _certificate_payload(players: Players, certificate) -> Optional[dict]:
 
 # -- verify --------------------------------------------------------------
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     suite = {
         "appendix": _suite_appendix,
         "table1": _suite_table1,
@@ -257,7 +220,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if passed == len(items) else 1
 
 
-def _suite_appendix(args: argparse.Namespace):
+def _suite_appendix(args: SimpleNamespace):
     n = args.players
     if n not in APPENDIX:
         raise ValueError("the appendix suite covers 2 to 4 players")
@@ -288,7 +251,7 @@ def _suite_appendix(args: argparse.Namespace):
     return items
 
 
-def _suite_table1(args: argparse.Namespace):
+def _suite_table1(args: SimpleNamespace):
     n = args.players
     if not 2 <= n <= 5:
         raise ValueError("the table1 suite covers 2 to 5 players")
@@ -308,7 +271,7 @@ def _count_items(catalogue: cat.Catalogue, expected: tuple[int, int], *names: st
     return [(name, e == a, e, a) for name, e, a in zip(names, expected, actual)]
 
 
-def _suite_conjecture(args: argparse.Namespace):
+def _suite_conjecture(args: SimpleNamespace):
     """``exact <=> (TB and TB of anti-dual)`` on K seeded games.
 
     Even samples are random games, which are seldom exact; odd ones are
@@ -336,6 +299,127 @@ def _suite_conjecture(args: argparse.Namespace):
         )
         items.append((f"game {i} ({family}): exact <=> (TB and TB of anti-dual)", exact == both, exact, both))
     return items
+
+
+# -- the command line ----------------------------------------------------
+
+REQUIRED = object()  # the default of an option that must be given
+
+# command -> (help line, handler, options); an option is (long name,
+# metavar or "flag", conversion: int, str or a tuple of choices, default
+# or REQUIRED, help).  A choice option's metavar is None: it shows its
+# choices.
+COMMANDS = {
+    "enumerate": ("list min-balanced systems", _cmd_enumerate, [
+        ("players", "N", int, REQUIRED, "number of players (2-6), named a, b, c, ..."),
+        ("carrier-size", "S", int, None, "list systems on every carrier of this size (default: N)"),
+        ("irreducible-only", "flag", None, False, "keep only irreducible systems"),
+        ("types-only", "flag", None, False, "print one representative per permutational type"),
+        ("format", None, ("json", "text"), "text", "output format (default: text)"),
+    ]),
+    "catalogue": ("generate a facet catalogue", _cmd_catalogue, [
+        ("players", "N", int, REQUIRED, "number of players (2-6)"),
+        ("cone", None, ("balanced", "totally-balanced", "exact-conjecture"), REQUIRED, "the cone whose facets are listed"),
+        ("format", None, ("json", "text"), "json", "output format (default: json)"),
+        ("out", "FILE", str, None, "write the catalogue to FILE instead of stdout"),
+    ]),
+    "check": ("decide cone membership of a game", _cmd_check, [
+        ("game", "FILE", str, REQUIRED, "game JSON file"),
+        ("cone", None, ("balanced", "totally-balanced", "exact"), REQUIRED, "the cone to decide membership in"),
+        ("certificate", "flag", None, False, "print the exact certificate as JSON"),
+    ]),
+    "verify": ("run a verification suite", _cmd_verify, [
+        ("players", "N", int, REQUIRED, "number of players"),
+        ("suite", None, ("table1", "appendix", "conjecture"), REQUIRED, "the suite to run"),
+        ("samples", "K", int, 100, "sample count for the conjecture suite (default 100)"),
+        ("seed", "S", int, 0, "seed for the Mersenne Twister sampler (random.Random)"),
+    ]),
+}
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The handler of the command ``argv[0]`` and its options, each an
+    attribute; ``-h`` prints help and a usage error prints usage, each
+    ending in ``SystemExit``."""
+    if not argv or argv[0] not in COMMANDS:
+        opts, rest = _getopt(None, argv, ["help"])
+        if opts:
+            _help(None)
+        _usage_error(None, f"invalid command {rest[0]!r} (choose from {', '.join(COMMANDS)})" if rest
+                     else "the following arguments are required: command")
+    command = argv[0]
+    _, handler, options = COMMANDS[command]
+    opts, rest = _getopt(command, argv[1:], [name if metavar == "flag" else name + "=" for name, metavar, *_ in options] + ["help"])
+    spec = {"--" + option[0]: option for option in options}
+    values = {name: default for name, _, _, default, _ in options}
+    for opt, value in opts:
+        if opt in ("-h", "--help"):
+            _help(command)
+        name, metavar, convert, _, _ = spec[opt]
+        if metavar == "flag":
+            value = True
+        elif type(convert) is tuple:
+            if value not in convert:
+                _usage_error(command, f"argument {opt}: invalid choice: {value!r} (choose from {', '.join(convert)})")
+        else:
+            try:
+                value = convert(value)
+            except ValueError:
+                _usage_error(command, f"argument {opt}: invalid {convert.__name__} value: {value!r}")
+        values[name] = value
+    if rest:
+        _usage_error(command, "unrecognized arguments: " + " ".join(rest))
+    missing = ["--" + name for name, value in values.items() if value is REQUIRED]
+    if missing:
+        _usage_error(command, "the following arguments are required: " + ", ".join(missing))
+    return SimpleNamespace(handler=handler, **{name.replace("-", "_"): value for name, value in values.items()})
+
+
+def _getopt(command: Optional[str], args: list[str], longopts: list[str]) -> tuple[list[tuple[str, str]], list[str]]:
+    try:
+        return getopt.getopt(args, "h", longopts)
+    except getopt.GetoptError as exc:
+        _usage_error(command, exc.msg)
+
+
+def _invocation(option: tuple) -> str:
+    name, metavar, convert = option[:3]
+    return f"--{name}" if metavar == "flag" else f"--{name} {metavar or '{' + ','.join(convert) + '}'}"
+
+
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return "usage: minbal [-h] {" + ",".join(COMMANDS) + "} ..."
+    return " ".join([f"usage: minbal {command} [-h]", *(
+        _invocation(option) if option[3] is REQUIRED else f"[{_invocation(option)}]" for option in COMMANDS[command][2])])
+
+
+def _help(command: Optional[str]) -> NoReturn:
+    if command is None:
+        lines = [
+            "Min-balanced coalition systems, facet catalogues of the balanced /",
+            "totally balanced / (conjectured) exact game cones, and certified",
+            "membership checks, all in exact rational arithmetic.",
+            "",
+            "commands:",
+            *(f"  {name:<12}{text}" for name, (text, _, _) in COMMANDS.items()),
+            "",
+            "'minbal CMD -h' explains the options of CMD:",
+            *("  " + _usage(name).removeprefix("usage: ") for name in COMMANDS),
+        ]
+    else:
+        text, _, options = COMMANDS[command]
+        rows = [("-h, --help", "show this help message and exit")]
+        rows += [(_invocation(option), option[4]) for option in options]
+        lines = [text, "", "options:", *(f"  {left:<20}  {helptext}" if len(left) <= 20 else f"  {left}\n{'':24}{helptext}"
+                                          for left, helptext in rows)]
+    print(_usage(command), "", *lines, sep="\n")
+    raise SystemExit(0)
+
+
+def _usage_error(command: Optional[str], message: str) -> NoReturn:
+    print(_usage(command), f"minbal{' ' + command if command else ''}: error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
 
 
 if __name__ == "__main__":

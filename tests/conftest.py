@@ -1,6 +1,7 @@
 """Shared fixtures: example games from the worked examples and session
 catalogues (expensive to generate, shared read-only)."""
 
+import argparse
 import json
 from fractions import Fraction
 from math import gcd, lcm
@@ -9,6 +10,7 @@ import pytest
 
 from minbal import anti_dual, cones, game_of, generate, letters, lp_feasible
 from minbal.balance import MinBalancedSystem, SetSystem, _perm_tables, normalize
+from minbal.cli import _cmd_catalogue, _cmd_check, _cmd_enumerate, _cmd_verify
 
 
 def permute_coalition(coalition: int, perm: tuple[int, ...]) -> int:
@@ -117,6 +119,60 @@ def _fraction_pivot(tab, cost, basis, leave, enter):
             for j, v in support:
                 row[j] -= f * v
     basis[leave] = enter
+
+
+def reference_parser():
+    """The argparse tree that parsed ``minbal``'s command line before the
+    option table of ``cli.COMMANDS``: a reference for ``cli._parse``,
+    which must give the same handler and fields, or the same exit code."""
+    parser = argparse.ArgumentParser(
+        prog="minbal",
+        description="Min-balanced coalition systems, facet catalogues of the"
+        " balanced / totally balanced / (conjectured) exact game cones, and"
+        " certified membership checks, all in exact rational arithmetic.",
+    )
+    sub = parser.add_subparsers(required=True)
+
+    p_enum = sub.add_parser("enumerate", help="list min-balanced systems")
+    p_enum.add_argument("--players", type=int, required=True, metavar="N",
+                        help="number of players (2-6), named a, b, c, ...")
+    p_enum.add_argument("--carrier-size", type=int, default=None, metavar="S",
+                        help="list systems on every carrier of this size (default: N)")
+    p_enum.add_argument("--irreducible-only", action="store_true",
+                        help="keep only irreducible systems")
+    p_enum.add_argument("--types-only", action="store_true",
+                        help="print one representative per permutational type")
+    p_enum.add_argument("--format", choices=("json", "text"), default="text")
+    p_enum.set_defaults(handler=_cmd_enumerate)
+
+    p_cat = sub.add_parser("catalogue", help="generate a facet catalogue")
+    p_cat.add_argument("--players", type=int, required=True, metavar="N",
+                       help="number of players (2-6)")
+    p_cat.add_argument("--cone", required=True,
+                       choices=("balanced", "totally-balanced", "exact-conjecture"))
+    p_cat.add_argument("--format", choices=("json", "text"), default="json")
+    p_cat.add_argument("--out", metavar="FILE", default=None,
+                       help="write the catalogue to FILE instead of stdout")
+    p_cat.set_defaults(handler=_cmd_catalogue)
+
+    p_check = sub.add_parser("check", help="decide cone membership of a game")
+    p_check.add_argument("--game", required=True, metavar="FILE",
+                         help="game JSON file")
+    p_check.add_argument("--cone", required=True,
+                         choices=("balanced", "totally-balanced", "exact"))
+    p_check.add_argument("--certificate", action="store_true",
+                         help="print the exact certificate as JSON")
+    p_check.set_defaults(handler=_cmd_check)
+
+    p_verify = sub.add_parser("verify", help="run a verification suite")
+    p_verify.add_argument("--players", type=int, required=True, metavar="N")
+    p_verify.add_argument("--suite", required=True, choices=("table1", "appendix", "conjecture"))
+    p_verify.add_argument("--samples", type=int, default=100, metavar="K",
+                          help="sample count for the conjecture suite (default 100)")
+    p_verify.add_argument("--seed", type=int, default=0, metavar="S",
+                          help="seed for the Mersenne Twister sampler (random.Random)")
+    p_verify.set_defaults(handler=_cmd_verify)
+    return parser
 
 
 def tight_rows(game, tight_at):

@@ -1,10 +1,10 @@
 """Command-line interface: subcommands, formats and exit codes."""
 
-import argparse
 import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,7 +14,7 @@ from minbal import cli
 from minbal.cli import main
 from minbal.games import game_of, game_to_json, letters
 
-from conftest import system_payload
+from conftest import reference_parser, system_payload
 
 
 def _module_command(*args, **env):
@@ -238,7 +238,7 @@ class TestVerify:
     def test_conjecture_suite_probes_exact_games(self, players):
         # random games are seldom exact, so every other sample is a
         # minimum of additive games with one common total, always exact
-        items = cli._suite_conjecture(argparse.Namespace(players=players, samples=11, seed=0))
+        items = cli._suite_conjecture(SimpleNamespace(players=players, samples=11, seed=0))
         assert len(items) == 11
         for i, (name, ok, exact, _) in enumerate(items):
             family = "equal-total minimum of additive games" if i % 2 else "random"
@@ -250,6 +250,154 @@ class TestVerify:
 
     def test_bad_samples(self, capsys):
         assert main(["verify", "--players", "3", "--suite", "conjecture", "--samples", "0"]) == 2
+
+
+def _outcome(parse, argv):
+    """The fields ``parse`` gives ``argv``, or the code it exits with."""
+    try:
+        return vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+# argv lists for every command: the minimal and the full form, --opt=value,
+# unique prefixes, repeated options (the last one wins), a negative number
+# as a value, then usage errors and help
+PARSE_CORPUS = [
+    "enumerate --players 3",
+    "enumerate --players 4 --carrier-size 2 --irreducible-only --types-only --format json",
+    "enumerate --players=4 --carrier-size=2 --format=json",
+    "enumerate --pl 4 --carr 2 --irr --ty --fo json",
+    "enumerate --players 3 --players 5 --format json --format text --types-only --types-only",
+    "enumerate --players -20",
+    "enumerate --carrier-size 2",
+    "enumerate --players x",
+    "enumerate --players 3 --format xml",
+    "enumerate --players 3 --frobnicate",
+    "enumerate --players 3 stray",
+    "enumerate --players",
+    "enumerate --players 3 --types-only=yes",
+    "enumerate -h",
+    "enumerate --players 3 --help",
+    "catalogue --players 3 --cone balanced",
+    "catalogue --players 5 --cone totally-balanced --format text --out cat.txt",
+    "catalogue --players=5 --cone=exact-conjecture --out=cat.json",
+    "catalogue --pl 4 --c balanced --fo text --o cat.txt",
+    "catalogue --players 3 --cone balanced --cone exact-conjecture --out a.json --out b.json",
+    "catalogue --players -20 --cone balanced",
+    "catalogue --cone balanced",
+    "catalogue --players 3.5 --cone balanced",
+    "catalogue --players 3 --cone exact",
+    "catalogue --players 3 --cone balanced --certificate",
+    "catalogue --players 3 --cone balanced stray",
+    "catalogue -h",
+    "check --game g.json --cone balanced",
+    "check --game g.json --cone exact --certificate",
+    "check --game=g.json --cone=totally-balanced",
+    "check --cert --ga g.json --co exact",
+    "check --game a.json --game b.json --cone balanced --cone exact --certificate --certificate",
+    "check --game -20 --cone balanced",
+    "check --game g.json",
+    "check --cone exact",
+    "check --game g.json --cone core",
+    "check --c exact --game g.json",
+    "check --game g.json --cone balanced --players 3",
+    "check --game g.json --cone balanced g2.json",
+    "check --game g.json --cone core -h",
+    "check -h --cone core",
+    "check --h",
+    "verify --players 3 --suite table1",
+    "verify --players 4 --suite conjecture --samples 7 --seed 2",
+    "verify --players=4 --suite=conjecture --samples=7 --seed=2",
+    "verify --pl 4 --su appendix --sa 9 --se 1",
+    "verify --players 3 --suite table1 --seed 1 --seed 2 --players 4",
+    "verify --players -20 --suite table1",
+    "verify --players 3",
+    "verify --players 3 --suite conjecture --samples many",
+    "verify --players 3 --suite all",
+    "verify --players 3 --s table1",
+    "verify --players 3 --suite table1 --verbose",
+    "verify --players 3 --suite table1 now",
+    "verify -h",
+    "",
+    "chek",
+    "--players 3 check",
+    "check",
+    "-h",
+    "--help",
+    "-h check",
+]
+
+
+class TestParse:
+    @pytest.mark.parametrize("line", PARSE_CORPUS, ids=lambda line: line or "(empty)")
+    def test_same_fields_or_exit_code_as_argparse(self, capsys, line):
+        # the handler is compared by identity: both parsers hold cli's own
+        argv = line.split()
+        expected = _outcome(reference_parser().parse_args, argv)
+        assert _outcome(cli._parse, argv) == expected
+        assert expected in (0, 2) or type(expected) is dict
+
+    def test_corpus_holds_each_outcome(self, capsys):
+        outcomes = [_outcome(cli._parse, line.split()) for line in PARSE_CORPUS]
+        assert {out if out in (0, 2) else "fields" for out in outcomes} == {0, 2, "fields"}
+        assert {out["handler"] for out in outcomes if type(out) is dict} == {entry[1] for entry in cli.COMMANDS.values()}
+
+    def test_a_value_starting_with_a_dash_is_taken(self, capsys):
+        # argparse refused a value that starts with "-" and is no number
+        argv = ["check", "--game", "-g.json", "--cone", "balanced"]
+        assert _outcome(reference_parser().parse_args, argv) == 2
+        assert cli._parse(argv).game == "-g.json"
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_help_names_every_option(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: minbal {command} [-h]")
+        reference = reference_parser()._subparsers._group_actions[0].choices[command]
+        names = [s for action in reference._actions for s in action.option_strings]
+        assert [s for s in names if s in out] == names
+        text, _, options = cli.COMMANDS[command]
+        assert all(help_ in out for help_ in [text, *(option[4] for option in options)])
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: minbal [-h]")
+        for command, (text, _, options) in cli.COMMANDS.items():
+            assert f"  {command}" in out and text in out
+            assert all(f"--{option[0]}" in out for option in options)
+
+    @pytest.mark.parametrize("argv, usage, error", [
+        (["check", "--cone", "exact"], "usage: minbal check [-h] --game FILE", "minbal check: error: the following arguments are required: --game"),
+        (["check", "--c", "exact"], "usage: minbal check [-h]", "minbal check: error: option --c not a unique prefix"),
+        (["verify", "--players", "3", "--suite", "all"], "usage: minbal verify [-h]", "minbal verify: error: argument --suite: invalid choice: 'all'"),
+        (["enumerate", "--players", "x"], "usage: minbal enumerate [-h]", "minbal enumerate: error: argument --players: invalid int value: 'x'"),
+        (["chek"], "usage: minbal [-h] {enumerate,catalogue,check,verify} ...", "minbal: error: invalid command 'chek'"),
+    ])
+    def test_usage_error_on_stderr(self, capsys, argv, usage, error):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        first, second = captured.err.splitlines()
+        assert first.startswith(usage) and second.startswith(error)
+
+    def test_check_imports_neither_argparse_nor_locale(self, market_file):
+        # argparse imports gettext's locale on its first message; getopt
+        # calls gettext only to word an error
+        _, env = _module_command()
+        code = "import sys; from minbal.cli import main; rc = main(sys.argv[1:]); print(rc, sorted({'argparse', 'locale'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code, "check", "--game", market_file, "--cone", "balanced", "--certificate"],
+                              capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.rpartition(b"\n0 ")[0])["member"] is True
+        assert proc.stdout.endswith(b"\n0 []\n")
 
 
 class TestUsage:
