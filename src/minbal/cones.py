@@ -14,21 +14,32 @@ theta on all 2^n coalitions (:func:`_theta_from_farkas`).
 
 All three oracles ask one question, :func:`_core_point`: is there a core
 point tight at a given coalition?  Balancedness asks it once, of the full
-player set; total balancedness of every subgame of two or more players
-and of the full game; exactness of every coalition no earlier point is
-tight at.  The answer is first sought in integers as the marginal vector
-of the order that starts with the coalition's players
-(:func:`_marginal_vector`), which is tight at it; every marginal vector
-of a convex game is a core element (Shapley, *Cores of convex games*,
-1971).  Only where that vector leaves the core does the core system run:
-2^n - 1 rows in n unknowns, so its rows are generated
-(:func:`_tight_feasibility`), and each LP holds the singletons, the
-equalities and the few rows a scan of all coalitions found violated.  A
-marginal vector passes only where a core point exists, so a table
-without one runs the same system as an LP-only check, and every negative
-verdict and its certificate is that check's.  Everything runs on the
-game's table scaled to integers, and a subgame's on its part of that
-table; ``Fraction`` payoffs are built only for the points a certificate
+player set; exactness of every coalition no earlier point is tight at;
+total balancedness of the full game and of each subgame of two or more
+players that it could not settle more cheaply.  A totally balanced game
+is one whose every subgame is balanced, a minimum of additive games
+(Kalai & Zemel, 1982), and most subgames are settled without that
+question (:func:`_settled`): a pair {i, j} is balanced iff
+v(ij) >= v(i) + v(j), and the coalitions split into C(n, floor(n/2))
+symmetric chains (de Bruijn, Tengbergen & Kruyswijk, 1951;
+:func:`_symmetric_chains`), each settled whole by one marginal vector
+of its top's subgame that adds the chain's players link by link, where
+that vector is in the top's core; a chain is tried when the
+smallest-first scan first reaches one of its links, so a scan that
+fails early stops early.  The answer to the question is first
+sought in integers as the marginal vector of the order that starts with
+the coalition's players (:func:`_marginal_vector`), which is tight at
+it; every marginal vector of a convex game is a core element (Shapley,
+*Cores of convex games*, 1971).  Only where that vector leaves the core
+does the core system run: 2^n - 1 rows in n unknowns, so its rows are
+generated (:func:`_tight_feasibility`), and each LP holds the
+singletons, the equalities and the few rows a scan of all coalitions
+found violated.  A marginal vector passes, and a subgame is settled,
+only where a core point exists, so a table without one runs the same
+system as an LP-only check, and every negative verdict and its
+certificate is that check's.  Everything runs on the game's table
+scaled to integers, and a subgame's on its part of that table;
+``Fraction`` payoffs are built only for the points a certificate
 returns.
 
 Set functions that do not vanish at the empty coalition are shifted
@@ -39,10 +50,11 @@ membership question for the extended cones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import compress
 from operator import eq, ge, indexOf, not_, sub
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .balance import InequalityVector, MinBalancedSystem, SetSystem, is_min_balanced
 from .games import (
@@ -161,28 +173,93 @@ def _sums(payoffs: list[int]) -> list[int]:
     return sums
 
 
-def _marginal_vector(values: list[int], first: int) -> Optional[tuple[list[int], list[int]]]:
-    """The marginal vector of one order and its sums, if it is in the core.
+def _marginal_vector(values: list[int], order: Sequence[int]) -> Optional[tuple[list[int], list[int]]]:
+    """The marginal vector of ``order`` and its sums, if it is in the core.
 
-    ``values`` is a game's integer table.  The order takes the players
-    of ``first`` in increasing order, then the other players in
-    increasing order; each player gets what it adds to the coalition of
-    the players before it.  The vector x is efficient and tight at every
-    prefix of the order, ``first`` among them.  Returns ``(x, sums)``,
-    ``sums`` holding x(S) at every coalition S in bitmask order, when
-    every excess v(S) - x(S) is at most 0, and ``None`` otherwise.  A
-    passing vector is a core point tight at ``first``, found without an
-    LP; on a convex game every vector passes (Shapley, *Cores of convex
-    games*, 1971).
+    ``values`` is a game's integer table and ``order`` lists each of its
+    players once; each player gets what it adds to the coalition of the
+    players before it.  The vector x is efficient and tight at every
+    prefix of the order.  Returns ``(x, sums)``, ``sums`` holding x(S) at
+    every coalition S in bitmask order, when every excess v(S) - x(S) is
+    at most 0, and ``None`` otherwise.  A passing vector is a core point
+    tight at every prefix, found without an LP; on a convex game every
+    vector passes (Shapley, *Cores of convex games*, 1971).
     """
-    n = len(values).bit_length() - 1
-    x = [0] * n
+    x = [0] * len(order)
     prefix = 0
-    for i in sorted(range(n), key=lambda i: not first >> i & 1):
+    for i in order:
         x[i] = values[prefix | 1 << i] - values[prefix]
         prefix |= 1 << i
     sums = _sums(x)
     return (x, sums) if all(map(ge, sums, values)) else None
+
+
+def _starting_with(coalition: int, n: int) -> list[int]:
+    """The order of ``n`` players that takes the players of ``coalition``
+    in increasing order, then the others in increasing order: its
+    marginal vector is tight at ``coalition``."""
+    return [i for i in range(n) if coalition >> i & 1] + [i for i in range(n) if not coalition >> i & 1]
+
+
+@cache
+def _symmetric_chains(n: int) -> tuple[tuple[int, ...], ...]:
+    """A symmetric chain decomposition of the coalitions of ``n`` players.
+
+    Each chain is a tuple of coalitions, each link one player larger than
+    the one before, whose sizes run symmetrically about n/2; every
+    coalition lies on exactly one chain, and there are C(n, floor(n/2))
+    chains (de Bruijn, Tengbergen & Kruyswijk, 1951).  Built player by
+    player: each chain C_0, ..., C_k of the players before player i
+    gives C_0, ..., C_k, C_k + i and, when k > 0, C_0 + i, ..., C_(k-1) + i.
+    The first chain runs from the empty coalition to the full set,
+    adding the players in increasing order.
+    """
+    chains: list[tuple[int, ...]] = [(0,)]
+    for i in range(n):
+        bit = 1 << i
+        grown = []
+        for chain in chains:
+            grown.append(chain + (chain[-1] | bit,))
+            if len(chain) > 1:
+                grown.append(tuple(s | bit for s in chain[:-1]))
+        chains = grown
+    return tuple(chains)
+
+
+@cache
+def _chain_of(n: int) -> tuple[int, ...]:
+    """For each coalition of ``n`` players, the index of its chain in
+    :func:`_symmetric_chains`."""
+    index = [0] * (1 << n)
+    for c, chain in enumerate(_symmetric_chains(n)):
+        for s in chain:
+            index[s] = c
+    return tuple(index)
+
+
+def _chain_vector(values: list[int], chain: tuple[int, ...]) -> Optional[list[int]]:
+    """The marginal vector of a chain, if it is in its top's core.
+
+    ``values`` is a game's integer table and ``chain`` one of
+    :func:`_symmetric_chains`.  The vector is taken on the subgame of the
+    chain's top, in the order that takes the players of its bottom in
+    increasing order, then adds the chain's players link by link: the
+    top's players renamed in that order, it is the marginal vector in
+    player order of the renamed table, and it lists the payoffs in the
+    renamed order.  It is tight at every link, so where it is in the
+    top's core its restriction to each link is a core point of that
+    link's subgame: every link's subgame is balanced.
+    """
+    n = len(values).bit_length() - 1
+    order = [i for i in range(n) if chain[0] >> i & 1] + [(t ^ s).bit_length() - 1 for s, t in zip(chain, chain[1:])]
+    marginal = _marginal_vector([values[s] for s in relabelling(order)], range(len(order)))
+    return None if marginal is None else marginal[0]
+
+
+@cache
+def _smallest_first(n: int) -> tuple[int, ...]:
+    """The nonempty coalitions of ``n`` players by size, then bitmask."""
+    return tuple(sorted(range(1, 1 << n), key=lambda s: (s.bit_count(), s)))
 
 
 def _payoffs(res: FeasibilityResult, scale: int) -> Payoffs:
@@ -247,7 +324,7 @@ def _core_point(values: list[int], tight_at: int) -> tuple[FeasibilityResult, Op
     tight at.
     """
     coalitions = range(len(values))
-    marginal = _marginal_vector(values, tight_at)
+    marginal = _marginal_vector(values, _starting_with(tight_at, len(values).bit_length() - 1))
     if marginal is not None:
         x, sums = marginal
         return FeasibilityResult(tuple(x), 1, None), None, compress(coalitions, map(eq, values, sums))
@@ -302,26 +379,60 @@ def is_balanced(f: SetFunction) -> Verdict:
     return Verdict(False, _violated_system(game, _theta_values(game.players.n, order, res.farkas)))
 
 
-def is_totally_balanced_lp(f: SetFunction) -> Verdict:
-    """Balancedness of every subgame, one core point each.
+def _settled(values: list[int], a: int, vectors: dict[int, Optional[list[int]]]) -> bool:
+    """Whether the subgame on ``a`` is balanced by a test cheaper than an LP.
 
-    The smallest failing coalition (by cardinality, then bitmask) is
-    reported with the evidence for its subgame, and a member with the
-    core allocation found for the full game.  Subgames of one player are
-    always balanced and are skipped unless they are the game.  Each
-    subgame is checked on its part of the game's integer table; only a
-    failing subgame is built as a game, for its certificate.
+    ``values`` is a game's integer table.  A coalition of one player is
+    balanced, and a pair {i, j} iff v(ij) >= v(i) + v(j).  A larger
+    coalition is settled where the vector of its chain
+    (:func:`_chain_vector`) is in the core of the chain's top.
+    ``vectors`` holds the vectors of the chains tried so far by index in
+    :func:`_symmetric_chains`, ``None`` for one that left its top's core:
+    each chain is tried once, when a scan first asks about one of its
+    links.  A chain that fails settles nothing; its links may still be
+    balanced.
+    """
+    size = a.bit_count()
+    if size < 3:
+        return size < 2 or values[a] >= values[a & -a] + values[a & (a - 1)]
+    n = len(values).bit_length() - 1
+    c = _chain_of(n)[a]
+    if c not in vectors:
+        vectors[c] = _chain_vector(values, _symmetric_chains(n)[c])
+    return vectors[c] is not None
+
+
+def is_totally_balanced_lp(f: SetFunction) -> Verdict:
+    """Balancedness of every subgame, settled along symmetric chains.
+
+    The coalitions are scanned smallest first (by cardinality, then
+    bitmask).  Each proper one is first offered to :func:`_settled`,
+    which settles pairs in closed form and larger coalitions by the
+    marginal vector of their symmetric chain, tried when the scan first
+    reaches the chain; the unsettled ones, and the full player set, ask
+    :func:`_core_point` for a core point of their subgame.  Settled
+    subgames are balanced, so the first subgame without a core point is
+    the smallest failing coalition, which is reported with the evidence
+    for its subgame, and a scan that fails early tries only the chains
+    it reached.  A member carries the core allocation found for the full
+    game.  The first chain's top is the full set and its order is player
+    order, so where its vector passed it is that allocation, the point
+    :func:`_core_point` would try first, and is not computed again.
+    Each subgame is checked on its part of the game's integer table;
+    only a failing subgame is built as a game, for its certificate.
     """
     game = as_game(f)
     players = game.players
-    full = players.full_mask
+    n, full = players.n, players.full_mask
     values, scale = _scaled(game)
-    coalitions = sorted(
-        (s for s in range(1, full + 1) if s.bit_count() >= 2 or s == full),
-        key=lambda s: (s.bit_count(), s),
-    )
-    for a in coalitions:
-        table = [values[s] for s in relabelling([i for i in range(players.n) if a >> i & 1])]
+    vectors: dict[int, Optional[list[int]]] = {}
+    for a in _smallest_first(n):
+        if a != full and _settled(values, a, vectors):
+            continue
+        if a == full and vectors.get(0) is not None:
+            res = FeasibilityResult(tuple(vectors[0]), 1, None)
+            break
+        table = [values[s] for s in relabelling([i for i in range(n) if a >> i & 1])]
         res, order, _ = _core_point(table, len(table) - 1)
         if not res.feasible:
             theta = _theta_values(a.bit_count(), order, res.farkas)
@@ -372,7 +483,7 @@ def is_exact(f: SetFunction) -> Verdict:
             players.n,
             full,
         )
-    coalitions = sorted(range(1, full + 1), key=lambda s: (s.bit_count(), s))
+    coalitions = _smallest_first(players.n)
     values, scale = _scaled(game)
     points: dict[int, Payoffs] = {}
     for d in coalitions:

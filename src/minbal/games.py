@@ -29,6 +29,7 @@ log = logging.getLogger("minbal")
 MAX_PLAYERS = 12
 
 _VALUE_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
+_INTEGER_RE = re.compile(r"-?[0-9]+\Z")
 
 
 class GameFormatError(ValueError):
@@ -110,7 +111,7 @@ class SetFunction:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(Fraction(v) for v in self.values)
+        values = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
         if len(values) != 1 << self.players.n:
             raise ValueError("a value is required for every coalition")
         object.__setattr__(self, "values", values)
@@ -311,7 +312,13 @@ def random_exact_game(players: Players, rng: Random) -> Game:
     )
 
 
-def _parse_value(raw: object, where: str) -> Fraction:
+def _parse_value(raw: object, key: str) -> Fraction:
+    """The value at coalition ``key``: a JSON integer, or a string of a
+    decimal integer or a reduced ``p/q`` rational.  A string of ASCII
+    digits, perhaps after a ``-``, is read by one ``int``."""
+    if type(raw) is str and _INTEGER_RE.match(raw):
+        return Fraction(int(raw))
+    where = f"values[{key!r}]"
     if isinstance(raw, bool):
         raise GameFormatError(f"{where}: boolean is not a rational value")
     if isinstance(raw, int):
@@ -412,10 +419,9 @@ class _Reader:
                 self.at = end
                 return value
 
-    def members(self) -> Iterator[str]:
-        """The keys of the top-level object, in order; after each, the
-        read position is at its value, which the caller reads.  A document
-        that is not an object raises."""
+    def start(self) -> None:
+        """Move the read position to the top-level object's opening
+        brace.  A document that is not an object raises."""
         char = self.next_char()
         if char != "{":
             if char == "\ufeff" and not self.dropped + self.at:
@@ -423,6 +429,12 @@ class _Reader:
             self.value()
             self.end()
             raise self.error("top level must be an object")
+
+    def members(self) -> Iterator[str]:
+        """The keys of the top-level object, in order; after each, the
+        read position is at its value, which the caller reads.  A document
+        that is not an object raises."""
+        self.start()
         self.at += 1
         char = self.next_char()
         if char == "}":
@@ -470,10 +482,10 @@ class _Reader:
 def _read_document(data: Union[str, bytes], fields: tuple[str, ...], error: type[ValueError],
                    stop: Optional[str] = None) -> tuple[dict, Players]:
     """Open a JSON document whose top level is an object with exactly
-    ``fields``, one of them ``players``, reading it one member at a time.
-    Malformed input, a repeated key or bytes that are not UTF-8 included,
-    raises ``error``.
+    ``fields``, one of them ``players``.  Malformed input, a repeated key
+    or bytes that are not UTF-8 included, raises ``error``.
 
+    Without ``stop`` the document is decoded whole (:func:`_read_whole`).
     The value of the field ``stop`` must be a list, and ``doc[stop]`` is
     an iterator over its elements.  When ``stop`` follows every other
     field, the document is read only up to its value: the iterator decodes
@@ -481,10 +493,12 @@ def _read_document(data: Union[str, bytes], fields: tuple[str, ...], error: type
     of the document.  Otherwise the list is decoded whole, like any other
     field.
     """
-    reader = _Reader(data, error)
-    members = reader.members()
-    doc: dict = {}
-    elements = _read_members(reader, members, doc, fields, stop)
+    elements = None
+    if stop is None:
+        doc = _read_whole(data, fields, error)
+    else:
+        reader, doc = _Reader(data, error), {}
+        elements = _read_members(reader, reader.members(), doc, fields, stop)
     names = doc["players"]
     if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
         raise error("'players' must be a list of strings")
@@ -501,6 +515,24 @@ def _read_document(data: Union[str, bytes], fields: tuple[str, ...], error: type
     return doc, players
 
 
+def _read_whole(data: Union[str, bytes], fields: tuple[str, ...], error: type[ValueError]) -> dict:
+    """The top-level object decoded in one ``raw_decode``, with its fields
+    checked.  One decode reports a repeated top-level key only once the
+    whole object is read, so a document that raises is read again member
+    by member, where the first fault in reading order raises."""
+    reader = _Reader(data, error)
+    reader.start()
+    try:
+        doc = reader.value()
+        reader.end()
+    except error:
+        reader, doc = _Reader(data, error), {}
+        _read_members(reader, reader.members(), doc, fields)
+        return doc
+    _check_fields(doc, fields, error)
+    return doc
+
+
 def _read_members(reader: _Reader, members: Iterator[str], doc: dict, fields: tuple[str, ...],
                   stop: Optional[str] = None) -> Optional[Iterator]:
     """Read members into ``doc`` to the end of the document and check its
@@ -513,12 +545,16 @@ def _read_members(reader: _Reader, members: Iterator[str], doc: dict, fields: tu
             return _elements_then_rest(reader, members, dict.fromkeys([*doc, key]), fields)
         doc[key] = reader.value()
     reader.end()
+    _check_fields(doc, fields, reader.error)
+    return None
+
+
+def _check_fields(doc: dict, fields: tuple[str, ...], error: type[ValueError]) -> None:
     missing = [f for f in fields if f not in doc]
     if missing:
-        raise reader.error(f"missing required field {missing[0]!r}")
+        raise error(f"missing required field {missing[0]!r}")
     if len(doc) != len(fields):
-        raise reader.error(f"top-level fields must be {', '.join(fields)}, not {', '.join(doc)}")
-    return None
+        raise error(f"top-level fields must be {', '.join(fields)}, not {', '.join(doc)}")
 
 
 def _elements_then_rest(reader: _Reader, members: Iterator[str], seen: dict, fields: tuple[str, ...]) -> Iterator:
@@ -533,20 +569,25 @@ def game_from_json(text: Union[str, bytes]) -> Game:
 
     The document carries the ordered player list and one value for every
     one of the ``2**n`` coalition keys, written as decimal integers or
-    reduced ``p/q`` strings.
+    reduced ``p/q`` strings.  The keys are compared with the players'
+    once, and each value is read once, by :func:`_parse_value`.  Of
+    several faults, an unknown key is reported first, then the first
+    missing key or bad value in coalition order.
     """
     doc, players = _read_document(text, ("players", "values"), GameFormatError)
     raw_values = doc["values"]
     if not isinstance(raw_values, dict):
         raise GameFormatError("'values' must be an object keyed by coalitions")
-    unknown = set(raw_values) - set(players._coalitions)
-    if unknown:
-        raise GameFormatError(f"unknown coalition key {sorted(unknown)[0]!r}")
-    values = [Fraction(0)] * (1 << players.n)
-    for key, s in players._coalitions.items():
-        if key not in raw_values:
-            raise GameFormatError(f"missing coalition key {key!r}")
-        values[s] = _parse_value(raw_values[key], f"values[{key!r}]")
+    coalitions = players._coalitions  # key -> coalition, in coalition order
+    if raw_values.keys() != coalitions.keys():
+        unknown = raw_values.keys() - coalitions.keys()
+        if unknown:
+            raise GameFormatError(f"unknown coalition key {sorted(unknown)[0]!r}")
+        for key in coalitions:
+            if key not in raw_values:
+                raise GameFormatError(f"missing coalition key {key!r}")
+            _parse_value(raw_values[key], key)
+    values = [_parse_value(raw_values[key], key) for key in coalitions]
     if values[0] != 0:
         raise GameFormatError("the empty coalition must have value 0")
     return Game(players, tuple(values))

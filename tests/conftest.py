@@ -9,6 +9,7 @@ from math import gcd, lcm
 import pytest
 
 from minbal import anti_dual, cones, game_of, generate, letters, lp_feasible
+from minbal.games import relabelling, restrict
 from minbal.balance import MinBalancedSystem, SetSystem, _perm_tables, normalize
 from minbal.cli import _cmd_catalogue, _cmd_check, _cmd_enumerate, _cmd_verify
 
@@ -405,3 +406,26 @@ def lp_only_is_exact(game):
             if s and not e:
                 points.setdefault(s, point)
     return cones.Verdict(True, cones.TightAllocationTable(tuple((d, points[d]) for d in coalitions)))
+
+
+def reference_is_totally_balanced(game):
+    """``cones.is_totally_balanced_lp`` as it was before subgames were
+    settled along symmetric chains: every coalition of two or more
+    players, and the full player set, asks ``cones._core_point`` for a
+    core point of its subgame, smallest first.  A reference whose
+    verdicts and certificates the chain pass must reproduce."""
+    players = game.players
+    full = players.full_mask
+    values, scale = cones._scaled(game)
+    coalitions = sorted(
+        (s for s in range(1, full + 1) if s.bit_count() >= 2 or s == full),
+        key=lambda s: (s.bit_count(), s),
+    )
+    for a in coalitions:
+        table = [values[s] for s in relabelling([i for i in range(players.n) if a >> i & 1])]
+        res, order, _ = cones._core_point(table, len(table) - 1)
+        if not res.feasible:
+            theta = cones._theta_values(a.bit_count(), order, res.farkas)
+            return cones.Verdict(False, cones.FailingSubgame(a, cones._violated_system(restrict(game, a), theta)))
+    return cones.Verdict(True, cones.CoreAllocation(cones._payoffs(res, scale)))
+

@@ -4,11 +4,12 @@ connecting the three cones."""
 import dataclasses
 import logging
 from fractions import Fraction as F
+from math import comb
 from random import Random
 
 import pytest
 
-from conftest import lp_only_is_exact, tight_rows
+from conftest import lp_only_is_exact, reference_is_totally_balanced, tight_rows
 from minbal import cones
 from minbal.balance import enumerate_min_balanced, is_min_balanced, system_of
 from minbal.cones import (
@@ -260,14 +261,14 @@ def _lp_only(monkeypatch, oracle, g):
     """``oracle`` on ``g`` with no marginal vector tried: a core LP
     wherever the oracle asks for a core point."""
     with monkeypatch.context() as m:
-        m.setattr(cones, "_marginal_vector", lambda table, first: None)
+        m.setattr(cones, "_marginal_vector", lambda table, order: None)
         return oracle(g)
 
 
 class TestGreedyShortcut:
-    """Subgames whose marginal vector in player order is in their core
-    run no LP; the verdicts and negative certificates are those of the
-    LP-only check."""
+    """Subgames settled along a symmetric chain, or whose marginal vector
+    in player order is in their core, run no LP; the verdicts and
+    negative certificates are those of the LP-only check."""
 
     def test_greedy_check_bites(self):
         # an additive table with x = (3, -1, 4, 2): the marginal vector
@@ -275,12 +276,12 @@ class TestGreedyShortcut:
         # alone, and bd is raised one unit above x(bd)
         x = [3, -1, 4, 2]
         table = [sum(x[i] for i in range(4) if s >> i & 1) for s in range(16)]
-        assert cones._marginal_vector(table, 0) == (x, table)
+        assert cones._marginal_vector(table, range(4)) == (x, table)
         bd = 0b1010
         table[bd] += 1
-        assert cones._marginal_vector(table, 0) is None
+        assert cones._marginal_vector(table, range(4)) is None
         table[bd] -= 1
-        assert cones._marginal_vector(table, 0) == (x, table)
+        assert cones._marginal_vector(table, range(4)) == (x, table)
 
     def test_convex_game_runs_no_system(self, monkeypatch):
         calls = _count_systems(monkeypatch)
@@ -319,7 +320,7 @@ class TestGreedyShortcut:
             table[key + "d"] = value + 1
         g = game_of(p4, table)
         values, _ = cones._scaled(g)
-        assert cones._marginal_vector(values[:8], 0) is None
+        assert cones._marginal_vector(values[:8], range(3)) is None
         calls = _count_systems(monkeypatch)
         v = is_totally_balanced_lp(g)
         assert v.member and calls == [7, 15]
@@ -327,9 +328,10 @@ class TestGreedyShortcut:
         assert v == _lp_only(monkeypatch, is_totally_balanced_lp, g)
 
     def test_failing_subgame_above_skipped_ones(self, monkeypatch):
-        # a convex game with bcd cut below its singletons' sum: the
-        # marginal vectors of the pairs and the other triples are in their
-        # cores, and bcd is the smallest failing coalition
+        # a convex game with bcd cut below its singletons' sum: the pairs
+        # pass in closed form, the chains through the other triples settle
+        # them, and bcd, whose chain fails, is the smallest failing
+        # coalition
         p4 = letters(4)
         convex = _convex_game(p4, Random(44))
         bcd = p4.coalition_of("bcd")
@@ -342,8 +344,9 @@ class TestGreedyShortcut:
         assert isinstance(v.certificate, FailingSubgame) and v.certificate.coalition == bcd
         verify_verdict(g, v)
         lp_only = _lp_only(monkeypatch, is_totally_balanced_lp, g)
-        # the LP-only path ran the six pairs and all four triples
-        assert calls[1:] == [3] * 6 + [7] * 4
+        # with no marginal vector the chains settle nothing: the six pairs
+        # pass in closed form, and all four triples run their LPs
+        assert calls[1:] == [7] * 4
         assert v == lp_only
 
     def test_agrees_with_facets_on_four_players(self, p4, totally4):
@@ -357,6 +360,130 @@ class TestGreedyShortcut:
             verify_verdict(g, v)
             outcomes.add(v.member)
         assert outcomes == {True, False}
+
+
+class TestSymmetricChains:
+    @pytest.mark.parametrize("n", range(13))
+    def test_chains_partition_the_coalitions_symmetrically(self, n):
+        chains = cones._symmetric_chains(n)
+        assert len(chains) == comb(n, n // 2)
+        links = [s for chain in chains for s in chain]
+        assert sorted(links) == list(range(1 << n))
+        for chain in chains:
+            assert chain[0].bit_count() + chain[-1].bit_count() == n
+            for s, t in zip(chain, chain[1:]):
+                assert s & t == s and (t ^ s).bit_count() == 1
+
+    def test_first_chain_adds_the_players_in_order(self):
+        # its top is the full player set, whose marginal vector in player
+        # order is also the member certificate's first try
+        assert cones._symmetric_chains(4)[0] == (0, 0b1, 0b11, 0b111, 0b1111)
+
+
+class TestChainSettling:
+    """The pair and chain passes settle subgames without an LP; the
+    verdicts and certificates are those of the smallest-first scan over
+    every subgame (``conftest.reference_is_totally_balanced``)."""
+
+    @staticmethod
+    def _games(n, seed):
+        players = letters(n)
+        rng = Random(f"chains:{n}:{seed}")
+        convex = _convex_game(players, rng)
+        cut = list(convex.values)
+        cut[-1] = sum(cut[1 << i] for i in range(n)) - rng.randint(1, 5)
+        return {
+            "convex": convex,
+            "cut": Game(players, tuple(cut)),
+            "random": random_game(players, rng),
+            "random_exact_game": random_exact_game(players, rng),
+            "min_of_additive": _min_of_additive(players, rng, 3),
+        }
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_reference_scan(self, n):
+        fallbacks = 0
+        for seed in range(1, 6):
+            for kind, g in self._games(n, seed).items():
+                v = is_totally_balanced_lp(g)
+                assert v == reference_is_totally_balanced(g), (kind, seed)
+                verify_verdict(g, v)
+                if v.member:
+                    values = cones._scaled(g)[0]
+                    chains = [c for c in cones._symmetric_chains(n) if c[-1].bit_count() >= 3]
+                    fallbacks += any(cones._chain_vector(values, c) is None for c in chains)
+        if n >= 5:
+            # some member has a chain whose vector leaves its top's core,
+            # and those subgames take the core LP
+            assert fallbacks
+
+    @staticmethod
+    def _count_chains(monkeypatch):
+        """Record the chains whose vectors the scan tries."""
+        tried = []
+        vector = cones._chain_vector
+
+        def counting(values, chain):
+            tried.append(chain)
+            return vector(values, chain)
+
+        monkeypatch.setattr(cones, "_chain_vector", counting)
+        return tried
+
+    def test_failing_pair_skips_the_chains(self, monkeypatch):
+        # a pair whose worth is below its members' sum fails in closed
+        # form before the scan reaches a triple, so no chain is tried
+        p4 = letters(4)
+        g = game_of(p4, {"ab": 1, "ac": 2, "bc": -1, "abc": 5, "abcd": 9})
+        values, _ = cones._scaled(g)
+        assert [cones._settled(values, p4.coalition_of(k), {}) for k in ("ab", "ac", "bc", "ad")] == [True, True, False, True]
+        with monkeypatch.context() as m:
+            tried = self._count_chains(m)
+            v = is_totally_balanced_lp(g)
+        assert tried == []
+        assert v.certificate.coalition == p4.coalition_of("bc")
+        assert v == reference_is_totally_balanced(g)
+
+    def test_failing_triple_tries_only_the_chains_it_reached(self, monkeypatch):
+        # an 8-player convex game with bcd cut below its singletons' sum:
+        # the scan stops at bcd, having tried only the chains through the
+        # triples up to it, not one vector per chain
+        n = 8
+        players = letters(n)
+        values = list(_convex_game(players, Random(88)).values)
+        bcd = players.coalition_of("bcd")
+        values[bcd] = values[2] + values[4] + values[8] - 1
+        g = Game(players, tuple(values))
+        tried = self._count_chains(monkeypatch)
+        v = is_totally_balanced_lp(g)
+        assert v.certificate.coalition == bcd
+        chains, chain_of = cones._symmetric_chains(n), cones._chain_of(n)
+        reached = dict.fromkeys(chains[chain_of[t]] for t in (0b111, 0b1011, 0b1101, bcd))
+        assert tried == list(reached) and len(tried) < 5
+        assert v == reference_is_totally_balanced(g)
+
+    def test_convex_game_settles_every_chain_once(self, monkeypatch):
+        # each chain's vector is taken once, and the member certificate
+        # is the first chain's vector, not a second pass over the table
+        n = 6
+        g = _convex_game(letters(n), Random(66))
+        values, _ = cones._scaled(g)
+        chains = [c for c in cones._symmetric_chains(n) if c[-1].bit_count() >= 3]
+        vectors = {}
+        assert all(cones._settled(values, s, vectors) for s in range(1, 1 << n))
+        assert None not in vectors.values() and len(vectors) == len(chains)
+        tried = self._count_chains(monkeypatch)
+        marginals = []
+        marginal = cones._marginal_vector
+
+        def counting(values, order):
+            marginals.append(order)
+            return marginal(values, order)
+
+        monkeypatch.setattr(cones, "_marginal_vector", counting)
+        v = is_totally_balanced_lp(g)
+        assert sorted(tried) == sorted(chains) and len(marginals) == len(chains)
+        assert v == reference_is_totally_balanced(g)
 
 
 class TestIsExact:
@@ -514,7 +641,7 @@ class TestMarginalVectors:
         n = 5
         values, _ = cones._scaled(_convex_game(letters(n), Random(55)))
         for d in range(1 << n):
-            x, sums = cones._marginal_vector(values, d)
+            x, sums = cones._marginal_vector(values, cones._starting_with(d, n))
             assert sums == [sum(x[i] for i in range(n) if s >> i & 1) for s in range(1 << n)]
             assert all(t >= v for t, v in zip(sums, values))
             order = [i for i in range(n) if d >> i & 1] + [i for i in range(n) if not d >> i & 1]
@@ -539,7 +666,7 @@ class TestMarginalVectors:
                     prefix |= 1 << i
                 sums = [sum(x[i] for i in range(n) if s >> i & 1) for s in range(1 << n)]
                 in_core = all(t >= v for t, v in zip(sums, values))
-                assert cones._marginal_vector(values, d) == ((x, sums) if in_core else None)
+                assert cones._marginal_vector(values, cones._starting_with(d, n)) == ((x, sums) if in_core else None)
                 outcomes.add(in_core)
         assert outcomes == {True, False}
 

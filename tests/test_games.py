@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+import minbal.games
 from minbal.balance import system_of
 from minbal.games import (
     Game,
@@ -325,6 +326,48 @@ class TestGameJson:
         text = game_to_json(random_game(p3, Random(5)))
         with pytest.raises(GameFormatError, match="invalid JSON"):
             game_from_json(text.encode(encoding))
+
+
+class TestGameValues:
+    """Each value is read once: a signed string of ASCII digits by one
+    ``int``, anything else by the full format check."""
+
+    @pytest.mark.parametrize("raw", ["+1", " 1", "1_0", "\u0661", "1\n", "-", "--1", ""],
+                             ids=["plus", "space", "underscore", "arabic-indic", "newline", "minus", "two-minus", "empty"])
+    def test_strings_int_accepts_are_rejected(self, raw):
+        # int() reads all but the last three; the format rejects them all
+        doc = json.dumps({"players": ["a"], "values": {"": 0, "a": raw}})
+        with pytest.raises(GameFormatError) as error:
+            game_from_json(doc)
+        assert str(error.value) == f"values['a']: {raw!r} is not a decimal integer or p/q rational"
+
+    @pytest.mark.parametrize("doc, message", [
+        ('{"players": ["a"], "players": ["a"], "values": {"": 0, "a": }}', "repeated key 'players' in a JSON object"),
+        ('{"values": {"": 0, "a": 1, "a": 2}, "players": ["a"] x}', "repeated key 'a' in a JSON object"),
+        ('{"values": {"": 0, "a": 1, "a": 2 x}, "players": ["a"]}', "invalid JSON: Expecting ',' delimiter: line 1 column 35 (char 34)"),
+        ('{"players": ["a"], "players": ["a"], "values": {"": 0, "a": 1, "a": 2}}', "repeated key 'players' in a JSON object"),
+        ('{"players": ["a","b"], "values": {"": "0", "a": "0", "x": "1"}}', "unknown coalition key 'x'"),
+        ('{"players": ["a","b"], "values": {"": "0", "a": "0.5", "ab": "1"}}', "values['a']: '0.5' is not a decimal integer or p/q rational"),
+        ('{"players": ["a","b"], "values": {"": "0", "b": "0.5", "ab": "1"}}', "missing coalition key 'a'"),
+        ('{"players": ["a","b"], "values": {"": "0", "a": "0", "b": "0", "ab": "1"}, "players": 1, "x": 1}', "repeated key 'players' in a JSON object"),
+    ], ids=["repeated-then-syntax", "inner-repeated-then-syntax", "syntax-inside-repeating-object", "repeated-twice",
+            "unknown-and-missing", "bad-value-then-missing", "missing-then-bad-value", "repeated-then-extra-field"])
+    def test_first_fault_wins(self, doc, message):
+        for data in (doc, doc.encode()):
+            with pytest.raises(GameFormatError) as error:
+                game_from_json(data)
+            assert str(error.value) == message
+
+    def test_valid_document_is_decoded_whole(self, monkeypatch, p3):
+        # one decode of the top-level object, no member-by-member walk
+        game = random_game(p3, Random(3))
+        monkeypatch.setattr(minbal.games._Reader, "members", None)
+        assert game_from_json(game_to_json(game).encode()) == game
+
+    def test_values_are_fractions_kept_as_they_are(self, p2):
+        g = game_from_json('{"players": ["a","b"], "values": {"": "0", "a": "-12", "b": 3, "ab": "7/2"}}')
+        assert g.values == (0, -12, 3, F(7, 2)) and all(type(v) is F for v in g.values)
+        assert all(a is b for a, b in zip(SetFunction(p2, g.values).values, g.values))
 
 
 def test_random_game_shape(p3):
