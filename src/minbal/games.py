@@ -28,8 +28,8 @@ log = logging.getLogger("minbal")
 #: Membership oracles keep dense 2**n tables, so the player count is capped.
 MAX_PLAYERS = 12
 
-_VALUE_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
-_INTEGER_RE = re.compile(r"-?[0-9]+\Z")
+#: A value string: a decimal integer, perhaps with a ``/`` denominator.
+_VALUE_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z")
 
 
 class GameFormatError(ValueError):
@@ -314,23 +314,23 @@ def random_exact_game(players: Players, rng: Random) -> Game:
 
 def _parse_value(raw: object, key: str) -> Fraction:
     """The value at coalition ``key``: a JSON integer, or a string of a
-    decimal integer or a reduced ``p/q`` rational.  A string of ASCII
-    digits, perhaps after a ``-``, is read by one ``int``."""
-    if type(raw) is str and _INTEGER_RE.match(raw):
+    decimal integer or a reduced ``p/q`` rational, read by one match of
+    ``_VALUE_RE``; a match with no denominator is read by one ``int``."""
+    match = isinstance(raw, str) and _VALUE_RE.match(raw)
+    if match and match[2] is None:
         return Fraction(int(raw))
     where = f"values[{key!r}]"
+    if match:
+        p, q = int(match[1]), int(match[2])
+        if q == 0 or gcd(p, q) != 1:
+            raise GameFormatError(f"{where}: {raw!r} is not a reduced rational with positive denominator")
+        return Fraction(p, q)
     if isinstance(raw, bool):
         raise GameFormatError(f"{where}: boolean is not a rational value")
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, str):
-        if not _VALUE_RE.match(raw):
-            raise GameFormatError(f"{where}: {raw!r} is not a decimal integer or p/q rational")
-        p, _, q = raw.partition("/")
-        p, q = int(p), int(q or 1)
-        if q == 0 or gcd(p, q) != 1:
-            raise GameFormatError(f"{where}: {raw!r} is not a reduced rational with positive denominator")
-        return Fraction(p, q)
+        raise GameFormatError(f"{where}: {raw!r} is not a decimal integer or p/q rational")
     raise GameFormatError(f"{where}: values must be integers or rational strings, got {type(raw).__name__}")
 
 
@@ -347,11 +347,13 @@ def _unique_keys(error: type[ValueError], pairs: list) -> dict:
 
 
 class _Reader:
-    """A JSON text read from its start, one value at a time.  ``bytes``
-    are decoded as UTF-8 a window at a time, and the text already read is
-    dropped when the next window is decoded.  Malformed input, a repeated
-    key or bytes that are not UTF-8 included, raises ``error`` with the
-    message ``json.loads`` would give."""
+    """A JSON text read from its start, one value at a time: a catalogue,
+    whose entries are read one at a time, and a game document that
+    ``json.loads`` rejected, read again so that its first fault in reading
+    order raises.  ``bytes`` are decoded as UTF-8 a window at a time, and
+    the text already read is dropped when the next window is decoded.
+    Malformed input, a repeated key or bytes that are not UTF-8 included,
+    raises ``error`` with the message ``json.loads`` would give."""
 
     def __init__(self, data: Union[str, bytes], error: type[ValueError]) -> None:
         self.data, self.error = data, error
@@ -419,9 +421,10 @@ class _Reader:
                 self.at = end
                 return value
 
-    def start(self) -> None:
-        """Move the read position to the top-level object's opening
-        brace.  A document that is not an object raises."""
+    def members(self) -> Iterator[str]:
+        """The keys of the top-level object, in order; after each, the
+        read position is at its value, which the caller reads.  A document
+        that is not an object raises."""
         char = self.next_char()
         if char != "{":
             if char == "\ufeff" and not self.dropped + self.at:
@@ -429,12 +432,6 @@ class _Reader:
             self.value()
             self.end()
             raise self.error("top level must be an object")
-
-    def members(self) -> Iterator[str]:
-        """The keys of the top-level object, in order; after each, the
-        read position is at its value, which the caller reads.  A document
-        that is not an object raises."""
-        self.start()
         self.at += 1
         char = self.next_char()
         if char == "}":
@@ -485,7 +482,8 @@ def _read_document(data: Union[str, bytes], fields: tuple[str, ...], error: type
     ``fields``, one of them ``players``.  Malformed input, a repeated key
     or bytes that are not UTF-8 included, raises ``error``.
 
-    Without ``stop`` the document is decoded whole (:func:`_read_whole`).
+    Without ``stop`` a valid document is decoded by ``json.loads``
+    (:func:`_read_whole`).
     The value of the field ``stop`` must be a list, and ``doc[stop]`` is
     an iterator over its elements.  When ``stop`` follows every other
     field, the document is read only up to its value: the iterator decodes
@@ -516,19 +514,21 @@ def _read_document(data: Union[str, bytes], fields: tuple[str, ...], error: type
 
 
 def _read_whole(data: Union[str, bytes], fields: tuple[str, ...], error: type[ValueError]) -> dict:
-    """The top-level object decoded in one ``raw_decode``, with its fields
-    checked.  One decode reports a repeated top-level key only once the
-    whole object is read, so a document that raises is read again member
-    by member, where the first fault in reading order raises."""
-    reader = _Reader(data, error)
-    reader.start()
+    """The top-level object decoded by ``json.loads``, ``bytes`` first
+    decoded as strict UTF-8, with its fields checked.  A document that
+    raises there, or whose top level is not an object, is read again
+    member by member by a :class:`_Reader`, where the first fault in
+    reading order raises with the catalogue reader's message: one decode
+    reports a repeated top-level key only once the whole object is read."""
     try:
-        doc = reader.value()
-        reader.end()
-    except error:
-        reader, doc = _Reader(data, error), {}
-        _read_members(reader, reader.members(), doc, fields)
-        return doc
+        doc = json.loads(data if isinstance(data, str) else str(data, "utf-8"),
+                         object_pairs_hook=partial(_unique_keys, error))
+    except ValueError:
+        doc = None
+    if not isinstance(doc, dict):
+        reader = _Reader(data, error)
+        _read_members(reader, reader.members(), {}, fields)
+        raise error("invalid JSON")
     _check_fields(doc, fields, error)
     return doc
 
@@ -569,10 +569,13 @@ def game_from_json(text: Union[str, bytes]) -> Game:
 
     The document carries the ordered player list and one value for every
     one of the ``2**n`` coalition keys, written as decimal integers or
-    reduced ``p/q`` strings.  The keys are compared with the players'
-    once, and each value is read once, by :func:`_parse_value`.  Of
-    several faults, an unknown key is reported first, then the first
-    missing key or bad value in coalition order.
+    reduced ``p/q`` strings.  A valid document is decoded by one
+    ``json.loads``; a faulty one is read again by the catalogue reader,
+    so both formats fail with one message (:func:`_read_whole`).  The
+    keys are compared with the players' once, and each value is read
+    once, by :func:`_parse_value`.  Of several faults, an unknown key is
+    reported first, then the first missing key or bad value in coalition
+    order.
     """
     doc, players = _read_document(text, ("players", "values"), GameFormatError)
     raw_values = doc["values"]

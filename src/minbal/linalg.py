@@ -126,10 +126,8 @@ def _packed_echelon(length: int, leading: int, bits: int) -> tuple[Callable, lis
       * row) / prev`` for ``v``'s entry ``f`` at the pivot of ``row``, the
       field at bit ``at``, where ``row`` holds ``lead > 0``; ``prev`` is
       the lead before the first row (1 for a fresh echelon), then the
-      lead of the row before.  A step with ``f == 0`` and ``lead ==
-      prev`` leaves ``v`` as it is and is skipped; any other step with
-      ``f == 0`` still multiplies and divides, or the next division is
-      inexact;
+      lead of the row before.  A step with ``f == 0`` still multiplies
+      and divides, or the next division is inexact;
     - ``pivot(v)``, ``None`` when the first ``leading`` entries of ``v``
       vanish, else ``v`` or its negative, whichever is positive at its
       pivot, its lowest nonzero field, with ``at`` and ``lead``: the
@@ -200,14 +198,13 @@ def _packed_echelon(length: int, leading: int, bits: int) -> tuple[Callable, lis
     def reduce_row(rows: list[tuple[int, int, int]], v: int, prev: int) -> int:
         for row, at, lead in rows:
             f = (v + halves >> at & mask) - half
-            if f or lead != prev:
-                v = lead * v - f * row
-                if prev != 1:
-                    v, r = divmod(v, prev)
-                    if r:
-                        raise ArithmeticError(inexact)
-                if v + bound & high:
-                    raise ArithmeticError(overflow)
+            v = lead * v - f * row
+            if prev != 1:
+                v, r = divmod(v, prev)
+                if r:
+                    raise ArithmeticError(inexact)
+            if v + bound & high:
+                raise ArithmeticError(overflow)
             prev = lead
         return v
 

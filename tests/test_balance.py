@@ -436,14 +436,13 @@ class TestPackedEchelon:
         with pytest.raises(ArithmeticError, match=r"left \[-2\*\*4, 2\*\*4\)"):
             reduce_row([second], v, 16)
 
-    def test_a_step_with_no_entry_at_the_pivot_and_an_equal_lead_is_skipped(self):
-        # (lead * v - 0 * row) / prev is v when lead == prev: the step
-        # returns v itself, not a recomputed copy; with another prev the
-        # step still scales v by lead / prev
+    def test_a_step_with_no_entry_at_the_pivot_scales_by_lead_over_prev(self):
+        # (lead * v - 0 * row) / prev is v when lead == prev; with another
+        # prev the step still scales v by lead / prev
         pack, _, unpack, reduce_row, pivot, _ = _packed_echelon(3, 3, 4)
         first = pivot(pack([2, 1, 0]))
         v = pack([0, 3, -1])
-        assert reduce_row([first], v, 2) is v
+        assert reduce_row([first], v, 2) == v
         assert unpack(reduce_row([first], v, 1)) == [0, 6, -2]
         second = pivot(reduce_row([first], pack([1, 2, 1]), 1))
         assert second[2] == 3 and unpack(reduce_row([first, second], pack([0, 0, 5]), 1)) == [0, 0, 15]

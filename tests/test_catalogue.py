@@ -538,7 +538,8 @@ def decoded_objects(monkeypatch):
 
 
 class TestReader:
-    """The member-by-member reader behind ``parse`` and ``game_from_json``."""
+    """The member-by-member reader behind ``parse``, and behind
+    ``game_from_json`` on a document ``json.loads`` rejects."""
 
     def test_canonical_file_parses_without_decoding_an_entry(self, decoded_objects):
         catalogue = generate(letters(5), "totally-balanced")
@@ -586,13 +587,49 @@ class TestReader:
         (b"[]", "top level must be an object"),
         (b'{"players": ["a", "b"], "players": ["a"]}', "repeated key 'players' in a JSON object"),
         (b'{"cone": "balanced"}', "missing required field 'players'"),
-    ], ids=["bom", "list", "repeated-key", "missing-field"])
+        (b"\xc3(", "invalid JSON: 'utf-8' codec can't decode byte 0xc3 in position 0: invalid continuation byte"),
+        (b"", r"invalid JSON: Expecting value: line 1 column 1 \(char 0\)"),
+        (b'{"players": ["a", "b",], "cone": "balanced"}', r"invalid JSON: Expecting value: line 1 column 23 \(char 22\)"),
+        (b'{"players" ["a", "b"]}', r"invalid JSON: Expecting ':' delimiter: line 1 column 12 \(char 11\)"),
+        (b'{"cone": "balanced"} {}', r"invalid JSON: Extra data: line 1 column 22 \(char 21\)"),
+    ], ids=["bom", "list", "repeated-key", "missing-field", "not-utf8", "empty", "syntax-in-header", "missing-colon",
+            "extra-data"])
     def test_header_faults_give_one_message_in_both_formats(self, data, message):
-        with pytest.raises(CatalogueFormatError, match=message) as catalogue_error:
-            parse(data)
-        with pytest.raises(GameFormatError) as game_error:
-            game_from_json(data)
-        assert str(catalogue_error.value) == str(game_error.value)
+        # a game document that json.loads rejects is read again by the
+        # catalogue reader, as bytes or as text
+        try:
+            forms = (data, data.decode("utf-8"))
+        except UnicodeDecodeError:
+            forms = (data,)
+        for form in forms:
+            with pytest.raises(CatalogueFormatError, match=message) as catalogue_error:
+                parse(form)
+            with pytest.raises(GameFormatError) as game_error:
+                game_from_json(form)
+            assert str(catalogue_error.value) == str(game_error.value)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["entries"].__setitem__(0, [1]),
+         "entries[0]: the entry differs from entry 0 of the 3-player balanced catalogue, which has 5 entries in 3 types"),
+        (lambda doc: doc["entries"].__setitem__(0, dict(reversed(doc["entries"][0].items()))),
+         "entries[0]: the field order differs from entry 0 of the 3-player balanced catalogue, which has 5 entries in 3 types"),
+        (lambda doc: doc.__setitem__("cone", "convex"), "'convex' is not a valid ConeKind"),
+        (lambda doc: doc.clear(), "missing required field 'players'"),
+        (lambda doc: doc.__setitem__("entries", []), "entries[0]: missing; the 3-player balanced catalogue has 5 entries in 3 types"),
+    ], ids=["entry-not-an-object", "fields-reordered", "unknown-cone", "empty-object", "no-entries"])
+    def test_rejection_messages(self, balanced3, edit, message):
+        doc = json.loads(serialize(balanced3))
+        edit(doc)
+        with pytest.raises(CatalogueFormatError) as error:
+            parse(json.dumps(doc, indent=2))
+        assert str(error.value) == message
+
+    def test_missing_comma_between_streamed_entries_rejected(self, balanced3):
+        text = serialize(balanced3).decode()
+        at = text.index("},\n    {") + 1
+        with pytest.raises(CatalogueFormatError) as error:
+            parse(text[:at] + text[at + 1:])
+        assert str(error.value) == "invalid JSON: Expecting ',' delimiter: line 46 column 5 (char 665)"
 
     @pytest.mark.parametrize("window", [1, 7, 1000])
     def test_windows_shorter_than_the_file(self, monkeypatch, exact4, window):

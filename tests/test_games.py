@@ -329,8 +329,10 @@ class TestGameJson:
 
 
 class TestGameValues:
-    """Each value is read once: a signed string of ASCII digits by one
-    ``int``, anything else by the full format check."""
+    """Each value is read once: a string by one regex match, whose signed
+    ASCII digits with no denominator one ``int`` reads; a valid document
+    is decoded by ``json.loads``, a faulty one read again member by
+    member."""
 
     @pytest.mark.parametrize("raw", ["+1", " 1", "1_0", "\u0661", "1\n", "-", "--1", ""],
                              ids=["plus", "space", "underscore", "arabic-indic", "newline", "minus", "two-minus", "empty"])
@@ -363,6 +365,37 @@ class TestGameValues:
         game = random_game(p3, Random(3))
         monkeypatch.setattr(minbal.games._Reader, "members", None)
         assert game_from_json(game_to_json(game).encode()) == game
+
+    def test_valid_document_constructs_no_reader(self, monkeypatch, p3):
+        # json.loads decodes a valid document; the reader is for faults
+        game = random_game(p3, Random(4))
+
+        def no_reader(*args):
+            raise AssertionError("a valid game document was read by _Reader")
+
+        monkeypatch.setattr(minbal.games, "_Reader", no_reader)
+        text = game_to_json(game)
+        assert game_from_json(text) == game_from_json(text.encode()) == game
+
+    def test_document_json_loads_rejects_is_never_accepted(self, monkeypatch):
+        # were the member walk to pass a document json.loads rejected, the
+        # decode would still raise
+        monkeypatch.setattr(minbal.games, "_read_members", lambda *args: None)
+        for data in ('{"players": ["a"], "values": {"": 0, "a": 1}} x', b"\xc3(", "[]"):
+            with pytest.raises(GameFormatError, match="invalid JSON"):
+                game_from_json(data)
+
+    @pytest.mark.parametrize("doc, message", [
+        ('{"players": ["a"], "values": [0, 1]}', "'values' must be an object keyed by coalitions"),
+        ('{"players": ["a"], "values": "0 1"}', "'values' must be an object keyed by coalitions"),
+        ('{"players": ["a"], "values": {"": 0, "a": true}}', "values['a']: boolean is not a rational value"),
+        ("{}", "missing required field 'players'"),
+    ], ids=["values-list", "values-string", "value-true", "empty-object"])
+    def test_rejection_messages(self, doc, message):
+        for data in (doc, doc.encode()):
+            with pytest.raises(GameFormatError) as error:
+                game_from_json(data)
+            assert str(error.value) == message
 
     def test_values_are_fractions_kept_as_they_are(self, p2):
         g = game_from_json('{"players": ["a","b"], "values": {"": "0", "a": "-12", "b": 3, "ab": "7/2"}}')
