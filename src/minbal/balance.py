@@ -14,11 +14,12 @@ systems into permutational types.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import permutations
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from operator import or_
 from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
@@ -49,10 +50,7 @@ class SetSystem:
 
     @property
     def carrier(self) -> int:
-        bits = 0
-        for m in self.members:
-            bits |= m
-        return bits
+        return reduce(or_, self.members, 0)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
@@ -184,37 +182,50 @@ def normalize(weights: Mapping[int, Fraction]) -> tuple[int, InequalityVector]:
     is asserted at runtime rather than assumed.  The returned vector has
     coefficient ``k`` on the carrier, ``-k * lam_S`` on the members, the
     o-standardizing remainder on the empty coalition and zero elsewhere.
+    The weights are scaled to numerators over the least common
+    denominator and normalized in integers (``_normalize_integers``).
     """
     members = sorted(weights)
+    lams = [Fraction(weights[m]) for m in members]
+    scale = lcm(*(l.denominator for l in lams))
+    return _normalize_integers(members, [l.numerator * (scale // l.denominator) for l in lams], scale)
+
+
+def _normalize_integers(members: Sequence[int], numerators: Sequence[int], denominator: int) -> tuple[int, InequalityVector]:
+    """``normalize`` of the weights ``numerators[i] / denominator`` of the
+    increasing ``members``, the denominator positive, with every check
+    made on the integers: no ``Fraction`` is built unless a message
+    shows one.  The orderly search calls it on the numerators and the
+    lead of its packed target, ``normalize`` on its scaled weights.
+
+    Divided by their common divisor with the denominator, the numerators
+    are ``ints`` over the least denominator ``scale``; ``k`` is ``scale``
+    over the gcd of ``ints``, and each member's coefficient is minus its
+    ``int`` over that gcd.
+    """
     if len(members) < 2:
         raise ValueError("normalization is defined for non-trivial systems only")
-    carrier = 0
-    for m in members:
-        carrier |= m
-    if 0 in weights or carrier in weights:
+    carrier = reduce(or_, members)
+    if 0 in members or carrier in members:
         raise ValueError("weights must be indexed by proper nonempty members")
-    lams = [Fraction(weights[m]) for m in members]
-    if any(l <= 0 for l in lams):
+    if any(v <= 0 for v in numerators):
         raise ValueError("balanced weights must be strictly positive")
     n = carrier.bit_length()
-    if _player_sums(zip(members, lams), n) != [carrier >> i & 1 for i in range(n)]:
+    if _player_sums(zip(members, numerators), n) != [denominator * (carrier >> i & 1) for i in range(n)]:
         raise ValueError("weights are not balanced on the carrier")
-    scale = lcm(*(l.denominator for l in lams))
-    ints = [int(l * scale) for l in lams]
+    common = gcd(denominator, *numerators)
+    scale = denominator // common
+    ints = [v // common for v in numerators]
     g = gcd(*ints)
     if scale % g != 0:
         raise ArithmeticError(
             "minimal normalization constant is not an integer; "
-            f"weights {dict(zip(members, lams))} scale to k = {scale}/{g}"
+            f"weights {dict(zip(members, (Fraction(v, denominator) for v in numerators)))} scale to k = {scale}/{g}"
         )
     k = scale // g
-    coeffs = {carrier: k}
-    for m, i in zip(members, ints):
-        coeffs[m] = -(i // g)
-    coeffs[0] = -sum(coeffs.values())
-    if coeffs[0] == 0:
-        del coeffs[0]
-    alpha = InequalityVector(tuple(sorted(coeffs.items())))
+    items = [*((m, -(i // g)) for m, i in zip(members, ints)), (carrier, k)]  # increasing: each member is a proper subset
+    empty = -sum(a for _, a in items)
+    alpha = InequalityVector(tuple([(0, empty), *items] if empty else items))  # a zero coefficient is omitted
     if not alpha.is_o_standardized():
         raise ArithmeticError("normalized coefficient vector is not o-standardized")
     if alpha.coefficient(0) < 1:
@@ -270,9 +281,9 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
     leaves it.
 
     The images of the chosen members under the relabellings are packed
-    into one integer, a field of ``full + 1`` bits per relabelling with
-    the identity's lowest, each holding bit ``full - s`` for member ``s``
-    (``_packed_marks``).  Of two sets of equal size, the one holding the
+    into one integer, a field of at least ``full + 1`` bits per
+    relabelling with the identity's lowest, each holding bit ``full - s``
+    for member ``s`` (``_packed_marks``).  Of two sets of equal size, the one holding the
     smallest coalition they do not share sorts first and has the larger
     mask, so the chosen members are lex-least exactly when the
     identity's field is the largest, which a few integer operations on
@@ -303,9 +314,8 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
         if union == full and pivot(target) is None:  # the target, reduced already, vanishes on the first c entries
             if negative(target, c, c + depth):
                 values = unpack(target)[c:]
-                weights = tuple(Fraction(-v, values[c]) for v in values[:depth])
-                k, alpha = normalize(dict(zip(chosen, weights)))
-                found.append(MinBalancedSystem(SetSystem(tuple(chosen)), weights, k, alpha))
+                k, alpha = _normalize_integers(chosen, [-v for v in values[:depth]], values[c])
+                found.append(MinBalancedSystem(SetSystem(tuple(chosen)), tuple(Fraction(-v, values[c]) for v in values[:depth]), k, alpha))
             return
         for i in range(start, ncand):
             if union | suffix_cover[i] != full:
@@ -333,12 +343,17 @@ def _packed_marks(c: int) -> tuple[list[int], Callable[[int], bool], Callable[[i
     ``_perm_tables(c)``, packed into one integer per coalition, and the
     lex-least test and the orbit size on the OR of such integers.
 
-    ``marks[s]`` holds one field of ``full + 1`` bits per relabelling,
-    field ``k`` with bit ``full - tables[k][s]`` set, so the OR of the
-    marks of a set of members holds each relabelling's mask of their
-    images in its field; ``marks[0]`` is zero.  No member is empty or the
-    carrier, so no mask sets bit ``full``, the field's guard.  Each mark
-    is read from its binary numeral, the last relabelling's field first.
+    ``marks[s]`` holds one field per relabelling, field ``k`` with bit
+    ``full - tables[k][s]`` set, so the OR of the marks of a set of
+    members holds each relabelling's mask of their images in its field;
+    ``marks[0]`` is zero.  ``marks[full]``, the carrier's, sets bit 0 of
+    every field, as ``canonical_type`` takes systems that contain their
+    carrier.  No member is empty, so no mask sets bit ``full``, the
+    field's guard.  A field is ``full + 1`` bits wide, or a byte below
+    three players, so that ``_fields`` reads the fields of every ``c``
+    as one machine integer each; the tests below hold for any width above
+    the guard.  Each mark is read from its binary numeral, the last
+    relabelling's field first.
 
     The test says whether field 0, the identity's, is at least every
     other field, as ``max(masks) == masks[0]`` does on the unpacked
@@ -354,13 +369,13 @@ def _packed_marks(c: int) -> tuple[list[int], Callable[[int], bool], Callable[[i
     exactly the zero fields.
     """
     full = (1 << c) - 1
-    width = full + 1
+    width = max(8, full + 1)  # whole bytes, for ``_fields``
     tables = _perm_tables(c)
-    digits = ["0" * (full - j) + "1" + "0" * j for j in range(width)]  # a field's binary numeral with bit j set
+    digits = ["0" * (width - 1 - j) + "1" + "0" * j for j in range(width)]  # a field's binary numeral with bit j set
     ones = int(digits[0] * len(tables), 2)
     guards = ones << full
     low = (1 << full) - 1
-    marks = [0] + [int("".join([digits[full - table[s]] for table in reversed(tables)]), 2) for s in range(1, full)]
+    marks = [0] + [int("".join([digits[full - table[s]] for table in reversed(tables)]), 2) for s in range(1, full + 1)]
 
     def is_lex_least(images: int) -> bool:
         return (((images & low) * ones | guards) - images) & guards == guards
@@ -372,10 +387,20 @@ def _packed_marks(c: int) -> tuple[list[int], Callable[[int], bool], Callable[[i
     return marks, is_lex_least, orbit_size
 
 
+def _fields(images: int, c: int) -> Sequence[int]:
+    """Each relabelling's mask in an OR of ``_packed_marks(c)`` marks,
+    the identity's first, without a loop in Python: the integer's bytes
+    in machine order, cast to one unsigned integer per field.  On a
+    big-endian machine the cast lists the last field first."""
+    # a field is a byte up to three players, then 2, 4 and 8 bytes: ``_packed_marks``' width
+    fields = memoryview(images.to_bytes(max(1, (1 << c) >> 3) * factorial(c), sys.byteorder)).cast("BBBBHIQ"[c])
+    return fields if sys.byteorder == "little" else fields[::-1]
+
+
 def _orbit_sizes(c: int) -> list[int]:
-    """``len(_orbit(members, c))`` for each ``_enumerate_size(c)`` type,
-    read off the OR of its members' ``_packed_marks`` without listing the
-    orbit."""
+    """The orbit size of each ``_enumerate_size(c)`` type on the first
+    ``c`` players, read off the OR of its members' ``_packed_marks``
+    without listing the orbit."""
     types = _enumerate_size(c)
     marks, _, orbit_size = _packed_marks(c)
     return [orbit_size(reduce(or_, map(marks.__getitem__, rep.system.members))) for rep in types]
@@ -393,25 +418,36 @@ def _member_values(rep: MinBalancedSystem) -> tuple[tuple[Fraction, int], ...]:
 
 
 def _images(types: Sequence[tuple[tuple[int, ...], Sequence[_Value], _Tag]], c: int) -> Iterator[tuple[tuple[int, ...], tuple[_Value, ...], _Tag]]:
-    """The images of systems on the first ``c`` players under the
-    relabellings of their orbits (``_orbit``), in canonical order.
+    """The images of systems on the first ``c`` players under the ``c!``
+    relabellings, in canonical order.
 
     Each system is given by its members, one value per member and a tag;
     each image comes with its members, the values moved with their
     members into the image's order, and its system's tag.  The systems
-    must be of distinct types, so no two images are equal.  The images are
-    sorted once, largest first, and popped from the end, so each one's
-    values are reordered as it is drawn and its entry freed.  A
-    relabelling from the first ``c`` players that keeps their order, as
+    must be of distinct types, so no two images are equal, and no one may
+    properly contain another, as no min-balanced system properly
+    contains another on its carrier.  Each image is read off the OR of
+    the system's ``_packed_marks`` as its field's mask (``_fields``), and
+    one relabelling is kept per distinct mask, the last, so no orbit is
+    built as tuples.  Of two member sets neither containing the other,
+    the one holding the smallest coalition they do not share sorts first
+    as a tuple and has the larger mask, so descending mask is canonical
+    order.  ``(mask, type, relabelling)`` is sorted once and popped from
+    the end, so each image's members are mapped and sorted, with their
+    values, only as it is drawn, and its entry is freed.  A relabelling
+    from the first ``c`` players that keeps their order, as
     ``relabelling(_bit_positions(carrier))`` does, moves an image onto any
     carrier of ``c`` players and keeps every list in order.
     """
-    order = sorted(((image, i, table) for i, (members, _, _) in enumerate(types) for image, table in _orbit(members, c).items()), reverse=True)
+    marks, _, _ = _packed_marks(c)
+    tables = _perm_tables(c)
+    order = sorted((mask, i, k) for i, (members, _, _) in enumerate(types)
+                   for mask, k in dict(zip(_fields(reduce(or_, map(marks.__getitem__, members)), c), range(len(tables)))).items())
     while order:
-        image, i, table = order.pop()
+        _, i, k = order.pop()
         members, values, tag = types[i]
-        moved = dict(zip(map(table.__getitem__, members), values))
-        yield image, tuple(map(moved.__getitem__, image)), tag
+        image, moved = zip(*sorted(zip(map(tables[k].__getitem__, members), values)))
+        yield image, moved, tag
 
 
 def enumerate_min_balanced(players: Players, carrier: int) -> tuple[MinBalancedSystem, ...]:
@@ -452,12 +488,6 @@ def _perm_tables(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(relabelling(perm)) for perm in permutations(range(n)))
 
 
-def _orbit(members: tuple[int, ...], c: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """The images of members on the first ``c`` players under their
-    ``c!`` relabellings, each with a table making it."""
-    return {tuple(sorted(map(table.__getitem__, members))): table for table in _perm_tables(c)}
-
-
 @lru_cache(maxsize=None)
 def _lowering(carrier: int) -> dict[int, int]:
     """Renames the carrier's players onto the first ones, in order."""
@@ -473,7 +503,10 @@ def canonical_type(system: SetSystem, players: Players) -> tuple[SetSystem, int]
     own carrier of c players: renamed onto the first c in order, every
     member is lowered and keeps its place, so the least n! image is the
     least c! image of the renamed system, and the orbit is C(n, c) times
-    as large.  Each call scans the ``c!`` relabellings afresh.
+    as large.  The c! images are the fields of the OR of the renamed
+    members' ``_packed_marks``, the carrier's included: all hold as many
+    members, so the largest mask (``_fields``) is the least image, and
+    ``orbit_size`` counts them.  No relabelling is applied to a member.
     """
     if players.n > ENUM_PLAYER_CAP:
         raise ValueError(f"classification is capped at {ENUM_PLAYER_CAP} players")
@@ -481,5 +514,7 @@ def canonical_type(system: SetSystem, players: Players) -> tuple[SetSystem, int]
     if carrier > players.full_mask:
         raise ValueError("system does not fit the player set")
     c = carrier.bit_count()
-    orbit = _orbit(tuple(map(_lowering(carrier).__getitem__, system.members)), c)
-    return SetSystem(min(orbit)), len(orbit) * comb(players.n, c)
+    marks, _, orbit_size = _packed_marks(c)
+    images = reduce(or_, map(marks.__getitem__, map(_lowering(carrier).__getitem__, system.members)))
+    least = max(_fields(images, c))
+    return SetSystem(tuple((1 << c) - 1 - j for j in reversed(_bit_positions(least)))), orbit_size(images) * comb(players.n, c)

@@ -174,11 +174,11 @@ def _certificate_payload(players: Players, certificate) -> Optional[dict]:
     if isinstance(certificate, CoreAllocation):
         return {"type": "core-allocation", "payoffs": _payoff_payload(players, certificate.payoffs)}
     if isinstance(certificate, TightAllocationTable):
+        # coalitions sharing a point share its tuple (``is_exact``), so each point is rendered once, keyed by identity
+        points = {i: _payoff_payload(players, x) for i, x in {id(x): x for _, x in certificate.allocations}.items()}
         return {
             "type": "tight-allocation-table",
-            "allocations": {
-                players.key(d): _payoff_payload(players, x) for d, x in certificate.allocations
-            },
+            "allocations": {players.key(d): points[id(x)] for d, x in certificate.allocations},
         }
     if isinstance(certificate, ViolatedSystem):
         mbs = certificate.mbs

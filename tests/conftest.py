@@ -295,12 +295,32 @@ def plain_enumerate_size(c):
 
 
 def listed_marks(c):
-    """Per coalition on the first ``c`` players, its mask bit under each
-    relabelling of ``balance._perm_tables(c)``, bit ``full - image``, the
-    identity first: the unpacked form of ``balance._packed_marks``."""
+    """Per coalition on the first ``c`` players, the carrier included,
+    its mask bit under each relabelling of ``balance._perm_tables(c)``,
+    bit ``full - image``, the identity first: the unpacked form of
+    ``balance._packed_marks``."""
     full = (1 << c) - 1
     tables = _perm_tables(c)
-    return [tuple(1 << (full - table[s]) for table in tables) for s in range(full)]
+    return [tuple(1 << (full - table[s]) for table in tables) for s in range(full + 1)]
+
+
+def orbit(members, c):
+    """The images of members on the first ``c`` players under their
+    ``c!`` relabellings, each with the last table of
+    ``balance._perm_tables(c)`` making it: a scan of sorted tuples, the
+    reference for the orbits that ``balance`` reads off packed marks."""
+    return {tuple(sorted(map(table.__getitem__, members))): table for table in _perm_tables(c)}
+
+
+def listed_images(types, c):
+    """``balance._images`` from ``orbit``: every image of every type,
+    with the values moved with their members by the image's table, sorted
+    as member tuples."""
+    order = sorted((image, i, table) for i, (members, _, _) in enumerate(types) for image, table in orbit(members, c).items())
+    for image, i, table in order:
+        members, values, tag = types[i]
+        moved = dict(zip(map(table.__getitem__, members), values))
+        yield image, tuple(map(moved.__getitem__, image)), tag
 
 
 def listed_is_lex_least(images):

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import re
 from fractions import Fraction as F
 from itertools import combinations, permutations, product
 from math import gcd
@@ -16,7 +17,7 @@ from minbal.balance import (
     SetSystem,
     _enumerate_size,
     _lowering,
-    _orbit,
+    _member_values,
     _perm_tables,
     canonical_type,
     complement_system,
@@ -28,7 +29,8 @@ from minbal.balance import (
 from minbal.catalogue import generate, parse
 from minbal.cli import main
 from minbal.cones import conjugate
-from conftest import augment, det, listed_is_lex_least, listed_marks, lp_conic_feasible, permute_coalition, plain_enumerate_size, reduce_mod_rows
+from conftest import (augment, det, listed_images, listed_is_lex_least, listed_marks, lp_conic_feasible, orbit, permute_coalition,
+                      plain_enumerate_size, reduce_mod_rows)
 from minbal.games import game_of, letters
 from minbal.linalg import _eliminate, _hadamard_bits, _packed_echelon, _primitive, dependency, solve_unique
 from minbal.reference import BALANCED_COUNTS
@@ -59,6 +61,17 @@ class TestIsMinBalanced:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             is_min_balanced(SetSystem(()))
+
+
+class _Balanced(list):
+    """Player sums equal to any list and with no nonzero entry: they pass
+    the balance test and the player part of o-standardization."""
+
+    def __eq__(self, other):
+        return True
+
+    def __ne__(self, other):
+        return False
 
 
 class TestNormalize:
@@ -98,6 +111,60 @@ class TestNormalize:
     def test_unbalanced_rejected(self):
         with pytest.raises(ValueError):
             normalize({0b01: F(1, 2), 0b10: F(1)})
+
+    @pytest.mark.parametrize("members, numerators, denominator, message", [
+        ([], [], 1, "normalization is defined for non-trivial systems only"),
+        ([0b11], [1], 1, "normalization is defined for non-trivial systems only"),
+        ([0, 0b01, 0b10], [1, 1, 1], 1, "weights must be indexed by proper nonempty members"),
+        ([0b01, 0b10, 0b11], [1, 1, 1], 1, "weights must be indexed by proper nonempty members"),
+        ([0b01, 0b10], [-1, 1], 1, "balanced weights must be strictly positive"),
+        ([0b01, 0b10], [0, 2], 2, "balanced weights must be strictly positive"),
+        ([0b01, 0b10], [1, 2], 2, "weights are not balanced on the carrier"),
+        ([0b011, 0b101, 0b110], [1, 1, 1], 3, "weights are not balanced on the carrier"),
+    ])
+    def test_rejection_messages(self, members, numerators, denominator, message):
+        # each input check, on the integer core and on the Fractions it is reached from
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            balance._normalize_integers(members, numerators, denominator)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            normalize({m: F(v, denominator) for m, v in zip(members, numerators)})
+
+    @pytest.mark.parametrize("members, numerators, denominator, passes, message", [
+        # weights 2 and 2: their gcd 2 leaves k = 1/2
+        ([0b01, 0b10], [2, 2], 1, 1, "minimal normalization constant is not an integer; weights {1: Fraction(2, 1), 2: Fraction(2, 1)} scale to k = 1/2"),
+        # weights 1 and 2 give player b a sum of -1
+        ([0b01, 0b10], [1, 2], 1, 1, "normalized coefficient vector is not o-standardized"),
+        # weights 1/2 and 1/2 sum to k = 2, so the empty coalition's zero coefficient is omitted
+        ([0b01, 0b10], [1, 1], 2, 2, "normalized coefficient vector has |empty| coefficient < 1"),
+    ])
+    def test_safety_check_messages(self, monkeypatch, members, numerators, denominator, passes, message):
+        # balanced weights have gcd 1 over their least denominator, and
+        # their vector is o-standardized with a positive empty
+        # coefficient, so the first ``passes`` player sums are faked to
+        # reach each check behind the balance test
+        real, calls = balance._player_sums, []
+
+        def player_sums(items, n):
+            calls.append(n)
+            return _Balanced() if len(calls) <= passes else real(items, n)
+
+        monkeypatch.setattr(balance, "_player_sums", player_sums)
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+            balance._normalize_integers(members, numerators, denominator)
+
+    def test_common_factors_change_nothing(self):
+        # the core reduces numerators and denominator by their gcd first
+        expected = normalize({0b011: F(1, 2), 0b101: F(1, 2), 0b110: F(1, 2)})
+        for factor in (1, 3, 10):
+            assert balance._normalize_integers([0b011, 0b101, 0b110], [factor] * 3, 2 * factor) == expected
+
+    @pytest.mark.parametrize("c", [2, 3, 4, 5])
+    def test_search_leaves_normalize_as_normalize_does(self, c):
+        # the search normalizes its packed target's integers; normalize and
+        # is_min_balanced reach the same core from Fractions
+        for rep in _enumerate_size(c):
+            assert normalize(rep.weight_map()) == (rep.k, rep.alpha)
+            assert is_min_balanced(rep.system) == rep
 
 
 class TestInequalityVector:
@@ -277,8 +344,8 @@ class TestOrderlySearch:
         p = letters(c)
         for rep in representatives:
             assert canonical_type(rep.system, p)[0] == rep.system
-        orbits = [_orbit(rep.system.members, c) for rep in representatives]
-        kinds = {image: (rep.system, len(orbit)) for rep, orbit in zip(representatives, orbits) for image in orbit}
+        orbits = [orbit(rep.system.members, c) for rep in representatives]
+        kinds = {image: (rep.system, len(images)) for rep, images in zip(representatives, orbits) for image in images}
         images = enumerate_min_balanced(p, p.full_mask)
         assert [mbs.system.members for mbs in images] == sorted(kinds)
         for mbs in images:
@@ -291,7 +358,7 @@ class TestOrderlySearch:
         members = [m.system.members for m in representatives]
         assert len(members) == 582
         assert members == sorted(members)
-        # on the full carrier, canonical_type's orbit size is len(_orbit(members, 6))
+        # on the full carrier, canonical_type's orbit size is len(orbit(members, 6))
         types = [canonical_type(rep.system, letters(6)) for rep in representatives]
         assert [form for form, _ in types] == [rep.system for rep in representatives]
         assert sum(size for _, size in types) == 200_213
@@ -507,16 +574,19 @@ class TestPackedEchelon:
 
 
 class TestPackedCanonicity:
-    @pytest.mark.parametrize("c", [3, 4, 5, 6])
+    @pytest.mark.parametrize("c", [1, 2, 3, 4, 5, 6])
     def test_fields_are_the_listed_masks(self, c):
-        # field k of marks[s], full + 1 bits wide, is relabelling k's mask of s
+        # field k of marks[s], full + 1 bits wide or a byte if that is
+        # more, is relabelling k's mask of s, the carrier's included, and
+        # _fields reads them in relabelling order
         marks, _, _ = balance._packed_marks(c)
-        width = 1 << c
+        width = max(8, 1 << c)
         for packed, listed in zip(marks[1:], listed_marks(c)[1:], strict=True):
             assert [packed >> k * width & (1 << width) - 1 for k in range(len(listed))] == list(listed)
+            assert list(balance._fields(packed, c)) == list(listed)
             assert packed < 1 << len(listed) * width
 
-    @pytest.mark.parametrize("c", [3, 4])
+    @pytest.mark.parametrize("c", [2, 3, 4])
     def test_matches_list_test_on_every_member_set(self, c):
         # every set of the 2**c - 2 candidates, most of which the search
         # never reaches; bit i of ``subset`` picks coalition i + 1, and each
@@ -548,13 +618,23 @@ class TestPackedCanonicity:
             sets = [members for size in range(1, 7) for members in combinations(candidates, size)]
         else:
             sets = [tuple(sorted(rng.sample(candidates, rng.randint(1, c)))) for _ in range(300)]
-            sets += [members for members in _orbit((1, 2, 4), c)] + [(3, (1 << c) - 4)]
+            sets += [members for members in orbit((1, 2, 4), c)] + [(3, (1 << c) - 4)]
         for members in sets:
             packed = 0
             for s in members:
                 packed |= marks[s]
-            assert orbit_size(packed) == len(_orbit(members, c))
-        assert balance._orbit_sizes(c) == [len(_orbit(rep.system.members, c)) for rep in _enumerate_size(c)]
+            assert orbit_size(packed) == len(orbit(members, c))
+        assert balance._orbit_sizes(c) == [len(orbit(rep.system.members, c)) for rep in _enumerate_size(c)]
+
+    @pytest.mark.parametrize("c", [2, 3, 4, 5])
+    def test_images_match_the_tuple_sorted_reference(self, c):
+        # images read off the packed marks, in descending mask order, are
+        # the sorted tuples of the orbit scan in ascending order, each with
+        # its values moved by the same relabelling (the last making it):
+        # the index values tell relabellings of a nontrivial stabilizer apart
+        for values in (_member_values, lambda rep: tuple(range(len(rep.system)))):
+            types = [(rep.system.members, values(rep), rep) for rep in _enumerate_size(c)]
+            assert list(balance._images(types, c)) == list(listed_images(types, c))
 
     @pytest.mark.parametrize("c", [3, 4])
     def test_list_test_is_lex_least_among_images(self, c):
@@ -563,7 +643,7 @@ class TestPackedCanonicity:
         for size in range(1, (1 << c) - 1):
             for members in combinations(range(1, (1 << c) - 1), size):
                 images = [sum(masks) for masks in zip(*(listed[s] for s in members))]
-                assert listed_is_lex_least(images) == (members == min(_orbit(members, c)))
+                assert listed_is_lex_least(images) == (members == min(orbit(members, c)))
 
     @pytest.mark.parametrize("c", [5, 6])
     def test_matches_list_test_on_random_member_sets(self, c):
@@ -689,6 +769,21 @@ class TestCanonicalType:
             universe = range(1, rng.choice([8, 16, 32, 64]))
             system = SetSystem(tuple(sorted(rng.sample(universe, rng.randint(1, min(6, len(universe)))))))
             assert canonical_type(system, p6) == self._full_scan(system, 6)
+
+    def test_systems_holding_their_carrier_match_full_scan(self, p4, p5):
+        # the carrier's mark sets bit 0 of every field; a one-member
+        # system is its carrier, on one player or more
+        rng = Random(619)
+        for n, p in ((4, p4), (5, p5), (6, letters(6))):
+            for _ in range(40):
+                carrier = rng.randrange(1, 1 << n)
+                subsets = [s for s in range(1, carrier) if s & carrier == s]
+                members = rng.sample(subsets, rng.randint(0, min(5, len(subsets))))
+                system = SetSystem(tuple(sorted({*members, carrier})))
+                assert system.carrier == carrier
+                assert canonical_type(system, p) == self._full_scan(system, n)
+            assert canonical_type(SetSystem((1 << n - 1,)), p) == (SetSystem((1,)), n)
+            assert canonical_type(SetSystem(tuple(range(1, 1 << n))), p) == (SetSystem(tuple(range(1, 1 << n))), 1)
 
     def test_orbit_table_matches_recomputation(self, p4):
         # the cached relabelling and lowering tables give the results of

@@ -432,6 +432,20 @@ def test_closed_stdout_exits_quietly():
         assert proc.wait() == 141
 
 
+def test_closed_stdout_exits_141_in_process(capsys, monkeypatch):
+    # the same exit run by main in this process: stdout is a pipe whose
+    # reader is gone, and once main returns its descriptor leads to devnull
+    # (capsys comes first, so its stdout is restored before the original)
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["enumerate", "--players", "5"]) == 141
+        stdout.write("dropped\n")
+        stdout.flush()
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_module_entry():
     proc = _run_module("enumerate", "--players", "2")
     assert proc.returncode == 0
