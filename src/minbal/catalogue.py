@@ -20,11 +20,13 @@ time, when first needed, and ``generate`` finds them all.  Every entry
 is an image of its type: ``_on_carriers`` walks the carriers in
 increasing bitmask order with the images of the types
 (``balance._images``), and each entry is rendered from its carrier's
-coalition texts and its type's texts, so writing and parsing build no
+coalition texts and its type's texts, with one ``"".join`` per entry
+(a conjugate shares its entry's head), so writing and parsing build no
 object per entry; ``Catalogue.entries`` builds them on first access.
 ``minbal enumerate`` lists systems through the same walk.  ``_pieces``
 renders a catalogue in either format: ``serialize`` joins the pieces,
-``minbal catalogue`` writes them as they are rendered.  ``parse``
+``minbal catalogue`` writes them in blocks of about 64 KB as they are
+rendered (``cli._write``).  ``parse``
 compares the file with the rendering piece by piece, byte for byte
 and, only when the bytes differ, as JSON values; the rendering stops at
 the first difference.
@@ -341,28 +343,29 @@ def _json_block(items: Iterable[str], pad: str, brackets: str = "[]") -> str:
     return "".join(_json_list(items, pad, brackets))
 
 
-def _system_json(players: Players, pad: str) -> Callable[[int, list[int]], Callable[[tuple[int, ...], Sequence[tuple[str, ...]], int], str]]:
+def _system_json(players: Players, pad: str) -> Callable[[int, list[int]], Callable[[tuple[int, ...], Sequence[tuple[str, ...]], int], list[str]]]:
     """A renderer, for a carrier and its order-keeping renaming ``table``,
     of the images on the first c players renamed onto it: given an image's
     members, a tuple per member whose first item is its weight as a
     ``: "w"`` text, and its ``k``, its ``system``, ``carrier``,
     ``weights`` and ``k`` fields as ``json.dumps(indent=2)`` writes them
     in an object whose fields sit at ``pad``.  Every coalition's key and
-    name list is rendered once, here."""
+    name list is rendered once, here.  The fields come as a list of
+    texts, for the caller to join with the rest of its item."""
     keys = _json_keys(players)
     names = [[encode_basestring(name) for name in players.member_names(m)] for m in players.coalitions()]
     members = [_json_block(member, pad + "  ") for member in names]
     first = "\n" + pad + "  "
-    inner = "," + first
+    inner, opening = "," + first, f'"system": [{first}'
 
-    def on(carrier: int, table: list[int]) -> Callable[[tuple[int, ...], Sequence[tuple[str, ...]], int], str]:
+    def on(carrier: int, table: list[int]) -> Callable[[tuple[int, ...], Sequence[tuple[str, ...]], int], list[str]]:
         listed, named = [members[s] for s in table], [keys[s] for s in table]
         middle = f"\n{pad}],\n{pad}\"carrier\": {_json_block(names[carrier], pad)},\n{pad}\"weights\": {{{first}"
         last = f"\n{pad}}},\n{pad}\"k\": "
 
-        def fields(image: tuple[int, ...], values: Sequence[tuple[str, ...]], k: int) -> str:
-            return (f'"system": [{first}' + inner.join([listed[m] for m in image]) + middle
-                    + inner.join([named[m] + v[0] for m, v in zip(image, values)]) + last + str(k))
+        def fields(image: tuple[int, ...], values: Sequence[tuple[str, ...]], k: int) -> list[str]:
+            return [opening, inner.join([listed[m] for m in image]), middle,
+                    inner.join([named[m] + v[0] for m, v in zip(image, values)]), last, str(k)]
 
         return fields
 
@@ -378,13 +381,14 @@ def _json_entries(catalogue: Catalogue) -> Iterator[str]:
     """Each entry as ``serialize`` writes it in the ``entries`` list,
     rendered carrier by carrier from the texts of its carrier's
     coalitions, its image's weights and coefficients and its type's
-    fields, each rendered once.  A conjugate shares its entry's system
-    fields; its ``alpha`` has the complemented keys in reverse order."""
+    fields, each rendered once, and joined with one ``"".join``.  A
+    conjugate shares its entry's system fields, the head of its join; its
+    ``alpha`` has the complemented keys in reverse order."""
     players, full = catalogue.players, catalogue.players.full_mask
     keys = _json_keys(players)
     system_json = _system_json(players, " " * 6)
     first = "\n" + " " * 8
-    inner = "," + first
+    inner, alpha_open = "," + first, ',\n      "alpha": {' + first
 
     def tail(t: CatalogueEntry) -> str:
         """The end of the type's ``alpha`` object and the fields after it."""
@@ -406,12 +410,12 @@ def _json_entries(catalogue: Catalogue) -> Iterator[str]:
         fields = system_json(carrier, table)
         named, opposite = [keys[s] for s in table], [keys[full ^ s] for s in table]
         for image, values, (k, on_carrier, on_empty, plain, twin) in images:
-            head = "{\n      " + fields(image, values, k) + ',\n      "alpha": {' + first
+            head = ["{\n      ", *fields(image, values, k), alpha_open]
             alpha = inner.join([named[m] + a for m, (_, a) in zip(image, values)])
-            yield head + keys[0] + on_empty + inner + alpha + inner + keys[carrier] + on_carrier + plain
+            yield "".join([*head, keys[0], on_empty, inner, alpha, inner, keys[carrier], on_carrier, plain])
             if twin is not None:
                 reflected = inner.join([opposite[m] + a for m, (_, a) in zip(image[::-1], values[::-1])])
-                yield head + opposite[-1] + on_carrier + inner + reflected + inner + keys[full] + on_empty + twin
+                yield "".join([*head, opposite[-1], on_carrier, inner, reflected, inner, keys[full], on_empty, twin])
 
 
 def _pieces(catalogue: Catalogue, format: str) -> Iterator[str]:
@@ -442,7 +446,7 @@ def serialize(catalogue: Catalogue, format: str = "json") -> bytes:
     ``alpha``, ``irreducible``, ``conjugated``, ``type_id``,
     ``orbit_size`` and, in ``balanced``, ``complement_type``.  Either
     format is the UTF-8 of the ``_pieces``, which ``minbal catalogue``
-    writes one at a time instead."""
+    writes a block at a time instead."""
     return b"".join(piece.encode("utf-8") for piece in _pieces(catalogue, format))
 
 

@@ -5,7 +5,10 @@ generates facet catalogues, ``check`` decides cone membership of a game
 file with optional certificates, and ``verify`` runs the built-in
 verification suites.  Results go to stdout as UTF-8 bytes, whatever
 its encoding, diagnostics to stderr.  ``_write`` writes a catalogue as
-``catalogue._pieces`` and a JSON listing as ``catalogue._json_block`` items.
+``catalogue._pieces`` and a JSON listing as ``catalogue._json_block``
+items, joining the pieces into blocks of about 64 KB
+(:data:`BLOCK_SIZE`), each encoded and written once it is full; a
+check's verdict is one piece, written as it is.
 
 The command line is one table, :data:`COMMANDS`: each command has a
 help line, its handler and its options, and each option a long name, a
@@ -65,19 +68,32 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.handler(args)
     except BrokenPipeError:
         # the reader is gone: send what is still buffered to devnull, so the flush at exit stays quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141
     except (GameFormatError, cat.CatalogueFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
+#: ``_write`` joins pieces until they hold this many characters, then
+#: encodes and writes them as one block.
+BLOCK_SIZE = 1 << 16
+
+
 def _write(pieces: Iterable[str], out: Optional[str] = None) -> None:
-    """Write text pieces as UTF-8, each as it is rendered, to the file
-    ``out`` or else to stdout, whatever the encoding of its text layer."""
+    """Write text pieces as UTF-8 to the file ``out`` or else to stdout,
+    whatever the encoding of its text layer, in blocks of about
+    ``BLOCK_SIZE`` characters, each encoded and written once it is full."""
     sys.stdout.flush()
     with open(out, "wb") if out else nullcontext(sys.stdout.buffer) as fh:
-        size = sum(fh.write(piece.encode("utf-8")) for piece in pieces)
+        size, block, length = 0, [], 0
+        for piece in pieces:
+            block.append(piece)
+            if (length := length + len(piece)) >= BLOCK_SIZE:
+                size += fh.write("".join(block).encode("utf-8"))
+                block, length = [], 0
+        size += fh.write("".join(block).encode("utf-8"))
     if out:
         print(f"wrote {size} bytes to {out}", file=sys.stderr)
 
@@ -116,7 +132,7 @@ def _system_items(players: Players, size: int, types: list[cat.CatalogueEntry]) 
     for carrier, table, images in cat._on_carriers(players, (size,), lambda _: systems):
         fields = system_json(carrier, table)
         for image, values, rep in images:
-            yield cat._json_block([fields(image, values, rep.mbs.k), '"irreducible": ' + str(rep.irreducible).lower()], "  ", "{}")
+            yield cat._json_block(["".join(fields(image, values, rep.mbs.k)), '"irreducible": ' + str(rep.irreducible).lower()], "  ", "{}")
 
 
 def _system_lines(players: Players, size: int, types: list[cat.CatalogueEntry]) -> Iterator[str]:

@@ -19,7 +19,9 @@ columns it is.  :func:`solve_unique` is the dependency of the columns
 followed by the target, and :func:`conic_feasible` adds a sign test:
 independent generators combine into a target in at most one way.  The
 enumeration of min-balanced systems runs the same kernel on 0/1
-incidence vectors.
+incidence vectors, and the reducibility test of :mod:`minbal.reduction`
+runs the search's kernel on a system's members and its candidate sets,
+deciding each cone test by the signs of one reduced vector.
 
 The feasibility solver, :func:`lp_feasible`, is a phase-1 simplex with
 Bland's pivoting rule, which terminates on every input without cycling;
@@ -154,7 +156,8 @@ def _packed_echelon(length: int, leading: int, bits: int) -> tuple[Callable, lis
     entry lies in ``[-B, B)``.  At most ``c`` of the orderly search's
     0/1 vectors of ``c`` entries enter a minor, none longer than ``1_c``,
     so :func:`minbal.balance._enumerate_size` takes ``bits`` from ``c``
-    copies of ``1_c``; ``n + 1`` incidence vectors of ``n`` players, as
+    copies of ``1_c``, and so does :func:`minbal.reduction.is_reducible`,
+    whose at most ``c`` members and candidate set have ``c`` entries; ``n + 1`` incidence vectors of ``n`` players, as
     the callers of :func:`dependency` pass, take at most the ``bits`` of
     ``n + 1`` copies of ``1_n``:
 

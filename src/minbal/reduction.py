@@ -10,13 +10,19 @@ ones indexing facets of the totally balanced cone.
 
 Neither condition needs a linear program.  The members are linearly
 independent, so chi_A = sum of mu_S * chi_S over the members below A has
-at most one solution mu, which a sign test admits to the cone (see
-:func:`minbal.linalg.conic_feasible`), and {A} plus the members without B
-is independent exactly when mu_B != 0.  Then the carrier's expression
-over that family is forced: with the balanced weights lam, beta_A = t =
+at most one solution mu, and {A} plus the members without B is
+independent exactly when mu_B != 0.  Then the carrier's expression over
+that family is forced: with the balanced weights lam, beta_A = t =
 lam_B / mu_B, beta_S = lam_S - t * mu_S for the members below A and
 beta_S = lam_S for the others.  It is nonnegative exactly when B
 minimizes lam_S / mu_S over the members with mu_S > 0: a ratio test.
+
+:func:`is_reducible` decides the cone test for every A on one integer
+echelon of the members, built once per system with the elimination
+kernel of the orderly search (:func:`minbal.linalg._packed_echelon`), and
+reduces chi_A against it with one ``reduce_row``: a zero test and a sign
+test on the packed result decide it, and no ``Fraction`` is built until
+a witness is returned.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from fractions import Fraction
 
 from .balance import InequalityVector, MinBalancedSystem, SetSystem, _bit_positions, _incidence, is_min_balanced
 from .games import _player_sums
-from .linalg import conic_feasible
+from .linalg import _hadamard_bits, _packed_echelon, conic_feasible  # conic_feasible is not called here: perfbench/spans.py wraps it at this lookup site
 
 
 @dataclass(frozen=True)
@@ -50,52 +56,58 @@ class ReductionWitness:
         return dict(self.beta)
 
 
-def _subsets_below(mbs: MinBalancedSystem, a: int) -> list[int]:
-    return [s for s in mbs.system.members if s & a == s and s != a]
-
-
-def _candidate_sets(mbs: MinBalancedSystem) -> list[int]:
-    """Admissible reduced sets A, in increasing bitmask order.
-
-    Without loss of generality A has at least two players, is not a
-    member, is a proper subset of the carrier and equals the union of
-    the members strictly inside it.
-    """
-    carrier = mbs.carrier
-    out = []
-    for a in range(carrier):
-        if a & carrier != a or a.bit_count() < 2 or a in mbs.system:
-            continue
-        below = _subsets_below(mbs, a)
-        union = 0
-        for m in below:
-            union |= m
-        if union == a:
-            out.append(a)
-    return out
-
-
 def is_reducible(mbs: MinBalancedSystem) -> ReductionWitness | None:
     """First reduction witness in lexicographic (A, pivot member) order.
 
     ``None`` means the system is irreducible: the exhaustive search over
     admissible pairs found no witness.
+
+    Without loss of generality A has at least two players, is not a
+    member, is a proper subset of the carrier and equals the union of the
+    members strictly inside it.  Member ``j``, S, enters the echelon as
+    ``chi_S ⊕ e_j`` and each A as ``chi_A ⊕ e_c``, with ``c`` the
+    carrier's size and unit vectors of ``c + 1`` entries, so A reduced
+    against every member vanishes on its first ``c`` entries exactly when
+    chi_A lies in the members' span, and then its entry ``c + j`` is
+    ``-mu_S`` times the last lead, which is positive
+    (as in :func:`minbal.balance._enumerate_size`).  A nonnegative mu
+    puts no weight on a member outside A, whose players chi_A does not
+    cover, so chi_A lies in the cone of the members below A exactly when
+    every such entry is at most zero: ``negative`` of the entries less
+    one.  Since k * lam_S is an integer, the ratio test and the
+    witness's values are integer expressions, made ``Fraction`` only for
+    the witness.
     """
     if mbs.trivial:
         raise ValueError("reducibility is defined for non-trivial systems")
+    members = mbs.system.members
     positions = _bit_positions(mbs.carrier)
-    chi = {s: _incidence(s, positions) for s in mbs.system.members}
-    lam = mbs.weight_map()
-    for a in _candidate_sets(mbs):
-        below = _subsets_below(mbs, a)
-        mu = conic_feasible([chi[s] for s in below], _incidence(a, positions))
-        if mu is None:
+    c, k = len(positions), len(members)
+    # the orderly search's kernel, as at most c members of c entries are independent
+    pack, units, unpack, reduce_row, pivot, negative = _packed_echelon(2 * c + 1, c, _hadamard_bits([[1] * c] * c))
+    # each union of members with its incidence vector, the OR of theirs
+    chi, rows = {0: 0}, []
+    for j, s in enumerate(members):
+        x = pack(_incidence(s, positions))
+        chi.update([(u | s, y | x) for u, y in chi.items()])
+        row = pivot(reduce_row(rows, x + units[c + j], 1))
+        if row is None:
+            raise ValueError("the members are linearly dependent")
+        rows.append(row)
+    lead, ones = rows[-1][2], sum(units[c:c + k])
+    # a set is the union of the members inside it exactly when it is a
+    # union of members, and one of a single player is a member
+    for a in sorted(chi.keys() - {0, mbs.carrier, *members}):
+        v = reduce_row(rows, chi[a] + units[2 * c], 1)
+        if pivot(v) is not None or not negative(v - ones, c, c + k):
             continue
-        # below is in increasing bitmask order, so ties go to its first member
-        t, pivot = min((lam[s] / m, s) for s, m in zip(below, mu) if m > 0)
-        mu_map = dict(zip(below, mu))
-        beta = [(a, t)] + [(s, lam[s] - t * mu_map.get(s, 0)) for s in mbs.system.members if s != pivot]
-        return ReductionWitness(a, pivot, tuple(mu_map.items()), tuple(beta))
+        # mu_S = m_S / lead and lam_S = w_S / k
+        m, w = [-t for t in unpack(v)[c:c + k]], [lam.numerator * (mbs.k // lam.denominator) for lam in mbs.weights]
+        # the pivot minimizes lam_S / mu_S over mu_S > 0, the first member on ties
+        p = min((j for j in range(k) if m[j]), key=lambda j: Fraction(w[j], m[j]))
+        beta = [(s, Fraction(w[j] * m[p] - w[p] * m[j], mbs.k * m[p])) for j, s in enumerate(members) if j != p]
+        return ReductionWitness(a, members[p], tuple((s, Fraction(x, lead)) for s, x in zip(members, m) if s & a == s),
+                                ((a, Fraction(w[p] * lead, mbs.k * m[p])), *beta))
     return None
 
 
@@ -146,7 +158,7 @@ def decompose(mbs: MinBalancedSystem, witness: ReductionWitness) -> Decompositio
 def _validate_witness(mbs: MinBalancedSystem, witness: ReductionWitness) -> None:
     a = witness.reduced_set
     carrier = mbs.carrier
-    below = _subsets_below(mbs, a)
+    below = [s for s in mbs.system.members if s & a == s and s != a]
     if not (a & carrier == a and a != carrier and a.bit_count() >= 2 and a not in mbs.system):
         raise ValueError("witness reduced set is not admissible")
     if witness.pivot_member not in below:

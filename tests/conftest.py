@@ -347,6 +347,33 @@ def lp_conic_feasible(generators, target):
     return lp_feasible(*conic_lp_system(generators, target)).point
 
 
+def subsets_below(mbs, a):
+    """The members strictly inside ``a``, in member order."""
+    return [s for s in mbs.system.members if s & a == s and s != a]
+
+
+def candidate_sets(mbs):
+    """Admissible reduced sets A, in increasing bitmask order, by a scan
+    of every subset of the carrier: a reference for the unions of members
+    that ``reduction.is_reducible`` reads.
+
+    Without loss of generality A has at least two players, is not a
+    member, is a proper subset of the carrier and equals the union of
+    the members strictly inside it.
+    """
+    carrier = mbs.carrier
+    out = []
+    for a in range(carrier):
+        if a & carrier != a or a.bit_count() < 2 or a in mbs.system:
+            continue
+        union = 0
+        for m in subsets_below(mbs, a):
+            union |= m
+        if union == a:
+            out.append(a)
+    return out
+
+
 @pytest.fixture(scope="session")
 def p2():
     return letters(2)

@@ -82,7 +82,7 @@ class TestEnumerate:
 
     def test_bad_carrier_size(self, capsys):
         assert main(["enumerate", "--players", "3", "--carrier-size", "9"]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: carrier size must be between 1 and 3\n"
 
     def test_player_cap(self, capsys):
         assert main(["enumerate", "--players", "7"]) == 2
@@ -247,9 +247,18 @@ class TestVerify:
 
     def test_appendix_out_of_range(self, capsys):
         assert main(["verify", "--players", "5", "--suite", "appendix"]) == 2
+        assert capsys.readouterr().err == "error: the appendix suite covers 2 to 4 players\n"
 
     def test_bad_samples(self, capsys):
         assert main(["verify", "--players", "3", "--suite", "conjecture", "--samples", "0"]) == 2
+        assert capsys.readouterr().err == "error: at least one sample is required\n"
+
+    @pytest.mark.parametrize("suite", ["table1", "conjecture"])
+    @pytest.mark.parametrize("players", [1, 6])
+    def test_players_out_of_range(self, capsys, suite, players):
+        assert main(["verify", "--players", str(players), "--suite", suite]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: the {suite} suite covers 2 to 5 players\n")
 
 
 def _outcome(parse, argv):
@@ -435,15 +444,27 @@ def test_closed_stdout_exits_quietly():
 def test_closed_stdout_exits_141_in_process(capsys, monkeypatch):
     # the same exit run by main in this process: stdout is a pipe whose
     # reader is gone, and once main returns its descriptor leads to devnull
-    # (capsys comes first, so its stdout is restored before the original)
-    read, write = os.pipe()
-    os.close(read)
-    with open(write, "w", encoding="utf-8") as stdout:
-        monkeypatch.setattr(sys, "stdout", stdout)
-        assert main(["enumerate", "--players", "5"]) == 141
-        stdout.write("dropped\n")
-        stdout.flush()
+    # (capsys comes first, so its stdout is restored before the original);
+    # the exit leaves no descriptor open, also after a catalogue of 1 MB,
+    # many blocks of cli.BLOCK_SIZE characters
+    opened = len(os.listdir("/proc/self/fd"))
+    for argv in (["enumerate", "--players", "5"], ["catalogue", "--players", "5", "--cone", "balanced"], ["enumerate", "--players", "5", "--format", "json"]):
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w", encoding="utf-8") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(argv) == 141
+            stdout.write("dropped\n")
+            stdout.flush()
+    assert len(os.listdir("/proc/self/fd")) == opened
     assert capsys.readouterr().err == ""
+
+
+def test_certificate_payload_of_none_and_of_an_unknown_object():
+    players = letters(3)
+    assert cli._certificate_payload(players, None) is None
+    with pytest.raises(ValueError, match="^unknown certificate <object object at "):
+        cli._certificate_payload(players, object())
 
 
 def test_cli_module_entry():

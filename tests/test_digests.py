@@ -15,6 +15,7 @@ from random import Random
 
 import pytest
 
+from minbal import cli
 from minbal.catalogue import generate, serialize
 from minbal.cli import main
 from minbal.games import Game, game_to_json, letters, random_game
@@ -202,6 +203,30 @@ def test_enumerate_bytes(capsys, size, fmt, types_only, irreducible_only):
     assert main(argv) == 0
     out = capsys.readouterr().out.encode()
     assert _sha256(out) == ENUMERATE_DIGESTS[size, fmt, types_only, irreducible_only]
+
+
+#: ``cli.BLOCK_SIZE`` values: one character, so every piece is written
+#: as it comes, and more than any output below, so all are one block
+BLOCK_SIZES = [1, 1 << 24]
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("n, cone, fmt", sorted(key for key in CATALOGUE_DIGESTS if key[0] <= 5))
+def test_catalogue_blocks_change_no_byte(monkeypatch, capsysbinary, tmp_path, block, n, cone, fmt):
+    monkeypatch.setattr(cli, "BLOCK_SIZE", block)
+    argv = ["catalogue", "--players", str(n), "--cone", cone, "--format", fmt]
+    target = tmp_path / "catalogue"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert main(argv) == 0
+    assert _sha256(target.read_bytes()) == _sha256(capsysbinary.readouterr().out) == CATALOGUE_DIGESTS[n, cone, fmt]
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_enumerate_blocks_change_no_byte(monkeypatch, capsysbinary, block, fmt):
+    monkeypatch.setattr(cli, "BLOCK_SIZE", block)
+    assert main(["enumerate", "--players", "5", "--format", fmt]) == 0
+    assert _sha256(capsysbinary.readouterr().out) == ENUMERATE_DIGESTS[5, fmt, False, False]
 
 
 @pytest.mark.parametrize("kind, n, cone", sorted(CHECK_DIGESTS))

@@ -8,8 +8,20 @@ from random import Random
 import pytest
 
 import conftest
-from conftest import _fraction_pivot, augment, conic_lp_system, det, fraction_lp_feasible, rank, reduce_mod_rows, tight_rows
-from minbal import linalg, reduction
+from conftest import (
+    _fraction_pivot,
+    augment,
+    candidate_sets,
+    conic_lp_system,
+    det,
+    fraction_lp_feasible,
+    lp_conic_feasible,
+    rank,
+    reduce_mod_rows,
+    subsets_below,
+    tight_rows,
+)
+from minbal import linalg
 from minbal.balance import enumerate_min_balanced
 from minbal.games import Game, anti_dual, letters, random_game
 from minbal.linalg import (
@@ -444,24 +456,23 @@ def test_core_systems_match_fraction_simplex(n):
     assert outcomes == {True, False}
 
 
-def _conic_inputs(monkeypatch):
-    """``(generators, target)`` pairs: every call ``is_reducible`` makes
-    to ``conic_feasible`` on the carriers of ``letters(4)``, then seeded
-    random sets that append to their first generators vectors mixing
-    them coordinate by coordinate, mostly dependent ones, with a
-    nonnegative mix or a random vector as the target."""
+def _conic_inputs():
+    """``(generators, target)`` pairs: on every carrier of ``letters(4)``,
+    each min-balanced system's cone tests of the reducibility search, the
+    incidence vectors of the members below each admissible reduced set A
+    and of A, up to the first A in their cone; then seeded random sets
+    that append to their first generators vectors mixing them coordinate
+    by coordinate, mostly dependent ones, with a nonnegative mix or a
+    random vector as the target."""
     recorded = []
-
-    def recording(gens, target):
-        recorded.append((gens, target))
-        return conic_feasible(gens, target)
-
-    monkeypatch.setattr(reduction, "conic_feasible", recording)
     players = letters(4)
     for carrier in range(1, players.full_mask + 1):
+        chi = lambda s: tuple(s >> i & 1 for i in range(players.n) if carrier >> i & 1)
         for mbs in enumerate_min_balanced(players, carrier):
-            reduction.is_reducible(mbs)
-    monkeypatch.undo()
+            for a in candidate_sets(mbs):
+                recorded.append(([chi(s) for s in subsets_below(mbs, a)], chi(a)))
+                if lp_conic_feasible(*recorded[-1]) is not None:
+                    break
     assert recorded
     seeded = []
     rng = Random(707)
@@ -492,7 +503,7 @@ def test_mixed_systems_match_fraction_simplex(monkeypatch):
         systems.append((ineq, eq, rhs))
     # cone-membership systems are degenerate: every sign row has a zero
     # right-hand side, so Bland's tie-break decides the pivots
-    recorded, seeded = _conic_inputs(monkeypatch)
+    recorded, seeded = _conic_inputs()
     systems += [conic_lp_system(gens, target) for gens, target in recorded + seeded]
     # the integer tableau stores u's columns, one column per row, the
     # right-hand side and the scale, and no v column: every row it
@@ -514,8 +525,9 @@ def test_mixed_systems_match_fraction_simplex(monkeypatch):
     monkeypatch.undo()
     assert outcomes == {True, False}
     assert sum(v_entered[:300]) == 224
-    # is_reducible passes independent generators, whose unique
-    # combination is the LP's point; conic_feasible rejects dependent ones
+    # the reducibility search's cone tests have independent generators,
+    # whose unique combination is the LP's point; conic_feasible rejects
+    # dependent ones
     for gens, target in recorded:
         assert conic_feasible(gens, target) == fraction_lp_feasible(*conic_lp_system(gens, target))[0]
     dependent = [(gens, target) for gens, target in seeded if _brute_rank(gens) < len(gens)]

@@ -6,15 +6,17 @@ from random import Random
 import pytest
 
 from minbal.balance import (
+    MinBalancedSystem,
     SetSystem,
+    _enumerate_size,
     canonical_type,
     enumerate_min_balanced,
     is_min_balanced,
     system_of,
 )
-from conftest import lp_conic_feasible, permute_coalition
+from conftest import candidate_sets, lp_conic_feasible, permute_coalition, subsets_below
 from minbal.games import letters
-from minbal.reduction import ReductionWitness, _candidate_sets, _subsets_below, decompose, is_reducible
+from minbal.reduction import ReductionWitness, decompose, is_reducible
 
 
 class TestGoldenCases:
@@ -53,6 +55,13 @@ class TestGoldenCases:
         mbs = is_min_balanced(system_of(p3, "abc"))
         with pytest.raises(ValueError):
             is_reducible(mbs)
+
+    def test_dependent_members_rejected(self, p3):
+        # a hand-built system whose members are not independent, as no
+        # min-balanced system's are
+        fake = MinBalancedSystem(system_of(p3, "a", "b", "ab", "c"), (F(1, 2),) * 4, 2, None)
+        with pytest.raises(ValueError, match="^the members are linearly dependent$"):
+            is_reducible(fake)
 
 
 class TestWitnessContract:
@@ -172,8 +181,8 @@ def _lp_pivot_search(mbs):
     pivot member, in the same (A, pivot member) order as ``is_reducible``."""
     n = mbs.carrier.bit_length()
     chi = lambda s: tuple(s >> i & 1 for i in range(n) if mbs.carrier >> i & 1)
-    for a in _candidate_sets(mbs):
-        below = _subsets_below(mbs, a)
+    for a in candidate_sets(mbs):
+        below = subsets_below(mbs, a)
         mu = lp_conic_feasible([chi(s) for s in below], chi(a))
         if mu is None:
             continue
@@ -185,14 +194,26 @@ def _lp_pivot_search(mbs):
     return None
 
 
-def test_ratio_test_matches_lp_pivot_search():
-    p = letters(4)
-    count = 0
-    for carrier in range(1, p.full_mask + 1):
-        for mbs in enumerate_min_balanced(p, carrier):
-            assert is_reducible(mbs) == _lp_pivot_search(mbs)
-            count += 1
-    assert count == 6 * 1 + 4 * 5 + 41  # on the carriers of sizes 2, 3 and 4
+def _on_carriers(n, sizes):
+    """The min-balanced systems on the carriers of ``letters(n)`` with a
+    size in ``sizes``."""
+    p = letters(n)
+    return [mbs for carrier in range(1, p.full_mask + 1) if carrier.bit_count() in sizes for mbs in enumerate_min_balanced(p, carrier)]
+
+
+@pytest.mark.parametrize("systems, count", [
+    (lambda: _on_carriers(4, (2, 3, 4)), 6 * 1 + 4 * 5 + 41),
+    (lambda: _on_carriers(5, (3, 4)), 10 * 5 + 5 * 41),  # carriers that leave players out, at bits other than the first
+    (lambda: _enumerate_size(5), 44),
+], ids=["carriers-of-4", "small-carriers-of-5", "types-of-5"])
+def test_ratio_test_matches_lp_pivot_search(systems, count):
+    found = systems()
+    assert len(found) == count
+    witnesses = [is_reducible(mbs) for mbs in found]
+    assert witnesses == [_lp_pivot_search(mbs) for mbs in found]
+    # the witnesses hold Fraction values, as the LP's point does
+    assert {type(w) for witness in witnesses if witness for _, w in witness.mu + witness.beta} == {F}
+    assert None in witnesses and any(witnesses)
 
 
 @pytest.mark.parametrize("n", [3, 4])
