@@ -15,7 +15,6 @@ systems into permutational types.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import permutations
@@ -23,6 +22,7 @@ from math import comb, factorial, gcd, lcm
 from operator import or_
 from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
+from ._frozen import Frozen
 from .games import Players, SetFunction, _player_sums, log, relabelling
 from .linalg import _hadamard_bits, _packed_echelon, solve_unique
 
@@ -34,14 +34,14 @@ _Tag = TypeVar("_Tag")
 _Value = TypeVar("_Value")
 
 
-@dataclass(frozen=True)
-class SetSystem:
+class SetSystem(Frozen):
     """A strictly increasing list of distinct nonempty coalitions."""
 
     members: tuple[int, ...]
+    _fields = ("members",)
 
-    def __post_init__(self) -> None:
-        members = tuple(self.members)
+    def __init__(self, members: tuple[int, ...]) -> None:
+        members = tuple(members)
         object.__setattr__(self, "members", members)
         if any(m <= 0 for m in members):
             raise ValueError("members must be nonempty coalitions")
@@ -67,8 +67,7 @@ def system_of(players: Players, *keys: str) -> SetSystem:
     return SetSystem(tuple(sorted(players.coalition_of(k) for k in keys)))
 
 
-@dataclass(frozen=True)
-class InequalityVector:
+class InequalityVector(Frozen):
     """A sparse integer coefficient vector over coalitions.
 
     Represents the inequality  sum over S of coeff(S) * m(S) >= 0.
@@ -77,11 +76,12 @@ class InequalityVector:
     """
 
     items: tuple[tuple[int, int], ...]
+    _fields = ("items",)
 
-    def __post_init__(self) -> None:
-        items = tuple((int(s), int(c)) for s, c in self.items)
+    def __init__(self, items: tuple[tuple[int, int], ...]) -> None:
+        raw, items = items, tuple((int(s), int(c)) for s, c in items)
         # integer input equals its conversion, so only other input is checked item by item
-        if items != self.items and any(int(x) != x for item in self.items for x in item):
+        if items != raw and any(int(x) != x for item in raw for x in item):
             raise ValueError("coalition masks and coefficients must be integers")
         object.__setattr__(self, "items", items)
         if any(c == 0 for _, c in items):
@@ -119,8 +119,7 @@ class InequalityVector:
 
 
 
-@dataclass(frozen=True)
-class MinBalancedSystem:
+class MinBalancedSystem(Frozen):
     """A min-balanced system with its unique weights and, when
     non-trivial, the normalization constant and induced inequality."""
 
@@ -128,6 +127,13 @@ class MinBalancedSystem:
     weights: tuple[Fraction, ...]
     k: Optional[int]
     alpha: Optional[InequalityVector]
+    _fields = ("system", "weights", "k", "alpha")
+
+    def __init__(self, system: SetSystem, weights: tuple[Fraction, ...], k: Optional[int], alpha: Optional[InequalityVector]) -> None:
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def carrier(self) -> int:
@@ -246,6 +252,16 @@ def complement_system(system: SetSystem, players: Players) -> SetSystem:
 # -- enumeration -------------------------------------------------------
 
 @lru_cache(maxsize=None)
+def _search_kernel(c: int) -> tuple[Callable, list[int], Callable, Callable, Callable, Callable]:
+    """The ``linalg._packed_echelon`` kernel of the orderly search on
+    ``c`` players, which :func:`minbal.reduction.is_reducible` shares: a
+    member of ``c`` entries joined to a unit vector of ``c + 1``, the
+    first ``c`` entries leading, and minors bounded as those of ``c``
+    rows of ``c`` ones, since at most ``c`` such members are independent."""
+    return _packed_echelon(2 * c + 1, c, _hadamard_bits([[1] * c] * c))
+
+
+@lru_cache(maxsize=None)
 def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
     """One non-trivial min-balanced system of each permutational type on
     the carrier ``(1 << c) - 1``: its lex-least system, in canonical order.
@@ -305,7 +321,7 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
     for i in range(ncand - 1, -1, -1):
         suffix_cover[i] = suffix_cover[i + 1] | candidates[i]
     marks, is_lex_least, _ = _packed_marks(c)
-    pack, units, unpack, reduce_row, pivot, negative = _packed_echelon(2 * c + 1, c, _hadamard_bits([[1] * c] * c))
+    pack, units, unpack, reduce_row, pivot, negative = _search_kernel(c)
     chi = [pack([s >> j & 1 for j in range(c)]) for s in range(full)]
     found: list[MinBalancedSystem] = []
 

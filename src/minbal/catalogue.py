@@ -35,13 +35,13 @@ the first difference.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from json.encoder import encode_basestring
 from math import comb
 from typing import Callable, Container, Iterable, Iterator, Optional, Sequence, Union
 
+from ._frozen import Frozen
 from .balance import (
     ENUM_PLAYER_CAP,
     InequalityVector,
@@ -74,8 +74,7 @@ class CatalogueFormatError(ValueError):
     """Raised when a serialized catalogue is malformed."""
 
 
-@dataclass(frozen=True)
-class CatalogueEntry:
+class CatalogueEntry(Frozen):
     """One facet inequality with its generating min-balanced system.
 
     For conjugated entries (exact-conjecture catalogue only) ``mbs`` is
@@ -90,11 +89,21 @@ class CatalogueEntry:
     conjugated: bool
     type_id: str
     orbit_size: int
-    complement_type_id: Optional[str] = None
+    complement_type_id: Optional[str]
+    _fields = ("mbs", "alpha", "irreducible", "conjugated", "type_id", "orbit_size", "complement_type_id")
+
+    def __init__(self, mbs: MinBalancedSystem, alpha: InequalityVector, irreducible: bool, conjugated: bool, type_id: str,
+                 orbit_size: int, complement_type_id: Optional[str] = None) -> None:
+        object.__setattr__(self, "mbs", mbs)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "irreducible", irreducible)
+        object.__setattr__(self, "conjugated", conjugated)
+        object.__setattr__(self, "type_id", type_id)
+        object.__setattr__(self, "orbit_size", orbit_size)
+        object.__setattr__(self, "complement_type_id", complement_type_id)
 
 
-@dataclass(frozen=True)
-class Catalogue:
+class Catalogue(Frozen):
     """The facet catalogue of a cone on a player set.  Its ``types`` are
     the entry of each type's lex-least system, on the first players, in
     ``exact-conjecture`` each followed by its conjugate's.  They are found
@@ -107,12 +116,14 @@ class Catalogue:
 
     players: Players
     cone: ConeKind
+    _fields = ("players", "cone")
 
-    def __post_init__(self) -> None:
+    def __init__(self, players: Players, cone: Union[ConeKind, str]) -> None:
         """Accept the cone by name, and reject player sets with no
         catalogue: type ids join coalition keys with ``|``, so a player
         name containing one is rejected."""
-        object.__setattr__(self, "cone", ConeKind(self.cone))
+        object.__setattr__(self, "players", players)
+        object.__setattr__(self, "cone", ConeKind(cone))
         object.__setattr__(self, "_searched", {})  # the types of each size searched so far, by size (``_search``)
         if not 2 <= self.players.n <= ENUM_PLAYER_CAP:
             raise ValueError(f"catalogue generation needs between 2 and {ENUM_PLAYER_CAP} players")
@@ -168,9 +179,11 @@ class Catalogue:
         if c not in self._searched:
             players, reps = self.players, _types_on(self.players, c)
             if self.cone is ConeKind.BALANCED:  # the one cone admitting reducible systems
-                pairs = [(replace(rep, complement_type_id=_type_id(players, complement_system(rep.mbs.system, players))), None) for rep in reps]
+                pairs = [(CatalogueEntry(rep.mbs, rep.alpha, rep.irreducible, rep.conjugated, rep.type_id, rep.orbit_size,
+                                         _type_id(players, complement_system(rep.mbs.system, players))), None) for rep in reps]
             else:
-                pairs = [(rep, replace(rep, alpha=conjugate(rep.alpha, players), conjugated=True, type_id="~" + rep.type_id) if self.conjecture else None)
+                pairs = [(rep, CatalogueEntry(rep.mbs, conjugate(rep.alpha, players), rep.irreducible, True, "~" + rep.type_id, rep.orbit_size)
+                          if self.conjecture else None)
                          for rep in reps if rep.irreducible]
             self._searched[c] = pairs
         return self._searched[c]
@@ -246,12 +259,15 @@ def _entries(catalogue: Catalogue) -> Iterator[CatalogueEntry]:
     def types(c: int) -> list[tuple]:
         return [(t.mbs.system.members, _member_values(t.mbs), (t, twin)) for t, twin in catalogue._types_of(c)]
 
+    def entry(t: CatalogueEntry, mbs: MinBalancedSystem, alpha: InequalityVector) -> CatalogueEntry:
+        return CatalogueEntry(mbs, alpha, t.irreducible, t.conjugated, t.type_id, t.orbit_size, t.complement_type_id)
+
     for _, table, images in _on_carriers(catalogue.players, catalogue.sizes, types):
         for image, values, (t, twin) in images:
             mbs = _image_system(table, image, values, t.mbs)
-            yield replace(t, mbs=mbs, alpha=mbs.alpha)
+            yield entry(t, mbs, mbs.alpha)
             if twin is not None:
-                yield replace(twin, mbs=mbs, alpha=conjugate(mbs.alpha, catalogue.players))
+                yield entry(twin, mbs, conjugate(mbs.alpha, catalogue.players))
 
 
 # -- rendering -----------------------------------------------------------

@@ -49,13 +49,13 @@ membership question for the extended cones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import compress
 from operator import eq, ge, indexOf, not_, sub
 from typing import Iterable, Optional, Sequence, Union
 
+from ._frozen import Frozen
 from .balance import InequalityVector, MinBalancedSystem, SetSystem, is_min_balanced
 from .games import (
     Game,
@@ -73,30 +73,39 @@ from .linalg import FeasibilityResult, _integer_row, dependency, lp_feasible
 Payoffs = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class CoreAllocation:
+class CoreAllocation(Frozen):
     """An efficient payoff vector giving every coalition its worth."""
 
     payoffs: Payoffs
+    _fields = ("payoffs",)
+
+    def __init__(self, payoffs: Payoffs) -> None:
+        object.__setattr__(self, "payoffs", payoffs)
 
 
-@dataclass(frozen=True)
-class TightAllocationTable:
+class TightAllocationTable(Frozen):
     """One core allocation per nonempty coalition, tight at it."""
 
     allocations: tuple[tuple[int, Payoffs], ...]
+    _fields = ("allocations",)
+
+    def __init__(self, allocations: tuple[tuple[int, Payoffs], ...]) -> None:
+        object.__setattr__(self, "allocations", allocations)
 
 
-@dataclass(frozen=True)
-class ViolatedSystem:
+class ViolatedSystem(Frozen):
     """A min-balanced inequality the game violates (value < 0)."""
 
     mbs: MinBalancedSystem
     value: Fraction
+    _fields = ("mbs", "value")
+
+    def __init__(self, mbs: MinBalancedSystem, value: Fraction) -> None:
+        object.__setattr__(self, "mbs", mbs)
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class NoTightAllocation:
+class NoTightAllocation(Frozen):
     """No core element is tight at ``coalition``.
 
     ``theta`` is the Farkas certificate in o-standardized form: it is
@@ -106,23 +115,36 @@ class NoTightAllocation:
 
     coalition: int
     theta: SetFunction
+    _fields = ("coalition", "theta")
+
+    def __init__(self, coalition: int, theta: SetFunction) -> None:
+        object.__setattr__(self, "coalition", coalition)
+        object.__setattr__(self, "theta", theta)
 
 
 Certificate = Union["FailingSubgame", CoreAllocation, TightAllocationTable, ViolatedSystem, NoTightAllocation]
 
 
-@dataclass(frozen=True)
-class FailingSubgame:
+class FailingSubgame(Frozen):
     """A coalition whose subgame already fails, with the inner evidence."""
 
     coalition: int
     certificate: Certificate
+    _fields = ("coalition", "certificate")
+
+    def __init__(self, coalition: int, certificate: Certificate) -> None:
+        object.__setattr__(self, "coalition", coalition)
+        object.__setattr__(self, "certificate", certificate)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     member: bool
     certificate: Optional[Certificate]
+    _fields = ("member", "certificate")
+
+    def __init__(self, member: bool, certificate: Optional[Certificate]) -> None:
+        object.__setattr__(self, "member", member)
+        object.__setattr__(self, "certificate", certificate)
 
     def __bool__(self) -> bool:
         return self.member

@@ -15,13 +15,14 @@ import json
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from json.decoder import WHITESPACE
 from math import gcd
 from random import Random
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+
+from ._frozen import Frozen
 
 log = logging.getLogger("minbal")
 
@@ -36,20 +37,21 @@ class GameFormatError(ValueError):
     """Raised when a game JSON document is malformed."""
 
 
-@dataclass(frozen=True)
-class Players:
+class Players(Frozen):
     """An ordered list of distinct player names, owner of the coalition keys.
 
     A coalition's key is its members' names concatenated in player order.
     Names giving two coalitions one key, like ``a, b, ab``, are rejected.
+    Players compare, hash and print by ``names`` alone.
     """
 
     names: tuple[str, ...]
-    _keys: list[str] = field(init=False, repr=False, compare=False)
-    _coalitions: dict[str, int] = field(init=False, repr=False, compare=False)
+    _keys: list[str]
+    _coalitions: dict[str, int]
+    _fields = ("names",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "names", tuple(self.names))
+    def __init__(self, names: tuple[str, ...]) -> None:
+        object.__setattr__(self, "names", tuple(names))
         if not (1 <= len(self.names) <= MAX_PLAYERS):
             raise ValueError(f"player count must be between 1 and {MAX_PLAYERS}")
         if len(set(self.names)) != len(self.names):
@@ -103,16 +105,17 @@ def letters(n: int) -> Players:
     return Players(tuple(chr(ord("a") + i) for i in range(n)))
 
 
-@dataclass(frozen=True)
-class SetFunction:
+class SetFunction(Frozen):
     """A dense real-valued (rational) function on all coalitions."""
 
     players: Players
     values: tuple[Fraction, ...]
+    _fields = ("players", "values")
 
-    def __post_init__(self) -> None:
-        values = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
-        if len(values) != 1 << self.players.n:
+    def __init__(self, players: Players, values: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "players", players)
+        values = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+        if len(values) != 1 << players.n:
             raise ValueError("a value is required for every coalition")
         object.__setattr__(self, "values", values)
 
@@ -122,10 +125,11 @@ class SetFunction:
 
 
 class Game(SetFunction):
-    """A set function vanishing at the empty coalition."""
+    """A set function vanishing at the empty coalition; never equal to a
+    :class:`SetFunction`, as equality needs one class."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __init__(self, players: Players, values: tuple[Fraction, ...]) -> None:
+        super().__init__(players, values)
         if self.values[0] != 0:
             raise ValueError("a game must vanish at the empty coalition")
 

@@ -50,13 +50,14 @@ the Farkas vector as they are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from numbers import Rational
 from operator import lshift, mul
 from typing import Callable, Optional, Sequence
+
+from ._frozen import Frozen
 
 Vector = tuple[Fraction, ...]
 
@@ -272,8 +273,7 @@ def solve_unique(columns: Sequence[Sequence], target: Sequence) -> Optional[Vect
     return tuple(Fraction(-c, dep[k]) for c in dep[:k])
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(Frozen):
     """Outcome of a linear feasibility problem.
 
     Exactly one of ``numerators`` and ``farkas`` is set.  A feasible
@@ -288,6 +288,12 @@ class FeasibilityResult:
     numerators: Optional[tuple[int, ...]]
     denominator: int
     farkas: Optional[Vector]
+    _fields = ("numerators", "denominator", "farkas")
+
+    def __init__(self, numerators: Optional[tuple[int, ...]], denominator: int, farkas: Optional[Vector]) -> None:
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "farkas", farkas)
 
     @property
     def feasible(self) -> bool:

@@ -19,24 +19,24 @@ minimizes lam_S / mu_S over the members with mu_S > 0: a ratio test.
 
 :func:`is_reducible` decides the cone test for every A on one integer
 echelon of the members, built once per system with the elimination
-kernel of the orderly search (:func:`minbal.linalg._packed_echelon`), and
-reduces chi_A against it with one ``reduce_row``: a zero test and a sign
-test on the packed result decide it, and no ``Fraction`` is built until
-a witness is returned.
+kernel of the orderly search, cached per carrier size
+(:func:`minbal.balance._search_kernel`), and reduces chi_A against it
+with one ``reduce_row``: a zero test and a sign test on the packed
+result decide it, and no ``Fraction`` is built until a witness is
+returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .balance import InequalityVector, MinBalancedSystem, SetSystem, _bit_positions, _incidence, is_min_balanced
+from ._frozen import Frozen
+from .balance import InequalityVector, MinBalancedSystem, SetSystem, _bit_positions, _incidence, _search_kernel, is_min_balanced
 from .games import _player_sums
-from .linalg import _hadamard_bits, _packed_echelon, conic_feasible  # conic_feasible is not called here: perfbench/spans.py wraps it at this lookup site
+from .linalg import conic_feasible  # not called here: perfbench/spans.py wraps it at this lookup site
 
 
-@dataclass(frozen=True)
-class ReductionWitness:
+class ReductionWitness(Frozen):
     """Constructive evidence that a system is reducible.
 
     ``mu`` expresses chi_A over the members strictly inside A; ``beta``
@@ -48,6 +48,13 @@ class ReductionWitness:
     pivot_member: int                         # B, a member strictly inside A
     mu: tuple[tuple[int, Fraction], ...]
     beta: tuple[tuple[int, Fraction], ...]
+    _fields = ("reduced_set", "pivot_member", "mu", "beta")
+
+    def __init__(self, reduced_set: int, pivot_member: int, mu: tuple[tuple[int, Fraction], ...], beta: tuple[tuple[int, Fraction], ...]) -> None:
+        object.__setattr__(self, "reduced_set", reduced_set)
+        object.__setattr__(self, "pivot_member", pivot_member)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "beta", beta)
 
     def mu_map(self) -> dict[int, Fraction]:
         return dict(self.mu)
@@ -83,8 +90,7 @@ def is_reducible(mbs: MinBalancedSystem) -> ReductionWitness | None:
     members = mbs.system.members
     positions = _bit_positions(mbs.carrier)
     c, k = len(positions), len(members)
-    # the orderly search's kernel, as at most c members of c entries are independent
-    pack, units, unpack, reduce_row, pivot, negative = _packed_echelon(2 * c + 1, c, _hadamard_bits([[1] * c] * c))
+    pack, units, unpack, reduce_row, pivot, negative = _search_kernel(c)
     # each union of members with its incidence vector, the OR of theirs
     chi, rows = {0: 0}, []
     for j, s in enumerate(members):
@@ -111,13 +117,18 @@ def is_reducible(mbs: MinBalancedSystem) -> ReductionWitness | None:
     return None
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Frozen):
     """A reducible system's inequality as a conic combination of two."""
 
     inner: MinBalancedSystem          # min-balanced on the reduced set A
     outer: MinBalancedSystem          # min-balanced on the carrier, with A a member
     combination: tuple[Fraction, Fraction]
+    _fields = ("inner", "outer", "combination")
+
+    def __init__(self, inner: MinBalancedSystem, outer: MinBalancedSystem, combination: tuple[Fraction, Fraction]) -> None:
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "combination", combination)
 
 
 def decompose(mbs: MinBalancedSystem, witness: ReductionWitness) -> Decomposition:

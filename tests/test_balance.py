@@ -518,7 +518,8 @@ class TestPackedEchelon:
         # the widths the _packed_echelon docstring lists: the search's at
         # c = 2..7, each above the largest 0/1 determinant of order c, and
         # dependency's on n + 1 incidence vectors at n = 2..12, the largest
-        # at the all-ones vectors; both callers pick them
+        # at the all-ones vectors; both callers pick them, the search
+        # through its kernel cached per c (_search_kernel)
         search = [_hadamard_bits([[1] * c] * c) for c in range(2, 8)]
         assert search == [2, 3, 5, 6, 8, 10]
         assert all(2**bits > top for bits, top in zip(search, [1, 2, 3, 5, 9, 32]))
@@ -534,6 +535,7 @@ class TestPackedEchelon:
         monkeypatch.setattr(linalg, "_packed_echelon", spy)
         for c in range(2, 6):
             _enumerate_size.cache_clear()
+            balance._search_kernel.cache_clear()
             _enumerate_size(c)
         for n in range(2, 13):
             assert dependency([[1] * n] * (n + 1)) == [1, -1] + [0] * (n - 1)
@@ -557,12 +559,13 @@ class TestPackedEchelon:
         # search unpacks once per type; at c = 5 the carrier lies in the
         # span at 1045 leaves, for 44 types
         unpacked = []
+        search_kernel = balance._search_kernel
 
-        def kernel(length, leading, bits):
-            pack, units, unpack, reduce_row, pivot, negative = _packed_echelon(length, leading, bits)
+        def kernel(c):
+            pack, units, unpack, reduce_row, pivot, negative = search_kernel(c)
             return pack, units, lambda v: unpacked.append(v) or unpack(v), reduce_row, pivot, negative
 
-        monkeypatch.setattr(balance, "_packed_echelon", kernel)
+        monkeypatch.setattr(balance, "_search_kernel", kernel)
         _enumerate_size.cache_clear()
         assert len(_enumerate_size(5)) == len(unpacked) == 44
 

@@ -1,7 +1,6 @@
 """Membership oracles, their certificates, and the structural laws
 connecting the three cones."""
 
-import dataclasses
 import logging
 from fractions import Fraction as F
 from math import comb
@@ -222,7 +221,9 @@ class TestTotallyBalanced:
 
         full = generate(p3, "totally-balanced")
         with pytest.raises(TypeError):
-            dataclasses.replace(full, types=full.types[1:])
+            Catalogue(p3, "totally-balanced", types=full.types[1:])
+        with pytest.raises(AttributeError):
+            full.types = full.types[1:]
         g = game_of(p3, {"a": 2, "b": 2, "ab": 1, "ac": 2, "bc": 2, "abc": 10})
         assert not is_totally_balanced_lp(g).member
         assert not is_totally_balanced_facets(g, full).member

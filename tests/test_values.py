@@ -1,0 +1,132 @@
+"""The immutable value classes: their argument checks, their value
+semantics (frozen, equal and hashed by their fields, printed by name) and
+an import of the command line that loads neither ``dataclasses`` nor
+``inspect``."""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction as F
+
+import pytest
+
+import minbal
+from minbal.balance import InequalityVector, MinBalancedSystem, SetSystem
+from minbal.catalogue import Catalogue, CatalogueEntry, generate
+from minbal.cones import CoreAllocation, FailingSubgame, NoTightAllocation, TightAllocationTable, Verdict, ViolatedSystem
+from minbal.games import MAX_PLAYERS, Game, Players, SetFunction, letters
+from minbal.linalg import FeasibilityResult
+from minbal.reduction import Decomposition, ReductionWitness
+from minbal.reference import AppendixType
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SetSystem((0, 1)), "members must be nonempty coalitions"),
+    (lambda: SetSystem((2, 1)), "members must be strictly increasing bitmasks"),
+    (lambda: SetSystem((1, 1)), "members must be strictly increasing bitmasks"),
+    (lambda: InequalityVector(((0, 1), (1, 0))), "zero coefficients must be omitted"),
+    (lambda: InequalityVector(((2, 1), (1, -1))), "items must be sorted by coalition bitmask"),
+    (lambda: InequalityVector(((0, F(1, 2)),)), "coalition masks and coefficients must be integers"),
+    (lambda: Players(()), f"player count must be between 1 and {MAX_PLAYERS}"),
+    (lambda: Players(("a", "a")), "player names must be distinct"),
+    (lambda: Players(("a", "")), "player names must be non-empty strings"),
+    (lambda: Players(("a", 1)), "player names must be non-empty strings"),
+    (lambda: Players(("a", "b", "ab")), "player names produce ambiguous coalition keys"),
+    (lambda: SetFunction(letters(2), (0, 1, 2)), "a value is required for every coalition"),
+    (lambda: Game(letters(2), (0, 1, 2)), "a value is required for every coalition"),
+    (lambda: Game(letters(1), (1, 2)), "a game must vanish at the empty coalition"),
+    (lambda: Catalogue(letters(1), "balanced"), "catalogue generation needs between 2 and 6 players"),
+    (lambda: Catalogue(letters(2), "exact-conjecture"), "the exact-cone conjecture catalogue needs at least 3 players"),
+    (lambda: Catalogue(Players(("a", "b|c")), "balanced"),
+     "player name 'b|c' contains '|', which separates the coalitions of a type id"),
+])
+def test_argument_checks(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def _mbs():
+    return MinBalancedSystem(SetSystem((1, 2)), (F(1), F(1)), 1, InequalityVector(((0, 1), (1, -1), (2, -1), (3, 1))))
+
+
+# each former dataclass: a call building a fresh instance, and a field
+VALUES = {
+    "SetSystem": (lambda: SetSystem((1, 2)), "members"),
+    "InequalityVector": (lambda: InequalityVector(((0, 1), (3, -1))), "items"),
+    "MinBalancedSystem": (_mbs, "weights"),
+    "Players": (lambda: Players(("a", "b")), "names"),
+    "SetFunction": (lambda: SetFunction(letters(1), (1, 2)), "values"),
+    "Game": (lambda: Game(letters(1), (0, 2)), "players"),
+    "CatalogueEntry": (lambda: CatalogueEntry(_mbs(), _mbs().alpha, True, False, "a|b", 1), "complement_type_id"),
+    "Catalogue": (lambda: Catalogue(letters(3), "balanced"), "cone"),
+    "CoreAllocation": (lambda: CoreAllocation((F(1), F(2))), "payoffs"),
+    "TightAllocationTable": (lambda: TightAllocationTable(((1, (F(1),)),)), "allocations"),
+    "ViolatedSystem": (lambda: ViolatedSystem(_mbs(), F(-1)), "value"),
+    "NoTightAllocation": (lambda: NoTightAllocation(1, SetFunction(letters(1), (1, -1))), "theta"),
+    "FailingSubgame": (lambda: FailingSubgame(3, CoreAllocation((F(1),))), "certificate"),
+    "Verdict": (lambda: Verdict(True, None), "member"),
+    "FeasibilityResult": (lambda: FeasibilityResult((1, 2), 3, None), "denominator"),
+    "ReductionWitness": (lambda: ReductionWitness(3, 1, ((1, F(1)),), ((3, F(1)),)), "mu"),
+    "Decomposition": (lambda: Decomposition(_mbs(), _mbs(), (F(1), F(1))), "combination"),
+    "AppendixType": (lambda: AppendixType(1, ("a", "b"), 1, 1, True, "m(ab) − m(a) − m(b) + m(∅) ≥ 0"), "inequality"),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_semantics(name):
+    build, field = VALUES[name]
+    a, b = build(), build()
+    assert type(a).__name__ == name
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert repr(a).startswith(name + "(") and repr(a) == repr(b)
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b and a != object()
+
+
+def test_value_fields_are_compared():
+    assert SetSystem((1, 2)) != SetSystem((1, 4))
+    assert Verdict(True, None) != Verdict(False, None)
+    assert FeasibilityResult((1, 2), 3, None) != FeasibilityResult((1, 2), 5, None)
+    assert CatalogueEntry(_mbs(), _mbs().alpha, True, False, "a|b", 1) != CatalogueEntry(_mbs(), _mbs().alpha, True, False, "a|b", 1, "a|b")
+    assert repr(Verdict(True, CoreAllocation((F(1),)))) == "Verdict(member=True, certificate=CoreAllocation(payoffs=(Fraction(1, 1),)))"
+
+
+def test_game_never_equals_a_set_function():
+    g, f = Game(letters(2), (0, 1, 2, 3)), SetFunction(letters(2), (0, 1, 2, 3))
+    assert g.players == f.players and g.values == f.values
+    assert g != f and f != g and not g == f
+    assert g == Game(letters(2), (0, 1, 2, 3)) and repr(g).startswith("Game(players=Players(names=('a', 'b')), ")
+
+
+def test_players_compare_on_names_alone():
+    p, q = Players(("a", "b")), Players(["a", "b"])
+    assert p._keys == q._keys and p._keys is not q._keys
+    assert p == q and hash(p) == hash(q) == hash((("a", "b"),))
+    assert repr(p) == "Players(names=('a', 'b'))"
+    assert p != Players(("b", "a"))
+
+
+def test_cached_properties_on_frozen_values():
+    res = FeasibilityResult((1, 2), 4, None)
+    assert res.point == (F(1, 4), F(1, 2)) and res.point is res.point
+    catalogue = generate(letters(3), "balanced")
+    assert catalogue.types is catalogue.types and catalogue.entries is catalogue.entries
+    assert catalogue == Catalogue(letters(3), "balanced")
+    with pytest.raises(AttributeError):
+        catalogue.entries = ()
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # they would add tens of milliseconds to every command's start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(minbal.__file__)))
+    code = "import sys, minbal.cli, minbal.catalogue; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
