@@ -7,7 +7,9 @@ still works, as it writes to the instance ``__dict__`` directly.  Two
 objects are equal when they are of one class and their fields are
 equal; the hash is that of the tuple of fields, and ``repr`` names the
 class and its fields.  These are the methods ``@dataclass(frozen=True)``
-would generate, without building them with ``exec`` at import.
+would generate, without building them with ``exec`` at import.  A
+class that stores its fields in another, canonical form compares and
+hashes that form by overriding ``_values``, as ``SetFunction`` does.
 """
 
 

@@ -23,7 +23,7 @@ from operator import or_
 from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from ._frozen import Frozen
-from .games import Players, SetFunction, _player_sums, log, relabelling
+from .games import Players, SetFunction, _log, _player_sums, relabelling
 from .linalg import _hadamard_bits, _packed_echelon, solve_unique
 
 #: Enumeration and catalogue generation search all subsets of the carrier,
@@ -103,14 +103,14 @@ class InequalityVector(Frozen):
         return tuple(s for s, c in self.items if c < 0)
 
     def evaluate(self, f: SetFunction) -> Fraction:
-        """The pairing sum over S of coeff(S) * f(S)."""
+        """The pairing sum over S of coeff(S) * f(S), on f's integer table."""
         full = f.players.full_mask
-        total = Fraction(0)
+        total = 0
         for s, c in self.items:
             if s > full:
                 raise ValueError("coefficient vector does not fit the player set")
-            total += c * f.values[s]
-        return total
+            total += c * f.numerators[s]
+        return Fraction(total, f.denominator)
 
     def is_o_standardized(self) -> bool:
         """Zero total sum and zero sum over the coalitions at each player."""
@@ -313,7 +313,7 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
     "Caps", gives its callers' figures).
     """
     if c >= 6:
-        log.warning("enumerating min-balanced systems on a %d-player carrier: expect 2-3 s, and up to 12 s and 250 MB to list them all", c)
+        _log("warning", "enumerating min-balanced systems on a %d-player carrier: expect 2-3 s, and up to 12 s and 250 MB to list them all", c)
     full = (1 << c) - 1
     candidates = list(range(1, full))
     ncand = len(candidates)

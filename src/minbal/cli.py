@@ -32,17 +32,17 @@ from __future__ import annotations
 
 import getopt
 import json
-import logging
 import os
 import sys
 from contextlib import nullcontext
+from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring
 from random import Random
 from types import SimpleNamespace
 from typing import Iterable, Iterator, NoReturn, Optional
 
-from . import catalogue as cat
+from . import catalogue as cat, games
 from .balance import system_of
 from .cones import (
     CoreAllocation,
@@ -61,8 +61,7 @@ from .reference import APPENDIX, BALANCED_COUNTS, EXACT_FACET_COUNTS
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    logging.basicConfig(stream=sys.stderr, format="%(name)s: %(message)s")
-    logging.getLogger("minbal").setLevel(logging.INFO)
+    games._log_setup = _log_to_stderr
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.handler(args)
@@ -74,6 +73,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (GameFormatError, cat.CatalogueFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _log_to_stderr(logging) -> None:
+    """Send the ``minbal`` records, INFO and up, to stderr as ``minbal:
+    <message>``; run before each record is logged, so a run that logs
+    nothing neither imports nor configures ``logging``."""
+    logging.basicConfig(stream=sys.stderr, format="%(name)s: %(message)s")
+    logging.getLogger("minbal").setLevel(logging.INFO)
 
 
 #: ``_write`` joins pieces until they hold this many characters, then
@@ -181,7 +188,8 @@ def _payoff_payload(players: Players, payoffs) -> dict[str, str]:
 
 
 def _function_payload(f: SetFunction) -> dict[str, str]:
-    return {f.players.key(s): str(v) for s, v in enumerate(f.values) if v != 0}
+    """The nonzero values of ``f`` by coalition key, read off its integer table."""
+    return {f.players.key(s): str(Fraction(p, f.denominator)) for s, p in enumerate(f.numerators) if p}
 
 
 def _certificate_payload(players: Players, certificate) -> Optional[dict]:

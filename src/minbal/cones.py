@@ -22,11 +22,12 @@ is one whose every subgame is balanced, a minimum of additive games
 question (:func:`_settled`): a pair {i, j} is balanced iff
 v(ij) >= v(i) + v(j), and the coalitions split into C(n, floor(n/2))
 symmetric chains (de Bruijn, Tengbergen & Kruyswijk, 1951;
-:func:`_symmetric_chains`), each settled whole by one marginal vector
-of its top's subgame that adds the chain's players link by link, where
-that vector is in the top's core; a chain is tried when the
-smallest-first scan first reaches one of its links, so a scan that
-fails early stops early.  The answer to the question is first
+:func:`_symmetric_chains`), each settled by one marginal vector of its
+top's subgame that adds the chain's players link by link: every link
+up to the first one holding a coalition the vector violates, and the
+whole chain where the vector is in the top's core.  A chain is tried
+when the smallest-first scan first reaches one of its links, so a scan
+that fails early stops early.  The answer to the question is first
 sought in integers as the marginal vector of the order that starts with
 the coalition's players (:func:`_marginal_vector`), which is tight at
 it; every marginal vector of a convex game is a core element (Shapley,
@@ -37,9 +38,10 @@ singletons, the equalities and the few rows a scan of all coalitions
 found violated.  A marginal vector passes, and a subgame is settled,
 only where a core point exists, so a table without one runs the same
 system as an LP-only check, and every negative verdict and its
-certificate is that check's.  Everything runs on the game's table
-scaled to integers, and a subgame's on its part of that table;
-``Fraction`` payoffs are built only for the points a certificate
+certificate is that check's.  Everything runs on the game's stored
+integer table (``SetFunction.numerators``, the values times their
+common ``denominator``), and a subgame's on its part of that table;
+``Fraction`` values are built only for the numbers a certificate
 returns.
 
 Set functions that do not vanish at the empty coalition are shifted
@@ -52,6 +54,7 @@ from __future__ import annotations
 from functools import cache
 from fractions import Fraction
 from itertools import compress
+from math import lcm
 from operator import eq, ge, indexOf, not_, sub
 from typing import Iterable, Optional, Sequence, Union
 
@@ -61,14 +64,14 @@ from .games import (
     Game,
     Players,
     SetFunction,
+    _log,
     _player_sums,
     as_game,
     is_o_standardized,
-    log,
     relabelling,
     restrict,
 )
-from .linalg import FeasibilityResult, _integer_row, dependency, lp_feasible
+from .linalg import FeasibilityResult, dependency, lp_feasible
 
 Payoffs = tuple[Fraction, ...]
 
@@ -150,8 +153,10 @@ class Verdict(Frozen):
         return self.member
 
 
-def _theta_values(n: int, order: list[int], farkas) -> dict[int, Fraction]:
-    """A Farkas vector as the nonzero values of an o-standardized set function.
+def _theta_values(n: int, order: list[int], farkas) -> dict[int, int]:
+    """A Farkas vector as the nonzero values of an o-standardized set
+    function, in integers: the values times the lcm of the vector's
+    denominators.
 
     theta(S) = -lam(S) at each coalition of the working set ``order``
     with a nonzero multiplier, and theta({}) balances the total to zero;
@@ -159,7 +164,8 @@ def _theta_values(n: int, order: list[int], farkas) -> dict[int, Fraction]:
     coalition's value is zero, so the per-player sums are checked over
     these values only, once, here.
     """
-    theta = {s: -lam for s, lam in zip(order, farkas) if lam}
+    scale = lcm(*(lam.denominator for lam in farkas))
+    theta = {s: -lam.numerator * (scale // lam.denominator) for s, lam in zip(order, farkas) if lam}
     theta[0] = -sum(theta.values())
     if any(_player_sums(theta.items(), n)):
         raise RuntimeError("Farkas certificate is not o-standardized")
@@ -173,14 +179,10 @@ def _theta_from_farkas(players: Players, order: list[int], farkas) -> SetFunctio
     dense set function; the other oracles keep theta as its nonzero
     values.
     """
-    theta = _theta_values(players.n, order, farkas)
-    return SetFunction(players, tuple(theta.get(s, Fraction(0)) for s in range(1 << players.n)))
-
-
-def _scaled(game: Game) -> tuple[list[int], int]:
-    """The game's table times ``scale``, the lcm of its denominators, and ``scale``."""
-    *values, scale = _integer_row([*game.values, 1])
-    return values, scale
+    table = [0] * (1 << players.n)
+    for s, t in _theta_values(players.n, order, farkas).items():
+        table[s] = t
+    return SetFunction._from_table(players, table, lcm(*(lam.denominator for lam in farkas)))
 
 
 def _sums(payoffs: list[int]) -> list[int]:
@@ -195,7 +197,7 @@ def _sums(payoffs: list[int]) -> list[int]:
     return sums
 
 
-def _marginal_vector(values: list[int], order: Sequence[int]) -> Optional[tuple[list[int], list[int]]]:
+def _marginal_vector(values: Sequence[int], order: Sequence[int]) -> Optional[tuple[list[int], list[int]]]:
     """The marginal vector of ``order`` and its sums, if it is in the core.
 
     ``values`` is a game's integer table and ``order`` lists each of its
@@ -259,8 +261,8 @@ def _chain_of(n: int) -> tuple[int, ...]:
     return tuple(index)
 
 
-def _chain_vector(values: list[int], chain: tuple[int, ...]) -> Optional[list[int]]:
-    """The marginal vector of a chain, if it is in its top's core.
+def _chain_vector(values: Sequence[int], chain: tuple[int, ...]) -> tuple[list[int], int]:
+    """The marginal vector of a chain, and the first coalition it violates.
 
     ``values`` is a game's integer table and ``chain`` one of
     :func:`_symmetric_chains`.  The vector is taken on the subgame of the
@@ -268,14 +270,21 @@ def _chain_vector(values: list[int], chain: tuple[int, ...]) -> Optional[list[in
     increasing order, then adds the chain's players link by link: the
     top's players renamed in that order, it is the marginal vector in
     player order of the renamed table, and it lists the payoffs in the
-    renamed order.  It is tight at every link, so where it is in the
-    top's core its restriction to each link is a core point of that
-    link's subgame: every link's subgame is balanced.
+    renamed order.  Returns it with the first renamed coalition, in
+    bitmask order, whose worth is above its payoff, or ``2**k`` on a top
+    of ``k`` players when there is none.  The vector is tight at every
+    link, and its restriction to the link of ``j`` players is that link's
+    marginal vector in the same order, whose renamed coalitions are those
+    below ``2**j``: so where the first violated coalition is not below
+    ``2**j``, the restriction is a core point of the link's subgame,
+    which is balanced.
     """
     n = len(values).bit_length() - 1
     order = [i for i in range(n) if chain[0] >> i & 1] + [(t ^ s).bit_length() - 1 for s, t in zip(chain, chain[1:])]
-    marginal = _marginal_vector([values[s] for s in relabelling(order)], range(len(order)))
-    return None if marginal is None else marginal[0]
+    table = [values[s] for s in relabelling(order)]
+    x = [table[(2 << i) - 1] - table[(1 << i) - 1] for i in range(len(order))]
+    sums = _sums(x)
+    return x, len(table) if all(map(ge, sums, table)) else indexOf(map(ge, sums, table), False)
 
 
 @cache
@@ -290,11 +299,12 @@ def _payoffs(res: FeasibilityResult, scale: int) -> Payoffs:
     return tuple(Fraction(p, den) for p in res.numerators)
 
 
-def _tight_feasibility(values: list[int], tight_at: int):
+def _tight_feasibility(values: Sequence[int], tight_at: int):
     """A core point with x(tight_at) = v(tight_at), or a Farkas vector.
 
-    ``values`` is a game's table times one positive integer, as
-    :func:`_scaled` gives it: the core system with its right-hand side
+    ``values`` is a game's table times one positive integer, as its
+    ``numerators`` are, the table times its ``denominator``, or a
+    subgame's part of them: the core system with its right-hand side
     scaled alike takes the same pivots and has the same Farkas vectors,
     and its point is the game's times that integer.  Returns ``(res,
     order, excess)``: the :func:`lp_feasible` result of the last working
@@ -334,7 +344,7 @@ def _tight_feasibility(values: list[int], tight_at: int):
         working.append(indexOf(map(sub, scaled, sums), worst))
 
 
-def _core_point(values: list[int], tight_at: int) -> tuple[FeasibilityResult, Optional[list[int]], Iterable[int]]:
+def _core_point(values: Sequence[int], tight_at: int) -> tuple[FeasibilityResult, Optional[list[int]], Iterable[int]]:
     """A core point of an integer table, tight at ``tight_at``, or a Farkas vector.
 
     Tries :func:`_marginal_vector` and runs :func:`_tight_feasibility`
@@ -354,28 +364,38 @@ def _core_point(values: list[int], tight_at: int) -> tuple[FeasibilityResult, Op
     return res, order, compress(coalitions, map(not_, excess or ()))
 
 
-def _violated_system(game: Game, theta: dict[int, Fraction]) -> ViolatedSystem:
+def _violated_system(game: Game, theta: dict[int, int]) -> ViolatedSystem:
     """Carathéodory reduction of the empty core's Farkas functional.
 
-    ``theta`` is the functional's nonzero values, as
-    :func:`_theta_values` gives them; no table of all 2^n coalitions is
-    built.  w_S = -theta(S) / theta(N), for S neither empty nor N and in
-    increasing bitmask order, are balanced weights on N with
+    ``theta`` is the functional's nonzero values times a positive
+    integer, as :func:`_theta_values` gives them; no table of all 2^n
+    coalitions is built.  w_S = -theta(S) / theta(N), for S neither empty
+    nor N and in increasing bitmask order, are balanced weights on N with
     sum w_S v(S) > v(N).  While the support is dependent, a dependency
     among its first n + 1 members, oriented not to lower that sum, is
-    added to w until a weight drops to zero and leaves the support.
+    added to w until a weight drops to zero and leaves the support.  All
+    of it runs on integers: theta(N) is positive, as the multiplier of
+    the row x(N) = v(N) is negative in every Farkas vector of the core
+    system, so the weights are kept as -theta(S) times a positive number,
+    and a step of p / q is taken as every weight times q plus p times the
+    dependency.  Only the violated inequality's value is a ``Fraction``.
     """
     n = game.players.n
     full = game.players.full_mask
-    weights = {s: -theta[s] / theta[full] for s in sorted(theta) if s not in (0, full)}
+    values = game.numerators
+    weights = {s: -theta[s] for s in sorted(theta) if s not in (0, full)}
     support = list(weights)
     while (coeffs := dependency([[s >> i & 1 for i in range(n)] for s in support[: n + 1]])) is not None:
         dep = [(s, d) for s, d in zip(support, coeffs) if d]
-        if sum(d * game.values[s] for s, d in dep) < 0:
+        if sum(d * values[s] for s, d in dep) < 0:
             dep = [(s, -d) for s, d in dep]
-        step = min(weights[s] / -d for s, d in dep if d < 0)
+        p, q = 0, 0  # the least ratio weights[s] / -d over d < 0
         for s, d in dep:
-            weights[s] += step * d
+            if d < 0 and (not q or weights[s] * q < p * -d):
+                p, q = weights[s], -d
+        weights = {s: w * q for s, w in weights.items()}
+        for s, d in dep:
+            weights[s] += p * d
         support = [s for s in support if weights[s]]
     mbs = is_min_balanced(SetSystem(tuple(support)))
     if mbs is None or mbs.carrier != full:
@@ -394,25 +414,25 @@ def is_balanced(f: SetFunction) -> Verdict:
     violates, reduced from the Farkas vector of the core system.
     """
     game = as_game(f)
-    values, scale = _scaled(game)
-    res, order, _ = _core_point(values, game.players.full_mask)
+    res, order, _ = _core_point(game.numerators, game.players.full_mask)
     if res.feasible:
-        return Verdict(True, CoreAllocation(_payoffs(res, scale)))
+        return Verdict(True, CoreAllocation(_payoffs(res, game.denominator)))
     return Verdict(False, _violated_system(game, _theta_values(game.players.n, order, res.farkas)))
 
 
-def _settled(values: list[int], a: int, vectors: dict[int, Optional[list[int]]]) -> bool:
+def _settled(values: Sequence[int], a: int, vectors: dict[int, tuple[list[int], int]]) -> bool:
     """Whether the subgame on ``a`` is balanced by a test cheaper than an LP.
 
     ``values`` is a game's integer table.  A coalition of one player is
     balanced, and a pair {i, j} iff v(ij) >= v(i) + v(j).  A larger
     coalition is settled where the vector of its chain
-    (:func:`_chain_vector`) is in the core of the chain's top.
-    ``vectors`` holds the vectors of the chains tried so far by index in
-    :func:`_symmetric_chains`, ``None`` for one that left its top's core:
+    (:func:`_chain_vector`), restricted to it, is in its core: where the
+    first coalition the vector violates, renamed in the chain's order,
+    lies outside the coalition, whose renamed coalitions are those below
+    ``2**|a|``.  ``vectors`` holds what :func:`_chain_vector` returned
+    for the chains tried so far, by index in :func:`_symmetric_chains`:
     each chain is tried once, when a scan first asks about one of its
-    links.  A chain that fails settles nothing; its links may still be
-    balanced.
+    links.  The links a chain does not settle may still be balanced.
     """
     size = a.bit_count()
     if size < 3:
@@ -421,7 +441,7 @@ def _settled(values: list[int], a: int, vectors: dict[int, Optional[list[int]]])
     c = _chain_of(n)[a]
     if c not in vectors:
         vectors[c] = _chain_vector(values, _symmetric_chains(n)[c])
-    return vectors[c] is not None
+    return vectors[c][1] >> size != 0
 
 
 def is_totally_balanced_lp(f: SetFunction) -> Verdict:
@@ -437,29 +457,34 @@ def is_totally_balanced_lp(f: SetFunction) -> Verdict:
     the smallest failing coalition, which is reported with the evidence
     for its subgame, and a scan that fails early tries only the chains
     it reached.  A member carries the core allocation found for the full
-    game.  The first chain's top is the full set and its order is player
-    order, so where its vector passed it is that allocation, the point
-    :func:`_core_point` would try first, and is not computed again.
-    Each subgame is checked on its part of the game's integer table;
-    only a failing subgame is built as a game, for its certificate.
+    game.  The first chain runs from the empty coalition to the full set
+    in player order, so the marginal vector in player order that
+    :func:`_core_point` tries first on one of its links is that chain's
+    vector restricted to the link.  Once that chain is tried, its links
+    are not offered the vector again: the full set takes it as the
+    allocation where it passed, and a link it does not settle, or the
+    full set where it failed, goes straight to the core LP
+    (:func:`_tight_feasibility`).  Each subgame is checked on its part
+    of the game's integer table; only a failing subgame is built as a
+    game, for its certificate.
     """
     game = as_game(f)
-    players = game.players
-    n, full = players.n, players.full_mask
-    values, scale = _scaled(game)
-    vectors: dict[int, Optional[list[int]]] = {}
+    n, full = game.players.n, game.players.full_mask
+    values = game.numerators
+    vectors: dict[int, tuple[list[int], int]] = {}
     for a in _smallest_first(n):
         if a != full and _settled(values, a, vectors):
             continue
-        if a == full and vectors.get(0) is not None:
-            res = FeasibilityResult(tuple(vectors[0]), 1, None)
+        first = vectors.get(0) if a & (a + 1) == 0 else None  # a link of the first chain, once it is tried
+        if first is not None and first[1] >> n:
+            res = FeasibilityResult(tuple(first[0]), 1, None)
             break
         table = [values[s] for s in relabelling([i for i in range(n) if a >> i & 1])]
-        res, order, _ = _core_point(table, len(table) - 1)
+        res, order, _ = (_core_point if first is None else _tight_feasibility)(table, len(table) - 1)
         if not res.feasible:
             theta = _theta_values(a.bit_count(), order, res.farkas)
             return Verdict(False, FailingSubgame(a, _violated_system(restrict(game, a), theta)))
-    return Verdict(True, CoreAllocation(_payoffs(res, scale)))
+    return Verdict(True, CoreAllocation(_payoffs(res, game.denominator)))
 
 
 def is_totally_balanced_facets(f: SetFunction, catalogue) -> Verdict:
@@ -500,21 +525,21 @@ def is_exact(f: SetFunction) -> Verdict:
     players = game.players
     full = players.full_mask
     if players.n >= 11:
-        log.warning(
+        _log(
+            "warning",
             "exactness check on %d players: up to %d marginal vectors, with a core LP wherever one leaves the core",
             players.n,
             full,
         )
     coalitions = _smallest_first(players.n)
-    values, scale = _scaled(game)
     points: dict[int, Payoffs] = {}
     for d in coalitions:
         if d in points:
             continue
-        res, order, tight = _core_point(values, d)
+        res, order, tight = _core_point(game.numerators, d)
         if not res.feasible:
             return Verdict(False, NoTightAllocation(d, _theta_from_farkas(players, order, res.farkas)))
-        point = _payoffs(res, scale)
+        point = _payoffs(res, game.denominator)
         for s in tight:
             points.setdefault(s, point)
     return Verdict(True, TightAllocationTable(tuple((d, points[d]) for d in coalitions)))

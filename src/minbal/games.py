@@ -4,27 +4,46 @@ Coalitions are plain ``int`` bitmasks over the index positions of an
 ordered player list; bit ``i`` stands for ``players.names[i]``.
 :class:`Players` owns their text keys and rejects names whose keys
 collide.  Set functions are dense tables of exact rationals over all
-``2**n`` coalitions.  A game is a set function vanishing at the empty
-coalition.
+``2**n`` coalitions, stored as one integer table: a numerator per
+coalition over one positive denominator, the lcm of the values' reduced
+denominators.  The membership oracles read that table; the values as
+``Fraction``s are built only when first asked for.  A game is a set
+function vanishing at the empty coalition.
+
+Nothing here imports ``logging`` until a record is logged
+(:func:`_log`), so that a run which logs nothing does not load it.
 """
 
 from __future__ import annotations
 
 import codecs
 import json
-import logging
 import re
 from collections import Counter
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from json.decoder import WHITESPACE
-from math import gcd
+from math import gcd, lcm
 from random import Random
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from ._frozen import Frozen
 
-log = logging.getLogger("minbal")
+#: Called with the ``logging`` module before :func:`_log` logs a record,
+#: when set: the command line sets it to configure its output.  The
+#: library configures nothing itself.
+_log_setup: Optional[Callable] = None
+
+
+def _log(level: str, message: str, *args: object) -> None:
+    """Log ``message % args`` on the ``minbal`` logger at ``level``,
+    ``"info"`` or ``"warning"``, importing ``logging`` only now."""
+    import logging
+
+    if _log_setup is not None:
+        _log_setup(logging)
+    getattr(logging.getLogger("minbal"), level)(message, *args)
+
 
 #: Membership oracles keep dense 2**n tables, so the player count is capped.
 MAX_PLAYERS = 12
@@ -106,10 +125,20 @@ def letters(n: int) -> Players:
 
 
 class SetFunction(Frozen):
-    """A dense real-valued (rational) function on all coalitions."""
+    """A dense real-valued (rational) function on all coalitions.
+
+    Stored as an integer table: the value at coalition ``s`` is
+    ``numerators[s] / denominator``, and ``denominator`` is the lcm of
+    the values' reduced denominators, so each function has exactly one
+    table.  ``values``, the same numbers as ``Fraction``s, is built on
+    first access, or kept from the constructor's argument.  Two set
+    functions are equal, and hash alike, when their players and tables
+    are; ``repr`` shows the values.
+    """
 
     players: Players
-    values: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
     _fields = ("players", "values")
 
     def __init__(self, players: Players, values: tuple[Fraction, ...]) -> None:
@@ -117,11 +146,35 @@ class SetFunction(Frozen):
         values = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
         if len(values) != 1 << players.n:
             raise ValueError("a value is required for every coalition")
-        object.__setattr__(self, "values", values)
+        den = lcm(*{v.denominator for v in values})
+        object.__setattr__(self, "numerators", tuple(v.numerator * (den // v.denominator) for v in values))
+        object.__setattr__(self, "denominator", den)
+        self.__dict__["values"] = values
+
+    @classmethod
+    def _from_table(cls, players: Players, numerators: Sequence[int], denominator: int) -> SetFunction:
+        """The function of ``numerators`` over the positive ``denominator``,
+        one per coalition, in lowest terms.  Nothing else is checked: a
+        game's caller gives ``numerators[0] == 0``."""
+        g = 1 if denominator == 1 else gcd(denominator, *numerators)
+        f = cls.__new__(cls)
+        object.__setattr__(f, "players", players)
+        object.__setattr__(f, "numerators", tuple(numerators) if g == 1 else tuple(p // g for p in numerators))
+        object.__setattr__(f, "denominator", denominator // g)
+        return f
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        """The value at every coalition, in bitmask order."""
+        return tuple(Fraction(p, self.denominator) for p in self.numerators)
+
+    def _values(self) -> tuple:
+        # the table is the values' one integer form
+        return self.players, self.numerators, self.denominator
 
     def value(self, coalition: int) -> Fraction:
         self.players._check(coalition)
-        return self.values[coalition]
+        return Fraction(self.numerators[coalition], self.denominator)
 
 
 class Game(SetFunction):
@@ -130,7 +183,7 @@ class Game(SetFunction):
 
     def __init__(self, players: Players, values: tuple[Fraction, ...]) -> None:
         super().__init__(players, values)
-        if self.values[0] != 0:
+        if self.numerators[0] != 0:
             raise ValueError("a game must vanish at the empty coalition")
 
 
@@ -157,10 +210,10 @@ def game_of(players: Players, table: Mapping[str, object], default=0) -> Game:
 
 def shift(f: SetFunction) -> Game:
     """Subtract the empty-coalition value, yielding a game."""
-    c = f.values[0]
+    c = f.numerators[0]
     if c == 0 and isinstance(f, Game):
         return f
-    return Game(f.players, tuple(v - c for v in f.values))
+    return Game._from_table(f.players, [p - c for p in f.numerators], f.denominator)
 
 
 def as_game(f: SetFunction) -> Game:
@@ -172,8 +225,8 @@ def as_game(f: SetFunction) -> Game:
     """
     if isinstance(f, Game):
         return f
-    if f.values[0] != 0:
-        log.info("set function does not vanish at the empty coalition; shifting")
+    if f.numerators[0] != 0:
+        _log("info", "set function does not vanish at the empty coalition; shifting")
     return shift(f)
 
 
@@ -185,7 +238,7 @@ def restrict(f: SetFunction, coalition: int) -> SetFunction:
     positions = [i for i in range(f.players.n) if coalition >> i & 1]
     sub_players = Players(tuple(f.players.names[i] for i in positions))
     kind = Game if isinstance(f, Game) else SetFunction
-    return kind(sub_players, tuple(f.values[s] for s in relabelling(positions)))
+    return kind._from_table(sub_players, [f.numerators[s] for s in relabelling(positions)], f.denominator)
 
 
 def relabelling(targets: Sequence[int]) -> list[int]:
@@ -204,7 +257,7 @@ def relabelling(targets: Sequence[int]) -> list[int]:
 def reflect(f: SetFunction) -> SetFunction:
     """Composition with complementation: result(T) = f(N minus T)."""
     full = f.players.full_mask
-    return SetFunction(f.players, tuple(f.values[full ^ t] for t in f.players.coalitions()))
+    return SetFunction._from_table(f.players, [f.numerators[full ^ t] for t in f.players.coalitions()], f.denominator)
 
 
 def anti_dual(m: SetFunction) -> Game:
@@ -316,23 +369,24 @@ def random_exact_game(players: Players, rng: Random) -> Game:
     )
 
 
-def _parse_value(raw: object, key: str) -> Fraction:
-    """The value at coalition ``key``: a JSON integer, or a string of a
-    decimal integer or a reduced ``p/q`` rational, read by one match of
+def _parse_value(raw: object, key: str) -> tuple[int, int]:
+    """The value at coalition ``key`` as its numerator and positive
+    denominator in lowest terms: a JSON integer, or a string of a decimal
+    integer or a reduced ``p/q`` rational, read by one match of
     ``_VALUE_RE``; a match with no denominator is read by one ``int``."""
     match = isinstance(raw, str) and _VALUE_RE.match(raw)
     if match and match[2] is None:
-        return Fraction(int(raw))
+        return int(raw), 1
     where = f"values[{key!r}]"
     if match:
         p, q = int(match[1]), int(match[2])
         if q == 0 or gcd(p, q) != 1:
             raise GameFormatError(f"{where}: {raw!r} is not a reduced rational with positive denominator")
-        return Fraction(p, q)
+        return p, q
     if isinstance(raw, bool):
         raise GameFormatError(f"{where}: boolean is not a rational value")
     if isinstance(raw, int):
-        return Fraction(raw)
+        return raw, 1
     if isinstance(raw, str):
         raise GameFormatError(f"{where}: {raw!r} is not a decimal integer or p/q rational")
     raise GameFormatError(f"{where}: values must be integers or rational strings, got {type(raw).__name__}")
@@ -577,9 +631,10 @@ def game_from_json(text: Union[str, bytes]) -> Game:
     ``json.loads``; a faulty one is read again by the catalogue reader,
     so both formats fail with one message (:func:`_read_whole`).  The
     keys are compared with the players' once, and each value is read
-    once, by :func:`_parse_value`.  Of several faults, an unknown key is
-    reported first, then the first missing key or bad value in coalition
-    order.
+    once, by :func:`_parse_value`, straight into integers: the game is
+    built from its integer table, and no ``Fraction`` is made.  Of
+    several faults, an unknown key is reported first, then the first
+    missing key or bad value in coalition order.
     """
     doc, players = _read_document(text, ("players", "values"), GameFormatError)
     raw_values = doc["values"]
@@ -594,10 +649,11 @@ def game_from_json(text: Union[str, bytes]) -> Game:
             if key not in raw_values:
                 raise GameFormatError(f"missing coalition key {key!r}")
             _parse_value(raw_values[key], key)
-    values = [_parse_value(raw_values[key], key) for key in coalitions]
-    if values[0] != 0:
+    pairs = [_parse_value(raw_values[key], key) for key in coalitions]
+    if pairs[0][0] != 0:
         raise GameFormatError("the empty coalition must have value 0")
-    return Game(players, tuple(values))
+    den = lcm(*{q for _, q in pairs})
+    return Game._from_table(players, [p * (den // q) for p, q in pairs], den)
 
 
 def game_to_json(game: SetFunction) -> str:

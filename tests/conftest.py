@@ -438,7 +438,7 @@ def lp_only_is_exact(game):
     negative verdicts the marginal-vector shortcut must reproduce."""
     players = game.players
     full = players.full_mask
-    values, scale = cones._scaled(game)
+    values, scale = game.numerators, game.denominator
     coalitions = sorted(range(1, full + 1), key=lambda s: (s.bit_count(), s))
     points = {}
     for d in coalitions:
@@ -463,7 +463,7 @@ def reference_is_totally_balanced(game):
     verdicts and certificates the chain pass must reproduce."""
     players = game.players
     full = players.full_mask
-    values, scale = cones._scaled(game)
+    values, scale = game.numerators, game.denominator
     coalitions = sorted(
         (s for s in range(1, full + 1) if s.bit_count() >= 2 or s == full),
         key=lambda s: (s.bit_count(), s),

@@ -12,7 +12,7 @@ import minbal
 from minbal.catalogue import generate, serialize
 from minbal import cli
 from minbal.cli import main
-from minbal.games import game_of, game_to_json, letters
+from minbal.games import Game, game_of, game_to_json, letters
 
 from conftest import reference_parser, system_payload
 
@@ -428,6 +428,18 @@ class TestUsage:
         assert member.returncode == 0
         rejected = _run_module("check", "--game", str(bad_path), "--cone", "balanced")
         assert rejected.returncode == 1
+
+    def test_warning_line_on_stderr(self, tmp_path):
+        # the 11-player exactness warning is the run's one record: logged
+        # as "minbal: <message>" although main configures no logging
+        # before a record is logged; the game fails at once, at {a}
+        n = 11
+        path = tmp_path / "warn11.json"
+        path.write_text(game_to_json(Game(letters(n), (0, 1) + (0,) * ((1 << n) - 2))))
+        proc = _run_module("check", "--game", str(path), "--cone", "exact")
+        assert (proc.returncode, proc.stdout) == (1, b"exact: not a member\n")
+        assert proc.stderr.decode().splitlines() == [
+            "minbal: exactness check on 11 players: up to 2047 marginal vectors, with a core LP wherever one leaves the core"]
 
 
 def test_closed_stdout_exits_quietly():

@@ -25,11 +25,14 @@ from minbal.cones import (
     is_totally_balanced_lp,
     theta_contains,
 )
+from minbal.cli import _certificate_payload
 from minbal.games import (
     Game,
     SetFunction,
     anti_dual,
+    game_from_json,
     game_of,
+    game_to_json,
     inner,
     letters,
     modular_from_payoffs,
@@ -259,10 +262,12 @@ def _min_of_additive(players, rng, k):
 
 
 def _lp_only(monkeypatch, oracle, g):
-    """``oracle`` on ``g`` with no marginal vector tried: a core LP
+    """``oracle`` on ``g`` with no marginal vector tried, for a subgame or
+    along a chain (each chain fails at the empty coalition): a core LP
     wherever the oracle asks for a core point."""
     with monkeypatch.context() as m:
         m.setattr(cones, "_marginal_vector", lambda table, order: None)
+        m.setattr(cones, "_chain_vector", lambda values, chain: ([], 0))
         return oracle(g)
 
 
@@ -320,7 +325,7 @@ class TestGreedyShortcut:
             table[key] = value
             table[key + "d"] = value + 1
         g = game_of(p4, table)
-        values, _ = cones._scaled(g)
+        values = g.numerators
         assert cones._marginal_vector(values[:8], range(3)) is None
         calls = _count_systems(monkeypatch)
         v = is_totally_balanced_lp(g)
@@ -410,9 +415,9 @@ class TestChainSettling:
                 assert v == reference_is_totally_balanced(g), (kind, seed)
                 verify_verdict(g, v)
                 if v.member:
-                    values = cones._scaled(g)[0]
+                    values = g.numerators
                     chains = [c for c in cones._symmetric_chains(n) if c[-1].bit_count() >= 3]
-                    fallbacks += any(cones._chain_vector(values, c) is None for c in chains)
+                    fallbacks += any(cones._chain_vector(values, c)[1] >> c[-1].bit_count() == 0 for c in chains)
         if n >= 5:
             # some member has a chain whose vector leaves its top's core,
             # and those subgames take the core LP
@@ -436,7 +441,7 @@ class TestChainSettling:
         # form before the scan reaches a triple, so no chain is tried
         p4 = letters(4)
         g = game_of(p4, {"ab": 1, "ac": 2, "bc": -1, "abc": 5, "abcd": 9})
-        values, _ = cones._scaled(g)
+        values = g.numerators
         assert [cones._settled(values, p4.coalition_of(k), {}) for k in ("ab", "ac", "bc", "ad")] == [True, True, False, True]
         with monkeypatch.context() as m:
             tried = self._count_chains(m)
@@ -464,15 +469,18 @@ class TestChainSettling:
         assert v == reference_is_totally_balanced(g)
 
     def test_convex_game_settles_every_chain_once(self, monkeypatch):
-        # each chain's vector is taken once, and the member certificate
-        # is the first chain's vector, not a second pass over the table
+        # each chain's vector is taken once and violates no coalition, no
+        # subgame's own marginal vector is taken, and the member
+        # certificate is the first chain's vector, not a second pass over
+        # the table
         n = 6
         g = _convex_game(letters(n), Random(66))
-        values, _ = cones._scaled(g)
+        values = g.numerators
         chains = [c for c in cones._symmetric_chains(n) if c[-1].bit_count() >= 3]
         vectors = {}
         assert all(cones._settled(values, s, vectors) for s in range(1, 1 << n))
-        assert None not in vectors.values() and len(vectors) == len(chains)
+        tops = [c[-1] for c in cones._symmetric_chains(n)]
+        assert all(first == 1 << tops[c].bit_count() for c, (_, first) in vectors.items()) and len(vectors) == len(chains)
         tried = self._count_chains(monkeypatch)
         marginals = []
         marginal = cones._marginal_vector
@@ -483,7 +491,7 @@ class TestChainSettling:
 
         monkeypatch.setattr(cones, "_marginal_vector", counting)
         v = is_totally_balanced_lp(g)
-        assert sorted(tried) == sorted(chains) and len(marginals) == len(chains)
+        assert sorted(tried) == sorted(chains) and marginals == []
         assert v == reference_is_totally_balanced(g)
 
 
@@ -532,7 +540,7 @@ class TestRowGeneration:
         cut = Game(players, convex.values[:-1] + (singletons - 1,))
         outcomes = set()
         for g in (game, anti_dual(game), convex, cut):
-            values, scale = cones._scaled(g)
+            values, scale = g.numerators, g.denominator
             for tight_at in range(1, players.full_mask + 1):
                 rows, rhs, ineq_order, _ = tight_rows(g, tight_at)
                 mi = len(ineq_order)
@@ -614,6 +622,26 @@ class TestSparseTheta:
             cones._theta_values(3, [0b001, 0b010, 0b111], [F(1), F(1), F(-1)])
 
 
+class TestIntegerTable:
+    def test_check_path_builds_no_values(self):
+        # a game read from JSON is decided, and its certificates written,
+        # on its integer table: no Fraction per coalition is built, for a
+        # convex member or, with the grand coalition's worth cut below
+        # the singletons' sum, a non-member of every cone
+        players = letters(8)
+        convex = _convex_game(players, Random(8))
+        singletons = sum(convex.values[1 << i] for i in range(8))
+        cut = Game(players, convex.values[:-1] + (singletons - 1,))
+        for game, member in ((convex, True), (cut, False)):
+            g = game_from_json(game_to_json(game))
+            for oracle in (is_balanced, is_totally_balanced_lp, is_exact):
+                v = oracle(g)
+                assert v.member == member
+                _certificate_payload(players, v.certificate)
+            assert "values" not in g.__dict__
+        assert isinstance(v.certificate, NoTightAllocation) and "values" not in v.certificate.theta.__dict__
+
+
 def _shifted_game(players, rng):
     """A convex game plus an additive one with payoffs in halves and
     thirds: convex, with several denominators in its table."""
@@ -640,7 +668,7 @@ class TestMarginalVectors:
         # on a convex game every marginal vector is in the core, tight at
         # d and at each prefix of d's players, then of the others
         n = 5
-        values, _ = cones._scaled(_convex_game(letters(n), Random(55)))
+        values = _convex_game(letters(n), Random(55)).numerators
         for d in range(1 << n):
             x, sums = cones._marginal_vector(values, cones._starting_with(d, n))
             assert sums == [sum(x[i] for i in range(n) if s >> i & 1) for s in range(1 << n)]
@@ -659,7 +687,7 @@ class TestMarginalVectors:
         rng = Random(26)
         outcomes = set()
         for _ in range(6):
-            values, _ = cones._scaled(random_exact_game(letters(n), rng))
+            values = random_exact_game(letters(n), rng).numerators
             for d in range(1 << n):
                 x, prefix = [0] * n, 0
                 for i in [i for i in range(n) if d >> i & 1] + [i for i in range(n) if not d >> i & 1]:

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction as F
+from math import lcm
 from random import Random
 
 import pytest
@@ -401,6 +402,73 @@ class TestGameValues:
         g = game_from_json('{"players": ["a","b"], "values": {"": "0", "a": "-12", "b": 3, "ab": "7/2"}}')
         assert g.values == (0, -12, 3, F(7, 2)) and all(type(v) is F for v in g.values)
         assert all(a is b for a, b in zip(SetFunction(p2, g.values).values, g.values))
+
+
+class TestIntegerTable:
+    """A set function is stored as integer numerators over one positive
+    denominator, the lcm of its values' reduced denominators; ``values``
+    is built from that table on first access.  ``game_from_json`` reads
+    each value straight into the table."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_constructor_and_reader_agree(self, n):
+        rng = Random(f"integer table:{n}")
+        players = letters(n)
+        for _ in range(3):
+            values = (F(0),) + tuple(F(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(1, 1 << n))
+            built = Game(players, values)
+            read = game_from_json(game_to_json(built))
+            assert "values" not in read.__dict__
+            den = lcm(*(v.denominator for v in values))
+            assert read.denominator == built.denominator == den
+            assert read.numerators == built.numerators == tuple(int(v * den) for v in values)
+            assert read.values == built.values == values
+            assert read == built and hash(read) == hash(built)
+            f = SetFunction(players, values)
+            assert f != built and f.numerators == built.numerators
+
+    def test_one_table_per_function(self, p2):
+        # values in halves whose shift, restriction or reflection drops
+        # the halves: each result has the table the constructor gives it
+        f = SetFunction(p2, (F(1, 2), F(3, 2), F(-1, 2), F(7, 3)))
+        g = Game(p2, (0, 1, F(1, 2), 5))
+        assert (f.numerators, f.denominator) == ((3, 9, -3, 14), 6)
+        cases = [
+            (shift(SetFunction(p2, (F(1, 2), F(3, 2), F(-1, 2), F(5, 2)))), Game(p2, (0, 1, -1, 2))),
+            (restrict(g, 0b01), Game(letters(1), (0, 1))),
+            (reflect(SetFunction(p2, (F(1, 2), 1, 2, 3))), SetFunction(p2, (3, 2, 1, F(1, 2)))),
+        ]
+        for got, expected in cases:
+            assert (got.numerators, got.denominator) == (expected.numerators, expected.denominator)
+            assert got == expected and hash(got) == hash(expected) and got.values == expected.values
+
+    def test_value_forms(self, p2):
+        # JSON integers and the string forms "-0", "01" and "-7/3"
+        g = game_from_json('{"players": ["a","b"], "values": {"": "-0", "a": 5, "b": "01", "ab": "-7/3"}}')
+        assert (g.numerators, g.denominator) == ((0, 15, 3, -7), 3)
+        assert g.value(3) == F(-7, 3) and "values" not in g.__dict__
+        assert g.values == (0, 5, 1, F(-7, 3)) and g == Game(p2, (0, 5, 1, F(-7, 3)))
+
+    @pytest.mark.parametrize("raw, message", [
+        ('"3/6"', "values['a']: '3/6' is not a reduced rational with positive denominator"),
+        ('"1/0"', "values['a']: '1/0' is not a reduced rational with positive denominator"),
+        ('"+1"', "values['a']: '+1' is not a decimal integer or p/q rational"),
+        ("true", "values['a']: boolean is not a rational value"),
+        ("1.5", "values['a']: values must be integers or rational strings, got float"),
+        ("null", "values['a']: values must be integers or rational strings, got NoneType"),
+    ], ids=["unreduced", "zero-denominator", "plus", "true", "float", "null"])
+    def test_value_faults(self, raw, message):
+        doc = '{"players": ["a"], "values": {"": 0, "a": %s}}' % raw
+        for data in (doc, doc.encode()):
+            with pytest.raises(GameFormatError) as error:
+                game_from_json(data)
+            assert str(error.value) == message
+
+    def test_nonzero_empty_value(self):
+        for raw in ('"1/2"', "-1", '"3"'):
+            with pytest.raises(GameFormatError) as error:
+                game_from_json('{"players": ["a"], "values": {"": %s, "a": 0}}' % raw)
+            assert str(error.value) == "the empty coalition must have value 0"
 
 
 def test_random_game_shape(p3):

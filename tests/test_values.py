@@ -123,9 +123,10 @@ def test_cached_properties_on_frozen_values():
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
-    # they would add tens of milliseconds to every command's start-up
+    # they would add tens of milliseconds to every command's start-up;
+    # logging is imported only when a record is logged
     src = os.path.dirname(os.path.dirname(os.path.abspath(minbal.__file__)))
-    code = "import sys, minbal.cli, minbal.catalogue; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    code = "import sys, minbal.cli, minbal.catalogue; print(sorted({'dataclasses', 'inspect', 'logging'} & sys.modules.keys()))"
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
