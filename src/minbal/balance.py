@@ -261,16 +261,37 @@ def _search_kernel(c: int) -> tuple[Callable, list[int], Callable, Callable, Cal
     return _packed_echelon(2 * c + 1, c, _hadamard_bits([[1] * c] * c))
 
 
-@lru_cache(maxsize=None)
-def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
-    """One non-trivial min-balanced system of each permutational type on
-    the carrier ``(1 << c) - 1``: its lex-least system, in canonical order.
+def _reduced_set(members: Sequence[int], vectors: Sequence[int], lead: int) -> Optional[tuple[int, int]]:
+    """The least set reducing a min-balanced system, with its reduced
+    vector, or ``None``: ``reduction.is_reducible``'s reduced set.
 
-    An orderly DFS (Read 1978; McKay 1998) over candidate members in
-    increasing bitmask order.  Candidates are the nonempty proper subsets
-    of the carrier.  A branch dies when a candidate is linearly dependent
-    on the chosen members, when the remaining candidates cannot cover the
-    carrier, or when the chosen members, as a sorted tuple, are not the
+    ``vectors`` are the unit vectors ``e_p``, ``p < c``, reduced against
+    the rows of ``members`` (on the first ``c`` players, last lead
+    ``lead``), so ``sums[a]`` is ``chi_A ⊕ e_2c`` reduced.  A passes when
+    its first ``c`` entries vanish and the next ``k`` are at most zero:
+    chi_A is then a nonnegative combination of members, so a union of
+    them, and every proper subset but the members may be tried."""
+    c, k = len(vectors), len(members)
+    _, units, _, _, pivot, negative = _search_kernel(c)
+    sums, ones = [lead * units[2 * c]], sum(units[c:c + k])
+    for e in vectors:
+        sums += [v + e for v in sums]
+    for a in range(1, (1 << c) - 1):
+        if a not in members and pivot(sums[a]) is None and negative(sums[a] - ones, c, c + k):
+            return a, sums[a]
+    return None
+
+
+@lru_cache(maxsize=None)
+def _enumerate_size(c: int) -> tuple[tuple[MinBalancedSystem, ...], tuple[bool, ...]]:
+    """One non-trivial min-balanced system of each permutational type on
+    the carrier ``(1 << c) - 1``, its lex-least system, in canonical
+    order, and whether each is irreducible.
+
+    An orderly DFS (Read 1978; McKay 1998) over candidate members, the
+    nonempty proper subsets of the carrier, in increasing bitmask order.
+    A branch dies when a candidate is linearly dependent on the chosen
+    members, or when the chosen members, as a sorted tuple, are not the
     lex-least of their images under the ``c!`` relabellings of
     ``_perm_tables(c)``, the representative ``canonical_type`` picks.
     That rule loses no type: a later member x is larger than every chosen
@@ -281,83 +302,64 @@ def _enumerate_size(c: int) -> tuple[MinBalancedSystem, ...]:
     the unique weights are tested for strict positivity.  No leaf extends
     another, so the DFS meets the leaves in canonical order.
 
-    The chosen members are kept as augmented echelon rows ``chi_S ⊕
-    e_depth``, with ``e_depth`` of length ``c + 1``, each packed into one
-    integer (``linalg._packed_echelon``), so a candidate is dependent when
-    it reduces to zero on the first ``c`` entries.  Each node also carries
-    the target ``1_c ⊕ e_c`` reduced against its rows, one step per child,
-    ``reduce_row`` by the child's row with the parent's last lead as
-    ``prev``, so the carrier lies in the chosen span exactly when the target's first
-    ``c`` entries vanish; its tail then holds the weights times minus its
-    entry ``2c``, which no step eliminates: the last lead, positive.  The
-    leaf tests the weights' signs on the packed target and unpacks only a
-    target that passes.  Every entry is a minor of 0/1 vectors of ``c``
-    entries, so the field width comes from Hadamard's inequality on ``c``
-    copies of ``1_c`` (``linalg._hadamard_bits``) and no valid search
-    leaves it.
-
-    The images of the chosen members under the relabellings are packed
-    into one integer, a field of at least ``full + 1`` bits per
-    relabelling with the identity's lowest, each holding bit ``full - s``
-    for member ``s`` (``_packed_marks``).  Of two sets of equal size, the one holding the
-    smallest coalition they do not share sorts first and has the larger
-    mask, so the chosen members are lex-least exactly when the
-    identity's field is the largest, which a few integer operations on
-    the packed fields test.  That test rejects more candidates than the
-    reduction and, up to five players, costs less, so it runs first; a
-    candidate must pass both, so their order changes no output.
+    The cheaper test, canonicity (``_packed_marks``), runs first.
+    Member ``j``, S, is the echelon row of ``chi_S ⊕ e_j`` in
+    ``_search_kernel(c)``.  A node keeps the unit vectors ``e_p``, ``p <
+    c``, reduced against its rows, and a child steps each by its row.  By
+    linearity a candidate reduced is its players' vectors plus ``lead *
+    e_(c + depth)``, which no row reaches.  The target ``1_c ⊕ e_2c``,
+    stepped alike, decides a leaf in its parent: the carrier lies in the
+    span when its first ``c`` entries vanish, its tail then the weights
+    times minus the last lead.  A leaf with positive weights is
+    normalized and, its vectors stepped once more, tested by
+    ``_reduced_set``.  Every step and sum is checked.
 
     A search for ``c >= 6``, run only on a cache miss, logs a warning
     first.  On a 2-core machine with Python 3.11 a process that ran only
-    the 6-player search took 1.8-2.2 s and 18 MB (three runs; README,
+    the 6-player search took 0.67-0.74 s and 17 MB (six runs; README,
     "Caps", gives its callers' figures).
     """
     if c >= 6:
-        _log("warning", "enumerating min-balanced systems on a %d-player carrier: expect 2-3 s, and up to 12 s and 250 MB to list them all", c)
+        _log("warning", "enumerating min-balanced systems on a %d-player carrier: expect about 1 s, and up to 12 s and 250 MB to list them all", c)
     full = (1 << c) - 1
-    candidates = list(range(1, full))
-    ncand = len(candidates)
-    suffix_cover = [0] * (ncand + 1)
-    for i in range(ncand - 1, -1, -1):
-        suffix_cover[i] = suffix_cover[i + 1] | candidates[i]
-    marks, is_lex_least, _ = _packed_marks(c)
+    _, steps, guards, _ = _packed_marks(c)
     pack, units, unpack, reduce_row, pivot, negative = _search_kernel(c)
-    chi = [pack([s >> j & 1 for j in range(c)]) for s in range(full)]
-    found: list[MinBalancedSystem] = []
+    players = [_bit_positions(s) for s in range(full + 1)]
+    types: list[MinBalancedSystem] = []
+    irreducible: list[bool] = []
 
-    def visit(start: int, chosen: list[int], union: int, rows: list[tuple[int, int, int]], images: int, target: int) -> None:
+    def visit(start: int, chosen: list[int], union: int, lead: int, lex: int, vectors: list[int], target: int) -> None:
         depth = len(chosen)
-        if union == full and pivot(target) is None:  # the target, reduced already, vanishes on the first c entries
-            if negative(target, c, c + depth):
-                values = unpack(target)[c:]
-                k, alpha = _normalize_integers(chosen, [-v for v in values[:depth]], values[c])
-                found.append(MinBalancedSystem(SetSystem(tuple(chosen)), tuple(Fraction(-v, values[c]) for v in values[:depth]), k, alpha))
-            return
-        for i in range(start, ncand):
-            if union | suffix_cover[i] != full:
-                break
-            s = candidates[i]
-            extended = images | marks[s]
-            if not is_lex_least(extended):
+        unit = lead * units[c + depth]
+        for s in range(start, full):
+            least = lex + steps[s]
+            if least & guards != guards:  # not lex-least
                 continue
-            row = pivot(reduce_row(rows, chi[s] | units[c + depth], 1))
+            row = pivot(sum(map(vectors.__getitem__, players[s]), unit))
             if row is None:
                 continue
+            rows = [row]
+            reached = reduce_row(rows, target, lead)
             chosen.append(s)
-            rows.append(row)
-            visit(i + 1, chosen, union | s, rows, extended, reduce_row(rows[-1:], target, rows[-2][2] if depth else 1))
-            rows.pop()
+            if union | s != full or pivot(reached) is not None:
+                visit(s + 1, chosen, union | s, row[2], least, [reduce_row(rows, e, lead) for e in vectors], reached)
+            elif negative(reached, c, c + depth + 1):  # a leaf with positive weights
+                values = unpack(reached)[c:]
+                weights = [-v for v in values[:depth + 1]]
+                k, alpha = _normalize_integers(chosen, weights, values[c])
+                types.append(MinBalancedSystem(SetSystem(tuple(chosen)), tuple(Fraction(v, values[c]) for v in weights), k, alpha))
+                irreducible.append(_reduced_set(chosen, [reduce_row(rows, e, lead) for e in vectors], row[2]) is None)
             chosen.pop()
 
-    visit(0, [], 0, [], 0, pack([1] * c) + units[2 * c])
-    return tuple(found)
+    visit(1, [], 0, 1, guards, units[:c], pack([1] * c) + units[2 * c])
+    return tuple(types), tuple(irreducible)
 
 
 @lru_cache(maxsize=None)
-def _packed_marks(c: int) -> tuple[list[int], Callable[[int], bool], Callable[[int], int]]:
+def _packed_marks(c: int) -> tuple[list[int], list[int], int, Callable[[int], int]]:
     """The images of each coalition under the ``c!`` relabellings of
-    ``_perm_tables(c)``, packed into one integer per coalition, and the
-    lex-least test and the orbit size on the OR of such integers.
+    ``_perm_tables(c)``, packed into one integer per coalition, with the
+    lex-least test's terms and the orbit size of such integers' OR.
 
     ``marks[s]`` holds one field per relabelling, field ``k`` with bit
     ``full - tables[k][s]`` set, so the OR of the marks of a set of
@@ -371,12 +373,11 @@ def _packed_marks(c: int) -> tuple[list[int], Callable[[int], bool], Callable[[i
     the guard.  Each mark is read from its binary numeral, the last
     relabelling's field first.
 
-    The test says whether field 0, the identity's, is at least every
-    other field, as ``max(masks) == masks[0]`` does on the unpacked
-    masks.  Field 0 is copied into every field with the guard set and
-    the images are subtracted: each field becomes guard + M0 - Mk, which
-    keeps its guard exactly when M0 >= Mk and never borrows from the
-    next field, because Mk is below the guard.
+    ``steps[s]`` is field 0 of ``marks[s]``, the identity's, copied to
+    every field, less ``marks[s]``.  Distinct members set distinct bits,
+    so field ``k`` of ``guards`` plus their steps is guard + M0 - Mk,
+    which never borrows and keeps the guard exactly when M0 >= Mk, as
+    ``max(masks) == masks[0]`` asks of the unpacked masks.
 
     The orbit size is ``c!`` over the number of relabellings fixing the
     members, those whose field equals field 0.  Field 0 copied into every
@@ -393,14 +394,11 @@ def _packed_marks(c: int) -> tuple[list[int], Callable[[int], bool], Callable[[i
     low = (1 << full) - 1
     marks = [0] + [int("".join([digits[full - table[s]] for table in reversed(tables)]), 2) for s in range(1, full + 1)]
 
-    def is_lex_least(images: int) -> bool:
-        return (((images & low) * ones | guards) - images) & guards == guards
-
     def orbit_size(images: int) -> int:
         moved = ((((images & low) * ones) ^ images | guards) - ones) & guards
         return len(tables) // (len(tables) - moved.bit_count())
 
-    return marks, is_lex_least, orbit_size
+    return marks, [(m & low) * ones - m for m in marks], guards, orbit_size
 
 
 def _fields(images: int, c: int) -> Sequence[int]:
@@ -417,8 +415,8 @@ def _orbit_sizes(c: int) -> list[int]:
     """The orbit size of each ``_enumerate_size(c)`` type on the first
     ``c`` players, read off the OR of its members' ``_packed_marks``
     without listing the orbit."""
-    types = _enumerate_size(c)
-    marks, _, orbit_size = _packed_marks(c)
+    types, _ = _enumerate_size(c)
+    marks, _, _, orbit_size = _packed_marks(c)
     return [orbit_size(reduce(or_, map(marks.__getitem__, rep.system.members))) for rep in types]
 
 
@@ -455,7 +453,7 @@ def _images(types: Sequence[tuple[tuple[int, ...], Sequence[_Value], _Tag]], c: 
     ``relabelling(_bit_positions(carrier))`` does, moves an image onto any
     carrier of ``c`` players and keeps every list in order.
     """
-    marks, _, _ = _packed_marks(c)
+    marks, _, _, _ = _packed_marks(c)
     tables = _perm_tables(c)
     order = sorted((mask, i, k) for i, (members, _, _) in enumerate(types)
                    for mask, k in dict(zip(_fields(reduce(or_, map(marks.__getitem__, members)), c), range(len(tables)))).items())
@@ -481,7 +479,7 @@ def enumerate_min_balanced(players: Players, carrier: int) -> tuple[MinBalancedS
         raise ValueError(f"enumeration is capped at {ENUM_PLAYER_CAP} players")
     c = carrier.bit_count()
     table = relabelling(_bit_positions(carrier))
-    types = [(rep.system.members, _member_values(rep), rep) for rep in _enumerate_size(c)]
+    types = [(rep.system.members, _member_values(rep), rep) for rep in _enumerate_size(c)[0]]
     return tuple(_image_system(table, image, values, rep) for image, values, rep in _images(types, c))
 
 
@@ -530,7 +528,7 @@ def canonical_type(system: SetSystem, players: Players) -> tuple[SetSystem, int]
     if carrier > players.full_mask:
         raise ValueError("system does not fit the player set")
     c = carrier.bit_count()
-    marks, _, orbit_size = _packed_marks(c)
+    marks, _, _, orbit_size = _packed_marks(c)
     images = reduce(or_, map(marks.__getitem__, map(_lowering(carrier).__getitem__, system.members)))
     least = max(_fields(images, c))
     return SetSystem(tuple((1 << c) - 1 - j for j in reversed(_bit_positions(least)))), orbit_size(images) * comb(players.n, c)

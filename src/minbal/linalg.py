@@ -18,10 +18,7 @@ column ``j``, its rational coordinates scaled to integers, enters as
 columns it is.  :func:`solve_unique` is the dependency of the columns
 followed by the target, and :func:`conic_feasible` adds a sign test:
 independent generators combine into a target in at most one way.  The
-enumeration of min-balanced systems runs the same kernel on 0/1
-incidence vectors, and the reducibility test of :mod:`minbal.reduction`
-runs the search's kernel on a system's members and its candidate sets,
-deciding each cone test by the signs of one reduced vector.
+orderly search and the reducibility test run it on 0/1 incidence vectors.
 
 The feasibility solver, :func:`lp_feasible`, is a phase-1 simplex with
 Bland's pivoting rule, which terminates on every input without cycling;
@@ -134,12 +131,12 @@ def _packed_echelon(length: int, leading: int, bits: int) -> tuple[Callable, lis
     - ``pivot(v)``, ``None`` when the first ``leading`` entries of ``v``
       vanish, else ``v`` or its negative, whichever is positive at its
       pivot, its lowest nonzero field, with ``at`` and ``lead``: the
-      triple that ``rows`` takes next;
+      triple that ``rows`` takes next; ``v`` is checked as a step is;
     - ``negative(v, start, stop)``, whether the entries ``start`` to
       ``stop - 1`` of ``v`` are all negative.
 
     A field is read with half a field added to every field, so that none
-    borrows from the next.  Kernels are cached by their arguments.
+    borrows from the next.
 
     Every entry is a minor.  Reducing vectors one at a time against the
     rows before them applies to each the steps that whole-matrix Bareiss
@@ -155,12 +152,11 @@ def _packed_echelon(length: int, leading: int, bits: int) -> tuple[Callable, lis
     alone.  So when ``B = 2**bits`` lies above every minor of the leading
     blocks, as :func:`_hadamard_bits` makes it from the input, every
     entry lies in ``[-B, B)``.  At most ``c`` of the orderly search's
-    0/1 vectors of ``c`` entries enter a minor, none longer than ``1_c``,
-    so :func:`minbal.balance._enumerate_size` takes ``bits`` from ``c``
-    copies of ``1_c``, and so does :func:`minbal.reduction.is_reducible`,
-    whose at most ``c`` members and candidate set have ``c`` entries; ``n + 1`` incidence vectors of ``n`` players, as
-    the callers of :func:`dependency` pass, take at most the ``bits`` of
-    ``n + 1`` copies of ``1_n``:
+    0/1 vectors of ``c`` entries, members or a union of them, enter a
+    minor, none longer than ``1_c``, so it takes ``bits`` from ``c``
+    copies of ``1_c``; ``n + 1`` incidence vectors of ``n`` players, as
+    :func:`dependency`'s callers pass, take at most the ``bits`` of ``n +
+    1`` copies of ``1_n``:
 
     =====================  ==  ==  ==  ==  ==  ==  ==  ==  ==  ==  ==
     c or n                 2   3   4   5   6   7   8   9   10  11  12
@@ -182,6 +178,10 @@ def _packed_echelon(length: int, leading: int, bits: int) -> tuple[Callable, lis
     A nonzero entry's lowest set bit lies below bit ``bits`` of its
     field, so ``(v & -v).bit_length() // w`` is the index of the lowest
     nonzero field.
+
+    Linear in ``v``, the steps reduce a sum of 0/1 vectors to the sum of
+    theirs, a minor, inside the bound, which ``pivot`` checks still:
+    fewer than ``2 * B`` terms in ``[-B, B)`` sum below ``2 * B**2``.
     """
     w = 2 * bits + 3
     shifts = [j * w for j in range(length)]
@@ -213,6 +213,8 @@ def _packed_echelon(length: int, leading: int, bits: int) -> tuple[Callable, lis
         return v
 
     def pivot(v: int) -> Optional[tuple[int, int, int]]:
+        if v + bound & high:
+            raise ArithmeticError(overflow)
         if not v & low:
             return None
         at = (v & -v).bit_length() // w * w

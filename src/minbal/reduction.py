@@ -17,12 +17,9 @@ lam_B / mu_B, beta_S = lam_S - t * mu_S for the members below A and
 beta_S = lam_S for the others.  It is nonnegative exactly when B
 minimizes lam_S / mu_S over the members with mu_S > 0: a ratio test.
 
-:func:`is_reducible` decides the cone test for every A on one integer
-echelon of the members, built once per system with the elimination
-kernel of the orderly search, cached per carrier size
-(:func:`minbal.balance._search_kernel`), and reduces chi_A against it
-with one ``reduce_row``: a zero test and a sign test on the packed
-result decide it, and no ``Fraction`` is built until a witness is
+The orderly search decides the cone tests at its leaves
+(:func:`minbal.balance._reduced_set`), and :func:`is_reducible` on one
+echelon of the members.  No ``Fraction`` is built until a witness is
 returned.
 """
 
@@ -31,8 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._frozen import Frozen
-from .balance import InequalityVector, MinBalancedSystem, SetSystem, _bit_positions, _incidence, _search_kernel, is_min_balanced
-from .games import _player_sums
+from .balance import InequalityVector, MinBalancedSystem, SetSystem, _bit_positions, _incidence, _lowering, _reduced_set, _search_kernel, is_min_balanced
+from .games import _player_sums, relabelling
 from .linalg import conic_feasible  # not called here: perfbench/spans.py wraps it at this lookup site
 
 
@@ -71,17 +68,11 @@ def is_reducible(mbs: MinBalancedSystem) -> ReductionWitness | None:
 
     Without loss of generality A has at least two players, is not a
     member, is a proper subset of the carrier and equals the union of the
-    members strictly inside it.  Member ``j``, S, enters the echelon as
-    ``chi_S ⊕ e_j`` and each A as ``chi_A ⊕ e_c``, with ``c`` the
-    carrier's size and unit vectors of ``c + 1`` entries, so A reduced
-    against every member vanishes on its first ``c`` entries exactly when
-    chi_A lies in the members' span, and then its entry ``c + j`` is
-    ``-mu_S`` times the last lead, which is positive
-    (as in :func:`minbal.balance._enumerate_size`).  A nonnegative mu
-    puts no weight on a member outside A, whose players chi_A does not
-    cover, so chi_A lies in the cone of the members below A exactly when
-    every such entry is at most zero: ``negative`` of the entries less
-    one.  Since k * lam_S is an integer, the ratio test and the
+    members strictly inside it.  The members' echelon is the orderly
+    search's, and :func:`minbal.balance._reduced_set` tries the sets on
+    the members renamed onto the first ``c`` players: entry ``c + j`` of
+    A's reduced vector is then ``-mu_S`` times the last lead, which is
+    positive.  Since k * lam_S is an integer, the ratio test and the
     witness's values are integer expressions, made ``Fraction`` only for
     the witness.
     """
@@ -90,31 +81,26 @@ def is_reducible(mbs: MinBalancedSystem) -> ReductionWitness | None:
     members = mbs.system.members
     positions = _bit_positions(mbs.carrier)
     c, k = len(positions), len(members)
-    pack, units, unpack, reduce_row, pivot, negative = _search_kernel(c)
-    # each union of members with its incidence vector, the OR of theirs
-    chi, rows = {0: 0}, []
+    pack, units, unpack, reduce_row, pivot, _ = _search_kernel(c)
+    rows = []
     for j, s in enumerate(members):
-        x = pack(_incidence(s, positions))
-        chi.update([(u | s, y | x) for u, y in chi.items()])
-        row = pivot(reduce_row(rows, x + units[c + j], 1))
+        row = pivot(reduce_row(rows, pack(_incidence(s, positions)) + units[c + j], 1))
         if row is None:
             raise ValueError("the members are linearly dependent")
         rows.append(row)
-    lead, ones = rows[-1][2], sum(units[c:c + k])
-    # a set is the union of the members inside it exactly when it is a
-    # union of members, and one of a single player is a member
-    for a in sorted(chi.keys() - {0, mbs.carrier, *members}):
-        v = reduce_row(rows, chi[a] + units[2 * c], 1)
-        if pivot(v) is not None or not negative(v - ones, c, c + k):
-            continue
-        # mu_S = m_S / lead and lam_S = w_S / k
-        m, w = [-t for t in unpack(v)[c:c + k]], [lam.numerator * (mbs.k // lam.denominator) for lam in mbs.weights]
-        # the pivot minimizes lam_S / mu_S over mu_S > 0, the first member on ties
-        p = min((j for j in range(k) if m[j]), key=lambda j: Fraction(w[j], m[j]))
-        beta = [(s, Fraction(w[j] * m[p] - w[p] * m[j], mbs.k * m[p])) for j, s in enumerate(members) if j != p]
-        return ReductionWitness(a, members[p], tuple((s, Fraction(x, lead)) for s, x in zip(members, m) if s & a == s),
-                                ((a, Fraction(w[p] * lead, mbs.k * m[p])), *beta))
-    return None
+    # the sets are tried on the first c players, renamed in order
+    lead = rows[-1][2]
+    found = _reduced_set([_lowering(mbs.carrier)[s] for s in members], [reduce_row(rows, e, 1) for e in units[:c]], lead)
+    if found is None:
+        return None
+    a, v = relabelling(positions)[found[0]], found[1]
+    # mu_S = m_S / lead and lam_S = w_S / k
+    m, w = [-t for t in unpack(v)[c:c + k]], [lam.numerator * (mbs.k // lam.denominator) for lam in mbs.weights]
+    # the pivot minimizes lam_S / mu_S over mu_S > 0, the first member on ties
+    p = min((j for j in range(k) if m[j]), key=lambda j: Fraction(w[j], m[j]))
+    beta = [(s, Fraction(w[j] * m[p] - w[p] * m[j], mbs.k * m[p])) for j, s in enumerate(members) if j != p]
+    return ReductionWitness(a, members[p], tuple((s, Fraction(x, lead)) for s, x in zip(members, m) if s & a == s),
+                            ((a, Fraction(w[p] * lead, mbs.k * m[p])), *beta))
 
 
 class Decomposition(Frozen):

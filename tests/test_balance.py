@@ -158,11 +158,25 @@ class TestNormalize:
         for factor in (1, 3, 10):
             assert balance._normalize_integers([0b011, 0b101, 0b110], [factor] * 3, 2 * factor) == expected
 
+    def test_search_leaf_weights_are_checked(self, monkeypatch):
+        # a leaf's unpacked weights and lead pass _normalize_integers'
+        # checks: a lead one too large leaves the weights unbalanced
+        search_kernel = balance._search_kernel
+
+        def kernel(c):
+            pack, units, unpack, reduce_row, pivot, negative = search_kernel(c)
+            return pack, units, lambda v: [*unpack(v)[:-1], unpack(v)[-1] + 1], reduce_row, pivot, negative
+
+        monkeypatch.setattr(balance, "_search_kernel", kernel)
+        _enumerate_size.cache_clear()
+        with pytest.raises(ValueError, match="^weights are not balanced on the carrier$"):
+            _enumerate_size(3)
+
     @pytest.mark.parametrize("c", [2, 3, 4, 5])
     def test_search_leaves_normalize_as_normalize_does(self, c):
         # the search normalizes its packed target's integers; normalize and
         # is_min_balanced reach the same core from Fractions
-        for rep in _enumerate_size(c):
+        for rep in _enumerate_size(c)[0]:
             assert normalize(rep.weight_map()) == (rep.k, rep.alpha)
             assert is_min_balanced(rep.system) == rep
 
@@ -338,7 +352,7 @@ class TestOrderlySearch:
         # and every image of the expansion classifies to its representative
         # with the representative's orbit size
         _enumerate_size.cache_clear()
-        representatives = _enumerate_size(c)
+        representatives, _ = _enumerate_size(c)
         assert len(representatives) == BALANCED_COUNTS[c][1] == [1, 3, 9, 44][c - 2]
         assert [m.system.members for m in representatives] == sorted(m.system.members for m in representatives)
         p = letters(c)
@@ -354,9 +368,9 @@ class TestOrderlySearch:
     def test_six_player_types(self):
         # CI pins the 6-player listings by digest; this checks the search itself
         _enumerate_size.cache_clear()
-        representatives = _enumerate_size(6)
+        representatives, irreducible = _enumerate_size(6)
         members = [m.system.members for m in representatives]
-        assert len(members) == 582
+        assert len(members) == 582 and sum(irreducible) == 131
         assert members == sorted(members)
         # on the full carrier, canonical_type's orbit size is len(orbit(members, 6))
         types = [canonical_type(rep.system, letters(6)) for rep in representatives]
@@ -403,22 +417,27 @@ def _sylvester_minor():
 class TestPackedEchelon:
     @pytest.mark.parametrize("c", [3, 4, 5, 6])
     def test_reduction_matches_list_reduction(self, c):
-        # seeded member sets, reduced as the search reduces them: each row
-        # has reduce_mod_rows's pivot and is a positive multiple of its
+        # seeded member sets, reduced against the rows before them: each
+        # row has reduce_mod_rows's pivot and is a positive multiple of its
         # row, and so is the target stepped at each new pivot; every entry
-        # of both is, up to sign, a minor of the vectors entered so far
+        # of both is, up to sign, a minor of the vectors entered so far.
+        # A set's vector reduced is its players' unit vectors reduced, each
+        # stepped once per row as the search steps them, plus the last
+        # lead times its own unit vector
         bits = _hadamard_bits([[1] * c] * c)
-        pack, _, unpack, reduce_row, pivot, _ = _packed_echelon(2 * c + 1, c, bits)
+        pack, units, unpack, reduce_row, pivot, _ = _packed_echelon(2 * c + 1, c, bits)
         width = 2 * bits + 3
         rng = Random(c)
         verdicts = {True: 0, False: 0}
         for _ in range(100):
-            rows, listed_rows, entered, pivots = [], [], [], []
+            rows, listed_rows, entered, pivots, vectors = [], [], [], [], units[:c]
             listed_target = augment([1] * c, c, c + 1)
             target = pack(listed_target)
             for s in rng.sample(range(1, (1 << c) - 1), c + 2):
                 vector = augment([s >> j & 1 for j in range(c)], len(rows), c + 1)
-                row, (listed, piv) = pivot(reduce_row(rows, pack(vector), 1)), reduce_mod_rows(listed_rows, vector)
+                reduced = reduce_row(rows, pack(vector), 1)
+                assert reduced == sum(vectors[j] for j in range(c) if s >> j & 1) + (rows[-1][2] if rows else 1) * units[c + len(rows)]
+                row, (listed, piv) = pivot(reduced), reduce_mod_rows(listed_rows, vector)
                 verdicts[piv < c] += 1
                 if piv >= c:
                     assert row is None
@@ -429,6 +448,7 @@ class TestPackedEchelon:
                 assert [a * listed[piv] for a in entries] == [b * lead for b in listed]
                 _assert_minors(entries, [*entered, vector], pivots)
                 target = reduce_row([row], target, rows[-1][2] if rows else 1)
+                vectors = [reduce_row([row], e, rows[-1][2] if rows else 1) for e in vectors]
                 rows.append(row)
                 listed_rows.append((listed, piv))
                 entered.append(vector)
@@ -503,6 +523,18 @@ class TestPackedEchelon:
         with pytest.raises(ArithmeticError, match=r"left \[-2\*\*4, 2\*\*4\)"):
             reduce_row([second], v, 16)
 
+    def test_a_packed_sum_is_checked_where_pivot_reads_it(self):
+        # a sum of packed vectors, as the search builds a candidate's row,
+        # made by no step: pivot checks its every field as a step's
+        pack, units, _, _, pivot, _ = _packed_echelon(3, 2, 4)
+        for j in range(3):
+            for term, fits in ((8, 7), (-9, -7)):
+                assert pivot(pack([term] * 3) + fits * units[j]) is not None
+                with pytest.raises(ArithmeticError, match=r"left \[-2\*\*4, 2\*\*4\)"):
+                    pivot(pack([term] * 3) + term * units[j])
+        with pytest.raises(ArithmeticError, match=r"left \[-2\*\*4, 2\*\*4\)"):
+            pivot(pack([0, 0, 16]))  # past the leading block, where pivot finds no pivot
+
     def test_a_step_with_no_entry_at_the_pivot_scales_by_lead_over_prev(self):
         # (lead * v - 0 * row) / prev is v when lead == prev; with another
         # prev the step still scales v by lead / prev
@@ -567,7 +599,7 @@ class TestPackedEchelon:
 
         monkeypatch.setattr(balance, "_search_kernel", kernel)
         _enumerate_size.cache_clear()
-        assert len(_enumerate_size(5)) == len(unpacked) == 44
+        assert len(_enumerate_size(5)[0]) == len(unpacked) == 44
 
     def test_sylvester_determinant_32(self):
         m = _sylvester_minor()
@@ -582,7 +614,7 @@ class TestPackedCanonicity:
         # field k of marks[s], full + 1 bits wide or a byte if that is
         # more, is relabelling k's mask of s, the carrier's included, and
         # _fields reads them in relabelling order
-        marks, _, _ = balance._packed_marks(c)
+        marks, _, _, _ = balance._packed_marks(c)
         width = max(8, 1 << c)
         for packed, listed in zip(marks[1:], listed_marks(c)[1:], strict=True):
             assert [packed >> k * width & (1 << width) - 1 for k in range(len(listed))] == list(listed)
@@ -593,20 +625,20 @@ class TestPackedCanonicity:
     def test_matches_list_test_on_every_member_set(self, c):
         # every set of the 2**c - 2 candidates, most of which the search
         # never reaches; bit i of ``subset`` picks coalition i + 1, and each
-        # set's images extend those of the set without its first member
-        marks, is_lex_least, _ = balance._packed_marks(c)
+        # set's packed sum and images add its first member's to the rest's
+        _, steps, guards, _ = balance._packed_marks(c)
         listed = listed_marks(c)
         size = 1 << (1 << c) - 2
-        packed = [0] * size
+        packed = [guards] * size
         lists = [[0] * len(listed[1])] * size
         verdicts = {True: 0, False: 0}
         for subset in range(1, size):
             first = subset & -subset
             s = first.bit_length()
-            packed[subset] = packed[subset ^ first] | marks[s]
+            packed[subset] = packed[subset ^ first] + steps[s]
             lists[subset] = list(map(or_, lists[subset ^ first], listed[s]))
             verdict = listed_is_lex_least(lists[subset])
-            assert is_lex_least(packed[subset]) == verdict
+            assert (packed[subset] & guards == guards) == verdict
             verdicts[verdict] += 1
         assert min(verdicts.values()) > size // 50
 
@@ -614,7 +646,7 @@ class TestPackedCanonicity:
     def test_orbit_size_counts_the_distinct_images(self, c):
         # every member set on three players, and on more the types and
         # random sets, many of them with a nontrivial stabilizer
-        marks, _, orbit_size = balance._packed_marks(c)
+        marks, _, _, orbit_size = balance._packed_marks(c)
         candidates = range(1, (1 << c) - 1)
         rng = Random(c)
         if c == 3:
@@ -627,7 +659,7 @@ class TestPackedCanonicity:
             for s in members:
                 packed |= marks[s]
             assert orbit_size(packed) == len(orbit(members, c))
-        assert balance._orbit_sizes(c) == [len(orbit(rep.system.members, c)) for rep in _enumerate_size(c)]
+        assert balance._orbit_sizes(c) == [len(orbit(rep.system.members, c)) for rep in _enumerate_size(c)[0]]
 
     @pytest.mark.parametrize("c", [2, 3, 4, 5])
     def test_images_match_the_tuple_sorted_reference(self, c):
@@ -636,7 +668,7 @@ class TestPackedCanonicity:
         # its values moved by the same relabelling (the last making it):
         # the index values tell relabellings of a nontrivial stabilizer apart
         for values in (_member_values, lambda rep: tuple(range(len(rep.system)))):
-            types = [(rep.system.members, values(rep), rep) for rep in _enumerate_size(c)]
+            types = [(rep.system.members, values(rep), rep) for rep in _enumerate_size(c)[0]]
             assert list(balance._images(types, c)) == list(listed_images(types, c))
 
     @pytest.mark.parametrize("c", [3, 4])
@@ -652,7 +684,7 @@ class TestPackedCanonicity:
     def test_matches_list_test_on_random_member_sets(self, c):
         # every other set is renamed to its lex-least image, which passes;
         # sets with a nontrivial stabilizer tie with other fields
-        marks, is_lex_least, _ = balance._packed_marks(c)
+        _, steps, guards, _ = balance._packed_marks(c)
         listed = listed_marks(c)
         tables = _perm_tables(c)
 
@@ -672,10 +704,8 @@ class TestPackedCanonicity:
                 members = [table[s] for s in members]
                 images = listed_images(members)
                 assert listed_is_lex_least(images)
-            packed = 0
-            for s in members:
-                packed |= marks[s]
-            verdict = is_lex_least(packed)
+            packed = guards + sum(steps[s] for s in members)
+            verdict = packed & guards == guards
             assert verdict == listed_is_lex_least(images)
             passed += verdict
         assert 1000 <= passed < 1100

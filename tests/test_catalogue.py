@@ -823,19 +823,22 @@ class TestDeterminism:
     def test_each_type_classified_once(self, monkeypatch):
         import minbal.catalogue
 
-        classified, reduced = [], []
-        real_type, real_reducible = minbal.catalogue.canonical_type, minbal.catalogue.is_reducible
+        classified, searched = [], []
+        real_type, real_search = minbal.catalogue.canonical_type, minbal.catalogue._enumerate_size
         monkeypatch.setattr(minbal.catalogue, "canonical_type", lambda system, players: classified.append(system) or real_type(system, players))
-        monkeypatch.setattr(minbal.catalogue, "is_reducible", lambda mbs: reduced.append(mbs.system) or real_reducible(mbs))
+        monkeypatch.setattr(minbal.catalogue, "_enumerate_size", lambda c: searched.append(real_search(c)) or searched[-1])
         _enumerate_size.cache_clear()
         generate(letters(6), "exact-conjecture")
         # no enumerated system is looked up by canonical_type, and each of
-        # the 1 + 3 + 9 + 44 types on the first 2 to 5 players is tested
-        # for reducibility once, on its lex-least system
+        # the 1 + 3 + 9 + 44 types on the first 2 to 5 players is flagged
+        # once, on its lex-least system, by the search that finds it,
+        # with the verdict of is_reducible, which the catalogue never calls
         assert classified == []
-        assert len(reduced) == len(set(reduced)) == 57
-        assert {system.carrier for system in reduced} == {(1 << c) - 1 for c in range(2, 6)}
-        assert all(canonical_type(system, letters(6))[0] == system for system in reduced)
+        flags = {rep.system: flag for types, irreducible in searched for rep, flag in zip(types, irreducible, strict=True)}
+        assert len(flags) == sum(len(types) for types, _ in searched) == 57
+        assert {system.carrier for system in flags} == {(1 << c) - 1 for c in range(2, 6)}
+        assert all(canonical_type(system, letters(6))[0] == system for system in flags)
+        assert all(flag == (is_reducible(rep) is None) for types, irreducible in searched for rep, flag in zip(types, irreducible))
 
     def test_balanced_classifies_each_complement_once(self, monkeypatch):
         import minbal.catalogue
@@ -849,7 +852,7 @@ class TestDeterminism:
         # one call per type, each on the complement of its lex-least system
         # as just built, so no enumerated system is ever classified
         assert len(classified) == 44
-        assert classified == [complement_system(rep.system, letters(5)) for rep in _enumerate_size(5)]
+        assert classified == [complement_system(rep.system, letters(5)) for rep in _enumerate_size(5)[0]]
         assert all(system is complement for system, complement in zip(classified, complements, strict=True))
 
     def test_repeated_runs_byte_identical(self, p3):

@@ -204,7 +204,7 @@ def _on_carriers(n, sizes):
 @pytest.mark.parametrize("systems, count", [
     (lambda: _on_carriers(4, (2, 3, 4)), 6 * 1 + 4 * 5 + 41),
     (lambda: _on_carriers(5, (3, 4)), 10 * 5 + 5 * 41),  # carriers that leave players out, at bits other than the first
-    (lambda: _enumerate_size(5), 44),
+    (lambda: _enumerate_size(5)[0], 44),
 ], ids=["carriers-of-4", "small-carriers-of-5", "types-of-5"])
 def test_ratio_test_matches_lp_pivot_search(systems, count):
     found = systems()
@@ -221,6 +221,26 @@ def test_matches_definition_oracle(n):
     p = letters(n)
     for mbs in enumerate_min_balanced(p, p.full_mask):
         assert (is_reducible(mbs) is not None) == _brute_reducible(mbs)
+
+
+@pytest.mark.parametrize("c", [2, 3, 4, 5])
+def test_search_flags_are_is_reducible(monkeypatch, c):
+    # the search decides irreducibility at its positive leaves with the
+    # helper is_reducible calls: one call per type, whose first set is
+    # is_reducible's reduced set, and one flag per type, its verdict
+    import minbal.balance
+
+    first_sets, helper = [], minbal.balance._reduced_set
+    monkeypatch.setattr(minbal.balance, "_reduced_set", lambda *args: first_sets.append(helper(*args)) or first_sets[-1])
+    _enumerate_size.cache_clear()
+    types, irreducible = _enumerate_size(c)
+    _enumerate_size.cache_clear()
+    assert len(types) == len(irreducible) == len(first_sets) == [1, 3, 9, 44][c - 2]
+    for rep, flag, found in zip(types, irreducible, first_sets, strict=True):
+        witness = is_reducible(rep)
+        assert flag == (witness is None) == (found is None)
+        assert found is None or found[0] == witness.reduced_set
+    assert sum(irreducible) == [1, 2, 5, 15][c - 2]  # the steps of the totally balanced type counts 1, 3, 8, 23
 
 
 def test_labels_permutation_invariant(p4):
