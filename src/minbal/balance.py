@@ -23,7 +23,7 @@ from operator import or_
 from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from ._frozen import Frozen
-from .games import Players, SetFunction, _log, _player_sums, relabelling
+from .games import Players, SetFunction, _bit_positions, _log, _player_sums, relabelling
 from .linalg import _hadamard_bits, _packed_echelon, solve_unique
 
 #: Enumeration and catalogue generation search all subsets of the carrier,
@@ -38,11 +38,10 @@ class SetSystem(Frozen):
     """A strictly increasing list of distinct nonempty coalitions."""
 
     members: tuple[int, ...]
-    _fields = ("members",)
 
     def __init__(self, members: tuple[int, ...]) -> None:
         members = tuple(members)
-        object.__setattr__(self, "members", members)
+        super().__init__(members)
         if any(m <= 0 for m in members):
             raise ValueError("members must be nonempty coalitions")
         if any(a >= b for a, b in zip(members, members[1:])):
@@ -76,14 +75,13 @@ class InequalityVector(Frozen):
     """
 
     items: tuple[tuple[int, int], ...]
-    _fields = ("items",)
 
     def __init__(self, items: tuple[tuple[int, int], ...]) -> None:
         raw, items = items, tuple((int(s), int(c)) for s, c in items)
         # integer input equals its conversion, so only other input is checked item by item
         if items != raw and any(int(x) != x for item in raw for x in item):
             raise ValueError("coalition masks and coefficients must be integers")
-        object.__setattr__(self, "items", items)
+        super().__init__(items)
         if any(c == 0 for _, c in items):
             raise ValueError("zero coefficients must be omitted")
         if any(a[0] >= b[0] for a, b in zip(items, items[1:])):
@@ -127,13 +125,6 @@ class MinBalancedSystem(Frozen):
     weights: tuple[Fraction, ...]
     k: Optional[int]
     alpha: Optional[InequalityVector]
-    _fields = ("system", "weights", "k", "alpha")
-
-    def __init__(self, system: SetSystem, weights: tuple[Fraction, ...], k: Optional[int], alpha: Optional[InequalityVector]) -> None:
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "alpha", alpha)
 
     @property
     def carrier(self) -> int:
@@ -146,10 +137,6 @@ class MinBalancedSystem(Frozen):
     def weight_map(self) -> dict[int, Fraction]:
         """Weights keyed by member coalition."""
         return dict(zip(self.system.members, self.weights))
-
-
-def _bit_positions(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _incidence(coalition: int, positions: list[int]) -> tuple[int, ...]:

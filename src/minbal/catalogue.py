@@ -47,7 +47,6 @@ from .balance import (
     InequalityVector,
     MinBalancedSystem,
     SetSystem,
-    _bit_positions,
     _enumerate_size,
     _image_system,
     _images,
@@ -59,7 +58,7 @@ from .balance import (
     is_min_balanced,  # not called here: perfbench/spans.py wraps it at this lookup site
 )
 from .cones import conjugate
-from .games import Players, _read_document, relabelling
+from .games import Players, _bit_positions, _read_document, relabelling
 from .reduction import is_reducible  # not called here: perfbench/spans.py wraps it at this lookup site
 from .reference import BALANCED_COUNTS, EXACT_FACET_COUNTS, TOTALLY_BALANCED_COUNTS
 
@@ -89,18 +88,7 @@ class CatalogueEntry(Frozen):
     conjugated: bool
     type_id: str
     orbit_size: int
-    complement_type_id: Optional[str]
-    _fields = ("mbs", "alpha", "irreducible", "conjugated", "type_id", "orbit_size", "complement_type_id")
-
-    def __init__(self, mbs: MinBalancedSystem, alpha: InequalityVector, irreducible: bool, conjugated: bool, type_id: str,
-                 orbit_size: int, complement_type_id: Optional[str] = None) -> None:
-        object.__setattr__(self, "mbs", mbs)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "irreducible", irreducible)
-        object.__setattr__(self, "conjugated", conjugated)
-        object.__setattr__(self, "type_id", type_id)
-        object.__setattr__(self, "orbit_size", orbit_size)
-        object.__setattr__(self, "complement_type_id", complement_type_id)
+    complement_type_id: Optional[str] = None
 
 
 class Catalogue(Frozen):
@@ -116,15 +104,13 @@ class Catalogue(Frozen):
 
     players: Players
     cone: ConeKind
-    _fields = ("players", "cone")
 
     def __init__(self, players: Players, cone: Union[ConeKind, str]) -> None:
         """Accept the cone by name, and reject player sets with no
         catalogue: type ids join coalition keys with ``|``, so a player
         name containing one is rejected."""
-        object.__setattr__(self, "players", players)
-        object.__setattr__(self, "cone", ConeKind(cone))
-        object.__setattr__(self, "_searched", {})  # the types of each size searched so far, by size (``_search``)
+        super().__init__(players, ConeKind(cone))
+        self.__dict__["_searched"] = {}  # the types of each size searched so far, by size (``_search``)
         if not 2 <= self.players.n <= ENUM_PLAYER_CAP:
             raise ValueError(f"catalogue generation needs between 2 and {ENUM_PLAYER_CAP} players")
         if self.conjecture and self.players.n < 3:

@@ -64,6 +64,7 @@ from .games import (
     Game,
     Players,
     SetFunction,
+    _bit_positions,
     _log,
     _player_sums,
     as_game,
@@ -80,20 +81,12 @@ class CoreAllocation(Frozen):
     """An efficient payoff vector giving every coalition its worth."""
 
     payoffs: Payoffs
-    _fields = ("payoffs",)
-
-    def __init__(self, payoffs: Payoffs) -> None:
-        object.__setattr__(self, "payoffs", payoffs)
 
 
 class TightAllocationTable(Frozen):
     """One core allocation per nonempty coalition, tight at it."""
 
     allocations: tuple[tuple[int, Payoffs], ...]
-    _fields = ("allocations",)
-
-    def __init__(self, allocations: tuple[tuple[int, Payoffs], ...]) -> None:
-        object.__setattr__(self, "allocations", allocations)
 
 
 class ViolatedSystem(Frozen):
@@ -101,11 +94,6 @@ class ViolatedSystem(Frozen):
 
     mbs: MinBalancedSystem
     value: Fraction
-    _fields = ("mbs", "value")
-
-    def __init__(self, mbs: MinBalancedSystem, value: Fraction) -> None:
-        object.__setattr__(self, "mbs", mbs)
-        object.__setattr__(self, "value", value)
 
 
 class NoTightAllocation(Frozen):
@@ -118,11 +106,6 @@ class NoTightAllocation(Frozen):
 
     coalition: int
     theta: SetFunction
-    _fields = ("coalition", "theta")
-
-    def __init__(self, coalition: int, theta: SetFunction) -> None:
-        object.__setattr__(self, "coalition", coalition)
-        object.__setattr__(self, "theta", theta)
 
 
 Certificate = Union["FailingSubgame", CoreAllocation, TightAllocationTable, ViolatedSystem, NoTightAllocation]
@@ -133,21 +116,11 @@ class FailingSubgame(Frozen):
 
     coalition: int
     certificate: Certificate
-    _fields = ("coalition", "certificate")
-
-    def __init__(self, coalition: int, certificate: Certificate) -> None:
-        object.__setattr__(self, "coalition", coalition)
-        object.__setattr__(self, "certificate", certificate)
 
 
 class Verdict(Frozen):
     member: bool
     certificate: Optional[Certificate]
-    _fields = ("member", "certificate")
-
-    def __init__(self, member: bool, certificate: Optional[Certificate]) -> None:
-        object.__setattr__(self, "member", member)
-        object.__setattr__(self, "certificate", certificate)
 
     def __bool__(self) -> bool:
         return self.member
@@ -222,7 +195,7 @@ def _starting_with(coalition: int, n: int) -> list[int]:
     """The order of ``n`` players that takes the players of ``coalition``
     in increasing order, then the others in increasing order: its
     marginal vector is tight at ``coalition``."""
-    return [i for i in range(n) if coalition >> i & 1] + [i for i in range(n) if not coalition >> i & 1]
+    return _bit_positions(coalition) + _bit_positions(((1 << n) - 1) ^ coalition)
 
 
 @cache
@@ -279,8 +252,7 @@ def _chain_vector(values: Sequence[int], chain: tuple[int, ...]) -> tuple[list[i
     ``2**j``, the restriction is a core point of the link's subgame,
     which is balanced.
     """
-    n = len(values).bit_length() - 1
-    order = [i for i in range(n) if chain[0] >> i & 1] + [(t ^ s).bit_length() - 1 for s, t in zip(chain, chain[1:])]
+    order = _bit_positions(chain[0]) + [(t ^ s).bit_length() - 1 for s, t in zip(chain, chain[1:])]
     table = [values[s] for s in relabelling(order)]
     x = [table[(2 << i) - 1] - table[(1 << i) - 1] for i in range(len(order))]
     sums = _sums(x)
@@ -479,7 +451,7 @@ def is_totally_balanced_lp(f: SetFunction) -> Verdict:
         if first is not None and first[1] >> n:
             res = FeasibilityResult(tuple(first[0]), 1, None)
             break
-        table = [values[s] for s in relabelling([i for i in range(n) if a >> i & 1])]
+        table = [values[s] for s in relabelling(_bit_positions(a))]
         res, order, _ = (_core_point if first is None else _tight_feasibility)(table, len(table) - 1)
         if not res.feasible:
             theta = _theta_values(a.bit_count(), order, res.farkas)

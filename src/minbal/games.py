@@ -65,12 +65,9 @@ class Players(Frozen):
     """
 
     names: tuple[str, ...]
-    _keys: list[str]
-    _coalitions: dict[str, int]
-    _fields = ("names",)
 
     def __init__(self, names: tuple[str, ...]) -> None:
-        object.__setattr__(self, "names", tuple(names))
+        super().__init__(tuple(names))
         if not (1 <= len(self.names) <= MAX_PLAYERS):
             raise ValueError(f"player count must be between 1 and {MAX_PLAYERS}")
         if len(set(self.names)) != len(self.names):
@@ -84,8 +81,8 @@ class Players(Frozen):
         coalitions = {key: s for s, key in enumerate(keys)}
         if len(coalitions) != len(keys):
             raise ValueError("player names produce ambiguous coalition keys")
-        object.__setattr__(self, "_keys", keys)
-        object.__setattr__(self, "_coalitions", coalitions)
+        # lookup tables derived from the names, so neither compared nor shown
+        self.__dict__.update(_keys=keys, _coalitions=coalitions)
 
     @property
     def n(self) -> int:
@@ -139,17 +136,16 @@ class SetFunction(Frozen):
     players: Players
     numerators: tuple[int, ...]
     denominator: int
+    # the constructor's arguments, shown by repr; equality compares the table (``_values``)
     _fields = ("players", "values")
 
     def __init__(self, players: Players, values: tuple[Fraction, ...]) -> None:
-        object.__setattr__(self, "players", players)
         values = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
         if len(values) != 1 << players.n:
             raise ValueError("a value is required for every coalition")
         den = lcm(*{v.denominator for v in values})
-        object.__setattr__(self, "numerators", tuple(v.numerator * (den // v.denominator) for v in values))
-        object.__setattr__(self, "denominator", den)
-        self.__dict__["values"] = values
+        super().__init__(players, values)
+        self.__dict__.update(numerators=tuple(v.numerator * (den // v.denominator) for v in values), denominator=den)
 
     @classmethod
     def _from_table(cls, players: Players, numerators: Sequence[int], denominator: int) -> SetFunction:
@@ -158,9 +154,8 @@ class SetFunction(Frozen):
         game's caller gives ``numerators[0] == 0``."""
         g = 1 if denominator == 1 else gcd(denominator, *numerators)
         f = cls.__new__(cls)
-        object.__setattr__(f, "players", players)
-        object.__setattr__(f, "numerators", tuple(numerators) if g == 1 else tuple(p // g for p in numerators))
-        object.__setattr__(f, "denominator", denominator // g)
+        f.__dict__.update(players=players, numerators=tuple(numerators) if g == 1 else tuple(p // g for p in numerators),
+                          denominator=denominator // g)
         return f
 
     @cached_property
@@ -235,10 +230,15 @@ def restrict(f: SetFunction, coalition: int) -> SetFunction:
     f.players._check(coalition)
     if coalition == 0:
         raise ValueError("cannot restrict to the empty coalition")
-    positions = [i for i in range(f.players.n) if coalition >> i & 1]
+    positions = _bit_positions(coalition)
     sub_players = Players(tuple(f.players.names[i] for i in positions))
     kind = Game if isinstance(f, Game) else SetFunction
     return kind._from_table(sub_players, [f.numerators[s] for s in relabelling(positions)], f.denominator)
+
+
+def _bit_positions(mask: int) -> list[int]:
+    """The players of a coalition, in increasing order."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def relabelling(targets: Sequence[int]) -> list[int]:
@@ -288,10 +288,7 @@ def modular_from_payoffs(players: Players, payoffs: Sequence, constant=0) -> Set
     if len(pay) != players.n:
         raise ValueError("one payoff per player is required")
     c = Fraction(constant)
-    values = []
-    for s in players.coalitions():
-        values.append(c + sum((pay[i] for i in range(players.n) if s >> i & 1), Fraction(0)))
-    return SetFunction(players, tuple(values))
+    return SetFunction(players, tuple(c + sum((pay[i] for i in _bit_positions(s)), Fraction(0)) for s in players.coalitions()))
 
 
 def inner(theta: SetFunction, f: SetFunction) -> Fraction:
@@ -325,15 +322,12 @@ def is_modular(f: SetFunction) -> bool:
     """Whether f(C | D) + f(C & D) == f(C) + f(D) for all pairs.
 
     Checked through the closed form: a modular function is determined by
-    its values on the empty set and the singletons.
+    its values on the empty set and the singletons, so ``f`` is modular
+    iff it agrees with the modular function those values give.
     """
     base = f.values[0]
     singles = [f.values[1 << i] - base for i in range(f.players.n)]
-    for s in f.players.coalitions():
-        expected = base + sum((singles[i] for i in range(f.players.n) if s >> i & 1), Fraction(0))
-        if f.values[s] != expected:
-            return False
-    return True
+    return f.values == modular_from_payoffs(f.players, singles, base).values
 
 
 def random_game(players: Players, rng: Random) -> Game:
@@ -365,7 +359,7 @@ def random_exact_game(players: Players, rng: Random) -> Game:
         w[rng.randrange(n)] += total - sum(w)
     return Game(
         players,
-        tuple(Fraction(min(sum(w[i] for i in range(n) if s >> i & 1) for w in weights)) for s in players.coalitions()),
+        tuple(Fraction(min(sum(w[i] for i in _bit_positions(s)) for w in weights)) for s in players.coalitions()),
     )
 
 

@@ -290,12 +290,6 @@ class FeasibilityResult(Frozen):
     numerators: Optional[tuple[int, ...]]
     denominator: int
     farkas: Optional[Vector]
-    _fields = ("numerators", "denominator", "farkas")
-
-    def __init__(self, numerators: Optional[tuple[int, ...]], denominator: int, farkas: Optional[Vector]) -> None:
-        object.__setattr__(self, "numerators", numerators)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "farkas", farkas)
 
     @property
     def feasible(self) -> bool:

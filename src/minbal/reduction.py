@@ -28,8 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._frozen import Frozen
-from .balance import InequalityVector, MinBalancedSystem, SetSystem, _bit_positions, _incidence, _lowering, _reduced_set, _search_kernel, is_min_balanced
-from .games import _player_sums, relabelling
+from .balance import InequalityVector, MinBalancedSystem, SetSystem, _incidence, _lowering, _reduced_set, _search_kernel, is_min_balanced
+from .games import _bit_positions, _player_sums, relabelling
 from .linalg import conic_feasible  # not called here: perfbench/spans.py wraps it at this lookup site
 
 
@@ -45,13 +45,6 @@ class ReductionWitness(Frozen):
     pivot_member: int                         # B, a member strictly inside A
     mu: tuple[tuple[int, Fraction], ...]
     beta: tuple[tuple[int, Fraction], ...]
-    _fields = ("reduced_set", "pivot_member", "mu", "beta")
-
-    def __init__(self, reduced_set: int, pivot_member: int, mu: tuple[tuple[int, Fraction], ...], beta: tuple[tuple[int, Fraction], ...]) -> None:
-        object.__setattr__(self, "reduced_set", reduced_set)
-        object.__setattr__(self, "pivot_member", pivot_member)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "beta", beta)
 
     def mu_map(self) -> dict[int, Fraction]:
         return dict(self.mu)
@@ -109,12 +102,6 @@ class Decomposition(Frozen):
     inner: MinBalancedSystem          # min-balanced on the reduced set A
     outer: MinBalancedSystem          # min-balanced on the carrier, with A a member
     combination: tuple[Fraction, Fraction]
-    _fields = ("inner", "outer", "combination")
-
-    def __init__(self, inner: MinBalancedSystem, outer: MinBalancedSystem, combination: tuple[Fraction, Fraction]) -> None:
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "combination", combination)
 
 
 def decompose(mbs: MinBalancedSystem, witness: ReductionWitness) -> Decomposition:

@@ -26,15 +26,6 @@ class AppendixType(Frozen):
     complement: int          # type number; == number means self-complementary
     irreducible: bool
     inequality: str
-    _fields = ("number", "system", "count", "complement", "irreducible", "inequality")
-
-    def __init__(self, number: int, system: tuple[str, ...], count: int, complement: int, irreducible: bool, inequality: str) -> None:
-        object.__setattr__(self, "number", number)
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "complement", complement)
-        object.__setattr__(self, "irreducible", irreducible)
-        object.__setattr__(self, "inequality", inequality)
 
 
 APPENDIX: dict[int, tuple[AppendixType, ...]] = {

@@ -806,6 +806,12 @@ class TestThetaDelta:
                 assert theta.values[0] > 0
                 assert theta.value(players.full_mask) > 0
 
+    def test_positive_outside_the_exempt_coalitions(self, p3):
+        # m(empty) - m(a) - m(bc) + m(abc) is o-standardized; its negation is
+        # too, but positive at ``a``, which is neither empty, ``ab`` nor the full set
+        assert theta_contains(SetFunction(p3, (1, -1, 0, 0, 0, 0, -1, 1)), 3)
+        assert not theta_contains(SetFunction(p3, (-1, 1, 0, 0, 0, 0, 1, -1)), 3)
+
     def test_empty_coalition_rejected(self, p3):
         with pytest.raises(ValueError):
             theta_contains(SetFunction(p3, (0,) * 8), 0)
@@ -824,6 +830,10 @@ class TestThetaDelta:
 
     def test_delta_rejects_zero(self, p3):
         assert not delta_contains(SetFunction(p3, (0,) * 8), 7)
+
+    def test_delta_rejects_positive_inside_the_carrier(self, p3):
+        # value 1 at the empty set and 1 at ``a``, a proper subset of ``ab``
+        assert not delta_contains(SetFunction(p3, (1, 1, 0, 0, 0, 0, 0, 0)), 3)
 
     def test_delta_small_carrier_rejected(self, p3):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
-"""The immutable value classes: their argument checks, their value
-semantics (frozen, equal and hashed by their fields, printed by name) and
-an import of the command line that loads neither ``dataclasses`` nor
-``inspect``."""
+"""The immutable value classes: their argument checks and those of the
+functions taking them, their one constructor (fields by position or
+keyword, defaults, errors), their value semantics (frozen, equal and
+hashed by their fields, printed by name) and an import of the command
+line that loads neither ``dataclasses`` nor ``inspect``."""
 
 import os
 import subprocess
@@ -11,13 +12,35 @@ from fractions import Fraction as F
 import pytest
 
 import minbal
-from minbal.balance import InequalityVector, MinBalancedSystem, SetSystem
-from minbal.catalogue import Catalogue, CatalogueEntry, generate
-from minbal.cones import CoreAllocation, FailingSubgame, NoTightAllocation, TightAllocationTable, Verdict, ViolatedSystem
-from minbal.games import MAX_PLAYERS, Game, Players, SetFunction, letters
-from minbal.linalg import FeasibilityResult
-from minbal.reduction import Decomposition, ReductionWitness
+from minbal.balance import InequalityVector, MinBalancedSystem, SetSystem, canonical_type, complement_system, is_min_balanced, system_of
+from minbal.catalogue import Catalogue, CatalogueEntry, generate, render_inequality
+from minbal.cones import (
+    CoreAllocation,
+    FailingSubgame,
+    NoTightAllocation,
+    TightAllocationTable,
+    Verdict,
+    ViolatedSystem,
+    conjugate,
+    is_totally_balanced_facets,
+)
+from minbal.games import MAX_PLAYERS, Game, Players, SetFunction, letters, modular_from_payoffs
+from minbal.linalg import FeasibilityResult, lp_feasible
+from minbal.reduction import Decomposition, ReductionWitness, decompose, is_reducible
 from minbal.reference import AppendixType
+
+
+def _reducible():
+    """The partition of four players into singletons, reducible along
+    ``ab``, with its witness."""
+    mbs = is_min_balanced(system_of(letters(4), "a", "b", "c", "d"))
+    return mbs, is_reducible(mbs)
+
+
+def _tampered(**fields):
+    """Decompose the partition along its witness with ``fields`` replaced."""
+    mbs, witness = _reducible()
+    decompose(mbs, ReductionWitness(**{**{name: getattr(witness, name) for name in witness._fields}, **fields}))
 
 
 @pytest.mark.parametrize("build, message", [
@@ -39,6 +62,23 @@ from minbal.reference import AppendixType
     (lambda: Catalogue(letters(2), "exact-conjecture"), "the exact-cone conjecture catalogue needs at least 3 players"),
     (lambda: Catalogue(Players(("a", "b|c")), "balanced"),
      "player name 'b|c' contains '|', which separates the coalitions of a type id"),
+    (lambda: letters(2).key(4), "coalition 0x4 is outside this player set"),
+    (lambda: modular_from_payoffs(letters(2), (1,)), "one payoff per player is required"),
+    (lambda: InequalityVector(((4, 1),)).evaluate(SetFunction(letters(2), (0, 1, 2, 3))),
+     "coefficient vector does not fit the player set"),
+    (lambda: complement_system(SetSystem((4,)), letters(2)), "system does not fit the player set"),
+    (lambda: canonical_type(SetSystem((1,)), letters(7)), "classification is capped at 6 players"),
+    (lambda: canonical_type(SetSystem((4,)), letters(2)), "system does not fit the player set"),
+    (lambda: render_inequality(InequalityVector(((1, -1),)), letters(1)), "cannot render a vector without positive coefficients"),
+    (lambda: is_totally_balanced_facets(Game(letters(3), (0,) * 8), Catalogue(letters(3), "balanced")),
+     "a totally-balanced catalogue is required"),
+    (lambda: conjugate(InequalityVector(((4, 1),)), letters(2)), "coefficient vector does not fit the player set"),
+    (lambda: lp_feasible([[1, 0]], [[1]], [0, 0]), "inequality and equality rows have different widths"),
+    (lambda: lp_feasible([[1, 0]], [], [0], dimension=3), "explicit dimension does not match the rows"),
+    (lambda: decompose(is_min_balanced(system_of(letters(2), "ab")), _reducible()[1]), "only non-trivial systems decompose"),
+    (lambda: _tampered(reduced_set=15), "witness reduced set is not admissible"),
+    (lambda: _tampered(pivot_member=4), "witness pivot is not a member strictly inside the reduced set"),
+    (lambda: _tampered(mu=((1, F(1)),)), "witness mu is not a combination over the members below A"),
 ])
 def test_argument_checks(build, message):
     with pytest.raises(ValueError) as info:
@@ -87,6 +127,49 @@ def test_value_semantics(name):
     with pytest.raises(AttributeError):
         a.extra = 1
     assert a == b and a != object()
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_keyword_construction_equals_positional(name):
+    a = VALUES[name][0]()
+    fields = {field: getattr(a, field) for field in a._fields}
+    assert type(a)(**fields) == type(a)(*fields.values()) == a
+
+
+def test_fields_are_the_annotations():
+    for name in VALUES:
+        cls = type(VALUES[name][0]())
+        if name not in ("SetFunction", "Game"):
+            assert cls._fields == tuple(cls.__annotations__), name
+    # the table is stored, the values are shown
+    assert Game._fields == SetFunction._fields == ("players", "values")
+
+
+def test_catalogue_entry_default():
+    args = _mbs(), _mbs().alpha, True, False, "a|b", 1
+    assert CatalogueEntry(*args).complement_type_id is None
+    assert CatalogueEntry(*args) == CatalogueEntry(*args, None) == CatalogueEntry(*args, complement_type_id=None)
+    assert CatalogueEntry(*args, complement_type_id="a|b") == CatalogueEntry(*args, "a|b")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Verdict(True, None, 1), "Verdict() takes member, certificate: got 3 by position and none by keyword"),
+    (lambda: Verdict(True), "Verdict() takes member, certificate: got 1 by position and none by keyword"),
+    (lambda: Verdict(certificate=None), "Verdict() takes member, certificate: got 0 by position and certificate by keyword"),
+    (lambda: Verdict(True, None, extra=1), "Verdict() takes member, certificate: got 2 by position and extra by keyword"),
+    (lambda: Verdict(True, member=False), "Verdict() takes member, certificate: got 1 by position and member by keyword"),
+    (lambda: CatalogueEntry(_mbs(), _mbs().alpha, True, False, "a|b"),
+     "CatalogueEntry() takes mbs, alpha, irreducible, conjugated, type_id, orbit_size, complement_type_id: got 5 by position and none by keyword"),
+])
+def test_constructor_argument_errors(build, message):
+    with pytest.raises(TypeError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_verdict_truth_and_set_system_iteration():
+    assert bool(Verdict(False, None)) is False and bool(Verdict(True, None)) is True
+    assert list(SetSystem((1, 2))) == [1, 2]
 
 
 def test_value_fields_are_compared():
