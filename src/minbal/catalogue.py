@@ -376,7 +376,7 @@ def _system_json(players: Players, pad: str) -> Callable[[int, list[int]], Calla
 
 def _json_keys(players: Players) -> list[str]:
     """Each coalition's key as a JSON string."""
-    return [encode_basestring(players.key(m)) for m in players.coalitions()]
+    return list(map(encode_basestring, players._keys))
 
 
 def _json_entries(catalogue: Catalogue) -> Iterator[str]:

@@ -8,7 +8,12 @@ its encoding, diagnostics to stderr.  ``_write`` writes a catalogue as
 ``catalogue._pieces`` and a JSON listing as ``catalogue._json_block``
 items, joining the pieces into blocks of about 64 KB
 (:data:`BLOCK_SIZE`), each encoded and written once it is full; a
-check's verdict is one piece, written as it is.
+check's verdict is one piece, written as it is.  With ``--certificate``
+that piece is the text ``json.dumps(indent=2, ensure_ascii=False)``
+writes for the verdict, rendered by the same ``catalogue._json_block``
+(:func:`_certificate_json`): a payoff vector fills one ``%`` template
+per player set, and a tight-allocation table renders each distinct
+point once.
 
 The command line is one table, :data:`COMMANDS`: each command has a
 help line, its handler and its options, and each option a long name, a
@@ -31,7 +36,6 @@ end.
 from __future__ import annotations
 
 import getopt
-import json
 import os
 import sys
 from contextlib import nullcontext
@@ -56,7 +60,7 @@ from .cones import (
     is_totally_balanced_facets,
     is_totally_balanced_lp,
 )
-from .games import GameFormatError, Players, SetFunction, anti_dual, game_from_json, letters, random_exact_game, random_game
+from .games import GameFormatError, Players, anti_dual, game_from_json, letters, random_exact_game, random_game
 from .reference import APPENDIX, BALANCED_COUNTS, EXACT_FACET_COUNTS
 
 
@@ -172,60 +176,56 @@ def _cmd_check(args: SimpleNamespace) -> int:
     }[args.cone]
     verdict: Verdict = oracle(game)
     if args.certificate:
-        doc = {
-            "cone": args.cone,
-            "member": verdict.member,
-            "certificate": _certificate_payload(game.players, verdict.certificate),
-        }
-        _write([json.dumps(doc, indent=2, ensure_ascii=False) + "\n"])
+        fields = ['"cone": ' + encode_basestring(args.cone), '"member": ' + str(verdict.member).lower(),
+                  '"certificate": ' + _certificate_json(game.players, verdict.certificate, "  ")]
+        _write([cat._json_block(fields, "", "{}") + "\n"])
     else:
         _write([f"{args.cone}: {'member' if verdict.member else 'not a member'}\n"])
     return 0 if verdict.member else 1
 
 
-def _payoff_payload(players: Players, payoffs) -> dict[str, str]:
-    return {players.names[i]: str(v) for i, v in enumerate(payoffs)}
+def _payoffs_template(players: Players, pad: str) -> str:
+    """A ``%`` template of a payoff vector as ``json.dumps(indent=2)``
+    writes the object of its values by player name at ``pad``:
+    ``template % payoffs`` renders one, each value as its ``str``."""
+    return cat._json_block([encode_basestring(name).replace("%", "%%") + ': "%s"' for name in players.names], pad, "{}")
 
 
-def _function_payload(f: SetFunction) -> dict[str, str]:
-    """The nonzero values of ``f`` by coalition key, read off its integer table."""
-    return {f.players.key(s): str(Fraction(p, f.denominator)) for s, p in enumerate(f.numerators) if p}
-
-
-def _certificate_payload(players: Players, certificate) -> Optional[dict]:
+def _certificate_json(players: Players, certificate, pad: str) -> str:
+    """A certificate as ``json.dumps(indent=2, ensure_ascii=False)``
+    writes its payload in an object whose closing brace is at ``pad``;
+    ``null`` for none.  Values are exact: rationals as ``"p/q"`` strings."""
     if certificate is None:
-        return None
+        return "null"
+    inner = pad + "  "
     if isinstance(certificate, CoreAllocation):
-        return {"type": "core-allocation", "payoffs": _payoff_payload(players, certificate.payoffs)}
-    if isinstance(certificate, TightAllocationTable):
+        fields = ['"type": "core-allocation"', '"payoffs": ' + _payoffs_template(players, inner) % tuple(certificate.payoffs)]
+    elif isinstance(certificate, TightAllocationTable):
         # coalitions sharing a point share its tuple (``is_exact``), so each point is rendered once, keyed by identity
-        points = {i: _payoff_payload(players, x) for i, x in {id(x): x for _, x in certificate.allocations}.items()}
-        return {
-            "type": "tight-allocation-table",
-            "allocations": {players.key(d): points[id(x)] for d, x in certificate.allocations},
-        }
-    if isinstance(certificate, ViolatedSystem):
+        template = _payoffs_template(players, inner + "  ")
+        points = {i: template % tuple(x) for i, x in {id(x): x for _, x in certificate.allocations}.items()}
+        keys = cat._json_keys(players)
+        rows = [keys[d] + ": " + points[id(x)] for d, x in certificate.allocations]
+        fields = ['"type": "tight-allocation-table"', '"allocations": ' + cat._json_block(rows, inner, "{}")]
+    elif isinstance(certificate, ViolatedSystem):
         mbs = certificate.mbs
-        return {
-            "type": "violated-system",
-            "system": [players.key(m) for m in mbs.system.members],
-            "inequality": cat.render_inequality(mbs.alpha, players),
-            "value": str(certificate.value),
-        }
-    if isinstance(certificate, FailingSubgame):
+        fields = ['"type": "violated-system"',
+                  '"system": ' + cat._json_block([encode_basestring(players.key(m)) for m in mbs.system.members], inner),
+                  '"inequality": ' + encode_basestring(cat.render_inequality(mbs.alpha, players)),
+                  f'"value": "{certificate.value}"']
+    elif isinstance(certificate, FailingSubgame):
         sub_players = Players(players.member_names(certificate.coalition))
-        return {
-            "type": "failing-subgame",
-            "coalition": players.key(certificate.coalition),
-            "certificate": _certificate_payload(sub_players, certificate.certificate),
-        }
-    if isinstance(certificate, NoTightAllocation):
-        return {
-            "type": "no-tight-allocation",
-            "coalition": players.key(certificate.coalition),
-            "theta": _function_payload(certificate.theta),
-        }
-    raise ValueError(f"unknown certificate {certificate!r}")
+        fields = ['"type": "failing-subgame"', '"coalition": ' + encode_basestring(players.key(certificate.coalition)),
+                  '"certificate": ' + _certificate_json(sub_players, certificate.certificate, inner)]
+    elif isinstance(certificate, NoTightAllocation):
+        theta = certificate.theta  # its nonzero values, read off its integer table
+        values = [f'{encode_basestring(theta.players.key(s))}: "{Fraction(p, theta.denominator)}"'
+                  for s, p in enumerate(theta.numerators) if p]
+        fields = ['"type": "no-tight-allocation"', '"coalition": ' + encode_basestring(players.key(certificate.coalition)),
+                  '"theta": ' + cat._json_block(values, inner, "{}")]
+    else:
+        raise ValueError(f"unknown certificate {certificate!r}")
+    return cat._json_block(fields, pad, "{}")
 
 
 # -- verify --------------------------------------------------------------

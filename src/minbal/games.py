@@ -51,6 +51,9 @@ MAX_PLAYERS = 12
 #: A value string: a decimal integer, perhaps with a ``/`` denominator.
 _VALUE_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z")
 
+#: Value strings joined by ``,``, each a decimal integer.
+_INTEGERS_RE = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*\Z")
+
 
 class GameFormatError(ValueError):
     """Raised when a game JSON document is malformed."""
@@ -624,11 +627,15 @@ def game_from_json(text: Union[str, bytes]) -> Game:
     reduced ``p/q`` strings.  A valid document is decoded by one
     ``json.loads``; a faulty one is read again by the catalogue reader,
     so both formats fail with one message (:func:`_read_whole`).  The
-    keys are compared with the players' once, and each value is read
-    once, by :func:`_parse_value`, straight into integers: the game is
-    built from its integer table, and no ``Fraction`` is made.  Of
-    several faults, an unknown key is reported first, then the first
-    missing key or bad value in coalition order.
+    keys are compared with the players' once.  When every value is a
+    string, one match of ``_INTEGERS_RE`` over the values joined by
+    ``,`` tells whether all are decimal integers, and one ``map(int,
+    ...)`` reads them; otherwise each value is read by
+    :func:`_parse_value`.  Either way the values go straight into
+    integers: the game is built from its integer table, and no
+    ``Fraction`` is made.  Of several faults, an unknown key is
+    reported first, then the first missing key or bad value in
+    coalition order.
     """
     doc, players = _read_document(text, ("players", "values"), GameFormatError)
     raw_values = doc["values"]
@@ -643,11 +650,21 @@ def game_from_json(text: Union[str, bytes]) -> Game:
             if key not in raw_values:
                 raise GameFormatError(f"missing coalition key {key!r}")
             _parse_value(raw_values[key], key)
-    pairs = [_parse_value(raw_values[key], key) for key in coalitions]
-    if pairs[0][0] != 0:
+    raws = list(map(raw_values.__getitem__, coalitions))
+    try:
+        joined = ",".join(raws)
+    except TypeError:  # a value that is not a string
+        joined = ""
+    # the join's only commas are its own, so each value matched is a decimal integer
+    if _INTEGERS_RE.match(joined) and joined.count(",") == len(raws) - 1:
+        numerators, den = list(map(int, raws)), 1
+    else:
+        pairs = [_parse_value(raw, key) for raw, key in zip(raws, coalitions)]
+        den = lcm(*{q for _, q in pairs})
+        numerators = [p * (den // q) for p, q in pairs]
+    if numerators[0] != 0:
         raise GameFormatError("the empty coalition must have value 0")
-    den = lcm(*{q for _, q in pairs})
-    return Game._from_table(players, [p * (den // q) for p, q in pairs], den)
+    return Game._from_table(players, numerators, den)
 
 
 def game_to_json(game: SetFunction) -> str:

@@ -12,7 +12,7 @@ import minbal
 from minbal.catalogue import generate, serialize
 from minbal import cli
 from minbal.cli import main
-from minbal.games import Game, game_of, game_to_json, letters
+from minbal.games import Game, Players, game_of, game_to_json, letters
 
 from conftest import reference_parser, system_payload
 
@@ -174,6 +174,31 @@ class TestCheck:
         doc = json.loads(capsys.readouterr().out)
         assert doc["certificate"]["type"] == "no-tight-allocation"
         assert doc["certificate"]["coalition"] == "a"
+
+    @pytest.mark.parametrize("kind, cone, member, certificate", [
+        ("convex", "balanced", True, "core-allocation"),
+        ("convex", "totally-balanced", True, "core-allocation"),
+        ("convex", "exact", True, "tight-allocation-table"),
+        ("cut", "balanced", False, "violated-system"),
+        ("cut", "totally-balanced", False, "failing-subgame"),
+        ("cut", "exact", False, "no-tight-allocation"),
+    ])
+    def test_certificate_with_escaped_names_is_json_dumps(self, tmp_path, capsysbinary, kind, cone, member, certificate):
+        # names JSON escapes, or writes as they are outside ASCII, and a "%";
+        # every certificate kind, as json.dumps(indent=2, ensure_ascii=False) writes it
+        players = Players(("é", 'q"t', "b\\s%", "\t", "名"))
+        weights = [(t, 1 + t % 7) for t in range(1, 32)]
+        values = [sum(w for t, w in weights if t & s == t) for s in range(32)]  # a positive sum of unanimity games
+        if kind == "cut":
+            values[-1] = sum(values[1 << i] for i in range(5)) - 1  # an empty core, every proper subgame convex
+        game = tmp_path / "game.json"
+        game.write_text(game_to_json(Game(players, tuple(values))), encoding="utf-8")
+        assert main(["check", "--game", str(game), "--cone", cone, "--certificate"]) == (0 if member else 1)
+        out = capsysbinary.readouterr().out.decode("utf-8")
+        doc = json.loads(out)
+        assert (doc["member"], doc["certificate"]["type"]) == (member, certificate)
+        assert out == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        assert "名" in out and "\\u" not in out
 
     def test_missing_file(self, capsys):
         assert main(["check", "--game", "/nonexistent.json", "--cone", "balanced"]) == 2
@@ -472,11 +497,11 @@ def test_closed_stdout_exits_141_in_process(capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
-def test_certificate_payload_of_none_and_of_an_unknown_object():
+def test_certificate_json_of_none_and_of_an_unknown_object():
     players = letters(3)
-    assert cli._certificate_payload(players, None) is None
+    assert cli._certificate_json(players, None, "") == "null"
     with pytest.raises(ValueError, match="^unknown certificate <object object at "):
-        cli._certificate_payload(players, object())
+        cli._certificate_json(players, object(), "")
 
 
 def test_cli_module_entry():

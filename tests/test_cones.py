@@ -25,7 +25,7 @@ from minbal.cones import (
     is_totally_balanced_lp,
     theta_contains,
 )
-from minbal.cli import _certificate_payload
+from minbal.cli import _certificate_json
 from minbal.games import (
     Game,
     SetFunction,
@@ -637,7 +637,7 @@ class TestIntegerTable:
             for oracle in (is_balanced, is_totally_balanced_lp, is_exact):
                 v = oracle(g)
                 assert v.member == member
-                _certificate_payload(players, v.certificate)
+                _certificate_json(players, v.certificate, "")
             assert "values" not in g.__dict__
         assert isinstance(v.certificate, NoTightAllocation) and "values" not in v.certificate.theta.__dict__
 

@@ -353,13 +353,32 @@ class TestGameValues:
         ('{"players": ["a","b"], "values": {"": "0", "a": "0.5", "ab": "1"}}', "values['a']: '0.5' is not a decimal integer or p/q rational"),
         ('{"players": ["a","b"], "values": {"": "0", "b": "0.5", "ab": "1"}}', "missing coalition key 'a'"),
         ('{"players": ["a","b"], "values": {"": "0", "a": "0", "b": "0", "ab": "1"}, "players": 1, "x": 1}', "repeated key 'players' in a JSON object"),
+        ('{"players": ["a","b"], "values": {"": "0", "a": "1,2", "b": "3", "ab": "4"}}', "values['a']: '1,2' is not a decimal integer or p/q rational"),
+        ('{"players": ["a","b"], "values": {"": "0", "a": "1", "b": "", "ab": "2"}}', "values['b']: '' is not a decimal integer or p/q rational"),
+        ('{"players": ["a","b"], "values": {"": "0", "a": "1", "b": "2", "ab": "1\\n"}}', "values['ab']: '1\\n' is not a decimal integer or p/q rational"),
+        ('{"players": ["a","b"], "values": {"": 0, "a": "2", "b": true, "ab": "x"}}', "values['b']: boolean is not a rational value"),
+        ('{"players": ["a","b"], "values": {"": "0", "a": "1", "b": "2", "ab": "3/6"}}', "values['ab']: '3/6' is not a reduced rational with positive denominator"),
+        ('{"players": ["a","b"], "values": {"": 0, "a": 1, "b": 2, "ab": 1.5}}', "values['ab']: values must be integers or rational strings, got float"),
+        ('{"players": ["a","b"], "values": {"ab": "x", "b": "-", "a": "1", "": "0"}}', "values['b']: '-' is not a decimal integer or p/q rational"),
     ], ids=["repeated-then-syntax", "inner-repeated-then-syntax", "syntax-inside-repeating-object", "repeated-twice",
-            "unknown-and-missing", "bad-value-then-missing", "missing-then-bad-value", "repeated-then-extra-field"])
+            "unknown-and-missing", "bad-value-then-missing", "missing-then-bad-value", "repeated-then-extra-field",
+            "value-holding-the-join-separator", "empty-value", "value-with-newline", "integers-and-strings",
+            "only-the-last-string", "only-the-last-json-value", "faults-in-coalition-order"])
     def test_first_fault_wins(self, doc, message):
         for data in (doc, doc.encode()):
             with pytest.raises(GameFormatError) as error:
                 game_from_json(data)
             assert str(error.value) == message
+
+    def test_integer_strings_are_read_without_a_match_each(self, monkeypatch, p3):
+        # a table of decimal-integer strings is matched once, joined; a
+        # table with any other value is read value by value
+        game = Game(p3, tuple(range(8)))
+        read, keys = minbal.games._parse_value, []
+        monkeypatch.setattr(minbal.games, "_parse_value", lambda raw, key: keys.append(key) or read(raw, key))
+        assert game_from_json(game_to_json(game)) == game and keys == []
+        assert game_from_json(game_to_json(game).replace('"7"', '"7/2"')).value(7) == F(7, 2)
+        assert keys == list(p3._keys)
 
     def test_valid_document_is_decoded_whole(self, monkeypatch, p3):
         # one decode of the top-level object, no member-by-member walk
