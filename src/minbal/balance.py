@@ -7,7 +7,8 @@ happens exactly when the incidence vectors are linearly independent and
 the unique weight vector is strictly positive.
 
 This module detects min-balancedness, normalizes the weights into the
-integer coefficient vector of the induced facet inequality, complements
+integer coefficient vector of the induced facet inequality and renders
+that inequality on one line (:func:`render_inequality`), complements
 systems, enumerates all min-balanced systems on a carrier, and classifies
 systems into permutational types.
 """
@@ -115,6 +116,31 @@ class InequalityVector(Frozen):
         n = max((s for s, _ in self.items), default=0).bit_length()
         return sum(c for _, c in self.items) == 0 and not any(_player_sums(self.items, n))
 
+
+def render_inequality(alpha: InequalityVector, players: Players) -> str:
+    """One-line rendering of the inequality  <alpha, m> >= 0.
+
+    The positive term of largest cardinality leads; the negative terms
+    follow sorted by cardinality then bitmask, and the remaining positive
+    term closes the line.
+    """
+    positives = [(s, c) for s, c in alpha.items if c > 0]
+    negatives = [(s, c) for s, c in alpha.items if c < 0]
+    if not positives:
+        raise ValueError("cannot render a vector without positive coefficients")
+    head = max(positives, key=lambda it: (it[0].bit_count(), it[0]))
+    tail = sorted((it for it in positives if it != head), key=lambda it: (it[0].bit_count(), it[0]))
+    body = sorted(negatives, key=lambda it: (it[0].bit_count(), it[0]))
+
+    def term(s: int, c: int) -> str:
+        key = players.key(s) or "∅"
+        mag = abs(c)
+        return f"m({key})" if mag == 1 else f"{mag}·m({key})"
+
+    parts = [term(*head)]
+    for s, c in body + tail:
+        parts.append(("− " if c < 0 else "+ ") + term(s, c))
+    return " ".join(parts) + " ≥ 0"
 
 
 class MinBalancedSystem(Frozen):

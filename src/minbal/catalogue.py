@@ -26,7 +26,11 @@ object per entry; ``Catalogue.entries`` builds them on first access.
 ``minbal enumerate`` lists systems through the same walk.  ``_pieces``
 renders a catalogue in either format: ``serialize`` joins the pieces,
 ``minbal catalogue`` writes them in blocks of about 64 KB as they are
-rendered (``cli._write``).  ``parse``
+rendered (``cli._write``).  The JSON lists and objects are written by
+:mod:`minbal.games` (``_json_list``, ``_json_block``, ``_json_keys``),
+which also reads them, and each inequality by
+:func:`minbal.balance.render_inequality`; both are importable from here
+too.  ``parse``
 compares the file with the rendering piece by piece, byte for byte
 and, only when the bytes differ, as JSON values; the rendering stops at
 the first difference.
@@ -56,9 +60,10 @@ from .balance import (
     complement_system,
     enumerate_min_balanced,  # not called here: perfbench/spans.py wraps it at this lookup site
     is_min_balanced,  # not called here: perfbench/spans.py wraps it at this lookup site
+    render_inequality,
 )
 from .cones import conjugate
-from .games import Players, _bit_positions, _read_document, relabelling
+from .games import Players, _bit_positions, _json_block, _json_keys, _json_list, _read_document, relabelling
 from .reduction import is_reducible  # not called here: perfbench/spans.py wraps it at this lookup site
 from .reference import BALANCED_COUNTS, EXACT_FACET_COUNTS, TOTALLY_BALANCED_COUNTS
 
@@ -258,32 +263,6 @@ def _entries(catalogue: Catalogue) -> Iterator[CatalogueEntry]:
 
 # -- rendering -----------------------------------------------------------
 
-def render_inequality(alpha: InequalityVector, players: Players) -> str:
-    """One-line rendering of the inequality  <alpha, m> >= 0.
-
-    The positive term of largest cardinality leads; the negative terms
-    follow sorted by cardinality then bitmask, and the remaining positive
-    term closes the line.
-    """
-    positives = [(s, c) for s, c in alpha.items if c > 0]
-    negatives = [(s, c) for s, c in alpha.items if c < 0]
-    if not positives:
-        raise ValueError("cannot render a vector without positive coefficients")
-    head = max(positives, key=lambda it: (it[0].bit_count(), it[0]))
-    tail = sorted((it for it in positives if it != head), key=lambda it: (it[0].bit_count(), it[0]))
-    body = sorted(negatives, key=lambda it: (it[0].bit_count(), it[0]))
-
-    def term(s: int, c: int) -> str:
-        key = players.key(s) or "∅"
-        mag = abs(c)
-        return f"m({key})" if mag == 1 else f"{mag}·m({key})"
-
-    parts = [term(*head)]
-    for s, c in body + tail:
-        parts.append(("− " if c < 0 else "+ ") + term(s, c))
-    return " ".join(parts) + " ≥ 0"
-
-
 def induced_system(alpha: InequalityVector) -> SetSystem:
     """The set system read off an inequality: its negative support."""
     return SetSystem(alpha.negative_support)
@@ -328,23 +307,6 @@ def _type_lines(players: Players, number: int, alpha: InequalityVector, count: i
 
 # -- serialization -------------------------------------------------------
 
-def _json_list(items: Iterable[str], pad: str, brackets: str = "[]") -> Iterator[str]:
-    """Rendered items as ``json.dumps(indent=2)`` writes a list, or an
-    object with ``"{}"``, at ``pad``, in pieces for items rendered one at
-    a time: the opening bracket with the first item, each further item,
-    the closing bracket."""
-    inner = "\n" + pad + "  "
-    sep = brackets[0] + inner
-    for item in items:
-        yield sep + item
-        sep = "," + inner
-    yield brackets if sep[0] == brackets[0] else "\n" + pad + brackets[1]
-
-
-def _json_block(items: Iterable[str], pad: str, brackets: str = "[]") -> str:
-    return "".join(_json_list(items, pad, brackets))
-
-
 def _system_json(players: Players, pad: str) -> Callable[[int, list[int]], Callable[[tuple[int, ...], Sequence[tuple[str, ...]], int], list[str]]]:
     """A renderer, for a carrier and its order-keeping renaming ``table``,
     of the images on the first c players renamed onto it: given an image's
@@ -372,11 +334,6 @@ def _system_json(players: Players, pad: str) -> Callable[[int, list[int]], Calla
         return fields
 
     return on
-
-
-def _json_keys(players: Players) -> list[str]:
-    """Each coalition's key as a JSON string."""
-    return list(map(encode_basestring, players._keys))
 
 
 def _json_entries(catalogue: Catalogue) -> Iterator[str]:

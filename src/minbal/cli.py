@@ -5,15 +5,17 @@ generates facet catalogues, ``check`` decides cone membership of a game
 file with optional certificates, and ``verify`` runs the built-in
 verification suites.  Results go to stdout as UTF-8 bytes, whatever
 its encoding, diagnostics to stderr.  ``_write`` writes a catalogue as
-``catalogue._pieces`` and a JSON listing as ``catalogue._json_block``
+``catalogue._pieces`` and a JSON listing as ``games._json_block``
 items, joining the pieces into blocks of about 64 KB
 (:data:`BLOCK_SIZE`), each encoded and written once it is full; a
 check's verdict is one piece, written as it is.  With ``--certificate``
 that piece is the text ``json.dumps(indent=2, ensure_ascii=False)``
-writes for the verdict, rendered by the same ``catalogue._json_block``
+writes for the verdict, rendered by the same ``games._json_block``
 (:func:`_certificate_json`): a payoff vector fills one ``%`` template
 per player set, and a tight-allocation table renders each distinct
-point once.
+point once.  ``minbal.catalogue`` and ``minbal.reference`` are imported
+only by the commands that use them, ``enumerate``, ``catalogue`` and
+``verify``, so a check loads neither, nor ``minbal.reduction``.
 
 The command line is one table, :data:`COMMANDS`: each command has a
 help line, its handler and its options, and each option a long name, a
@@ -44,10 +46,10 @@ from itertools import chain
 from json.encoder import encode_basestring
 from random import Random
 from types import SimpleNamespace
-from typing import Iterable, Iterator, NoReturn, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Optional
 
-from . import catalogue as cat, games
-from .balance import system_of
+from . import games
+from .balance import render_inequality, system_of
 from .cones import (
     CoreAllocation,
     FailingSubgame,
@@ -60,8 +62,10 @@ from .cones import (
     is_totally_balanced_facets,
     is_totally_balanced_lp,
 )
-from .games import GameFormatError, Players, anti_dual, game_from_json, letters, random_exact_game, random_game
-from .reference import APPENDIX, BALANCED_COUNTS, EXACT_FACET_COUNTS
+from .games import GameFormatError, Players, _json_block, _json_keys, _json_list, anti_dual, game_from_json, letters, random_exact_game, random_game
+
+if TYPE_CHECKING:
+    from .catalogue import Catalogue, CatalogueEntry
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -74,7 +78,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         with open(os.devnull, "wb") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141
-    except (GameFormatError, cat.CatalogueFormatError, ValueError, OSError) as exc:
+    except (GameFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -112,46 +116,52 @@ def _write(pieces: Iterable[str], out: Optional[str] = None) -> None:
 # -- enumerate -----------------------------------------------------------
 
 def _cmd_enumerate(args: SimpleNamespace) -> int:
+    from .catalogue import _type_lines, _types_on
+
     players = letters(args.players)
     size = args.carrier_size if args.carrier_size is not None else players.n
     if not 1 <= size <= players.n:
         raise ValueError(f"carrier size must be between 1 and {players.n}")
     # Classified on the first carrier, the first `size` players, which holds every type.
-    types = [rep for rep in cat._types_on(players, size) if rep.irreducible or not args.irreducible_only]
+    types = [rep for rep in _types_on(players, size) if rep.irreducible or not args.irreducible_only]
 
     if args.types_only and args.format == "json":
-        items = (cat._json_block(['"type_id": ' + encode_basestring(rep.type_id), f'"orbit_size": {rep.orbit_size}',
-                                  '"irreducible": ' + str(rep.irreducible).lower(),
-                                  '"inequality": ' + encode_basestring(cat.render_inequality(rep.alpha, players))], "  ", "{}")
+        items = (_json_block(['"type_id": ' + encode_basestring(rep.type_id), f'"orbit_size": {rep.orbit_size}',
+                              '"irreducible": ' + str(rep.irreducible).lower(),
+                              '"inequality": ' + encode_basestring(render_inequality(rep.alpha, players))], "  ", "{}")
                  for rep in types)
     elif args.types_only:
         lines = (line for i, rep in enumerate(types, start=1)
-                 for line in cat._type_lines(players, i, rep.alpha, rep.orbit_size, ["irreducible"] if rep.irreducible else []))
+                 for line in _type_lines(players, i, rep.alpha, rep.orbit_size, ["irreducible"] if rep.irreducible else []))
     elif args.format == "json":
         items = _system_items(players, size, types)
     else:
         lines = _system_lines(players, size, types)
-    _write(chain(cat._json_list(items, ""), ["\n"]) if args.format == "json" else (line + "\n" for line in lines))
+    _write(chain(_json_list(items, ""), ["\n"]) if args.format == "json" else (line + "\n" for line in lines))
     return 0
 
 
-def _system_items(players: Players, size: int, types: list[cat.CatalogueEntry]) -> Iterator[str]:
+def _system_items(players: Players, size: int, types: list[CatalogueEntry]) -> Iterator[str]:
     """The items of the JSON listing of the systems of ``types`` on every
     carrier of ``size`` players, rendered from the types' weights."""
-    system_json = cat._system_json(players, " " * 4)
+    from .catalogue import _on_carriers, _system_json
+
+    system_json = _system_json(players, " " * 4)
     systems = [(rep.mbs.system.members, [(f': "{w}"',) for w in rep.mbs.weights], rep) for rep in types]
-    for carrier, table, images in cat._on_carriers(players, (size,), lambda _: systems):
+    for carrier, table, images in _on_carriers(players, (size,), lambda _: systems):
         fields = system_json(carrier, table)
         for image, values, rep in images:
-            yield cat._json_block(["".join(fields(image, values, rep.mbs.k)), '"irreducible": ' + str(rep.irreducible).lower()], "  ", "{}")
+            yield _json_block(["".join(fields(image, values, rep.mbs.k)), '"irreducible": ' + str(rep.irreducible).lower()], "  ", "{}")
 
 
-def _system_lines(players: Players, size: int, types: list[cat.CatalogueEntry]) -> Iterator[str]:
+def _system_lines(players: Players, size: int, types: list[CatalogueEntry]) -> Iterator[str]:
     """The text lines listing the systems of ``types`` on every carrier of
     ``size`` players, rendered from the types' weights."""
+    from .catalogue import _on_carriers
+
     keys = [players.key(m) for m in players.coalitions()]
     systems = [(rep.mbs.system.members, [f"={w}" for w in rep.mbs.weights], rep) for rep in types]
-    for carrier, table, images in cat._on_carriers(players, (size,), lambda _: systems):
+    for carrier, table, images in _on_carriers(players, (size,), lambda _: systems):
         for image, values, rep in images:
             yield ("{" + ", ".join(keys[table[m]] for m in image) + f"}}   carrier={keys[carrier]}   k={rep.mbs.k}   weights: "
                    + " ".join(keys[table[m]] + w for m, w in zip(image, values)) + ("   irreducible" if rep.irreducible else ""))
@@ -160,7 +170,9 @@ def _system_lines(players: Players, size: int, types: list[cat.CatalogueEntry]) 
 # -- catalogue -----------------------------------------------------------
 
 def _cmd_catalogue(args: SimpleNamespace) -> int:
-    _write(cat._pieces(cat.generate(letters(args.players), args.cone), args.format), args.out)
+    from .catalogue import _pieces, generate
+
+    _write(_pieces(generate(letters(args.players), args.cone), args.format), args.out)
     return 0
 
 
@@ -178,7 +190,7 @@ def _cmd_check(args: SimpleNamespace) -> int:
     if args.certificate:
         fields = ['"cone": ' + encode_basestring(args.cone), '"member": ' + str(verdict.member).lower(),
                   '"certificate": ' + _certificate_json(game.players, verdict.certificate, "  ")]
-        _write([cat._json_block(fields, "", "{}") + "\n"])
+        _write([_json_block(fields, "", "{}") + "\n"])
     else:
         _write([f"{args.cone}: {'member' if verdict.member else 'not a member'}\n"])
     return 0 if verdict.member else 1
@@ -188,7 +200,7 @@ def _payoffs_template(players: Players, pad: str) -> str:
     """A ``%`` template of a payoff vector as ``json.dumps(indent=2)``
     writes the object of its values by player name at ``pad``:
     ``template % payoffs`` renders one, each value as its ``str``."""
-    return cat._json_block([encode_basestring(name).replace("%", "%%") + ': "%s"' for name in players.names], pad, "{}")
+    return _json_block([encode_basestring(name).replace("%", "%%") + ': "%s"' for name in players.names], pad, "{}")
 
 
 def _certificate_json(players: Players, certificate, pad: str) -> str:
@@ -204,14 +216,14 @@ def _certificate_json(players: Players, certificate, pad: str) -> str:
         # coalitions sharing a point share its tuple (``is_exact``), so each point is rendered once, keyed by identity
         template = _payoffs_template(players, inner + "  ")
         points = {i: template % tuple(x) for i, x in {id(x): x for _, x in certificate.allocations}.items()}
-        keys = cat._json_keys(players)
+        keys = _json_keys(players)
         rows = [keys[d] + ": " + points[id(x)] for d, x in certificate.allocations]
-        fields = ['"type": "tight-allocation-table"', '"allocations": ' + cat._json_block(rows, inner, "{}")]
+        fields = ['"type": "tight-allocation-table"', '"allocations": ' + _json_block(rows, inner, "{}")]
     elif isinstance(certificate, ViolatedSystem):
         mbs = certificate.mbs
         fields = ['"type": "violated-system"',
-                  '"system": ' + cat._json_block([encode_basestring(players.key(m)) for m in mbs.system.members], inner),
-                  '"inequality": ' + encode_basestring(cat.render_inequality(mbs.alpha, players)),
+                  '"system": ' + _json_block([encode_basestring(players.key(m)) for m in mbs.system.members], inner),
+                  '"inequality": ' + encode_basestring(render_inequality(mbs.alpha, players)),
                   f'"value": "{certificate.value}"']
     elif isinstance(certificate, FailingSubgame):
         sub_players = Players(players.member_names(certificate.coalition))
@@ -222,10 +234,10 @@ def _certificate_json(players: Players, certificate, pad: str) -> str:
         values = [f'{encode_basestring(theta.players.key(s))}: "{Fraction(p, theta.denominator)}"'
                   for s, p in enumerate(theta.numerators) if p]
         fields = ['"type": "no-tight-allocation"', '"coalition": ' + encode_basestring(players.key(certificate.coalition)),
-                  '"theta": ' + cat._json_block(values, inner, "{}")]
+                  '"theta": ' + _json_block(values, inner, "{}")]
     else:
         raise ValueError(f"unknown certificate {certificate!r}")
-    return cat._json_block(fields, pad, "{}")
+    return _json_block(fields, pad, "{}")
 
 
 # -- verify --------------------------------------------------------------
@@ -245,16 +257,19 @@ def _cmd_verify(args: SimpleNamespace) -> int:
 
 
 def _suite_appendix(args: SimpleNamespace):
+    from .catalogue import Catalogue, _type_id
+    from .reference import APPENDIX, BALANCED_COUNTS
+
     n = args.players
     if n not in APPENDIX:
         raise ValueError("the appendix suite covers 2 to 4 players")
     players = letters(n)
-    catalogue = cat.Catalogue(players, "balanced")
+    catalogue = Catalogue(players, "balanced")
     items = _count_items(catalogue, BALANCED_COUNTS[n], "entry count", "type count")
     if not all(ok for _, ok, _, _ in items):
         return items  # the types below come from a search that is at fault
     table = catalogue.type_table()
-    tid_of = {ref.number: cat._type_id(players, system_of(players, *ref.system)) for ref in APPENDIX[n]}
+    tid_of = {ref.number: _type_id(players, system_of(players, *ref.system)) for ref in APPENDIX[n]}
     by_system = {e.mbs.system: e for e in catalogue.entries}
     for ref in APPENDIX[n]:
         label = "{" + ", ".join(ref.system) + "}"
@@ -269,13 +284,16 @@ def _suite_appendix(args: SimpleNamespace):
                       ref.irreducible, entry.irreducible))
         items.append((f"type {ref.number} complement", rep.complement_type_id == tid_of[ref.complement],
                       tid_of[ref.complement], rep.complement_type_id))
-        rendered = cat.render_inequality(entry.alpha, players)
+        rendered = render_inequality(entry.alpha, players)
         items.append((f"type {ref.number} inequality", rendered == ref.inequality,
                       ref.inequality, rendered))
     return items
 
 
 def _suite_table1(args: SimpleNamespace):
+    from .catalogue import Catalogue
+    from .reference import EXACT_FACET_COUNTS
+
     n = args.players
     if not 2 <= n <= 5:
         raise ValueError("the table1 suite covers 2 to 5 players")
@@ -283,10 +301,10 @@ def _suite_table1(args: SimpleNamespace):
     # For two players the exact cone equals the balanced cone, whose
     # catalogue provides the counts.
     cone = "balanced" if n == 2 else "exact-conjecture"
-    return _count_items(cat.Catalogue(players, cone), EXACT_FACET_COUNTS[n], f"n={n} facet count", f"n={n} type count")
+    return _count_items(Catalogue(players, cone), EXACT_FACET_COUNTS[n], f"n={n} facet count", f"n={n} type count")
 
 
-def _count_items(catalogue: cat.Catalogue, expected: tuple[int, int], *names: str) -> list[tuple]:
+def _count_items(catalogue: Catalogue, expected: tuple[int, int], *names: str) -> list[tuple]:
     """The entry and type counts of a catalogue's types as the search
     finds them, against ``expected``: a search that finds other counts
     fails these items, where ``Catalogue.types`` would raise."""
@@ -302,13 +320,15 @@ def _suite_conjecture(args: SimpleNamespace):
     minima of three additive games with one common total, which always
     are, so both sides of the equivalence are probed.
     """
+    from .catalogue import generate
+
     n = args.players
     if not 2 <= n <= 5:
         raise ValueError("the conjecture suite covers 2 to 5 players")
     if args.samples < 1:
         raise ValueError("at least one sample is required")
     players = letters(n)
-    tb_catalogue = cat.generate(players, "totally-balanced")
+    tb_catalogue = generate(players, "totally-balanced")
     rng = Random(args.seed)
     items = []
     for i in range(args.samples):

@@ -10,6 +10,13 @@ denominators.  The membership oracles read that table; the values as
 ``Fraction``s are built only when first asked for.  A game is a set
 function vanishing at the empty coalition.
 
+This module also owns the JSON text format that games, catalogues and
+certificates share, read and write: :func:`game_from_json` and
+:func:`_read_document` read it, and ``_json_list``, ``_json_block`` and
+``_json_keys`` write lists and objects byte for byte as
+``json.dumps(indent=2, ensure_ascii=False)`` would, from items already
+rendered.
+
 Nothing here imports ``logging`` until a record is logged
 (:func:`_log`), so that a run which logs nothing does not load it.
 """
@@ -23,6 +30,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property, partial
 from json.decoder import WHITESPACE
+from json.encoder import encode_basestring
 from math import gcd, lcm
 from random import Random
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -674,3 +682,25 @@ def game_to_json(game: SetFunction) -> str:
         "values": {game.players.key(s): str(game.values[s]) for s in game.players.coalitions()},
     }
     return json.dumps(payload, indent=2)
+
+
+def _json_list(items: Iterable[str], pad: str, brackets: str = "[]") -> Iterator[str]:
+    """Rendered items as ``json.dumps(indent=2)`` writes a list, or an
+    object with ``"{}"``, at ``pad``, in pieces for items rendered one at
+    a time: the opening bracket with the first item, each further item,
+    the closing bracket."""
+    inner = "\n" + pad + "  "
+    sep = brackets[0] + inner
+    for item in items:
+        yield sep + item
+        sep = "," + inner
+    yield brackets if sep[0] == brackets[0] else "\n" + pad + brackets[1]
+
+
+def _json_block(items: Iterable[str], pad: str, brackets: str = "[]") -> str:
+    return "".join(_json_list(items, pad, brackets))
+
+
+def _json_keys(players: Players) -> list[str]:
+    """Each coalition's key as a JSON string."""
+    return list(map(encode_basestring, players._keys))

@@ -5,7 +5,7 @@ type of non-trivial min-balanced system on a full player set of size 2
 to 4: a representative system (coalition key strings), the number of
 systems of that type, the type number of the complementary system,
 whether the type is irreducible, and the induced inequality rendered the
-way :func:`minbal.catalogue.render_inequality` prints it.
+way :func:`minbal.balance.render_inequality` prints it.
 
 The count tables give the entries and types of each catalogue per
 player count; :func:`minbal.catalogue.parse` rejects a catalogue for

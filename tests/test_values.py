@@ -12,7 +12,16 @@ from fractions import Fraction as F
 import pytest
 
 import minbal
-from minbal.balance import InequalityVector, MinBalancedSystem, SetSystem, canonical_type, complement_system, is_min_balanced, system_of
+from minbal.balance import (
+    InequalityVector,
+    MinBalancedSystem,
+    SetSystem,
+    canonical_type,
+    complement_system,
+    enumerate_min_balanced,
+    is_min_balanced,
+    system_of,
+)
 from minbal.catalogue import Catalogue, CatalogueEntry, generate, render_inequality
 from minbal.cones import (
     CoreAllocation,
@@ -22,9 +31,11 @@ from minbal.cones import (
     Verdict,
     ViolatedSystem,
     conjugate,
+    delta_contains,
     is_totally_balanced_facets,
+    theta_contains,
 )
-from minbal.games import MAX_PLAYERS, Game, Players, SetFunction, letters, modular_from_payoffs
+from minbal.games import MAX_PLAYERS, Game, Players, SetFunction, inner, letters, modular_from_payoffs, restrict
 from minbal.linalg import FeasibilityResult, lp_feasible
 from minbal.reduction import Decomposition, ReductionWitness, decompose, is_reducible
 from minbal.reference import AppendixType
@@ -67,11 +78,21 @@ def _tampered(**fields):
     (lambda: InequalityVector(((4, 1),)).evaluate(SetFunction(letters(2), (0, 1, 2, 3))),
      "coefficient vector does not fit the player set"),
     (lambda: complement_system(SetSystem((4,)), letters(2)), "system does not fit the player set"),
+    (lambda: complement_system(SetSystem((3,)), letters(2)), "complement of a system containing the full player set has an empty member"),
+    (lambda: is_min_balanced(SetSystem(())), "the empty system is not a set system"),
+    (lambda: enumerate_min_balanced(letters(7), 1), "enumeration is capped at 6 players"),
+    (lambda: enumerate_min_balanced(letters(2), 0), "the carrier must be nonempty"),
+    (lambda: inner(SetFunction(letters(1), (0, 1)), SetFunction(letters(2), (0,) * 4)), "scalar product requires a shared player set"),
+    (lambda: restrict(SetFunction(letters(1), (0, 1)), 0), "cannot restrict to the empty coalition"),
     (lambda: canonical_type(SetSystem((1,)), letters(7)), "classification is capped at 6 players"),
     (lambda: canonical_type(SetSystem((4,)), letters(2)), "system does not fit the player set"),
     (lambda: render_inequality(InequalityVector(((1, -1),)), letters(1)), "cannot render a vector without positive coefficients"),
     (lambda: is_totally_balanced_facets(Game(letters(3), (0,) * 8), Catalogue(letters(3), "balanced")),
      "a totally-balanced catalogue is required"),
+    (lambda: is_totally_balanced_facets(Game(letters(3), (0,) * 8), Catalogue(letters(4), "totally-balanced")),
+     "catalogue was generated for a different player set"),
+    (lambda: theta_contains(SetFunction(letters(1), (0, 0)), 0), "the distinguished coalition must be nonempty"),
+    (lambda: delta_contains(SetFunction(letters(2), (0,) * 4), 1), "the carrier must have at least two players"),
     (lambda: conjugate(InequalityVector(((4, 1),)), letters(2)), "coefficient vector does not fit the player set"),
     (lambda: lp_feasible([[1, 0]], [[1]], [0, 0]), "inequality and equality rows have different widths"),
     (lambda: lp_feasible([[1, 0]], [], [0], dimension=3), "explicit dimension does not match the rows"),
@@ -79,6 +100,8 @@ def _tampered(**fields):
     (lambda: _tampered(reduced_set=15), "witness reduced set is not admissible"),
     (lambda: _tampered(pivot_member=4), "witness pivot is not a member strictly inside the reduced set"),
     (lambda: _tampered(mu=((1, F(1)),)), "witness mu is not a combination over the members below A"),
+    (lambda: _tampered(beta=((1, F(1)),)), "witness beta is not a combination over {A} and the remaining members"),
+    (lambda: is_reducible(is_min_balanced(system_of(letters(2), "ab"))), "reducibility is defined for non-trivial systems"),
 ])
 def test_argument_checks(build, message):
     with pytest.raises(ValueError) as info:
