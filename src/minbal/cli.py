@@ -13,9 +13,12 @@ that piece is the text ``json.dumps(indent=2, ensure_ascii=False)``
 writes for the verdict, rendered by the same ``games._json_block``
 (:func:`_certificate_json`): a payoff vector fills one ``%`` template
 per player set, and a tight-allocation table renders each distinct
-point once.  ``minbal.catalogue`` and ``minbal.reference`` are imported
-only by the commands that use them, ``enumerate``, ``catalogue`` and
-``verify``, so a check loads neither, nor ``minbal.reduction``.
+point once, each number written from its integers.
+``minbal.catalogue`` and ``minbal.reference`` are imported only by the
+commands that use them, ``enumerate``, ``catalogue`` and ``verify``, so
+a check loads neither, nor ``minbal.reduction``; ``minbal.balance`` is
+imported only to write a violated system, so a member's check loads
+six modules.
 
 The command line is one table, :data:`COMMANDS`: each command has a
 help line, its handler and its options, and each option a long name, a
@@ -41,15 +44,14 @@ import getopt
 import os
 import sys
 from contextlib import nullcontext
-from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring
+from math import gcd
 from random import Random
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Optional
 
 from . import games
-from .balance import render_inequality, system_of
 from .cones import (
     CoreAllocation,
     FailingSubgame,
@@ -116,6 +118,7 @@ def _write(pieces: Iterable[str], out: Optional[str] = None) -> None:
 # -- enumerate -----------------------------------------------------------
 
 def _cmd_enumerate(args: SimpleNamespace) -> int:
+    from .balance import render_inequality
     from .catalogue import _type_lines, _types_on
 
     players = letters(args.players)
@@ -196,6 +199,16 @@ def _cmd_check(args: SimpleNamespace) -> int:
     return 0 if verdict.member else 1
 
 
+def _rational_texts(numerators: Iterable[int], denominator: int) -> tuple[str, ...]:
+    """Each numerator over the positive ``denominator`` as ``str`` writes
+    the ``Fraction``, ``"p/q"`` in lowest terms or ``"p"``, without
+    building it."""
+    if denominator == 1:
+        return tuple(map(str, numerators))
+    return tuple(str(p // g) if g == denominator else f"{p // g}/{denominator // g}"
+                 for p, g in ((p, gcd(p, denominator)) for p in numerators))
+
+
 def _payoffs_template(players: Players, pad: str) -> str:
     """A ``%`` template of a payoff vector as ``json.dumps(indent=2)``
     writes the object of its values by player name at ``pad``:
@@ -211,15 +224,19 @@ def _certificate_json(players: Players, certificate, pad: str) -> str:
         return "null"
     inner = pad + "  "
     if isinstance(certificate, CoreAllocation):
-        fields = ['"type": "core-allocation"', '"payoffs": ' + _payoffs_template(players, inner) % tuple(certificate.payoffs)]
+        texts = _rational_texts(certificate.numerators, certificate.denominator)
+        fields = ['"type": "core-allocation"', '"payoffs": ' + _payoffs_template(players, inner) % texts]
     elif isinstance(certificate, TightAllocationTable):
-        # coalitions sharing a point share its tuple (``is_exact``), so each point is rendered once, keyed by identity
+        # coalitions sharing a point share its object (``is_exact``), so each point is rendered once, keyed by identity
         template = _payoffs_template(players, inner + "  ")
-        points = {i: template % tuple(x) for i, x in {id(x): x for _, x in certificate.allocations}.items()}
+        points = {i: template % _rational_texts(x.numerators, x.denominator)
+                  for i, x in {id(x): x for _, x in certificate.points}.items()}
         keys = _json_keys(players)
-        rows = [keys[d] + ": " + points[id(x)] for d, x in certificate.allocations]
+        rows = [keys[d] + ": " + points[id(x)] for d, x in certificate.points]
         fields = ['"type": "tight-allocation-table"', '"allocations": ' + _json_block(rows, inner, "{}")]
     elif isinstance(certificate, ViolatedSystem):
+        from .balance import render_inequality
+
         mbs = certificate.mbs
         fields = ['"type": "violated-system"',
                   '"system": ' + _json_block([encode_basestring(players.key(m)) for m in mbs.system.members], inner),
@@ -231,8 +248,9 @@ def _certificate_json(players: Players, certificate, pad: str) -> str:
                   '"certificate": ' + _certificate_json(sub_players, certificate.certificate, inner)]
     elif isinstance(certificate, NoTightAllocation):
         theta = certificate.theta  # its nonzero values, read off its integer table
-        values = [f'{encode_basestring(theta.players.key(s))}: "{Fraction(p, theta.denominator)}"'
-                  for s, p in enumerate(theta.numerators) if p]
+        support = [s for s, p in enumerate(theta.numerators) if p]
+        texts = _rational_texts([theta.numerators[s] for s in support], theta.denominator)
+        values = [f'{encode_basestring(theta.players.key(s))}: "{t}"' for s, t in zip(support, texts)]
         fields = ['"type": "no-tight-allocation"', '"coalition": ' + encode_basestring(players.key(certificate.coalition)),
                   '"theta": ' + _json_block(values, inner, "{}")]
     else:
@@ -257,6 +275,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
 
 
 def _suite_appendix(args: SimpleNamespace):
+    from .balance import render_inequality, system_of
     from .catalogue import Catalogue, _type_id
     from .reference import APPENDIX, BALANCED_COUNTS
 

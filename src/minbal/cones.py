@@ -12,11 +12,13 @@ there.  A violated min-balanced inequality is reduced from those values
 directly; only the exact cone's certificate, a set function, tabulates
 theta on all 2^n coalitions (:func:`_theta_from_farkas`).
 
-All three oracles ask one question, :func:`_core_point`: is there a core
-point tight at a given coalition?  Balancedness asks it once, of the full
-player set; exactness of every coalition no earlier point is tight at;
-total balancedness of the full game and of each subgame of two or more
-players that it could not settle more cheaply.  A totally balanced game
+All three oracles ask one question: is there a core point tight at a
+given coalition?  Balancedness asks it once, of the full player set;
+exactness of every coalition no earlier point is tight at, after the
+marginal vectors of one order per symmetric chain have covered what
+they can (:func:`is_exact`); total balancedness of the full game and of
+each subgame of two or more players that it could not settle more
+cheaply.  A totally balanced game
 is one whose every subgame is balanced, a minimum of additive games
 (Kalai & Zemel, 1982), and most subgames are settled without that
 question (:func:`_settled`): a pair {i, j} is balanced iff
@@ -40,9 +42,12 @@ only where a core point exists, so a table without one runs the same
 system as an LP-only check, and every negative verdict and its
 certificate is that check's.  Everything runs on the game's stored
 integer table (``SetFunction.numerators``, the values times their
-common ``denominator``), and a subgame's on its part of that table;
-``Fraction`` values are built only for the numbers a certificate
-returns.
+common ``denominator``), and a subgame's on its part of that table.
+The points a positive certificate holds stay integers over one
+denominator each (:class:`CoreAllocation`), and ``Fraction`` values are
+built only where a negative certificate needs them or a caller asks.
+``minbal.balance`` is imported only to build or conjugate a
+min-balanced system, so a member's check does not load it.
 
 Set functions that do not vanish at the empty coalition are shifted
 first; the oracles then answer for the shifted game, which is the
@@ -51,21 +56,21 @@ membership question for the extended cones.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import compress
-from math import lcm
+from math import comb, lcm
 from operator import eq, ge, indexOf, not_, sub
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from ._frozen import Frozen
-from .balance import InequalityVector, MinBalancedSystem, SetSystem, is_min_balanced
 from .games import (
     Game,
     Players,
     SetFunction,
     _bit_positions,
     _log,
+    _lowest_terms,
     _player_sums,
     as_game,
     is_o_standardized,
@@ -74,19 +79,72 @@ from .games import (
 )
 from .linalg import FeasibilityResult, dependency, lp_feasible
 
+if TYPE_CHECKING:
+    from .balance import InequalityVector, MinBalancedSystem
+
 Payoffs = tuple[Fraction, ...]
 
 
 class CoreAllocation(Frozen):
-    """An efficient payoff vector giving every coalition its worth."""
+    """An efficient payoff vector giving every coalition its worth.
+
+    Stored as integers: payoff i is ``numerators[i] / denominator``, in
+    lowest terms.  ``payoffs``, the same numbers as ``Fraction``s, is
+    built on first access, or kept from the constructor's argument.  Two
+    allocations are equal, and hash alike, when their integers are.
+    """
 
     payoffs: Payoffs
 
+    def __init__(self, payoffs: Payoffs) -> None:
+        den = lcm(*(p.denominator for p in payoffs))
+        super().__init__(payoffs)
+        self.__dict__.update(numerators=tuple(p.numerator * (den // p.denominator) for p in payoffs), denominator=den)
+
+    @classmethod
+    def _from_table(cls, numerators: Sequence[int], denominator: int) -> CoreAllocation:
+        """The allocation of ``numerators`` over the positive ``denominator``."""
+        x = cls.__new__(cls)
+        numerators, denominator = _lowest_terms(numerators, denominator)
+        x.__dict__.update(numerators=numerators, denominator=denominator)
+        return x
+
+    @cached_property
+    def payoffs(self) -> Payoffs:
+        return tuple(Fraction(p, self.denominator) for p in self.numerators)
+
+    def _values(self) -> tuple:
+        return self.numerators, self.denominator
+
 
 class TightAllocationTable(Frozen):
-    """One core allocation per nonempty coalition, tight at it."""
+    """One core allocation per nonempty coalition, tight at it.
+
+    Stored as ``points``: each coalition with its point, a
+    :class:`CoreAllocation`, and coalitions that share a point share the
+    object.  ``allocations``, the same as ``(coalition, payoffs)`` pairs,
+    is built on first access, or kept from the constructor's argument.
+    """
 
     allocations: tuple[tuple[int, Payoffs], ...]
+
+    def __init__(self, allocations: tuple[tuple[int, Payoffs], ...]) -> None:
+        super().__init__(allocations)
+        point = {x: CoreAllocation(x) for _, x in allocations}
+        self.__dict__["points"] = tuple((d, point[x]) for d, x in allocations)
+
+    @classmethod
+    def _of(cls, points: tuple[tuple[int, CoreAllocation], ...]) -> TightAllocationTable:
+        table = cls.__new__(cls)
+        table.__dict__["points"] = points
+        return table
+
+    @cached_property
+    def allocations(self) -> tuple[tuple[int, Payoffs], ...]:
+        return tuple((d, x.payoffs) for d, x in self.points)
+
+    def _values(self) -> tuple:
+        return self.points
 
 
 class ViolatedSystem(Frozen):
@@ -234,6 +292,12 @@ def _chain_of(n: int) -> tuple[int, ...]:
     return tuple(index)
 
 
+def _chain_order(chain: tuple[int, ...]) -> list[int]:
+    """The players of a chain's top: its bottom's in increasing order,
+    then each link's new player.  Every link is a prefix."""
+    return _bit_positions(chain[0]) + [(t ^ s).bit_length() - 1 for s, t in zip(chain, chain[1:])]
+
+
 def _chain_vector(values: Sequence[int], chain: tuple[int, ...]) -> tuple[list[int], int]:
     """The marginal vector of a chain, and the first coalition it violates.
 
@@ -252,7 +316,7 @@ def _chain_vector(values: Sequence[int], chain: tuple[int, ...]) -> tuple[list[i
     ``2**j``, the restriction is a core point of the link's subgame,
     which is balanced.
     """
-    order = _bit_positions(chain[0]) + [(t ^ s).bit_length() - 1 for s, t in zip(chain, chain[1:])]
+    order = _chain_order(chain)
     table = [values[s] for s in relabelling(order)]
     x = [table[(2 << i) - 1] - table[(1 << i) - 1] for i in range(len(order))]
     sums = _sums(x)
@@ -261,14 +325,14 @@ def _chain_vector(values: Sequence[int], chain: tuple[int, ...]) -> tuple[list[i
 
 @cache
 def _smallest_first(n: int) -> tuple[int, ...]:
-    """The nonempty coalitions of ``n`` players by size, then bitmask."""
-    return tuple(sorted(range(1, 1 << n), key=lambda s: (s.bit_count(), s)))
+    """The nonempty coalitions of ``n`` players by size, then bitmask: the
+    sort is stable, so each size keeps bitmask order."""
+    return tuple(sorted(range(1, 1 << n), key=int.bit_count))
 
 
-def _payoffs(res: FeasibilityResult, scale: int) -> Payoffs:
-    """The point of a core system on a table times ``scale``, as payoffs."""
-    den = res.denominator * scale
-    return tuple(Fraction(p, den) for p in res.numerators)
+def _point(res: FeasibilityResult, scale: int) -> CoreAllocation:
+    """The point of a core system on a table times ``scale``."""
+    return CoreAllocation._from_table(res.numerators, res.denominator * scale)
 
 
 def _tight_feasibility(values: Sequence[int], tight_at: int):
@@ -316,24 +380,19 @@ def _tight_feasibility(values: Sequence[int], tight_at: int):
         working.append(indexOf(map(sub, scaled, sums), worst))
 
 
-def _core_point(values: Sequence[int], tight_at: int) -> tuple[FeasibilityResult, Optional[list[int]], Iterable[int]]:
+def _core_point(values: Sequence[int], tight_at: int) -> tuple[FeasibilityResult, Optional[list[int]]]:
     """A core point of an integer table, tight at ``tight_at``, or a Farkas vector.
 
     Tries :func:`_marginal_vector` and runs :func:`_tight_feasibility`
-    only when that vector leaves the core.  Returns ``(res, order,
-    tight)``.  ``res`` holds either the point's numerators over its
-    denominator (1 for a marginal vector), or the Farkas vector of the
-    core system's last working set, whose coalitions ``order`` lists in
-    row order.  ``tight`` yields, lazily, the coalitions the point is
-    tight at.
+    only when that vector leaves the core.  Returns ``(res, order)``:
+    ``res`` holds either the point's numerators over its denominator (1
+    for a marginal vector), or the Farkas vector of the core system's
+    last working set, whose coalitions ``order`` lists in row order.
     """
-    coalitions = range(len(values))
     marginal = _marginal_vector(values, _starting_with(tight_at, len(values).bit_length() - 1))
     if marginal is not None:
-        x, sums = marginal
-        return FeasibilityResult(tuple(x), 1, None), None, compress(coalitions, map(eq, values, sums))
-    res, order, excess = _tight_feasibility(values, tight_at)
-    return res, order, compress(coalitions, map(not_, excess or ()))
+        return FeasibilityResult(tuple(marginal[0]), 1, None), None
+    return _tight_feasibility(values, tight_at)[:2]
 
 
 def _violated_system(game: Game, theta: dict[int, int]) -> ViolatedSystem:
@@ -352,6 +411,8 @@ def _violated_system(game: Game, theta: dict[int, int]) -> ViolatedSystem:
     and a step of p / q is taken as every weight times q plus p times the
     dependency.  Only the violated inequality's value is a ``Fraction``.
     """
+    from .balance import SetSystem, is_min_balanced
+
     n = game.players.n
     full = game.players.full_mask
     values = game.numerators
@@ -386,9 +447,9 @@ def is_balanced(f: SetFunction) -> Verdict:
     violates, reduced from the Farkas vector of the core system.
     """
     game = as_game(f)
-    res, order, _ = _core_point(game.numerators, game.players.full_mask)
+    res, order = _core_point(game.numerators, game.players.full_mask)
     if res.feasible:
-        return Verdict(True, CoreAllocation(_payoffs(res, game.denominator)))
+        return Verdict(True, _point(res, game.denominator))
     return Verdict(False, _violated_system(game, _theta_values(game.players.n, order, res.farkas)))
 
 
@@ -452,11 +513,11 @@ def is_totally_balanced_lp(f: SetFunction) -> Verdict:
             res = FeasibilityResult(tuple(first[0]), 1, None)
             break
         table = [values[s] for s in relabelling(_bit_positions(a))]
-        res, order, _ = (_core_point if first is None else _tight_feasibility)(table, len(table) - 1)
+        res, order = _core_point(table, len(table) - 1) if first is None else _tight_feasibility(table, len(table) - 1)[:2]
         if not res.feasible:
             theta = _theta_values(a.bit_count(), order, res.farkas)
             return Verdict(False, FailingSubgame(a, _violated_system(restrict(game, a), theta)))
-    return Verdict(True, CoreAllocation(_payoffs(res, game.denominator)))
+    return Verdict(True, _point(res, game.denominator))
 
 
 def is_totally_balanced_facets(f: SetFunction, catalogue) -> Verdict:
@@ -483,38 +544,86 @@ def is_totally_balanced_facets(f: SetFunction, catalogue) -> Verdict:
 def is_exact(f: SetFunction) -> Verdict:
     """Exactness: a core element tight at every nonempty coalition.
 
-    Visits the coalitions smallest first, skipping each one a core point
-    found earlier is already tight at, and fills every place the new
-    point is tight at.  Positive verdicts carry the full table of tight
-    allocations; negative ones the first failing coalition with its
-    separating functional.  A game on 11 or more players logs a warning
-    first: each coalition not yet covered costs a pass over all 2^n
+    A game is exact iff every coalition has a core point tight at it
+    (Schmeidler, 1972), and a marginal vector in the core is tight at
+    every prefix of its order, so the coalitions are first covered along
+    the C(n, floor(n/2)) chains of :func:`_symmetric_chains`.  For each
+    chain with a link no earlier point is tight at, the marginal vector
+    of the full game in the order that takes its top's players as
+    :func:`_chain_order` lists them, then the others in increasing
+    order, fills every coalition it is tight at.  The walk stops at the
+    first vector that leaves the core.  On a convex game none does
+    (Shapley, 1971), and the chains cover every coalition with
+    C(n, floor(n/2)) points and no LP.  The first chain's vector is the
+    one in player order; the chains are built only once it passes, so a
+    game whose first vector fails pays nothing for them.  The coalitions
+    the walk leaves uncovered are then visited smallest first: each
+    tries the marginal vector that starts with its players
+    (:func:`_starting_with`), unless that vector was tried and left the
+    core, then its core LP (:func:`_tight_feasibility`), and each point
+    found fills every coalition it is tight at.  A covered coalition has
+    a tight core point, so the first coalition without one is the
+    smallest, and it runs the LP an LP-only check runs there: negative
+    verdicts and their certificates are that check's.
+
+    Positive verdicts carry the full table of tight allocations, each
+    point kept in integers; negative ones the first failing coalition
+    with its separating functional.  A game on 11 or more players logs a
+    warning first: each point costs a few passes over all 2^n
     coalitions, and more where its LP runs.  On a 2-core machine a
-    seeded convex game took 0.11 s at 10 players, 0.40 s at 11 and 1.4 s
-    at 12 (single runs, no LP), about 3.5-fold per player.
+    seeded convex game took 0.04-0.05 s at 10 players, 0.11-0.13 s at 11
+    and 0.44 s at 12 (medians in two processes, no LP), about 3.2-fold
+    per player.
     """
     game = as_game(f)
-    players = game.players
-    full = players.full_mask
-    if players.n >= 11:
+    n = game.players.n
+    if n >= 11:
         _log(
             "warning",
-            "exactness check on %d players: up to %d marginal vectors, with a core LP wherever one leaves the core",
-            players.n,
-            full,
+            "exactness check on %d players: up to %d marginal vectors along symmetric chains, "
+            "then a marginal vector or core LP for each coalition they leave uncovered",
+            n,
+            comb(n, n // 2),
         )
-    coalitions = _smallest_first(players.n)
-    points: dict[int, Payoffs] = {}
-    for d in coalitions:
+    values, den = game.numerators, game.denominator
+    coalitions = range(len(values))
+    points: dict[int, CoreAllocation] = {}
+    failed: set[tuple[int, ...]] = set()  # the orders whose marginal vector left the core
+
+    def cover(order: list[int]) -> bool:
+        """Fill every coalition the marginal vector of ``order`` is tight
+        at, if that vector is in the core."""
+        marginal = _marginal_vector(values, order)
+        if marginal is None:
+            failed.add(tuple(order))
+            return False
+        x, sums = marginal
+        point = CoreAllocation._from_table(x, den)
+        for s in compress(coalitions, map(eq, values, sums)):
+            points.setdefault(s, point)
+        return True
+
+    if cover(list(range(n))):
+        full = game.players.full_mask
+        for chain in _symmetric_chains(n)[1:]:
+            if all(s in points for s in chain):
+                continue
+            if not cover(_chain_order(chain) + _bit_positions(full ^ chain[-1])):
+                break
+    smallest = _smallest_first(n)
+    for d in smallest:
         if d in points:
             continue
-        res, order, tight = _core_point(game.numerators, d)
+        order = _starting_with(d, n)
+        if tuple(order) not in failed and cover(order):
+            continue
+        res, order, excess = _tight_feasibility(values, d)
         if not res.feasible:
-            return Verdict(False, NoTightAllocation(d, _theta_from_farkas(players, order, res.farkas)))
-        point = _payoffs(res, game.denominator)
-        for s in tight:
+            return Verdict(False, NoTightAllocation(d, _theta_from_farkas(game.players, order, res.farkas)))
+        point = _point(res, den)
+        for s in compress(coalitions, map(not_, excess)):
             points.setdefault(s, point)
-    return Verdict(True, TightAllocationTable(tuple((d, points[d]) for d in coalitions)))
+    return Verdict(True, TightAllocationTable._of(tuple(zip(smallest, map(points.__getitem__, smallest)))))
 
 
 def conjugate(alpha: InequalityVector, players: Players) -> InequalityVector:
@@ -523,6 +632,8 @@ def conjugate(alpha: InequalityVector, players: Players) -> InequalityVector:
     Reflection re-keys every coefficient at the complementary coalition;
     applying it twice gives the original vector back.
     """
+    from .balance import InequalityVector
+
     full = players.full_mask
     if any(s > full for s, _ in alpha.items):
         raise ValueError("coefficient vector does not fit the player set")

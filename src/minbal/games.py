@@ -59,8 +59,8 @@ MAX_PLAYERS = 12
 #: A value string: a decimal integer, perhaps with a ``/`` denominator.
 _VALUE_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z")
 
-#: Value strings joined by ``,``, each a decimal integer.
-_INTEGERS_RE = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*\Z")
+#: Value strings joined by ``,``, of the characters decimal integers and ``p/q`` strings use.
+_VALUES_RE = re.compile(r"[-0-9/,]*\Z")
 
 
 class GameFormatError(ValueError):
@@ -89,7 +89,7 @@ class Players(Frozen):
         keys = [""]  # entry s is the key of coalition s
         for name in self.names:
             keys += [key + name for key in keys]
-        coalitions = {key: s for s, key in enumerate(keys)}
+        coalitions = dict(zip(keys, range(len(keys))))
         if len(coalitions) != len(keys):
             raise ValueError("player names produce ambiguous coalition keys")
         # lookup tables derived from the names, so neither compared nor shown
@@ -132,6 +132,13 @@ def letters(n: int) -> Players:
     return Players(tuple(chr(ord("a") + i) for i in range(n)))
 
 
+def _lowest_terms(numerators: Sequence[int], denominator: int) -> tuple[tuple[int, ...], int]:
+    """``numerators`` over the positive ``denominator``, their common
+    divisor divided out."""
+    g = 1 if denominator == 1 else gcd(denominator, *numerators)
+    return (tuple(numerators), denominator) if g == 1 else (tuple(p // g for p in numerators), denominator // g)
+
+
 class SetFunction(Frozen):
     """A dense real-valued (rational) function on all coalitions.
 
@@ -163,10 +170,9 @@ class SetFunction(Frozen):
         """The function of ``numerators`` over the positive ``denominator``,
         one per coalition, in lowest terms.  Nothing else is checked: a
         game's caller gives ``numerators[0] == 0``."""
-        g = 1 if denominator == 1 else gcd(denominator, *numerators)
         f = cls.__new__(cls)
-        f.__dict__.update(players=players, numerators=tuple(numerators) if g == 1 else tuple(p // g for p in numerators),
-                          denominator=denominator // g)
+        numerators, denominator = _lowest_terms(numerators, denominator)
+        f.__dict__.update(players=players, numerators=numerators, denominator=denominator)
         return f
 
     @cached_property
@@ -378,13 +384,11 @@ def _parse_value(raw: object, key: str) -> tuple[int, int]:
     """The value at coalition ``key`` as its numerator and positive
     denominator in lowest terms: a JSON integer, or a string of a decimal
     integer or a reduced ``p/q`` rational, read by one match of
-    ``_VALUE_RE``; a match with no denominator is read by one ``int``."""
+    ``_VALUE_RE``."""
     match = isinstance(raw, str) and _VALUE_RE.match(raw)
-    if match and match[2] is None:
-        return int(raw), 1
     where = f"values[{key!r}]"
     if match:
-        p, q = int(match[1]), int(match[2])
+        p, q = int(match[1]), int(match[2] or 1)
         if q == 0 or gcd(p, q) != 1:
             raise GameFormatError(f"{where}: {raw!r} is not a reduced rational with positive denominator")
         return p, q
@@ -635,15 +639,13 @@ def game_from_json(text: Union[str, bytes]) -> Game:
     reduced ``p/q`` strings.  A valid document is decoded by one
     ``json.loads``; a faulty one is read again by the catalogue reader,
     so both formats fail with one message (:func:`_read_whole`).  The
-    keys are compared with the players' once.  When every value is a
-    string, one match of ``_INTEGERS_RE`` over the values joined by
-    ``,`` tells whether all are decimal integers, and one ``map(int,
-    ...)`` reads them; otherwise each value is read by
-    :func:`_parse_value`.  Either way the values go straight into
-    integers: the game is built from its integer table, and no
-    ``Fraction`` is made.  Of several faults, an unknown key is
-    reported first, then the first missing key or bad value in
-    coalition order.
+    keys are compared with the players' once.  A table of strings is
+    read in one pass (:func:`_read_strings`) when one match of
+    ``_VALUES_RE`` finds only the characters of integers and ``p/q``
+    strings; any other table, or one that pass cannot read, is read
+    value by value by :func:`_parse_value`.  No ``Fraction`` is made.
+    Of several faults, an unknown key is reported first, then the first
+    missing key or bad value in coalition order.
     """
     doc, players = _read_document(text, ("players", "values"), GameFormatError)
     raw_values = doc["values"]
@@ -663,9 +665,10 @@ def game_from_json(text: Union[str, bytes]) -> Game:
         joined = ",".join(raws)
     except TypeError:  # a value that is not a string
         joined = ""
-    # the join's only commas are its own, so each value matched is a decimal integer
-    if _INTEGERS_RE.match(joined) and joined.count(",") == len(raws) - 1:
-        numerators, den = list(map(int, raws)), 1
+    # the join's only commas are its own, so each value is read by itself
+    table = _VALUES_RE.match(joined) and joined.count(",") == len(raws) - 1 and _read_strings(raws, joined)
+    if table:
+        numerators, den = table
     else:
         pairs = [_parse_value(raw, key) for raw, key in zip(raws, coalitions)]
         den = lcm(*{q for _, q in pairs})
@@ -673,6 +676,27 @@ def game_from_json(text: Union[str, bytes]) -> Game:
     if numerators[0] != 0:
         raise GameFormatError("the empty coalition must have value 0")
     return Game._from_table(players, numerators, den)
+
+
+def _read_strings(raws: list[str], joined: str) -> Optional[tuple[list[int], int]]:
+    """The table and denominator of value strings of the characters
+    ``_VALUES_RE`` allows, each distinct one read once, or ``None``
+    where one is not a decimal integer or reduced ``p/q``: ``int`` reads
+    signed ASCII digits alone of those characters."""
+    try:
+        if "/" not in joined:
+            return list(map(int, raws)), 1
+        read, den = {}, 1
+        for raw in set(raws):
+            p, q = map(int, raw.split("/")) if "/" in raw else (int(raw), 1)
+            if q <= 0 or gcd(p, q) != 1:
+                return None
+            read[raw], den = (p, q), lcm(den, q)
+    except ValueError:
+        return None
+    for raw, (p, q) in read.items():
+        read[raw] = p * (den // q)
+    return list(map(read.__getitem__, raws)), den
 
 
 def game_to_json(game: SetFunction) -> str:

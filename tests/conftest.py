@@ -448,11 +448,11 @@ def lp_only_is_exact(game):
         if not res.feasible:
             theta = cones._theta_from_farkas(players, order, res.farkas)
             return cones.Verdict(False, cones.NoTightAllocation(d, theta))
-        point = cones._payoffs(res, scale)
+        point = cones._point(res, scale)
         for s, e in enumerate(excess):
             if s and not e:
                 points.setdefault(s, point)
-    return cones.Verdict(True, cones.TightAllocationTable(tuple((d, points[d]) for d in coalitions)))
+    return cones.Verdict(True, cones.TightAllocationTable._of(tuple((d, points[d]) for d in coalitions)))
 
 
 def reference_is_totally_balanced(game):
@@ -470,9 +470,9 @@ def reference_is_totally_balanced(game):
     )
     for a in coalitions:
         table = [values[s] for s in relabelling([i for i in range(players.n) if a >> i & 1])]
-        res, order, _ = cones._core_point(table, len(table) - 1)
+        res, order = cones._core_point(table, len(table) - 1)
         if not res.feasible:
             theta = cones._theta_values(a.bit_count(), order, res.farkas)
             return cones.Verdict(False, cones.FailingSubgame(a, cones._violated_system(restrict(game, a), theta)))
-    return cones.Verdict(True, cones.CoreAllocation(cones._payoffs(res, scale)))
+    return cones.Verdict(True, cones._point(res, scale))
 

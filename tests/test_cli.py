@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -174,6 +175,13 @@ class TestCheck:
         doc = json.loads(capsys.readouterr().out)
         assert doc["certificate"]["type"] == "no-tight-allocation"
         assert doc["certificate"]["coalition"] == "a"
+
+    def test_rational_texts_are_the_fractions_strings(self):
+        # integers over one positive denominator, written as str writes
+        # the Fraction, without building it
+        for q in range(1, 13):
+            numerators = list(range(-30, 31))
+            assert cli._rational_texts(numerators, q) == tuple(str(Fraction(p, q)) for p in numerators)
 
     @pytest.mark.parametrize("kind, cone, member, certificate", [
         ("convex", "balanced", True, "core-allocation"),
@@ -464,7 +472,8 @@ class TestUsage:
         proc = _run_module("check", "--game", str(path), "--cone", "exact")
         assert (proc.returncode, proc.stdout) == (1, b"exact: not a member\n")
         assert proc.stderr.decode().splitlines() == [
-            "minbal: exactness check on 11 players: up to 2047 marginal vectors, with a core LP wherever one leaves the core"]
+            "minbal: exactness check on 11 players: up to 462 marginal vectors along symmetric chains, "
+            "then a marginal vector or core LP for each coalition they leave uncovered"]
 
 
 def test_closed_stdout_exits_quietly():

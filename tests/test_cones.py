@@ -1,9 +1,11 @@
 """Membership oracles, their certificates, and the structural laws
 connecting the three cones."""
 
+import importlib.util
 import logging
 from fractions import Fraction as F
 from math import comb
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -25,7 +27,7 @@ from minbal.cones import (
     is_totally_balanced_lp,
     theta_contains,
 )
-from minbal.cli import _certificate_json
+from minbal.cli import _certificate_json, main
 from minbal.games import (
     Game,
     SetFunction,
@@ -547,7 +549,7 @@ class TestRowGeneration:
                 res, order, _ = cones._tight_feasibility(values, tight_at)
                 assert res.feasible == lp_feasible(rows[:mi], rows[mi:], rhs).feasible
                 if res.feasible:
-                    point = cones._payoffs(res, scale)
+                    point = cones._point(res, scale).payoffs
                     for i, row in enumerate(rows):
                         lhs = sum(c * x for c, x in zip(row, point))
                         assert lhs <= rhs[i] if i < mi else lhs == rhs[i]
@@ -625,7 +627,7 @@ class TestSparseTheta:
 class TestIntegerTable:
     def test_check_path_builds_no_values(self):
         # a game read from JSON is decided, and its certificates written,
-        # on its integer table: no Fraction per coalition is built, for a
+        # on its integer table: no Fraction per coalition or payoff is built, for a
         # convex member or, with the grand coalition's worth cut below
         # the singletons' sum, a non-member of every cone
         players = letters(8)
@@ -638,6 +640,9 @@ class TestIntegerTable:
                 v = oracle(g)
                 assert v.member == member
                 _certificate_json(players, v.certificate, "")
+                if member:  # the points stay integers
+                    points = [x for _, x in v.certificate.points] if oracle is is_exact else [v.certificate]
+                    assert not any("payoffs" in x.__dict__ for x in points) and "allocations" not in v.certificate.__dict__
             assert "values" not in g.__dict__
         assert isinstance(v.certificate, NoTightAllocation) and "values" not in v.certificate.theta.__dict__
 
@@ -753,6 +758,97 @@ class TestMarginalVectors:
                         failing_sizes.add(v.certificate.coalition.bit_count())
         assert failing_sizes >= {1, 2, 3, 4}
         assert len(outcomes) == 2 * len(references)
+
+
+def _benchmark_checker():
+    """``perfbench/check.py``, which reads the printed certificates with
+    its own parser and never imports the package."""
+    spec = importlib.util.spec_from_file_location("perfbench_check", Path(__file__).resolve().parents[1] / "perfbench" / "check.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestChainCover:
+    """``is_exact`` covers the coalitions with marginal vectors along a
+    symmetric chain decomposition, then visits what is left smallest
+    first; negative verdicts are those of the LP-only check."""
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_convex_games_take_one_point_per_chain(self, monkeypatch, n):
+        calls = _count_systems(monkeypatch)
+        g = _convex_game(letters(n), Random(f"chains:{n}"))
+        v = is_exact(g)
+        assert v.member and calls == []
+        assert len({x for _, x in v.certificate.points}) == len({id(x) for _, x in v.certificate.points}) == comb(n, n // 2)
+        verify_verdict(g, v)
+
+    def test_both_checkers_accept_the_tables(self, tmp_path, capsys):
+        checker = _benchmark_checker()
+        rng = Random(44)
+        path = tmp_path / "game.json"
+        for n in range(4, 8):
+            for g in (random_exact_game(letters(n), rng), _shifted_game(letters(n), rng)):
+                v = is_exact(g)
+                assert v.member
+                verify_verdict(g, v)
+                path.write_text(game_to_json(g), encoding="utf-8")
+                rc = main(["check", "--game", str(path), "--cone", "exact", "--certificate"])
+                assert checker.check_verdict(path.read_text(encoding="utf-8"), "exact", True, rc, capsys.readouterr().out) is None
+
+    def test_checkers_reject_a_changed_point(self, tmp_path, capsys):
+        # one payoff of one point raised by a half: the point is no longer
+        # efficient, and both checkers say so
+        checker = _benchmark_checker()
+        g = _shifted_game(letters(5), Random(45))
+        v = is_exact(g)
+        allocations = v.certificate.allocations
+        d, x = allocations[3]
+        changed = allocations[:3] + ((d, (x[0] + F(1, 2),) + x[1:]),) + allocations[4:]
+        with pytest.raises(AssertionError):
+            verify_verdict(g, type(v)(True, TightAllocationTable(changed)))
+        path = tmp_path / "game.json"
+        path.write_text(game_to_json(g), encoding="utf-8")
+        out = _certificate_json(g.players, TightAllocationTable(changed), "  ")
+        doc = '{\n  "cone": "exact",\n  "member": true,\n  "certificate": ' + out + "\n}\n"
+        assert checker.check_verdict(path.read_text(encoding="utf-8"), "exact", True, 0, doc) is not None
+
+    def test_vectors_are_tried_once_and_negatives_match_the_lp_only_check(self, monkeypatch):
+        # perturbed convex games: a non-member whose vector in player order
+        # passes builds the chains and fails a later chain's vector (else
+        # the chains would cover every coalition); others fail at once.
+        # Each marginal vector is computed at most once, and a negative
+        # verdict is the LP-only check's
+        orders, walked = [], []
+        marginal, chains = cones._marginal_vector, cones._symmetric_chains
+        monkeypatch.setattr(cones, "_marginal_vector", lambda values, order: orders.append(tuple(order)) or marginal(values, order))
+        monkeypatch.setattr(cones, "_symmetric_chains", lambda n: walked.append(n) or chains(n))
+        kinds = set()
+        for n in range(4, 8):
+            rng = Random(f"cover:{n}")
+            for _ in range(8):
+                g = _perturbed_game(letters(n), rng)
+                orders.clear()
+                walked.clear()
+                v = is_exact(g)
+                assert len(orders) == len(set(orders))
+                assert orders[0] == tuple(range(n)) and bool(walked) == (marginal(g.numerators, orders[0]) is not None)
+                verify_verdict(g, v)
+                if not v.member:
+                    assert v == lp_only_is_exact(g)
+                kinds.add((v.member, bool(walked)))
+        assert {(True, True), (False, True), (False, False)} <= kinds
+
+    def test_no_chains_when_the_first_vector_fails(self, monkeypatch, market_game):
+        # the vector in player order leaves the core of both games
+        def no_chains(n):
+            raise AssertionError("the chains were built")
+
+        monkeypatch.setattr(cones, "_symmetric_chains", no_chains)
+        for g in (market_game, Game(letters(8), (0, 1) + (0,) * 254)):
+            assert cones._marginal_vector(g.numerators, range(g.players.n)) is None
+            v = is_exact(g)
+            assert not v.member and v == lp_only_is_exact(g)
 
 
 class TestConjugate:

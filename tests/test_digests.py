@@ -134,13 +134,13 @@ ENUMERATE_DIGESTS = {
 CHECK_DIGESTS = {
     ("convex", 5, "balanced"): (0, "31743127c85d305f9e84589b0033f5f286e5d272c3a094e5df28131308502ed8"),
     ("convex", 5, "totally-balanced"): (0, "acd81dce086d67a168f3761115cc53c5d6495c91e92a7ef795908cc223359a0d"),
-    ("convex", 5, "exact"): (0, "ecd091c63f1cd3cd6b094d9dc87e1f42acf2968a99e2e624e37418460ce8c972"),
+    ("convex", 5, "exact"): (0, "a0cdcf5d34cfcdcfe0dedeb7c0a4b7a3381856798e601e83150a119687d355f8"),
     ("convex", 6, "balanced"): (0, "68243f009a1353f0db32816b272aa650fca426b38893ba601bb3797ab16e0827"),
     ("convex", 6, "totally-balanced"): (0, "1ad4085b94c490d328a85bb5d20e41fcae7d6d3d137abe14b42ba1d9fd7bc7db"),
-    ("convex", 6, "exact"): (0, "78149c85362fc434357277d9094c0defeb1197394baaf89e8228551dd17d5732"),
+    ("convex", 6, "exact"): (0, "ab109e757b73b03e0cedf022785a51f243f336cafcddfb6aa40480534ba223aa"),
     ("convex", 7, "balanced"): (0, "089d7f003e65c4ebd7567d04d1ae4202b96e053b4cae882bc94b279430c1ab99"),
     ("convex", 7, "totally-balanced"): (0, "baaa2922b69b5b432460a4f06e43cbeba6778ef46a5e9749796dcc20e5da9cb2"),
-    ("convex", 7, "exact"): (0, "08a4502570211968b3cd95c289c2615e653468d57e0beac64bf2c8b0f1efed31"),
+    ("convex", 7, "exact"): (0, "1518a261f2022f24010c8e0246bdfc386f91bce566fdc69120081e1b14f91429"),
     ("cut", 5, "balanced"): (1, "0a43d3f771dc34515207781246ac7ce7aeac660a8b1e6e2165a1616c4eadb0b4"),
     ("cut", 5, "totally-balanced"): (1, "337916728b582709fdba6803715bfd5e9e3244c59447a7541106989c3c72a93b"),
     ("cut", 5, "exact"): (1, "6a020afabf07dd71846c9ca6083542aec45ecec4a55659479e278d83bdafab44"),
@@ -161,7 +161,7 @@ CHECK_DIGESTS = {
     ("random", 7, "exact"): (1, "cba74cd2125519d1da079776265c13175f8cc4e932d7a0de73b94caa4e393963"),
     ("shifted", 6, "balanced"): (0, "2ae4315d5fa51cbbdb0f77323f3e302fcb2958878118094f43a0099b82d46128"),
     ("shifted", 6, "totally-balanced"): (0, "5879a3686e072eed28f4a4896cfb326749bb831fb44ffec06df5de35ee513f02"),
-    ("shifted", 6, "exact"): (0, "09074ce7c070ab3646730770583a96c4a00444b29069964ac5b45689d8980dc8"),
+    ("shifted", 6, "exact"): (0, "31f12e1fcad3dd488fe7cdf2d38be3c3dce46245cc1da9466237893aeae9b415"),
 }
 
 

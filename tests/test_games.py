@@ -330,10 +330,10 @@ class TestGameJson:
 
 
 class TestGameValues:
-    """Each value is read once: a string by one regex match, whose signed
-    ASCII digits with no denominator one ``int`` reads; a valid document
-    is decoded by ``json.loads``, a faulty one read again member by
-    member."""
+    """A table of strings is read in one pass, each distinct string once,
+    and any other table, or a faulty one, value by value with one regex
+    match each; a valid document is decoded by ``json.loads``, a faulty
+    one read again member by member."""
 
     @pytest.mark.parametrize("raw", ["+1", " 1", "1_0", "\u0661", "1\n", "-", "--1", ""],
                              ids=["plus", "space", "underscore", "arabic-indic", "newline", "minus", "two-minus", "empty"])
@@ -370,15 +370,44 @@ class TestGameValues:
                 game_from_json(data)
             assert str(error.value) == message
 
-    def test_integer_strings_are_read_without_a_match_each(self, monkeypatch, p3):
-        # a table of decimal-integer strings is matched once, joined; a
-        # table with any other value is read value by value
+    def test_value_strings_are_read_without_a_match_each(self, monkeypatch, p3):
+        # a table of decimal-integer and p/q strings is matched once,
+        # joined; a table holding a JSON integer is read value by value
         game = Game(p3, tuple(range(8)))
         read, keys = minbal.games._parse_value, []
         monkeypatch.setattr(minbal.games, "_parse_value", lambda raw, key: keys.append(key) or read(raw, key))
         assert game_from_json(game_to_json(game)) == game and keys == []
-        assert game_from_json(game_to_json(game).replace('"7"', '"7/2"')).value(7) == F(7, 2)
+        halves = game_from_json(game_to_json(game).replace('"7"', '"7/2"').replace('"3"', '"-3/4"'))
+        assert halves.values[3:8:4] == (F(-3, 4), F(7, 2)) and halves.denominator == 4 and keys == []
+        assert game_from_json(game_to_json(game).replace('"7"', "7")) == game
         assert keys == list(p3._keys)
+
+    @pytest.mark.parametrize("raw, expected", [
+        ("2/4", "values['b']: '2/4' is not a reduced rational with positive denominator"),
+        ("1/0", "values['b']: '1/0' is not a reduced rational with positive denominator"),
+        ("+1", "values['b']: '+1' is not a decimal integer or p/q rational"),
+        ("1_0", "values['b']: '1_0' is not a decimal integer or p/q rational"),
+        ("\u0663", "values['b']: '\u0663' is not a decimal integer or p/q rational"),  # Arabic-Indic 3
+        ("-3/2", (0, 1, F(-3, 2), F(5, 3))),
+        ("3/", "values['b']: '3/' is not a decimal integer or p/q rational"),
+        ("/3", "values['b']: '/3' is not a decimal integer or p/q rational"),
+        ("1/2/3", "values['b']: '1/2/3' is not a decimal integer or p/q rational"),
+        ("1/-2", "values['b']: '1/-2' is not a decimal integer or p/q rational"),
+        ("1-2", "values['b']: '1-2' is not a decimal integer or p/q rational"),
+        ("-0/1", (0, 1, 0, F(5, 3))),
+    ], ids=["unreduced", "zero-denominator", "plus", "underscore", "arabic-indic", "negative-rational",
+            "no-denominator", "no-numerator", "two-slashes", "negative-denominator", "inner-minus", "negative-zero"])
+    def test_one_pass_and_value_by_value_agree(self, raw, expected):
+        # a table of strings is read in one pass, and one whose empty
+        # coalition's worth is the JSON integer 0 value by value: each
+        # value reads alike, or fails with one message, on both paths
+        for empty in ('"0"', "0"):
+            doc = json.dumps({"players": ["a", "b"], "values": {"": json.loads(empty), "a": "1", "b": raw, "ab": "5/3"}})
+            try:
+                outcome = game_from_json(doc).values
+            except GameFormatError as exc:
+                outcome = str(exc)
+            assert outcome == expected
 
     def test_valid_document_is_decoded_whole(self, monkeypatch, p3):
         # one decode of the top-level object, no member-by-member walk

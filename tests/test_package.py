@@ -1,7 +1,7 @@
 """The package namespace and the modules each entry point loads: the
 public names resolve on first use to the objects their modules define,
 ``import minbal`` loads no submodule, and ``minbal check`` loads none
-of the catalogue code."""
+of the catalogue code, nor, for a member, ``minbal.balance``."""
 
 import ast
 import importlib
@@ -29,6 +29,10 @@ PUBLIC = [
 
 #: The modules a check never runs.
 NOT_IN_A_CHECK = {"minbal.catalogue", "minbal.reduction", "minbal.reference"}
+
+#: The modules a check of a member loads: ``minbal.balance`` only writes
+#: the violated system of a non-member.
+MEMBER_CHECK = ["minbal", "minbal._frozen", "minbal.cli", "minbal.cones", "minbal.games", "minbal.linalg"]
 
 
 def test_all_lists_the_public_names_once():
@@ -97,3 +101,7 @@ def test_check_loads_no_catalogue_code(tmp_path, cone, member):
                               "check", "--game", str(path), "--cone", cone, "--certificate")
     assert printed[-1] == ("0" if member else "1")
     assert "minbal.cones" in loaded and not NOT_IN_A_CHECK & set(loaded)
+    if member or cone == "exact":
+        assert loaded == MEMBER_CHECK
+    else:
+        assert "minbal.balance" in loaded
