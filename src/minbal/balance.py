@@ -265,7 +265,7 @@ def complement_system(system: SetSystem, players: Players) -> SetSystem:
 # -- enumeration -------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _search_kernel(c: int) -> tuple[Callable, list[int], Callable, Callable, Callable, Callable]:
+def _search_kernel(c: int) -> tuple[Callable, list[int], Callable, Callable, Callable, Callable, Callable]:
     """The ``linalg._packed_echelon`` kernel of the orderly search on
     ``c`` players, which :func:`minbal.reduction.is_reducible` shares: a
     member of ``c`` entries joined to a unit vector of ``c + 1``, the
@@ -285,7 +285,7 @@ def _reduced_set(members: Sequence[int], vectors: Sequence[int], lead: int) -> O
     chi_A is then a nonnegative combination of members, so a union of
     them, and every proper subset but the members may be tried."""
     c, k = len(vectors), len(members)
-    _, units, _, _, pivot, negative = _search_kernel(c)
+    _, units, _, _, pivot, negative, _ = _search_kernel(c)
     sums, ones = [lead * units[2 * c]], sum(units[c:c + k])
     for e in vectors:
         sums += [v + e for v in sums]
@@ -315,34 +315,92 @@ def _enumerate_size(c: int) -> tuple[tuple[MinBalancedSystem, ...], tuple[bool, 
     the unique weights are tested for strict positivity.  No leaf extends
     another, so the DFS meets the leaves in canonical order.
 
-    The cheaper test, canonicity (``_packed_marks``), runs first.
-    Member ``j``, S, is the echelon row of ``chi_S ⊕ e_j`` in
-    ``_search_kernel(c)``.  A node keeps the unit vectors ``e_p``, ``p <
-    c``, reduced against its rows, and a child steps each by its row.  By
-    linearity a candidate reduced is its players' vectors plus ``lead *
-    e_(c + depth)``, which no row reaches.  The target ``1_c ⊕ e_2c``,
-    stepped alike, decides a leaf in its parent: the carrier lies in the
-    span when its first ``c`` entries vanish, its tail then the weights
-    times minus the last lead.  A leaf with positive weights is
-    normalized and, its vectors stepped once more, tested by
-    ``_reduced_set``.  Every step and sum is checked.
+    With ``c - 1`` members chosen, every independent candidate completes
+    a basis of the ``c`` coordinates, so it makes a leaf, and that last
+    level has its own loop, pruned by a rule on bitmasks.  With positive
+    weights, a member holding a player no other member holds has weight
+    1, as the weights at that player sum to 1; at each of its other
+    players the weights sum to 1 too, so the other members there weigh 0
+    in all: there are none, and the member meets no other.  So when the
+    chosen members' union is not the carrier the only candidate is its
+    complement, and otherwise a candidate holds every player that only
+    one chosen member holds, where that member meets another, and holds
+    or misses each chosen member that meets no other.  A dropped
+    candidate is dependent or makes a leaf with a weight at most 0, so no
+    type is lost.  A kept one is pivoted and the target's step through
+    it is sign-tested before its division (``step``); only a leaf with
+    positive weights is then tested for canonicity, stepped exactly and
+    normalized, and the exact step must agree with the sign test.  At
+    ``c = 6`` that leaves 29,657 canonicity tests of the 113,741 a
+    search testing every candidate made (1,246 of 2,887 at ``c = 5``).
+
+    Above the last level a candidate is tested for canonicity
+    (``_packed_marks``) before independence.  Member ``j``, S, is the
+    echelon row of ``chi_S ⊕ e_j`` in ``_search_kernel(c)``.  A node
+    keeps the unit vectors ``e_p``, ``p < c``, reduced against its rows,
+    and a child steps each by its row.  By linearity a candidate reduced
+    is its players' vectors plus ``lead * e_(c + depth)``, which no row
+    reaches.  The target ``1_c ⊕ e_2c``, stepped alike, decides a leaf in
+    its parent: the carrier lies in the span when its first ``c``
+    entries vanish, its tail then the weights times minus the last lead.
+    A leaf with positive weights is normalized and, its vectors stepped
+    once more, tested by ``_reduced_set``.  Every step and sum is
+    checked.
 
     A search for ``c >= 6``, run only on a cache miss, logs a warning
     first.  On a 2-core machine with Python 3.11 a process that ran only
-    the 6-player search took 0.67-0.74 s and 17 MB (six runs; README,
-    "Caps", gives its callers' figures).
+    the 6-player search took 0.32-0.48 s and 17 MB (six runs alternated
+    with a version testing every last member for canonicity, which took
+    0.58-0.86 s; README, "Caps", gives its callers' figures).
     """
     if c >= 6:
-        _log("warning", "enumerating min-balanced systems on a %d-player carrier: expect about 1 s, and up to 12 s and 250 MB to list them all", c)
+        _log("warning", "enumerating min-balanced systems on a %d-player carrier: expect about 0.5 s, and up to 12 s and 250 MB to list them all", c)
     full = (1 << c) - 1
     _, steps, guards, _ = _packed_marks(c)
-    pack, units, unpack, reduce_row, pivot, negative = _search_kernel(c)
+    pack, units, unpack, reduce_row, pivot, negative, step = _search_kernel(c)
     players = [_bit_positions(s) for s in range(full + 1)]
     types: list[MinBalancedSystem] = []
     irreducible: list[bool] = []
 
+    def leaf(chosen: list[int], row: tuple[int, int, int], lead: int, vectors: list[int], reached: int) -> None:
+        values = unpack(reached)[c:]
+        weights = [-v for v in values[:len(chosen)]]
+        k, alpha = _normalize_integers(chosen, weights, values[c])
+        types.append(MinBalancedSystem(SetSystem(tuple(chosen)), tuple(Fraction(v, values[c]) for v in weights), k, alpha))
+        irreducible.append(_reduced_set(chosen, [reduce_row([row], e, lead) for e in vectors], row[2]) is None)
+
+    def last(start: int, chosen: list[int], union: int, lead: int, lex: int, vectors: list[int], target: int) -> None:
+        unit = lead * units[2 * c - 1]
+        if union != full:  # the players outside the union are the last member's own
+            candidates = [full ^ union] if start <= full ^ union < full else []
+        else:
+            seen = shared = 0  # the players of two or more chosen members
+            for m in chosen:
+                shared |= seen & m
+                seen |= m
+            # s holds the own players of a member that meets another and
+            # holds or misses a member that meets none: s & fixed in allowed
+            fixed, allowed = 0, {0}
+            for m in chosen:
+                own = m & ~shared
+                fixed |= own
+                allowed = {a | own for a in allowed} | (allowed if own == m else set())
+            candidates = [s for s in range(start, full) if s & fixed in allowed]
+        for s in candidates:
+            row = pivot(sum(map(vectors.__getitem__, players[s]), unit))
+            if row is None or not negative(step(row, target), c, 2 * c):
+                continue
+            if lex + steps[s] & guards != guards:  # not lex-least
+                continue
+            reached = reduce_row([row], target, lead)
+            if pivot(reached) is not None or not negative(reached, c, 2 * c):
+                raise ArithmeticError("a last member's exact step disagrees with its sign test")
+            leaf([*chosen, s], row, lead, vectors, reached)
+
     def visit(start: int, chosen: list[int], union: int, lead: int, lex: int, vectors: list[int], target: int) -> None:
         depth = len(chosen)
+        if depth == c - 1:
+            return last(start, chosen, union, lead, lex, vectors, target)
         unit = lead * units[c + depth]
         for s in range(start, full):
             least = lex + steps[s]
@@ -357,11 +415,7 @@ def _enumerate_size(c: int) -> tuple[tuple[MinBalancedSystem, ...], tuple[bool, 
             if union | s != full or pivot(reached) is not None:
                 visit(s + 1, chosen, union | s, row[2], least, [reduce_row(rows, e, lead) for e in vectors], reached)
             elif negative(reached, c, c + depth + 1):  # a leaf with positive weights
-                values = unpack(reached)[c:]
-                weights = [-v for v in values[:depth + 1]]
-                k, alpha = _normalize_integers(chosen, weights, values[c])
-                types.append(MinBalancedSystem(SetSystem(tuple(chosen)), tuple(Fraction(v, values[c]) for v in weights), k, alpha))
-                irreducible.append(_reduced_set(chosen, [reduce_row(rows, e, lead) for e in vectors], row[2]) is None)
+                leaf(chosen, row, lead, vectors, reached)
             chosen.pop()
 
     visit(1, [], 0, 1, guards, units[:c], pack([1] * c) + units[2 * c])
