@@ -265,7 +265,7 @@ def complement_system(system: SetSystem, players: Players) -> SetSystem:
 # -- enumeration -------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _search_kernel(c: int) -> tuple[Callable, list[int], Callable, Callable, Callable, Callable, Callable]:
+def _search_kernel(c: int) -> tuple[Callable, list[int], Callable, Callable, Callable, Callable]:
     """The ``linalg._packed_echelon`` kernel of the orderly search on
     ``c`` players, which :func:`minbal.reduction.is_reducible` shares: a
     member of ``c`` entries joined to a unit vector of ``c + 1``, the
@@ -285,7 +285,7 @@ def _reduced_set(members: Sequence[int], vectors: Sequence[int], lead: int) -> O
     chi_A is then a nonnegative combination of members, so a union of
     them, and every proper subset but the members may be tried."""
     c, k = len(vectors), len(members)
-    _, units, _, _, pivot, negative, _ = _search_kernel(c)
+    _, units, _, _, pivot, negative = _search_kernel(c)
     sums, ones = [lead * units[2 * c]], sum(units[c:c + k])
     for e in vectors:
         sums += [v + e for v in sums]
@@ -327,12 +327,11 @@ def _enumerate_size(c: int) -> tuple[tuple[MinBalancedSystem, ...], tuple[bool, 
     one chosen member holds, where that member meets another, and holds
     or misses each chosen member that meets no other.  A dropped
     candidate is dependent or makes a leaf with a weight at most 0, so no
-    type is lost.  A kept one is pivoted and the target's step through
-    it is sign-tested before its division (``step``); only a leaf with
-    positive weights is then tested for canonicity, stepped exactly and
-    normalized, and the exact step must agree with the sign test.  At
-    ``c = 6`` that leaves 29,657 canonicity tests of the 113,741 a
-    search testing every candidate made (1,246 of 2,887 at ``c = 5``).
+    type is lost.  A kept one is pivoted and the target stepped through
+    it; only a leaf with positive weights is then tested for canonicity
+    and normalized.  At ``c = 6`` that leaves 29,657 canonicity tests of
+    the 113,741 a search testing every candidate made (1,246 of 2,887 at
+    ``c = 5``).
 
     Above the last level a candidate is tested for canonicity
     (``_packed_marks``) before independence.  Member ``j``, S, is the
@@ -349,15 +348,15 @@ def _enumerate_size(c: int) -> tuple[tuple[MinBalancedSystem, ...], tuple[bool, 
 
     A search for ``c >= 6``, run only on a cache miss, logs a warning
     first.  On a 2-core machine with Python 3.11 a process that ran only
-    the 6-player search took 0.32-0.48 s and 17 MB (six runs alternated
+    the 6-player search took 0.35-0.64 s and 17 MB (six runs alternated
     with a version testing every last member for canonicity, which took
-    0.58-0.86 s; README, "Caps", gives its callers' figures).
+    0.59-1.00 s; README, "Caps", gives its callers' figures).
     """
     if c >= 6:
         _log("warning", "enumerating min-balanced systems on a %d-player carrier: expect about 0.5 s, and up to 12 s and 250 MB to list them all", c)
     full = (1 << c) - 1
     _, steps, guards, _ = _packed_marks(c)
-    pack, units, unpack, reduce_row, pivot, negative, step = _search_kernel(c)
+    pack, units, unpack, reduce_row, pivot, negative = _search_kernel(c)
     players = [_bit_positions(s) for s in range(full + 1)]
     types: list[MinBalancedSystem] = []
     irreducible: list[bool] = []
@@ -388,14 +387,11 @@ def _enumerate_size(c: int) -> tuple[tuple[MinBalancedSystem, ...], tuple[bool, 
             candidates = [s for s in range(start, full) if s & fixed in allowed]
         for s in candidates:
             row = pivot(sum(map(vectors.__getitem__, players[s]), unit))
-            if row is None or not negative(step(row, target), c, 2 * c):
-                continue
-            if lex + steps[s] & guards != guards:  # not lex-least
+            if row is None:
                 continue
             reached = reduce_row([row], target, lead)
-            if pivot(reached) is not None or not negative(reached, c, 2 * c):
-                raise ArithmeticError("a last member's exact step disagrees with its sign test")
-            leaf([*chosen, s], row, lead, vectors, reached)
+            if negative(reached, c, 2 * c) and lex + steps[s] & guards == guards:  # positive weights, lex-least
+                leaf([*chosen, s], row, lead, vectors, reached)
 
     def visit(start: int, chosen: list[int], union: int, lead: int, lex: int, vectors: list[int], target: int) -> None:
         depth = len(chosen)

@@ -111,7 +111,7 @@ def _hadamard_bits(rows: Sequence[Sequence[int]]) -> int:
 
 
 @lru_cache(maxsize=64)
-def _packed_echelon(length: int, leading: int, bits: int) -> tuple[Callable, list[int], Callable, Callable, Callable, Callable, Callable]:
+def _packed_echelon(length: int, leading: int, bits: int) -> tuple[Callable, list[int], Callable, Callable, Callable, Callable]:
     """Fraction-free elimination that divides exactly by the previous
     pivot (Bareiss 1968), on integer vectors of ``length`` entries, each
     packed into one ``int``: entry ``j`` is a signed field of ``w = 2 *
@@ -133,10 +133,7 @@ def _packed_echelon(length: int, leading: int, bits: int) -> tuple[Callable, lis
       pivot, its lowest nonzero field, with ``at`` and ``lead``: the
       triple that ``rows`` takes next; ``v`` is checked as a step is;
     - ``negative(v, start, stop)``, whether the entries ``start`` to
-      ``stop - 1`` of ``v`` are all negative;
-    - ``step(row, v)``, ``lead * v - f * row`` for the triple ``row``:
-      ``reduce_row``'s step before it divides, which has the quotient's
-      signs, as ``prev > 0``.
+      ``stop - 1`` of ``v`` are all negative.
 
     A field is read with half a field added to every field, so that none
     borrows from the next.
@@ -172,8 +169,7 @@ def _packed_echelon(length: int, leading: int, bits: int) -> tuple[Callable, lis
     field maps that range onto each field's low bits, with no borrow, and
     an entry out of it, at the lowest such field, sets a higher bit.
     Before the division the entries of ``lead * v - f * row`` are below
-    ``2 * B**2 < 2**(w - 1)`` in size, so no field wraps; ``step`` checks
-    them alike, against ``[-2 * B**2, 2 * B**2)``.  A nonzero
+    ``2 * B**2 < 2**(w - 1)`` in size, so no field wraps.  A nonzero
     remainder of the packed division raises ``ArithmeticError`` too.
     With that remainder zero and the quotient's entries in ``[-B, B)``,
     each entry times ``prev``, ``0 < prev <= B``, is below ``B**2`` in
@@ -194,7 +190,6 @@ def _packed_echelon(length: int, leading: int, bits: int) -> tuple[Callable, lis
     mask, half, low = (1 << w) - 1, 1 << w - 1, (1 << leading * w) - 1
     halves, bound, high = ones * half, ones << bits, ones * (mask >> bits + 1 << bits + 1)
     overflow = f"an entry of a packed echelon row left [-2**{bits}, 2**{bits})"
-    wide = f"an entry of a packed echelon step left [-2**{2 * bits + 1}, 2**{2 * bits + 1}) before its division"
     inexact = "a packed echelon step left a remainder dividing by the previous lead"
 
     def pack(vector: Sequence[int]) -> int:
@@ -229,14 +224,7 @@ def _packed_echelon(length: int, leading: int, bits: int) -> tuple[Callable, lis
     def negative(v: int, start: int, stop: int) -> bool:
         return not v + halves & halves & (1 << stop * w) - (1 << start * w)
 
-    def step(row: tuple[int, int, int], v: int) -> int:
-        row, at, lead = row
-        v = lead * v - ((v + halves >> at & mask) - half) * row
-        if v + (halves >> 1) & halves:  # 2 * B**2 is half a field's half
-            raise ArithmeticError(wide)
-        return v
-
-    return pack, units, unpack, reduce_row, pivot, negative, step
+    return pack, units, unpack, reduce_row, pivot, negative
 
 
 def dependency(columns: Sequence[Sequence]) -> Optional[list[int]]:
@@ -258,7 +246,7 @@ def dependency(columns: Sequence[Sequence]) -> Optional[list[int]]:
     # the dependencies unchanged.
     scaled = [_integer_row([c[i] for c in cols]) for i in range(d)]
     vectors = list(zip(*scaled)) if d else [()] * k
-    pack, units, unpack, reduce_row, pivot, _, _ = _packed_echelon(d + k, d, _hadamard_bits(vectors))
+    pack, units, unpack, reduce_row, pivot, _ = _packed_echelon(d + k, d, _hadamard_bits(vectors))
     echelon: list[tuple[int, int, int]] = []
     for vector, unit in zip(vectors, units[d:]):
         v = reduce_row(echelon, pack(vector) + unit, 1)

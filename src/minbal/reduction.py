@@ -74,7 +74,7 @@ def is_reducible(mbs: MinBalancedSystem) -> ReductionWitness | None:
     members = mbs.system.members
     positions = _bit_positions(mbs.carrier)
     c, k = len(positions), len(members)
-    pack, units, unpack, reduce_row, pivot, _, _ = _search_kernel(c)
+    pack, units, unpack, reduce_row, pivot, _ = _search_kernel(c)
     rows = []
     for j, s in enumerate(members):
         row = pivot(reduce_row(rows, pack(_incidence(s, positions)) + units[c + j], 1))

@@ -166,8 +166,8 @@ class TestNormalize:
         search_kernel = balance._search_kernel
 
         def kernel(c):
-            pack, units, unpack, reduce_row, pivot, negative, step = search_kernel(c)
-            return pack, units, lambda v: [*unpack(v)[:-1], unpack(v)[-1] + 1], reduce_row, pivot, negative, step
+            pack, units, unpack, reduce_row, pivot, negative = search_kernel(c)
+            return pack, units, lambda v: [*unpack(v)[:-1], unpack(v)[-1] + 1], reduce_row, pivot, negative
 
         monkeypatch.setattr(balance, "_search_kernel", kernel)
         _enumerate_size.cache_clear()
@@ -378,23 +378,6 @@ class TestOrderlySearch:
         assert len(_enumerate_size(c)[0]) == [1, 3, 9, 44][c - 2]
         assert len(reads) == tested
 
-    def test_a_last_member_whose_exact_step_disagrees_with_its_sign_test_raises(self, monkeypatch):
-        # a sign test that passes every last member lets a leaf with a
-        # weight at most 0 reach the exact step, which must refuse it; at
-        # c = 3 every lex-least last member the bitmask rule keeps makes a
-        # positive leaf, at c = 4 not
-        search_kernel = balance._search_kernel
-
-        def kernel(c):
-            pack, units, unpack, reduce_row, pivot, negative, step = search_kernel(c)
-            return pack, units, unpack, reduce_row, pivot, negative, lambda row, v: -pack([1] * (2 * c + 1))
-
-        monkeypatch.setattr(balance, "_search_kernel", kernel)
-        _enumerate_size.cache_clear()
-        assert len(_enumerate_size(3)[0]) == 3
-        with pytest.raises(ArithmeticError, match="^a last member's exact step disagrees with its sign test$"):
-            _enumerate_size(4)
-
     @pytest.mark.parametrize("c", [2, 3, 4, 5])
     def test_orbit_fill_matches_cold_scan(self, c):
         # the search yields each type's canonical form, in canonical order,
@@ -434,7 +417,7 @@ def _stepped(vectors, bits):
     one: per vector, its entries after each step, from none to all, and
     the pivots of the rows it was stepped through."""
     d, k = len(vectors[0]), len(vectors)
-    pack, units, unpack, reduce_row, pivot, _, _ = _packed_echelon(d + k, d, bits)
+    pack, units, unpack, reduce_row, pivot, _ = _packed_echelon(d + k, d, bits)
     rows, pivots, out = [], [], []
     for x, unit in zip(vectors, units[d:]):
         v = pack(x) + unit
@@ -474,7 +457,7 @@ class TestPackedEchelon:
         # stepped once per row as the search steps them, plus the last
         # lead times its own unit vector
         bits = _hadamard_bits([[1] * c] * c)
-        pack, units, unpack, reduce_row, pivot, _, step = _packed_echelon(2 * c + 1, c, bits)
+        pack, units, unpack, reduce_row, pivot, _ = _packed_echelon(2 * c + 1, c, bits)
         width = 2 * bits + 3
         rng = Random(c)
         verdicts = {True: 0, False: 0}
@@ -496,10 +479,7 @@ class TestPackedEchelon:
                 assert at == piv * width and lead == entries[piv] > 0
                 assert [a * listed[piv] for a in entries] == [b * lead for b in listed]
                 _assert_minors(entries, [*entered, vector], pivots)
-                # step is the dividend of the target's step, prev times its quotient
-                undivided = step(row, target)
                 target = reduce_row([row], target, rows[-1][2] if rows else 1)
-                assert undivided == (rows[-1][2] if rows else 1) * target
                 vectors = [reduce_row([row], e, rows[-1][2] if rows else 1) for e in vectors]
                 rows.append(row)
                 listed_rows.append((listed, piv))
@@ -565,7 +545,7 @@ class TestPackedEchelon:
         # determinant 4.  With prev 3 the packed division leaves a
         # remainder; with prev 16 it leaves none, but 8 / 16 is no integer
         # and the quotient's field leaves its range
-        pack, _, unpack, reduce_row, pivot, _, _ = _packed_echelon(3, 3, 4)
+        pack, _, unpack, reduce_row, pivot, _ = _packed_echelon(3, 3, 4)
         first = pivot(pack([2, 1, 0]))
         second = pivot(reduce_row([first], pack([1, 2, 1]), 1))
         v = reduce_row([first], pack([0, 1, 2]), 1)
@@ -578,7 +558,7 @@ class TestPackedEchelon:
     def test_a_packed_sum_is_checked_where_pivot_reads_it(self):
         # a sum of packed vectors, as the search builds a candidate's row,
         # made by no step: pivot checks its every field as a step's
-        pack, units, _, _, pivot, _, _ = _packed_echelon(3, 2, 4)
+        pack, units, _, _, pivot, _ = _packed_echelon(3, 2, 4)
         for j in range(3):
             for term, fits in ((8, 7), (-9, -7)):
                 assert pivot(pack([term] * 3) + fits * units[j]) is not None
@@ -587,23 +567,10 @@ class TestPackedEchelon:
         with pytest.raises(ArithmeticError, match=r"left \[-2\*\*4, 2\*\*4\)"):
             pivot(pack([0, 0, 16]))  # past the leading block, where pivot finds no pivot
 
-    def test_an_undivided_step_is_checked_against_twice_the_square_bound(self):
-        # B = 2**4: step's entries may reach 2 * B**2 = 512 in size, which
-        # no entries in [-B, B) reach, so the check is met only by inputs
-        # out of that range
-        pack, units, unpack, _, pivot, _, step = _packed_echelon(3, 3, 4)
-        row = pivot(pack([15, 0, 0]))
-        for entry in (34, -34):
-            assert unpack(step(row, pack([0, entry, 0]))) == [0, 15 * entry, 0]
-        for entry in (35, -35):
-            with pytest.raises(ArithmeticError, match=r"left \[-2\*\*9, 2\*\*9\) before its division"):
-                step(row, pack([0, entry, 0]))
-        assert unpack(step(pivot(pack([15, -16, -16])), pack([-16, 15, -16]))) == [0, 15 * 15 - 16 * 16, -15 * 16 - 16 * 16]
-
     def test_a_step_with_no_entry_at_the_pivot_scales_by_lead_over_prev(self):
         # (lead * v - 0 * row) / prev is v when lead == prev; with another
         # prev the step still scales v by lead / prev
-        pack, _, unpack, reduce_row, pivot, _, _ = _packed_echelon(3, 3, 4)
+        pack, _, unpack, reduce_row, pivot, _ = _packed_echelon(3, 3, 4)
         first = pivot(pack([2, 1, 0]))
         v = pack([0, 3, -1])
         assert reduce_row([first], v, 2) == v
@@ -642,7 +609,7 @@ class TestPackedEchelon:
         # a vector or a prefix of one, entries in [-2**5, 2**5), packs and
         # unpacks to itself padded with zeros, and the sign test on a
         # range of entries reads what the unpacked entries say
-        pack, _, unpack, _, _, negative, _ = _packed_echelon(7, 3, 5)
+        pack, _, unpack, _, _, negative = _packed_echelon(7, 3, 5)
         rng = Random(33)
         for _ in range(500):
             vector = [rng.choice((rng.randint(-32, 31), rng.randint(-2, 0))) for _ in range(rng.randint(0, 7))]
@@ -660,8 +627,8 @@ class TestPackedEchelon:
         search_kernel = balance._search_kernel
 
         def kernel(c):
-            pack, units, unpack, reduce_row, pivot, negative, step = search_kernel(c)
-            return pack, units, lambda v: unpacked.append(v) or unpack(v), reduce_row, pivot, negative, step
+            pack, units, unpack, reduce_row, pivot, negative = search_kernel(c)
+            return pack, units, lambda v: unpacked.append(v) or unpack(v), reduce_row, pivot, negative
 
         monkeypatch.setattr(balance, "_search_kernel", kernel)
         _enumerate_size.cache_clear()
