@@ -31,6 +31,10 @@ from .linalg import _hadamard_bits, _packed_echelon, solve_unique
 #: so they are capped harder than the membership oracles.
 ENUM_PLAYER_CAP = 6
 
+#: What the search of each carrier size from 6 up costs, as its warning
+#: states it (``_enumerate_size``).
+_SEARCH_COSTS = {6: "about 0.5 s, and up to 12 s and 250 MB to list them all", 7: "about 100 s and 100 MB"}
+
 _Tag = TypeVar("_Tag")
 _Value = TypeVar("_Value")
 
@@ -347,13 +351,16 @@ def _enumerate_size(c: int) -> tuple[tuple[MinBalancedSystem, ...], tuple[bool, 
     checked.
 
     A search for ``c >= 6``, run only on a cache miss, logs a warning
-    first.  On a 2-core machine with Python 3.11 a process that ran only
-    the 6-player search took 0.35-0.64 s and 17 MB (six runs alternated
-    with a version testing every last member for canonicity, which took
-    0.59-1.00 s; README, "Caps", gives its callers' figures).
+    first, with the cost of its ``c`` (``_SEARCH_COSTS``).  On a 2-core
+    machine with Python 3.11 a process that ran only the 6-player search
+    took 0.35-0.64 s and 17 MB (six runs alternated with a version testing
+    every last member for canonicity, which took 0.59-1.00 s; README,
+    "Caps", gives its callers' figures), and the 7-player search took
+    97-110 s and 94-97 MB (three runs).
     """
     if c >= 6:
-        _log("warning", "enumerating min-balanced systems on a %d-player carrier: expect about 0.5 s, and up to 12 s and 250 MB to list them all", c)
+        _log("warning", "enumerating min-balanced systems on a %d-player carrier: expect %s", c,
+             _SEARCH_COSTS.get(c, "far more than the 100 s and 100 MB of 7 players"))
     full = (1 << c) - 1
     _, steps, guards, _ = _packed_marks(c)
     pack, units, unpack, reduce_row, pivot, negative = _search_kernel(c)

@@ -17,23 +17,23 @@ serialized to a bit-exact JSON format or a per-type text listing.
 A catalogue is a fixed function of its players and cone, and a
 ``Catalogue`` is that pair; it finds its types one carrier size at a
 time, when first needed, and ``generate`` finds them all.  Every entry
-is an image of its type: ``_on_carriers`` walks the carriers in
-increasing bitmask order with the images of the types
-(``balance._images``), and each entry is rendered from its carrier's
-coalition texts and its type's texts, with one ``"".join`` per entry
-(a conjugate shares its entry's head), so writing and parsing build no
-object per entry; ``Catalogue.entries`` builds them on first access.
-``minbal enumerate`` lists systems through the same walk.  ``_pieces``
-renders a catalogue in either format: ``serialize`` joins the pieces,
-``minbal catalogue`` writes them in blocks of about 64 KB as they are
-rendered (``cli._write``).  The JSON lists and objects are written by
-:mod:`minbal.games` (``_json_list``, ``_json_block``, ``_json_keys``),
-which also reads them, and each inequality by
-:func:`minbal.balance.render_inequality`; both are importable from here
-too.  ``parse``
-compares the file with the rendering piece by piece, byte for byte
-and, only when the bytes differ, as JSON values; the rendering stops at
-the first difference.
+is an image of its type (``balance._images``), and every carrier of a
+size holds the same images in the same order: the JSON renders each
+size once, with slot markers for the coalition texts that each carrier
+fills with its own (``_json_pieces``), and from its type's texts, so
+writing and parsing build no object per entry; ``Catalogue.entries``
+builds them on first access.  ``minbal enumerate`` lists systems
+through the same walks.  ``_pieces`` renders a catalogue in either
+format, JSON entries about ``PIECE_ENTRIES`` to a piece: ``serialize`` joins
+the pieces, ``minbal catalogue`` writes them in blocks of about 64 KB
+as they are rendered (``cli._write``).  The JSON lists and
+objects are written by :mod:`minbal.games` (``_json_list``,
+``_json_block``, ``_json_keys``), which also reads them, and each
+inequality by :func:`minbal.balance.render_inequality`; both are
+importable from here too.  ``parse`` compares the file with the
+rendering piece by piece, byte for byte and, only when the bytes
+differ, as JSON values; the rendering stops at the piece holding the
+first difference.
 """
 
 from __future__ import annotations
@@ -41,8 +41,10 @@ from __future__ import annotations
 import json
 from enum import Enum
 from functools import cached_property
+from itertools import islice
 from json.encoder import encode_basestring
 from math import comb
+from operator import itemgetter
 from typing import Callable, Container, Iterable, Iterator, Optional, Sequence, Union
 
 from ._frozen import Frozen
@@ -231,7 +233,8 @@ def generate(players: Players, cone: Union[ConeKind, str]) -> Catalogue:
 def _on_carriers(players: Players, sizes: Container[int], types: Callable[[int], list[tuple]]) -> Iterator[tuple[int, list[int], Iterable[tuple]]]:
     """Each carrier of a size in ``sizes``, in increasing bitmask order,
     with its order-keeping renaming of the first c players and the
-    ``_images`` of ``types(c)``, each type given as ``_images`` takes it.
+    ``_images`` of ``types(c)``, each type given as ``_images`` takes it,
+    for walks that rename each image (JSON fills ``_json_pieces``).
     A size's images are listed when the walk reaches its first carrier,
     once for all its carriers; those of the full player set, which has
     one, are drawn as they are used."""
@@ -307,45 +310,100 @@ def _type_lines(players: Players, number: int, alpha: InequalityVector, count: i
 
 # -- serialization -------------------------------------------------------
 
-def _system_json(players: Players, pad: str) -> Callable[[int, list[int]], Callable[[tuple[int, ...], Sequence[tuple[str, ...]], int], list[str]]]:
-    """A renderer, for a carrier and its order-keeping renaming ``table``,
-    of the images on the first c players renamed onto it: given an image's
-    members, a tuple per member whose first item is its weight as a
-    ``: "w"`` text, and its ``k``, its ``system``, ``carrier``,
-    ``weights`` and ``k`` fields as ``json.dumps(indent=2)`` writes them
-    in an object whose fields sit at ``pad``.  Every coalition's key and
-    name list is rendered once, here.  The fields come as a list of
-    texts, for the caller to join with the rest of its item."""
+#: ``_json_pieces`` hands its items on in pieces of this many, joined by
+#: the list separator (about 35-55 KB at 5 and 6 players).
+PIECE_ENTRIES = 64
+
+
+def _json_pieces(players: Players, sizes: Container[int], types: Callable[[int], list[tuple]], pad: str,
+                 render: Callable[[list[str], list[str], list[str], str, Iterable[tuple]], Iterator[str]]) -> Iterator[str]:
+    """The items of a JSON list at ``pad`` on each carrier of a size in
+    ``sizes``, in increasing bitmask order, in pieces of about
+    ``PIECE_ENTRIES`` items joined by the list separator.  ``render``
+    renders a carrier's items from the ``_images`` of ``types(c)`` and its
+    coalition texts, given for each coalition ``m`` of the first ``c``
+    players renamed onto it: its member block, its key and its complement's
+    key; then the carrier's block.  Items' fields sit at ``pad`` plus four
+    spaces.
+
+    The full player set, the one carrier of its size, is rendered as it
+    is.  Any other size is rendered once, when the walk first reaches it,
+    with slot markers ``"\\0<index>\\0"`` in place of those texts (the
+    JSON holds no raw NUL, as ``encode_basestring`` escapes it); split at
+    the markers, that rendering is kept, and each carrier of the size
+    fills its slots with its own texts.  Whatever is pending is handed on
+    before a size is searched, so a piece spans no size not yet reached."""
     keys = _json_keys(players)
     names = [[encode_basestring(name) for name in players.member_names(m)] for m in players.coalitions()]
-    members = [_json_block(member, pad + "  ") for member in names]
+    members = [_json_block(member, pad + "      ") for member in names]
+    full, sep = players.full_mask, ",\n" + pad + "  "
+    programs: dict[int, list[tuple[list[str], Callable, int]]] = {}
+    shared: dict[str, str] = {}
+    piece: list[str] = []
+    count = 0
+    for carrier in range(full + 1):
+        if (c := carrier.bit_count()) not in sizes:
+            continue
+        table = relabelling(_bit_positions(carrier))
+        texts = [*(members[s] for s in table), *(keys[s] for s in table), *(keys[full ^ s] for s in table), _json_block(names[carrier], pad + "    ")]
+        if c not in programs:
+            if piece:
+                yield sep.join(piece)
+                piece, count = [], 0
+            one = c == players.n  # the full player set, its size's one carrier
+            marks = texts if one else [f"\0{i}\0" for i in range(len(texts))]
+            items = render(marks[:1 << c], marks[1 << c:2 << c], marks[2 << c:-1], marks[-1], _images(types(c), c))
+            batches = iter(lambda: list(islice(items, PIECE_ENTRIES)), [])
+            if one:
+                yield from map(sep.join, batches)
+                continue
+            programs[c] = []
+            for batch in batches:
+                parts = sep.join(batch).split("\0")
+                fill = itemgetter(*map(int, parts[1::2]))  # an item has several slots, so this gives a tuple
+                parts[1::2] = [None] * (len(parts) >> 1)
+                parts[::2] = [shared.setdefault(p, p) for p in parts[::2]]  # one copy of each literal text
+                programs[c].append((parts, fill, len(batch)))
+        for parts, fill, size in programs[c]:
+            filled = parts.copy()
+            filled[1::2] = fill(texts)
+            piece.append("".join(filled))
+            if (count := count + size) >= PIECE_ENTRIES:
+                yield sep.join(piece)
+                piece, count = [], 0
+    if piece:
+        yield sep.join(piece)
+
+
+def _system_fields(listed: list[str], named: list[str], block: str, pad: str) -> Callable[[tuple[int, ...], Sequence[tuple[str, ...]], int], list[str]]:
+    """A renderer of an image's ``system``, ``carrier``, ``weights`` and
+    ``k`` fields as ``json.dumps(indent=2)`` writes them in an object whose
+    fields sit at ``pad``, from the ``_json_pieces`` texts of its carrier:
+    given the image's members, a tuple per member whose first item is its
+    weight as a ``: "w"`` text, and its ``k``.  The fields come as a list
+    of texts, for the caller to join with the rest of its item."""
     first = "\n" + pad + "  "
     inner, opening = "," + first, f'"system": [{first}'
+    middle = f"\n{pad}],\n{pad}\"carrier\": {block},\n{pad}\"weights\": {{{first}"
+    last = f"\n{pad}}},\n{pad}\"k\": "
 
-    def on(carrier: int, table: list[int]) -> Callable[[tuple[int, ...], Sequence[tuple[str, ...]], int], list[str]]:
-        listed, named = [members[s] for s in table], [keys[s] for s in table]
-        middle = f"\n{pad}],\n{pad}\"carrier\": {_json_block(names[carrier], pad)},\n{pad}\"weights\": {{{first}"
-        last = f"\n{pad}}},\n{pad}\"k\": "
+    def fields(image: tuple[int, ...], values: Sequence[tuple[str, ...]], k: int) -> list[str]:
+        return [opening, inner.join([listed[m] for m in image]), middle,
+                inner.join([named[m] + v[0] for m, v in zip(image, values)]), last, str(k)]
 
-        def fields(image: tuple[int, ...], values: Sequence[tuple[str, ...]], k: int) -> list[str]:
-            return [opening, inner.join([listed[m] for m in image]), middle,
-                    inner.join([named[m] + v[0] for m, v in zip(image, values)]), last, str(k)]
-
-        return fields
-
-    return on
+    return fields
 
 
 def _json_entries(catalogue: Catalogue) -> Iterator[str]:
-    """Each entry as ``serialize`` writes it in the ``entries`` list,
-    rendered carrier by carrier from the texts of its carrier's
-    coalitions, its image's weights and coefficients and its type's
-    fields, each rendered once, and joined with one ``"".join``.  A
-    conjugate shares its entry's system fields, the head of its join; its
-    ``alpha`` has the complemented keys in reverse order."""
+    """The entries as ``serialize`` writes them in the ``entries`` list, in
+    the ``_json_pieces`` of about ``PIECE_ENTRIES`` each.  An entry is
+    rendered from its carrier's coalition texts, its image's weights and
+    coefficients and its type's fields, each rendered once, and joined
+    with one ``"".join``.  A conjugate shares its entry's system fields,
+    the head of its join; its ``alpha`` has the complemented keys in
+    reverse order."""
     players, full = catalogue.players, catalogue.players.full_mask
     keys = _json_keys(players)
-    system_json = _system_json(players, " " * 6)
     first = "\n" + " " * 8
     inner, alpha_open = "," + first, ',\n      "alpha": {' + first
 
@@ -365,22 +423,23 @@ def _json_entries(catalogue: Catalogue) -> Iterator[str]:
         return [(t.mbs.system.members, tuple((f': "{w}"', f": {a}") for w, a in _member_values(t.mbs)),
                  (t.mbs.k, f": {t.mbs.k}", f": {t.alpha.items[0][1]}", tail(t), twin and tail(twin))) for t, twin in catalogue._types_of(c)]
 
-    for carrier, table, images in _on_carriers(players, catalogue.sizes, texts):
-        fields = system_json(carrier, table)
-        named, opposite = [keys[s] for s in table], [keys[full ^ s] for s in table]
+    def render(listed: list[str], named: list[str], opposite: list[str], block: str, images: Iterable[tuple]) -> Iterator[str]:
+        fields = _system_fields(listed, named, block, " " * 6)
         for image, values, (k, on_carrier, on_empty, plain, twin) in images:
             head = ["{\n      ", *fields(image, values, k), alpha_open]
             alpha = inner.join([named[m] + a for m, (_, a) in zip(image, values)])
-            yield "".join([*head, keys[0], on_empty, inner, alpha, inner, keys[carrier], on_carrier, plain])
+            yield "".join([*head, keys[0], on_empty, inner, alpha, inner, named[-1], on_carrier, plain])
             if twin is not None:
                 reflected = inner.join([opposite[m] + a for m, (_, a) in zip(image[::-1], values[::-1])])
                 yield "".join([*head, opposite[-1], on_carrier, inner, reflected, inner, keys[full], on_empty, twin])
 
+    return _json_pieces(players, catalogue.sizes, texts, "  ", render)
+
 
 def _pieces(catalogue: Catalogue, format: str) -> Iterator[str]:
     """The text of a catalogue in ``format`` in pieces: in ``text`` its
-    lines; in ``json`` the header, the ``_json_list`` pieces of the
-    entries, about one entry each, and the closing brace."""
+    lines; in ``json`` the header, the ``_json_list`` of the pieces of
+    ``_json_entries``, and the closing brace."""
     if format == "text":
         yield from (line + "\n" for line in _text_lines(catalogue))
         return
@@ -443,8 +502,10 @@ def parse(data: Union[bytes, str]) -> Catalogue:
     the file differs from.  A file with exactly the bytes of ``serialize`` (or, given
     as ``str``, its text) is accepted on that comparison alone, with no
     entry decoded.  Any other file has its entries decoded one at a time,
-    and entry i must equal entry i of the catalogue as JSON, field for
-    field; the first difference is named, and no later entry is rendered.
+    and the catalogue's pieces each as a JSON list when the comparison
+    reaches them; entry i must equal entry i of the catalogue as JSON,
+    field for field.  The first difference is named by its entry's index,
+    and no later piece is rendered.
     A player count and cone with no count in ``minbal.reference`` are
     rejected before any size is searched and before any entry is read, and
     so is a player name containing ``|``.
@@ -466,13 +527,13 @@ def parse(data: Union[bytes, str]) -> Catalogue:
         return catalogue
     size, types = _RECORDED_COUNTS[cone][players.n]
     name = f"the {players.n}-player {cone.value} catalogue"
-    blocks = _json_entries(catalogue)
+    expected = (entry for piece in _json_entries(catalogue) for entry in json.loads("[" + piece + "]"))
     read = 0
     for raw in doc["entries"]:  # after the last entry, the rest of the document is read
-        block = next(blocks, None)
-        if block is None:
+        entry = next(expected, None)
+        if entry is None:
             raise CatalogueFormatError(f"entries[{size}]: beyond the {size} entries of {name}")
-        field = _first_difference(json.loads(block), raw)
+        field = _first_difference(entry, raw)
         if field is not None:
             raise CatalogueFormatError(f"entries[{read}]: {field} differs from entry {read} of {name}, which has {size} entries in {types} types")
         read += 1

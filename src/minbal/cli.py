@@ -5,8 +5,8 @@ generates facet catalogues, ``check`` decides cone membership of a game
 file with optional certificates, and ``verify`` runs the built-in
 verification suites.  Results go to stdout as UTF-8 bytes, whatever
 its encoding, diagnostics to stderr.  ``_write`` writes a catalogue as
-``catalogue._pieces`` and a JSON listing as ``games._json_block``
-items, joining the pieces into blocks of about 64 KB
+``catalogue._pieces`` and a JSON listing of systems as the pieces of
+``catalogue._json_pieces``, joining the pieces into blocks of about 64 KB
 (:data:`BLOCK_SIZE`), each encoded and written once it is full; a
 check's verdict is one piece, written as it is.  With ``--certificate``
 that piece is the text ``json.dumps(indent=2, ensure_ascii=False)``
@@ -145,16 +145,19 @@ def _cmd_enumerate(args: SimpleNamespace) -> int:
 
 
 def _system_items(players: Players, size: int, types: list[CatalogueEntry]) -> Iterator[str]:
-    """The items of the JSON listing of the systems of ``types`` on every
-    carrier of ``size`` players, rendered from the types' weights."""
-    from .catalogue import _on_carriers, _system_json
+    """The JSON listing of the systems of ``types`` on every carrier of
+    ``size`` players, rendered from the types' weights, as the
+    ``catalogue._json_pieces`` of its items."""
+    from .catalogue import _json_pieces, _system_fields
 
-    system_json = _system_json(players, " " * 4)
     systems = [(rep.mbs.system.members, [(f': "{w}"',) for w in rep.mbs.weights], rep) for rep in types]
-    for carrier, table, images in _on_carriers(players, (size,), lambda _: systems):
-        fields = system_json(carrier, table)
+
+    def render(listed: list[str], named: list[str], opposite: list[str], block: str, images: Iterable[tuple]) -> Iterator[str]:
+        fields = _system_fields(listed, named, block, " " * 4)
         for image, values, rep in images:
             yield _json_block(["".join(fields(image, values, rep.mbs.k)), '"irreducible": ' + str(rep.irreducible).lower()], "  ", "{}")
+
+    return _json_pieces(players, (size,), lambda _: systems, "", render)
 
 
 def _system_lines(players: Players, size: int, types: list[CatalogueEntry]) -> Iterator[str]:

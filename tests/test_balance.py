@@ -338,6 +338,21 @@ class TestEnumerate:
         assert len(warnings_at_search) == 4
         assert all(len(w) == 1 and "6-player carrier" in w[0] for w in warnings_at_search)
 
+    @pytest.mark.parametrize("c, cost", [(6, "expect about 0.5 s, and up to 12 s and 250 MB to list them all"), (7, "expect about 100 s and 100 MB"),
+                                         (8, "expect far more than the 100 s and 100 MB of 7 players")])
+    def test_search_warning_states_the_cost_of_its_size(self, monkeypatch, caplog, c, cost):
+        # the warning is logged before the search builds anything, so no search runs here
+        class Stop(Exception):
+            pass
+
+        def stop(_):
+            raise Stop
+
+        monkeypatch.setattr(balance, "_packed_marks", stop)
+        with caplog.at_level(logging.WARNING, logger="minbal"), pytest.raises(Stop):
+            _enumerate_size.__wrapped__(c)
+        assert [r.getMessage() for r in caplog.records] == [f"enumerating min-balanced systems on a {c}-player carrier: {cost}"]
+
 
 class TestOrderlySearch:
     @pytest.mark.parametrize("c", [2, 3, 4, 5])

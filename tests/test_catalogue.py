@@ -328,8 +328,12 @@ class TestSerialization:
         catalogue = generate(letters(n), cone)
         assert serialize(catalogue) == reference_serialize(catalogue)
 
-    @pytest.mark.parametrize("names", [("x1", "y", "ü"), ('a"', "b\\", "c\n"), ("α", "β", "γ")], ids=["digit", "escapes", "greek"])
-    @pytest.mark.parametrize("cone", CONES)
+    @pytest.mark.parametrize("cone, names", [
+        *((cone, names) for cone in CONES for names in [("x1", "y", "ü"), ('a"', "b\\", "c\n"), ("α", "β", "γ")]),
+        # sizes below four players have several carriers, each filled from one rendering with slot markers "\0<index>\0"
+        *((cone, ("a\x00", "b%", "c\\", "ß")) for cone in ["totally-balanced", "exact-conjecture"]),
+    ], ids=[f"{cone}-{names}" for cone in CONES for names in ["digit", "escapes", "greek"]]
+        + ["totally-balanced-markers", "exact-conjecture-markers"])
     def test_json_escapes_names_like_reference_encoder(self, names, cone):
         catalogue = generate(Players(names), cone)
         assert serialize(catalogue) == reference_serialize(catalogue)
@@ -731,8 +735,9 @@ class TestRenderingFromTypes:
         assert 0 < max(built.values()) <= 2 * types
 
     def test_changed_byte_stops_the_rendering(self, monkeypatch, built):
-        # a k in entry 3 changed: the byte comparison stops at entry 3, the
-        # decoded comparison names it, and no later entry is rendered
+        # a k in entry 3 changed: the byte comparison stops at the piece
+        # holding entry 3, the decoded comparison names it, and no later
+        # piece is rendered
         blob = serialize(generate(letters(5), "balanced"))
         at = -1
         for _ in range(4):
@@ -740,28 +745,48 @@ class TestRenderingFromTypes:
         at += len(b'"k": ')
         digit = blob[at:at + 1]
         blob = blob[:at] + (b"8" if digit == b"9" else bytes([digit[0] + 1])) + blob[at + 1:]
-        drawn = []
+        passes = []  # the number of entries in each piece drawn, per rendering
         render = minbal.catalogue._json_entries
 
         def counting(catalogue):
-            for block in render(catalogue):
-                drawn.append(block)
-                yield block
+            passes.append([])
+            for piece in render(catalogue):
+                passes[-1].append(piece.count('"orbit_size"'))
+                yield piece
 
         monkeypatch.setattr(minbal.catalogue, "_json_entries", counting)
         built.update(dict.fromkeys(built, 0))
         with pytest.raises(CatalogueFormatError, match=r"entries\[3\]: k differs from entry 3 of the 5-player balanced"):
             parse(blob)
-        assert len(drawn) <= 8
+        assert len(passes) == 2  # the byte comparison, then the decoded one
+        for counts in passes:
+            assert sum(counts[:-1]) <= 3 < sum(counts)
         assert max(built.values()) <= 2 * 44
+
+    def test_entry_in_a_later_piece_named(self):
+        # entry 70 of the 5-player balanced catalogue lies in its second
+        # piece: the decoded comparison still names its index
+        catalogue = generate(letters(5), "balanced")
+        counts = [piece.count('"orbit_size"') for piece in minbal.catalogue._json_entries(catalogue)]
+        assert counts[0] <= 70 < counts[0] + counts[1]
+        doc = json.loads(serialize(catalogue))
+        doc["entries"][70]["weights"] = dict(reversed(doc["entries"][70]["weights"].items()))
+        with pytest.raises(CatalogueFormatError, match=r"^entries\[70\]: weights differs from entry 70 of the 5-player balanced catalogue"):
+            parse(json.dumps(doc, indent=2))
 
     def test_six_player_entry_rejected_before_larger_sizes_are_searched(self, monkeypatch):
         # the first eleven entries of the 6-player totally-balanced catalogue
         # lie on carriers of 2 and 3 players: a changed k in entry 10 is
         # named with only those two sizes searched, and no 6-player search
-        pieces = minbal.catalogue._pieces(Catalogue(letters(6), "totally-balanced"), "json")
-        head = [next(pieces) for _ in range(12)]  # the header, then "[" with entry 0 and entries 1 to 10
-        doc = "".join(head[:-1]) + head[-1].replace('"k": ', '"k": 9', 1) + "\n  ]\n}\n"
+        catalogue = Catalogue(letters(6), "totally-balanced")
+        entries = []
+        for piece in minbal.catalogue._json_entries(catalogue):
+            entries += json.loads("[" + piece + "]")
+            if len(entries) > 10:
+                break
+        entries = entries[:11]
+        entries[10]["k"] += 90
+        doc = json.dumps({"players": list(catalogue.players.names), "cone": "totally-balanced", "conjecture": False, "entries": entries}, indent=2)
 
         class Stop(Exception):
             pass

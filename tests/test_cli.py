@@ -278,6 +278,18 @@ class TestVerify:
             assert name == f"game {i} ({family}): exact <=> (TB and TB of anti-dual)"
             assert ok and exact == bool(i % 2)
 
+    def test_appendix_type_missing_fails_its_row(self, monkeypatch, capsys):
+        # a type table that lost the first type, with the counts still
+        # right: its row fails and the rest of the suite runs
+        import minbal.catalogue
+
+        table = minbal.catalogue.Catalogue.type_table
+        monkeypatch.setattr(minbal.catalogue.Catalogue, "type_table", lambda catalogue: dict(list(table(catalogue).items())[1:]))
+        assert main(["verify", "--players", "3", "--suite", "appendix"]) == 1
+        captured = capsys.readouterr()
+        assert [line for line in captured.out.splitlines() if line.startswith("FAIL")] == ["FAIL type 1 {a, b, c}: expected present, got missing"]
+        assert captured.err == "10/11 items passed\n"
+
     def test_appendix_out_of_range(self, capsys):
         assert main(["verify", "--players", "5", "--suite", "appendix"]) == 2
         assert capsys.readouterr().err == "error: the appendix suite covers 2 to 4 players\n"

@@ -111,6 +111,23 @@ class TestIsBalanced:
         assert v.certificate.value == -1
         verify_verdict(g, v)
 
+    @pytest.mark.parametrize("fault, message", [
+        ("support", "Farkas support did not reduce to a min-balanced system on the player set"),
+        ("value", "reduced min-balanced inequality is not violated"),
+    ])
+    def test_violated_system_checks_raise(self, monkeypatch, p3, fault, message):
+        # the reduced support is min-balanced on the player set and its
+        # inequality violated, unless the step before the check is at fault
+        from minbal import balance
+
+        g = game_of(p3, {"abc": 1, "ab": 1, "ac": 1, "bc": 1})
+        if fault == "support":
+            monkeypatch.setattr(balance, "is_min_balanced", lambda system: None)
+        else:
+            monkeypatch.setattr(balance.InequalityVector, "evaluate", lambda alpha, game: F(0))
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            is_balanced(g)
+
     def test_violated_system_at_every_player_count(self):
         # the Farkas vector reduces to a violated min-balanced system on
         # the full carrier, also where enumerating those systems is out

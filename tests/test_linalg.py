@@ -234,6 +234,21 @@ class TestAnswerChecks:
         with pytest.raises(DimensionError):
             lp_feasible([[1, 0]], [], [1, 2])
 
+    def test_bounded_phase_one_raises(self, monkeypatch):
+        # phase 1 is bounded below by 0, so an entering column always has
+        # a pivot row; x <= 1 with the first reduced cost row's variable
+        # entries negated makes v_0 enter a column with no positive entry
+        real, calls = linalg._primitive, []
+
+        def flipped(row):
+            calls.append(row)
+            row = real(row)
+            return [-e for e in row[:-2]] + row[-2:] if len(calls) == 1 else row
+
+        monkeypatch.setattr(linalg, "_primitive", flipped)
+        with pytest.raises(RuntimeError, match="^phase-1 objective is bounded; no pivot row found$"):
+            lp_feasible([[1]], [], [1])
+
 
 # -- brute-force oracles -------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +17,7 @@ from minbal.balance import (
 )
 from conftest import candidate_sets, lp_conic_feasible, permute_coalition, subsets_below
 from minbal.games import letters
+from minbal import reduction
 from minbal.reduction import ReductionWitness, decompose, is_reducible
 
 
@@ -94,6 +96,66 @@ class TestWitnessContract:
         doubled = ReductionWitness(w.reduced_set, w.pivot_member, tuple((s, 2 * m) for s, m in w.mu), w.beta)
         with pytest.raises(ValueError, match="re-substitute"):
             decompose(mbs, doubled)
+
+
+class TestDecompositionChecks:
+    """The checks ``decompose`` runs after the witness is validated; each
+    fails only when a step before it is at fault, so that step is patched."""
+
+    @pytest.fixture()
+    def reducible(self, p4):
+        mbs = is_min_balanced(system_of(p4, "a", "b", "c"))
+        return mbs, is_reducible(mbs)
+
+    @staticmethod
+    def second_system(monkeypatch, change):
+        """Patch ``is_min_balanced`` in ``decompose`` so that its second
+        call, the outer system's, returns ``change`` of the system."""
+        calls = []
+
+        def patched(system):
+            calls.append(system)
+            mbs = is_min_balanced(system)
+            return change(mbs) if len(calls) == 2 else mbs
+
+        monkeypatch.setattr(reduction, "is_min_balanced", patched)
+
+    @staticmethod
+    def stand_in(mbs, **changes):
+        fields = {"carrier": mbs.carrier, "weights": mbs.weights, "k": mbs.k, "alpha": mbs.alpha}
+        return SimpleNamespace(**{**fields, **changes})
+
+    def test_inner_not_min_balanced(self, monkeypatch, reducible):
+        monkeypatch.setattr(reduction, "is_min_balanced", lambda system: None)
+        with pytest.raises(RuntimeError, match="^inner part of the decomposition is not min-balanced on A$"):
+            decompose(*reducible)
+
+    def test_outer_not_min_balanced(self, monkeypatch, reducible):
+        self.second_system(monkeypatch, lambda mbs: None)
+        with pytest.raises(RuntimeError, match="^outer part of the decomposition is not min-balanced on the carrier$"):
+            decompose(*reducible)
+
+    @pytest.mark.parametrize("part", ["inner", "outer"])
+    def test_weights_disagree(self, monkeypatch, reducible, part):
+        # a witness whose combination is doubled, let through by a
+        # validation that checks nothing
+        mbs, w = reducible
+        doubled = {"mu": tuple((s, 2 * x) for s, x in w.mu), "beta": tuple((s, 2 * x) for s, x in w.beta)}
+        w = ReductionWitness(w.reduced_set, w.pivot_member, doubled["mu"] if part == "inner" else w.mu, doubled["beta"] if part == "outer" else w.beta)
+        monkeypatch.setattr(reduction, "_validate_witness", lambda mbs, witness: None)
+        with pytest.raises(RuntimeError, match=f"^{part} weights disagree with the witness combination$"):
+            decompose(mbs, w)
+
+    def test_combination_not_positive(self, monkeypatch, reducible):
+        self.second_system(monkeypatch, lambda mbs: self.stand_in(mbs, k=-mbs.k))
+        with pytest.raises(RuntimeError, match="^combination coefficients must be positive$"):
+            decompose(*reducible)
+
+    def test_combination_does_not_recombine(self, monkeypatch, reducible):
+        # the outer system's inequality replaced by the original one
+        self.second_system(monkeypatch, lambda mbs: self.stand_in(mbs, alpha=reducible[0].alpha))
+        with pytest.raises(RuntimeError, match="^decomposition does not recombine into the original inequality$"):
+            decompose(*reducible)
 
 
 class TestDecompositionIdentity:
