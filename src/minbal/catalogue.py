@@ -18,20 +18,20 @@ A catalogue is a fixed function of its players and cone, and a
 ``Catalogue`` is that pair; it finds its types one carrier size at a
 time, when first needed, and ``generate`` finds them all.  Every entry
 is an image of its type (``balance._images``), and every carrier of a
-size holds the same images in the same order: the JSON renders each
-size once, with slot markers for the coalition texts that each carrier
-fills with its own (``_json_pieces``), and from its type's texts, so
-writing and parsing build no object per entry; ``Catalogue.entries``
-builds them on first access.  ``minbal enumerate`` lists systems
-through the same walks.  ``_pieces`` renders a catalogue in either
-format, JSON entries about ``PIECE_ENTRIES`` to a piece: ``serialize`` joins
-the pieces, ``minbal catalogue`` writes them in blocks of about 64 KB
-as they are rendered (``cli._write``).  The JSON lists and
-objects are written by :mod:`minbal.games` (``_json_list``,
-``_json_block``, ``_json_keys``), which also reads them, and each
-inequality by :func:`minbal.balance.render_inequality`; both are
-importable from here too.  ``parse`` compares the file with the
-rendering piece by piece, byte for byte and, only when the bytes
+size holds the same images in the same order: ``_fill_pieces`` renders
+each size once, with slot markers for the coalition texts that each
+carrier fills with its own, and from its types' texts, so writing and
+parsing build no object per entry; ``Catalogue.entries`` builds them on
+first access.  The same walk renders the system listings of ``minbal
+enumerate`` in either format (``_listing``).  ``_pieces`` renders a
+catalogue in either format, JSON entries about ``PIECE_ENTRIES`` to a
+piece: ``serialize`` joins the pieces, ``minbal catalogue`` writes them
+in blocks of about 64 KB as they are rendered (``cli._write``).  The
+JSON lists and objects are written by :mod:`minbal.games`
+(``_json_list``, ``_json_block``, ``_json_keys``), which also reads
+them, and each inequality by :func:`minbal.balance.render_inequality`;
+both are importable from here too.  ``parse`` compares the file with
+the rendering piece by piece, byte for byte and, only when the bytes
 differ, as JSON values; the rendering stops at the piece holding the
 first difference.
 """
@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 from enum import Enum
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring
 from math import comb
 from operator import itemgetter
@@ -230,38 +230,31 @@ def generate(players: Players, cone: Union[ConeKind, str]) -> Catalogue:
 
 # -- entries, carrier by carrier -------------------------------------------
 
-def _on_carriers(players: Players, sizes: Container[int], types: Callable[[int], list[tuple]]) -> Iterator[tuple[int, list[int], Iterable[tuple]]]:
-    """Each carrier of a size in ``sizes``, in increasing bitmask order,
-    with its order-keeping renaming of the first c players and the
-    ``_images`` of ``types(c)``, each type given as ``_images`` takes it,
-    for walks that rename each image (JSON fills ``_json_pieces``).
-    A size's images are listed when the walk reaches its first carrier,
-    once for all its carriers; those of the full player set, which has
-    one, are drawn as they are used."""
-    images: dict[int, Iterable[tuple]] = {}
-    for carrier in range(players.full_mask + 1):
-        if (c := carrier.bit_count()) in sizes:
-            if c not in images:
-                images[c] = _images(types(c), c) if c == players.n else list(_images(types(c), c))
-            yield carrier, relabelling(_bit_positions(carrier)), images[c]
-
-
 def _entries(catalogue: Catalogue) -> Iterator[CatalogueEntry]:
     """``Catalogue.entries``: each image of each type on each carrier of
-    its size, with its type's fields, followed in ``exact-conjecture`` by
-    its conjugate."""
-    def types(c: int) -> list[tuple]:
-        return [(t.mbs.system.members, _member_values(t.mbs), (t, twin)) for t, twin in catalogue._types_of(c)]
+    its size, in increasing bitmask order, with its type's fields,
+    followed in ``exact-conjecture`` by its conjugate.  A size's images
+    are listed when the walk reaches its first carrier, once for all its
+    carriers; those of the full player set, which has one, are drawn as
+    they are used."""
+    players = catalogue.players
+    images: dict[int, Iterable[tuple]] = {}
 
     def entry(t: CatalogueEntry, mbs: MinBalancedSystem, alpha: InequalityVector) -> CatalogueEntry:
         return CatalogueEntry(mbs, alpha, t.irreducible, t.conjugated, t.type_id, t.orbit_size, t.complement_type_id)
 
-    for _, table, images in _on_carriers(catalogue.players, catalogue.sizes, types):
-        for image, values, (t, twin) in images:
+    for carrier in range(players.full_mask + 1):
+        if (c := carrier.bit_count()) not in catalogue.sizes:
+            continue
+        if c not in images:
+            types = [(t.mbs.system.members, _member_values(t.mbs), (t, twin)) for t, twin in catalogue._types_of(c)]
+            images[c] = _images(types, c) if c == players.n else list(_images(types, c))
+        table = relabelling(_bit_positions(carrier))
+        for image, values, (t, twin) in images[c]:
             mbs = _image_system(table, image, values, t.mbs)
             yield entry(t, mbs, mbs.alpha)
             if twin is not None:
-                yield entry(twin, mbs, conjugate(mbs.alpha, catalogue.players))
+                yield entry(twin, mbs, conjugate(mbs.alpha, players))
 
 
 # -- rendering -----------------------------------------------------------
@@ -269,10 +262,6 @@ def _entries(catalogue: Catalogue) -> Iterator[CatalogueEntry]:
 def induced_system(alpha: InequalityVector) -> SetSystem:
     """The set system read off an inequality: its negative support."""
     return SetSystem(alpha.negative_support)
-
-
-def _render_system(players: Players, system: SetSystem) -> str:
-    return "{" + ", ".join(players.key(m) for m in system.members) + "}"
 
 
 def _text_lines(catalogue: Catalogue) -> list[str]:
@@ -304,55 +293,53 @@ def _type_lines(players: Players, number: int, alpha: InequalityVector, count: i
     """A type's two lines in a text listing: its number, the system its
     inequality induces, its count and notes, then the inequality."""
     note = ("   " + ", ".join(notes)) if notes else ""
-    return (f"{number}. {_render_system(players, induced_system(alpha))}   {count}x{note}",
+    system = ", ".join(map(players.key, induced_system(alpha).members))
+    return (f"{number}. {{{system}}}   {count}x{note}",
             f"   {render_inequality(alpha, players)}")
 
 
 # -- serialization -------------------------------------------------------
 
-#: ``_json_pieces`` hands its items on in pieces of this many, joined by
-#: the list separator (about 35-55 KB at 5 and 6 players).
+#: ``_fill_pieces`` hands its items on in pieces of this many, joined by
+#: the item separator (about 35-55 KB of JSON at 5 and 6 players).
 PIECE_ENTRIES = 64
 
 
-def _json_pieces(players: Players, sizes: Container[int], types: Callable[[int], list[tuple]], pad: str,
-                 render: Callable[[list[str], list[str], list[str], str, Iterable[tuple]], Iterator[str]]) -> Iterator[str]:
-    """The items of a JSON list at ``pad`` on each carrier of a size in
-    ``sizes``, in increasing bitmask order, in pieces of about
-    ``PIECE_ENTRIES`` items joined by the list separator.  ``render``
-    renders a carrier's items from the ``_images`` of ``types(c)`` and its
-    coalition texts, given for each coalition ``m`` of the first ``c``
-    players renamed onto it: its member block, its key and its complement's
-    key; then the carrier's block.  Items' fields sit at ``pad`` plus four
-    spaces.
+def _fill_pieces(players: Players, sizes: Container[int], types: Callable[[int], list[tuple]],
+                 slots: Callable[[int, list[int]], tuple[list[str], ...]], sep: str, render: Callable[..., Iterator[str]]) -> Iterator[str]:
+    """The items rendered on each carrier of a size in ``sizes``, in
+    increasing bitmask order, in pieces of about ``PIECE_ENTRIES`` items
+    joined by ``sep``.  ``slots(carrier, table)`` gives a carrier's texts
+    as lists, from its bitmask and its order-keeping renaming ``table`` of
+    the first ``c`` players; ``render(*texts, images)`` renders its items
+    from those lists and the ``_images`` of ``types(c)``.
 
     The full player set, the one carrier of its size, is rendered as it
     is.  Any other size is rendered once, when the walk first reaches it,
-    with slot markers ``"\\0<index>\\0"`` in place of those texts (the
-    JSON holds no raw NUL, as ``encode_basestring`` escapes it); split at
-    the markers, that rendering is kept, and each carrier of the size
-    fills its slots with its own texts.  Whatever is pending is handed on
-    before a size is searched, so a piece spans no size not yet reached."""
-    keys = _json_keys(players)
-    names = [[encode_basestring(name) for name in players.member_names(m)] for m in players.coalitions()]
-    members = [_json_block(member, pad + "      ") for member in names]
-    full, sep = players.full_mask, ",\n" + pad + "  "
+    with slot markers ``"\\0<index>\\0"`` in place of the texts, which must
+    hold no NUL, nor may the rendering (JSON holds none, as
+    ``encode_basestring`` escapes it, and a listing names its players
+    a, b, c, ...); split at the markers, that rendering is kept, and each
+    carrier of the size fills its slots with its own texts.  Whatever is
+    pending is handed on before a size is searched, so a piece spans no
+    size not yet reached."""
     programs: dict[int, list[tuple[list[str], Callable, int]]] = {}
     shared: dict[str, str] = {}
     piece: list[str] = []
     count = 0
-    for carrier in range(full + 1):
+    for carrier in range(players.full_mask + 1):
         if (c := carrier.bit_count()) not in sizes:
             continue
-        table = relabelling(_bit_positions(carrier))
-        texts = [*(members[s] for s in table), *(keys[s] for s in table), *(keys[full ^ s] for s in table), _json_block(names[carrier], pad + "    ")]
+        groups = slots(carrier, relabelling(_bit_positions(carrier)))
+        texts = [text for group in groups for text in group]
         if c not in programs:
             if piece:
                 yield sep.join(piece)
                 piece, count = [], 0
             one = c == players.n  # the full player set, its size's one carrier
-            marks = texts if one else [f"\0{i}\0" for i in range(len(texts))]
-            items = render(marks[:1 << c], marks[1 << c:2 << c], marks[2 << c:-1], marks[-1], _images(types(c), c))
+            numbered = map("\0{}\0".format, range(len(texts)))
+            marks = groups if one else [list(islice(numbered, len(group))) for group in groups]
+            items = render(*marks, _images(types(c), c))
             batches = iter(lambda: list(islice(items, PIECE_ENTRIES)), [])
             if one:
                 yield from map(sep.join, batches)
@@ -375,10 +362,22 @@ def _json_pieces(players: Players, sizes: Container[int], types: Callable[[int],
         yield sep.join(piece)
 
 
+def _json_slots(players: Players, pad: str) -> Callable[[int, list[int]], tuple[list[str], ...]]:
+    """The ``_fill_pieces`` slots of a JSON list at ``pad`` whose items'
+    fields sit at ``pad`` plus four spaces: for each coalition of the
+    first ``c`` players renamed onto the carrier, its member block, its
+    key and its complement's key; then the carrier's block."""
+    keys, full = _json_keys(players), players.full_mask
+    names = [[encode_basestring(name) for name in players.member_names(m)] for m in players.coalitions()]
+    members = [_json_block(member, pad + "      ") for member in names]
+    return lambda carrier, table: ([members[s] for s in table], [keys[s] for s in table], [keys[full ^ s] for s in table],
+                                   [_json_block(names[carrier], pad + "    ")])
+
+
 def _system_fields(listed: list[str], named: list[str], block: str, pad: str) -> Callable[[tuple[int, ...], Sequence[tuple[str, ...]], int], list[str]]:
     """A renderer of an image's ``system``, ``carrier``, ``weights`` and
     ``k`` fields as ``json.dumps(indent=2)`` writes them in an object whose
-    fields sit at ``pad``, from the ``_json_pieces`` texts of its carrier:
+    fields sit at ``pad``, from the ``_json_slots`` texts of its carrier:
     given the image's members, a tuple per member whose first item is its
     weight as a ``: "w"`` text, and its ``k``.  The fields come as a list
     of texts, for the caller to join with the rest of its item."""
@@ -396,7 +395,7 @@ def _system_fields(listed: list[str], named: list[str], block: str, pad: str) ->
 
 def _json_entries(catalogue: Catalogue) -> Iterator[str]:
     """The entries as ``serialize`` writes them in the ``entries`` list, in
-    the ``_json_pieces`` of about ``PIECE_ENTRIES`` each.  An entry is
+    the ``_fill_pieces`` of about ``PIECE_ENTRIES`` each.  An entry is
     rendered from its carrier's coalition texts, its image's weights and
     coefficients and its type's fields, each rendered once, and joined
     with one ``"".join``.  A conjugate shares its entry's system fields,
@@ -423,8 +422,8 @@ def _json_entries(catalogue: Catalogue) -> Iterator[str]:
         return [(t.mbs.system.members, tuple((f': "{w}"', f": {a}") for w, a in _member_values(t.mbs)),
                  (t.mbs.k, f": {t.mbs.k}", f": {t.alpha.items[0][1]}", tail(t), twin and tail(twin))) for t, twin in catalogue._types_of(c)]
 
-    def render(listed: list[str], named: list[str], opposite: list[str], block: str, images: Iterable[tuple]) -> Iterator[str]:
-        fields = _system_fields(listed, named, block, " " * 6)
+    def render(listed: list[str], named: list[str], opposite: list[str], block: list[str], images: Iterable[tuple]) -> Iterator[str]:
+        fields = _system_fields(listed, named, block[0], " " * 6)
         for image, values, (k, on_carrier, on_empty, plain, twin) in images:
             head = ["{\n      ", *fields(image, values, k), alpha_open]
             alpha = inner.join([named[m] + a for m, (_, a) in zip(image, values)])
@@ -433,7 +432,7 @@ def _json_entries(catalogue: Catalogue) -> Iterator[str]:
                 reflected = inner.join([opposite[m] + a for m, (_, a) in zip(image[::-1], values[::-1])])
                 yield "".join([*head, opposite[-1], on_carrier, inner, reflected, inner, keys[full], on_empty, twin])
 
-    return _json_pieces(players, catalogue.sizes, texts, "  ", render)
+    return _fill_pieces(players, catalogue.sizes, texts, _json_slots(players, "  "), ",\n    ", render)
 
 
 def _pieces(catalogue: Catalogue, format: str) -> Iterator[str]:
@@ -453,6 +452,50 @@ def _pieces(catalogue: Catalogue, format: str) -> Iterator[str]:
     )
     yield from _json_list(_json_entries(catalogue), "  ")
     yield "\n}\n"
+
+
+def _listing(players: Players, size: int, format: str, types_only: bool, irreducible_only: bool) -> Iterator[str]:
+    """The text of ``minbal enumerate`` in pieces: the non-trivial
+    min-balanced systems on every carrier of ``size`` players, or with
+    ``types_only`` each type's lex-least system on the first ``size``
+    players, with ``irreducible_only`` the irreducible ones only; in
+    ``text`` a line per system and two per type, in ``json`` a list.
+    The types are searched before this returns.  Systems are rendered
+    from their types' weights through ``_fill_pieces``, whose pieces
+    become the text's or the list's."""
+    if format not in ("json", "text"):
+        raise ValueError(f"unknown format {format!r}")
+    # classified on the first carrier, the first ``size`` players, which holds every type
+    types = [rep for rep in _types_on(players, size) if rep.irreducible or not irreducible_only]
+    if types_only and format == "text":
+        return (line + "\n" for i, rep in enumerate(types, start=1)
+                for line in _type_lines(players, i, rep.alpha, rep.orbit_size, ["irreducible"] if rep.irreducible else []))
+    if format == "text":
+        keys = [players.key(m) for m in players.coalitions()]
+        systems = [(rep.mbs.system.members, [f"={w}" for w in rep.mbs.weights], rep) for rep in types]
+
+        def lines(named: list[str], images: Iterable[tuple]) -> Iterator[str]:
+            for image, values, rep in images:  # named[-1] is the carrier's key
+                yield ("{" + ", ".join([named[m] for m in image]) + f"}}   carrier={named[-1]}   k={rep.mbs.k}   weights: "
+                       + " ".join([named[m] + w for m, w in zip(image, values)]) + ("   irreducible" if rep.irreducible else ""))
+
+        pieces = _fill_pieces(players, (size,), lambda _: systems, lambda _, table: ([keys[s] for s in table],), "\n", lines)
+        return (piece + "\n" for piece in pieces)
+    if types_only:
+        items = (_json_block(['"type_id": ' + encode_basestring(rep.type_id), f'"orbit_size": {rep.orbit_size}',
+                              '"irreducible": ' + str(rep.irreducible).lower(),
+                              '"inequality": ' + encode_basestring(render_inequality(rep.alpha, players))], "  ", "{}")
+                 for rep in types)
+    else:
+        systems = [(rep.mbs.system.members, [(f': "{w}"',) for w in rep.mbs.weights], rep) for rep in types]
+
+        def render(listed: list[str], named: list[str], opposite: list[str], block: list[str], images: Iterable[tuple]) -> Iterator[str]:
+            fields = _system_fields(listed, named, block[0], " " * 4)
+            for image, values, rep in images:
+                yield _json_block(["".join(fields(image, values, rep.mbs.k)), '"irreducible": ' + str(rep.irreducible).lower()], "  ", "{}")
+
+        items = _fill_pieces(players, (size,), lambda _: systems, _json_slots(players, ""), ",\n  ", render)
+    return chain(_json_list(items, ""), ["\n"])
 
 
 def serialize(catalogue: Catalogue, format: str = "json") -> bytes:

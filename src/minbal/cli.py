@@ -4,16 +4,15 @@ Subcommands: ``enumerate`` lists min-balanced systems, ``catalogue``
 generates facet catalogues, ``check`` decides cone membership of a game
 file with optional certificates, and ``verify`` runs the built-in
 verification suites.  Results go to stdout as UTF-8 bytes, whatever
-its encoding, diagnostics to stderr.  ``_write`` writes a catalogue as
-``catalogue._pieces`` and a JSON listing of systems as the pieces of
-``catalogue._json_pieces``, joining the pieces into blocks of about 64 KB
-(:data:`BLOCK_SIZE`), each encoded and written once it is full; a
-check's verdict is one piece, written as it is.  With ``--certificate``
-that piece is the text ``json.dumps(indent=2, ensure_ascii=False)``
-writes for the verdict, rendered by the same ``games._json_block``
-(:func:`_certificate_json`): a payoff vector fills one ``%`` template
-per player set, and a tight-allocation table renders each distinct
-point once, each number written from its integers.
+its encoding, diagnostics to stderr.  ``_write`` writes the pieces of
+a catalogue (``catalogue._pieces``) or a listing (``catalogue._listing``)
+in blocks of about 64 KB (:data:`BLOCK_SIZE`), each encoded and written
+once it is full; a check's verdict is one piece, written as it is.  With
+``--certificate`` that piece is the text ``json.dumps(indent=2,
+ensure_ascii=False)`` writes for the verdict, rendered by the same
+``games._json_block`` (:func:`_certificate_json`): a payoff vector fills
+one ``%`` template per player set, and a tight-allocation table renders
+each distinct point once, each number written from its integers.
 ``minbal.catalogue`` and ``minbal.reference`` are imported only by the
 commands that use them, ``enumerate``, ``catalogue`` and ``verify``, so
 a check loads neither, nor ``minbal.reduction``; ``minbal.balance`` is
@@ -44,12 +43,11 @@ import getopt
 import os
 import sys
 from contextlib import nullcontext
-from itertools import chain
 from json.encoder import encode_basestring
 from math import gcd
 from random import Random
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Optional
+from typing import TYPE_CHECKING, Iterable, NoReturn, Optional
 
 from . import games
 from .cones import (
@@ -64,10 +62,10 @@ from .cones import (
     is_totally_balanced_facets,
     is_totally_balanced_lp,
 )
-from .games import GameFormatError, Players, _json_block, _json_keys, _json_list, anti_dual, game_from_json, letters, random_exact_game, random_game
+from .games import GameFormatError, Players, _json_block, _json_keys, anti_dual, game_from_json, letters, random_exact_game, random_game
 
 if TYPE_CHECKING:
-    from .catalogue import Catalogue, CatalogueEntry
+    from .catalogue import Catalogue
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -118,59 +116,17 @@ def _write(pieces: Iterable[str], out: Optional[str] = None) -> None:
 # -- enumerate -----------------------------------------------------------
 
 def _cmd_enumerate(args: SimpleNamespace) -> int:
-    from .balance import render_inequality
-    from .catalogue import _type_lines, _types_on
+    from .balance import ENUM_PLAYER_CAP
+    from .catalogue import _listing
 
     players = letters(args.players)
+    if not 2 <= players.n <= ENUM_PLAYER_CAP:
+        raise ValueError(f"enumeration needs between 2 and {ENUM_PLAYER_CAP} players")
     size = args.carrier_size if args.carrier_size is not None else players.n
     if not 1 <= size <= players.n:
         raise ValueError(f"carrier size must be between 1 and {players.n}")
-    # Classified on the first carrier, the first `size` players, which holds every type.
-    types = [rep for rep in _types_on(players, size) if rep.irreducible or not args.irreducible_only]
-
-    if args.types_only and args.format == "json":
-        items = (_json_block(['"type_id": ' + encode_basestring(rep.type_id), f'"orbit_size": {rep.orbit_size}',
-                              '"irreducible": ' + str(rep.irreducible).lower(),
-                              '"inequality": ' + encode_basestring(render_inequality(rep.alpha, players))], "  ", "{}")
-                 for rep in types)
-    elif args.types_only:
-        lines = (line for i, rep in enumerate(types, start=1)
-                 for line in _type_lines(players, i, rep.alpha, rep.orbit_size, ["irreducible"] if rep.irreducible else []))
-    elif args.format == "json":
-        items = _system_items(players, size, types)
-    else:
-        lines = _system_lines(players, size, types)
-    _write(chain(_json_list(items, ""), ["\n"]) if args.format == "json" else (line + "\n" for line in lines))
+    _write(_listing(players, size, args.format, args.types_only, args.irreducible_only))
     return 0
-
-
-def _system_items(players: Players, size: int, types: list[CatalogueEntry]) -> Iterator[str]:
-    """The JSON listing of the systems of ``types`` on every carrier of
-    ``size`` players, rendered from the types' weights, as the
-    ``catalogue._json_pieces`` of its items."""
-    from .catalogue import _json_pieces, _system_fields
-
-    systems = [(rep.mbs.system.members, [(f': "{w}"',) for w in rep.mbs.weights], rep) for rep in types]
-
-    def render(listed: list[str], named: list[str], opposite: list[str], block: str, images: Iterable[tuple]) -> Iterator[str]:
-        fields = _system_fields(listed, named, block, " " * 4)
-        for image, values, rep in images:
-            yield _json_block(["".join(fields(image, values, rep.mbs.k)), '"irreducible": ' + str(rep.irreducible).lower()], "  ", "{}")
-
-    return _json_pieces(players, (size,), lambda _: systems, "", render)
-
-
-def _system_lines(players: Players, size: int, types: list[CatalogueEntry]) -> Iterator[str]:
-    """The text lines listing the systems of ``types`` on every carrier of
-    ``size`` players, rendered from the types' weights."""
-    from .catalogue import _on_carriers
-
-    keys = [players.key(m) for m in players.coalitions()]
-    systems = [(rep.mbs.system.members, [f"={w}" for w in rep.mbs.weights], rep) for rep in types]
-    for carrier, table, images in _on_carriers(players, (size,), lambda _: systems):
-        for image, values, rep in images:
-            yield ("{" + ", ".join(keys[table[m]] for m in image) + f"}}   carrier={keys[carrier]}   k={rep.mbs.k}   weights: "
-                   + " ".join(keys[table[m]] + w for m, w in zip(image, values)) + ("   irreducible" if rep.irreducible else ""))
 
 
 # -- catalogue -----------------------------------------------------------

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import minbal
-from minbal.catalogue import generate, serialize
+from minbal.catalogue import PIECE_ENTRIES, generate, serialize
 from minbal import cli
 from minbal.cli import main
 from minbal.games import Game, Players, game_of, game_to_json, letters
@@ -84,6 +84,25 @@ class TestEnumerate:
     def test_bad_carrier_size(self, capsys):
         assert main(["enumerate", "--players", "3", "--carrier-size", "9"]) == 2
         assert capsys.readouterr().err == "error: carrier size must be between 1 and 3\n"
+
+    def test_one_player_rejected(self, capsys):
+        # the option's range is 2-6, as for a catalogue
+        assert main(["enumerate", "--players", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: enumeration needs between 2 and 6 players\n")
+
+    def test_text_lines_handed_on_in_pieces(self, monkeypatch, capsys):
+        # each 4-player carrier of five players fills the lines of its 41
+        # systems, and _write is handed pieces of at least PIECE_ENTRIES
+        # lines, all but the last
+        argv = ["enumerate", "--players", "5", "--carrier-size", "4"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        written = []
+        monkeypatch.setattr(cli, "_write", lambda pieces, out=None: written.extend(pieces))
+        assert main(argv) == 0
+        lines = [piece.count("\n") for piece in written]
+        assert "".join(written) == out and sum(lines) == 205 and len(lines) > 1
+        assert all(count >= PIECE_ENTRIES for count in lines[:-1]) and all(piece.endswith("\n") for piece in written)
 
     def test_player_cap(self, capsys):
         assert main(["enumerate", "--players", "7"]) == 2

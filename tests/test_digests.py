@@ -1,7 +1,8 @@
 """Byte-level regression pins: SHA-256 of every catalogue on two to five
 players and of the exact-conjecture catalogue on six, in JSON and text,
 of every ``enumerate --players 4`` output, of the ``enumerate
---players 5`` outputs on the full carrier, of the 6-player type listing
+--players 5`` outputs on the full carrier, of the system listings on the
+5-player carriers of six players, of the 6-player type listing
 and system listings in JSON and text, of the 6-player balanced and
 totally-balanced catalogues, and of ``check --certificate`` on seeded
 games in every cone.  The exact-conjecture catalogues on five and six players classify
@@ -82,6 +83,15 @@ ENUMERATE_6_JSON_DIGEST = "5c9be92245a421fe753d2bd96d89e3cb8e62f60b679cf81406236
 #: systems as text lines (22,795,289 bytes).  CI checks it through the
 #: installed ``minbal`` command instead of tier-1.
 ENUMERATE_6_TEXT_DIGEST = "81b2e0f34a4bc5e99fe50bcb54adbea32000fa0974a0db361efc3ed4421beb39"
+
+#: format -> SHA-256 of the stdout of ``enumerate --players 6
+#: --carrier-size 5``: 7,746 systems, 1,291 on each of six carriers
+#: (720,336 bytes of text, 3,776,289 of JSON), so each carrier fills many
+#: pieces' worth of systems and pieces span carriers
+ENUMERATE_6_CARRIER_5_DIGESTS = {
+    "text": "e318246c334d2e29273f2d26fcefe55d34a485976d29bdd954b2b8a6e0f473c4",
+    "json": "00c66b6e8e3119f93f598aa2e0f4decf4d8f6421a403394a2c62026368d0afcf",
+}
 
 #: (carrier size, format, --types-only, --irreducible-only) -> SHA-256 of
 #: the stdout of ``enumerate --players 4``, or ``--players 5`` for carrier
@@ -203,6 +213,12 @@ def test_enumerate_bytes(capsys, size, fmt, types_only, irreducible_only):
     assert main(argv) == 0
     out = capsys.readouterr().out.encode()
     assert _sha256(out) == ENUMERATE_DIGESTS[size, fmt, types_only, irreducible_only]
+
+
+@pytest.mark.parametrize("fmt", sorted(ENUMERATE_6_CARRIER_5_DIGESTS))
+def test_enumerate_six_players_on_five_player_carriers(capsysbinary, fmt):
+    assert main(["enumerate", "--players", "6", "--carrier-size", "5", "--format", fmt]) == 0
+    assert _sha256(capsysbinary.readouterr().out) == ENUMERATE_6_CARRIER_5_DIGESTS[fmt]
 
 
 #: ``cli.BLOCK_SIZE`` values: one character, so every piece is written
