@@ -216,16 +216,12 @@ def normalize(weights: Mapping[int, Fraction]) -> tuple[int, InequalityVector]:
 
 def _normalize_integers(members: Sequence[int], numerators: Sequence[int], denominator: int) -> tuple[int, InequalityVector]:
     """``normalize`` of the weights ``numerators[i] / denominator`` of the
-    increasing ``members``, the denominator positive, with every check
-    made on the integers: no ``Fraction`` is built unless a message
-    shows one.  The orderly search calls it on the numerators and the
-    lead of its packed target, ``normalize`` on its scaled weights.
-
-    Divided by their common divisor with the denominator, the numerators
-    are ``ints`` over the least denominator ``scale``; ``k`` is ``scale``
-    over the gcd of ``ints``, and each member's coefficient is minus its
-    ``int`` over that gcd.
-    """
+    increasing ``members``, the denominator positive, checked on the
+    integers (``_sums_to``): no ``Fraction`` is built unless a message
+    shows one.  The search passes the numerators and lead of its packed
+    target, ``normalize`` its scaled weights.  ``k`` is the denominator
+    over the numerators' gcd ``g``, a coefficient minus a numerator over
+    ``g``, and the empty coalition's makes the total zero."""
     if len(members) < 2:
         raise ValueError("normalization is defined for non-trivial systems only")
     carrier = reduce(or_, members)
@@ -233,27 +229,31 @@ def _normalize_integers(members: Sequence[int], numerators: Sequence[int], denom
         raise ValueError("weights must be indexed by proper nonempty members")
     if any(v <= 0 for v in numerators):
         raise ValueError("balanced weights must be strictly positive")
-    n = carrier.bit_length()
-    if _player_sums(zip(members, numerators), n) != [denominator * (carrier >> i & 1) for i in range(n)]:
+    if not _sums_to(members, numerators, denominator, carrier):
         raise ValueError("weights are not balanced on the carrier")
-    common = gcd(denominator, *numerators)
-    scale = denominator // common
-    ints = [v // common for v in numerators]
-    g = gcd(*ints)
-    if scale % g != 0:
-        raise ArithmeticError(
-            "minimal normalization constant is not an integer; "
-            f"weights {dict(zip(members, (Fraction(v, denominator) for v in numerators)))} scale to k = {scale}/{g}"
-        )
-    k = scale // g
-    items = [*((m, -(i // g)) for m, i in zip(members, ints)), (carrier, k)]  # increasing: each member is a proper subset
-    empty = -sum(a for _, a in items)
-    alpha = InequalityVector(tuple([(0, empty), *items] if empty else items))  # a zero coefficient is omitted
-    if not alpha.is_o_standardized():
+    g = gcd(*numerators)
+    if denominator % g != 0:
+        common = gcd(denominator, g)  # shown over the least denominator
+        raise ArithmeticError("minimal normalization constant is not an integer; weights "
+                              f"{dict(zip(members, (Fraction(v, denominator) for v in numerators)))} scale to k = {denominator // common}/{g // common}")
+    k, coefficients = denominator // g, [v // g for v in numerators]
+    if not _sums_to(members, coefficients, k, carrier):
         raise ArithmeticError("normalized coefficient vector is not o-standardized")
-    if alpha.coefficient(0) < 1:
+    if (empty := sum(coefficients) - k) < 1:
         raise ArithmeticError("normalized coefficient vector has |empty| coefficient < 1")
-    return k, alpha
+    return k, InequalityVector(((0, empty), *((m, -a) for m, a in zip(members, coefficients)), (carrier, k)))  # each member is a proper subset
+
+
+def _sums_to(members: Sequence[int], values: Sequence[int], total: int, carrier: int) -> bool:
+    """Whether the positive ``values`` of the ``members`` sum to ``total``
+    at each player of ``carrier``: one identity of integers with a field of
+    ``w`` bits per player, above the values' sum and ``total``, so none
+    wraps.  Bit ``p`` of ``m`` is at ``p + (w - 1) * q`` in ``m * ones``,
+    ``q < n``, distinct as ``n < w``: at ``w * j`` iff ``p == q == j``."""
+    n = carrier.bit_length()
+    w = max(n, max(sum(values), total).bit_length()) + 1
+    ones, fields = ((1 << (w - 1) * n) - 1) // ((1 << w - 1) - 1), ((1 << w * n) - 1) // ((1 << w) - 1)
+    return sum(v * (m * ones & fields) for m, v in zip(members, values)) == total * (carrier * ones & fields)
 
 
 def complement_system(system: SetSystem, players: Players) -> SetSystem:
@@ -284,18 +284,19 @@ def _reduced_set(members: Sequence[int], vectors: Sequence[int], lead: int) -> O
 
     ``vectors`` are the unit vectors ``e_p``, ``p < c``, reduced against
     the rows of ``members`` (on the first ``c`` players, last lead
-    ``lead``), so ``sums[a]`` is ``chi_A ⊕ e_2c`` reduced.  A passes when
-    its first ``c`` entries vanish and the next ``k`` are at most zero:
-    chi_A is then a nonnegative combination of members, so a union of
-    them, and every proper subset but the members may be tried."""
+    ``lead``), so A's players' vectors plus ``lead * e_2c`` are ``chi_A ⊕
+    e_2c`` reduced.  A passes when its first ``c`` entries vanish and the
+    next ``k`` are at most zero: chi_A is then a nonnegative combination
+    of the members, the union of those with positive coefficients.  So
+    only unions of members are tried, in increasing order, not members."""
     c, k = len(vectors), len(members)
     _, units, _, _, pivot, negative = _search_kernel(c)
-    sums, ones = [lead * units[2 * c]], sum(units[c:c + k])
-    for e in vectors:
-        sums += [v + e for v in sums]
-    for a in range(1, (1 << c) - 1):
-        if a not in members and pivot(sums[a]) is None and negative(sums[a] - ones, c, c + k):
-            return a, sums[a]
+    target, ones = lead * units[2 * c], sum(units[c:c + k])
+    unions = reduce(lambda unions, m: unions | {u | m for u in unions}, members, {0})
+    for a in sorted(unions.difference(members, (0, (1 << c) - 1))):
+        v = sum(map(vectors.__getitem__, _bit_positions(a)), target)
+        if pivot(v) is None and negative(v - ones, c, c + k):
+            return a, v
     return None
 
 
@@ -333,30 +334,24 @@ def _enumerate_size(c: int) -> tuple[tuple[MinBalancedSystem, ...], tuple[bool, 
     candidate is dependent or makes a leaf with a weight at most 0, so no
     type is lost.  A kept one is pivoted and the target stepped through
     it; only a leaf with positive weights is then tested for canonicity
-    and normalized.  At ``c = 6`` that leaves 29,657 canonicity tests of
-    the 113,741 a search testing every candidate made (1,246 of 2,887 at
-    ``c = 5``).
+    (29,657 tests at ``c = 6``, of 113,741 for every candidate).
 
     Above the last level a candidate is tested for canonicity
     (``_packed_marks``) before independence.  Member ``j``, S, is the
     echelon row of ``chi_S ⊕ e_j`` in ``_search_kernel(c)``.  A node
     keeps the unit vectors ``e_p``, ``p < c``, reduced against its rows,
-    and a child steps each by its row.  By linearity a candidate reduced
+    and a child steps each by its row; by linearity a candidate reduced
     is its players' vectors plus ``lead * e_(c + depth)``, which no row
-    reaches.  The target ``1_c ⊕ e_2c``, stepped alike, decides a leaf in
+    reaches.  A last-level node steps whichever is fewer: its vectors, or
+    each candidate's sum of its parent's (465 steps at ``c = 5``, not
+    915).  The target ``1_c ⊕ e_2c``, stepped alike, decides a leaf in
     its parent: the carrier lies in the span when its first ``c``
     entries vanish, its tail then the weights times minus the last lead.
     A leaf with positive weights is normalized and, its vectors stepped
-    once more, tested by ``_reduced_set``.  Every step and sum is
-    checked.
+    to its last row, tested by ``_reduced_set``.  Every step is checked.
 
-    A search for ``c >= 6``, run only on a cache miss, logs a warning
-    first, with the cost of its ``c`` (``_SEARCH_COSTS``).  On a 2-core
-    machine with Python 3.11 a process that ran only the 6-player search
-    took 0.35-0.64 s and 17 MB (six runs alternated with a version testing
-    every last member for canonicity, which took 0.59-1.00 s; README,
-    "Caps", gives its callers' figures), and the 7-player search took
-    97-110 s and 94-97 MB (three runs).
+    A search for ``c >= 6``, run only on a cache miss, first logs a
+    warning with its cost (``_SEARCH_COSTS``; README, "Caps").
     """
     if c >= 6:
         _log("warning", "enumerating min-balanced systems on a %d-player carrier: expect %s", c,
@@ -368,15 +363,14 @@ def _enumerate_size(c: int) -> tuple[tuple[MinBalancedSystem, ...], tuple[bool, 
     types: list[MinBalancedSystem] = []
     irreducible: list[bool] = []
 
-    def leaf(chosen: list[int], row: tuple[int, int, int], lead: int, vectors: list[int], reached: int) -> None:
+    def leaf(chosen: list[int], rows: list[tuple[int, int, int]], prev: int, vectors: list[int], reached: int) -> None:
         values = unpack(reached)[c:]
         weights = [-v for v in values[:len(chosen)]]
         k, alpha = _normalize_integers(chosen, weights, values[c])
         types.append(MinBalancedSystem(SetSystem(tuple(chosen)), tuple(Fraction(v, values[c]) for v in weights), k, alpha))
-        irreducible.append(_reduced_set(chosen, [reduce_row([row], e, lead) for e in vectors], row[2]) is None)
+        irreducible.append(_reduced_set(chosen, [reduce_row(rows, e, prev) for e in vectors], rows[-1][2]) is None)
 
-    def last(start: int, chosen: list[int], union: int, lead: int, lex: int, vectors: list[int], target: int) -> None:
-        unit = lead * units[2 * c - 1]
+    def last(start: int, chosen: list[int], union: int, entering: tuple[int, int, int], prev: int, lex: int, vectors: list[int], target: int) -> None:
         if union != full:  # the players outside the union are the last member's own
             candidates = [full ^ union] if start <= full ^ union < full else []
         else:
@@ -392,18 +386,21 @@ def _enumerate_size(c: int) -> tuple[tuple[MinBalancedSystem, ...], tuple[bool, 
                 fixed |= own
                 allowed = {a | own for a in allowed} | (allowed if own == m else set())
             candidates = [s for s in range(start, full) if s & fixed in allowed]
+        rows, base, lead = [entering], prev, entering[2]  # the rows the vectors are yet to be stepped through, from lead base
+        if len(candidates) >= c:
+            vectors, rows, base = [reduce_row(rows, e, prev) for e in vectors], [], lead
+        unit = base * units[2 * c - 1]
         for s in candidates:
-            row = pivot(sum(map(vectors.__getitem__, players[s]), unit))
+            v = sum(map(vectors.__getitem__, players[s]), unit)
+            row = pivot(reduce_row(rows, v, base) if rows else v)
             if row is None:
                 continue
             reached = reduce_row([row], target, lead)
             if negative(reached, c, 2 * c) and lex + steps[s] & guards == guards:  # positive weights, lex-least
-                leaf([*chosen, s], row, lead, vectors, reached)
+                leaf([*chosen, s], [*rows, row], base, vectors, reached)
 
     def visit(start: int, chosen: list[int], union: int, lead: int, lex: int, vectors: list[int], target: int) -> None:
         depth = len(chosen)
-        if depth == c - 1:
-            return last(start, chosen, union, lead, lex, vectors, target)
         unit = lead * units[c + depth]
         for s in range(start, full):
             least = lex + steps[s]
@@ -416,9 +413,12 @@ def _enumerate_size(c: int) -> tuple[tuple[MinBalancedSystem, ...], tuple[bool, 
             reached = reduce_row(rows, target, lead)
             chosen.append(s)
             if union | s != full or pivot(reached) is not None:
-                visit(s + 1, chosen, union | s, row[2], least, [reduce_row(rows, e, lead) for e in vectors], reached)
+                if depth < c - 2:
+                    visit(s + 1, chosen, union | s, row[2], least, [reduce_row(rows, e, lead) for e in vectors], reached)
+                else:  # a last-level node, which steps only what it reads
+                    last(s + 1, chosen, union | s, row, lead, least, vectors, reached)
             elif negative(reached, c, c + depth + 1):  # a leaf with positive weights
-                leaf(chosen, row, lead, vectors, reached)
+                leaf(chosen, rows, lead, vectors, reached)
             chosen.pop()
 
     visit(1, [], 0, 1, guards, units[:c], pack([1] * c) + units[2 * c])

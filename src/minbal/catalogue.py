@@ -170,14 +170,13 @@ class Catalogue(Frozen):
         ``None``, classified on the first ``c`` players on the first call;
         in ``balanced`` each type's complement is classified too."""
         if c not in self._searched:
-            players, reps = self.players, _types_on(self.players, c)
+            players = self.players
             if self.cone is ConeKind.BALANCED:  # the one cone admitting reducible systems
-                pairs = [(CatalogueEntry(rep.mbs, rep.alpha, rep.irreducible, rep.conjugated, rep.type_id, rep.orbit_size,
-                                         _type_id(players, complement_system(rep.mbs.system, players))), None) for rep in reps]
+                pairs = [(rep, None) for rep in _types_on(players, c, complements=True)]
             else:
                 pairs = [(rep, CatalogueEntry(rep.mbs, conjugate(rep.alpha, players), rep.irreducible, True, "~" + rep.type_id, rep.orbit_size)
                           if self.conjecture else None)
-                         for rep in reps if rep.irreducible]
+                         for rep in _types_on(players, c) if rep.irreducible]
             self._searched[c] = pairs
         return self._searched[c]
 
@@ -202,15 +201,17 @@ def _type_id(players: Players, system: SetSystem) -> str:
     return "|".join(players.key(m) for m in canonical_type(system, players)[0].members)
 
 
-def _types_on(players: Players, c: int) -> list[CatalogueEntry]:
+def _types_on(players: Players, c: int, complements: bool = False) -> list[CatalogueEntry]:
     """Each type of non-trivial min-balanced system on the first ``c``
     players, in canonical order, as the entry of its lex-least system.
     That entry holds what is found from the system alone, as relabelling
     the players commutes with all of it: its irreducibility, type id and
-    orbit size, with no conjugate and no complement."""
+    orbit size, with no conjugate, and with ``complements`` the type id
+    of its complement, else none."""
     if players.n > ENUM_PLAYER_CAP:
         raise ValueError(f"enumeration is capped at {ENUM_PLAYER_CAP} players")
-    return [CatalogueEntry(mbs, mbs.alpha, irreducible, False, "|".join(map(players.key, mbs.system.members)), size * comb(players.n, c))
+    return [CatalogueEntry(mbs, mbs.alpha, irreducible, False, "|".join(map(players.key, mbs.system.members)), size * comb(players.n, c),
+                           _type_id(players, complement_system(mbs.system, players)) if complements else None)
             for mbs, irreducible, size in zip(*_enumerate_size(c), _orbit_sizes(c))]
 
 

@@ -3,6 +3,7 @@
 import json
 import logging
 import re
+import sys
 from fractions import Fraction as F
 from functools import reduce
 from itertools import combinations, permutations, product
@@ -63,17 +64,6 @@ class TestIsMinBalanced:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             is_min_balanced(SetSystem(()))
-
-
-class _Balanced(list):
-    """Player sums equal to any list and with no nonzero entry: they pass
-    the balance test and the player part of o-standardization."""
-
-    def __eq__(self, other):
-        return True
-
-    def __ne__(self, other):
-        return False
 
 
 class TestNormalize:
@@ -142,17 +132,46 @@ class TestNormalize:
     def test_safety_check_messages(self, monkeypatch, members, numerators, denominator, passes, message):
         # balanced weights have gcd 1 over their least denominator, and
         # their vector is o-standardized with a positive empty
-        # coefficient, so the first ``passes`` player sums are faked to
-        # reach each check behind the balance test
-        real, calls = balance._player_sums, []
+        # coefficient, so the first ``passes`` packed player-sum
+        # identities, the balance test's and the o-standardization's, are
+        # faked to reach each check behind the balance test
+        real, calls = balance._sums_to, []
 
-        def player_sums(items, n):
-            calls.append(n)
-            return _Balanced() if len(calls) <= passes else real(items, n)
+        def sums_to(*args):
+            calls.append(args)
+            return True if len(calls) <= passes else real(*args)
 
-        monkeypatch.setattr(balance, "_player_sums", player_sums)
+        monkeypatch.setattr(balance, "_sums_to", sums_to)
         with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
             balance._normalize_integers(members, numerators, denominator)
+        assert len(calls) == passes + message.endswith("o-standardized")
+
+    def test_packed_sums_match_player_sums(self):
+        # the packed identity decides what the per-player sums decide, on
+        # values from 1 bit to 80: two partitions of a carrier weighted a
+        # and b sum to a + b at each of its players, and one value moved by
+        # one, or a total one off, breaks that
+        rng = Random(48)
+
+        def partition(carrier):
+            blocks = [0, 0, 0]
+            for p in balance._bit_positions(carrier):
+                blocks[rng.randrange(3)] |= 1 << p
+            return [b for b in blocks if b]
+
+        for _ in range(1000):
+            n = rng.randint(1, 12)
+            carrier = rng.randint(1, (1 << n) - 1)
+            a, b = (rng.randint(1, 2 ** rng.randint(1, 80)) for _ in range(2))
+            first, second = partition(carrier), partition(carrier)
+            members, values = first + second, [a] * len(first) + [b] * len(second)
+            sums = balance._player_sums(zip(members, values), n)
+            assert sums == [(a + b) * (carrier >> i & 1) for i in range(n)]
+            for total in (a + b, a + b - 1, a + b + 1, 0, -1):
+                assert balance._sums_to(members, values, total, carrier) == (total == a + b)
+            moved = values[:]
+            moved[rng.randrange(len(moved))] += rng.choice((-1, 1)) if a > 1 and b > 1 else 1
+            assert not balance._sums_to(members, moved, a + b, carrier)
 
     def test_common_factors_change_nothing(self):
         # the core reduces numerators and denominator by their gcd first
@@ -393,6 +412,17 @@ class TestOrderlySearch:
         assert len(_enumerate_size(c)[0]) == [1, 3, 9, 44][c - 2]
         assert len(reads) == tested
 
+    @pytest.mark.parametrize("c, nodes, candidates, stepped, empty", [(4, 16, 23, 23, 1), (5, 183, 567, 465, 9)])
+    def test_last_level_steps_the_fewer_of_its_vectors_and_candidates(self, monkeypatch, c, nodes, candidates, stepped, empty):
+        # a last-level node lists its candidates from its members alone,
+        # then steps its c vectors or each candidate's sum of its parent's,
+        # whichever is fewer; stepping every node's vectors made 64 and 915
+        # steps, and a node with no candidate steps nothing
+        work = _last_level_work(monkeypatch, c)
+        assert (len(work), sum(n for n, _ in work), sum(s for _, s in work)) == (nodes, candidates, stepped)
+        assert [s for n, s in work if n == 0] == [0] * empty
+        assert all(s == min(c, n) for n, s in work)
+
     @pytest.mark.parametrize("c", [2, 3, 4, 5])
     def test_orbit_fill_matches_cold_scan(self, c):
         # the search yields each type's canonical form, in canonical order,
@@ -423,6 +453,49 @@ class TestOrderlySearch:
         types = [canonical_type(rep.system, letters(6)) for rep in representatives]
         assert [form for form, _ in types] == [rep.system for rep in representatives]
         assert sum(size for _, size in types) == 200_213
+
+
+def _last_level_work(monkeypatch, c):
+    """Per last-level node of a cold search on ``c`` players, in search
+    order, its candidates and the vectors it steps through the row it
+    enters with, that of member ``c - 2``, counted through a patched
+    ``_search_kernel``.  A node is a call of the search's ``last``, which
+    a profile hook sees; a candidate is a pivot, in it, of a vector with
+    the last member's unit ``e_(2c - 1)`` and no target entry ``e_2c``,
+    and a step a one-row step of a vector with no target entry through a
+    row with no ``e_(2c - 1)`` entry."""
+    nodes, inside, search_kernel = [], [False], balance._search_kernel
+
+    def kernel(size):
+        pack, units, unpack, reduce_row, pivot, negative = search_kernel(size)
+
+        def counted_reduce_row(rows, v, prev):
+            if inside[0] and len(rows) == 1 and not unpack(v)[2 * c] and not unpack(rows[0][0])[2 * c - 1]:
+                nodes[-1][1] += 1
+            return reduce_row(rows, v, prev)
+
+        def counted_pivot(v):
+            if inside[0] and unpack(v)[2 * c - 1] and not unpack(v)[2 * c]:
+                nodes[-1][0] += 1
+            return pivot(v)
+
+        return pack, units, unpack, counted_reduce_row, counted_pivot, negative
+
+    def profile(frame, event, arg):
+        if event in ("call", "return") and frame.f_code.co_name == "last" and frame.f_code.co_filename == balance.__file__:
+            inside[0] = event == "call"
+            if inside[0]:
+                nodes.append([0, 0])
+
+    monkeypatch.setattr(balance, "_search_kernel", kernel)
+    _enumerate_size.cache_clear()
+    sys.setprofile(profile)
+    try:
+        _enumerate_size(c)
+    finally:
+        sys.setprofile(None)
+        _enumerate_size.cache_clear()
+    return nodes
 
 
 def _stepped(vectors, bits):

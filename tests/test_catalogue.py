@@ -152,6 +152,15 @@ class TestGenerate:
                 assert partner.orbit_size == rep.orbit_size
                 assert rep.complement_type_id == _type_id(players, complement_system(rep.mbs.system, players))
 
+    def test_balanced_entries_are_built_once(self, monkeypatch, p5):
+        # each type's entry is built with its complement's type id, not
+        # built and then copied to add it: 44 entries for 44 types
+        entry, made = minbal.catalogue.CatalogueEntry, []
+        monkeypatch.setattr(minbal.catalogue, "CatalogueEntry", lambda *args, **kwargs: made.append(args) or entry(*args, **kwargs))
+        catalogue = generate(p5, "balanced")
+        assert len(made) == len(catalogue.types) == 44
+        assert all(t.complement_type_id is not None for t in catalogue.types)
+
     @pytest.mark.parametrize("n, cone", [(n, cone) for n in range(2, 6) for cone in CONES[: 2 if n == 2 else 3]] + [(6, CONES[2])])
     def test_types_are_first_entries(self, n, cone):
         # a type is the first entry of its id, the entry of its lex-least system

@@ -274,7 +274,7 @@ class TestVerify:
         import minbal.catalogue
 
         search = minbal.catalogue._types_on
-        monkeypatch.setattr(minbal.catalogue, "_types_on", lambda players, c: search(players, c)[: -1 if c == size else None])
+        monkeypatch.setattr(minbal.catalogue, "_types_on", lambda players, c, **options: search(players, c, **options)[: -1 if c == size else None])
         assert main(["verify", "--players", "4", "--suite", suite]) == 1
         captured = capsys.readouterr()
         assert captured.out.splitlines() == lines

@@ -17,7 +17,8 @@ from minbal.balance import (
 )
 from conftest import candidate_sets, lp_conic_feasible, permute_coalition, subsets_below
 from minbal.games import letters
-from minbal import reduction
+from minbal import balance, reduction
+from minbal.catalogue import generate
 from minbal.reduction import ReductionWitness, decompose, is_reducible
 
 
@@ -303,6 +304,44 @@ def test_search_flags_are_is_reducible(monkeypatch, c):
         assert flag == (witness is None) == (found is None)
         assert found is None or found[0] == witness.reduced_set
     assert sum(irreducible) == [1, 2, 5, 15][c - 2]  # the steps of the totally balanced type counts 1, 3, 8, 23
+
+
+def _full_scan_reduced_set(members, vectors, lead):
+    """``balance._reduced_set`` by a scan of every proper nonempty subset
+    of the first ``c`` players but the members, in increasing order: the
+    first whose reduced vector has no leading entry and a tail at most
+    zero, with that vector, or ``None``."""
+    c, k = len(vectors), len(members)
+    _, units, _, _, pivot, negative = balance._search_kernel(c)
+    ones = sum(units[c:c + k])
+    for a in range(1, (1 << c) - 1):
+        v = sum((vectors[p] for p in range(c) if a >> p & 1), lead * units[2 * c])
+        if a not in members and pivot(v) is None and negative(v - ones, c, c + k):
+            return a, v
+    return None
+
+
+def test_unions_of_members_find_what_a_scan_of_every_set_finds(monkeypatch):
+    # the helper tries only the unions of members; on every call the
+    # search makes for the types up to 5 players, and is_reducible makes
+    # for the systems of the 5-player balanced catalogue, it returns what
+    # the full scan returns
+    calls, helper = [], balance._reduced_set
+
+    def recorded(members, vectors, lead):
+        calls.append((list(members), list(vectors), lead, helper(members, vectors, lead)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(balance, "_reduced_set", recorded)
+    monkeypatch.setattr(reduction, "_reduced_set", recorded)
+    for c in (2, 3, 4, 5):
+        _enumerate_size.cache_clear()
+        _enumerate_size(c)
+    for entry in generate(letters(5), "balanced").entries:  # the 5-player search is cached
+        is_reducible(entry.mbs)
+    assert len(calls) == 57 + 1291
+    assert [found for *_, found in calls] == [_full_scan_reduced_set(*call[:3]) for call in calls]
+    assert {found is None for *_, found in calls} == {True, False}
 
 
 def test_labels_permutation_invariant(p4):
