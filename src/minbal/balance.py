@@ -23,7 +23,7 @@ from math import comb, factorial, gcd, lcm
 from operator import or_
 from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
-from ._frozen import Frozen
+from ._frozen import Frozen, _setattr
 from .games import Players, SetFunction, _bit_positions, _log, _player_sums, relabelling
 from .linalg import _hadamard_bits, _packed_echelon, solve_unique
 
@@ -51,6 +51,14 @@ class SetSystem(Frozen):
             raise ValueError("members must be nonempty coalitions")
         if any(a >= b for a, b in zip(members, members[1:])):
             raise ValueError("members must be strictly increasing bitmasks")
+
+    @classmethod
+    def _of(cls, members: tuple[int, ...]) -> SetSystem:
+        """The system of ``members``, a tuple its caller built strictly
+        increasing and positive: unchecked."""
+        system = cls.__new__(cls)
+        _setattr(system, "members", members)  # not through __dict__, which would build one
+        return system
 
     @property
     def carrier(self) -> int:
@@ -91,6 +99,14 @@ class InequalityVector(Frozen):
             raise ValueError("zero coefficients must be omitted")
         if any(a[0] >= b[0] for a, b in zip(items, items[1:])):
             raise ValueError("items must be sorted by coalition bitmask")
+
+    @classmethod
+    def _of(cls, items: tuple[tuple[int, int], ...]) -> InequalityVector:
+        """The vector of ``items``, integer pairs its caller built sorted by
+        coalition, none with a zero coefficient: unchecked."""
+        alpha = cls.__new__(cls)
+        _setattr(alpha, "items", items)
+        return alpha
 
     def coefficient(self, coalition: int) -> int:
         for s, c in self.items:
@@ -216,16 +232,28 @@ def normalize(weights: Mapping[int, Fraction]) -> tuple[int, InequalityVector]:
 
 def _normalize_integers(members: Sequence[int], numerators: Sequence[int], denominator: int) -> tuple[int, InequalityVector]:
     """``normalize`` of the weights ``numerators[i] / denominator`` of the
-    increasing ``members``, the denominator positive, checked on the
-    integers (``_sums_to``): no ``Fraction`` is built unless a message
-    shows one.  The search passes the numerators and lead of its packed
-    target, ``normalize`` its scaled weights.  ``k`` is the denominator
-    over the numerators' gcd ``g``, a coefficient minus a numerator over
-    ``g``, and the empty coalition's makes the total zero."""
+    ``members``, checked on the integers (``_sums_to``): no ``Fraction`` is
+    built unless a message shows one.  The search passes the numerators
+    and lead of its packed target, ``normalize`` its scaled weights.
+    ``k`` is the denominator over the numerators' gcd ``g``, a coefficient
+    minus a numerator over ``g``, and the empty coalition's makes the
+    total zero.
+
+    The vector is built past ``InequalityVector``'s checks, which these
+    imply.  Its coalitions are sorted: the members strictly increase, the
+    least is positive, and their union, the carrier, holds each (an OR
+    only sets bits) and is none of them, so it is the largest.  Its
+    coefficients are nonzero integers: ``gcd`` takes integers only; a
+    member's is minus a positive numerator over a divisor of it; the
+    numerators at any player of the carrier, all positive, sum to the
+    denominator in a balanced system, so it and ``k`` are positive; and
+    the empty coalition's is checked to be at least 1."""
     if len(members) < 2:
         raise ValueError("normalization is defined for non-trivial systems only")
+    if any(a >= b for a, b in zip(members, members[1:])):
+        raise ValueError("members must be strictly increasing bitmasks")
     carrier = reduce(or_, members)
-    if 0 in members or carrier in members:
+    if members[0] <= 0 or members[-1] == carrier:
         raise ValueError("weights must be indexed by proper nonempty members")
     if any(v <= 0 for v in numerators):
         raise ValueError("balanced weights must be strictly positive")
@@ -241,7 +269,7 @@ def _normalize_integers(members: Sequence[int], numerators: Sequence[int], denom
         raise ArithmeticError("normalized coefficient vector is not o-standardized")
     if (empty := sum(coefficients) - k) < 1:
         raise ArithmeticError("normalized coefficient vector has |empty| coefficient < 1")
-    return k, InequalityVector(((0, empty), *((m, -a) for m, a in zip(members, coefficients)), (carrier, k)))  # each member is a proper subset
+    return k, InequalityVector._of(((0, empty), *((m, -a) for m, a in zip(members, coefficients)), (carrier, k)))
 
 
 def _sums_to(members: Sequence[int], values: Sequence[int], total: int, carrier: int) -> bool:
@@ -367,7 +395,8 @@ def _enumerate_size(c: int) -> tuple[tuple[MinBalancedSystem, ...], tuple[bool, 
         values = unpack(reached)[c:]
         weights = [-v for v in values[:len(chosen)]]
         k, alpha = _normalize_integers(chosen, weights, values[c])
-        types.append(MinBalancedSystem(SetSystem(tuple(chosen)), tuple(Fraction(v, values[c]) for v in weights), k, alpha))
+        # _normalize_integers has checked the chosen members positive and increasing
+        types.append(MinBalancedSystem(SetSystem._of(tuple(chosen)), tuple(Fraction(v, values[c]) for v in weights), k, alpha))
         irreducible.append(_reduced_set(chosen, [reduce_row(rows, e, prev) for e in vectors], rows[-1][2]) is None)
 
     def last(start: int, chosen: list[int], union: int, entering: tuple[int, int, int], prev: int, lex: int, vectors: list[int], target: int) -> None:
@@ -501,14 +530,15 @@ def _member_values(rep: MinBalancedSystem) -> tuple[tuple[Fraction, int], ...]:
     return tuple(zip(rep.weights, (v for _, v in rep.alpha.items[1:-1])))
 
 
-def _images(types: Sequence[tuple[tuple[int, ...], Sequence[_Value], _Tag]], c: int) -> Iterator[tuple[tuple[int, ...], tuple[_Value, ...], _Tag]]:
+def _images(types: Sequence[tuple[tuple[int, ...], Sequence[_Value], _Tag]], c: int) -> Iterator[tuple[list[tuple[int, _Value]], _Tag]]:
     """The images of systems on the first ``c`` players under the ``c!``
     relabellings, in canonical order.
 
     Each system is given by its members, one value per member and a tag;
-    each image comes with its members, the values moved with their
-    members into the image's order, and its system's tag.  The systems
-    must be of distinct types, so no two images are equal, and no one may
+    each image comes as its ``(member, value)`` pairs, each member's image
+    with the member's value, sorted by member, and its system's tag, and
+    its consumers read the pairs as they are.  The systems must be of
+    distinct types, so no two images are equal, and no one may
     properly contain another, as no min-balanced system properly
     contains another on its carrier.  Each image is read off the OR of
     the system's ``_packed_marks`` as its field's mask (``_fields``), and
@@ -517,11 +547,11 @@ def _images(types: Sequence[tuple[tuple[int, ...], Sequence[_Value], _Tag]], c: 
     the one holding the smallest coalition they do not share sorts first
     as a tuple and has the larger mask, so descending mask is canonical
     order.  ``(mask, type, relabelling)`` is sorted once and popped from
-    the end, so each image's members are mapped and sorted, with their
-    values, only as it is drawn, and its entry is freed.  A relabelling
-    from the first ``c`` players that keeps their order, as
-    ``relabelling(_bit_positions(carrier))`` does, moves an image onto any
-    carrier of ``c`` players and keeps every list in order.
+    the end, so each image's pairs are mapped and sorted only as it is
+    drawn, and its entry is freed; members are distinct, so no two values
+    are compared.  A relabelling from the first ``c`` players that keeps
+    their order, as ``relabelling(_bit_positions(carrier))`` does, moves
+    an image onto any carrier of ``c`` players and keeps its pairs in order.
     """
     marks, _, _, _ = _packed_marks(c)
     tables = _perm_tables(c)
@@ -530,8 +560,7 @@ def _images(types: Sequence[tuple[tuple[int, ...], Sequence[_Value], _Tag]], c: 
     while order:
         _, i, k = order.pop()
         members, values, tag = types[i]
-        image, moved = zip(*sorted(zip(map(tables[k].__getitem__, members), values)))
-        yield image, moved, tag
+        yield sorted(zip(map(tables[k].__getitem__, members), values)), tag
 
 
 def enumerate_min_balanced(players: Players, carrier: int) -> tuple[MinBalancedSystem, ...]:
@@ -550,18 +579,19 @@ def enumerate_min_balanced(players: Players, carrier: int) -> tuple[MinBalancedS
     c = carrier.bit_count()
     table = relabelling(_bit_positions(carrier))
     types = [(rep.system.members, _member_values(rep), rep) for rep in _enumerate_size(c)[0]]
-    return tuple(_image_system(table, image, values, rep) for image, values, rep in _images(types, c))
+    return tuple(_image_system(table, pairs, rep) for pairs, rep in _images(types, c))
 
 
-def _image_system(table: Sequence[int], image: tuple[int, ...], values: tuple[tuple[Fraction, int], ...],
-                  rep: MinBalancedSystem) -> MinBalancedSystem:
-    """An image of ``rep`` on the first c players, with its
-    ``_member_values``, renamed onto a carrier through its order-keeping
-    ``table``: the empty coalition and the carrier keep their coefficients."""
-    members = image if table[-1] == len(table) - 1 else tuple(map(table.__getitem__, image))  # the identity on the first c players
-    weights, coefficients = zip(*values)
-    items = (rep.alpha.items[0], *zip(members, coefficients), (table[-1], rep.k))
-    return MinBalancedSystem(SetSystem(members), weights, rep.k, InequalityVector(items))
+def _image_system(table: Sequence[int], pairs: Sequence[tuple[int, tuple[Fraction, int]]], rep: MinBalancedSystem) -> MinBalancedSystem:
+    """An image of ``rep`` on the first c players, as its ``_images`` pairs
+    of each member and its ``_member_values``, renamed onto a carrier
+    through its order-keeping ``table``: the empty coalition and the
+    carrier keep their coefficients.  Nothing is checked again: the pairs
+    are sorted, members are mapped in order, and ``_member_values`` has
+    checked the type's vector, whose coefficients every image takes."""
+    members = tuple([table[m] for m, _ in pairs])
+    items = (rep.alpha.items[0], *[(table[m], a) for m, (_, a) in pairs], (table[-1], rep.k))
+    return MinBalancedSystem(SetSystem._of(members), tuple([w for _, (w, _) in pairs]), rep.k, InequalityVector._of(items))
 
 
 # -- permutational types -----------------------------------------------

@@ -251,8 +251,8 @@ def _entries(catalogue: Catalogue) -> Iterator[CatalogueEntry]:
             types = [(t.mbs.system.members, _member_values(t.mbs), (t, twin)) for t, twin in catalogue._types_of(c)]
             images[c] = _images(types, c) if c == players.n else list(_images(types, c))
         table = relabelling(_bit_positions(carrier))
-        for image, values, (t, twin) in images[c]:
-            mbs = _image_system(table, image, values, t.mbs)
+        for pairs, (t, twin) in images[c]:
+            mbs = _image_system(table, pairs, t.mbs)
             yield entry(t, mbs, mbs.alpha)
             if twin is not None:
                 yield entry(twin, mbs, conjugate(mbs.alpha, players))
@@ -375,21 +375,22 @@ def _json_slots(players: Players, pad: str) -> Callable[[int, list[int]], tuple[
                                    [_json_block(names[carrier], pad + "    ")])
 
 
-def _system_fields(listed: list[str], named: list[str], block: str, pad: str) -> Callable[[tuple[int, ...], Sequence[tuple[str, ...]], int], list[str]]:
-    """A renderer of an image's ``system``, ``carrier``, ``weights`` and
-    ``k`` fields as ``json.dumps(indent=2)`` writes them in an object whose
-    fields sit at ``pad``, from the ``_json_slots`` texts of its carrier:
-    given the image's members, a tuple per member whose first item is its
-    weight as a ``: "w"`` text, and its ``k``.  The fields come as a list
-    of texts, for the caller to join with the rest of its item."""
+def _system_fields(listed: list[str], named: list[str], block: str, pad: str, start: str) -> Callable[[Sequence[tuple[int, tuple[str, ...]]], str], str]:
+    """A renderer of an image's ``system``, ``carrier`` and ``weights``
+    fields as ``json.dumps(indent=2)`` writes them in an object whose
+    fields sit at ``pad``, from the ``_json_slots`` texts of its carrier,
+    after ``start``, the text before them: given the image's ``_images``
+    pairs, each member with a tuple whose first item is its weight as a
+    ``: "w"`` text, and ``close``, its type's text from the next field's
+    key on.  The text is made in one join."""
     first = "\n" + pad + "  "
-    inner, opening = "," + first, f'"system": [{first}'
+    inner, opening = "," + first, f'{start}"system": [{first}'
     middle = f"\n{pad}],\n{pad}\"carrier\": {block},\n{pad}\"weights\": {{{first}"
-    last = f"\n{pad}}},\n{pad}\"k\": "
+    last = f"\n{pad}}},\n{pad}"
 
-    def fields(image: tuple[int, ...], values: Sequence[tuple[str, ...]], k: int) -> list[str]:
-        return [opening, inner.join([listed[m] for m in image]), middle,
-                inner.join([named[m] + v[0] for m, v in zip(image, values)]), last, str(k)]
+    def fields(pairs: Sequence[tuple[int, tuple[str, ...]]], close: str) -> str:
+        return "".join([opening, inner.join([listed[m] for m, _ in pairs]), middle,
+                        inner.join([named[m] + v[0] for m, v in pairs]), last, close])
 
     return fields
 
@@ -398,14 +399,14 @@ def _json_entries(catalogue: Catalogue) -> Iterator[str]:
     """The entries as ``serialize`` writes them in the ``entries`` list, in
     the ``_fill_pieces`` of about ``PIECE_ENTRIES`` each.  An entry is
     rendered from its carrier's coalition texts, its image's weights and
-    coefficients and its type's fields, each rendered once, and joined
-    with one ``"".join``.  A conjugate shares its entry's system fields,
-    the head of its join; its ``alpha`` has the complemented keys in
-    reverse order."""
+    coefficients and its type's texts, each rendered once, and joined
+    with one ``"".join`` after its head, the text up to its first ``alpha``
+    key.  A conjugate shares its entry's head; its ``alpha`` has the
+    complemented keys in reverse order."""
     players, full = catalogue.players, catalogue.players.full_mask
     keys = _json_keys(players)
     first = "\n" + " " * 8
-    inner, alpha_open = "," + first, ',\n      "alpha": {' + first
+    inner = "," + first
 
     def tail(t: CatalogueEntry) -> str:
         """The end of the type's ``alpha`` object and the fields after it."""
@@ -417,21 +418,27 @@ def _json_entries(catalogue: Catalogue) -> Iterator[str]:
 
     def texts(c: int) -> list[tuple]:
         """Each type of size ``c`` with its members, the weight and
-        coefficient texts of each, and its ``k``, its coefficients on the
-        carrier and on the empty set as texts, and its own and its
-        conjugate's ``tail``."""
-        return [(t.mbs.system.members, tuple((f': "{w}"', f": {a}") for w, a in _member_values(t.mbs)),
-                 (t.mbs.k, f": {t.mbs.k}", f": {t.alpha.items[0][1]}", tail(t), twin and tail(twin))) for t, twin in catalogue._types_of(c)]
+        coefficient texts of each, and its own texts: its ``k`` line with
+        the ``alpha`` opening, its empty coalition's term, its carrier's
+        coefficient with its ``tail``, and for a conjugate its carrier's
+        coefficient and its empty coalition's term with its ``tail``, else
+        ``None``."""
+        rendered = []
+        for t, twin in catalogue._types_of(c):
+            on_carrier, on_empty = f": {t.mbs.k}", f": {t.alpha.items[0][1]}"
+            conjugated = twin and (on_carrier + inner, inner + keys[full] + on_empty + tail(twin))
+            rendered.append((t.mbs.system.members, tuple((f': "{w}"', f": {a}") for w, a in _member_values(t.mbs)),
+                             (f'"k": {t.mbs.k},\n      "alpha": {{{first}', keys[0] + on_empty + inner, on_carrier + tail(t), conjugated)))
+        return rendered
 
     def render(listed: list[str], named: list[str], opposite: list[str], block: list[str], images: Iterable[tuple]) -> Iterator[str]:
-        fields = _system_fields(listed, named, block[0], " " * 6)
-        for image, values, (k, on_carrier, on_empty, plain, twin) in images:
-            head = ["{\n      ", *fields(image, values, k), alpha_open]
-            alpha = inner.join([named[m] + a for m, (_, a) in zip(image, values)])
-            yield "".join([*head, keys[0], on_empty, inner, alpha, inner, named[-1], on_carrier, plain])
-            if twin is not None:
-                reflected = inner.join([opposite[m] + a for m, (_, a) in zip(image[::-1], values[::-1])])
-                yield "".join([*head, opposite[-1], on_carrier, inner, reflected, inner, keys[full], on_empty, twin])
+        fields = _system_fields(listed, named, block[0], " " * 6, "{\n      ")
+        for pairs, (close, empty, plain, conjugated) in images:
+            head = fields(pairs, close)
+            yield "".join([head, empty, inner.join([named[m] + a for m, (_, a) in pairs]), inner, named[-1], plain])
+            if conjugated is not None:
+                on_carrier, rest = conjugated
+                yield "".join([head, opposite[-1], on_carrier, inner.join([opposite[m] + a for m, (_, a) in reversed(pairs)]), rest])
 
     return _fill_pieces(players, catalogue.sizes, texts, _json_slots(players, "  "), ",\n    ", render)
 
@@ -473,12 +480,13 @@ def _listing(players: Players, size: int, format: str, types_only: bool, irreduc
                 for line in _type_lines(players, i, rep.alpha, rep.orbit_size, ["irreducible"] if rep.irreducible else []))
     if format == "text":
         keys = [players.key(m) for m in players.coalitions()]
-        systems = [(rep.mbs.system.members, [f"={w}" for w in rep.mbs.weights], rep) for rep in types]
+        systems = [(rep.mbs.system.members, [f"={w}" for w in rep.mbs.weights],
+                    (f"   k={rep.mbs.k}   weights: ", "   irreducible" if rep.irreducible else "")) for rep in types]
 
         def lines(named: list[str], images: Iterable[tuple]) -> Iterator[str]:
-            for image, values, rep in images:  # named[-1] is the carrier's key
-                yield ("{" + ", ".join([named[m] for m in image]) + f"}}   carrier={named[-1]}   k={rep.mbs.k}   weights: "
-                       + " ".join([named[m] + w for m, w in zip(image, values)]) + ("   irreducible" if rep.irreducible else ""))
+            for pairs, (k, note) in images:  # named[-1] is the carrier's key
+                yield "".join(["{", ", ".join([named[m] for m, _ in pairs]), "}   carrier=", named[-1], k,
+                               " ".join([named[m] + w for m, w in pairs]), note])
 
         pieces = _fill_pieces(players, (size,), lambda _: systems, lambda _, table: ([keys[s] for s in table],), "\n", lines)
         return (piece + "\n" for piece in pieces)
@@ -488,12 +496,13 @@ def _listing(players: Players, size: int, format: str, types_only: bool, irreduc
                               '"inequality": ' + encode_basestring(render_inequality(rep.alpha, players))], "  ", "{}")
                  for rep in types)
     else:
-        systems = [(rep.mbs.system.members, [(f': "{w}"',) for w in rep.mbs.weights], rep) for rep in types]
+        # an item is an object at two spaces, as ``_json_block`` writes it: its fields open it, and its type's ``k`` and flag close it
+        systems = [(rep.mbs.system.members, [(f': "{w}"',) for w in rep.mbs.weights],
+                    f'"k": {rep.mbs.k},\n    "irreducible": {str(rep.irreducible).lower()}\n  }}') for rep in types]
 
         def render(listed: list[str], named: list[str], opposite: list[str], block: list[str], images: Iterable[tuple]) -> Iterator[str]:
-            fields = _system_fields(listed, named, block[0], " " * 4)
-            for image, values, rep in images:
-                yield _json_block(["".join(fields(image, values, rep.mbs.k)), '"irreducible": ' + str(rep.irreducible).lower()], "  ", "{}")
+            fields = _system_fields(listed, named, block[0], " " * 4, "{\n    ")
+            return (fields(pairs, close) for pairs, close in images)
 
         items = _fill_pieces(players, (size,), lambda _: systems, _json_slots(players, ""), ",\n  ", render)
     return chain(_json_list(items, ""), ["\n"])

@@ -314,13 +314,13 @@ def orbit(members, c):
 
 def listed_images(types, c):
     """``balance._images`` from ``orbit``: every image of every type,
-    with the values moved with their members by the image's table, sorted
-    as member tuples."""
+    sorted as member tuples, as the ``(member, value)`` pairs of its
+    members, each with the value its table moves onto it."""
     order = sorted((image, i, table) for i, (members, _, _) in enumerate(types) for image, table in orbit(members, c).items())
     for image, i, table in order:
         members, values, tag = types[i]
         moved = dict(zip(map(table.__getitem__, members), values))
-        yield image, tuple(map(moved.__getitem__, image)), tag
+        yield [(m, moved[m]) for m in image], tag
 
 
 def listed_is_lex_least(images):

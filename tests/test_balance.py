@@ -2,6 +2,7 @@
 
 import json
 import logging
+import pickle
 import re
 import sys
 from fractions import Fraction as F
@@ -109,6 +110,7 @@ class TestNormalize:
         ([0b11], [1], 1, "normalization is defined for non-trivial systems only"),
         ([0, 0b01, 0b10], [1, 1, 1], 1, "weights must be indexed by proper nonempty members"),
         ([0b01, 0b10, 0b11], [1, 1, 1], 1, "weights must be indexed by proper nonempty members"),
+        ([-2, 0b01], [1, 1], 1, "weights must be indexed by proper nonempty members"),
         ([0b01, 0b10], [-1, 1], 1, "balanced weights must be strictly positive"),
         ([0b01, 0b10], [0, 2], 2, "balanced weights must be strictly positive"),
         ([0b01, 0b10], [1, 2], 2, "weights are not balanced on the carrier"),
@@ -120,6 +122,16 @@ class TestNormalize:
             balance._normalize_integers(members, numerators, denominator)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             normalize({m: F(v, denominator) for m, v in zip(members, numerators)})
+
+    @pytest.mark.parametrize("members, denominator", [([0b10, 0b01], 1), ([0b011, 0b110, 0b101], 2), ([0b001, 0b001, 0b110], 1)])
+    def test_members_must_strictly_increase(self, members, denominator):
+        # the first two are balanced with equal weights, so each vector
+        # would be built, unchecked, with its coalitions out of order;
+        # normalize sorts the members first
+        with pytest.raises(ValueError, match=r"^members must be strictly increasing bitmasks$"):
+            balance._normalize_integers(members, [1] * len(members), denominator)
+        if len(set(members)) == len(members):
+            assert normalize(dict.fromkeys(members, F(1, denominator))) == balance._normalize_integers(sorted(members), [1] * len(members), denominator)
 
     @pytest.mark.parametrize("members, numerators, denominator, passes, message", [
         # weights 2 and 2: their gcd 2 leaves k = 1/2
@@ -220,6 +232,32 @@ class TestInequalityVector:
         assert all(type(x) is int for item in alpha.items for x in item)
         assert alpha.is_o_standardized()
         assert alpha.evaluate(game_of(p2, {"ab": 2})) == 2
+
+
+class TestUncheckedConstruction:
+    # the search's leaves, _normalize_integers' vectors and the images of
+    # _image_system are built past the validating constructors: each must
+    # equal, and pickle as, what those constructors build from it
+    @staticmethod
+    def assert_as_validated(mbs):
+        for unchecked, validated in ((mbs.system, SetSystem(mbs.system.members)), (mbs.alpha, InequalityVector(mbs.alpha.items))):
+            assert unchecked == validated
+            assert pickle.dumps(unchecked) == pickle.dumps(validated)
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4, 5])
+    def test_search_types(self, c):
+        types, _ = _enumerate_size(c)
+        assert len(types) == {1: 0, 2: 1, 3: 3, 4: 9, 5: 44}[c]
+        for rep in types:
+            self.assert_as_validated(rep)
+
+    @pytest.mark.parametrize("carrier", [0b11111, 0b11011])
+    def test_listed_systems(self, p5, carrier):
+        # the full carrier's images keep their members; a proper carrier's are renamed
+        systems = enumerate_min_balanced(p5, carrier)
+        assert len(systems) == {0b11111: 1291, 0b11011: 41}[carrier]
+        for mbs in systems:
+            self.assert_as_validated(mbs)
 
 
 class TestComplement:
@@ -785,9 +823,10 @@ class TestPackedCanonicity:
     @pytest.mark.parametrize("c", [2, 3, 4, 5])
     def test_images_match_the_tuple_sorted_reference(self, c):
         # images read off the packed marks, in descending mask order, are
-        # the sorted tuples of the orbit scan in ascending order, each with
-        # its values moved by the same relabelling (the last making it):
-        # the index values tell relabellings of a nontrivial stabilizer apart
+        # the sorted tuples of the orbit scan in ascending order, each
+        # member paired with the value the same relabelling (the last
+        # making it) moves onto it: the index values tell relabellings of a
+        # nontrivial stabilizer apart
         for values in (_member_values, lambda rep: tuple(range(len(rep.system)))):
             types = [(rep.system.members, values(rep), rep) for rep in _enumerate_size(c)[0]]
             assert list(balance._images(types, c)) == list(listed_images(types, c))
